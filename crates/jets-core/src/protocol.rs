@@ -302,18 +302,33 @@ pub fn write_msg_buf<M: Serialize>(
 /// are refused with `InvalidData` before anything is queued.
 pub fn encode_msg_buf<M: Serialize>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
     buf.clear();
-    serde_json::to_writer(&mut *buf, msg).map_err(io::Error::other)?;
-    buf.push(b'\n');
-    if buf.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "outgoing frame of {} bytes exceeds MAX_FRAME_BYTES",
-                buf.len()
-            ),
-        ));
+    encode_msg_append(msg, buf)
+}
+
+/// Append one newline-terminated JSON frame to `buf`, keeping whatever
+/// whole frames it already holds — how several messages become one
+/// `write`. A refused frame (encode error, or larger than
+/// [`MAX_FRAME_BYTES`]) is rolled back: `buf` never ends in a partial
+/// frame.
+fn encode_msg_append<M: Serialize>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
+    let start = buf.len();
+    let encoded = serde_json::to_writer(&mut *buf, msg)
+        .map_err(io::Error::other)
+        .and_then(|()| {
+            buf.push(b'\n');
+            let len = buf.len() - start;
+            if len > MAX_FRAME_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("outgoing frame of {len} bytes exceeds MAX_FRAME_BYTES"),
+                ));
+            }
+            Ok(())
+        });
+    if encoded.is_err() {
+        buf.truncate(start);
     }
-    Ok(())
+    encoded
 }
 
 /// Decode one already-reassembled frame body into a message. This is
@@ -364,7 +379,10 @@ pub fn read_msg_buf<M: DeserializeOwned>(
 /// A connection write half plus its reused encode buffer.
 ///
 /// Owns the buffer-reuse contract for long-lived connections: every
-/// [`MsgWriter::send`] encodes into the same `Vec<u8>`.
+/// [`MsgWriter::send`] encodes into the same `Vec<u8>`. Frames can also
+/// be [`queue`](MsgWriter::queue)d and then written together by one
+/// [`flush`](MsgWriter::flush), so messages that are ready at the same
+/// moment cost the peer one read instead of one each.
 #[derive(Debug)]
 pub struct MsgWriter<W: Write> {
     inner: W,
@@ -380,9 +398,44 @@ impl<W: Write> MsgWriter<W> {
         }
     }
 
-    /// Send one message, reusing the internal encode buffer.
+    /// Encode one message behind the frames already queued, writing
+    /// nothing. A refused message queues nothing.
+    pub fn queue<M: Serialize>(&mut self, msg: &M) -> io::Result<()> {
+        encode_msg_append(msg, &mut self.buf)
+    }
+
+    /// Write every queued frame with a single `write_all`. The queue is
+    /// empty afterwards whether or not the write succeeded: a frame that
+    /// missed a dying wire is the caller's to replay on the next one, and
+    /// must not ride along with whatever this writer is handed later.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.inner.write_all(&self.buf);
+        self.buf.clear();
+        written
+    }
+
+    /// Send one message (plus anything queued before it) now.
     pub fn send<M: Serialize>(&mut self, msg: &M) -> io::Result<()> {
-        write_msg_buf(&mut self.inner, msg, &mut self.buf)
+        self.queue(msg)?;
+        self.flush()
+    }
+
+    /// Send two messages as one write — a worker's `Done` and its next
+    /// `Request`. Either both frames reach the writer or neither does.
+    pub fn send_pair<A: Serialize, B: Serialize>(
+        &mut self,
+        first: &A,
+        second: &B,
+    ) -> io::Result<()> {
+        let mark = self.buf.len();
+        if let Err(err) = self.queue(first).and_then(|()| self.queue(second)) {
+            self.buf.truncate(mark);
+            return Err(err);
+        }
+        self.flush()
     }
 
     /// Access the underlying writer (e.g. to shut a socket down).
@@ -638,6 +691,82 @@ mod tests {
             );
         }
         assert!(r.recv::<WorkerMsg>().unwrap().is_none());
+    }
+
+    /// A sink that records each `write` call and can be told to fail.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: Vec<Vec<u8>>,
+        fail_next: bool,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if std::mem::take(&mut self.fail_next) {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn done(task_id: u64, output: Option<String>) -> WorkerMsg {
+        WorkerMsg::Done {
+            task_id,
+            exit_code: 0,
+            wall_ms: 1,
+            output,
+            trace: 9,
+        }
+    }
+
+    #[test]
+    fn paired_send_is_one_write_of_two_whole_frames() {
+        let mut w = MsgWriter::new(CountingSink::default());
+        w.send_pair(&done(5, None), &WorkerMsg::Request).unwrap();
+        assert_eq!(w.get_ref().writes.len(), 1, "Done+Request share a write");
+        let mut separate = Vec::new();
+        write_msg(&mut separate, &done(5, None)).unwrap();
+        write_msg(&mut separate, &WorkerMsg::Request).unwrap();
+        assert_eq!(w.get_ref().writes[0], separate, "frames are unchanged");
+        // queue + queue + flush is the same thing spelled out.
+        w.queue(&done(6, None)).unwrap();
+        w.queue(&WorkerMsg::Request).unwrap();
+        assert_eq!(w.get_ref().writes.len(), 1, "queue writes nothing");
+        w.flush().unwrap();
+        assert_eq!(w.get_ref().writes.len(), 2);
+        w.flush().unwrap();
+        assert_eq!(w.get_ref().writes.len(), 2, "empty flush is no write");
+    }
+
+    /// The agent stashes a `Done` whose send failed and replays it on
+    /// the next wire; the failed writer must not also keep a copy.
+    #[test]
+    fn failed_flush_leaves_no_half_queued_frame_behind() {
+        let mut w = MsgWriter::new(CountingSink::default());
+        w.get_mut().fail_next = true;
+        assert!(w.send_pair(&done(1, None), &WorkerMsg::Request).is_err());
+        w.send(&WorkerMsg::Heartbeat).unwrap();
+        let mut only = Vec::new();
+        write_msg(&mut only, &WorkerMsg::Heartbeat).unwrap();
+        assert_eq!(w.get_ref().writes, vec![only]);
+    }
+
+    #[test]
+    fn refused_frame_queues_nothing_and_drops_its_partner() {
+        let mut w = MsgWriter::new(CountingSink::default());
+        let huge = done(2, Some("y".repeat(MAX_FRAME_BYTES)));
+        w.queue(&WorkerMsg::Heartbeat).unwrap();
+        assert!(w.queue(&huge).is_err());
+        assert!(w.send_pair(&WorkerMsg::Request, &huge).is_err());
+        assert!(w.get_ref().writes.is_empty(), "nothing reached the wire");
+        w.flush().unwrap();
+        let mut only = Vec::new();
+        write_msg(&mut only, &WorkerMsg::Heartbeat).unwrap();
+        assert_eq!(w.get_ref().writes, vec![only], "earlier frame intact");
     }
 
     #[test]

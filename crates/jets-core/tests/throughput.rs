@@ -8,9 +8,14 @@
 //! * a heartbeat flood running concurrently with scheduling — heartbeats
 //!   are lock-free, so the flood must not stall job completion;
 //! * oversized frames, which must drop the offending connection without
-//!   taking the dispatcher down.
+//!   taking the dispatcher down;
+//! * a worker's `Done` and next `Request` arriving as one segment, or
+//!   cut anywhere between two — the turnaround the agent's paired send
+//!   puts on the wire.
 
-use jets_core::protocol::{DispatcherMsg, MsgReader, MsgWriter, WorkerMsg, MAX_FRAME_BYTES};
+use jets_core::protocol::{
+    encode_msg_buf, DispatcherMsg, MsgReader, MsgWriter, WorkerMsg, MAX_FRAME_BYTES,
+};
 use jets_core::spec::{CommandSpec, JobSpec};
 use jets_core::{Dispatcher, DispatcherConfig, JobStatus};
 use std::io::{BufReader, Read, Write};
@@ -203,4 +208,75 @@ fn oversized_frame_drops_connection_not_dispatcher() {
     assert_eq!(d.job_record(id).unwrap().status, JobStatus::Succeeded);
     d.shutdown();
     assert_eq!(h.join().unwrap(), 1);
+}
+
+/// A raw worker whose every turnaround is `Done` + `Request` back to
+/// back, first as one segment and then cut at every byte boundary into
+/// two writes (with a pause, so the halves land in separate reads).
+/// Wherever the cut falls — inside `Done`, between the frames, inside
+/// `Request` — the dispatcher must see exactly one completion and one
+/// request: each job succeeds on its first attempt and the worker is
+/// handed the next.
+#[test]
+fn coalesced_done_and_request_survive_any_segmentation() {
+    let d = Dispatcher::start(DispatcherConfig::default()).unwrap();
+    let stream = TcpStream::connect(d.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(WAIT)).unwrap();
+    let mut wire = stream.try_clone().unwrap();
+    let mut reader = MsgReader::new(BufReader::new(stream));
+    let mut buf = Vec::new();
+    let mut frame = |msg: &WorkerMsg| {
+        encode_msg_buf(msg, &mut buf).unwrap();
+        buf.clone()
+    };
+    wire.write_all(&frame(&WorkerMsg::Register {
+        name: "paired".into(),
+        cores: 1,
+        location: "rack-0".into(),
+    }))
+    .unwrap();
+    let Ok(Some(DispatcherMsg::Registered { .. })) = reader.recv::<DispatcherMsg>() else {
+        panic!("expected Registered");
+    };
+    wire.write_all(&frame(&WorkerMsg::Request)).unwrap();
+
+    // One job per turnaround, so the parked `Request` of the previous
+    // pair is what earns the next `Assign`. Cut 0 is the unsplit segment;
+    // the sweep ends once the cut has passed the end of the pair.
+    let mut ids = Vec::new();
+    for cut in 0.. {
+        ids.push(d.submit(JobSpec::sequential(CommandSpec::builtin("ok", vec![]))));
+        let Ok(Some(DispatcherMsg::Assign(a))) = reader.recv::<DispatcherMsg>() else {
+            panic!("no Assign after turnaround {cut}");
+        };
+        let mut pair = frame(&WorkerMsg::Done {
+            task_id: a.task_id,
+            exit_code: 0,
+            wall_ms: 0,
+            output: None,
+            trace: a.trace,
+        });
+        pair.extend(frame(&WorkerMsg::Request));
+        if cut >= pair.len() {
+            wire.write_all(&pair).unwrap();
+            break;
+        }
+        wire.write_all(&pair[..cut]).unwrap();
+        if cut > 0 {
+            // Let the first part be read on its own.
+            thread::sleep(Duration::from_millis(2));
+        }
+        wire.write_all(&pair[cut..]).unwrap();
+    }
+    let jobs = ids.len();
+    assert!(jobs > 60, "the sweep covered a whole Done+Request pair");
+    assert!(d.wait_idle(WAIT), "jobs did not drain");
+    for id in ids {
+        let record = d.job_record(id).unwrap();
+        assert_eq!(record.status, JobStatus::Succeeded);
+        assert_eq!(record.attempts, 1, "a completion was lost or seen twice");
+    }
+    assert_eq!(d.metrics().jobs_completed_total.get(), jobs as u64);
+    d.shutdown();
 }

@@ -12,13 +12,17 @@
 //!
 //! Cross-thread interaction is funnelled through each loop's inbox: a
 //! short mutex push plus one byte on the wake pipe. `Outbox::send`
-//! therefore never blocks and is safe under scheduler locks. Handlers
-//! run on the loop thread and must not block — jets-lint rule J7
-//! enforces that textually.
+//! therefore never blocks and is safe under scheduler locks. A send
+//! made by the loop's own handlers while it dispatches events skips
+//! the pipe byte: the loop drains its inbox at the end of that same
+//! iteration, so a reply from `on_frame` costs no extra wakeup.
+//! Handlers run on the loop thread and must not block — jets-lint rule
+//! J7 enforces that textually.
 
 use crate::outbox::{CloseReason, Outbox};
 use crate::poller::{new_poller, Event, Interest, Poller};
 use crate::{lock, sys};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -29,6 +33,13 @@ use std::thread::{self, JoinHandle};
 
 /// Token reserved for each loop's wake pipe.
 const WAKE_TOKEN: u64 = 0;
+
+thread_local! {
+    /// The loop whose events this thread is dispatching right now, i.e.
+    /// the loop that will run `drain_inbox` before it next sleeps; null
+    /// on every other thread and outside the dispatch phase.
+    static DISPATCHING: Cell<*const LoopShared> = const { Cell::new(std::ptr::null()) };
+}
 
 /// What a handler wants done with its connection after a frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,7 +181,11 @@ impl LoopShared {
     /// Ask the loop to revisit connection `id` (flush or teardown).
     pub(crate) fn kick(&self, id: u64) {
         lock(&self.inbox).kicks.push(id);
-        self.wake();
+        // Raised by this loop's own handler mid-dispatch: the inbox
+        // drain that ends the iteration picks it up, no wakeup needed.
+        if !DISPATCHING.with(|d| std::ptr::eq(d.get(), self)) {
+            self.wake();
+        }
     }
 
     fn inject(&self, inj: Injected) {
@@ -408,10 +423,13 @@ fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, mut poller: Box<dy
             break;
         }
         router.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        DISPATCHING.with(|d| d.set(Arc::as_ptr(&shared)));
         for ev in events.iter().copied() {
             if ev.token == WAKE_TOKEN {
+                // A short read emptied the pipe; only a full buffer
+                // can leave bytes behind.
                 let mut buf = [0u8; 64];
-                while sys::read_fd(wake_rx.as_raw_fd(), &mut buf) > 0 {}
+                while sys::read_fd(wake_rx.as_raw_fd(), &mut buf) == buf.len() as isize {}
                 continue;
             }
             if ev.readable {
@@ -427,6 +445,10 @@ fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, mut poller: Box<dy
                 flush_and_apply(&mut entries, poller.as_mut(), &router, ev.token);
             }
         }
+        // From here on a kick must write the pipe again: one raised
+        // while the inbox drains (an `on_close` sending to a sibling)
+        // lands after the drain took its snapshot.
+        DISPATCHING.with(|d| d.set(std::ptr::null()));
         drain_inbox(&router, &shared, &mut entries, poller.as_mut());
         if router.shutdown.load(Ordering::Acquire) {
             break;
@@ -564,37 +586,43 @@ fn accept_ready(entries: &HashMap<u64, Entry>, router: &Arc<Router>, id: u64) {
     }
 }
 
-/// Read until the socket would block, delivering every complete frame.
+/// One `read`, then deliver every frame it completed. One read per
+/// readiness event is enough because the poller is level-triggered:
+/// bytes still in the socket are reported again by the next wait — after
+/// every other ready connection has had its turn, so a peer that writes
+/// as fast as the loop reads cannot starve its siblings — and a drained
+/// socket is not read a second time just to be told `EAGAIN`.
 fn pump_frames(conn: &mut Conn, chunk: &mut [u8], router: &Arc<Router>) -> Result<(), CloseReason> {
-    loop {
-        let n = match (&conn.stream).read(chunk) {
+    let n = loop {
+        match (&conn.stream).read(chunk) {
             Ok(0) => return Err(CloseReason::PeerClosed),
-            Ok(n) => n,
+            Ok(n) => break n,
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(()),
             Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return Err(CloseReason::ReadError),
-        };
-        router.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-        conn.rbuf.extend_from_slice(&chunk[..n]);
-        let mut consumed = 0;
-        while let Some(off) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
-            let nl = conn.scanned + off;
-            router.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-            let flow = conn.handler.on_frame(&conn.rbuf[consumed..nl]);
-            consumed = nl + 1;
-            conn.scanned = consumed;
-            if flow == Flow::Close {
-                return Err(CloseReason::Handler);
-            }
         }
-        if consumed > 0 {
-            conn.rbuf.drain(..consumed);
-        }
-        conn.scanned = conn.rbuf.len();
-        if conn.rbuf.len() > router.max_frame {
-            return Err(CloseReason::Oversize);
+    };
+    router.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+    conn.rbuf.extend_from_slice(&chunk[..n]);
+    let mut consumed = 0;
+    while let Some(off) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
+        let nl = conn.scanned + off;
+        router.stats.frames_in.fetch_add(1, Ordering::Relaxed);
+        let flow = conn.handler.on_frame(&conn.rbuf[consumed..nl]);
+        consumed = nl + 1;
+        conn.scanned = consumed;
+        if flow == Flow::Close {
+            return Err(CloseReason::Handler);
         }
     }
+    if consumed > 0 {
+        conn.rbuf.drain(..consumed);
+    }
+    conn.scanned = conn.rbuf.len();
+    if conn.rbuf.len() > router.max_frame {
+        return Err(CloseReason::Oversize);
+    }
+    Ok(())
 }
 
 enum FlushResult {
@@ -923,6 +951,144 @@ mod tests {
         assert_eq!(got, b"farewell\n");
         wait_until("graceful close", || !probe.closes().is_empty());
         assert_eq!(probe.closes(), vec![CloseReason::Closed]);
+    }
+
+    /// Echoes every frame from `on_frame`; on close, tells every other
+    /// connection it knows about.
+    struct EchoConn {
+        probe: Arc<Probe>,
+        outbox: Option<Arc<Outbox>>,
+    }
+
+    impl ConnHandler for EchoConn {
+        fn on_open(&mut self, outbox: &Arc<Outbox>) {
+            lock(&self.probe.outboxes).push(outbox.clone());
+            self.outbox = Some(outbox.clone());
+        }
+
+        fn on_frame(&mut self, frame: &[u8]) -> Flow {
+            let mut reply = frame.to_vec();
+            reply.push(b'\n');
+            if let Some(outbox) = &self.outbox {
+                outbox.send(&reply);
+            }
+            Flow::Continue
+        }
+
+        fn on_close(&mut self, _reason: CloseReason) {
+            for other in lock(&self.probe.outboxes).iter() {
+                if !self
+                    .outbox
+                    .as_ref()
+                    .is_some_and(|me| Arc::ptr_eq(me, other))
+                {
+                    other.send(b"gone\n");
+                }
+            }
+        }
+    }
+
+    /// One event loop serving `EchoConn`s, so every connection is a
+    /// sibling on the same loop.
+    fn start_echo() -> (Reactor, Arc<Probe>, SocketAddr) {
+        let reactor = Reactor::start(ReactorConfig {
+            event_loops: 1,
+            ..ReactorConfig::default()
+        })
+        .unwrap();
+        let probe = Arc::new(Probe::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let p = probe.clone();
+        reactor
+            .listen(
+                listener,
+                Arc::new(move |_stream, _peer| {
+                    Some(Box::new(EchoConn {
+                        probe: p.clone(),
+                        outbox: None,
+                    }) as Box<dyn ConnHandler>)
+                }),
+            )
+            .unwrap();
+        (reactor, probe, addr)
+    }
+
+    /// Connect and wait until the loop has registered the connection.
+    fn echo_client(addr: SocketAddr, probe: &Probe, nth: usize) -> TcpStream {
+        let client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        wait_until("registration", || lock(&probe.outboxes).len() == nth);
+        client
+    }
+
+    fn read_line(client: &mut TcpStream) -> Vec<u8> {
+        let mut line = Vec::new();
+        let mut byte = [0u8; 1];
+        while client.read(&mut byte).expect("reply before the timeout") == 1 {
+            if byte[0] == b'\n' {
+                break;
+            }
+            line.push(byte[0]);
+        }
+        line
+    }
+
+    /// A reply queued from `on_frame` is flushed by the iteration that
+    /// delivered the frame: one wakeup per round trip, not one for the
+    /// frame plus one for the loop kicking itself.
+    #[test]
+    fn reply_from_on_frame_costs_no_extra_wakeup() {
+        const ROUNDS: u64 = 200;
+        let (reactor, probe, addr) = start_echo();
+        let mut client = echo_client(addr, &probe, 1);
+        client.write_all(b"warm\n").unwrap();
+        assert_eq!(read_line(&mut client), b"warm");
+        let before = reactor.stats().wakeups();
+        for i in 0..ROUNDS {
+            client.write_all(format!("ping {i}\n").as_bytes()).unwrap();
+            assert_eq!(read_line(&mut client), format!("ping {i}").as_bytes());
+        }
+        let wakeups = reactor.stats().wakeups() - before;
+        assert!(
+            wakeups <= ROUNDS,
+            "{wakeups} wakeups for {ROUNDS} round trips"
+        );
+        assert_eq!(reactor.stats().frames_in(), ROUNDS + 1);
+    }
+
+    /// A send from a thread that is not the loop still wakes it.
+    #[test]
+    fn send_from_another_thread_still_wakes_the_loop() {
+        let (_reactor, probe, addr) = start_echo();
+        let mut client = echo_client(addr, &probe, 1);
+        // Let the loop go back to sleep after the registration.
+        thread::sleep(Duration::from_millis(50));
+        let outbox = probe.outbox().unwrap();
+        thread::spawn(move || assert!(outbox.send(b"from afar\n")))
+            .join()
+            .unwrap();
+        assert_eq!(read_line(&mut client), b"from afar");
+    }
+
+    /// `on_close` of one connection sends to a sibling on the same
+    /// loop. Whether the teardown runs in the dispatch phase (peer
+    /// hung up) or inside the inbox drain (`Outbox::close` from another
+    /// thread), the sibling's frame must go out without waiting for an
+    /// unrelated wakeup.
+    #[test]
+    fn send_from_on_close_reaches_a_sibling_on_the_same_loop() {
+        let (_reactor, probe, addr) = start_echo();
+        let mut watcher = echo_client(addr, &probe, 1);
+        let hangs_up = echo_client(addr, &probe, 2);
+        drop(hangs_up);
+        assert_eq!(read_line(&mut watcher), b"gone");
+        let _closed_by_us = echo_client(addr, &probe, 3);
+        let closing = lock(&probe.outboxes)[2].clone();
+        closing.close();
+        assert_eq!(read_line(&mut watcher), b"gone");
     }
 
     #[test]

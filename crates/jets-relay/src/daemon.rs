@@ -12,6 +12,9 @@
 //! * **upstream pump** — owns the dispatcher connection: connects (with
 //!   the PR 2 reconnect/backoff machinery), says `RelayHello`,
 //!   re-registers every member, then drains the upstream frame queue.
+//!   Every frame already queued when the pump wakes goes upstream in
+//!   one `write` (a member's `Done` and `Request` arrive together and
+//!   leave together); the pump never waits for a batch to fill.
 //!   The queue doubles as the outage buffer: frames enqueued while the
 //!   dispatcher is away are replayed into the next session. It is
 //!   bounded ([`RelayConfig::upqueue_limit`]) with a drop-oldest
@@ -52,6 +55,11 @@ use std::time::{Duration, Instant};
 
 /// Stack size for relay service threads.
 const CONN_STACK: usize = 192 * 1024;
+
+/// Most frames the pump encodes into one upstream write. A replay after
+/// a long outage can find the whole queue ready; this bounds the encode
+/// buffer, not the rate.
+const PUMP_BATCH: usize = 256;
 
 /// Tuning knobs for one relay daemon.
 #[derive(Debug, Clone)]
@@ -870,22 +878,28 @@ fn upstream_pump(inner: Arc<Inner>) {
                 l.sort_unstable();
                 l
             };
-            for local in locals {
-                if !send_register(&inner, &mut writer, local, &mut sent) {
-                    session_ok = false;
-                    break;
-                }
-            }
+            session_ok = locals
+                .into_iter()
+                .all(|local| queue_register(&inner, &mut writer, local, &mut sent))
+                && writer.flush().is_ok();
         }
 
+        let mut batch = Vec::new();
         while session_ok
             && !inner.shutdown.load(Ordering::Acquire)
             && !session_dead.load(Ordering::Acquire)
         {
-            if let Some(frame) = inner.up_q.pop_timeout(Duration::from_millis(25)) {
-                inner.metrics.upqueue_depth.set(inner.up_q.len() as i64);
-                session_ok = forward(&inner, &mut writer, frame, &mut sent);
+            inner
+                .up_q
+                .pop_ready(Duration::from_millis(25), PUMP_BATCH, &mut batch);
+            if batch.is_empty() {
+                continue;
             }
+            inner.metrics.upqueue_depth.set(inner.up_q.len() as i64);
+            session_ok = batch
+                .drain(..)
+                .all(|frame| forward(&inner, &mut writer, frame, &mut sent))
+                && writer.flush().is_ok();
         }
 
         // Session over (EOF, write error, partition, or shutdown).
@@ -911,9 +925,8 @@ fn give_up(inner: &Inner) {
     }
 }
 
-/// Forward member `local`'s registration upstream, once per session.
-/// The state lock is released before the (blocking) socket write.
-fn send_register(
+/// Queue member `local`'s registration for upstream, once per session.
+fn queue_register(
     inner: &Inner,
     writer: &mut MsgWriter<TcpStream>,
     local: u64,
@@ -933,7 +946,7 @@ fn send_register(
     };
     sent.insert(local);
     writer
-        .send(&WorkerMsg::RelayRegister {
+        .queue(&WorkerMsg::RelayRegister {
             local,
             name,
             cores,
@@ -943,7 +956,9 @@ fn send_register(
 }
 
 /// Translate one queued frame into wire traffic for the current
-/// session. Returns false when the session's socket is dead.
+/// session and queue it on `writer`; the pump flushes once per batch.
+/// Returns false when the frame cannot be encoded, which ends the
+/// session like a dead socket does.
 fn forward(
     inner: &Inner,
     writer: &mut MsgWriter<TcpStream>,
@@ -951,14 +966,14 @@ fn forward(
     sent: &mut HashSet<u64>,
 ) -> bool {
     match frame {
-        UpFrame::Register(local) => send_register(inner, writer, local, sent),
+        UpFrame::Register(local) => queue_register(inner, writer, local, sent),
         UpFrame::Request(local) => {
             let global = {
                 let st = inner.state.lock();
                 st.members.get(&local).and_then(|m| m.global)
             };
             match global {
-                Some(worker) => writer.send(&WorkerMsg::RelayRequest { worker }).is_ok(),
+                Some(worker) => writer.queue(&WorkerMsg::RelayRequest { worker }).is_ok(),
                 // Not yet (re-)acked this session: `wants_work` re-issues
                 // the request as soon as the ack lands. Dropping here is
                 // what makes buffered pre-outage requests idempotent.
@@ -979,7 +994,7 @@ fn forward(
             };
             match global {
                 Some(worker) => writer
-                    .send(&WorkerMsg::RelayDone {
+                    .queue(&WorkerMsg::RelayDone {
                         worker,
                         task_id,
                         exit_code,
@@ -1010,7 +1025,7 @@ fn forward(
             };
             match claim {
                 Some((worker, Some((task_id, job_id)))) => writer
-                    .send(&WorkerMsg::RelayMemberState {
+                    .queue(&WorkerMsg::RelayMemberState {
                         worker,
                         task_id,
                         job_id,
@@ -1021,7 +1036,7 @@ fn forward(
                 _ => true,
             }
         }
-        UpFrame::Gone(worker) => writer.send(&WorkerMsg::RelayWorkerGone { worker }).is_ok(),
+        UpFrame::Gone(worker) => writer.queue(&WorkerMsg::RelayWorkerGone { worker }).is_ok(),
         UpFrame::Flush => {
             let stale_ms = inner.config.worker_stale_after.as_millis() as u64;
             let now = now_ms(inner);
@@ -1041,7 +1056,7 @@ fn forward(
             inner.batched_frames.fetch_add(1, Ordering::Relaxed);
             inner.metrics.batched_heartbeats_total.inc();
             writer
-                .send(&WorkerMsg::BatchedHeartbeat { workers })
+                .queue(&WorkerMsg::BatchedHeartbeat { workers })
                 .is_ok()
         }
     }
@@ -1243,6 +1258,108 @@ mod tests {
         }
     }
 
+    /// A member that reports and re-requests in one segment (what the
+    /// agent's paired send produces) is forwarded in that order: the
+    /// dispatcher must see the worker's `RelayDone` before the
+    /// `RelayRequest` that makes it assignable again. The dispatcher here
+    /// is a scripted socket, so the upstream frame order is observable.
+    #[test]
+    fn coalesced_done_and_request_keep_their_order_upstream() {
+        use jets_core::protocol::{TaskAssignment, TaskKind};
+        use std::io::Write;
+
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let relay = Relay::start(
+            RelayConfig::new(upstream.local_addr().unwrap().to_string(), "relay-o")
+                // No liveness frames interleaving with the script.
+                .with_liveness_flush(Duration::from_secs(3600)),
+        )
+        .unwrap();
+        let (up, _) = upstream.accept().unwrap();
+        up.set_read_timeout(Some(WAIT)).unwrap();
+        let mut up_tx = MsgWriter::new(up.try_clone().unwrap());
+        let mut up_rx = MsgReader::new(BufReader::new(up));
+        let mut next_up = move || up_rx.recv::<WorkerMsg>().unwrap().expect("relay hung up");
+
+        assert!(matches!(next_up(), WorkerMsg::RelayHello { .. }));
+        up_tx
+            .send(&DispatcherMsg::Registered { worker_id: 1 })
+            .unwrap();
+
+        let mut member = TcpStream::connect(relay.addr()).unwrap();
+        member.set_read_timeout(Some(WAIT)).unwrap();
+        let mut member_rx = MsgReader::new(BufReader::new(member.try_clone().unwrap()));
+        let mut next_down = move || {
+            member_rx
+                .recv::<DispatcherMsg>()
+                .unwrap()
+                .expect("relay hung up")
+        };
+        let mut wire = Vec::new();
+        let mut frame = |msg: &WorkerMsg| {
+            encode_msg_buf(msg, &mut wire).unwrap();
+            wire.clone()
+        };
+        let register = frame(&WorkerMsg::Register {
+            name: "raw".into(),
+            cores: 1,
+            location: "rack-0".into(),
+        });
+        member.write_all(&register).unwrap();
+        let WorkerMsg::RelayRegister { local, .. } = next_up() else {
+            panic!("expected RelayRegister");
+        };
+        up_tx
+            .send(&DispatcherMsg::RelayRegistered {
+                local,
+                worker_id: 7,
+            })
+            .unwrap();
+        assert_eq!(next_down(), DispatcherMsg::Registered { worker_id: 7 });
+        member.write_all(&frame(&WorkerMsg::Request)).unwrap();
+        assert_eq!(next_up(), WorkerMsg::RelayRequest { worker: 7 });
+
+        for task_id in 1..=3u64 {
+            up_tx
+                .send(&DispatcherMsg::RelayAssign {
+                    worker: 7,
+                    assignment: TaskAssignment {
+                        task_id,
+                        job_id: task_id,
+                        trace: 0,
+                        kind: TaskKind::Sequential {
+                            cmd: CommandSpec::builtin("noop", vec![]),
+                        },
+                        stage: Vec::new(),
+                    },
+                })
+                .unwrap();
+            let DispatcherMsg::Assign(a) = next_down() else {
+                panic!("expected Assign");
+            };
+            assert_eq!(a.task_id, task_id);
+            let mut pair = frame(&WorkerMsg::Done {
+                task_id,
+                exit_code: 0,
+                wall_ms: 0,
+                output: None,
+                trace: 0,
+            });
+            pair.extend(frame(&WorkerMsg::Request));
+            member.write_all(&pair).unwrap();
+            match next_up() {
+                WorkerMsg::RelayDone {
+                    worker: 7,
+                    task_id: t,
+                    ..
+                } => assert_eq!(t, task_id),
+                other => panic!("expected RelayDone first, got {other:?}"),
+            }
+            assert_eq!(next_up(), WorkerMsg::RelayRequest { worker: 7 });
+        }
+        relay.kill();
+    }
+
     /// Severing the upstream connection re-registers the block under a
     /// fresh session and replays held traffic: jobs submitted after the
     /// outage still run, and workers never reconnect themselves.
@@ -1267,8 +1384,13 @@ mod tests {
         }
 
         relay.partition_upstream();
-        // The dispatcher sees the relay die and downs the whole block…
-        wait_until("block declared down", || d.alive_workers() == 0);
+        // The dispatcher sees the relay die and downs the whole block
+        // (read off the registry's dead entries, which stay: the moment
+        // with nobody alive can be shorter than a poll of this loop)…
+        wait_until("block declared down", || {
+            let dead = |w: &jets_core::registry::WorkerInfo| w.state == WorkerState::Dead;
+            d.workers().into_iter().filter(dead).count() == 2
+        });
         // …then the pump reconnects and re-registers both members.
         wait_until("block re-registered", || d.alive_workers() == 2);
         assert!(relay.stats().upstream_sessions >= 2);
@@ -1327,20 +1449,26 @@ mod tests {
         let d = Dispatcher::start(DispatcherConfig::default()).unwrap();
         let relay = Relay::start(RelayConfig::new(d.addr().to_string(), "relay-c")).unwrap();
         let addr = relay.addr().to_string();
-        let w0 = spawn_worker(&addr, "cc-0");
-        let w1 = spawn_worker(&addr, "cc-1");
+        let metrics = Arc::new(jets_worker::WorkerMetrics::new());
+        let spawn = |name: &str| {
+            let config = WorkerConfig {
+                heartbeat: Some(Duration::from_millis(25)),
+                ..WorkerConfig::new(&addr, name).with_metrics(Arc::clone(&metrics))
+            };
+            Worker::spawn(config, executor())
+        };
+        let w0 = spawn("cc-0");
+        let w1 = spawn("cc-1");
         wait_until("registration", || d.alive_workers() == 2);
         let id = d.submit(JobSpec::mpi(
             2,
             CommandSpec::builtin("mpi-sleep", vec!["2000".into()]),
         ));
-        wait_until("gang to start", || {
-            d.workers()
-                .iter()
-                .filter(|w| matches!(w.state, WorkerState::Busy(_)))
-                .count()
-                == 2
-        });
+        // Both agents hold their task, so both assignments have passed
+        // through the relay. (The dispatcher marks the gang busy inside
+        // `submit`, before the relay has seen either frame; a member
+        // killed that early has nothing in flight to fan a cancel from.)
+        wait_until("gang to start", || metrics.tasks_inflight.get() == 2);
         w0.kill();
         assert!(d.wait_idle(WAIT));
         assert_eq!(d.job_record(id).unwrap().status, JobStatus::Failed);

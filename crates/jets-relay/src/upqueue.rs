@@ -20,7 +20,7 @@ use std::time::Duration;
 /// A bounded MPSC queue with a drop-oldest overflow policy.
 ///
 /// Producers [`push`](UpQueue::push) without ever blocking; the single
-/// consumer parks in [`pop_timeout`](UpQueue::pop_timeout). The cap is
+/// consumer parks in [`pop_ready`](UpQueue::pop_ready). The cap is
 /// in *frames*, not bytes: upstream frames are small and uniform, so a
 /// frame count is an honest memory bound.
 pub struct UpQueue<T> {
@@ -58,14 +58,18 @@ impl<T> UpQueue<T> {
         evicted
     }
 
-    /// Dequeue the oldest frame, waiting up to `timeout` for one to
-    /// arrive. `None` means the wait timed out with the queue empty.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
+    /// Move up to `max` queued frames, oldest first, onto the end of
+    /// `out`, waiting up to `timeout` for the first to arrive. Only
+    /// what is already queued is taken — the consumer never waits for a
+    /// batch to fill — and `out` is left as it was if the wait timed
+    /// out with the queue empty.
+    pub fn pop_ready(&self, timeout: Duration, max: usize, out: &mut Vec<T>) {
         let mut q = self.inner.lock();
         if q.is_empty() {
             self.cv.wait_for(&mut q, timeout);
         }
-        q.pop_front()
+        let n = q.len().min(max);
+        out.extend(q.drain(..n));
     }
 
     /// Frames currently queued.
@@ -90,6 +94,12 @@ mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
+    fn pop_all<T>(q: &UpQueue<T>) -> Vec<T> {
+        let mut out = Vec::new();
+        q.pop_ready(Duration::from_millis(1), usize::MAX, &mut out);
+        out
+    }
+
     #[test]
     fn fifo_order_within_limit() {
         let q = UpQueue::new(8);
@@ -97,9 +107,7 @@ mod tests {
             assert!(!q.push(i));
         }
         assert_eq!(q.len(), 5);
-        for i in 0..5 {
-            assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(i));
-        }
+        assert_eq!(pop_all(&q), vec![0, 1, 2, 3, 4]);
         assert_eq!(q.dropped(), 0);
     }
 
@@ -113,16 +121,34 @@ mod tests {
         assert!(q.push(5)); // evicts 2
         assert_eq!(q.dropped(), 2);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(3));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(4));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(5));
+        assert_eq!(pop_all(&q), vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn pop_takes_what_is_ready_up_to_the_cap_and_appends() {
+        let q = UpQueue::new(8);
+        for i in 0..5 {
+            q.push(i);
+        }
+        let mut out = vec![99];
+        q.pop_ready(Duration::from_secs(5), 2, &mut out);
+        assert_eq!(out, vec![99, 0, 1], "capped, oldest first, appended");
+        let start = Instant::now();
+        q.pop_ready(Duration::from_secs(5), 8, &mut out);
+        assert_eq!(out, vec![99, 0, 1, 2, 3, 4]);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a non-empty queue is never waited on"
+        );
     }
 
     #[test]
     fn pop_times_out_when_empty() {
         let q: UpQueue<u32> = UpQueue::new(4);
         let start = Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(30)), None);
+        let mut out = Vec::new();
+        q.pop_ready(Duration::from_millis(30), 4, &mut out);
+        assert!(out.is_empty());
         assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
@@ -130,10 +156,14 @@ mod tests {
     fn push_wakes_a_parked_consumer() {
         let q = Arc::new(UpQueue::new(4));
         let q2 = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(5)));
+        let consumer = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            q2.pop_ready(Duration::from_secs(5), 4, &mut out);
+            out
+        });
         std::thread::sleep(Duration::from_millis(20));
         q.push(42u32);
-        assert_eq!(consumer.join().unwrap(), Some(42));
+        assert_eq!(consumer.join().unwrap(), vec![42]);
     }
 
     #[test]
@@ -141,6 +171,6 @@ mod tests {
         let q = UpQueue::new(0);
         assert!(!q.push(1));
         assert!(q.push(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(2));
+        assert_eq!(pop_all(&q), vec![2]);
     }
 }

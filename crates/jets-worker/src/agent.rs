@@ -1,10 +1,10 @@
 //! The worker agent: connection lifecycle, task loop, kill switch,
 //! reconnect with backoff, and dispatcher-driven task cancellation.
 
-use crate::executor::{CancelToken, TaskExecutor, TaskOutcome};
+use crate::executor::{CancelToken, TaskExecutor, TaskOutcome, EXIT_RANK_PANIC, EXIT_SPAWN_FAILED};
 use crate::metrics::WorkerMetrics;
 use crate::staging::NodeLocalCache;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use jets_core::protocol::{
     DispatcherMsg, MsgReader, MsgWriter, TaskAssignment, WorkerMsg, EXIT_CANCELED,
 };
@@ -13,6 +13,7 @@ use jets_core::{EventKind, EventLog, SpanKind, WriterRole};
 use parking_lot::Mutex;
 use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -285,22 +286,6 @@ fn push_env(assignment: &mut TaskAssignment, key: &str, value: &str) {
     env.push((key.to_string(), value.to_string()));
 }
 
-/// Report a task failure that happened before execution started.
-fn report_failure(
-    writer: &Arc<Mutex<MsgWriter<TcpStream>>>,
-    task_id: u64,
-    exit_code: i32,
-    trace: u64,
-) {
-    let _ = writer.lock().send(&WorkerMsg::Done {
-        task_id,
-        exit_code,
-        wall_ms: 0,
-        output: None,
-        trace,
-    });
-}
-
 /// One xorshift64 step. The agent has no RNG dependency; this is plenty
 /// for backoff jitter and fully deterministic per seed.
 fn xorshift64(state: &mut u64) -> u64 {
@@ -312,8 +297,8 @@ fn xorshift64(state: &mut u64) -> u64 {
     x
 }
 
-/// Decrements the in-flight gauge when the task wait loop exits, on
-/// every path (report, session loss, kill, abandoned grace).
+/// Decrements the in-flight gauge when the task wait exits, on every
+/// path (report, session loss, kill, abandoned grace).
 struct InflightGuard<'a>(&'a jets_obs::Gauge);
 
 impl Drop for InflightGuard<'_> {
@@ -351,39 +336,116 @@ enum SessionEnd {
     Lost,
 }
 
-/// A task whose session died under it: the execution thread keeps
-/// running, and these handles let the *next* session claim the task,
-/// honour a late `Cancel`, and report the outcome.
-struct CarriedTask {
+/// Everything that can wake the agent. One channel carries all of it,
+/// so the agent sleeps in exactly one place and a `Cancel` is acted on
+/// the moment it is read, not at the next tick of a poll.
+enum AgentEvent {
+    /// A frame read by session `session`'s reader thread; `None` marks
+    /// the end of that connection.
+    Wire {
+        session: u64,
+        msg: Option<DispatcherMsg>,
+    },
+    /// Runner `runner` finished the task it was handed.
+    Finished { runner: u64, outcome: TaskOutcome },
+}
+
+/// The long-lived thread tasks execute on. Tasks run off the agent's
+/// own thread so that a kill or an expired cancel grace can abandon one:
+/// dropping the handle lets the stuck thread finish in the background,
+/// its result discarded — just as a killed pilot's task dies with the
+/// node — and the next task lazily starts a fresh runner.
+struct TaskRunner {
+    /// Stamped on every `Finished` so an abandoned runner's late result
+    /// is told apart from the current one's.
+    id: u64,
+    jobs: Sender<(TaskAssignment, CancelToken)>,
+}
+
+impl TaskRunner {
+    fn spawn(
+        id: u64,
+        executor: Arc<dyn TaskExecutor>,
+        events: Sender<AgentEvent>,
+    ) -> std::io::Result<TaskRunner> {
+        let (jobs, inbox) = unbounded::<(TaskAssignment, CancelToken)>();
+        thread::Builder::new()
+            .name("task".to_string())
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                // Ends when the handle is dropped (abandoned, or the
+                // agent exited) or the agent is gone.
+                for (assignment, cancel) in inbox.iter() {
+                    let run = || executor.execute_cancellable(&assignment, &cancel);
+                    // A panicking task fails that task, not the pilot.
+                    let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or(TaskOutcome {
+                        exit_code: EXIT_RANK_PANIC,
+                        output: None,
+                    });
+                    let finished = AgentEvent::Finished {
+                        runner: id,
+                        outcome,
+                    };
+                    if events.send(finished).is_err() {
+                        return;
+                    }
+                }
+            })?;
+        Ok(TaskRunner { id, jobs })
+    }
+}
+
+/// A task handed to the runner and not yet reported. It outlives a lost
+/// session: the runner keeps executing, and these fields let the *next*
+/// session claim the task, honour a late `Cancel`, and report the
+/// outcome.
+struct RunningTask {
     task_id: u64,
     job_id: u64,
-    /// Trace id from the assignment, so the replayed `Done` and the
-    /// deferred exec span-end still correlate with the submission.
+    /// Trace id from the assignment, so the `Done` and the exec span-end
+    /// still correlate with the submission after an outage.
     trace: u64,
-    rx: Receiver<TaskOutcome>,
+    ranks: u32,
     cancel: CancelToken,
     started: Instant,
-    canceled: bool,
+    /// Set once a `Cancel` tripped the token: when the runner is given
+    /// up on if the task has not stood down by then.
     cancel_deadline: Option<Instant>,
 }
 
-/// Task state that outlives one dispatcher session.
-///
-/// A dispatcher restart severs every connection but kills no worker
-/// process: the pilot's task is still running and its results still
-/// matter. The agent carries both across the gap — the in-flight task
-/// (claimed via [`WorkerMsg::SessionState`] so a recovering dispatcher
-/// re-adopts the gang instead of relaunching it) and any terminal
-/// `Done` report that never reached the old wire (replayed verbatim
-/// after the next registration, so the dispatcher hears every result
-/// exactly once).
-#[derive(Default)]
-struct CarryState {
+/// The agent's state. Only the wire is per session; the rest survives a
+/// lost dispatcher, because a dispatcher restart severs every connection
+/// but kills no worker process: the pilot's task is still running and
+/// its results still matter. The agent carries both across the gap — the
+/// in-flight task (claimed via [`WorkerMsg::SessionState`] so a
+/// recovering dispatcher re-adopts the gang instead of relaunching it)
+/// and any terminal `Done` report that never reached the old wire
+/// (replayed verbatim after the next registration, so the dispatcher
+/// hears every result exactly once).
+struct Agent<'a> {
+    config: &'a WorkerConfig,
+    executor: &'a Arc<dyn TaskExecutor>,
+    kill: &'a Arc<AtomicBool>,
+    sock_slot: &'a Mutex<Option<TcpStream>>,
+    log: Option<&'a EventLog>,
+    events_tx: Sender<AgentEvent>,
+    events: Receiver<AgentEvent>,
+    /// Number of the current session; stamps its reader's events.
+    session: u64,
+    runner: Option<TaskRunner>,
+    runners_started: u64,
+    /// An outcome the current runner delivered while the agent was
+    /// waiting for something else (the `Registered` ack, say).
+    finished: Option<TaskOutcome>,
+    local_cache: LazyCache,
+    tasks_done: u64,
     /// Terminal reports whose send failed: replayed after re-register.
     stashed: Vec<WorkerMsg>,
-    /// The in-flight task surviving the outage, if any.
-    running: Option<CarriedTask>,
+    /// The in-flight task surviving an outage, if any.
+    carried: Option<RunningTask>,
 }
+
+type Wire = Arc<Mutex<MsgWriter<TcpStream>>>;
 
 fn worker_loop(
     config: WorkerConfig,
@@ -392,500 +454,550 @@ fn worker_loop(
     sock_slot: Arc<Mutex<Option<TcpStream>>>,
     events: Option<EventLog>,
 ) -> WorkerExit {
-    if !config.connect_delay.is_zero() {
-        thread::sleep(config.connect_delay);
-        if kill.load(Ordering::Acquire) {
-            return WorkerExit {
-                tasks_done: 0,
-                reason: ExitReason::Killed,
-            };
-        }
-    }
-    let mut tasks_done = 0u64;
-    let mut local_cache = LazyCache::default();
-    let mut carry = CarryState::default();
-    let mut failed_attempts = 0u32;
-    let mut jitter_state = config
-        .reconnect
-        .as_ref()
-        .map(|p| p.seed)
-        .unwrap_or(1)
-        .max(1);
-    loop {
-        if kill.load(Ordering::Acquire) {
-            return WorkerExit {
-                tasks_done,
-                reason: ExitReason::Killed,
-            };
-        }
-        if let Ok(stream) = TcpStream::connect(&config.dispatcher_addr) {
-            failed_attempts = 0;
-            match run_session(
-                stream,
-                &config,
-                &executor,
-                &kill,
-                &sock_slot,
-                &mut local_cache,
-                &mut tasks_done,
-                &mut carry,
-                events.as_ref(),
-            ) {
-                SessionEnd::Shutdown => {
-                    return WorkerExit {
-                        tasks_done,
-                        reason: ExitReason::Shutdown,
-                    }
-                }
-                SessionEnd::Killed => {
-                    return WorkerExit {
-                        tasks_done,
-                        reason: ExitReason::Killed,
-                    }
-                }
-                SessionEnd::Lost => {
-                    if let Some(m) = &config.metrics {
-                        m.connections_lost_total.inc();
-                    }
-                }
-            }
-        }
-        // Connection failed or the session dropped: retry under the
-        // reconnect policy, or end the agent the legacy way.
-        let Some(policy) = &config.reconnect else {
-            return WorkerExit {
-                tasks_done,
-                reason: ExitReason::ConnectionLost,
-            };
-        };
-        failed_attempts += 1;
-        if failed_attempts > policy.max_attempts {
-            return WorkerExit {
-                tasks_done,
-                reason: ExitReason::ConnectionLost,
-            };
-        }
-        // Exponential backoff, capped, with up to `jitter` shaved off so
-        // a partitioned allocation does not reconnect in lockstep.
-        let shift = (failed_attempts - 1).min(16);
-        let backoff = policy
-            .base_backoff
-            .saturating_mul(1u32 << shift)
-            .min(policy.max_backoff);
-        let frac = (xorshift64(&mut jitter_state) >> 11) as f64 / (1u64 << 53) as f64;
-        let mut remaining = backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * frac);
-        // Sleep in slices so a kill during backoff is honoured promptly.
-        while !remaining.is_zero() {
-            if kill.load(Ordering::Acquire) {
-                return WorkerExit {
-                    tasks_done,
-                    reason: ExitReason::Killed,
-                };
-            }
-            let slice = remaining.min(Duration::from_millis(20));
-            thread::sleep(slice);
-            remaining = remaining.saturating_sub(slice);
-        }
+    let (events_tx, events_rx) = unbounded();
+    let mut agent = Agent {
+        config: &config,
+        executor: &executor,
+        kill: &kill,
+        sock_slot: &sock_slot,
+        log: events.as_ref(),
+        events_tx,
+        events: events_rx,
+        session: 0,
+        runner: None,
+        runners_started: 0,
+        finished: None,
+        local_cache: LazyCache::default(),
+        tasks_done: 0,
+        stashed: Vec::new(),
+        carried: None,
+    };
+    let reason = agent.run();
+    WorkerExit {
+        tasks_done: agent.tasks_done,
+        reason,
     }
 }
 
-/// Run one registered dispatcher session over an established stream:
-/// register, heartbeat, request/execute/report until the connection ends.
-#[allow(clippy::too_many_arguments)]
-fn run_session(
-    stream: TcpStream,
-    config: &WorkerConfig,
-    executor: &Arc<dyn TaskExecutor>,
-    kill: &Arc<AtomicBool>,
-    sock_slot: &Arc<Mutex<Option<TcpStream>>>,
-    local_cache: &mut LazyCache,
-    tasks_done: &mut u64,
-    carry: &mut CarryState,
-    events: Option<&EventLog>,
-) -> SessionEnd {
-    stream.set_nodelay(true).ok();
-    let Ok(write_half) = stream.try_clone() else {
-        return SessionEnd::Lost;
-    };
-    if let Ok(clone) = stream.try_clone() {
-        *sock_slot.lock() = Some(clone);
+impl<'a> Agent<'a> {
+    fn killed(&self) -> bool {
+        self.kill.load(Ordering::Acquire)
     }
-    // All writes (task loop + heartbeats) go through this mutex so JSON
-    // lines never interleave. The `MsgWriter` reuses one encode buffer
-    // for every message this session will ever send.
-    let writer = Arc::new(Mutex::new(MsgWriter::new(write_half)));
 
-    // Reader thread: socket → inbox channel, `None` marking connection
-    // loss. Decoupling the read from the task loop is what lets a
-    // `Cancel` arrive *while* a task is running.
-    let (inbox_tx, inbox) = unbounded::<Option<DispatcherMsg>>();
-    {
-        let mut reader = MsgReader::new(BufReader::new(stream));
-        // A session without a reader cannot hear assignments: treat a
-        // failed spawn like a lost connection and retry via the normal
-        // reconnect policy.
-        if thread::Builder::new()
-            .name(format!("rx-{}", config.name))
-            .stack_size(128 * 1024)
-            .spawn(move || loop {
-                match reader.recv::<DispatcherMsg>() {
-                    Ok(Some(msg)) => {
-                        if inbox_tx.send(Some(msg)).is_err() {
+    fn lost_or_killed(&self) -> SessionEnd {
+        if self.killed() {
+            SessionEnd::Killed
+        } else {
+            SessionEnd::Lost
+        }
+    }
+
+    /// Connect, run a session, and reconnect under the policy until the
+    /// dispatcher says `Shutdown`, the kill switch fires, or the policy
+    /// gives up.
+    fn run(&mut self) -> ExitReason {
+        let config = self.config;
+        if !config.connect_delay.is_zero() {
+            thread::sleep(config.connect_delay);
+        }
+        let mut failed_attempts = 0u32;
+        let mut jitter_state = config
+            .reconnect
+            .as_ref()
+            .map(|p| p.seed)
+            .unwrap_or(1)
+            .max(1);
+        loop {
+            if self.killed() {
+                return ExitReason::Killed;
+            }
+            if let Ok(stream) = TcpStream::connect(&config.dispatcher_addr) {
+                failed_attempts = 0;
+                match self.run_session(stream) {
+                    SessionEnd::Shutdown => return ExitReason::Shutdown,
+                    SessionEnd::Killed => return ExitReason::Killed,
+                    SessionEnd::Lost => {
+                        if let Some(m) = &config.metrics {
+                            m.connections_lost_total.inc();
+                        }
+                    }
+                }
+            }
+            // Connection failed or the session dropped: retry under the
+            // reconnect policy, or end the agent the legacy way.
+            let Some(policy) = &config.reconnect else {
+                return ExitReason::ConnectionLost;
+            };
+            failed_attempts += 1;
+            if failed_attempts > policy.max_attempts {
+                return ExitReason::ConnectionLost;
+            }
+            // Exponential backoff, capped, with up to `jitter` shaved off so
+            // a partitioned allocation does not reconnect in lockstep.
+            let shift = (failed_attempts - 1).min(16);
+            let backoff = policy
+                .base_backoff
+                .saturating_mul(1u32 << shift)
+                .min(policy.max_backoff);
+            let frac = (xorshift64(&mut jitter_state) >> 11) as f64 / (1u64 << 53) as f64;
+            let mut remaining = backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * frac);
+            // Sleep in slices so a kill during backoff is honoured promptly.
+            while !remaining.is_zero() {
+                if self.killed() {
+                    return ExitReason::Killed;
+                }
+                let slice = remaining.min(Duration::from_millis(20));
+                thread::sleep(slice);
+                remaining = remaining.saturating_sub(slice);
+            }
+        }
+    }
+
+    /// Block for the next event that still matters — not one from a
+    /// previous session's reader winding down or from an abandoned
+    /// runner — until `deadline` if there is one. `None` means the
+    /// deadline passed (the agent holds a sender itself, so the channel
+    /// never closes).
+    fn next_event(&mut self, deadline: Option<Instant>) -> Option<AgentEvent> {
+        loop {
+            let event = match deadline {
+                None => self.events.recv().ok()?,
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    self.events.recv_timeout(left).ok()?
+                }
+            };
+            let current = match &event {
+                AgentEvent::Wire { session, .. } => *session == self.session,
+                AgentEvent::Finished { runner, .. } => {
+                    self.runner.as_ref().is_some_and(|r| r.id == *runner)
+                }
+            };
+            if current {
+                return Some(event);
+            }
+        }
+    }
+
+    /// Block for the next dispatcher frame of this session; `None` when
+    /// the connection is gone. A task outcome that arrives meanwhile is
+    /// kept for [`Agent::finish_task`].
+    fn next_frame(&mut self) -> Option<DispatcherMsg> {
+        loop {
+            match self.next_event(None)? {
+                AgentEvent::Wire { msg, .. } => return msg,
+                AgentEvent::Finished { outcome, .. } => self.finished = Some(outcome),
+            }
+        }
+    }
+
+    /// Run one registered dispatcher session over an established stream:
+    /// register, heartbeat, request/execute/report until the connection
+    /// ends.
+    fn run_session(&mut self, stream: TcpStream) -> SessionEnd {
+        let config = self.config;
+        stream.set_nodelay(true).ok();
+        // The kill switch works by severing this clone: that is what
+        // wakes an agent parked on its event channel.
+        let (Ok(write_half), Ok(kill_half)) = (stream.try_clone(), stream.try_clone()) else {
+            return SessionEnd::Lost;
+        };
+        *self.sock_slot.lock() = Some(kill_half);
+        // A kill that found the previous session's socket in the slot.
+        if self.killed() {
+            return SessionEnd::Killed;
+        }
+        // All writes (task loop + heartbeats) go through this mutex so JSON
+        // lines never interleave. The `MsgWriter` reuses one encode buffer
+        // for every message this session will ever send.
+        let writer: Wire = Arc::new(Mutex::new(MsgWriter::new(write_half)));
+
+        // Reader thread: socket → event channel, `None` marking connection
+        // loss. Decoupling the read from the task loop is what lets a
+        // `Cancel` arrive *while* a task is running.
+        self.session += 1;
+        {
+            let session = self.session;
+            let events = self.events_tx.clone();
+            let mut reader = MsgReader::new(BufReader::new(stream));
+            // A session without a reader cannot hear assignments: treat a
+            // failed spawn like a lost connection and retry via the normal
+            // reconnect policy.
+            if thread::Builder::new()
+                .name(format!("rx-{}", config.name))
+                .stack_size(128 * 1024)
+                .spawn(move || loop {
+                    let msg = reader.recv::<DispatcherMsg>().ok().flatten();
+                    let last = msg.is_none();
+                    if events.send(AgentEvent::Wire { session, msg }).is_err() || last {
+                        return;
+                    }
+                })
+                .is_err()
+            {
+                return SessionEnd::Lost;
+            }
+        }
+
+        if writer
+            .lock()
+            .send(&WorkerMsg::Register {
+                name: config.name.clone(),
+                cores: config.cores,
+                location: config.location.clone(),
+            })
+            .is_err()
+        {
+            return self.lost_or_killed();
+        }
+        let worker_id = match self.next_frame() {
+            Some(DispatcherMsg::Registered { worker_id }) => {
+                if let Some(m) = &config.metrics {
+                    m.sessions_total.inc();
+                }
+                worker_id
+            }
+            // Anything but the Registered ack before the handshake
+            // completes means a confused or dying dispatcher: resync by
+            // tearing the session down and reconnecting.
+            Some(
+                DispatcherMsg::Assign(_)
+                | DispatcherMsg::Cancel { .. }
+                | DispatcherMsg::Shutdown
+                | DispatcherMsg::RelayRegistered { .. }
+                | DispatcherMsg::RelayAssign { .. }
+                | DispatcherMsg::RelayCancel { .. },
+            )
+            | None => return self.lost_or_killed(),
+        };
+        if let Some(log) = self.log {
+            log.record(EventKind::WorkerUp { worker: worker_id });
+        }
+        // Drop guard, not per-return records: the session exits from many
+        // arms below, and the replayed ring should show one `WorkerDown`
+        // for every `WorkerUp` on all of them.
+        let _session_events = SessionEventGuard {
+            events: self.log,
+            worker: worker_id,
+        };
+
+        // Recovery handshake (dispatcher crash recovery): claim the task
+        // carried from the previous session so a restarted dispatcher can
+        // re-adopt its gang during the reconciliation window — an
+        // established dispatcher answers an unknown claim with `Cancel` —
+        // then replay terminal reports that never made it onto the old
+        // wire, oldest first, keeping the rest stashed if this wire dies
+        // too.
+        if self.carried.is_some() || !self.stashed.is_empty() {
+            let claim = self.carried.as_ref().map(|t| (t.task_id, t.job_id));
+            if writer
+                .lock()
+                .send(&WorkerMsg::SessionState { running: claim })
+                .is_err()
+            {
+                return self.lost_or_killed();
+            }
+            while let Some(msg) = self.stashed.first() {
+                if writer.lock().send(msg).is_err() {
+                    return self.lost_or_killed();
+                }
+                self.stashed.remove(0);
+                self.tasks_done += 1;
+            }
+        }
+
+        let stop = Arc::new(AtomicBool::new(false));
+        if let Some(period) = config.heartbeat {
+            let hb_writer = Arc::clone(&writer);
+            let hb_stop = Arc::clone(&stop);
+            let hb_kill = Arc::clone(self.kill);
+            // Without heartbeats the dispatcher would eventually declare
+            // this worker hung; better to fail the session now and retry
+            // than to register silently and be quarantined later.
+            if thread::Builder::new()
+                .name(format!("hb-{}", config.name))
+                .stack_size(64 * 1024)
+                .spawn(move || {
+                    while !hb_stop.load(Ordering::Acquire) && !hb_kill.load(Ordering::Acquire) {
+                        thread::sleep(period);
+                        if hb_writer.lock().send(&WorkerMsg::Heartbeat).is_err() {
                             return;
                         }
                     }
-                    Ok(None) | Err(_) => {
-                        let _ = inbox_tx.send(None);
-                        return;
-                    }
-                }
-            })
-            .is_err()
-        {
-            return SessionEnd::Lost;
-        }
-    }
-
-    let lost_or_killed = || {
-        if kill.load(Ordering::Acquire) {
-            SessionEnd::Killed
-        } else {
-            SessionEnd::Lost
-        }
-    };
-
-    if writer
-        .lock()
-        .send(&WorkerMsg::Register {
-            name: config.name.clone(),
-            cores: config.cores,
-            location: config.location.clone(),
-        })
-        .is_err()
-    {
-        return lost_or_killed();
-    }
-    let worker_id = match inbox.recv() {
-        Ok(Some(DispatcherMsg::Registered { worker_id })) => {
-            if let Some(m) = &config.metrics {
-                m.sessions_total.inc();
+                })
+                .is_err()
+            {
+                return self.lost_or_killed();
             }
-            worker_id
         }
-        // Anything but the Registered ack before the handshake
-        // completes means a confused or dying dispatcher: resync by
-        // tearing the session down and reconnecting.
-        Ok(Some(
-            DispatcherMsg::Assign(_)
-            | DispatcherMsg::Cancel { .. }
-            | DispatcherMsg::Shutdown
-            | DispatcherMsg::RelayRegistered { .. }
-            | DispatcherMsg::RelayAssign { .. }
-            | DispatcherMsg::RelayCancel { .. },
-        ))
-        | Ok(None)
-        | Err(_) => return lost_or_killed(),
-    };
-    if let Some(log) = events {
-        log.record(EventKind::WorkerUp { worker: worker_id });
-    }
-    // Drop guard, not per-return records: the session exits from many
-    // arms below, and the replayed ring should show one `WorkerDown`
-    // for every `WorkerUp` on all of them.
-    let _session_events = SessionEventGuard {
-        events,
-        worker: worker_id,
-    };
 
-    // Recovery handshake (dispatcher crash recovery): claim the task
-    // carried from the previous session so a restarted dispatcher can
-    // re-adopt its gang during the reconciliation window — an
-    // established dispatcher answers an unknown claim with `Cancel` —
-    // then replay terminal reports that never made it onto the old
-    // wire, oldest first, keeping the rest stashed if this wire dies
-    // too.
-    if carry.running.is_some() || !carry.stashed.is_empty() {
-        let claim = carry.running.as_ref().map(|t| (t.task_id, t.job_id));
-        if writer
-            .lock()
-            .send(&WorkerMsg::SessionState { running: claim })
-            .is_err()
-        {
-            return lost_or_killed();
-        }
-        while let Some(msg) = carry.stashed.first() {
-            if writer.lock().send(msg).is_err() {
-                return lost_or_killed();
-            }
-            carry.stashed.remove(0);
-            *tasks_done += 1;
-        }
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    if let Some(period) = config.heartbeat {
-        let hb_writer = Arc::clone(&writer);
-        let hb_stop = Arc::clone(&stop);
-        let hb_kill = Arc::clone(kill);
-        // Without heartbeats the dispatcher would eventually declare
-        // this worker hung; better to fail the session now and retry
-        // than to register silently and be quarantined later.
-        if thread::Builder::new()
-            .name(format!("hb-{}", config.name))
-            .stack_size(64 * 1024)
-            .spawn(move || {
-                while !hb_stop.load(Ordering::Acquire) && !hb_kill.load(Ordering::Acquire) {
-                    thread::sleep(period);
-                    if hb_writer.lock().send(&WorkerMsg::Heartbeat).is_err() {
-                        return;
-                    }
-                }
-            })
-            .is_err()
-        {
-            return lost_or_killed();
-        }
-    }
-
-    // Wait out the carried task (if any) before asking for new work;
-    // only then fall into the ordinary request/execute/report loop.
-    let end = match resume_carried_task(config, kill, &writer, &inbox, tasks_done, carry, events) {
-        Some(end) => end,
-        None => session_task_loop(
-            config,
-            executor,
-            kill,
-            local_cache,
-            tasks_done,
-            &writer,
-            &inbox,
-            carry,
-            events,
-            worker_id,
-        ),
-    };
-    stop.store(true, Ordering::Release);
-    if end == SessionEnd::Shutdown {
-        let _ = writer.lock().send(&WorkerMsg::Goodbye);
-    }
-    end
-}
-
-/// The request → execute → report loop of one session.
-#[allow(clippy::too_many_arguments)]
-fn session_task_loop(
-    config: &WorkerConfig,
-    executor: &Arc<dyn TaskExecutor>,
-    kill: &Arc<AtomicBool>,
-    local_cache: &mut LazyCache,
-    tasks_done: &mut u64,
-    writer: &Arc<Mutex<MsgWriter<TcpStream>>>,
-    inbox: &Receiver<Option<DispatcherMsg>>,
-    carry: &mut CarryState,
-    events: Option<&EventLog>,
-    worker_id: u64,
-) -> SessionEnd {
-    let lost_or_killed = || {
-        if kill.load(Ordering::Acquire) {
-            SessionEnd::Killed
-        } else {
-            SessionEnd::Lost
-        }
-    };
-    'session: loop {
-        if kill.load(Ordering::Acquire) {
-            break SessionEnd::Killed;
-        }
-        if writer.lock().send(&WorkerMsg::Request).is_err() {
-            break lost_or_killed();
-        }
-        let mut assignment = loop {
-            match inbox.recv() {
-                Ok(Some(DispatcherMsg::Assign(a))) => break a,
-                Ok(Some(DispatcherMsg::Shutdown)) => break 'session SessionEnd::Shutdown,
-                // A cancel racing a task that already reported: ignore.
-                Ok(Some(DispatcherMsg::Cancel { .. })) => continue,
-                // Stray acks and relay-scoped envelopes (a worker never
-                // receives routed frames — its relay unwraps them): ignore.
-                Ok(Some(
-                    DispatcherMsg::Registered { .. }
-                    | DispatcherMsg::RelayRegistered { .. }
-                    | DispatcherMsg::RelayAssign { .. }
-                    | DispatcherMsg::RelayCancel { .. },
-                )) => continue,
-                Ok(None) | Err(_) => break 'session lost_or_killed(),
-            }
+        // Wait out the carried task (if any) before asking for new work.
+        // Either way the first `Request` is on the wire when the ordinary
+        // request/execute/report loop starts.
+        let asked = match self.carried.take() {
+            Some(task) => self.finish_task(&writer, task, worker_id),
+            None => writer
+                .lock()
+                .send(&WorkerMsg::Request)
+                .map_err(|_| self.lost_or_killed()),
         };
+        let end = match asked {
+            Ok(()) => self.task_loop(&writer, worker_id),
+            Err(end) => end,
+        };
+        stop.store(true, Ordering::Release);
+        if end == SessionEnd::Shutdown {
+            let _ = writer.lock().send(&WorkerMsg::Goodbye);
+        }
+        end
+    }
 
-        // Node-local staging (paper Section 5, feature 2): copy the job's
-        // listed files into this node's cache once, then expose the cache
-        // directory to the task.
-        if !assignment.stage.is_empty() {
-            let (trace, job, task) = (assignment.trace, assignment.job_id, assignment.task_id);
-            if let Some(log) = events {
-                log.span_start(trace, SpanKind::Stage, WriterRole::Worker, job, task);
+    /// Put a task's `Done` on the wire and, in the same write, the
+    /// `Request` for the next task — the dispatcher reads both in one
+    /// wakeup. An agent that is stopping reports without asking.
+    fn report(&self, writer: &Wire, done: &WorkerMsg, stopping: bool) -> std::io::Result<()> {
+        if stopping || self.killed() {
+            writer.lock().send(done)
+        } else {
+            writer.lock().send_pair(done, &WorkerMsg::Request)
+        }
+    }
+
+    /// Report a task that failed before execution started.
+    fn report_failure(
+        &self,
+        writer: &Wire,
+        task_id: u64,
+        trace: u64,
+        exit_code: i32,
+    ) -> Result<(), SessionEnd> {
+        let done = WorkerMsg::Done {
+            task_id,
+            exit_code,
+            wall_ms: 0,
+            output: None,
+            trace,
+        };
+        self.report(writer, &done, false)
+            .map_err(|_| self.lost_or_killed())
+    }
+
+    /// Hand a task to the runner, starting one if the last was abandoned.
+    fn start_task(&mut self, assignment: TaskAssignment, cancel: CancelToken) -> bool {
+        if self.runner.is_none() {
+            self.runners_started += 1;
+            let spawned = TaskRunner::spawn(
+                self.runners_started,
+                Arc::clone(self.executor),
+                self.events_tx.clone(),
+            );
+            self.runner = spawned.ok();
+        }
+        let handed = self
+            .runner
+            .as_ref()
+            .is_some_and(|r| r.jobs.send((assignment, cancel)).is_ok());
+        if !handed {
+            self.runner = None;
+        }
+        handed
+    }
+
+    /// The execute → report → request loop of one session; the first
+    /// `Request` is already on the wire.
+    fn task_loop(&mut self, writer: &Wire, worker_id: u64) -> SessionEnd {
+        let config = self.config;
+        loop {
+            if self.killed() {
+                return SessionEnd::Killed;
             }
-            // The span closes on failure too — a stage span whose end
-            // abuts a failed report is exactly what the trace should show.
-            let staged = match local_cache.get_or_init(&config.name) {
-                Ok(cache) => cache.stage_all(&assignment.stage).is_ok().then(|| {
-                    push_env(
-                        &mut assignment,
-                        "JETS_LOCAL_DIR",
-                        &cache.dir().to_string_lossy(),
-                    );
-                }),
-                Err(_) => None,
+            let mut assignment = loop {
+                match self.next_frame() {
+                    Some(DispatcherMsg::Assign(a)) => break a,
+                    Some(DispatcherMsg::Shutdown) => return SessionEnd::Shutdown,
+                    // A cancel racing a task that already reported: ignore.
+                    Some(DispatcherMsg::Cancel { .. }) => continue,
+                    // Stray acks and relay-scoped envelopes (a worker never
+                    // receives routed frames — its relay unwraps them): ignore.
+                    Some(
+                        DispatcherMsg::Registered { .. }
+                        | DispatcherMsg::RelayRegistered { .. }
+                        | DispatcherMsg::RelayAssign { .. }
+                        | DispatcherMsg::RelayCancel { .. },
+                    ) => continue,
+                    None => return self.lost_or_killed(),
+                }
             };
-            if let Some(log) = events {
-                log.span_end(trace, SpanKind::Stage, WriterRole::Worker, job, task);
-            }
-            if staged.is_none() {
-                if let Some(m) = &config.metrics {
-                    m.staging_failed_total.inc();
-                }
-                report_failure(writer, task, EXIT_STAGING_FAILED, trace);
-                continue;
-            }
-        }
 
-        // Execute on a dedicated thread so a kill or an expired cancel
-        // grace can abandon the task (the thread finishes in the
-        // background, its result discarded — just as a killed pilot's
-        // task dies with the node).
-        let (tx, rx) = bounded(1);
-        let task_executor = Arc::clone(executor);
-        let cancel = CancelToken::new();
-        let task_cancel = cancel.clone();
-        let task_id = assignment.task_id;
-        let job_id = assignment.job_id;
-        let trace = assignment.trace;
-        let ranks = match &assignment.kind {
-            jets_core::protocol::TaskKind::Sequential { .. } => 1,
-            jets_core::protocol::TaskKind::MpiProxy { ranks, .. } => ranks.len() as u32,
-        };
-        let started = Instant::now();
-        // A task that never got a thread reports the executor's spawn
-        // failure code, exactly as if the process itself had failed to
-        // start; the dispatcher's retry ladder takes it from there.
-        if thread::Builder::new()
-            .name("task".to_string())
-            .stack_size(256 * 1024)
-            .spawn(move || {
-                let outcome = task_executor.execute_cancellable(&assignment, &task_cancel);
-                let _ = tx.send(outcome);
-            })
-            .is_err()
-        {
-            report_failure(writer, task_id, crate::executor::EXIT_SPAWN_FAILED, trace);
-            continue;
+            // Node-local staging (paper Section 5, feature 2): copy the job's
+            // listed files into this node's cache once, then expose the cache
+            // directory to the task.
+            if !assignment.stage.is_empty() {
+                let (trace, job, task) = (assignment.trace, assignment.job_id, assignment.task_id);
+                if let Some(log) = self.log {
+                    log.span_start(trace, SpanKind::Stage, WriterRole::Worker, job, task);
+                }
+                // The span closes on failure too — a stage span whose end
+                // abuts a failed report is exactly what the trace should show.
+                let staged = match self.local_cache.get_or_init(&config.name) {
+                    Ok(cache) => cache.stage_all(&assignment.stage).is_ok().then(|| {
+                        push_env(
+                            &mut assignment,
+                            "JETS_LOCAL_DIR",
+                            &cache.dir().to_string_lossy(),
+                        );
+                    }),
+                    Err(_) => None,
+                };
+                if let Some(log) = self.log {
+                    log.span_end(trace, SpanKind::Stage, WriterRole::Worker, job, task);
+                }
+                if staged.is_none() {
+                    if let Some(m) = &config.metrics {
+                        m.staging_failed_total.inc();
+                    }
+                    match self.report_failure(writer, task, trace, EXIT_STAGING_FAILED) {
+                        Ok(()) => continue,
+                        Err(end) => return end,
+                    }
+                }
+            }
+
+            let task = RunningTask {
+                task_id: assignment.task_id,
+                job_id: assignment.job_id,
+                trace: assignment.trace,
+                ranks: match &assignment.kind {
+                    jets_core::protocol::TaskKind::Sequential { .. } => 1,
+                    jets_core::protocol::TaskKind::MpiProxy { ranks, .. } => ranks.len() as u32,
+                },
+                cancel: CancelToken::new(),
+                started: Instant::now(),
+                cancel_deadline: None,
+            };
+            // A task that never got a thread reports the executor's spawn
+            // failure code, exactly as if the process itself had failed to
+            // start; the dispatcher's retry ladder takes it from there.
+            if !self.start_task(assignment, task.cancel.clone()) {
+                match self.report_failure(writer, task.task_id, task.trace, EXIT_SPAWN_FAILED) {
+                    Ok(()) => continue,
+                    Err(end) => return end,
+                }
+            }
+            if let Some(log) = self.log {
+                log.record(EventKind::TaskStarted {
+                    task: task.task_id,
+                    job: task.job_id,
+                    worker: worker_id,
+                    ranks: task.ranks,
+                });
+                let (trace, job) = (task.trace, task.job_id);
+                log.span_start(trace, SpanKind::Exec, WriterRole::Worker, job, task.task_id);
+            }
+            if let Err(end) = self.finish_task(writer, task, worker_id) {
+                return end;
+            }
         }
-        // Guard, not paired inc/dec calls: the wait loop below exits the
-        // session from several arms, and the gauge must balance on all
-        // of them.
+    }
+
+    /// Wait for `task` — just started, or carried over from a lost
+    /// session whose `SessionState` claim is already on the wire — then
+    /// report it and ask for the next. While it runs the dispatcher's
+    /// verdict is honoured as it arrives: silence lets the task finish,
+    /// a `Cancel` trips its token at once and starts the grace clock.
+    /// `Err` ends the session.
+    fn finish_task(
+        &mut self,
+        writer: &Wire,
+        mut task: RunningTask,
+        worker_id: u64,
+    ) -> Result<(), SessionEnd> {
+        let config = self.config;
+        // Guard, not paired inc/dec calls: the wait below leaves through
+        // several arms, and the gauge must balance on all of them.
         let _inflight = config.metrics.as_ref().map(|m| {
             m.tasks_inflight.inc();
             InflightGuard(&m.tasks_inflight)
         });
-        if let Some(log) = events {
-            log.record(EventKind::TaskStarted {
-                task: task_id,
-                job: job_id,
-                worker: worker_id,
-                ranks,
-            });
-            log.span_start(trace, SpanKind::Exec, WriterRole::Worker, job_id, task_id);
-        }
-
-        let mut canceled = false;
-        let mut cancel_deadline: Option<Instant> = None;
-        let mut conn_lost = false;
         let mut shutdown_after = false;
         let result: Option<TaskOutcome> = loop {
-            // Drain dispatcher traffic first: a `Cancel` naming the
-            // running task trips the token and starts the grace clock.
-            while let Ok(msg) = inbox.try_recv() {
-                match msg {
-                    Some(DispatcherMsg::Cancel { task_id: t }) if t == task_id => {
-                        if !canceled {
-                            canceled = true;
-                            cancel.cancel();
-                            cancel_deadline = Some(Instant::now() + config.cancel_grace);
-                        }
-                    }
-                    Some(DispatcherMsg::Cancel { .. }) => {} // stale
-                    Some(DispatcherMsg::Shutdown) => shutdown_after = true,
-                    // Stray acks / relay-scoped envelopes mid-task: a
-                    // worker never acts on routed frames.
-                    Some(
-                        DispatcherMsg::Registered { .. }
-                        | DispatcherMsg::Assign(_)
-                        | DispatcherMsg::RelayRegistered { .. }
-                        | DispatcherMsg::RelayAssign { .. }
-                        | DispatcherMsg::RelayCancel { .. },
-                    ) => {}
-                    None => conn_lost = true,
-                }
+            if let Some(outcome) = self.finished.take() {
+                break Some(outcome);
             }
-            if conn_lost && !kill.load(Ordering::Acquire) {
-                // The dispatcher vanished mid-task. Keep the task alive
-                // and carry its handles into the next session: a
-                // restarted dispatcher re-adopts the gang from our
-                // `SessionState` claim, while a dispatcher that merely
-                // dropped us answers with `Cancel`. A task already
-                // canceled is discounted everywhere — abandon it.
-                if !canceled {
-                    carry.running = Some(CarriedTask {
-                        task_id,
-                        job_id,
-                        trace,
-                        rx,
-                        cancel,
-                        started,
-                        canceled: false,
-                        cancel_deadline: None,
-                    });
+            let msg = match self.next_event(task.cancel_deadline) {
+                Some(AgentEvent::Finished { outcome, .. }) => break Some(outcome),
+                Some(AgentEvent::Wire { msg, .. }) => msg,
+                None => {
+                    // Grace expired: abandon the runner with the task.
+                    self.runner = None;
+                    break None;
                 }
-                break 'session SessionEnd::Lost;
-            }
-            match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(outcome) => break Some(outcome),
-                Err(RecvTimeoutError::Timeout) => {
-                    if kill.load(Ordering::Acquire) {
-                        break 'session SessionEnd::Killed;
-                    }
-                    if cancel_deadline.is_some_and(|d| Instant::now() >= d) {
-                        break None; // grace expired: abandon the thread
+            };
+            match msg {
+                Some(DispatcherMsg::Cancel { task_id }) if task_id == task.task_id => {
+                    // Gang teardown, a deadline, or a rejected claim:
+                    // trip the token and give the task the grace period
+                    // to stand down.
+                    if task.cancel_deadline.is_none() {
+                        task.cancel.cancel();
+                        task.cancel_deadline = Some(Instant::now() + config.cancel_grace);
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => break None,
+                Some(DispatcherMsg::Cancel { .. }) => {} // stale
+                Some(DispatcherMsg::Shutdown) => shutdown_after = true,
+                // Stray acks / relay-scoped envelopes mid-task: a
+                // worker never acts on routed frames.
+                Some(
+                    DispatcherMsg::Registered { .. }
+                    | DispatcherMsg::Assign(_)
+                    | DispatcherMsg::RelayRegistered { .. }
+                    | DispatcherMsg::RelayAssign { .. }
+                    | DispatcherMsg::RelayCancel { .. },
+                ) => {}
+                None => {
+                    if self.killed() {
+                        return Err(SessionEnd::Killed);
+                    }
+                    // The dispatcher vanished mid-task. Keep the task
+                    // alive and carry it into the next session: a
+                    // restarted dispatcher re-adopts the gang from our
+                    // `SessionState` claim, while a dispatcher that
+                    // merely dropped us answers with `Cancel`. A task
+                    // already canceled is discounted everywhere —
+                    // abandon it.
+                    if task.cancel_deadline.is_none() {
+                        self.carried = Some(task);
+                    } else {
+                        self.runner = None;
+                    }
+                    return Err(SessionEnd::Lost);
+                }
             }
         };
+        // A canceled task always reports EXIT_CANCELED — the dispatcher
+        // already discounted the task, so the report's only job is
+        // recycling this worker via the stale-Done path.
+        let canceled = task.cancel_deadline.is_some();
         let outcome = match result {
-            // A canceled task always reports EXIT_CANCELED — the
-            // dispatcher already discounted the task, so the report's
-            // only job is recycling this worker via the stale-Done path.
-            Some(o) if canceled => TaskOutcome {
+            Some(o) if !canceled => o,
+            abandoned_or_canceled => TaskOutcome {
                 exit_code: EXIT_CANCELED,
-                output: o.output,
+                output: abandoned_or_canceled.and_then(|o| o.output),
             },
-            Some(o) => o,
-            None if canceled => TaskOutcome {
-                exit_code: EXIT_CANCELED,
-                output: None,
-            },
-            None => break SessionEnd::Killed,
         };
-        let wall_ms = started.elapsed().as_millis() as u64;
-        if let Some(log) = events {
-            log.span_end(trace, SpanKind::Exec, WriterRole::Worker, job_id, task_id);
+        let wall_ms = task.started.elapsed().as_millis() as u64;
+        if let Some(log) = self.log {
+            // For a carried task this closes the span the original
+            // session opened; the outage is inside it, which is the truth.
+            let (trace, job) = (task.trace, task.job_id);
+            log.span_end(trace, SpanKind::Exec, WriterRole::Worker, job, task.task_id);
             log.record(EventKind::TaskEnded {
-                task: task_id,
-                job: job_id,
+                task: task.task_id,
+                job: task.job_id,
                 worker: worker_id,
-                ranks,
+                ranks: task.ranks,
                 exit_code: outcome.exit_code,
-                trace,
+                trace: task.trace,
             });
         }
         if let Some(m) = &config.metrics {
@@ -898,152 +1010,28 @@ fn session_task_loop(
             m.task_seconds.record(wall_ms.saturating_mul(1_000));
         }
         let done = WorkerMsg::Done {
-            task_id,
+            task_id: task.task_id,
             exit_code: outcome.exit_code,
             wall_ms,
             output: outcome.output,
-            trace,
+            trace: task.trace,
         };
-        if writer.lock().send(&done).is_err() {
+        if self.report(writer, &done, shutdown_after).is_err() {
             // The report never reached the wire. Stash it for replay
             // after the next registration so the dispatcher still hears
             // the result exactly once (a canceled report carries no
             // information a recovering dispatcher wants).
-            if !kill.load(Ordering::Acquire) && !canceled {
-                carry.stashed.push(done);
+            if !self.killed() && !canceled {
+                self.stashed.push(done);
             }
-            break lost_or_killed();
+            return Err(self.lost_or_killed());
         }
-        *tasks_done += 1;
+        self.tasks_done += 1;
         if shutdown_after {
-            break SessionEnd::Shutdown;
+            return Err(SessionEnd::Shutdown);
         }
+        Ok(())
     }
-}
-
-/// Wait out a task carried across a lost session. The `SessionState`
-/// claim is already on the wire; this loop honours the dispatcher's
-/// verdict (silence adopts the task, `Cancel` rejects the claim) and
-/// reports the outcome exactly as the original session would have.
-/// Returns `Some(end)` if the session ended here, `None` to continue
-/// into the ordinary task loop.
-fn resume_carried_task(
-    config: &WorkerConfig,
-    kill: &Arc<AtomicBool>,
-    writer: &Arc<Mutex<MsgWriter<TcpStream>>>,
-    inbox: &Receiver<Option<DispatcherMsg>>,
-    tasks_done: &mut u64,
-    carry: &mut CarryState,
-    events: Option<&EventLog>,
-) -> Option<SessionEnd> {
-    let mut task = carry.running.take()?;
-    let _inflight = config.metrics.as_ref().map(|m| {
-        m.tasks_inflight.inc();
-        InflightGuard(&m.tasks_inflight)
-    });
-    let mut shutdown_after = false;
-    let result: Option<TaskOutcome> = loop {
-        let mut conn_lost = false;
-        while let Ok(msg) = inbox.try_recv() {
-            match msg {
-                Some(DispatcherMsg::Cancel { task_id }) if task_id == task.task_id => {
-                    // The claim was rejected (or the job's deadline
-                    // fired during the outage): trip the token and give
-                    // the task the usual grace to stand down.
-                    if !task.canceled {
-                        task.canceled = true;
-                        task.cancel.cancel();
-                        task.cancel_deadline = Some(Instant::now() + config.cancel_grace);
-                    }
-                }
-                Some(DispatcherMsg::Cancel { .. }) => {} // stale
-                Some(DispatcherMsg::Shutdown) => shutdown_after = true,
-                Some(
-                    DispatcherMsg::Registered { .. }
-                    | DispatcherMsg::Assign(_)
-                    | DispatcherMsg::RelayRegistered { .. }
-                    | DispatcherMsg::RelayAssign { .. }
-                    | DispatcherMsg::RelayCancel { .. },
-                ) => {}
-                None => conn_lost = true,
-            }
-        }
-        if conn_lost && !kill.load(Ordering::Acquire) {
-            // Lost again before the task finished: keep carrying it
-            // into the next session (unless it was canceled — that
-            // task is already discounted everywhere).
-            if !task.canceled {
-                carry.running = Some(task);
-            }
-            return Some(SessionEnd::Lost);
-        }
-        match task.rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(outcome) => break Some(outcome),
-            Err(RecvTimeoutError::Timeout) => {
-                if kill.load(Ordering::Acquire) {
-                    return Some(SessionEnd::Killed);
-                }
-                if task.cancel_deadline.is_some_and(|d| Instant::now() >= d) {
-                    break None; // grace expired: abandon the thread
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break None,
-        }
-    };
-    let outcome = match result {
-        Some(o) if task.canceled => TaskOutcome {
-            exit_code: EXIT_CANCELED,
-            output: o.output,
-        },
-        Some(o) => o,
-        None if task.canceled => TaskOutcome {
-            exit_code: EXIT_CANCELED,
-            output: None,
-        },
-        None => return Some(SessionEnd::Killed),
-    };
-    let wall_ms = task.started.elapsed().as_millis() as u64;
-    if let Some(log) = events {
-        // Close the exec span the original session opened; the gap the
-        // outage caused is inside the span, which is the truth.
-        log.span_end(
-            task.trace,
-            SpanKind::Exec,
-            WriterRole::Worker,
-            task.job_id,
-            task.task_id,
-        );
-    }
-    if let Some(m) = &config.metrics {
-        m.tasks_executed_total.inc();
-        if task.canceled {
-            m.tasks_canceled_total.inc();
-        } else if outcome.exit_code != 0 {
-            m.tasks_failed_total.inc();
-        }
-        m.task_seconds.record(wall_ms.saturating_mul(1_000));
-    }
-    let done = WorkerMsg::Done {
-        task_id: task.task_id,
-        exit_code: outcome.exit_code,
-        wall_ms,
-        output: outcome.output,
-        trace: task.trace,
-    };
-    if writer.lock().send(&done).is_err() {
-        if kill.load(Ordering::Acquire) {
-            return Some(SessionEnd::Killed);
-        }
-        if !task.canceled {
-            carry.stashed.push(done);
-        }
-        return Some(SessionEnd::Lost);
-    }
-    *tasks_done += 1;
-    if shutdown_after {
-        return Some(SessionEnd::Shutdown);
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1142,6 +1130,226 @@ mod tests {
         for w in replacement {
             w.join();
         }
+    }
+
+    /// What [`ProbeExecutor`] saw.
+    #[derive(Default)]
+    struct ProbeLog {
+        /// The thread each task ran on, in order.
+        threads: Vec<thread::ThreadId>,
+        /// When each `until-cancel` task saw its token tripped.
+        tripped: Vec<Instant>,
+    }
+
+    /// An executor that records where its tasks run. `block` ignores
+    /// its token and spins until the test releases it; `until-cancel`
+    /// returns the moment its token trips; anything else is a no-op.
+    #[derive(Default)]
+    struct ProbeExecutor {
+        log: Mutex<ProbeLog>,
+        release: AtomicBool,
+    }
+
+    impl TaskExecutor for ProbeExecutor {
+        fn execute(&self, _assignment: &TaskAssignment) -> i32 {
+            0
+        }
+
+        fn execute_cancellable(&self, a: &TaskAssignment, cancel: &CancelToken) -> TaskOutcome {
+            self.log.lock().threads.push(thread::current().id());
+            match a.cmd().name() {
+                "block" => {
+                    while !self.release.load(Ordering::Acquire) {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                "until-cancel" => {
+                    while !cancel.is_canceled() {
+                        thread::sleep(Duration::from_micros(50));
+                    }
+                    self.log.lock().tripped.push(Instant::now());
+                }
+                _ => {}
+            }
+            TaskOutcome {
+                exit_code: 0,
+                output: None,
+            }
+        }
+    }
+
+    /// The dispatcher end of one agent connection, driven by the test
+    /// frame by frame so that what the agent puts on the wire, and when,
+    /// is observable.
+    struct ScriptedDispatcher {
+        rx: MsgReader<BufReader<TcpStream>>,
+        tx: MsgWriter<TcpStream>,
+    }
+
+    impl ScriptedDispatcher {
+        /// Spawn an agent against a scripted dispatcher and take it
+        /// through registration and its first `Request`.
+        fn with_agent(
+            config: impl FnOnce(WorkerConfig) -> WorkerConfig,
+            exec: Arc<ProbeExecutor>,
+        ) -> (Self, Worker) {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let worker = Worker::spawn(config(WorkerConfig::new(addr, "scripted")), exec);
+            let (stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(WAIT)).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut d = ScriptedDispatcher {
+                tx: MsgWriter::new(stream.try_clone().unwrap()),
+                rx: MsgReader::new(BufReader::new(stream)),
+            };
+            assert!(matches!(d.recv(), WorkerMsg::Register { .. }));
+            d.tx.send(&DispatcherMsg::Registered { worker_id: 1 })
+                .unwrap();
+            assert_eq!(d.recv(), WorkerMsg::Request);
+            (d, worker)
+        }
+
+        fn recv(&mut self) -> WorkerMsg {
+            self.rx.recv().unwrap().expect("agent hung up")
+        }
+
+        fn assign(&mut self, task_id: u64, app: &str) {
+            let assignment = TaskAssignment {
+                task_id,
+                job_id: task_id,
+                trace: 0,
+                kind: jets_core::protocol::TaskKind::Sequential {
+                    cmd: CommandSpec::builtin(app, vec![]),
+                },
+                stage: Vec::new(),
+            };
+            self.tx.send(&DispatcherMsg::Assign(assignment)).unwrap();
+        }
+
+        /// The `Done` for `task_id` and the `Request` that rides with it.
+        fn done_then_request(&mut self, task_id: u64) -> i32 {
+            let WorkerMsg::Done {
+                task_id: t,
+                exit_code,
+                ..
+            } = self.recv()
+            else {
+                panic!("expected Done");
+            };
+            assert_eq!(t, task_id);
+            assert_eq!(self.recv(), WorkerMsg::Request);
+            exit_code
+        }
+    }
+
+    fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + WAIT;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn sequential_tasks_share_one_runner_thread() {
+        let d = Dispatcher::start(DispatcherConfig::default()).unwrap();
+        let exec = Arc::new(ProbeExecutor::default());
+        let w = Worker::spawn(WorkerConfig::new(d.addr().to_string(), "one"), exec.clone());
+        d.submit_all((0..200).map(|_| JobSpec::sequential(CommandSpec::builtin("noop", vec![]))));
+        assert!(d.wait_idle(WAIT));
+        d.shutdown();
+        assert_eq!(w.join().tasks_done, 200);
+        let mut threads = std::mem::take(&mut exec.log.lock().threads);
+        assert_eq!(threads.len(), 200);
+        threads.dedup();
+        assert_eq!(threads.len(), 1, "a thread per task is what this replaced");
+    }
+
+    #[test]
+    fn expired_cancel_grace_abandons_the_runner_and_the_next_task_gets_a_fresh_one() {
+        let grace = Duration::from_millis(60);
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(
+            |c| WorkerConfig {
+                cancel_grace: grace,
+                ..c
+            },
+            exec.clone(),
+        );
+        d.assign(1, "block");
+        wait_for("the blocking task to start", || {
+            exec.log.lock().threads.len() == 1
+        });
+        let canceled_at = Instant::now();
+        d.tx.send(&DispatcherMsg::Cancel { task_id: 1 }).unwrap();
+        assert_eq!(d.done_then_request(1), EXIT_CANCELED);
+        assert!(
+            canceled_at.elapsed() >= grace,
+            "reported before the grace ran out"
+        );
+        // The first task is still stuck; the second must not queue behind it.
+        d.assign(2, "noop");
+        assert_eq!(d.done_then_request(2), 0);
+        assert!(!exec.release.load(Ordering::Acquire));
+        let threads = exec.log.lock().threads.clone();
+        assert_eq!(threads.len(), 2);
+        assert_ne!(
+            threads[0], threads[1],
+            "second task ran on the stuck runner"
+        );
+        d.tx.send(&DispatcherMsg::Shutdown).unwrap();
+        let exit = w.join();
+        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 2));
+        exec.release.store(true, Ordering::Release);
+    }
+
+    #[test]
+    fn kill_mid_task_does_not_wait_for_the_task() {
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c, exec.clone());
+        d.assign(1, "block");
+        wait_for("the blocking task to start", || {
+            exec.log.lock().threads.len() == 1
+        });
+        w.kill();
+        // `join` returning at all is the point: the task never does
+        // until released below.
+        let exit = w.join();
+        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Killed, 0));
+        assert!(!exec.release.load(Ordering::Acquire));
+        exec.release.store(true, Ordering::Release);
+    }
+
+    /// A `Cancel` trips the token when it is read. The loop this
+    /// replaced looked at its inbox every 20 ms, so the task learned of
+    /// a cancel 10 ms late on average.
+    #[test]
+    fn cancel_trips_the_token_without_waiting_for_a_poll_tick() {
+        const ROUNDS: usize = 9;
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c, exec.clone());
+        let mut delays = Vec::new();
+        for round in 0..ROUNDS {
+            let task_id = round as u64 + 1;
+            d.assign(task_id, "until-cancel");
+            wait_for("the task to start", || {
+                exec.log.lock().threads.len() == round + 1
+            });
+            let sent = Instant::now();
+            d.tx.send(&DispatcherMsg::Cancel { task_id }).unwrap();
+            assert_eq!(d.done_then_request(task_id), EXIT_CANCELED);
+            delays.push(exec.log.lock().tripped[round].duration_since(sent));
+        }
+        delays.sort();
+        // The median, so one descheduled round on a busy host is not a failure.
+        let median = delays[ROUNDS / 2];
+        assert!(
+            median < Duration::from_millis(2),
+            "cancel-to-trip delays: {delays:?}"
+        );
+        d.tx.send(&DispatcherMsg::Shutdown).unwrap();
+        assert_eq!(w.join().reason, ExitReason::Shutdown);
     }
 
     #[test]
