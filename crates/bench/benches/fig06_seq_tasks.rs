@@ -32,6 +32,7 @@ fn ideal_rate() -> f64 {
             cmd: CommandSpec::builtin("noop", vec![]),
         },
         stage: Vec::new(),
+        trace: 0,
     };
     let n = 200_000;
     let t = Instant::now();

@@ -14,12 +14,12 @@
 
 use jets_bench::banner;
 use jets_mpi::{runner, NetModel};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use jets_ring::stdx::SplitMix64;
 
 fn ping_pong(model: NetModel, bytes: usize, reps: usize) -> (f64, f64) {
     let results = runner::run_threads(2, model, move |comm| {
-        let mut rng = StdRng::seed_from_u64(7);
-        let buffer: Vec<u8> = (0..bytes).map(|_| rng.gen()).collect();
+        let mut rng = SplitMix64::new(7);
+        let buffer: Vec<u8> = (0..bytes).map(|_| rng.next_u64() as u8).collect();
         comm.barrier().unwrap();
         let t0 = comm.wtime();
         if comm.rank() == 0 {

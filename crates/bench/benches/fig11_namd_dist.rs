@@ -14,7 +14,7 @@
 use cluster_sim::workload::{namd_batch, NamdDurationModel, TimeScale};
 use jets_bench::{banner, boot, env_or};
 use jets_core::{stats, DispatcherConfig};
-use rand::{rngs::StdRng, SeedableRng};
+use jets_ring::stdx::SplitMix64;
 use std::time::Duration;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     let jobs = 6 * (nodes / nproc) as usize;
 
     let bed = boot(nodes, DispatcherConfig::default());
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut rng = SplitMix64::new(11);
     let batch = namd_batch(
         jobs,
         nproc,

@@ -12,7 +12,7 @@
 use cluster_sim::workload::{namd_batch, NamdDurationModel, TimeScale};
 use jets_bench::{banner, boot, env_or};
 use jets_core::{stats, DispatcherConfig};
-use rand::{rngs::StdRng, SeedableRng};
+use jets_ring::stdx::SplitMix64;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
         }
         let jobs = 6 * (nodes / nproc) as usize;
         let bed = boot(nodes, DispatcherConfig::default());
-        let mut rng = StdRng::seed_from_u64(12);
+        let mut rng = SplitMix64::new(12);
         let batch = namd_batch(jobs, nproc, 1, model, scale, &mut rng);
         // Mean nominal duration of the generated batch, for Eq. (1).
         let mean_ms: f64 = batch

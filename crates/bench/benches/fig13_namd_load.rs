@@ -10,7 +10,7 @@
 use cluster_sim::workload::{namd_batch, NamdDurationModel, TimeScale};
 use jets_bench::{banner, boot, env_or};
 use jets_core::{stats, DispatcherConfig};
-use rand::{rngs::StdRng, SeedableRng};
+use jets_ring::stdx::SplitMix64;
 use std::time::Duration;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     let jobs = ((nodes / nproc) as usize * 6).max(1);
 
     let bed = boot(nodes, DispatcherConfig::default());
-    let mut rng = StdRng::seed_from_u64(13);
+    let mut rng = SplitMix64::new(13);
     bed.dispatcher.submit_all(namd_batch(
         jobs,
         nproc,

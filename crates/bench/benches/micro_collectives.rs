@@ -1,13 +1,12 @@
-//! Microbenchmarks of the MPI collectives (criterion).
+//! Microbenchmarks of the MPI collectives.
 //!
 //! Measures the cost of one collective round over the in-process fabric
 //! (no network model) at several communicator sizes — the launch-path
 //! costs that shape Figures 7, 9, and 15: every task start executes at
 //! least two barriers.
 
-use criterion::Criterion;
+use jets_bench::banner;
 use jets_mpi::{runner, NetModel, ReduceOp};
-use std::time::Duration;
 
 /// Run `rounds` collective rounds at `size` ranks and return the mean
 /// per-round wall time of rank 0.
@@ -52,22 +51,19 @@ fn collective_rounds(size: u32, rounds: usize, which: &'static str) -> f64 {
 }
 
 fn main() {
-    let mut criterion = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500))
-        .configure_from_args();
-
+    banner(
+        "micro_collectives",
+        "one collective round over the in-process fabric, rank 0's mean",
+    );
+    println!(
+        "{:>12} | {:>5} | {:>12}",
+        "collective", "ranks", "µs per round"
+    );
     for size in [2u32, 4, 8] {
         for which in ["barrier", "allreduce64", "bcast4k"] {
-            criterion.bench_function(&format!("{which}_{size}ranks"), |b| {
-                b.iter_custom(|iters| {
-                    let per_round = collective_rounds(size, (iters as usize).max(8), which);
-                    Duration::from_secs_f64(per_round * iters as f64)
-                });
-            });
+            collective_rounds(size, 200, which); // warm-up: threads, allocator
+            let per_round = collective_rounds(size, 2_000, which);
+            println!("{which:>12} | {size:>5} | {:>12.2}", per_round * 1e6);
         }
     }
-
-    criterion.final_summary();
 }

@@ -1,7 +1,7 @@
 //! A simulated allocation: many pilot-job workers against one dispatcher.
 
+use jets_ring::stdx::Mutex;
 use jets_worker::{ReconnectPolicy, TaskExecutor, Worker, WorkerConfig, WorkerExit};
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -12,11 +12,10 @@
 //!   `rejected` to the `SWIFT_STDOUT` path when set (the workflow's
 //!   synchronization token).
 
+use jets_ring::stdx::SplitMix64;
 use jets_worker::{AppRegistry, TaskContext};
 use namd_sim::rem::{attempt_file_exchange, ReplicaFiles};
 use namd_sim::{run_segment, MdConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Register `namd-lite` and `rem-exchange` onto `registry`.
 pub fn register_namd(registry: &AppRegistry) {
@@ -89,7 +88,7 @@ pub fn register_namd(registry: &AppRegistry) {
         };
         let a = ReplicaFiles::from_prefix(prefix_a);
         let b = ReplicaFiles::from_prefix(prefix_b);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let accepted = match attempt_file_exchange(&a, &b, t_a, t_b, &mut rng) {
             Ok(v) => v,
             Err(_) => return 3,

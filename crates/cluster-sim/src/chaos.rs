@@ -17,8 +17,7 @@
 //!   re-admission paths.
 
 use crate::allocation::Allocation;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use jets_ring::stdx::SplitMix64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -95,11 +94,11 @@ impl FaultPlan {
     pub fn seeded(seed: u64, ticks: u32, interval: Duration, mix: FaultMix) -> FaultPlan {
         let total = mix.kill + mix.partition + mix.calm;
         assert!(total > 0, "fault mix must have nonzero weight");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut kills = 0u32;
         let mut events = Vec::with_capacity(ticks as usize);
         for t in 0..ticks {
-            let w = rng.gen_range(0..total);
+            let w = rng.gen_range(0..u64::from(total)) as u32;
             let mut action = if w < mix.kill {
                 FaultAction::Kill
             } else if w < mix.kill + mix.partition {
@@ -117,7 +116,7 @@ impl FaultPlan {
             events.push(FaultEvent {
                 at: interval * (t + 1),
                 action,
-                roll: rng.gen(),
+                roll: rng.next_u64(),
             });
         }
         FaultPlan { events }

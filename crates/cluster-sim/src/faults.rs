@@ -7,8 +7,7 @@
 //! until stopped or the allocation is empty.
 
 use crate::allocation::Allocation;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use jets_ring::stdx::SplitMix64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -29,14 +28,16 @@ impl FaultInjector {
         let handle = thread::Builder::new()
             .name("fault-injector".to_string())
             .spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
+                let mut rng = SplitMix64::new(seed);
                 let mut killed = Vec::new();
                 loop {
                     thread::sleep(interval);
                     if stop2.load(Ordering::Acquire) {
                         return killed;
                     }
-                    match allocation.kill_one_of(|live| live[rng.gen_range(0..live.len())]) {
+                    match allocation
+                        .kill_one_of(|live| live[rng.gen_range(0..live.len() as u64) as usize])
+                    {
                         Some(idx) => killed.push(idx),
                         None => return killed, // everyone is dead
                     }

@@ -6,7 +6,7 @@
 //! every control-plane cost stays real.
 
 use jets_core::spec::{CommandSpec, JobSpec};
-use rand::Rng;
+use jets_ring::stdx::SplitMix64;
 
 /// Conversion between virtual workload time and real benchmark time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,11 +107,11 @@ impl Default for NamdDurationModel {
 
 impl NamdDurationModel {
     /// Draw one task duration in virtual seconds.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
+    pub fn sample(&self, rng: &mut SplitMix64) -> f64 {
         // Erlang(2, θ): sum of two exponentials with mean θ each.
         let theta = self.tail_mean_secs / 2.0;
-        let e1: f64 = -theta * (1.0 - rng.gen::<f64>()).ln();
-        let e2: f64 = -theta * (1.0 - rng.gen::<f64>()).ln();
+        let e1: f64 = -theta * (1.0 - rng.gen_f64()).ln();
+        let e2: f64 = -theta * (1.0 - rng.gen_f64()).ln();
         (self.base_secs + e1 + e2).min(self.cap_secs)
     }
 }
@@ -125,7 +125,7 @@ pub fn namd_batch(
     ppn: u32,
     model: NamdDurationModel,
     scale: TimeScale,
-    rng: &mut impl Rng,
+    rng: &mut SplitMix64,
 ) -> Vec<JobSpec> {
     // The paper duplicates 32 base cases round-robin; we sample 32 base
     // durations and cycle them, preserving that structure.
@@ -146,8 +146,6 @@ pub fn namd_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn timescale_conversions_round_trip() {
@@ -186,7 +184,7 @@ mod tests {
     #[test]
     fn namd_model_matches_fig11_shape() {
         let model = NamdDurationModel::default();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let samples: Vec<f64> = (0..10_000).map(|_| model.sample(&mut rng)).collect();
         let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
         let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -202,7 +200,7 @@ mod tests {
 
     #[test]
     fn namd_batch_cycles_32_base_cases() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::new(2);
         let jobs = namd_batch(
             64,
             4,

@@ -9,9 +9,8 @@
 //! temperatures `T_A` and `T_B`. Prints `accepted` or `rejected` (also
 //! written to `$SWIFT_STDOUT` when set, as the workflow token).
 
+use jets_ring::stdx::SplitMix64;
 use namd_sim::rem::{attempt_file_exchange, ReplicaFiles};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,7 +25,7 @@ fn main() {
     let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(0);
     let a = ReplicaFiles::from_prefix(&args[0]);
     let b = ReplicaFiles::from_prefix(&args[2]);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     match attempt_file_exchange(&a, &b, t_a, t_b, &mut rng) {
         Ok(accepted) => {
             let verdict = if accepted { "accepted" } else { "rejected" };

@@ -3,13 +3,13 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Locate a workspace binary next to the test executable.
-fn workspace_binary(name: &str) -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let debug_dir = exe.parent()?.parent()?;
-    let candidate = debug_dir.join(name);
-    candidate.exists().then_some(candidate)
-}
+// Cargo builds this package's binaries before its integration tests and
+// hands over their paths, whatever the profile.
+const JETS: &str = env!("CARGO_BIN_EXE_jets");
+const NAMD_LITE: &str = env!("CARGO_BIN_EXE_namd-lite");
+const REM_EXCHANGE: &str = env!("CARGO_BIN_EXE_rem-exchange");
+const JETS_MPIEXEC: &str = env!("CARGO_BIN_EXE_jets-mpiexec");
+const SWIFTLITE: &str = env!("CARGO_BIN_EXE_swiftlite");
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cli-{tag}-{}", std::process::id()));
@@ -19,10 +19,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 #[test]
 fn jets_tool_runs_a_simulated_batch() {
-    let Some(jets) = workspace_binary("jets") else {
-        eprintln!("skipping: jets binary not built");
-        return;
-    };
     let dir = tmpdir("jets");
     let taskfile = dir.join("tasks.txt");
     std::fs::write(
@@ -30,7 +26,7 @@ fn jets_tool_runs_a_simulated_batch() {
         "# mixed batch\n@noop\n@sleep 20\nMPI: 2 @mpi-sleep 20\nMPI: 2 ppn=2 @mpi-sleep 10\n",
     )
     .unwrap();
-    let output = Command::new(&jets)
+    let output = Command::new(JETS)
         .arg(&taskfile)
         .args(["--simulate", "4", "--timeout", "120"])
         .output()
@@ -43,13 +39,10 @@ fn jets_tool_runs_a_simulated_batch() {
 
 #[test]
 fn jets_tool_reports_parse_errors() {
-    let Some(jets) = workspace_binary("jets") else {
-        return;
-    };
     let dir = tmpdir("jets-err");
     let taskfile = dir.join("bad.txt");
     std::fs::write(&taskfile, "MPI: zero @noop\n").unwrap();
-    let output = Command::new(&jets)
+    let output = Command::new(JETS)
         .arg(&taskfile)
         .args(["--simulate", "1"])
         .output()
@@ -62,9 +55,6 @@ fn jets_tool_reports_parse_errors() {
 
 #[test]
 fn namd_lite_runs_serially_from_cli() {
-    let Some(namd) = workspace_binary("namd-lite") else {
-        return;
-    };
     let dir = tmpdir("namd");
     let out = dir.join("seg");
     std::fs::write(
@@ -75,7 +65,7 @@ fn namd_lite_runs_serially_from_cli() {
         ),
     )
     .unwrap();
-    let output = Command::new(&namd)
+    let output = Command::new(NAMD_LITE)
         .arg(dir.join("seg.conf"))
         .output()
         .expect("run namd-lite");
@@ -88,12 +78,6 @@ fn namd_lite_runs_serially_from_cli() {
 
 #[test]
 fn rem_exchange_cli_swaps_files() {
-    let (Some(namd), Some(rem)) = (
-        workspace_binary("namd-lite"),
-        workspace_binary("rem-exchange"),
-    ) else {
-        return;
-    };
     let dir = tmpdir("rem");
     for (name, temp) in [("a", "0.8"), ("b", "1.6")] {
         std::fs::write(
@@ -104,13 +88,13 @@ fn rem_exchange_cli_swaps_files() {
             ),
         )
         .unwrap();
-        assert!(Command::new(&namd)
+        assert!(Command::new(NAMD_LITE)
             .arg(dir.join(format!("{name}.conf")))
             .status()
             .unwrap()
             .success());
     }
-    let output = Command::new(&rem)
+    let output = Command::new(REM_EXCHANGE)
         .args([
             dir.join("a").to_string_lossy().as_ref(),
             "0.8",
@@ -131,9 +115,6 @@ fn rem_exchange_cli_swaps_files() {
 
 #[test]
 fn swiftlite_cli_runs_local_workflow() {
-    let Some(swift) = workspace_binary("swiftlite") else {
-        return;
-    };
     let dir = tmpdir("swift");
     let out = dir.join("hello.out");
     let script = dir.join("wf.swift");
@@ -152,7 +133,7 @@ trace("done");
         ),
     )
     .unwrap();
-    let output = Command::new(&swift)
+    let output = Command::new(SWIFTLITE)
         .arg(&script)
         .args(["--workdir", dir.join("work").to_string_lossy().as_ref()])
         .output()
@@ -176,12 +157,6 @@ fn mpiexec_manual_launcher_drives_real_processes() {
     // The full launcher=manual loop with OS processes: jets-mpiexec
     // prints proxy environments; we parse them and start real namd-lite
     // processes that wire up over PMI + TCP.
-    let (Some(mpiexec), Some(namd)) = (
-        workspace_binary("jets-mpiexec"),
-        workspace_binary("namd-lite"),
-    ) else {
-        return;
-    };
     let dir = tmpdir("mpiexec");
     let out = dir.join("seg");
     let conf = dir.join("seg.conf");
@@ -194,7 +169,7 @@ fn mpiexec_manual_launcher_drives_real_processes() {
     )
     .unwrap();
 
-    let mut manager = Command::new(&mpiexec)
+    let mut manager = Command::new(JETS_MPIEXEC)
         .args(["-n", "2", "--jobid", "cli-test", "--timeout", "60"])
         .arg("namd-lite")
         .arg(&conf)
@@ -233,7 +208,7 @@ fn mpiexec_manual_launcher_drives_real_processes() {
     let children: Vec<_> = ranks
         .into_iter()
         .map(|env| {
-            Command::new(&namd)
+            Command::new(NAMD_LITE)
                 .arg(&conf)
                 .envs(env)
                 .spawn()

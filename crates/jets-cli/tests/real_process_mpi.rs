@@ -2,30 +2,17 @@
 //! job whose ranks are separate `namd-lite` processes wired up over PMI
 //! and TCP — the deployment mode of the paper's commodity-cluster runs.
 
-use jets::core::spec::{CommandSpec, JobSpec};
-use jets::core::{Dispatcher, DispatcherConfig, JobStatus};
-use jets::namd::io::read_xsc;
-use jets::namd::MdConfig;
-use jets::worker::{Executor, Worker, WorkerConfig};
-use std::path::{Path, PathBuf};
+use jets_core::spec::{CommandSpec, JobSpec};
+use jets_core::{Dispatcher, DispatcherConfig, JobStatus};
+use jets_worker::{Executor, Worker, WorkerConfig};
+use namd_sim::io::read_xsc;
+use namd_sim::MdConfig;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Locate a workspace binary next to the test executable
-/// (`target/debug/deps/this_test` → `target/debug/<name>`).
-fn workspace_binary(name: &str) -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let debug_dir = exe.parent()?.parent()?;
-    let candidate = debug_dir.join(name);
-    candidate.exists().then_some(candidate)
-}
-
 #[test]
 fn real_process_mpi_namd_segment() {
-    let Some(namd_lite) = workspace_binary("namd-lite") else {
-        eprintln!("skipping: namd-lite binary not built (run `cargo build -p jets-cli` first)");
-        return;
-    };
     let dir = std::env::temp_dir().join(format!("real-mpi-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out_prefix = dir.join("seg");
@@ -40,7 +27,7 @@ fn real_process_mpi_namd_segment() {
 
     let dispatcher = Dispatcher::start(DispatcherConfig::default()).unwrap();
     // Plain executors: Exec commands spawn real processes.
-    let exec: Arc<dyn jets::worker::TaskExecutor> = Arc::new(Executor::default());
+    let exec: Arc<dyn jets_worker::TaskExecutor> = Arc::new(Executor::default());
     let workers: Vec<Worker> = (0..2)
         .map(|i| {
             Worker::spawn(
@@ -53,7 +40,7 @@ fn real_process_mpi_namd_segment() {
     let id = dispatcher.submit(JobSpec::mpi(
         2,
         CommandSpec::exec(
-            namd_lite.to_string_lossy().into_owned(),
+            env!("CARGO_BIN_EXE_namd-lite").to_string(),
             vec![config_path.to_string_lossy().into_owned()],
         ),
     ));
@@ -79,7 +66,7 @@ fn real_process_mpi_namd_segment() {
 #[test]
 fn real_process_sequential_command() {
     let dispatcher = Dispatcher::start(DispatcherConfig::default()).unwrap();
-    let exec: Arc<dyn jets::worker::TaskExecutor> = Arc::new(Executor::default());
+    let exec: Arc<dyn jets_worker::TaskExecutor> = Arc::new(Executor::default());
     let worker = Worker::spawn(
         WorkerConfig::new(dispatcher.addr().to_string(), "proc"),
         exec,

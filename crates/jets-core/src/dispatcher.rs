@@ -32,7 +32,7 @@
 //!   scheduling.
 //!
 //! `Request` handling is *coalesced*: readers push their worker id onto a
-//! lock-free queue and ring a scheduling doorbell; a storm of N parked
+//! small mutexed list and ring a scheduling doorbell; a storm of N parked
 //! workers triggers one batched scheduling pass, not N serialized ones.
 //!
 //! Fault tolerance: a worker death (socket EOF, error, or heartbeat
@@ -52,17 +52,16 @@ use crate::queue::{JobQueue, QueuePolicy, QueuedJob};
 use crate::ready::ReadyList;
 use crate::registry::{HeartbeatHandle, QuarantinePolicy, Registry, WorkerState};
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
-use crossbeam::queue::SegQueue;
 use jets_obs::MetricsServer;
 use jets_pmi::{ManualLauncher, PmiServer, PmiServerConfig, RankLayout};
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
+use jets_ring::stdx::{splitmix64, wait_for, Mutex};
 use jets_ring::WriterRole;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -328,9 +327,10 @@ struct Inner {
     book: Mutex<Book>,
     idle_cv: Condvar,
     /// Workers whose `Request` awaits the next scheduling pass. Readers
-    /// push here lock-free and ring [`kick_schedule`]; a burst of N
-    /// requests coalesces into one batched pass.
-    pending_ready: SegQueue<WorkerId>,
+    /// push here and ring [`kick_schedule`]; a burst of N requests
+    /// coalesces into one batched pass, which takes the whole list under
+    /// one acquisition. A leaf lock: nothing is acquired while it is held.
+    pending_ready: Mutex<Vec<WorkerId>>,
     /// Doorbell for [`kick_schedule`]: true while a pass is owed.
     sched_kick: AtomicBool,
     next_worker: AtomicU64,
@@ -435,7 +435,7 @@ impl Dispatcher {
             log,
             metrics: Arc::new(DispatcherMetrics::new()),
             idle_cv: Condvar::new(),
-            pending_ready: SegQueue::new(),
+            pending_ready: Mutex::new(Vec::new()),
             sched_kick: AtomicBool::new(false),
             next_worker: AtomicU64::new(1),
             next_job: AtomicU64::new(1),
@@ -636,7 +636,7 @@ impl Dispatcher {
             if now >= deadline {
                 return false;
             }
-            self.inner.idle_cv.wait_for(&mut book, deadline - now);
+            book = wait_for(&self.inner.idle_cv, book, deadline - now).0;
         }
     }
 
@@ -662,7 +662,7 @@ impl Dispatcher {
             if now >= deadline {
                 return None;
             }
-            self.inner.idle_cv.wait_for(&mut book, deadline - now);
+            book = wait_for(&self.inner.idle_cv, book, deadline - now).0;
         }
     }
 
@@ -870,7 +870,7 @@ fn monitor_loop(inner: Arc<Inner>) {
             }
             if let Some(pos) = st.quarantined_ready.iter().position(|&w| w == worker) {
                 st.quarantined_ready.swap_remove(pos);
-                inner.pending_ready.push(worker);
+                inner.pending_ready.lock().push(worker);
                 replayed = true;
             }
         }
@@ -1119,10 +1119,10 @@ impl DispatcherConn {
         let worker_id = *worker_id;
         match msg {
             WorkerMsg::Request => {
-                // Lock-free park plus a doorbell ring; a burst of
-                // `Request`s coalesces into one batched scheduling pass.
+                // Park plus a doorbell ring; a burst of `Request`s
+                // coalesces into one batched scheduling pass.
                 hb.beat();
-                self.inner.pending_ready.push(worker_id);
+                self.inner.pending_ready.lock().push(worker_id);
                 kick_schedule(&self.inner);
                 Flow::Continue
             }
@@ -1214,7 +1214,7 @@ impl DispatcherConn {
                 // routes for a worker it never registered is ignored.
                 if let Some(hb) = members.get(&worker) {
                     hb.beat();
-                    self.inner.pending_ready.push(worker);
+                    self.inner.pending_ready.lock().push(worker);
                     kick_schedule(&self.inner);
                 }
                 Flow::Continue
@@ -1336,14 +1336,15 @@ fn kick_schedule(inner: &Inner) {
     }
 }
 
-/// Move lock-free-parked `Request`s into the ready list. Only workers
+/// Move parked `Request`s into the ready list. Only workers
 /// still idle enter ([`ReadyList::park`] additionally suppresses
 /// duplicates); a worker that died since pushing is skipped, and a
 /// quarantined worker's request is *held* in `quarantined_ready` — the
 /// monitor replays it when the bench expires, so the worker never has to
 /// re-request.
 fn drain_parked(inner: &Inner, st: &mut Sched) {
-    while let Some(worker) = inner.pending_ready.pop() {
+    let parked = std::mem::take(&mut *inner.pending_ready.lock());
+    for worker in parked {
         let Sched {
             ready,
             registry,
@@ -2019,11 +2020,7 @@ fn finish_job(inner: &Inner, st: &mut Sched, mut active: ActiveJob) {
 /// seed differs), and never zero — zero is the "untraced" sentinel old
 /// peers' frames decode to.
 fn mint_trace(seed: u64, job: JobId) -> u64 {
-    let mut z = seed ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z | 1
+    splitmix64(seed ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
 }
 
 /// Microseconds from `a` to `b`, saturating to zero if the clock reads
@@ -2407,7 +2404,6 @@ mod tests {
     use super::*;
     use crate::protocol::{read_msg, write_msg};
     use crate::spec::CommandSpec;
-    use crossbeam::channel::unbounded;
     use std::io::BufReader;
 
     /// A minimal raw-protocol worker for exercising the dispatcher
@@ -2850,7 +2846,7 @@ mod tests {
         })
         .unwrap();
         let addr = d.addr();
-        let (beats_tx, beats_rx) = unbounded::<()>();
+        let (beats_tx, beats_rx) = std::sync::mpsc::channel::<()>();
         let relay = thread::spawn(move || {
             let (mut writer, _reader, ids) = raw_relay_handshake(addr, 2);
             // Batch liveness until told to stop, then keep the connection

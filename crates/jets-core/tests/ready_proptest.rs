@@ -1,5 +1,8 @@
 //! Property tests for the scheduling hot path's data structures.
 //!
+//! Seeded generate-and-check (`jets_ring::stdx::check`): no shrinking; a
+//! failure names its seed and case, and editing `SEED` reruns others.
+//!
 //! * [`ReadyList`] is driven with random operation sequences against a
 //!   naive ordered-vector model. The invariants under test are the ones
 //!   the dispatcher relies on: a worker is parked at most once (no
@@ -15,7 +18,9 @@ use jets_core::group::{
 };
 use jets_core::ready::ReadyList;
 use jets_core::spec::WorkerId;
-use proptest::prelude::*;
+use jets_ring::stdx::{check, SplitMix64};
+
+const SEED: u64 = 0x5EED_0001;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -28,20 +33,19 @@ enum Op {
     TakeIndices(u64),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u64..24, 0u32..5).prop_map(|(w, l)| Op::Park(w, l)),
-        (0u64..24).prop_map(Op::Remove),
-        (0usize..10).prop_map(Op::TakeFront),
-        any::<u64>().prop_map(Op::TakeIndices),
-    ]
+fn gen_op(rng: &mut SplitMix64) -> Op {
+    match rng.gen_range(0..4) {
+        0 => Op::Park(rng.gen_range(0..24), rng.gen_range(0..5) as LocId),
+        1 => Op::Remove(rng.gen_range(0..24)),
+        2 => Op::TakeFront(rng.gen_range(0..10) as usize),
+        _ => Op::TakeIndices(rng.next_u64()),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn ready_list_matches_ordered_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
+#[test]
+fn ready_list_matches_ordered_model() {
+    check(SEED, 128, |rng| {
+        let ops: Vec<Op> = (0..rng.gen_range(1..80)).map(|_| gen_op(rng)).collect();
         let mut real = ReadyList::new();
         // The model: parked (worker, loc) pairs in arrival order.
         let mut model: Vec<(WorkerId, LocId)> = Vec::new();
@@ -52,23 +56,22 @@ proptest! {
             match op {
                 Op::Park(w, l) => {
                     let expect_new = !model.iter().any(|&(m, _)| m == w);
-                    prop_assert_eq!(real.park(w, l), expect_new);
+                    assert_eq!(real.park(w, l), expect_new);
                     if expect_new {
                         model.push((w, l));
                     }
                 }
                 Op::Remove(w) => {
                     let expect_present = model.iter().any(|&(m, _)| m == w);
-                    prop_assert_eq!(real.remove(w), expect_present);
+                    assert_eq!(real.remove(w), expect_present);
                     model.retain(|&(m, _)| m != w);
                 }
                 Op::TakeFront(n) => {
                     let n = n.min(model.len());
                     let mut out = Vec::new();
                     real.take_front(n, &mut out);
-                    let expected: Vec<WorkerId> =
-                        model.drain(..n).map(|(w, _)| w).collect();
-                    prop_assert_eq!(&out, &expected, "take_front must be FCFS");
+                    let expected: Vec<WorkerId> = model.drain(..n).map(|(w, _)| w).collect();
+                    assert_eq!(&out, &expected, "take_front must be FCFS");
                     assigned.extend(out);
                 }
                 Op::TakeIndices(mask) => {
@@ -77,9 +80,8 @@ proptest! {
                         .collect();
                     let mut out = Vec::new();
                     real.take_indices(&indices, &mut out);
-                    let expected: Vec<WorkerId> =
-                        indices.iter().map(|&i| model[i].0).collect();
-                    prop_assert_eq!(&out, &expected, "take_indices order");
+                    let expected: Vec<WorkerId> = indices.iter().map(|&i| model[i].0).collect();
+                    assert_eq!(&out, &expected, "take_indices order");
                     for &i in indices.iter().rev() {
                         model.remove(i);
                     }
@@ -87,34 +89,35 @@ proptest! {
                 }
             }
             // Core invariants after every operation.
-            prop_assert_eq!(real.len(), model.len());
+            assert_eq!(real.len(), model.len());
             let order: Vec<WorkerId> = real.iter().collect();
             let model_order: Vec<WorkerId> = model.iter().map(|&(w, _)| w).collect();
-            prop_assert_eq!(order, model_order, "arrival order must be preserved");
+            assert_eq!(order, model_order, "arrival order must be preserved");
             let entries: Vec<(WorkerId, LocId)> = real.entries().to_vec();
-            prop_assert_eq!(&entries, &model, "locations must track workers");
+            assert_eq!(&entries, &model, "locations must track workers");
             // No double assignment: a worker taken by the scheduler is no
             // longer parked until it parks again (model membership is the
             // ground truth the `contains` set must agree with).
             for &(w, _) in &model {
-                prop_assert!(real.contains(w));
+                assert!(real.contains(w));
             }
             for &w in &assigned {
                 let parked = model.iter().any(|&(m, _)| m == w);
-                prop_assert_eq!(real.contains(w), parked);
+                assert_eq!(real.contains(w), parked);
             }
         }
-    }
+    });
+}
 
-    /// The interned selector is a drop-in for the legacy string selector:
-    /// identical accept/reject decisions and identical chosen indices.
-    #[test]
-    fn interned_group_selection_matches_legacy(
-        locs in proptest::collection::vec(0u8..5, 0..24),
-        need in 0usize..10,
-        location_aware in any::<bool>(),
-    ) {
-        let labels: Vec<String> = locs.iter().map(|l| format!("loc{l}")).collect();
+/// The interned selector is a drop-in for the legacy string selector:
+/// identical accept/reject decisions and identical chosen indices.
+#[test]
+fn interned_group_selection_matches_legacy() {
+    check(SEED, 128, |rng| {
+        let labels: Vec<String> = (0..rng.gen_range(0..24))
+            .map(|_| format!("loc{}", rng.gen_range(0..5)))
+            .collect();
+        let need = rng.gen_range(0..10) as usize;
         let ready_strings: Vec<Candidate> = labels
             .iter()
             .enumerate()
@@ -129,7 +132,7 @@ proptest! {
             .enumerate()
             .map(|(i, label)| (i as WorkerId, interner.intern(label)))
             .collect();
-        let policy = if location_aware {
+        let policy = if rng.gen_range(0..2) == 1 {
             GroupingPolicy::LocationAware
         } else {
             GroupingPolicy::Fcfs
@@ -138,11 +141,11 @@ proptest! {
         let legacy = select_group(policy, &ready_strings, need);
         let ok = select_group_ids(policy, &ready_ids, need, &mut scratch);
         match legacy {
-            None => prop_assert!(!ok),
+            None => assert!(!ok),
             Some(idx) => {
-                prop_assert!(ok);
-                prop_assert_eq!(scratch.selected(), &idx[..]);
+                assert!(ok);
+                assert_eq!(scratch.selected(), &idx[..]);
             }
         }
-    }
+    });
 }

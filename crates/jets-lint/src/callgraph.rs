@@ -9,7 +9,7 @@
 //! functions share resolves to all of them (union), which
 //! over-approximates reachability within a crate at the price of
 //! occasional false positives. Cross-crate edges are deliberately not
-//! formed: without type information, `cvar.wait_for(..)` in the
+//! formed: without type information, `wait_for(&cvar, ..)` in the
 //! dispatcher would otherwise resolve to the reactor's `poll(2)`
 //! wrapper of the same name, and every such collision fabricates a
 //! taint chain. Ubiquitous trait / teardown method names (`new`,

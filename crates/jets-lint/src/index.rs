@@ -800,7 +800,7 @@ fn collect_lock_decls(toks: &[Tok]) -> Vec<LockDecl> {
                     j += 2;
                     hops += 1;
                 } else if toks[j + 1].is_punct("::") {
-                    // `std::sync::Mutex<`, `parking_lot::Mutex<`
+                    // `std::sync::Mutex<`, `stdx::Mutex<`
                     j += 2;
                 } else {
                     break;

@@ -1,12 +1,10 @@
 //! A small Rust lexer, sufficient for invariant checking.
 //!
-//! This is deliberately *not* a full parser: jets-lint runs in
-//! environments without network access to a crates registry (the
-//! development container, the offline-check harness), so it cannot
-//! depend on `syn`. Instead it tokenizes Rust source precisely enough
-//! that the rule passes can reason about token *sequences* — guards,
-//! match arms, paths, literals — without ever being confused by the
-//! contents of strings or comments.
+//! This is deliberately *not* a full parser: the workspace takes no
+//! third-party code, so jets-lint cannot depend on `syn`. Instead it
+//! tokenizes Rust source precisely enough that the rule passes can
+//! reason about token *sequences* — guards, match arms, paths, literals
+//! — without ever being confused by the contents of strings or comments.
 //!
 //! The lexer guarantees:
 //!

@@ -152,9 +152,8 @@ fn report(findings: &[Finding], json: bool) {
 }
 
 /// Walk up from the current directory until the JETS workspace root is
-/// recognized (the dispatcher source exists). Robust both from the real
-/// repo root and from the offline-check shadow workspace, which runs
-/// the same sources from a different cwd.
+/// recognized (the dispatcher source exists), so the lint runs from any
+/// directory inside the repository.
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
     loop {

@@ -282,8 +282,7 @@ fn callgraph_parity_good_is_clean() {
 
 /// The acceptance gate, runnable from the test suite: the real tree
 /// must carry zero unsuppressed findings. Walks up from this crate to
-/// the workspace root (works from the real crate and from the
-/// offline-check shadow, whose sources are symlinks).
+/// the workspace root.
 #[test]
 fn workspace_is_clean() {
     let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));

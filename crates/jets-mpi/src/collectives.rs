@@ -9,7 +9,7 @@
 use crate::comm::Communicator;
 use crate::datatype::{MpiData, MpiReduce, ReduceOp};
 use crate::error::MpiError;
-use bytes::Bytes;
+use std::sync::Arc;
 
 impl Communicator {
     /// Block until every rank has entered the barrier (dissemination
@@ -26,7 +26,7 @@ impl Communicator {
         while step < size {
             let to = (rank + step) % size;
             let from = (rank + size - step) % size;
-            self.send_frame(to, tag, Bytes::new())?;
+            self.send_frame(to, tag, Arc::from([]))?;
             self.match_frame(from, tag)?;
             step *= 2;
         }
@@ -52,10 +52,10 @@ impl Communicator {
         let vrank = (rank + size - root) % size;
 
         // Receive once from the parent (unless we are the root)...
-        let mut buf = if vrank == 0 {
+        let buf: Arc<[u8]> = if vrank == 0 {
             let mut bytes = Vec::new();
             T::encode_slice(&data, &mut bytes);
-            Bytes::from(bytes)
+            Arc::from(bytes)
         } else {
             let mut mask = 1u32;
             while vrank & mask == 0 {
@@ -85,9 +85,7 @@ impl Communicator {
         if vrank == 0 {
             Ok(data)
         } else {
-            let decoded = T::decode_slice(&buf)?;
-            buf.clear();
-            Ok(decoded)
+            T::decode_slice(&buf)
         }
     }
 
@@ -118,7 +116,7 @@ impl Communicator {
                 let parent = (vparent + root) % size;
                 let mut bytes = Vec::new();
                 T::encode_slice(&acc, &mut bytes);
-                self.send_frame(parent, tag, Bytes::from(bytes))?;
+                self.send_frame(parent, tag, Arc::from(bytes))?;
                 return Ok(None);
             }
             let vchild = vrank | mask;
@@ -201,7 +199,7 @@ impl Communicator {
         } else {
             let mut bytes = Vec::new();
             T::encode_slice(data, &mut bytes);
-            self.send_frame(root, tag, Bytes::from(bytes))?;
+            self.send_frame(root, tag, Arc::from(bytes))?;
             Ok(None)
         }
     }
@@ -245,7 +243,7 @@ impl Communicator {
                 } else {
                     let mut bytes = Vec::new();
                     T::encode_slice(part, &mut bytes);
-                    self.send_frame(dst, tag, Bytes::from(bytes))?;
+                    self.send_frame(dst, tag, Arc::from(bytes))?;
                 }
             }
             Ok(mine)
@@ -280,7 +278,7 @@ impl Communicator {
             let part = &data[dst * chunk..(dst + 1) * chunk];
             let mut bytes = Vec::new();
             T::encode_slice(part, &mut bytes);
-            self.send_frame(dst as u32, tag, Bytes::from(bytes))?;
+            self.send_frame(dst as u32, tag, Arc::from(bytes))?;
         }
         // Receive phase, assembling in source order.
         let mut out: Vec<Option<Vec<T>>> = vec![None; size];
@@ -324,7 +322,7 @@ impl Communicator {
         if rank + 1 < size {
             let mut bytes = Vec::new();
             T::encode_slice(&acc, &mut bytes);
-            self.send_frame(rank + 1, tag, Bytes::from(bytes))?;
+            self.send_frame(rank + 1, tag, Arc::from(bytes))?;
         }
         Ok(acc)
     }

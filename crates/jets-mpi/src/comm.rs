@@ -11,9 +11,9 @@ use crate::error::MpiError;
 use crate::mem::MemEndpoint;
 use crate::tcp::TcpTransport;
 use crate::transport::{Frame, Transport, TAG_USER_LIMIT};
-use bytes::Bytes;
 use jets_pmi::PmiClient;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Wildcard source for [`Communicator::recv_bytes`].
@@ -82,7 +82,7 @@ impl Communicator {
     }
 
     /// Send raw bytes to `dst` with `tag`.
-    pub fn send_bytes(&mut self, dst: u32, tag: u32, payload: Bytes) -> Result<(), MpiError> {
+    pub fn send_bytes(&mut self, dst: u32, tag: u32, payload: Arc<[u8]>) -> Result<(), MpiError> {
         self.check_live()?;
         if tag >= TAG_USER_LIMIT {
             return Err(MpiError::Protocol(format!(
@@ -94,7 +94,7 @@ impl Communicator {
 
     /// Receive bytes matching `(src, tag)`; `src` may be [`ANY_SOURCE`].
     /// Returns the actual source.
-    pub fn recv_bytes(&mut self, src: u32, tag: u32) -> Result<(u32, Bytes), MpiError> {
+    pub fn recv_bytes(&mut self, src: u32, tag: u32) -> Result<(u32, Arc<[u8]>), MpiError> {
         self.check_live()?;
         let frame = self.match_frame(src, tag)?;
         Ok((frame.src, frame.payload))
@@ -104,7 +104,7 @@ impl Communicator {
     pub fn send<T: MpiData>(&mut self, dst: u32, tag: u32, data: &[T]) -> Result<(), MpiError> {
         let mut buf = Vec::new();
         T::encode_slice(data, &mut buf);
-        self.send_bytes(dst, tag, Bytes::from(buf))
+        self.send_bytes(dst, tag, Arc::from(buf))
     }
 
     /// Receive a typed vector; returns `(actual_source, data)`.
@@ -161,7 +161,7 @@ impl Communicator {
         &mut self,
         dst: u32,
         tag: u32,
-        payload: Bytes,
+        payload: Arc<[u8]>,
     ) -> Result<(), MpiError> {
         if dst >= self.size() {
             return Err(MpiError::Protocol(format!(
@@ -303,7 +303,7 @@ mod tests {
     fn user_tag_range_enforced() {
         let (mut a, _b) = pair();
         let err = a
-            .send_bytes(1, TAG_USER_LIMIT, Bytes::from_static(b"x"))
+            .send_bytes(1, TAG_USER_LIMIT, Arc::from(&b"x"[..]))
             .unwrap_err();
         assert!(matches!(err, MpiError::Protocol(_)));
     }

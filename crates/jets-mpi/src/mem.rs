@@ -11,7 +11,7 @@
 use crate::error::MpiError;
 use crate::netmodel::{precise_wait, NetModel};
 use crate::transport::{Frame, Transport};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// Constructor namespace for in-process fabrics: [`MemFabric::new`]
@@ -27,7 +27,7 @@ impl MemFabric {
         let mut senders = Vec::with_capacity(size as usize);
         let mut receivers = Vec::with_capacity(size as usize);
         for _ in 0..size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -102,7 +102,7 @@ impl Transport for MemEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use std::sync::Arc;
     use std::thread;
 
     const T: Duration = Duration::from_secs(5);
@@ -111,7 +111,7 @@ mod tests {
         Frame {
             src,
             tag,
-            payload: Bytes::copy_from_slice(data),
+            payload: Arc::from(data),
         }
     }
 

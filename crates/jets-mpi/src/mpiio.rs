@@ -16,10 +16,10 @@
 
 use crate::comm::Communicator;
 use crate::error::MpiError;
-use bytes::Bytes;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A file opened collectively by every rank of a communicator.
 pub struct CollectiveFile {
@@ -115,7 +115,7 @@ impl CollectiveFile {
             let mut buf = Vec::with_capacity(8 + data.len());
             buf.extend_from_slice(&offset.to_le_bytes());
             buf.extend_from_slice(data);
-            comm.send_frame(aggregator, tag, Bytes::from(buf))?;
+            comm.send_frame(aggregator, tag, Arc::from(buf))?;
         } else {
             let mut blocks: Vec<(u64, Vec<u8>)> = vec![(offset, data.to_vec())];
             for peer in self.group_of(rank, size) {
@@ -174,7 +174,7 @@ impl CollectiveFile {
             let mut req = Vec::with_capacity(16);
             req.extend_from_slice(&offset.to_le_bytes());
             req.extend_from_slice(&(len as u64).to_le_bytes());
-            comm.send_frame(aggregator, tag, Bytes::from(req))?;
+            comm.send_frame(aggregator, tag, Arc::from(req))?;
             let frame = comm.match_frame(aggregator, tag)?;
             comm.barrier()?;
             return Ok(frame.payload.to_vec());
@@ -212,7 +212,7 @@ impl CollectiveFile {
             if peer == rank {
                 mine = slice.to_vec();
             } else {
-                comm.send_frame(peer, tag, Bytes::copy_from_slice(slice))?;
+                comm.send_frame(peer, tag, Arc::from(slice))?;
             }
         }
         comm.barrier()?;

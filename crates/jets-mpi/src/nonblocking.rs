@@ -12,7 +12,7 @@
 use crate::comm::Communicator;
 use crate::datatype::MpiData;
 use crate::error::MpiError;
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// Handle for an in-flight (already eagerly transferred) send.
 #[derive(Debug)]
@@ -40,7 +40,7 @@ pub struct RecvRequest {
 impl RecvRequest {
     /// Block until a matching message arrives, returning `(source,
     /// payload)`.
-    pub fn wait_bytes(self, comm: &mut Communicator) -> Result<(u32, Bytes), MpiError> {
+    pub fn wait_bytes(self, comm: &mut Communicator) -> Result<(u32, Arc<[u8]>), MpiError> {
         comm.recv_bytes(self.src, self.tag)
     }
 

@@ -12,12 +12,11 @@
 
 use crate::error::MpiError;
 use crate::transport::{Frame, Transport};
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use jets_pmi::PmiClient;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -64,7 +63,7 @@ impl TcpTransport {
             peer_addrs.push(card);
         }
 
-        let (incoming_tx, incoming_rx) = unbounded();
+        let (incoming_tx, incoming_rx) = channel();
         let shutdown_flag = Arc::new(AtomicBool::new(false));
         let acceptor_tx = incoming_tx.clone();
         let acceptor_flag = Arc::clone(&shutdown_flag);
@@ -221,7 +220,7 @@ fn read_loop(mut stream: TcpStream, incoming: Sender<Frame>) {
         let frame = Frame {
             src,
             tag,
-            payload: Bytes::from(payload),
+            payload: Arc::from(payload),
         };
         if incoming.send(frame).is_err() {
             return; // local endpoint dropped
@@ -272,7 +271,7 @@ mod tests {
                     Frame {
                         src: 0,
                         tag: 5,
-                        payload: Bytes::from_static(b"ping"),
+                        payload: Arc::from(&b"ping"[..]),
                     },
                 )
                 .unwrap();
@@ -287,7 +286,7 @@ mod tests {
                     Frame {
                         src: 1,
                         tag: 5,
-                        payload: Bytes::from_static(b"pong"),
+                        payload: Arc::from(&b"pong"[..]),
                     },
                 )
                 .unwrap();
@@ -314,7 +313,7 @@ mod tests {
                     Frame {
                         src: t.rank(),
                         tag: 1,
-                        payload: Bytes::from(vec![t.rank() as u8]),
+                        payload: Arc::from(vec![t.rank() as u8]),
                     },
                 )
                 .unwrap();
@@ -331,7 +330,7 @@ mod tests {
                 Frame {
                     src: 0,
                     tag: 9,
-                    payload: Bytes::from_static(b"self"),
+                    payload: Arc::from(&b"self"[..]),
                 },
             )
             .unwrap();
@@ -352,7 +351,7 @@ mod tests {
                     Frame {
                         src: 0,
                         tag: 2,
-                        payload: Bytes::from(big),
+                        payload: Arc::from(big),
                     },
                 )
                 .unwrap();

@@ -8,7 +8,7 @@
 //! source arrive in the order they were sent.
 
 use crate::error::MpiError;
-use bytes::Bytes;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One message on the wire.
@@ -19,9 +19,9 @@ pub struct Frame {
     /// Message tag. User tags must be `< TAG_USER_LIMIT`; higher values are
     /// reserved for collectives.
     pub tag: u32,
-    /// Payload bytes. `Bytes` keeps large payloads reference-counted so
-    /// in-process transports never copy them.
-    pub payload: Bytes,
+    /// Payload bytes, reference-counted so a broadcast and the
+    /// in-process transports never copy them per receiver.
+    pub payload: Arc<[u8]>,
 }
 
 /// Largest tag available to applications; tags at or above this value are
@@ -56,14 +56,14 @@ mod tests {
 
     #[test]
     fn frame_is_cheap_to_clone() {
-        let payload = Bytes::from(vec![7u8; 1 << 20]);
+        let payload: Arc<[u8]> = Arc::from(vec![7u8; 1 << 20]);
         let f = Frame {
             src: 1,
             tag: 2,
             payload: payload.clone(),
         };
         let g = f.clone();
-        // Bytes clones share the same backing allocation.
+        // Arc<[u8]> clones share the same backing allocation.
         assert_eq!(g.payload.as_ptr(), payload.as_ptr());
     }
 }

@@ -11,7 +11,7 @@
 //!   primitives. A handle is an `Arc` to a fixed set of `AtomicU64`s, so
 //!   hot-path recording is a single `fetch_add` (three for histograms)
 //!   and can sit on the dispatcher's scheduling path without regressing
-//!   the `micro_dispatch` burst numbers.
+//!   the benchmark's `seq_noop` launch rate.
 //! * [`Registry`] — names, help text, and labels; renders Prometheus
 //!   text exposition format. Only locked on registration and render.
 //! * [`serve_metrics`] — a one-thread HTTP responder for

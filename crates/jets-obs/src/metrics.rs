@@ -4,7 +4,7 @@
 //! gauges are one `fetch_add`/`fetch_sub`, histograms are three (bucket,
 //! count, sum). No allocation, no locking, no branching beyond the bucket
 //! index computation — a metric handle can sit on the dispatcher's
-//! scheduling hot path without showing up in `micro_dispatch`.
+//! scheduling hot path without showing up in the benchmark's `seq_noop`.
 //!
 //! The registry itself is only touched on the *cold* paths: metric
 //! registration at startup and text rendering when `/metrics` is scraped.

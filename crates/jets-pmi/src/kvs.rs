@@ -7,9 +7,9 @@
 //! (a strict superset of the guarantee) and implement the fence as a
 //! generation-counted barrier so it can be reused any number of times.
 
-use parking_lot::{Condvar, Mutex};
+use jets_ring::stdx::{wait_for, Mutex};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
 /// Outcome of waiting on a fence.
@@ -101,7 +101,9 @@ impl KeyValueSpace {
         }
         let my_generation = st.fence_generation;
         loop {
-            if cvar.wait_for(&mut st, timeout).timed_out() {
+            let timed_out;
+            (st, timed_out) = wait_for(cvar, st, timeout);
+            if timed_out {
                 // Withdraw our arrival so a later retry is consistent.
                 if st.fence_generation == my_generation && st.aborted.is_none() {
                     st.fence_waiting = st.fence_waiting.saturating_sub(1);

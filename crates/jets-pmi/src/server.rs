@@ -8,10 +8,10 @@
 
 use crate::kvs::{FenceResult, KeyValueSpace};
 use crate::wire::Message;
-use parking_lot::{Condvar, Mutex};
+use jets_ring::stdx::{wait_for, Mutex};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -158,7 +158,7 @@ impl PmiServer {
             if now >= deadline {
                 return JobOutcome::TimedOut;
             }
-            self.shared.cond.wait_for(&mut c, deadline - now);
+            c = wait_for(&self.shared.cond, c, deadline - now).0;
         }
     }
 

@@ -43,8 +43,8 @@ use jets_core::protocol::{
 use jets_core::spec::{JobId, TaskId, WorkerId};
 use jets_obs::MetricsServer;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
+use jets_ring::stdx::{Mutex, SplitMix64};
 use jets_worker::ReconnectPolicy;
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -763,17 +763,6 @@ fn member_down(inner: &Inner, local: u64) {
     // if the ack is in flight, the routed reply path reports it gone.
 }
 
-/// One xorshift64 step (deterministic backoff jitter, as in the worker
-/// agent).
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// Sleep `dur` in slices, returning early on shutdown.
 fn interruptible_sleep(inner: &Inner, mut dur: Duration) {
     while !dur.is_zero() {
@@ -791,7 +780,8 @@ fn interruptible_sleep(inner: &Inner, mut dur: Duration) {
 fn upstream_pump(inner: Arc<Inner>) {
     let policy = inner.config.reconnect.clone();
     let mut failed_attempts: u32 = 0;
-    let mut jitter_state = policy.seed.max(1);
+    // Deterministic backoff jitter, as in the worker agent.
+    let mut jitter = SplitMix64::new(policy.seed);
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
             return;
@@ -811,8 +801,7 @@ fn upstream_pump(inner: Arc<Inner>) {
                     .base_backoff
                     .saturating_mul(1u32 << shift)
                     .min(policy.max_backoff);
-                let frac = (xorshift64(&mut jitter_state) >> 11) as f64 / (1u64 << 53) as f64;
-                let dur = backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * frac);
+                let dur = backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * jitter.gen_f64());
                 interruptible_sleep(&inner, dur);
                 continue;
             }

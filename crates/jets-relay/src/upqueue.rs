@@ -12,9 +12,10 @@
 //! Drops are counted so `jets_relay_upqueue_dropped_total` can surface
 //! a partition that actually overflowed the buffer.
 
-use parking_lot::{Condvar, Mutex};
+use jets_ring::stdx::{wait_for, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Condvar;
 use std::time::Duration;
 
 /// A bounded MPSC queue with a drop-oldest overflow policy.
@@ -66,7 +67,7 @@ impl<T> UpQueue<T> {
     pub fn pop_ready(&self, timeout: Duration, max: usize, out: &mut Vec<T>) {
         let mut q = self.inner.lock();
         if q.is_empty() {
-            self.cv.wait_for(&mut q, timeout);
+            q = wait_for(&self.cv, q, timeout).0;
         }
         let n = q.len().min(max);
         out.extend(q.drain(..n));

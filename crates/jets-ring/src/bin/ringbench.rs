@@ -1,12 +1,10 @@
 //! Record-path microbenchmark: the old `Mutex<Vec>` event log versus
 //! the jets-ring slot write, plus a reader-chasing-writer run.
 //!
-//! Std-only on purpose — criterion is not available in the offline
-//! stub workspace, and the numbers this emits (committed as
-//! `BENCH_pr8.json`) must be reproducible there:
+//! The numbers this emits are committed as `BENCH_pr8.json`:
 //!
 //! ```text
-//! cargo run --release -p jets-ring --bin ringbench [OPS]
+//! cargo run --release --offline -p jets-ring --bin ringbench [OPS]
 //! ```
 //!
 //! Emits one JSON object on stdout with per-op latency quantiles

@@ -23,12 +23,13 @@
 //! [`ring`]. Records are opaque 120-byte payloads here; the event
 //! codec lives with `EventKind` in jets-core.
 //!
-//! Zero dependencies, `std` only — like jets-obs, jets-lint, and
-//! jets-reactor, so the crate's tests and the `ringbench` measurement
-//! binary run in the offline stub workspace.
+//! Zero dependencies, `std` only. As the workspace's leaf crate it also
+//! carries [`stdx`]: the poison-ignoring locks and the seeded generator
+//! the other crates use in place of third-party ones.
 
 mod region;
 mod ring;
+pub mod stdx;
 mod sys;
 
 pub use ring::{

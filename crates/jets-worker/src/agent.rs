@@ -4,17 +4,17 @@
 use crate::executor::{CancelToken, TaskExecutor, TaskOutcome, EXIT_RANK_PANIC, EXIT_SPAWN_FAILED};
 use crate::metrics::WorkerMetrics;
 use crate::staging::NodeLocalCache;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use jets_core::protocol::{
     DispatcherMsg, MsgReader, MsgWriter, TaskAssignment, WorkerMsg, EXIT_CANCELED,
 };
 use jets_core::spec::CommandSpec;
 use jets_core::{EventKind, EventLog, SpanKind, WriterRole};
-use parking_lot::Mutex;
+use jets_ring::stdx::{Mutex, SplitMix64};
 use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -286,17 +286,6 @@ fn push_env(assignment: &mut TaskAssignment, key: &str, value: &str) {
     env.push((key.to_string(), value.to_string()));
 }
 
-/// One xorshift64 step. The agent has no RNG dependency; this is plenty
-/// for backoff jitter and fully deterministic per seed.
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// Decrements the in-flight gauge when the task wait exits, on every
 /// path (report, session loss, kill, abandoned grace).
 struct InflightGuard<'a>(&'a jets_obs::Gauge);
@@ -368,7 +357,7 @@ impl TaskRunner {
         executor: Arc<dyn TaskExecutor>,
         events: Sender<AgentEvent>,
     ) -> std::io::Result<TaskRunner> {
-        let (jobs, inbox) = unbounded::<(TaskAssignment, CancelToken)>();
+        let (jobs, inbox) = channel::<(TaskAssignment, CancelToken)>();
         thread::Builder::new()
             .name("task".to_string())
             .stack_size(256 * 1024)
@@ -454,7 +443,7 @@ fn worker_loop(
     sock_slot: Arc<Mutex<Option<TcpStream>>>,
     events: Option<EventLog>,
 ) -> WorkerExit {
-    let (events_tx, events_rx) = unbounded();
+    let (events_tx, events_rx) = channel();
     let mut agent = Agent {
         config: &config,
         executor: &executor,
@@ -501,12 +490,8 @@ impl<'a> Agent<'a> {
             thread::sleep(config.connect_delay);
         }
         let mut failed_attempts = 0u32;
-        let mut jitter_state = config
-            .reconnect
-            .as_ref()
-            .map(|p| p.seed)
-            .unwrap_or(1)
-            .max(1);
+        // Deterministic per seed, so a test can replay a backoff schedule.
+        let mut jitter = SplitMix64::new(config.reconnect.as_ref().map_or(1, |p| p.seed));
         loop {
             if self.killed() {
                 return ExitReason::Killed;
@@ -539,8 +524,8 @@ impl<'a> Agent<'a> {
                 .base_backoff
                 .saturating_mul(1u32 << shift)
                 .min(policy.max_backoff);
-            let frac = (xorshift64(&mut jitter_state) >> 11) as f64 / (1u64 << 53) as f64;
-            let mut remaining = backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * frac);
+            let mut remaining =
+                backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * jitter.gen_f64());
             // Sleep in slices so a kill during backoff is honoured promptly.
             while !remaining.is_zero() {
                 if self.killed() {

@@ -4,7 +4,7 @@ use jets_core::protocol::{TaskAssignment, TaskKind, EXIT_CANCELED};
 use jets_core::spec::CommandSpec;
 use jets_mpi::{Communicator, MpiError};
 use jets_pmi::PmiClient;
-use parking_lot::RwLock;
+use jets_ring::stdx::RwLock;
 use std::collections::HashMap;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};

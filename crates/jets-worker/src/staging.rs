@@ -12,7 +12,7 @@
 //! reuse the cached copy) and exports the cache directory to the task as
 //! `JETS_LOCAL_DIR`.
 
-use parking_lot::Mutex;
+use jets_ring::stdx::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -13,6 +13,7 @@ use crate::force::{add_bond_forces, chain_bonds, compute_block};
 use crate::io::{read_vectors, read_xsc, write_vectors, write_xsc, IoError, XscData};
 use crate::system::ParticleSystem;
 use jets_mpi::{Communicator, MpiError, ReduceOp};
+use jets_ring::stdx::SplitMix64;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -299,23 +300,16 @@ fn exchange_velocities(
 /// Counter-based standard normal: hash the key, Box–Muller the result.
 /// Decomposition-independent and restart-stable.
 fn counter_gaussian(seed: u64, step: u64, atom: u64, dim: u64) -> f64 {
-    let a = splitmix64(
-        seed ^ step.wrapping_mul(0x9E3779B97F4A7C15)
-            ^ atom.wrapping_mul(0xBF58476D1CE4E5B9)
-            ^ dim.wrapping_mul(0x94D049BB133111EB),
-    );
-    let b = splitmix64(a);
+    let key = seed
+        ^ step.wrapping_mul(0x9E3779B97F4A7C15)
+        ^ atom.wrapping_mul(0xBF58476D1CE4E5B9)
+        ^ dim.wrapping_mul(0x94D049BB133111EB);
+    let a = SplitMix64::new(key).next_u64();
+    let b = SplitMix64::new(a).next_u64();
     // Map to (0,1]: avoid ln(0).
     let u1 = ((a >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
     let u2 = (b >> 11) as f64 / (1u64 << 53) as f64;
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! [`attempt_file_exchange`] does.
 
 use crate::io::{read_vectors, read_xsc, write_vectors, write_xsc, IoError};
-use rand::Rng;
+use jets_ring::stdx::SplitMix64;
 use std::path::PathBuf;
 
 /// The Metropolis exponent Δ for an exchange between `(t_i, e_i)` and
@@ -31,8 +31,8 @@ pub fn exchange_delta(t_i: f64, e_i: f64, t_j: f64, e_j: f64) -> f64 {
 
 /// The Metropolis decision: always accept Δ ≥ 0, else with probability
 /// e^Δ.
-pub fn metropolis_accept(delta: f64, rng: &mut impl Rng) -> bool {
-    delta >= 0.0 || rng.gen::<f64>() < delta.exp()
+pub fn metropolis_accept(delta: f64, rng: &mut SplitMix64) -> bool {
+    delta >= 0.0 || rng.gen_f64() < delta.exp()
 }
 
 /// The restart-file triple of one replica segment.
@@ -68,7 +68,7 @@ pub fn attempt_file_exchange(
     b: &ReplicaFiles,
     t_a: f64,
     t_b: f64,
-    rng: &mut impl Rng,
+    rng: &mut SplitMix64,
 ) -> Result<bool, IoError> {
     let xsc_a = read_xsc(&a.xsc)?;
     let xsc_b = read_xsc(&b.xsc)?;
@@ -113,8 +113,6 @@ pub fn attempt_file_exchange(
 mod tests {
     use super::*;
     use crate::io::XscData;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::fs;
     use std::path::Path;
 
@@ -134,7 +132,7 @@ mod tests {
 
     #[test]
     fn metropolis_always_accepts_nonnegative_delta() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SplitMix64::new(0);
         for _ in 0..100 {
             assert!(metropolis_accept(0.0, &mut rng));
             assert!(metropolis_accept(5.0, &mut rng));
@@ -143,7 +141,7 @@ mod tests {
 
     #[test]
     fn metropolis_acceptance_rate_matches_exponent() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let delta = -1.0f64;
         let trials = 20_000;
         let accepted = (0..trials)
@@ -156,7 +154,7 @@ mod tests {
 
     #[test]
     fn metropolis_rejects_very_negative_delta() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::new(2);
         let accepted = (0..1000)
             .filter(|_| metropolis_accept(-50.0, &mut rng))
             .count();
@@ -187,7 +185,7 @@ mod tests {
         // Guaranteed-accept arrangement: cold slot has high energy.
         let a = write_replica(&dir, "a", 100.0, 1.0, 1.0); // T_a = 1
         let b = write_replica(&dir, "b", -100.0, 2.0, 2.0); // T_b = 2
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         let accepted = attempt_file_exchange(&a, &b, 1.0, 2.0, &mut rng).unwrap();
         assert!(accepted);
         // Coordinates swapped: slot a now holds configuration "2.0".
@@ -212,7 +210,7 @@ mod tests {
         // Guaranteed-reject arrangement (Δ very negative).
         let a = write_replica(&dir, "a", -1000.0, 1.0, 1.0);
         let b = write_replica(&dir, "b", 1000.0, 2.0, 2.0);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::new(4);
         let accepted = attempt_file_exchange(&a, &b, 1.0, 2.0, &mut rng).unwrap();
         assert!(!accepted);
         assert_eq!(read_vectors(&a.coor).unwrap()[0], 1.0);

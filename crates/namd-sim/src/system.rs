@@ -2,8 +2,7 @@
 //!
 //! Reduced Lennard-Jones units throughout: σ = ε = m = k_B = 1.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use jets_ring::stdx::SplitMix64;
 
 /// State of an N-particle system in a cubic periodic box.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +64,7 @@ impl ParticleSystem {
     /// net momentum, and rescale to the exact target temperature.
     pub fn thermalize(&mut self, temperature: f64, seed: u64) {
         assert!(temperature >= 0.0, "temperature must be non-negative");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let sigma = temperature.sqrt();
         for v in self.velocities.iter_mut() {
             *v = sigma * gaussian(&mut rng);
@@ -131,10 +130,10 @@ impl ParticleSystem {
     }
 }
 
-/// Standard normal via Box–Muller (avoids a rand_distr dependency).
-fn gaussian(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
-    let u2: f64 = rng.gen();
+/// Standard normal via Box–Muller.
+fn gaussian(rng: &mut SplitMix64) -> f64 {
+    let u1 = 1.0 - rng.gen_f64(); // (0, 1]
+    let u2 = rng.gen_f64();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 

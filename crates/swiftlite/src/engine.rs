@@ -16,7 +16,7 @@ use crate::parser::{parse, ParseError};
 use crate::value::{
     ArrayHandle, Binding, CancelToken, ElementMapper, Future, Scope, Value, WaitError,
 };
-use parking_lot::Mutex;
+use jets_ring::stdx::Mutex;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -11,6 +11,7 @@
 //! * `JetsExecutor` (in [`crate::jets`]) — submit through the JETS
 //!   dispatcher, the MPICH/Coasters configuration of the paper.
 
+use jets_ring::stdx::RwLock;
 use std::collections::HashMap;
 use std::process::{Command, Stdio};
 use std::sync::Arc;
@@ -80,7 +81,7 @@ pub type AppImpl = Arc<dyn Fn(&AppCall) -> Result<(), String> + Send + Sync>;
 /// Dispatches app calls to registered closures by executable name.
 #[derive(Clone, Default)]
 pub struct FnExecutor {
-    apps: Arc<parking_lot::RwLock<HashMap<String, AppImpl>>>,
+    apps: Arc<RwLock<HashMap<String, AppImpl>>>,
 }
 
 impl FnExecutor {

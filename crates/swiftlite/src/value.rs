@@ -8,10 +8,10 @@
 //! auto-vivify on first reference, so a reader of `c[7]` and the app call
 //! that later writes `c[7]` meet at the same cell regardless of order.
 
-use parking_lot::{Condvar, Mutex};
+use jets_ring::stdx::{wait_for, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 /// A runtime value.
@@ -173,7 +173,7 @@ impl Future {
                 return Err(WaitError::TimedOut);
             }
             // Wake periodically to observe cancellation.
-            self.inner.cv.wait_for(&mut cell, Duration::from_millis(50));
+            cell = wait_for(&self.inner.cv, cell, Duration::from_millis(50)).0;
         }
     }
 

@@ -1,5 +1,6 @@
 //! End-to-end tests of the swiftlite dataflow engine.
 
+use jets_ring::stdx::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,7 +81,7 @@ fn foreach_expands_and_runs_concurrently() {
 fn app_outputs_flow_into_dependent_apps() {
     // b depends on a's output file; check the path threads through and
     // ordering holds.
-    let log: Arc<parking_lot::Mutex<Vec<String>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let executor = FnExecutor::new();
     let l1 = Arc::clone(&log);
     executor.register("stage", move |call: &AppCall| {
@@ -219,7 +220,7 @@ fn preexisting_mapped_file_is_an_input() {
     let input = dir.join("seed.dat");
     std::fs::write(&input, "seed").unwrap();
     let executor = FnExecutor::new();
-    let seen = Arc::new(parking_lot::Mutex::new(String::new()));
+    let seen = Arc::new(Mutex::new(String::new()));
     let s2 = Arc::clone(&seen);
     executor.register("consume", move |call: &AppCall| {
         *s2.lock() = call.args[0].clone();
@@ -247,7 +248,7 @@ fn nested_foreach_with_dataflow_chain() {
     // A miniature REM dependency structure: segment (i, j+1) consumes
     // segment (i, j)'s output. Track per-chain completion order.
     let executor = FnExecutor::new();
-    let order: Arc<parking_lot::Mutex<Vec<String>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let order: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let o2 = Arc::clone(&order);
     executor.register("seg", move |call: &AppCall| {
         o2.lock().push(call.args.join(","));
@@ -295,8 +296,7 @@ fn nested_foreach_with_dataflow_chain() {
 #[test]
 fn mpi_attributes_reach_the_executor() {
     let executor = FnExecutor::new();
-    let shapes: Arc<parking_lot::Mutex<Vec<(u32, u32)>>> =
-        Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let shapes: Arc<Mutex<Vec<(u32, u32)>>> = Arc::new(Mutex::new(Vec::new()));
     let s2 = Arc::clone(&shapes);
     executor.register("par", move |call: &AppCall| {
         s2.lock().push((call.nodes, call.ppn));
@@ -324,8 +324,7 @@ fn mpi_attributes_reach_the_executor() {
 #[test]
 fn stdout_redirect_reaches_executor() {
     let executor = FnExecutor::new();
-    let paths: Arc<parking_lot::Mutex<Vec<Option<String>>>> =
-        Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let paths: Arc<Mutex<Vec<Option<String>>>> = Arc::new(Mutex::new(Vec::new()));
     let p2 = Arc::clone(&paths);
     executor.register("say", move |call: &AppCall| {
         p2.lock().push(call.stdout.clone());

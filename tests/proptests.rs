@@ -1,4 +1,6 @@
-//! Property-based tests over cross-crate invariants.
+//! Property tests over cross-crate invariants: seeded generate-and-check
+//! (`jets_ring::stdx::check`), no shrinking; a failure names its seed and
+//! case, and editing `SEED` reruns others.
 
 use jets::core::queue::{JobQueue, QueuedJob};
 use jets::core::spec::{parse_input, CommandSpec, JobSpec};
@@ -6,84 +8,122 @@ use jets::core::QueuePolicy;
 use jets::mpi::{runner, NetModel, ReduceOp};
 use jets::pmi::wire::{escape, unescape, Message};
 use jets::pmi::{ManualLauncher, RankLayout};
-use proptest::prelude::*;
+use jets_ring::stdx::{check, SplitMix64};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const SEED: u64 = 0x5EED_0002;
+const CASES: u64 = 64;
+/// Collective correctness spawns threads; keep the case count low.
+const THREADED_CASES: u64 = 8;
 
-    /// PMI escaping is lossless for arbitrary strings.
-    #[test]
-    fn pmi_escape_round_trips(s in ".*") {
-        prop_assert_eq!(unescape(&escape(&s)).unwrap(), s);
+/// Up to `max_len` characters: a third from the ones PMI framing and
+/// escaping treat specially, a third printable ASCII, a third any scalar.
+fn any_string(rng: &mut SplitMix64, max_len: u64) -> String {
+    const SPECIAL: [char; 8] = [' ', '=', '\n', '\\', '%', ';', '\t', '\0'];
+    (0..rng.gen_range(0..max_len + 1))
+        .map(|_| match rng.gen_range(0..3) {
+            0 => SPECIAL[rng.gen_range(0..SPECIAL.len() as u64) as usize],
+            1 => char::from(rng.gen_range(0x20..0x7F) as u8),
+            _ => char::from_u32(rng.gen_range(0..0x11_0000) as u32).unwrap_or('\u{FFFD}'),
+        })
+        .collect()
+}
+
+/// One to 29 MPI job sizes, each in `1..max_nodes`.
+fn job_sizes(rng: &mut SplitMix64, max_nodes: u64) -> Vec<u32> {
+    (0..rng.gen_range(1..30))
+        .map(|_| rng.gen_range(1..max_nodes) as u32)
+        .collect()
+}
+
+fn queued(id: usize, nodes: u32) -> QueuedJob {
+    QueuedJob {
+        id: id as u64,
+        spec: JobSpec::mpi(nodes, CommandSpec::builtin("x", vec![])),
+        attempts: 0,
+        excluded: Vec::new(),
+        submitted_at: std::time::Instant::now(),
+        enqueued_at: std::time::Instant::now(),
+        trace: 0,
     }
+}
 
-    /// Escaped text never contains characters that would break framing.
-    #[test]
-    fn pmi_escape_output_is_frame_safe(s in ".*") {
-        let e = escape(&s);
-        prop_assert!(!e.contains(' ') && !e.contains('=') && !e.contains('\n'));
-    }
+/// PMI escaping is lossless for arbitrary strings.
+#[test]
+fn pmi_escape_round_trips() {
+    check(SEED, CASES, |rng| {
+        let s = any_string(rng, 64);
+        assert_eq!(unescape(&escape(&s)).unwrap(), s);
+    });
+}
 
-    /// Arbitrary put messages survive the wire.
-    #[test]
-    fn pmi_put_messages_round_trip(key in ".{0,40}", value in ".{0,80}") {
-        let m = Message::Put { key, value };
-        prop_assert_eq!(Message::decode(&m.encode()).unwrap(), m);
-    }
+/// Escaped text never contains characters that would break framing.
+#[test]
+fn pmi_escape_output_is_frame_safe() {
+    check(SEED, CASES, |rng| {
+        let e = escape(&any_string(rng, 64));
+        assert!(!e.contains(' ') && !e.contains('=') && !e.contains('\n'));
+    });
+}
 
-    /// The manual launcher covers every rank exactly once, whatever the
-    /// layout.
-    #[test]
-    fn proxy_commands_partition_ranks(nodes in 1u32..40, ppn in 1u32..8) {
-        let layout = RankLayout { nodes, ppn };
+/// Arbitrary put messages survive the wire.
+#[test]
+fn pmi_put_messages_round_trip() {
+    check(SEED, CASES, |rng| {
+        let m = Message::Put {
+            key: any_string(rng, 40),
+            value: any_string(rng, 80),
+        };
+        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+    });
+}
+
+/// The manual launcher covers every rank exactly once, whatever the
+/// layout.
+#[test]
+fn proxy_commands_partition_ranks() {
+    check(SEED, CASES, |rng| {
+        let layout = RankLayout {
+            nodes: rng.gen_range(1..40) as u32,
+            ppn: rng.gen_range(1..8) as u32,
+        };
         let cmds = ManualLauncher.proxy_commands("j", layout, "h:1");
         let mut all: Vec<u32> = cmds.iter().flat_map(|c| c.ranks.clone()).collect();
         all.sort_unstable();
-        prop_assert_eq!(all, (0..layout.size()).collect::<Vec<_>>());
-    }
+        assert_eq!(all, (0..layout.size()).collect::<Vec<_>>());
+    });
+}
 
-    /// FIFO never reorders; every pushed job comes out exactly once.
-    #[test]
-    fn fifo_queue_preserves_order(sizes in prop::collection::vec(1u32..8, 1..30)) {
+/// FIFO never reorders; every pushed job comes out exactly once.
+#[test]
+fn fifo_queue_preserves_order() {
+    check(SEED, CASES, |rng| {
+        let sizes = job_sizes(rng, 8);
         let mut q = JobQueue::new(QueuePolicy::Fifo);
         for (i, &n) in sizes.iter().enumerate() {
-            q.push(QueuedJob {
-                id: i as u64,
-                spec: JobSpec::mpi(n, CommandSpec::builtin("x", vec![])),
-                attempts: 0,
-                excluded: Vec::new(),
-                submitted_at: std::time::Instant::now(),
-                enqueued_at: std::time::Instant::now(),
-            });
+            q.push(queued(i, n));
         }
         let mut out = Vec::new();
         while let Some(j) = q.pick(usize::MAX) {
             out.push(j.id);
         }
-        prop_assert_eq!(out, (0..sizes.len() as u64).collect::<Vec<_>>());
-    }
+        assert_eq!(out, (0..sizes.len() as u64).collect::<Vec<_>>());
+    });
+}
 
-    /// Backfill never loses or duplicates jobs either, and only emits
-    /// jobs that fit.
-    #[test]
-    fn backfill_queue_conserves_jobs(
-        sizes in prop::collection::vec(1u32..10, 1..30),
-        free in 1usize..10,
-    ) {
+/// Backfill never loses or duplicates jobs either, and only emits
+/// jobs that fit.
+#[test]
+fn backfill_queue_conserves_jobs() {
+    check(SEED, CASES, |rng| {
+        let sizes = job_sizes(rng, 10);
+        let free = rng.gen_range(1..10) as usize;
         let mut q = JobQueue::new(QueuePolicy::PriorityBackfill);
         for (i, &n) in sizes.iter().enumerate() {
-            q.push(QueuedJob {
-                id: i as u64,
-                spec: JobSpec::mpi(n, CommandSpec::builtin("x", vec![])),
-                attempts: 0,
-                excluded: Vec::new(),
-                submitted_at: std::time::Instant::now(),
-                enqueued_at: std::time::Instant::now(),
-            });
+            q.push(queued(i, n));
         }
         let mut emitted = Vec::new();
         while let Some(j) = q.pick(free) {
-            prop_assert!(j.spec.nodes as usize <= free);
+            assert!(j.spec.nodes as usize <= free);
             emitted.push(j.id);
         }
         let expected: Vec<u64> = sizes
@@ -94,49 +134,54 @@ proptest! {
             .collect();
         let mut sorted = emitted.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(sorted, expected);
-        prop_assert_eq!(q.len(), sizes.len() - emitted.len());
-    }
-
-    /// Input-file parsing accepts every well-formed MPI line.
-    #[test]
-    fn input_lines_parse(nodes in 1u32..100, ppn in 1u32..8, arg in "[a-z0-9._/-]{1,20}") {
-        let text = format!("MPI: {nodes} ppn={ppn} prog {arg}\n");
-        let jobs = parse_input(&text).unwrap();
-        prop_assert_eq!(jobs.len(), 1);
-        prop_assert_eq!(jobs[0].nodes, nodes);
-        prop_assert_eq!(jobs[0].ppn, ppn);
-        prop_assert_eq!(jobs[0].cmd.args(), &[arg]);
-    }
-
-    /// Metropolis acceptance stays within probability bounds and is
-    /// certain for non-negative deltas.
-    #[test]
-    fn metropolis_bounds(delta in -30.0f64..30.0, seed in 0u64..1000) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let accepted = jets::namd::metropolis_accept(delta, &mut rng);
-        if delta >= 0.0 {
-            prop_assert!(accepted);
-        }
-        // (negative deltas may go either way; determinism is separately
-        // guaranteed by the seeded RNG)
-        let mut rng2 = StdRng::seed_from_u64(seed);
-        prop_assert_eq!(accepted, jets::namd::metropolis_accept(delta, &mut rng2));
-    }
+        assert_eq!(sorted, expected);
+        assert_eq!(q.len(), sizes.len() - emitted.len());
+    });
 }
 
-proptest! {
-    // Collective correctness spawns threads; keep the case count low.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// Input-file parsing accepts every well-formed MPI line.
+#[test]
+fn input_lines_parse() {
+    const ARG_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789._/-";
+    check(SEED, CASES, |rng| {
+        let (nodes, ppn) = (rng.gen_range(1..100) as u32, rng.gen_range(1..8) as u32);
+        let arg: String = (0..rng.gen_range(1..21))
+            .map(|_| char::from(ARG_CHARS[rng.gen_range(0..ARG_CHARS.len() as u64) as usize]))
+            .collect();
+        let text = format!("MPI: {nodes} ppn={ppn} prog {arg}\n");
+        let jobs = parse_input(&text).unwrap();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].nodes, nodes);
+        assert_eq!(jobs[0].ppn, ppn);
+        assert_eq!(jobs[0].cmd.args(), &[arg]);
+    });
+}
 
-    /// Allreduce(SUM) agrees with a sequential reduction for arbitrary
-    /// inputs, sizes, and vector lengths.
-    #[test]
-    fn allreduce_matches_sequential(
-        size in 1u32..6,
-        data in prop::collection::vec(-1000i64..1000, 1..8),
-    ) {
+/// Metropolis acceptance is certain for non-negative deltas and a pure
+/// function of (delta, generator state) otherwise.
+#[test]
+fn metropolis_bounds() {
+    check(SEED, CASES, |rng| {
+        let delta = rng.gen_f64() * 60.0 - 30.0;
+        let seed = rng.gen_range(0..1000);
+        let accepted = jets::namd::metropolis_accept(delta, &mut SplitMix64::new(seed));
+        if delta >= 0.0 {
+            assert!(accepted);
+        }
+        let again = jets::namd::metropolis_accept(delta, &mut SplitMix64::new(seed));
+        assert_eq!(accepted, again);
+    });
+}
+
+/// Allreduce(SUM) agrees with a sequential reduction for arbitrary
+/// inputs, sizes, and vector lengths.
+#[test]
+fn allreduce_matches_sequential() {
+    check(SEED, THREADED_CASES, |rng| {
+        let size = rng.gen_range(1..6) as u32;
+        let data: Vec<i64> = (0..rng.gen_range(1..8))
+            .map(|_| rng.gen_range(0..2000) as i64 - 1000)
+            .collect();
         let len = data.len();
         let data2 = data.clone();
         let results = runner::run_threads(size, NetModel::ideal(), move |comm| {
@@ -154,27 +199,36 @@ proptest! {
             }
         }
         for got in results {
-            prop_assert_eq!(&got, &expected);
+            assert_eq!(&got, &expected);
         }
-    }
+    });
+}
 
-    /// Broadcast delivers the root's data bit-exactly to every rank for
-    /// any root and size.
-    #[test]
-    fn bcast_delivers_exact_data(
-        size in 1u32..6,
-        payload in prop::collection::vec(any::<f64>().prop_filter("finite", |f| f.is_finite()), 0..16),
-    ) {
+/// Broadcast delivers the root's data bit-exactly to every rank for
+/// any root and size.
+#[test]
+fn bcast_delivers_exact_data() {
+    check(SEED, THREADED_CASES, |rng| {
+        let size = rng.gen_range(1..6) as u32;
+        // Any non-NaN bit pattern (NaN != NaN would fail the comparison).
+        let payload: Vec<f64> = (0..rng.gen_range(0..16))
+            .map(|_| f64::from_bits(rng.next_u64()))
+            .filter(|f| !f.is_nan())
+            .collect();
         for root in 0..size {
             let p = payload.clone();
             let results = runner::run_threads(size, NetModel::ideal(), move |comm| {
-                let data = if comm.rank() == root { p.clone() } else { Vec::new() };
+                let data = if comm.rank() == root {
+                    p.clone()
+                } else {
+                    Vec::new()
+                };
                 comm.bcast(root, data).unwrap()
             })
             .unwrap();
             for got in results {
-                prop_assert_eq!(&got, &payload);
+                assert_eq!(&got, &payload);
             }
         }
-    }
+    });
 }
