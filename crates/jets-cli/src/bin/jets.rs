@@ -813,7 +813,7 @@ fn render_top(addr: &str, tick: u64, s: &Scrape) {
 }
 
 /// `jets bench-conn`: measure the event-driven connection core and emit
-/// a JSON report (`BENCH_pr6.json` at the repo root is a committed run).
+/// a JSON report.
 ///
 /// Two phases:
 ///

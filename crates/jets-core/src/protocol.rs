@@ -342,38 +342,40 @@ pub fn decode_msg<M: DeserializeOwned>(frame: &[u8]) -> io::Result<M> {
 }
 
 /// Read one JSON-line message; `Ok(None)` on clean EOF (allocates a fresh
-/// line buffer; see [`read_msg_buf`] for the reusable-buffer variant).
+/// frame buffer; see [`read_msg_buf`] for the reusable-buffer variant).
 pub fn read_msg<M: DeserializeOwned>(reader: &mut impl BufRead) -> io::Result<Option<M>> {
-    let mut line = String::new();
-    read_msg_buf(reader, &mut line)
+    read_msg_buf(reader, &mut Vec::new())
 }
 
-/// Read one JSON-line message into the reused `line` buffer (cleared
-/// first, capacity kept); `Ok(None)` on clean EOF. Lines longer than
-/// [`MAX_FRAME_BYTES`] yield `InvalidData` instead of growing without
-/// bound — the connection should be dropped, since the remainder of the
-/// oversized line is still in flight.
+/// Read one JSON-line message into the reused `frame` buffer (emptied
+/// once the message is decoded, capacity kept); `Ok(None)` on clean EOF.
+/// A read that fails part-way — `WouldBlock`/`TimedOut` from a socket
+/// with a read timeout — leaves what arrived in `frame`, and the next
+/// call with the same buffer carries on from it, losing no byte. Frames
+/// longer than [`MAX_FRAME_BYTES`] yield `InvalidData` instead of
+/// growing without bound — the connection should be dropped, since the
+/// remainder of the oversized line is still in flight.
 pub fn read_msg_buf<M: DeserializeOwned>(
     reader: &mut impl BufRead,
-    line: &mut String,
+    frame: &mut Vec<u8>,
 ) -> io::Result<Option<M>> {
-    line.clear();
-    // `take` bounds how much one read_line can pull in; one extra byte
+    // `take` bounds how much one frame can pull in; one extra byte
     // distinguishes "exactly at the cap" from "over it".
-    let mut bounded = (&mut *reader).take(MAX_FRAME_BYTES as u64 + 1);
-    let n = bounded.read_line(line)?;
-    if n == 0 {
+    let room = (MAX_FRAME_BYTES + 1).saturating_sub(frame.len()) as u64;
+    let n = (&mut *reader).take(room).read_until(b'\n', frame)?;
+    if n == 0 && frame.is_empty() {
         return Ok(None);
     }
-    if line.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
+    let msg = if frame.len() > MAX_FRAME_BYTES {
+        Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "incoming frame exceeds MAX_FRAME_BYTES",
-        ));
-    }
-    serde_json::from_str(line)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        ))
+    } else {
+        decode_msg(frame)
+    };
+    frame.clear();
+    msg.map(Some)
 }
 
 /// A connection write half plus its reused encode buffer.
@@ -450,11 +452,11 @@ impl<W: Write> MsgWriter<W> {
     }
 }
 
-/// A connection read half plus its reused line buffer.
+/// A connection read half plus its reused frame buffer.
 #[derive(Debug)]
 pub struct MsgReader<R: BufRead> {
     inner: R,
-    line: String,
+    frame: Vec<u8>,
 }
 
 impl<R: BufRead> MsgReader<R> {
@@ -462,14 +464,20 @@ impl<R: BufRead> MsgReader<R> {
     pub fn new(inner: R) -> Self {
         MsgReader {
             inner,
-            line: String::with_capacity(256),
+            frame: Vec::with_capacity(256),
         }
     }
 
-    /// Receive one message, reusing the internal line buffer; `Ok(None)`
-    /// on clean EOF.
+    /// Receive one message, reusing the internal frame buffer; `Ok(None)`
+    /// on clean EOF. As with [`read_msg_buf`], a frame cut short by a
+    /// read timeout is completed by the next call.
     pub fn recv<M: DeserializeOwned>(&mut self) -> io::Result<Option<M>> {
-        read_msg_buf(&mut self.inner, &mut self.line)
+        read_msg_buf(&mut self.inner, &mut self.frame)
+    }
+
+    /// Access the underlying reader (e.g. to set a socket read timeout).
+    pub fn get_ref(&self) -> &R {
+        &self.inner
     }
 }
 
@@ -652,7 +660,7 @@ mod tests {
         assert_eq!(legacy, buffered);
 
         // legacy write → buffered read
-        let mut line = String::new();
+        let mut line = Vec::new();
         let mut reader = BufReader::new(&legacy[..]);
         let got: WorkerMsg = read_msg_buf(&mut reader, &mut line).unwrap().unwrap();
         assert_eq!(got, msg);
@@ -777,9 +785,54 @@ mod tests {
         wire.push(b'\n');
         let err = read_msg::<WorkerMsg>(&mut BufReader::new(&wire[..])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let mut line = String::new();
-        let err = read_msg_buf::<WorkerMsg>(&mut BufReader::new(&wire[..]), &mut line).unwrap_err();
+        let mut frame = Vec::new();
+        let err =
+            read_msg_buf::<WorkerMsg>(&mut BufReader::new(&wire[..]), &mut frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// What a socket with a read timeout looks like: each chunk arrives
+    /// whole, and between two chunks the read times out.
+    struct TimingOut<'a>(std::slice::Iter<'a, &'a [u8]>, bool);
+
+    impl io::Read for TimingOut<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 = !self.1;
+            if !self.1 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let chunk = self.0.next().copied().unwrap_or_default();
+            buf[..chunk.len()].copy_from_slice(chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn reader_resumes_a_frame_after_a_timed_out_read() {
+        let done = WorkerMsg::Done {
+            task_id: 7,
+            exit_code: 0,
+            wall_ms: 3,
+            output: Some("naïve".into()),
+            trace: 9,
+        };
+        let mut wire = Vec::new();
+        write_msg(&mut wire, &done).unwrap();
+        write_msg(&mut wire, &WorkerMsg::Request).unwrap();
+        // Every cut, the ones inside the two-byte `ï` included.
+        for cut in 1..wire.len() {
+            let chunks = [&wire[..cut], &wire[cut..]];
+            let mut r = MsgReader::new(BufReader::new(TimingOut(chunks.iter(), false)));
+            let mut frames = Vec::new();
+            loop {
+                match r.recv::<WorkerMsg>() {
+                    Ok(Some(msg)) => frames.push(msg),
+                    Ok(None) => break,
+                    Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "cut {cut}"),
+                }
+            }
+            assert_eq!(frames, [done.clone(), WorkerMsg::Request], "cut {cut}");
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@ use jets_core::protocol::{
 use jets_core::spec::CommandSpec;
 use jets_core::{EventKind, EventLog, SpanKind, WriterRole};
 use jets_ring::stdx::{Mutex, SplitMix64};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -146,26 +146,21 @@ pub struct WorkerExit {
 
 /// A running worker agent (persistent pilot job).
 pub struct Worker {
-    kill_flag: Arc<AtomicBool>,
-    sock: Arc<Mutex<Option<TcpStream>>>,
+    pilot: Arc<Pilot>,
     handle: Option<JoinHandle<WorkerExit>>,
-    name: String,
-    events: Option<EventLog>,
 }
 
 impl Worker {
     /// Start a worker agent on its own thread. Connection happens inside
     /// the thread, so spawning a large simulated allocation is fast.
     pub fn spawn(config: WorkerConfig, executor: Arc<dyn TaskExecutor>) -> Worker {
-        let kill_flag = Arc::new(AtomicBool::new(false));
-        let sock = Arc::new(Mutex::new(None));
-        let name = config.name.clone();
         // The flight recorder is opened here (not in the loop thread) so
         // a bad path surfaces before the agent silently runs unrecorded,
         // and so callers can read the same ring via `events()`. A failed
         // open degrades to no recording: the agent's job is running
         // tasks, not archiving its own diagnostics.
-        let events =
+        let name = &config.name;
+        let log =
             config
                 .flight_recorder
                 .as_ref()
@@ -185,33 +180,42 @@ impl Worker {
                         }
                     }
                 });
-        let loop_kill = Arc::clone(&kill_flag);
-        let loop_sock = Arc::clone(&sock);
-        let loop_events = events.clone();
+        let pilot = Arc::new(Pilot {
+            config,
+            executor,
+            log,
+            kill: AtomicBool::new(false),
+            sock: Mutex::new(None),
+            link: Mutex::new(Link::default()),
+        });
+        let agent = Agent {
+            pilot: Arc::clone(&pilot),
+            runner: None,
+            runners_started: 0,
+            grace: None,
+            local_cache: LazyCache::default(),
+        };
         let handle = thread::Builder::new()
-            .name(format!("worker-{name}"))
+            .name(format!("worker-{}", pilot.config.name))
             .stack_size(256 * 1024)
-            .spawn(move || worker_loop(config, executor, loop_kill, loop_sock, loop_events))
+            .spawn(move || agent.run())
             .expect("spawn worker thread");
         Worker {
-            kill_flag,
-            sock,
+            pilot,
             handle: Some(handle),
-            name,
-            events,
         }
     }
 
     /// The worker's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.pilot.config.name
     }
 
     /// The agent's flight-recorder log, when one was configured and its
     /// file opened. Handing out a clone is free — `EventLog` is a shared
     /// handle — and reading it never blocks the agent's writes.
     pub fn events(&self) -> Option<&EventLog> {
-        self.events.as_ref()
+        self.pilot.log.as_ref()
     }
 
     /// Kill the worker abruptly: sever the dispatcher connection without a
@@ -219,10 +223,8 @@ impl Worker {
     /// primitive of the paper's Fig. 10 experiment: the dispatcher sees
     /// EOF, marks the worker dead, and requeues its job.
     pub fn kill(&self) {
-        self.kill_flag.store(true, Ordering::Release);
-        if let Some(stream) = self.sock.lock().as_ref() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        self.pilot.kill.store(true, Ordering::Release);
+        self.disconnect();
     }
 
     /// Sever the dispatcher connection *without* setting the kill flag:
@@ -231,7 +233,7 @@ impl Worker {
     /// chaos harness's network-partition primitive; [`Worker::kill`]
     /// remains the permanent-death primitive.
     pub fn disconnect(&self) {
-        if let Some(stream) = self.sock.lock().as_ref() {
+        if let Some(stream) = self.pilot.sock.lock().as_ref() {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -286,11 +288,12 @@ fn push_env(assignment: &mut TaskAssignment, key: &str, value: &str) {
     env.push((key.to_string(), value.to_string()));
 }
 
-/// Decrements the in-flight gauge when the task wait exits, on every
-/// path (report, session loss, kill, abandoned grace).
-struct InflightGuard<'a>(&'a jets_obs::Gauge);
+/// Holds the in-flight gauge up for as long as its task is in flight;
+/// dropping the task balances it on every path (report, abandoned
+/// grace, session loss, kill).
+struct InflightGuard(Arc<jets_obs::Gauge>);
 
-impl Drop for InflightGuard<'_> {
+impl Drop for InflightGuard {
     fn drop(&mut self) {
         self.0.dec();
     }
@@ -325,63 +328,13 @@ enum SessionEnd {
     Lost,
 }
 
-/// Everything that can wake the agent. One channel carries all of it,
-/// so the agent sleeps in exactly one place and a `Cancel` is acted on
-/// the moment it is read, not at the next tick of a poll.
-enum AgentEvent {
-    /// A frame read by session `session`'s reader thread; `None` marks
-    /// the end of that connection.
-    Wire {
-        session: u64,
-        msg: Option<DispatcherMsg>,
-    },
-    /// Runner `runner` finished the task it was handed.
-    Finished { runner: u64, outcome: TaskOutcome },
-}
-
-/// The long-lived thread tasks execute on. Tasks run off the agent's
-/// own thread so that a kill or an expired cancel grace can abandon one:
-/// dropping the handle lets the stuck thread finish in the background,
-/// its result discarded — just as a killed pilot's task dies with the
-/// node — and the next task lazily starts a fresh runner.
-struct TaskRunner {
-    /// Stamped on every `Finished` so an abandoned runner's late result
-    /// is told apart from the current one's.
-    id: u64,
-    jobs: Sender<(TaskAssignment, CancelToken)>,
-}
-
-impl TaskRunner {
-    fn spawn(
-        id: u64,
-        executor: Arc<dyn TaskExecutor>,
-        events: Sender<AgentEvent>,
-    ) -> std::io::Result<TaskRunner> {
-        let (jobs, inbox) = channel::<(TaskAssignment, CancelToken)>();
-        thread::Builder::new()
-            .name("task".to_string())
-            .stack_size(256 * 1024)
-            .spawn(move || {
-                // Ends when the handle is dropped (abandoned, or the
-                // agent exited) or the agent is gone.
-                for (assignment, cancel) in inbox.iter() {
-                    let run = || executor.execute_cancellable(&assignment, &cancel);
-                    // A panicking task fails that task, not the pilot.
-                    let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or(TaskOutcome {
-                        exit_code: EXIT_RANK_PANIC,
-                        output: None,
-                    });
-                    let finished = AgentEvent::Finished {
-                        runner: id,
-                        outcome,
-                    };
-                    if events.send(finished).is_err() {
-                        return;
-                    }
-                }
-            })?;
-        Ok(TaskRunner { id, jobs })
-    }
+/// How the agent's one wait, the read on the session socket, ends when
+/// not with a frame.
+enum NoFrame {
+    /// The connection is gone (or its read half was hung up on purpose).
+    Closed,
+    /// A canceled task used up its grace and is still running.
+    GraceExpired,
 }
 
 /// A task handed to the runner and not yet reported. It outlives a lost
@@ -395,97 +348,308 @@ struct RunningTask {
     /// still correlate with the submission after an outage.
     trace: u64,
     ranks: u32,
+    /// The runner executing it; a result from any other runner is late.
+    runner: u64,
     cancel: CancelToken,
     started: Instant,
-    /// Set once a `Cancel` tripped the token: when the runner is given
-    /// up on if the task has not stood down by then.
-    cancel_deadline: Option<Instant>,
+    /// A `Cancel` tripped the token; the agent's grace clock is running.
+    canceled: bool,
+    _inflight: Option<InflightGuard>,
 }
 
-/// The agent's state. Only the wire is per session; the rest survives a
-/// lost dispatcher, because a dispatcher restart severs every connection
-/// but kills no worker process: the pilot's task is still running and
-/// its results still matter. The agent carries both across the gap — the
-/// in-flight task (claimed via [`WorkerMsg::SessionState`] so a
-/// recovering dispatcher re-adopts the gang instead of relaunching it)
-/// and any terminal `Done` report that never reached the old wire
-/// (replayed verbatim after the next registration, so the dispatcher
-/// hears every result exactly once).
-struct Agent<'a> {
-    config: &'a WorkerConfig,
-    executor: &'a Arc<dyn TaskExecutor>,
-    kill: &'a Arc<AtomicBool>,
-    sock_slot: &'a Mutex<Option<TcpStream>>,
-    log: Option<&'a EventLog>,
-    events_tx: Sender<AgentEvent>,
-    events: Receiver<AgentEvent>,
-    /// Number of the current session; stamps its reader's events.
-    session: u64,
-    runner: Option<TaskRunner>,
-    runners_started: u64,
-    /// An outcome the current runner delivered while the agent was
-    /// waiting for something else (the `Registered` ack, say).
-    finished: Option<TaskOutcome>,
-    local_cache: LazyCache,
-    tasks_done: u64,
-    /// Terminal reports whose send failed: replayed after re-register.
-    stashed: Vec<WorkerMsg>,
-    /// The in-flight task surviving an outage, if any.
-    carried: Option<RunningTask>,
-}
-
-type Wire = Arc<Mutex<MsgWriter<TcpStream>>>;
-
-fn worker_loop(
+/// What the threads of one pilot share. The agent thread reads the
+/// session socket and starts tasks; the long-lived runner thread
+/// executes them and reports each result itself; a heartbeat thread
+/// lives as long as a session that wants one.
+struct Pilot {
     config: WorkerConfig,
     executor: Arc<dyn TaskExecutor>,
-    kill: Arc<AtomicBool>,
-    sock_slot: Arc<Mutex<Option<TcpStream>>>,
-    events: Option<EventLog>,
-) -> WorkerExit {
-    let (events_tx, events_rx) = channel();
-    let mut agent = Agent {
-        config: &config,
-        executor: &executor,
-        kill: &kill,
-        sock_slot: &sock_slot,
-        log: events.as_ref(),
-        events_tx,
-        events: events_rx,
-        session: 0,
-        runner: None,
-        runners_started: 0,
-        finished: None,
-        local_cache: LazyCache::default(),
-        tasks_done: 0,
-        stashed: Vec::new(),
-        carried: None,
-    };
-    let reason = agent.run();
-    WorkerExit {
-        tasks_done: agent.tasks_done,
-        reason,
-    }
+    log: Option<EventLog>,
+    kill: AtomicBool,
+    /// The kill switch's handle on the session socket: severing it is
+    /// what wakes an agent blocked in its read.
+    sock: Mutex<Option<TcpStream>>,
+    link: Mutex<Link>,
 }
 
-impl<'a> Agent<'a> {
+impl Pilot {
     fn killed(&self) -> bool {
         self.kill.load(Ordering::Acquire)
     }
+}
 
+/// The session's write half and the state decided together with what is
+/// written to it, all under the one lock that keeps frames from
+/// interleaving. Only the wire is per session; the rest survives a lost
+/// dispatcher, because a dispatcher restart severs every connection but
+/// kills no worker process: the pilot's task is still running and its
+/// results still matter. Both are carried across the gap — the in-flight
+/// task (claimed via [`WorkerMsg::SessionState`] so a recovering
+/// dispatcher re-adopts the gang instead of relaunching it) and any
+/// terminal `Done` that never reached the old wire (replayed verbatim
+/// after the next registration, so the dispatcher hears every result
+/// exactly once).
+#[derive(Default)]
+struct Link {
+    /// `None` between sessions: a task that ends then is stashed. The
+    /// `MsgWriter` reuses one encode buffer for every message a session
+    /// sends.
+    wire: Option<MsgWriter<TcpStream>>,
+    worker_id: u64,
+    /// The in-flight task, if any.
+    task: Option<RunningTask>,
+    /// `Shutdown` was read while the task ran: its report ends the agent.
+    stopping: bool,
+    /// Terminal reports whose send failed: replayed after re-register.
+    stashed: Vec<WorkerMsg>,
+    tasks_done: u64,
+}
+
+impl Link {
+    fn send(&mut self, msg: &WorkerMsg) -> std::io::Result<()> {
+        match &mut self.wire {
+            Some(wire) => wire.send(msg),
+            None => Err(std::io::ErrorKind::NotConnected.into()),
+        }
+    }
+
+    /// Take over a registered session's write half. Recovery handshake
+    /// first (dispatcher crash recovery): claim the task carried from the
+    /// previous session so a restarted dispatcher can re-adopt its gang
+    /// during the reconciliation window — an established dispatcher
+    /// answers an unknown claim with `Cancel` — then replay terminal
+    /// reports that never made it onto the old wire, oldest first,
+    /// keeping the rest stashed if this wire dies too. Then the first
+    /// `Request`, unless a carried task is still running: its runner asks
+    /// when it reports.
+    fn open_session(
+        &mut self,
+        mut wire: MsgWriter<TcpStream>,
+        worker_id: u64,
+    ) -> std::io::Result<()> {
+        if self.task.is_some() || !self.stashed.is_empty() {
+            let running = self.task.as_ref().map(|t| (t.task_id, t.job_id));
+            wire.send(&WorkerMsg::SessionState { running })?;
+            while let Some(msg) = self.stashed.first() {
+                wire.send(msg)?;
+                self.stashed.remove(0);
+                self.tasks_done += 1;
+            }
+        }
+        if self.task.is_none() {
+            wire.send(&WorkerMsg::Request)?;
+        }
+        self.wire = Some(wire);
+        self.worker_id = worker_id;
+        Ok(())
+    }
+
+    /// The session is over: say `Goodbye` if the dispatcher asked for
+    /// the shutdown, and let go of the wire.
+    fn close_session(&mut self, goodbye: bool) {
+        if goodbye {
+            let _ = self.send(&WorkerMsg::Goodbye);
+        }
+        self.wire = None;
+    }
+
+    /// Put a task's `Done` on the wire and, in the same write, the
+    /// `Request` for the next task — the dispatcher reads both in one
+    /// wakeup. A pilot that is stopping reports without asking.
+    fn report(&mut self, pilot: &Pilot, done: &WorkerMsg) -> std::io::Result<()> {
+        let alone = self.stopping || pilot.killed();
+        let sent = match &mut self.wire {
+            Some(wire) if alone => wire.send(done),
+            Some(wire) => wire.send_pair(done, &WorkerMsg::Request),
+            None => Err(std::io::ErrorKind::NotConnected.into()),
+        };
+        if sent.is_err() {
+            // Whoever wrote, it is the agent that ends the session: a
+            // severed socket is what it wakes up on.
+            if let Some(wire) = self.wire.take() {
+                let _ = wire.get_ref().shutdown(Shutdown::Both);
+            }
+        }
+        sent
+    }
+
+    /// Trip the in-flight task's token if `task_id` names it — gang
+    /// teardown, a deadline, or a rejected claim. True when this was the
+    /// first cancel, which starts the grace clock.
+    fn cancel(&mut self, task_id: u64) -> bool {
+        match &mut self.task {
+            Some(task) if task.task_id == task_id && !task.canceled => {
+                task.cancel.cancel();
+                task.canceled = true;
+                true
+            }
+            _ => false, // stale
+        }
+    }
+
+    /// A task is on its way to its runner.
+    fn begin(&mut self, pilot: &Pilot, task: RunningTask) {
+        if let Some(log) = &pilot.log {
+            log.record(EventKind::TaskStarted {
+                task: task.task_id,
+                job: task.job_id,
+                worker: self.worker_id,
+                ranks: task.ranks,
+            });
+            let (trace, job) = (task.trace, task.job_id);
+            log.span_start(trace, SpanKind::Exec, WriterRole::Worker, job, task.task_id);
+        }
+        self.task = Some(task);
+    }
+
+    /// Runner `runner` finished the task it was handed: report it. False
+    /// when that runner was abandoned, and its late result discarded.
+    fn finish(&mut self, pilot: &Pilot, runner: u64, outcome: TaskOutcome) -> bool {
+        if self.task.as_ref().is_none_or(|t| t.runner != runner) {
+            return false;
+        }
+        self.end_task(pilot, Some(outcome))
+    }
+
+    /// The in-flight task ended — `outcome` from its runner, `None` when
+    /// the runner was given up on. Record it, report it and ask for the
+    /// next; a report that misses the wire is stashed. False when no task
+    /// was in flight.
+    fn end_task(&mut self, pilot: &Pilot, outcome: Option<TaskOutcome>) -> bool {
+        let Some(task) = self.task.take() else {
+            return false;
+        };
+        // A canceled task always reports EXIT_CANCELED — the dispatcher
+        // already discounted the task, so the report's only job is
+        // recycling this worker via the stale-Done path.
+        let outcome = match outcome {
+            Some(o) if !task.canceled => o,
+            abandoned_or_canceled => TaskOutcome {
+                exit_code: EXIT_CANCELED,
+                output: abandoned_or_canceled.and_then(|o| o.output),
+            },
+        };
+        let wall_ms = task.started.elapsed().as_millis() as u64;
+        if let Some(log) = &pilot.log {
+            // For a carried task this closes the span the original
+            // session opened; the outage is inside it, which is the truth.
+            let (trace, job) = (task.trace, task.job_id);
+            log.span_end(trace, SpanKind::Exec, WriterRole::Worker, job, task.task_id);
+            log.record(EventKind::TaskEnded {
+                task: task.task_id,
+                job: task.job_id,
+                worker: self.worker_id,
+                ranks: task.ranks,
+                exit_code: outcome.exit_code,
+                trace: task.trace,
+            });
+        }
+        if let Some(m) = &pilot.config.metrics {
+            m.tasks_executed_total.inc();
+            if task.canceled {
+                m.tasks_canceled_total.inc();
+            } else if outcome.exit_code != 0 {
+                m.tasks_failed_total.inc();
+            }
+            m.task_seconds.record(wall_ms.saturating_mul(1_000));
+        }
+        let done = WorkerMsg::Done {
+            task_id: task.task_id,
+            exit_code: outcome.exit_code,
+            wall_ms,
+            output: outcome.output,
+            trace: task.trace,
+        };
+        if self.report(pilot, &done).is_ok() {
+            self.tasks_done += 1;
+        } else if !pilot.killed() && !task.canceled {
+            // Stash it for replay after the next registration so the
+            // dispatcher still hears the result exactly once (a canceled
+            // report carries no information a recovering dispatcher
+            // wants).
+            self.stashed.push(done);
+        }
+        if self.stopping {
+            // That was the last report. The agent reads (or is about to
+            // read) a socket that will say no more: hang up that half,
+            // so that it wakes and says `Goodbye`.
+            if let Some(wire) = &self.wire {
+                let _ = wire.get_ref().shutdown(Shutdown::Read);
+            }
+        }
+        true
+    }
+}
+
+type Rx = MsgReader<BufReader<TcpStream>>;
+
+/// The thread tasks execute on: jobs in over the returned channel, each
+/// result reported through [`Link::finish`]. Tasks run off the agent's
+/// own thread so that a kill or an expired cancel grace can abandon one:
+/// dropping the sender lets the stuck thread finish in the background,
+/// its result discarded — just as a killed pilot's task dies with the
+/// node — and the next task lazily starts a fresh runner.
+fn spawn_runner(
+    pilot: Arc<Pilot>,
+    id: u64,
+) -> std::io::Result<Sender<(TaskAssignment, CancelToken)>> {
+    let (jobs, inbox) = channel::<(TaskAssignment, CancelToken)>();
+    thread::Builder::new()
+        .name("task".to_string())
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            // Ends when the sender is dropped: abandoned, or the agent
+            // exited.
+            for (assignment, cancel) in inbox.iter() {
+                let run = || pilot.executor.execute_cancellable(&assignment, &cancel);
+                // A panicking task fails that task, not the pilot.
+                let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or(TaskOutcome {
+                    exit_code: EXIT_RANK_PANIC,
+                    output: None,
+                });
+                if !pilot.link.lock().finish(&pilot, id, outcome) {
+                    return;
+                }
+            }
+        })?;
+    Ok(jobs)
+}
+
+/// The agent thread's own state; what it shares is in [`Pilot`].
+struct Agent {
+    pilot: Arc<Pilot>,
+    /// The current runner's id and job channel.
+    runner: Option<(u64, Sender<(TaskAssignment, CancelToken)>)>,
+    runners_started: u64,
+    /// When the canceled in-flight task is given up on. The only thing
+    /// that puts a timeout on the socket read.
+    grace: Option<Instant>,
+    local_cache: LazyCache,
+}
+
+impl Agent {
     fn lost_or_killed(&self) -> SessionEnd {
-        if self.killed() {
+        if self.pilot.killed() {
             SessionEnd::Killed
         } else {
             SessionEnd::Lost
         }
     }
 
+    fn run(mut self) -> WorkerExit {
+        let reason = self.run_sessions();
+        WorkerExit {
+            tasks_done: self.pilot.link.lock().tasks_done,
+            reason,
+        }
+    }
+
     /// Connect, run a session, and reconnect under the policy until the
     /// dispatcher says `Shutdown`, the kill switch fires, or the policy
     /// gives up.
-    fn run(&mut self) -> ExitReason {
-        let config = self.config;
+    fn run_sessions(&mut self) -> ExitReason {
+        let pilot = Arc::clone(&self.pilot);
+        let config = &pilot.config;
         if !config.connect_delay.is_zero() {
             thread::sleep(config.connect_delay);
         }
@@ -493,12 +657,16 @@ impl<'a> Agent<'a> {
         // Deterministic per seed, so a test can replay a backoff schedule.
         let mut jitter = SplitMix64::new(config.reconnect.as_ref().map_or(1, |p| p.seed));
         loop {
-            if self.killed() {
+            if pilot.killed() {
                 return ExitReason::Killed;
             }
             if let Ok(stream) = TcpStream::connect(&config.dispatcher_addr) {
                 failed_attempts = 0;
-                match self.run_session(stream) {
+                let end = self.run_session(stream);
+                // Nothing left to sever — and an abandoned runner, which
+                // shares the pilot, must not hold the socket open.
+                *pilot.sock.lock() = None;
+                match end {
                     SessionEnd::Shutdown => return ExitReason::Shutdown,
                     SessionEnd::Killed => return ExitReason::Killed,
                     SessionEnd::Lost => {
@@ -528,7 +696,7 @@ impl<'a> Agent<'a> {
                 backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * jitter.gen_f64());
             // Sleep in slices so a kill during backoff is honoured promptly.
             while !remaining.is_zero() {
-                if self.killed() {
+                if pilot.killed() {
                     return ExitReason::Killed;
                 }
                 let slice = remaining.min(Duration::from_millis(20));
@@ -538,94 +706,25 @@ impl<'a> Agent<'a> {
         }
     }
 
-    /// Block for the next event that still matters — not one from a
-    /// previous session's reader winding down or from an abandoned
-    /// runner — until `deadline` if there is one. `None` means the
-    /// deadline passed (the agent holds a sender itself, so the channel
-    /// never closes).
-    fn next_event(&mut self, deadline: Option<Instant>) -> Option<AgentEvent> {
-        loop {
-            let event = match deadline {
-                None => self.events.recv().ok()?,
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    self.events.recv_timeout(left).ok()?
-                }
-            };
-            let current = match &event {
-                AgentEvent::Wire { session, .. } => *session == self.session,
-                AgentEvent::Finished { runner, .. } => {
-                    self.runner.as_ref().is_some_and(|r| r.id == *runner)
-                }
-            };
-            if current {
-                return Some(event);
-            }
-        }
-    }
-
-    /// Block for the next dispatcher frame of this session; `None` when
-    /// the connection is gone. A task outcome that arrives meanwhile is
-    /// kept for [`Agent::finish_task`].
-    fn next_frame(&mut self) -> Option<DispatcherMsg> {
-        loop {
-            match self.next_event(None)? {
-                AgentEvent::Wire { msg, .. } => return msg,
-                AgentEvent::Finished { outcome, .. } => self.finished = Some(outcome),
-            }
-        }
-    }
-
     /// Run one registered dispatcher session over an established stream:
-    /// register, heartbeat, request/execute/report until the connection
-    /// ends.
+    /// register, heartbeat, and act on the dispatcher's frames until the
+    /// connection ends.
     fn run_session(&mut self, stream: TcpStream) -> SessionEnd {
-        let config = self.config;
+        let pilot = Arc::clone(&self.pilot);
+        let config = &pilot.config;
         stream.set_nodelay(true).ok();
-        // The kill switch works by severing this clone: that is what
-        // wakes an agent parked on its event channel.
         let (Ok(write_half), Ok(kill_half)) = (stream.try_clone(), stream.try_clone()) else {
             return SessionEnd::Lost;
         };
-        *self.sock_slot.lock() = Some(kill_half);
+        *pilot.sock.lock() = Some(kill_half);
         // A kill that found the previous session's socket in the slot.
-        if self.killed() {
+        if pilot.killed() {
             return SessionEnd::Killed;
         }
-        // All writes (task loop + heartbeats) go through this mutex so JSON
-        // lines never interleave. The `MsgWriter` reuses one encode buffer
-        // for every message this session will ever send.
-        let writer: Wire = Arc::new(Mutex::new(MsgWriter::new(write_half)));
-
-        // Reader thread: socket → event channel, `None` marking connection
-        // loss. Decoupling the read from the task loop is what lets a
-        // `Cancel` arrive *while* a task is running.
-        self.session += 1;
-        {
-            let session = self.session;
-            let events = self.events_tx.clone();
-            let mut reader = MsgReader::new(BufReader::new(stream));
-            // A session without a reader cannot hear assignments: treat a
-            // failed spawn like a lost connection and retry via the normal
-            // reconnect policy.
-            if thread::Builder::new()
-                .name(format!("rx-{}", config.name))
-                .stack_size(128 * 1024)
-                .spawn(move || loop {
-                    let msg = reader.recv::<DispatcherMsg>().ok().flatten();
-                    let last = msg.is_none();
-                    if events.send(AgentEvent::Wire { session, msg }).is_err() || last {
-                        return;
-                    }
-                })
-                .is_err()
-            {
-                return SessionEnd::Lost;
-            }
-        }
-
-        if writer
-            .lock()
+        // Nobody else can write until `open_session` shares the wire.
+        let mut wire = MsgWriter::new(write_half);
+        let mut rx: Rx = MsgReader::new(BufReader::new(stream));
+        if wire
             .send(&WorkerMsg::Register {
                 name: config.name.clone(),
                 cores: config.cores,
@@ -635,7 +734,7 @@ impl<'a> Agent<'a> {
         {
             return self.lost_or_killed();
         }
-        let worker_id = match self.next_frame() {
+        let worker_id = match rx.recv::<DispatcherMsg>().ok().flatten() {
             Some(DispatcherMsg::Registered { worker_id }) => {
                 if let Some(m) = &config.metrics {
                     m.sessions_total.inc();
@@ -655,294 +754,118 @@ impl<'a> Agent<'a> {
             )
             | None => return self.lost_or_killed(),
         };
-        if let Some(log) = self.log {
+        if let Some(log) = &pilot.log {
             log.record(EventKind::WorkerUp { worker: worker_id });
         }
         // Drop guard, not per-return records: the session exits from many
         // arms below, and the replayed ring should show one `WorkerDown`
         // for every `WorkerUp` on all of them.
         let _session_events = SessionEventGuard {
-            events: self.log,
+            events: pilot.log.as_ref(),
             worker: worker_id,
         };
-
-        // Recovery handshake (dispatcher crash recovery): claim the task
-        // carried from the previous session so a restarted dispatcher can
-        // re-adopt its gang during the reconciliation window — an
-        // established dispatcher answers an unknown claim with `Cancel` —
-        // then replay terminal reports that never made it onto the old
-        // wire, oldest first, keeping the rest stashed if this wire dies
-        // too.
-        if self.carried.is_some() || !self.stashed.is_empty() {
-            let claim = self.carried.as_ref().map(|t| (t.task_id, t.job_id));
-            if writer
-                .lock()
-                .send(&WorkerMsg::SessionState { running: claim })
-                .is_err()
-            {
-                return self.lost_or_killed();
-            }
-            while let Some(msg) = self.stashed.first() {
-                if writer.lock().send(msg).is_err() {
-                    return self.lost_or_killed();
-                }
-                self.stashed.remove(0);
-                self.tasks_done += 1;
-            }
+        if pilot.link.lock().open_session(wire, worker_id).is_err() {
+            return self.lost_or_killed();
         }
 
         let stop = Arc::new(AtomicBool::new(false));
-        if let Some(period) = config.heartbeat {
-            let hb_writer = Arc::clone(&writer);
-            let hb_stop = Arc::clone(&stop);
-            let hb_kill = Arc::clone(self.kill);
+        let heartbeat = config
+            .heartbeat
+            .map(|period| spawn_heartbeat(Arc::clone(&pilot), period, Arc::clone(&stop)));
+        let end = match heartbeat {
             // Without heartbeats the dispatcher would eventually declare
             // this worker hung; better to fail the session now and retry
             // than to register silently and be quarantined later.
-            if thread::Builder::new()
-                .name(format!("hb-{}", config.name))
-                .stack_size(64 * 1024)
-                .spawn(move || {
-                    while !hb_stop.load(Ordering::Acquire) && !hb_kill.load(Ordering::Acquire) {
-                        thread::sleep(period);
-                        if hb_writer.lock().send(&WorkerMsg::Heartbeat).is_err() {
-                            return;
-                        }
-                    }
-                })
-                .is_err()
-            {
-                return self.lost_or_killed();
-            }
-        }
-
-        // Wait out the carried task (if any) before asking for new work.
-        // Either way the first `Request` is on the wire when the ordinary
-        // request/execute/report loop starts.
-        let asked = match self.carried.take() {
-            Some(task) => self.finish_task(&writer, task, worker_id),
-            None => writer
-                .lock()
-                .send(&WorkerMsg::Request)
-                .map_err(|_| self.lost_or_killed()),
+            Some(Err(_)) => self.lost_or_killed(),
+            _ => self.session_loop(&mut rx),
         };
-        let end = match asked {
-            Ok(()) => self.task_loop(&writer, worker_id),
-            Err(end) => end,
-        };
+        // The heartbeat thread goes first, so `Goodbye` is the last frame.
         stop.store(true, Ordering::Release);
-        if end == SessionEnd::Shutdown {
-            let _ = writer.lock().send(&WorkerMsg::Goodbye);
+        if let Some(Ok(handle)) = heartbeat {
+            handle.thread().unpark();
+            let _ = handle.join();
         }
+        pilot.link.lock().close_session(end == SessionEnd::Shutdown);
         end
     }
 
-    /// Put a task's `Done` on the wire and, in the same write, the
-    /// `Request` for the next task — the dispatcher reads both in one
-    /// wakeup. An agent that is stopping reports without asking.
-    fn report(&self, writer: &Wire, done: &WorkerMsg, stopping: bool) -> std::io::Result<()> {
-        if stopping || self.killed() {
-            writer.lock().send(done)
-        } else {
-            writer.lock().send_pair(done, &WorkerMsg::Request)
-        }
-    }
-
-    /// Report a task that failed before execution started.
-    fn report_failure(
-        &self,
-        writer: &Wire,
-        task_id: u64,
-        trace: u64,
-        exit_code: i32,
-    ) -> Result<(), SessionEnd> {
-        let done = WorkerMsg::Done {
-            task_id,
-            exit_code,
-            wall_ms: 0,
-            output: None,
-            trace,
-        };
-        self.report(writer, &done, false)
-            .map_err(|_| self.lost_or_killed())
-    }
-
-    /// Hand a task to the runner, starting one if the last was abandoned.
-    fn start_task(&mut self, assignment: TaskAssignment, cancel: CancelToken) -> bool {
-        if self.runner.is_none() {
-            self.runners_started += 1;
-            let spawned = TaskRunner::spawn(
-                self.runners_started,
-                Arc::clone(self.executor),
-                self.events_tx.clone(),
-            );
-            self.runner = spawned.ok();
-        }
-        let handed = self
-            .runner
-            .as_ref()
-            .is_some_and(|r| r.jobs.send((assignment, cancel)).is_ok());
-        if !handed {
-            self.runner = None;
-        }
-        handed
-    }
-
-    /// The execute → report → request loop of one session; the first
-    /// `Request` is already on the wire.
-    fn task_loop(&mut self, writer: &Wire, worker_id: u64) -> SessionEnd {
-        let config = self.config;
+    /// Block for the next dispatcher frame. The read has a timeout only
+    /// while a canceled task's grace clock runs; a frame the timeout cuts
+    /// in two stays in `rx` and is completed by the next read.
+    fn next_frame(&mut self, rx: &mut Rx) -> Result<DispatcherMsg, NoFrame> {
         loop {
-            if self.killed() {
-                return SessionEnd::Killed;
-            }
-            let mut assignment = loop {
-                match self.next_frame() {
-                    Some(DispatcherMsg::Assign(a)) => break a,
-                    Some(DispatcherMsg::Shutdown) => return SessionEnd::Shutdown,
-                    // A cancel racing a task that already reported: ignore.
-                    Some(DispatcherMsg::Cancel { .. }) => continue,
-                    // Stray acks and relay-scoped envelopes (a worker never
-                    // receives routed frames — its relay unwraps them): ignore.
-                    Some(
-                        DispatcherMsg::Registered { .. }
-                        | DispatcherMsg::RelayRegistered { .. }
-                        | DispatcherMsg::RelayAssign { .. }
-                        | DispatcherMsg::RelayCancel { .. },
-                    ) => continue,
-                    None => return self.lost_or_killed(),
-                }
-            };
-
-            // Node-local staging (paper Section 5, feature 2): copy the job's
-            // listed files into this node's cache once, then expose the cache
-            // directory to the task.
-            if !assignment.stage.is_empty() {
-                let (trace, job, task) = (assignment.trace, assignment.job_id, assignment.task_id);
-                if let Some(log) = self.log {
-                    log.span_start(trace, SpanKind::Stage, WriterRole::Worker, job, task);
-                }
-                // The span closes on failure too — a stage span whose end
-                // abuts a failed report is exactly what the trace should show.
-                let staged = match self.local_cache.get_or_init(&config.name) {
-                    Ok(cache) => cache.stage_all(&assignment.stage).is_ok().then(|| {
-                        push_env(
-                            &mut assignment,
-                            "JETS_LOCAL_DIR",
-                            &cache.dir().to_string_lossy(),
-                        );
-                    }),
-                    Err(_) => None,
-                };
-                if let Some(log) = self.log {
-                    log.span_end(trace, SpanKind::Stage, WriterRole::Worker, job, task);
-                }
-                if staged.is_none() {
-                    if let Some(m) = &config.metrics {
-                        m.staging_failed_total.inc();
-                    }
-                    match self.report_failure(writer, task, trace, EXIT_STAGING_FAILED) {
-                        Ok(()) => continue,
-                        Err(end) => return end,
-                    }
+            if let Some(deadline) = self.grace {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let sock = rx.get_ref().get_ref();
+                let link = self.pilot.link.lock();
+                if !link.task.as_ref().is_some_and(|t| t.canceled) {
+                    // It stood down and its runner reported.
+                    self.grace = None;
+                    let _ = sock.set_read_timeout(None);
+                } else if left.is_zero() {
+                    return Err(NoFrame::GraceExpired);
+                } else {
+                    let _ = sock.set_read_timeout(Some(left));
                 }
             }
-
-            let task = RunningTask {
-                task_id: assignment.task_id,
-                job_id: assignment.job_id,
-                trace: assignment.trace,
-                ranks: match &assignment.kind {
-                    jets_core::protocol::TaskKind::Sequential { .. } => 1,
-                    jets_core::protocol::TaskKind::MpiProxy { ranks, .. } => ranks.len() as u32,
-                },
-                cancel: CancelToken::new(),
-                started: Instant::now(),
-                cancel_deadline: None,
-            };
-            // A task that never got a thread reports the executor's spawn
-            // failure code, exactly as if the process itself had failed to
-            // start; the dispatcher's retry ladder takes it from there.
-            if !self.start_task(assignment, task.cancel.clone()) {
-                match self.report_failure(writer, task.task_id, task.trace, EXIT_SPAWN_FAILED) {
-                    Ok(()) => continue,
-                    Err(end) => return end,
-                }
-            }
-            if let Some(log) = self.log {
-                log.record(EventKind::TaskStarted {
-                    task: task.task_id,
-                    job: task.job_id,
-                    worker: worker_id,
-                    ranks: task.ranks,
-                });
-                let (trace, job) = (task.trace, task.job_id);
-                log.span_start(trace, SpanKind::Exec, WriterRole::Worker, job, task.task_id);
-            }
-            if let Err(end) = self.finish_task(writer, task, worker_id) {
-                return end;
+            match rx.recv::<DispatcherMsg>() {
+                Ok(Some(msg)) => return Ok(msg),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Ok(None) | Err(_) => return Err(NoFrame::Closed),
             }
         }
     }
 
-    /// Wait for `task` — just started, or carried over from a lost
-    /// session whose `SessionState` claim is already on the wire — then
-    /// report it and ask for the next. While it runs the dispatcher's
-    /// verdict is honoured as it arrives: silence lets the task finish,
-    /// a `Cancel` trips its token at once and starts the grace clock.
-    /// `Err` ends the session.
-    fn finish_task(
-        &mut self,
-        writer: &Wire,
-        mut task: RunningTask,
-        worker_id: u64,
-    ) -> Result<(), SessionEnd> {
-        let config = self.config;
-        // Guard, not paired inc/dec calls: the wait below leaves through
-        // several arms, and the gauge must balance on all of them.
-        let _inflight = config.metrics.as_ref().map(|m| {
-            m.tasks_inflight.inc();
-            InflightGuard(&m.tasks_inflight)
-        });
-        let mut shutdown_after = false;
-        let result: Option<TaskOutcome> = loop {
-            if let Some(outcome) = self.finished.take() {
-                break Some(outcome);
-            }
-            let msg = match self.next_event(task.cancel_deadline) {
-                Some(AgentEvent::Finished { outcome, .. }) => break Some(outcome),
-                Some(AgentEvent::Wire { msg, .. }) => msg,
-                None => {
-                    // Grace expired: abandon the runner with the task.
-                    self.runner = None;
-                    break None;
-                }
-            };
-            match msg {
-                Some(DispatcherMsg::Cancel { task_id }) if task_id == task.task_id => {
-                    // Gang teardown, a deadline, or a rejected claim:
-                    // trip the token and give the task the grace period
-                    // to stand down.
-                    if task.cancel_deadline.is_none() {
-                        task.cancel.cancel();
-                        task.cancel_deadline = Some(Instant::now() + config.cancel_grace);
+    /// Act on the dispatcher's frames until the session ends; the first
+    /// `Request` (or the carried task's claim) is already on the wire.
+    /// While a task runs the dispatcher's verdict is honoured as it
+    /// arrives: silence lets the task finish and its runner report, a
+    /// `Cancel` trips its token at once and starts the grace clock.
+    fn session_loop(&mut self, rx: &mut Rx) -> SessionEnd {
+        let pilot = Arc::clone(&self.pilot);
+        loop {
+            match self.next_frame(rx) {
+                Ok(DispatcherMsg::Assign(assignment)) => {
+                    if let Err(end) = self.start(assignment) {
+                        return end;
                     }
                 }
-                Some(DispatcherMsg::Cancel { .. }) => {} // stale
-                Some(DispatcherMsg::Shutdown) => shutdown_after = true,
-                // Stray acks / relay-scoped envelopes mid-task: a
-                // worker never acts on routed frames.
-                Some(
+                Ok(DispatcherMsg::Cancel { task_id }) => {
+                    if pilot.link.lock().cancel(task_id) {
+                        self.grace = Some(Instant::now() + pilot.config.cancel_grace);
+                    }
+                }
+                Ok(DispatcherMsg::Shutdown) => {
+                    let mut link = pilot.link.lock();
+                    if link.task.is_none() {
+                        return SessionEnd::Shutdown;
+                    }
+                    link.stopping = true;
+                }
+                // Stray acks and relay-scoped envelopes (a worker never
+                // receives routed frames — its relay unwraps them): ignore.
+                Ok(
                     DispatcherMsg::Registered { .. }
-                    | DispatcherMsg::Assign(_)
                     | DispatcherMsg::RelayRegistered { .. }
                     | DispatcherMsg::RelayAssign { .. }
                     | DispatcherMsg::RelayCancel { .. },
                 ) => {}
-                None => {
-                    if self.killed() {
-                        return Err(SessionEnd::Killed);
+                Err(NoFrame::GraceExpired) => {
+                    // Abandon the runner with the task, unless it
+                    // reported at the last moment.
+                    if pilot.link.lock().end_task(&pilot, None) {
+                        self.runner = None;
                     }
+                }
+                Err(NoFrame::Closed) => {
+                    let mut link = pilot.link.lock();
+                    // Hung up on purpose, after the last report (which
+                    // went out: the wire is still there).
+                    if link.stopping && link.task.is_none() && link.wire.is_some() {
+                        return SessionEnd::Shutdown;
+                    }
+                    link.wire = None;
+                    link.stopping = false;
                     // The dispatcher vanished mid-task. Keep the task
                     // alive and carry it into the next session: a
                     // restarted dispatcher re-adopts the gang from our
@@ -950,73 +873,143 @@ impl<'a> Agent<'a> {
                     // merely dropped us answers with `Cancel`. A task
                     // already canceled is discounted everywhere —
                     // abandon it.
-                    if task.cancel_deadline.is_none() {
-                        self.carried = Some(task);
-                    } else {
+                    if link.task.as_ref().is_some_and(|t| t.canceled) {
+                        link.task = None;
                         self.runner = None;
                     }
-                    return Err(SessionEnd::Lost);
+                    return self.lost_or_killed();
                 }
             }
-        };
-        // A canceled task always reports EXIT_CANCELED — the dispatcher
-        // already discounted the task, so the report's only job is
-        // recycling this worker via the stale-Done path.
-        let canceled = task.cancel_deadline.is_some();
-        let outcome = match result {
-            Some(o) if !canceled => o,
-            abandoned_or_canceled => TaskOutcome {
-                exit_code: EXIT_CANCELED,
-                output: abandoned_or_canceled.and_then(|o| o.output),
-            },
-        };
-        let wall_ms = task.started.elapsed().as_millis() as u64;
-        if let Some(log) = self.log {
-            // For a carried task this closes the span the original
-            // session opened; the outage is inside it, which is the truth.
-            let (trace, job) = (task.trace, task.job_id);
-            log.span_end(trace, SpanKind::Exec, WriterRole::Worker, job, task.task_id);
-            log.record(EventKind::TaskEnded {
-                task: task.task_id,
-                job: task.job_id,
-                worker: worker_id,
-                ranks: task.ranks,
-                exit_code: outcome.exit_code,
-                trace: task.trace,
-            });
         }
-        if let Some(m) = &config.metrics {
-            m.tasks_executed_total.inc();
-            if canceled {
-                m.tasks_canceled_total.inc();
-            } else if outcome.exit_code != 0 {
-                m.tasks_failed_total.inc();
-            }
-            m.task_seconds.record(wall_ms.saturating_mul(1_000));
-        }
+    }
+
+    /// Report a task that failed before execution started.
+    fn report_failure(&self, task_id: u64, trace: u64, exit_code: i32) -> Result<(), SessionEnd> {
         let done = WorkerMsg::Done {
-            task_id: task.task_id,
-            exit_code: outcome.exit_code,
-            wall_ms,
-            output: outcome.output,
-            trace: task.trace,
+            task_id,
+            exit_code,
+            wall_ms: 0,
+            output: None,
+            trace,
         };
-        if self.report(writer, &done, shutdown_after).is_err() {
-            // The report never reached the wire. Stash it for replay
-            // after the next registration so the dispatcher still hears
-            // the result exactly once (a canceled report carries no
-            // information a recovering dispatcher wants).
-            if !self.killed() && !canceled {
-                self.stashed.push(done);
-            }
-            return Err(self.lost_or_killed());
+        let pilot = &self.pilot;
+        let sent = pilot.link.lock().report(pilot, &done);
+        sent.map_err(|_| self.lost_or_killed())
+    }
+
+    /// Stage an assignment's files and hand it to the runner, starting
+    /// one if the last was abandoned. `Err` ends the session.
+    fn start(&mut self, mut assignment: TaskAssignment) -> Result<(), SessionEnd> {
+        let pilot = &self.pilot;
+        let config = &pilot.config;
+        // A stray `Assign` while a task is in flight: ignore.
+        if pilot.link.lock().task.is_some() {
+            return Ok(());
         }
-        self.tasks_done += 1;
-        if shutdown_after {
-            return Err(SessionEnd::Shutdown);
+        // Node-local staging (paper Section 5, feature 2): copy the job's
+        // listed files into this node's cache once, then expose the cache
+        // directory to the task.
+        if !assignment.stage.is_empty() {
+            let (trace, job, task) = (assignment.trace, assignment.job_id, assignment.task_id);
+            if let Some(log) = &pilot.log {
+                log.span_start(trace, SpanKind::Stage, WriterRole::Worker, job, task);
+            }
+            // The span closes on failure too — a stage span whose end
+            // abuts a failed report is exactly what the trace should show.
+            let staged = match self.local_cache.get_or_init(&config.name) {
+                Ok(cache) => cache.stage_all(&assignment.stage).is_ok().then(|| {
+                    push_env(
+                        &mut assignment,
+                        "JETS_LOCAL_DIR",
+                        &cache.dir().to_string_lossy(),
+                    );
+                }),
+                Err(_) => None,
+            };
+            if let Some(log) = &pilot.log {
+                log.span_end(trace, SpanKind::Stage, WriterRole::Worker, job, task);
+            }
+            if staged.is_none() {
+                if let Some(m) = &config.metrics {
+                    m.staging_failed_total.inc();
+                }
+                return self.report_failure(task, trace, EXIT_STAGING_FAILED);
+            }
+        }
+
+        if self.runner.is_none() {
+            self.runners_started += 1;
+            let id = self.runners_started;
+            self.runner = spawn_runner(Arc::clone(pilot), id)
+                .ok()
+                .map(|jobs| (id, jobs));
+        }
+        // A task that never got a thread reports the executor's spawn
+        // failure code, exactly as if the process itself had failed to
+        // start; the dispatcher's retry ladder takes it from there.
+        let Some((runner, jobs)) = &self.runner else {
+            return self.report_failure(assignment.task_id, assignment.trace, EXIT_SPAWN_FAILED);
+        };
+        let task = RunningTask {
+            task_id: assignment.task_id,
+            job_id: assignment.job_id,
+            trace: assignment.trace,
+            ranks: match &assignment.kind {
+                jets_core::protocol::TaskKind::Sequential { .. } => 1,
+                jets_core::protocol::TaskKind::MpiProxy { ranks, .. } => ranks.len() as u32,
+            },
+            runner: *runner,
+            cancel: CancelToken::new(),
+            started: Instant::now(),
+            canceled: false,
+            // Guard, not paired inc/dec calls: the task leaves the link
+            // on several paths, and the gauge must balance on all of them.
+            _inflight: config.metrics.as_ref().map(|m| {
+                m.tasks_inflight.inc();
+                InflightGuard(Arc::clone(&m.tasks_inflight))
+            }),
+        };
+        // In the link before the runner has it: the runner reports
+        // through the link, possibly before `send` returns.
+        let cancel = task.cancel.clone();
+        pilot.link.lock().begin(pilot, task);
+        if jobs.send((assignment, cancel)).is_err() {
+            // The runner thread is gone; the task never ran.
+            let outcome = TaskOutcome {
+                exit_code: EXIT_SPAWN_FAILED,
+                output: None,
+            };
+            pilot.link.lock().finish(pilot, *runner, outcome);
+            self.runner = None;
         }
         Ok(())
     }
+}
+
+/// The session's heartbeat thread: one `Heartbeat` per `period` until
+/// the session ends (`stop`, with an unpark so it ends now and not a
+/// period later), the pilot is killed, or the wire fails.
+fn spawn_heartbeat(
+    pilot: Arc<Pilot>,
+    period: Duration,
+    stop: Arc<AtomicBool>,
+) -> std::io::Result<JoinHandle<()>> {
+    thread::Builder::new()
+        .name(format!("hb-{}", pilot.config.name))
+        .stack_size(64 * 1024)
+        .spawn(move || {
+            let mut due = Instant::now() + period;
+            while !stop.load(Ordering::Acquire) && !pilot.killed() {
+                let now = Instant::now();
+                if now < due {
+                    thread::park_timeout(due - now);
+                } else if pilot.link.lock().send(&WorkerMsg::Heartbeat).is_ok() {
+                    due = now + period;
+                } else {
+                    return;
+                }
+            }
+        })
 }
 
 #[cfg(test)]
@@ -1128,7 +1121,8 @@ mod tests {
 
     /// An executor that records where its tasks run. `block` ignores
     /// its token and spins until the test releases it; `until-cancel`
-    /// returns the moment its token trips; anything else is a no-op.
+    /// returns the moment its token trips; `spin:N` ignores its token
+    /// for N µs; anything else is a no-op.
     #[derive(Default)]
     struct ProbeExecutor {
         log: Mutex<ProbeLog>,
@@ -1143,6 +1137,7 @@ mod tests {
         fn execute_cancellable(&self, a: &TaskAssignment, cancel: &CancelToken) -> TaskOutcome {
             self.log.lock().threads.push(thread::current().id());
             match a.cmd().name() {
+                app if app.starts_with("spin:") => spin(app[5..].parse().unwrap()),
                 "block" => {
                     while !self.release.load(Ordering::Acquire) {
                         thread::sleep(Duration::from_millis(1));
@@ -1163,10 +1158,18 @@ mod tests {
         }
     }
 
+    fn spin(us: u64) {
+        let until = Instant::now() + Duration::from_micros(us);
+        while Instant::now() < until {
+            std::hint::spin_loop();
+        }
+    }
+
     /// The dispatcher end of one agent connection, driven by the test
     /// frame by frame so that what the agent puts on the wire, and when,
     /// is observable.
     struct ScriptedDispatcher {
+        listener: std::net::TcpListener,
         rx: MsgReader<BufReader<TcpStream>>,
         tx: MsgWriter<TcpStream>,
     }
@@ -1181,18 +1184,49 @@ mod tests {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap().to_string();
             let worker = Worker::spawn(config(WorkerConfig::new(addr, "scripted")), exec);
+            let (rx, tx) = Self::accept(&listener);
+            let mut d = ScriptedDispatcher { listener, rx, tx };
+            d.register();
+            assert_eq!(d.recv(), WorkerMsg::Request);
+            (d, worker)
+        }
+
+        fn accept(
+            listener: &std::net::TcpListener,
+        ) -> (MsgReader<BufReader<TcpStream>>, MsgWriter<TcpStream>) {
             let (stream, _) = listener.accept().unwrap();
             stream.set_read_timeout(Some(WAIT)).unwrap();
             stream.set_nodelay(true).unwrap();
-            let mut d = ScriptedDispatcher {
-                tx: MsgWriter::new(stream.try_clone().unwrap()),
-                rx: MsgReader::new(BufReader::new(stream)),
-            };
-            assert!(matches!(d.recv(), WorkerMsg::Register { .. }));
-            d.tx.send(&DispatcherMsg::Registered { worker_id: 1 })
+            let tx = MsgWriter::new(stream.try_clone().unwrap());
+            (MsgReader::new(BufReader::new(stream)), tx)
+        }
+
+        /// Take the agent's `Register` and acknowledge it.
+        fn register(&mut self) {
+            assert!(matches!(self.recv(), WorkerMsg::Register { .. }));
+            self.tx
+                .send(&DispatcherMsg::Registered { worker_id: 1 })
                 .unwrap();
-            assert_eq!(d.recv(), WorkerMsg::Request);
-            (d, worker)
+        }
+
+        /// Cut the connection, as a dying dispatcher would, and take the
+        /// agent's next one through registration.
+        fn cut_and_reaccept(&mut self, before_registered: impl FnOnce()) {
+            self.tx.get_ref().shutdown(Shutdown::Both).unwrap();
+            (self.rx, self.tx) = Self::accept(&self.listener);
+            before_registered();
+            self.register();
+        }
+
+        /// Every frame up to the agent's hang-up.
+        fn frames_to_eof(&mut self) -> Vec<WorkerMsg> {
+            std::iter::from_fn(|| self.rx.recv().unwrap()).collect()
+        }
+
+        /// Send `Shutdown`; the agent's exit and what it wrote on its way.
+        fn shut_down(mut self, w: Worker) -> (WorkerExit, Vec<WorkerMsg>) {
+            self.tx.send(&DispatcherMsg::Shutdown).unwrap();
+            (w.join(), self.frames_to_eof())
         }
 
         fn recv(&mut self) -> WorkerMsg {
@@ -1200,7 +1234,11 @@ mod tests {
         }
 
         fn assign(&mut self, task_id: u64, app: &str) {
-            let assignment = TaskAssignment {
+            self.tx.send(&Self::assignment(task_id, app)).unwrap();
+        }
+
+        fn assignment(task_id: u64, app: &str) -> DispatcherMsg {
+            DispatcherMsg::Assign(TaskAssignment {
                 task_id,
                 job_id: task_id,
                 trace: 0,
@@ -1208,8 +1246,7 @@ mod tests {
                     cmd: CommandSpec::builtin(app, vec![]),
                 },
                 stage: Vec::new(),
-            };
-            self.tx.send(&DispatcherMsg::Assign(assignment)).unwrap();
+            })
         }
 
         /// The `Done` for `task_id` and the `Request` that rides with it.
@@ -1335,6 +1372,183 @@ mod tests {
         );
         d.tx.send(&DispatcherMsg::Shutdown).unwrap();
         assert_eq!(w.join().reason, ExitReason::Shutdown);
+    }
+
+    /// Whichever of the runner (task over) and the agent (`Cancel` read)
+    /// gets to the link first decides the exit code; the other finds
+    /// nothing left to report.
+    #[test]
+    fn cancel_racing_completion_yields_one_done_then_one_request() {
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c, exec);
+        let mut rng = SplitMix64::new(15);
+        for task_id in 1..=200 {
+            let (run_us, cancel_after_us) = (rng.gen_range(0..300), rng.gen_range(0..300));
+            d.assign(task_id, &format!("spin:{run_us}"));
+            spin(cancel_after_us);
+            d.tx.send(&DispatcherMsg::Cancel { task_id }).unwrap();
+            let exit_code = d.done_then_request(task_id);
+            assert!(matches!(exit_code, 0 | EXIT_CANCELED), "exit {exit_code}");
+        }
+        // A second `Done` or `Request` anywhere above would have been
+        // read in place of the next round's `Done`, or of this `Goodbye`.
+        let (exit, frames) = d.shut_down(w);
+        assert_eq!(frames, [WorkerMsg::Goodbye]);
+        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 200));
+    }
+
+    #[test]
+    fn task_that_ends_during_an_outage_is_reported_once_on_the_next_wire() {
+        let exec = Arc::new(ProbeExecutor::default());
+        let policy = ReconnectPolicy {
+            base_backoff: Duration::from_millis(5),
+            ..ReconnectPolicy::default()
+        };
+        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c.with_reconnect(policy), exec.clone());
+        d.assign(1, "block");
+        wait_for("the blocking task to start", || {
+            exec.log.lock().threads.len() == 1
+        });
+        // The agent is back and waiting for `Registered` when the task
+        // ends: no wire to report on.
+        d.cut_and_reaccept(|| {
+            exec.release.store(true, Ordering::Release);
+            thread::sleep(Duration::from_millis(50));
+        });
+        // Stashed by then (or, on a slow host, still running and claimed).
+        let WorkerMsg::SessionState { running } = d.recv() else {
+            panic!("expected SessionState");
+        };
+        assert!(running.is_none() || running == Some((1, 1)));
+        assert_eq!(d.done_then_request(1), 0);
+        d.assign(2, "noop");
+        assert_eq!(d.done_then_request(2), 0);
+        let (exit, frames) = d.shut_down(w);
+        assert_eq!(frames, [WorkerMsg::Goodbye]);
+        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 2));
+    }
+
+    #[test]
+    fn shutdown_mid_task_yields_done_without_request_then_goodbye() {
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c, exec.clone());
+        d.assign(1, "block");
+        wait_for("the blocking task to start", || {
+            exec.log.lock().threads.len() == 1
+        });
+        d.tx.send(&DispatcherMsg::Shutdown).unwrap();
+        // Time for the agent to read it; the task is what it waits for.
+        thread::sleep(Duration::from_millis(100));
+        assert!(!w.is_finished());
+        exec.release.store(true, Ordering::Release);
+        let exit = w.join();
+        let frames = d.frames_to_eof();
+        assert!(
+            matches!(
+                frames[..],
+                [
+                    WorkerMsg::Done {
+                        task_id: 1,
+                        exit_code: 0,
+                        ..
+                    },
+                    WorkerMsg::Goodbye
+                ]
+            ),
+            "{frames:?}"
+        );
+        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 1));
+    }
+
+    #[test]
+    fn shutdown_then_expired_grace_still_ends_the_agent() {
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(
+            |c| WorkerConfig {
+                cancel_grace: Duration::from_millis(40),
+                ..c
+            },
+            exec.clone(),
+        );
+        d.assign(1, "block");
+        wait_for("the blocking task to start", || {
+            exec.log.lock().threads.len() == 1
+        });
+        // Nobody releases the task: it is the agent that gives up on it.
+        d.tx.send(&DispatcherMsg::Cancel { task_id: 1 }).unwrap();
+        let (exit, frames) = d.shut_down(w);
+        assert!(
+            matches!(
+                frames[..],
+                [
+                    WorkerMsg::Done {
+                        task_id: 1,
+                        exit_code: EXIT_CANCELED,
+                        ..
+                    },
+                    WorkerMsg::Goodbye
+                ]
+            ),
+            "{frames:?}"
+        );
+        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 1));
+        exec.release.store(true, Ordering::Release);
+    }
+
+    /// The grace clock is a read timeout on the session socket; a frame
+    /// half-received when it fires must survive it.
+    #[test]
+    fn frame_split_across_the_cancel_grace_wait_is_delivered_whole() {
+        use std::io::Write;
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(
+            |c| WorkerConfig {
+                cancel_grace: Duration::from_millis(60),
+                ..c
+            },
+            exec.clone(),
+        );
+        d.assign(1, "block");
+        wait_for("the blocking task to start", || {
+            exec.log.lock().threads.len() == 1
+        });
+        let mut frame = Vec::new();
+        jets_core::protocol::encode_msg_buf(&ScriptedDispatcher::assignment(2, "noop"), &mut frame)
+            .unwrap();
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        d.tx.send(&DispatcherMsg::Cancel { task_id: 1 }).unwrap();
+        d.tx.get_mut().write_all(head).unwrap();
+        // The timed read ran out with `head` in hand.
+        assert_eq!(d.done_then_request(1), EXIT_CANCELED);
+        d.tx.get_mut().write_all(tail).unwrap();
+        assert_eq!(d.done_then_request(2), 0);
+        d.tx.send(&DispatcherMsg::Shutdown).unwrap();
+        assert_eq!(w.join().reason, ExitReason::Shutdown);
+        exec.release.store(true, Ordering::Release);
+    }
+
+    /// The heartbeat thread ends with its session, not up to a period
+    /// (and one `Heartbeat`) later.
+    #[test]
+    fn goodbye_is_the_last_frame_of_a_shut_down_session() {
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(
+            |c| WorkerConfig {
+                heartbeat: Some(Duration::from_millis(5)),
+                ..c
+            },
+            exec,
+        );
+        assert_eq!(d.recv(), WorkerMsg::Heartbeat);
+        assert_eq!(d.recv(), WorkerMsg::Heartbeat);
+        let (exit, frames) = d.shut_down(w);
+        assert_eq!(exit.reason, ExitReason::Shutdown);
+        let (last, before) = frames.split_last().expect("a Goodbye at least");
+        assert_eq!(*last, WorkerMsg::Goodbye, "{frames:?}");
+        assert!(
+            before.iter().all(|f| *f == WorkerMsg::Heartbeat),
+            "{frames:?}"
+        );
     }
 
     #[test]
