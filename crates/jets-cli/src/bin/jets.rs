@@ -10,8 +10,6 @@
 //! jets journal <dump|verify> FILE
 //! jets flight <dump|tail> FILE [--stats] [--interval-ms MS]
 //! jets trace <export|critical-path JOB|stats> FLIGHT_FILE... [--out FILE]
-//! jets bench-conn [--conns N] [--frames M] [--loops L]
-//!                 [--workers W] [--jobs J] [--out FILE]
 //! ```
 //!
 //! Reads a task list (`MPI: <nodes> [ppn=<k>] cmd args...` or bare
@@ -54,16 +52,13 @@
 use cluster_sim::{science_registry, Allocation, AllocationConfig};
 use jets_cli::prom::Scrape;
 use jets_cli::{parse_args, Args};
-use jets_core::protocol::{read_msg, write_msg, DispatcherMsg, WorkerMsg};
 use jets_core::{stats, Dispatcher, DispatcherConfig, EventKind, JobStatus};
 use jets_obs::Histogram;
-use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig};
 use jets_worker::Executor;
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::BufReader;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -86,13 +81,6 @@ fn main() {
     if argv.first().map(String::as_str) == Some("trace") {
         let args = parse_args(argv.into_iter().skip(1), &["out"]);
         trace_main(&args);
-    }
-    if argv.first().map(String::as_str) == Some("bench-conn") {
-        let args = parse_args(
-            argv.into_iter().skip(1),
-            &["conns", "frames", "loops", "workers", "jobs", "out"],
-        );
-        bench_conn_main(&args);
     }
     let args = parse_args(
         argv,
@@ -810,337 +798,4 @@ fn render_top(addr: &str, tick: u64, s: &Scrape) {
             get("0.99"),
         );
     }
-}
-
-/// `jets bench-conn`: measure the event-driven connection core and emit
-/// a JSON report.
-///
-/// Two phases:
-///
-/// 1. `reactor_echo` — a raw `jets-reactor` echo server: `--conns`
-///    connections ping-pong `--frames` newline frames round-robin
-///    through `--loops` event loops. No serde on this path, so it runs
-///    anywhere — including the offline stub workspace — and isolates
-///    the reactor's own per-frame cost.
-/// 2. `dispatcher_scale` — a real dispatcher with `--conns` raw workers
-///    registered over blocking sockets, held open: the thread census
-///    before/after is the O(event loops)-not-O(connections) claim as a
-///    number. Needs a working serde to frame the handshake; recorded as
-///    skipped (with the reason) where only the inert stub is available.
-/// 3. `job_throughput` — `--jobs` builtin no-op jobs drained by
-///    `--workers` simulated workers: launch rate plus the per-phase
-///    latency percentiles off the dispatcher's own histograms. Same
-///    serde requirement as phase 2.
-fn bench_conn_main(args: &Args) -> ! {
-    let conns: usize = args.get_parse("conns", 512usize).max(1);
-    let frames: usize = args.get_parse("frames", 20_000usize).max(1);
-    let loops: usize = args.get_parse("loops", 2usize).max(1);
-
-    let workers: u32 = args.get_parse("workers", 64u32).max(1);
-    let jobs: usize = args.get_parse("jobs", 1024usize).max(1);
-
-    eprintln!("bench-conn: reactor echo ({conns} conns, {frames} frames, {loops} loops)");
-    let echo = bench_reactor_echo(conns, frames, loops);
-    eprintln!("bench-conn: dispatcher scale ({conns} raw workers)");
-    let scale = bench_dispatcher_scale(conns);
-    eprintln!("bench-conn: job throughput ({jobs} jobs over {workers} simulated workers)");
-    let thru = bench_job_throughput(workers, jobs);
-
-    let mut doc = String::from("{\n");
-    doc.push_str("  \"bench\": \"bench-conn\",\n");
-    doc.push_str(&format!(
-        "  \"config\": {{ \"conns\": {conns}, \"frames\": {frames}, \"event_loops\": {loops} }},\n"
-    ));
-    match &echo {
-        Ok(s) => doc.push_str(&format!("  \"reactor_echo\": {s},\n")),
-        Err(e) => doc.push_str(&format!(
-            "  \"reactor_echo\": {{ \"skipped\": {} }},\n",
-            json_str(e)
-        )),
-    }
-    match &scale {
-        Ok(s) => doc.push_str(&format!("  \"dispatcher_scale\": {s},\n")),
-        Err(e) => doc.push_str(&format!(
-            "  \"dispatcher_scale\": {{ \"skipped\": {} }},\n",
-            json_str(e)
-        )),
-    }
-    match &thru {
-        Ok(s) => doc.push_str(&format!("  \"job_throughput\": {s}\n")),
-        Err(e) => doc.push_str(&format!(
-            "  \"job_throughput\": {{ \"skipped\": {} }}\n",
-            json_str(e)
-        )),
-    }
-    doc.push_str("}\n");
-
-    match args.get("out") {
-        Some(path) => match std::fs::write(path, &doc) {
-            Ok(()) => println!("bench-conn: wrote {path}"),
-            Err(e) => {
-                eprintln!("bench-conn: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => print!("{doc}"),
-    }
-    std::process::exit(if echo.is_ok() { 0 } else { 1 });
-}
-
-/// Minimal JSON string escaping for error messages.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// `Threads:` from `/proc/self/status`, where the OS offers it.
-fn thread_census() -> Option<usize> {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()?
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-}
-
-fn json_opt(n: Option<usize>) -> String {
-    n.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
-/// Echo state machine for the raw reactor phase.
-struct Echo {
-    out: Option<Arc<Outbox>>,
-    buf: Vec<u8>,
-}
-
-impl ConnHandler for Echo {
-    fn on_open(&mut self, outbox: &Arc<Outbox>) {
-        self.out = Some(outbox.clone());
-    }
-    fn on_frame(&mut self, frame: &[u8]) -> Flow {
-        self.buf.clear();
-        self.buf.extend_from_slice(frame);
-        self.buf.push(b'\n');
-        match &self.out {
-            Some(out) if out.send(&self.buf) => Flow::Continue,
-            _ => Flow::Close,
-        }
-    }
-    fn on_close(&mut self, _reason: CloseReason) {}
-}
-
-fn bench_reactor_echo(conns: usize, frames: usize, loops: usize) -> Result<String, String> {
-    let reactor = Reactor::start(ReactorConfig {
-        event_loops: loops,
-        thread_name: "bench-loop".to_string(),
-        ..ReactorConfig::default()
-    })
-    .map_err(|e| format!("reactor start: {e}"))?;
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
-    reactor
-        .listen(
-            listener,
-            Arc::new(|_sock: &TcpStream, _peer| {
-                Some(Box::new(Echo {
-                    out: None,
-                    buf: Vec::new(),
-                }) as Box<dyn ConnHandler>)
-            }),
-        )
-        .map_err(|e| format!("listen: {e}"))?;
-
-    let threads_before = thread_census();
-    let mut clients = Vec::with_capacity(conns);
-    for i in 0..conns {
-        let sock = TcpStream::connect(addr).map_err(|e| format!("connect {i}: {e}"))?;
-        sock.set_read_timeout(Some(Duration::from_secs(10))).ok();
-        sock.set_nodelay(true).ok();
-        let writer = sock.try_clone().map_err(|e| format!("clone {i}: {e}"))?;
-        clients.push((BufReader::new(sock), writer));
-    }
-    let threads_after = thread_census();
-
-    let start = Instant::now();
-    let mut line = String::new();
-    for i in 0..frames {
-        let (reader, writer) = &mut clients[i % conns];
-        writer
-            .write_all(format!("ping-{i}\n").as_bytes())
-            .map_err(|e| format!("frame {i} write: {e}"))?;
-        line.clear();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| format!("frame {i} read: {e}"))?;
-        if line.trim_end() != format!("ping-{i}") {
-            return Err(format!("frame {i}: echo mismatch: {line:?}"));
-        }
-    }
-    let wall = start.elapsed();
-    let stats = reactor.stats();
-    let per_sec = frames as f64 / wall.as_secs_f64().max(1e-9);
-    let out = format!(
-        "{{ \"wall_ms\": {}, \"round_trips_per_sec\": {:.0}, \"threads_before_connect\": {}, \"threads_after_connect\": {}, \"reactor_connections_registered\": {}, \"reactor_frames_in\": {}, \"reactor_bytes_in\": {}, \"reactor_wakeups\": {}, \"outbox_high_water_bytes\": {}, \"slow_consumer_disconnects\": {} }}",
-        wall.as_millis(),
-        per_sec,
-        json_opt(threads_before),
-        json_opt(threads_after),
-        stats.connections_registered(),
-        stats.frames_in(),
-        stats.bytes_in(),
-        stats.wakeups(),
-        stats.outbox_high_water(),
-        stats.slow_consumer_disconnects(),
-    );
-    reactor.shutdown();
-    drop(clients);
-    Ok(out)
-}
-
-fn bench_dispatcher_scale(conns: usize) -> Result<String, String> {
-    wire_serde_available()?;
-    let d = Dispatcher::start(DispatcherConfig::default())
-        .map_err(|e| format!("dispatcher start: {e}"))?;
-    let addr = d.addr().to_string();
-    let threads_before = thread_census();
-    let mut held = Vec::with_capacity(conns);
-    for i in 0..conns {
-        let sock = TcpStream::connect(&addr).map_err(|e| format!("connect {i}: {e}"))?;
-        sock.set_read_timeout(Some(Duration::from_secs(10))).ok();
-        let mut writer = sock.try_clone().map_err(|e| format!("clone {i}: {e}"))?;
-        let mut reader = BufReader::new(sock);
-        write_msg(
-            &mut writer,
-            &WorkerMsg::Register {
-                name: format!("bench-{i}"),
-                cores: 1,
-                location: "bench".to_string(),
-            },
-        )
-        .map_err(|e| format!("register {i}: {e}"))?;
-        let ack: Option<DispatcherMsg> =
-            read_msg(&mut reader).map_err(|e| format!("ack {i}: {e}"))?;
-        if !matches!(ack, Some(DispatcherMsg::Registered { .. })) {
-            return Err(format!(
-                "connection {i}: no Registered ack (got {ack:?}); \
-                 a None here usually means this build cannot frame wire \
-                 messages (offline stub serde) — run from the full workspace"
-            ));
-        }
-        held.push((reader, writer));
-    }
-    let threads_after = thread_census();
-    let grown = match (threads_before, threads_after) {
-        (Some(b), Some(a)) => Some(a.saturating_sub(b)),
-        _ => None,
-    };
-    let rs = d.reactor_stats();
-    let out = format!(
-        "{{ \"conns\": {}, \"alive_workers\": {}, \"threads_before_connect\": {}, \"threads_after_connect\": {}, \"thread_growth\": {}, \"reactor_event_loops\": {}, \"reactor_connections_open\": {}, \"reactor_wakeups\": {} }}",
-        conns,
-        d.alive_workers(),
-        json_opt(threads_before),
-        json_opt(threads_after),
-        json_opt(grown),
-        d.reactor_event_loops(),
-        rs.connections_open(),
-        rs.wakeups(),
-    );
-    d.shutdown();
-    drop(held);
-    Ok(out)
-}
-
-/// Quick round-trip probe: can this build actually frame and parse wire
-/// messages? The offline stub serde serializes but cannot deserialize,
-/// so dispatcher-side phases would stall or drop every connection —
-/// detect that up front and skip with a reason instead.
-fn wire_serde_available() -> Result<(), String> {
-    let mut probe = Vec::new();
-    jets_core::protocol::encode_msg_buf(&WorkerMsg::Goodbye, &mut probe)
-        .map_err(|e| format!("wire serde unavailable (encode: {e})"))?;
-    jets_core::protocol::decode_msg::<WorkerMsg>(&probe[..probe.len().saturating_sub(1)])
-        .map(drop)
-        .map_err(|e| format!("wire serde unavailable, offline stub build (decode: {e})"))
-}
-
-fn bench_job_throughput(workers: u32, jobs: usize) -> Result<String, String> {
-    wire_serde_available()?;
-    let d = Dispatcher::start(DispatcherConfig::default())
-        .map_err(|e| format!("dispatcher start: {e}"))?;
-    let alloc = Allocation::start(
-        &d.addr().to_string(),
-        AllocationConfig::new(workers),
-        Arc::new(Executor::new(science_registry())),
-    );
-    let ready_deadline = Instant::now() + Duration::from_secs(30);
-    while d.alive_workers() < workers as usize {
-        if Instant::now() > ready_deadline {
-            return Err(format!(
-                "only {}/{workers} simulated workers registered in 30s",
-                d.alive_workers()
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    let batch = "@sleep 0\n".repeat(jobs);
-    let start = Instant::now();
-    let ids = d.submit_input(&batch).map_err(|e| format!("submit: {e}"))?;
-    if !d.wait_idle(Duration::from_secs(300)) {
-        return Err(format!(
-            "timed out with {} jobs outstanding",
-            d.outstanding()
-        ));
-    }
-    let wall = start.elapsed();
-    let ok = ids
-        .iter()
-        .filter(|id| {
-            matches!(
-                d.job_record(**id).map(|r| r.status),
-                Some(JobStatus::Succeeded)
-            )
-        })
-        .count();
-    let rate = jobs as f64 / wall.as_secs_f64().max(1e-9);
-
-    // Phase latency percentiles straight off the dispatcher's own
-    // histograms, via the same text format `jets top` scrapes.
-    let scrape = Scrape::parse(&d.metrics().render());
-    let mut phases = String::from("{ ");
-    for (n, phase) in jets_core::metrics::JOB_PHASES.iter().enumerate() {
-        let q = scrape.quantiles(jets_core::metrics::JOB_PHASE_METRIC, "phase", phase);
-        let get = |k: &str| q.get(k).copied().unwrap_or(0.0);
-        if n > 0 {
-            phases.push_str(", ");
-        }
-        phases.push_str(&format!(
-            "\"{phase}\": {{ \"p50_s\": {:.6}, \"p95_s\": {:.6}, \"p99_s\": {:.6} }}",
-            get("0.5"),
-            get("0.95"),
-            get("0.99"),
-        ));
-    }
-    phases.push_str(" }");
-
-    let out = format!(
-        "{{ \"workers\": {workers}, \"jobs\": {jobs}, \"succeeded\": {ok}, \"wall_ms\": {}, \"launch_rate_per_sec\": {rate:.0}, \"phase_latency\": {phases} }}",
-        wall.as_millis(),
-    );
-    d.shutdown();
-    alloc.join_all();
-    Ok(out)
 }

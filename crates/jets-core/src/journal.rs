@@ -85,7 +85,7 @@ impl FsyncPolicy {
 /// One journaled state transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// A job was accepted (`submit_batch`); carries the full spec so
+    /// A job was accepted (`Core::submit`); carries the full spec so
     /// replay can requeue it without any other source of truth.
     Submitted {
         /// The job.

@@ -38,10 +38,15 @@
 //!   `GET /metrics`; see `docs/observability.md`.
 //! * [`journal`] — crash-durable write-ahead journal of dispatcher state
 //!   transitions; replayed on restart (see `docs/fault-tolerance.md`).
-//! * [`dispatcher`] — the engine tying it all together.
+//! * [`core`] — the scheduling decision procedure as a single-threaded
+//!   state machine: no clock, socket, lock or file; every effect goes
+//!   through the [`core::Effects`] its caller passes in.
+//! * [`dispatcher`] — the engine tying it all together: the I/O shell
+//!   around [`core`] (reactor, locks, journal, flight recorder, metrics).
 
 #![warn(missing_docs)]
 
+pub mod core;
 pub mod dispatcher;
 pub mod events;
 pub mod group;

@@ -27,7 +27,7 @@ pub const JOB_PHASES: [&str; 5] = ["queue", "launch", "pmi", "run", "total"];
 /// Static metric handles for one dispatcher instance.
 pub struct DispatcherMetrics {
     registry: Arc<Registry>,
-    /// Jobs accepted into the queue (`submit_batch`).
+    /// Jobs accepted into the queue (`Dispatcher::submit_all`).
     pub jobs_submitted_total: Arc<Counter>,
     /// Jobs that reached a terminal state (succeeded or failed).
     pub jobs_completed_total: Arc<Counter>,
@@ -84,20 +84,16 @@ pub struct DispatcherMetrics {
     /// dispatcher restart.
     pub gangs_readopted_total: Arc<Counter>,
     /// Events recorded into the flight-recorder ring. Bridged from the
-    /// ring's claim cursor by the monitor — the metric surface is a
-    /// ring *reader* and never touches the record path.
+    /// ring's own sequence number by the monitor — no slot is read, and
+    /// the record path is never touched.
     pub events_recorded_total: Arc<Counter>,
     /// Events currently retained in the ring window.
     pub events_retained: Arc<Gauge>,
     /// The ring's capacity: events held before overwriting the oldest.
     pub events_capacity: Arc<Gauge>,
-    /// Times the writer lapped the metrics-bridge cursor — events
-    /// overwritten before any reader saw them. Nonzero means the
-    /// `--flight-recorder` ring is too small for the event rate.
+    /// Events the writer has overwritten (recorded − retained). Nonzero
+    /// means the `--flight-recorder` ring is too small to hold the run.
     pub flight_reader_laps_total: Arc<Counter>,
-    /// Slots the metrics-bridge cursor lost mid-copy (the writer moved
-    /// the slot stamp during the read).
-    pub flight_reader_torn_total: Arc<Counter>,
     /// Queue-wait phase: last enqueue → workers selected.
     pub phase_queue: Arc<Histogram>,
     /// Launch phase: workers selected → assignments shipped.
@@ -217,11 +213,7 @@ impl DispatcherMetrics {
             ),
             flight_reader_laps_total: r.counter(
                 "jets_flight_reader_laps_total",
-                "Events the ring writer overwrote before the metrics-bridge cursor read them",
-            ),
-            flight_reader_torn_total: r.counter(
-                "jets_flight_reader_torn_total",
-                "Ring slots the metrics-bridge cursor lost mid-copy",
+                "Events the ring writer has overwritten (recorded - retained)",
             ),
             phase_queue: phase("queue"),
             phase_launch: phase("launch"),
@@ -290,7 +282,6 @@ mod tests {
             "jets_events_retained",
             "jets_events_capacity",
             "jets_flight_reader_laps_total",
-            "jets_flight_reader_torn_total",
             "jets_build_info",
             JOB_PHASE_METRIC,
         ] {

@@ -126,7 +126,7 @@ pub enum WorkerMsg {
     },
     /// A relayed worker disconnected from its relay (death or partition).
     /// The dispatcher treats this exactly like a direct worker's EOF:
-    /// `handle_worker_down`, gang cancellation for its in-flight task.
+    /// `Core::worker_down`, gang cancellation for its in-flight task.
     RelayWorkerGone {
         /// Dispatcher-assigned id of the departed worker.
         worker: u64,

@@ -14,10 +14,17 @@
 //! storm from ten thousand pilots therefore never touches the scheduling
 //! lock — each `Heartbeat` message is a single relaxed atomic store. The
 //! monitor thread reads the same atomics when hunting for hung workers.
+//!
+//! ## No clock in here
+//!
+//! Every time-dependent method takes the caller's `now`: the registry is
+//! part of the dispatcher core ([`crate::core`]), which runs under
+//! whatever clock its caller keeps — the wall clock in the dispatcher
+//! shell, a virtual one in the model check.
 
 use crate::group::{LocId, LocationInterner};
 use crate::spec::{JobId, WorkerId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,27 +42,31 @@ pub struct HeartbeatHandle {
 }
 
 impl HeartbeatHandle {
-    fn new(epoch: Instant) -> Self {
+    fn new(epoch: Instant, now: Instant) -> Self {
         let h = HeartbeatHandle {
             last_seen_ms: Arc::new(AtomicU64::new(0)),
             epoch,
         };
-        h.beat();
+        h.beat(now);
         h
     }
 
-    /// Record "heard from now". Lock-free; safe from any thread.
-    pub fn beat(&self) {
+    /// Record "heard from at `now`". Lock-free; safe from any thread.
+    pub fn beat(&self, now: Instant) {
         // jets-lint: allow(relaxed) monotonic liveness clock: the monitor tolerates a stale read (one extra tick of apparent silence); no data is published through this store
         self.last_seen_ms
-            .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
+            .store(ms_between(self.epoch, now), Ordering::Relaxed);
     }
 
-    /// Milliseconds since this worker was last heard from.
-    pub fn silence_ms(&self) -> u64 {
-        let now = self.epoch.elapsed().as_millis() as u64;
-        now.saturating_sub(self.last_seen_ms.load(Ordering::Relaxed))
+    /// Milliseconds, at `now`, since this worker was last heard from.
+    pub fn silence_ms(&self, now: Instant) -> u64 {
+        ms_between(self.epoch, now).saturating_sub(self.last_seen_ms.load(Ordering::Relaxed))
     }
+}
+
+/// Whole milliseconds from `epoch` to `now`, zero if `now` is earlier.
+fn ms_between(epoch: Instant, now: Instant) -> u64 {
+    now.saturating_duration_since(epoch).as_millis() as u64
 }
 
 /// What a worker is doing right now.
@@ -144,8 +155,11 @@ pub struct WorkerInfo {
 /// The set of known workers.
 #[derive(Debug)]
 pub struct Registry {
-    workers: HashMap<WorkerId, WorkerInfo>,
+    /// Ordered, so every sweep (`stale`, `release_expired`, `relayed_by`)
+    /// reports in id order and a seeded schedule replays bit for bit.
+    workers: BTreeMap<WorkerId, WorkerInfo>,
     locations: LocationInterner,
+    /// The instant liveness and quarantine clocks count from.
     epoch: Instant,
     /// Gang-kill strikes by worker *name*, surviving reconnects.
     faults: HashMap<String, FaultRecord>,
@@ -157,41 +171,23 @@ pub struct Registry {
     seen_names: std::collections::HashSet<String>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
+impl Registry {
+    /// An empty registry whose clocks count from `epoch`, benching repeat
+    /// gang-killers per `policy` (`None`: every registration is `Idle`).
+    pub fn new(epoch: Instant, policy: Option<QuarantinePolicy>) -> Self {
         Registry {
-            workers: HashMap::new(),
+            workers: BTreeMap::new(),
             locations: LocationInterner::new(),
-            epoch: Instant::now(),
+            epoch,
             faults: HashMap::new(),
-            quarantine: None,
+            quarantine: policy,
             seen_names: std::collections::HashSet::new(),
         }
     }
-}
 
-impl Registry {
-    /// An empty registry with no quarantine policy.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// An empty registry that benches repeat gang-killers per `policy`.
-    pub fn with_quarantine(policy: Option<QuarantinePolicy>) -> Self {
-        Registry {
-            quarantine: policy,
-            ..Registry::default()
-        }
-    }
-
-    /// Milliseconds since the registry's epoch (the clock quarantine
-    /// release times are expressed in).
-    pub fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// Record a newly registered worker, returning its liveness handle
-    /// for the connection thread. Admitted `Idle` unless the name has
+    /// Record a worker registered at `now` through `relay` (`None` for a
+    /// direct connection), returning its liveness handle for the
+    /// connection thread. Admitted `Idle` unless the name has
     /// `threshold`+ live strikes under the quarantine policy, in which
     /// case it starts `Quarantined`.
     pub fn insert(
@@ -200,23 +196,12 @@ impl Registry {
         name: String,
         cores: u32,
         location: String,
-    ) -> HeartbeatHandle {
-        self.insert_via(id, name, cores, location, None)
-    }
-
-    /// [`Registry::insert`], recording the relay the worker registered
-    /// through (`None` for a direct connection).
-    pub fn insert_via(
-        &mut self,
-        id: WorkerId,
-        name: String,
-        cores: u32,
-        location: String,
         relay: Option<WorkerId>,
+        now: Instant,
     ) -> HeartbeatHandle {
         let loc = self.locations.intern(&location);
-        let liveness = HeartbeatHandle::new(self.epoch);
-        let state = self.admission_state(&name);
+        let liveness = HeartbeatHandle::new(self.epoch, now);
+        let state = self.admission_state(&name, now);
         self.seen_names.insert(name.clone());
         self.workers.insert(
             id,
@@ -235,7 +220,7 @@ impl Registry {
         liveness
     }
 
-    /// Ids of live workers registered through `relay`.
+    /// Ids of live workers registered through `relay`, in id order.
     pub fn relayed_by(&self, relay: WorkerId) -> Vec<WorkerId> {
         self.workers
             .values()
@@ -246,11 +231,11 @@ impl Registry {
 
     /// Decide a (re-)registering name's initial state under the
     /// quarantine policy, pruning decayed strike records on the way.
-    fn admission_state(&mut self, name: &str) -> WorkerState {
+    fn admission_state(&mut self, name: &str, now: Instant) -> WorkerState {
         let Some(policy) = &self.quarantine else {
             return WorkerState::Idle;
         };
-        let now = self.epoch.elapsed().as_millis() as u64;
+        let now = ms_between(self.epoch, now);
         let decay_ms = policy.decay.as_millis() as u64;
         let Some(rec) = self.faults.get(name) else {
             return WorkerState::Idle;
@@ -271,10 +256,10 @@ impl Registry {
     /// Charge a gang-kill strike to `id`'s name (the worker died or hung
     /// while a task was in flight). Returns the name's live strike count,
     /// or `None` when the id is unknown or no quarantine policy is set.
-    pub fn record_fault(&mut self, id: WorkerId) -> Option<u32> {
+    pub fn record_fault(&mut self, id: WorkerId, now: Instant) -> Option<u32> {
         self.quarantine.as_ref()?;
         let name = self.workers.get(&id)?.name.clone();
-        let now = self.epoch.elapsed().as_millis() as u64;
+        let now = ms_between(self.epoch, now);
         let rec = self.faults.entry(name).or_insert(FaultRecord {
             strikes: 0,
             last_ms: now,
@@ -285,14 +270,14 @@ impl Registry {
     }
 
     /// Seed `strikes` live strikes against `name` — journal replay after
-    /// a dispatcher restart. The decay clock restarts now: the journal
-    /// records strike counts, not the wall-clock instants they were
-    /// earned (those died with the previous incarnation's epoch).
-    pub fn seed_strikes(&mut self, name: &str, strikes: u32) {
+    /// a dispatcher restart. The decay clock restarts at `now`: the
+    /// journal records strike counts, not the wall-clock instants they
+    /// were earned (those died with the previous incarnation's epoch).
+    pub fn seed_strikes(&mut self, name: &str, strikes: u32, now: Instant) {
         if self.quarantine.is_none() || strikes == 0 {
             return;
         }
-        let now = self.epoch.elapsed().as_millis() as u64;
+        let now = ms_between(self.epoch, now);
         self.faults.insert(
             name.to_string(),
             FaultRecord {
@@ -312,10 +297,10 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// Release every quarantined worker whose penalty has expired,
-    /// returning their ids (now `Idle`). Called by the monitor loop.
-    pub fn release_expired(&mut self) -> Vec<WorkerId> {
-        let now = self.epoch.elapsed().as_millis() as u64;
+    /// Release every quarantined worker whose penalty has expired by
+    /// `now`, returning their ids (now `Idle`) in id order.
+    pub fn release_expired(&mut self, now: Instant) -> Vec<WorkerId> {
+        let now = ms_between(self.epoch, now);
         let mut released = Vec::new();
         for w in self.workers.values_mut() {
             if let WorkerState::Quarantined { until_ms } = w.state {
@@ -341,17 +326,17 @@ impl Registry {
     /// Update a worker's liveness timestamp. Lock-free once you hold the
     /// worker's [`HeartbeatHandle`]; this by-id variant is for callers
     /// that only have the registry.
-    pub fn touch(&self, id: WorkerId) {
+    pub fn touch(&self, id: WorkerId, now: Instant) {
         if let Some(w) = self.workers.get(&id) {
-            w.liveness.beat();
+            w.liveness.beat(now);
         }
     }
 
     /// Transition a worker to `Busy(job)`.
-    pub fn mark_busy(&mut self, id: WorkerId, job: JobId) {
+    pub fn mark_busy(&mut self, id: WorkerId, job: JobId, now: Instant) {
         if let Some(w) = self.workers.get_mut(&id) {
             w.state = WorkerState::Busy(job);
-            w.liveness.beat();
+            w.liveness.beat(now);
         }
     }
 
@@ -359,7 +344,7 @@ impl Registry {
     /// Dead and quarantined workers stay put: a late `Done` (stale report
     /// after a hang verdict or a cancellation) must not resurrect or
     /// un-bench them.
-    pub fn mark_idle(&mut self, id: WorkerId) {
+    pub fn mark_idle(&mut self, id: WorkerId, now: Instant) {
         if let Some(w) = self.workers.get_mut(&id) {
             match w.state {
                 WorkerState::Busy(_) => {
@@ -369,7 +354,7 @@ impl Registry {
                 WorkerState::Idle => {}
                 WorkerState::Quarantined { .. } | WorkerState::Dead => return,
             }
-            w.liveness.beat();
+            w.liveness.beat(now);
         }
     }
 
@@ -385,14 +370,15 @@ impl Registry {
         job
     }
 
-    /// Workers not seen for longer than `timeout` (hang detection).
-    /// Does not report already-dead workers. Reads only the per-worker
-    /// atomics — no worker's connection thread is ever blocked by this.
-    pub fn stale(&self, timeout: Duration) -> Vec<WorkerId> {
+    /// Workers not seen for longer than `timeout` at `now` (hang
+    /// detection), in id order. Does not report already-dead workers.
+    /// Reads only the per-worker atomics — no worker's connection thread
+    /// is ever blocked by this.
+    pub fn stale(&self, now: Instant, timeout: Duration) -> Vec<WorkerId> {
         let timeout_ms = timeout.as_millis() as u64;
         self.workers
             .values()
-            .filter(|w| w.state != WorkerState::Dead && w.liveness.silence_ms() > timeout_ms)
+            .filter(|w| w.state != WorkerState::Dead && w.liveness.silence_ms(now) > timeout_ms)
             .map(|w| w.id)
             .collect()
     }
@@ -448,37 +434,45 @@ impl Registry {
 mod tests {
     use super::*;
 
-    fn reg_with(ids: &[WorkerId]) -> Registry {
-        let mut r = Registry::new();
+    /// `ms` milliseconds after `t0` on the tests' virtual clock.
+    fn at(t0: Instant, ms: u64) -> Instant {
+        t0 + Duration::from_millis(ms)
+    }
+
+    fn reg_with(t0: Instant, ids: &[WorkerId]) -> Registry {
+        let mut r = Registry::new(t0, None);
         for &id in ids {
-            r.insert(id, format!("w{id}"), 4, "rack-0".into());
+            r.insert(id, format!("w{id}"), 4, "rack-0".into(), None, t0);
         }
         r
     }
 
     #[test]
     fn lifecycle_idle_busy_idle() {
-        let mut r = reg_with(&[1]);
+        let t0 = Instant::now();
+        let mut r = reg_with(t0, &[1]);
         assert_eq!(r.get(1).unwrap().state, WorkerState::Idle);
-        r.mark_busy(1, 77);
+        r.mark_busy(1, 77, t0);
         assert_eq!(r.get(1).unwrap().state, WorkerState::Busy(77));
         assert_eq!(r.busy_count(), 1);
-        r.mark_idle(1);
+        r.mark_idle(1, t0);
         assert_eq!(r.get(1).unwrap().state, WorkerState::Idle);
         assert_eq!(r.get(1).unwrap().tasks_done, 1);
     }
 
     #[test]
     fn idle_to_idle_does_not_inflate_task_count() {
-        let mut r = reg_with(&[1]);
-        r.mark_idle(1);
+        let t0 = Instant::now();
+        let mut r = reg_with(t0, &[1]);
+        r.mark_idle(1, t0);
         assert_eq!(r.get(1).unwrap().tasks_done, 0);
     }
 
     #[test]
     fn death_reports_inflight_job() {
-        let mut r = reg_with(&[1, 2]);
-        r.mark_busy(1, 5);
+        let t0 = Instant::now();
+        let mut r = reg_with(t0, &[1, 2]);
+        r.mark_busy(1, 5, t0);
         assert_eq!(r.mark_dead(1), Some(5));
         assert_eq!(r.mark_dead(2), None);
         assert_eq!(r.alive_count(), 0);
@@ -486,35 +480,38 @@ mod tests {
 
     #[test]
     fn stale_detection_skips_dead_workers() {
-        let mut r = reg_with(&[1, 2]);
+        let t0 = Instant::now();
+        let mut r = reg_with(t0, &[1, 2]);
         r.mark_dead(2);
-        std::thread::sleep(Duration::from_millis(15));
-        let stale = r.stale(Duration::from_millis(5));
+        let stale = r.stale(at(t0, 15), Duration::from_millis(5));
         assert_eq!(stale, vec![1]);
         // Touch resets staleness.
-        r.touch(1);
-        assert!(r.stale(Duration::from_millis(5)).is_empty());
+        r.touch(1, at(t0, 15));
+        assert!(r.stale(at(t0, 15), Duration::from_millis(5)).is_empty());
     }
 
     /// A heartbeat handle keeps a worker fresh without any registry call
     /// — the lock-free path the dispatcher's heartbeat handling uses.
     #[test]
     fn heartbeat_handle_is_shared_with_the_registry() {
-        let mut r = Registry::new();
-        let hb = r.insert(1, "w1".into(), 1, "rack-0".into());
-        std::thread::sleep(Duration::from_millis(15));
-        assert_eq!(r.stale(Duration::from_millis(5)), vec![1]);
-        hb.beat();
-        assert!(r.stale(Duration::from_millis(5)).is_empty());
-        assert!(hb.silence_ms() < 5);
+        let t0 = Instant::now();
+        let mut r = Registry::new(t0, None);
+        let hb = r.insert(1, "w1".into(), 1, "rack-0".into(), None, t0);
+        assert_eq!(r.stale(at(t0, 15), Duration::from_millis(5)), vec![1]);
+        hb.beat(at(t0, 15));
+        assert!(r.stale(at(t0, 18), Duration::from_millis(5)).is_empty());
+        assert_eq!(hb.silence_ms(at(t0, 18)), 3);
+        // A reading from before the last beat saturates to zero.
+        assert_eq!(hb.silence_ms(at(t0, 10)), 0);
     }
 
     #[test]
     fn locations_are_interned_per_registry() {
-        let mut r = Registry::new();
-        r.insert(1, "a".into(), 1, "rack-0".into());
-        r.insert(2, "b".into(), 1, "rack-1".into());
-        r.insert(3, "c".into(), 1, "rack-0".into());
+        let t0 = Instant::now();
+        let mut r = Registry::new(t0, None);
+        r.insert(1, "a".into(), 1, "rack-0".into(), None, t0);
+        r.insert(2, "b".into(), 1, "rack-1".into(), None, t0);
+        r.insert(3, "c".into(), 1, "rack-0".into(), None, t0);
         assert_eq!(r.get(1).unwrap().loc, r.get(3).unwrap().loc);
         assert_ne!(r.get(1).unwrap().loc, r.get(2).unwrap().loc);
         assert_eq!(r.locations().len(), 2);
@@ -523,8 +520,9 @@ mod tests {
 
     #[test]
     fn counts() {
-        let mut r = reg_with(&[1, 2, 3]);
-        r.mark_busy(2, 1);
+        let t0 = Instant::now();
+        let mut r = reg_with(t0, &[1, 2, 3]);
+        r.mark_busy(2, 1, t0);
         r.mark_dead(3);
         assert_eq!(r.len(), 3);
         assert_eq!(r.alive_count(), 2);
@@ -532,109 +530,111 @@ mod tests {
         assert!(!r.is_empty());
     }
 
-    fn quarantine_policy(penalty_ms: u64, decay_ms: u64) -> QuarantinePolicy {
-        QuarantinePolicy {
+    fn quarantine_policy(penalty_ms: u64, decay_ms: u64) -> Option<QuarantinePolicy> {
+        Some(QuarantinePolicy {
             threshold: 2,
             penalty: Duration::from_millis(penalty_ms),
             decay: Duration::from_millis(decay_ms),
             max_penalty: Duration::from_secs(10),
-        }
+        })
     }
 
     #[test]
     fn strikes_quarantine_a_reconnecting_name() {
-        let mut r = Registry::with_quarantine(Some(quarantine_policy(50, 10_000)));
+        let t0 = Instant::now();
+        let mut r = Registry::new(t0, quarantine_policy(50, 10_000));
         // First incarnation dies mid-gang twice (reconnect between).
-        r.insert(1, "flaky".into(), 1, "rack-0".into());
-        r.mark_busy(1, 9);
-        assert_eq!(r.record_fault(1), Some(1));
+        r.insert(1, "flaky".into(), 1, "rack-0".into(), None, t0);
+        r.mark_busy(1, 9, t0);
+        assert_eq!(r.record_fault(1, t0), Some(1));
         r.mark_dead(1);
-        r.insert(2, "flaky".into(), 1, "rack-0".into());
+        r.insert(2, "flaky".into(), 1, "rack-0".into(), None, t0);
         assert_eq!(
             r.get(2).unwrap().state,
             WorkerState::Idle,
             "one strike is tolerated"
         );
-        r.mark_busy(2, 10);
-        assert_eq!(r.record_fault(2), Some(2));
+        r.mark_busy(2, 10, t0);
+        assert_eq!(r.record_fault(2, t0), Some(2));
         r.mark_dead(2);
-        // Third incarnation is benched.
-        r.insert(3, "flaky".into(), 1, "rack-0".into());
-        assert!(matches!(
+        // Third incarnation is benched for penalty × strikes.
+        r.insert(3, "flaky".into(), 1, "rack-0".into(), None, at(t0, 7));
+        assert_eq!(
             r.get(3).unwrap().state,
-            WorkerState::Quarantined { .. }
-        ));
+            WorkerState::Quarantined { until_ms: 107 }
+        );
         // Quarantined still counts as alive, and a stale Done does not
         // un-bench it.
         assert_eq!(r.alive_count(), 1);
-        r.mark_idle(3);
+        r.mark_idle(3, at(t0, 8));
         assert!(matches!(
             r.get(3).unwrap().state,
             WorkerState::Quarantined { .. }
         ));
-        // The penalty expires and the monitor releases it.
-        std::thread::sleep(Duration::from_millis(150));
-        assert_eq!(r.release_expired(), vec![3]);
+        // The penalty expires — to the millisecond — and it is released.
+        assert!(r.release_expired(at(t0, 106)).is_empty());
+        assert_eq!(r.release_expired(at(t0, 107)), vec![3]);
         assert_eq!(r.get(3).unwrap().state, WorkerState::Idle);
     }
 
     #[test]
     fn strikes_decay() {
-        let mut r = Registry::with_quarantine(Some(quarantine_policy(50, 20)));
-        r.insert(1, "w".into(), 1, "rack-0".into());
-        r.mark_busy(1, 1);
-        r.record_fault(1);
-        r.record_fault(1);
+        let t0 = Instant::now();
+        let mut r = Registry::new(t0, quarantine_policy(50, 20));
+        r.insert(1, "w".into(), 1, "rack-0".into(), None, t0);
+        r.mark_busy(1, 1, t0);
+        r.record_fault(1, t0);
+        r.record_fault(1, t0);
         r.mark_dead(1);
-        std::thread::sleep(Duration::from_millis(40));
         // Strikes are stale: the name re-registers Idle.
-        r.insert(2, "w".into(), 1, "rack-0".into());
+        r.insert(2, "w".into(), 1, "rack-0".into(), None, at(t0, 21));
         assert_eq!(r.get(2).unwrap().state, WorkerState::Idle);
     }
 
     #[test]
     fn seeded_strikes_quarantine_like_earned_ones() {
-        let mut r = Registry::with_quarantine(Some(quarantine_policy(50, 10_000)));
-        r.seed_strikes("flaky", 2);
-        r.seed_strikes("fine", 0); // no-op
-        r.insert(1, "flaky".into(), 1, "rack-0".into());
+        let t0 = Instant::now();
+        let mut r = Registry::new(t0, quarantine_policy(50, 10_000));
+        r.seed_strikes("flaky", 2, t0);
+        r.seed_strikes("fine", 0, t0); // no-op
+        r.insert(1, "flaky".into(), 1, "rack-0".into(), None, t0);
         assert!(matches!(
             r.get(1).unwrap().state,
             WorkerState::Quarantined { .. }
         ));
         assert_eq!(r.strikes(1), 2);
-        r.insert(2, "fine".into(), 1, "rack-0".into());
+        r.insert(2, "fine".into(), 1, "rack-0".into(), None, t0);
         assert_eq!(r.get(2).unwrap().state, WorkerState::Idle);
         // Without a policy, seeding is a no-op.
-        let mut bare = Registry::new();
-        bare.seed_strikes("flaky", 5);
-        bare.insert(3, "flaky".into(), 1, "rack-0".into());
+        let mut bare = Registry::new(t0, None);
+        bare.seed_strikes("flaky", 5, t0);
+        bare.insert(3, "flaky".into(), 1, "rack-0".into(), None, t0);
         assert_eq!(bare.get(3).unwrap().state, WorkerState::Idle);
     }
 
     #[test]
     fn no_policy_means_no_quarantine() {
-        let mut r = reg_with(&[1]);
-        r.mark_busy(1, 1);
-        assert_eq!(r.record_fault(1), None);
+        let t0 = Instant::now();
+        let mut r = reg_with(t0, &[1]);
+        r.mark_busy(1, 1, t0);
+        assert_eq!(r.record_fault(1, t0), None);
         r.mark_dead(1);
-        r.insert(2, "w1".into(), 4, "rack-0".into());
+        r.insert(2, "w1".into(), 4, "rack-0".into(), None, t0);
         assert_eq!(r.get(2).unwrap().state, WorkerState::Idle);
-        assert!(r.release_expired().is_empty());
+        assert!(r.release_expired(at(t0, 60_000)).is_empty());
     }
 
     #[test]
     fn relayed_workers_are_tracked_per_relay() {
-        let mut r = Registry::new();
-        r.insert(1, "direct".into(), 4, "rack-0".into());
-        r.insert_via(2, "a".into(), 4, "rack-0".into(), Some(100));
-        r.insert_via(3, "b".into(), 4, "rack-0".into(), Some(100));
-        r.insert_via(4, "c".into(), 4, "rack-0".into(), Some(200));
+        let t0 = Instant::now();
+        let mut r = Registry::new(t0, None);
+        r.insert(1, "direct".into(), 4, "rack-0".into(), None, t0);
+        r.insert(2, "a".into(), 4, "rack-0".into(), Some(100), t0);
+        r.insert(3, "b".into(), 4, "rack-0".into(), Some(100), t0);
+        r.insert(4, "c".into(), 4, "rack-0".into(), Some(200), t0);
         assert_eq!(r.get(1).unwrap().relay, None);
         assert_eq!(r.get(2).unwrap().relay, Some(100));
-        let mut via_100 = r.relayed_by(100);
-        via_100.sort_unstable();
-        assert_eq!(via_100, vec![2, 3]);
+        assert_eq!(r.relayed_by(100), vec![2, 3]);
         r.mark_dead(3);
         assert_eq!(r.relayed_by(100), vec![2]);
         assert_eq!(r.relayed_by(200), vec![4]);
@@ -643,10 +643,11 @@ mod tests {
 
     #[test]
     fn unknown_ids_are_harmless() {
-        let mut r = Registry::new();
-        r.touch(9);
-        r.mark_busy(9, 1);
-        r.mark_idle(9);
+        let t0 = Instant::now();
+        let mut r = Registry::new(t0, None);
+        r.touch(9, t0);
+        r.mark_busy(9, 1, t0);
+        r.mark_idle(9, t0);
         assert_eq!(r.mark_dead(9), None);
         assert!(r.get(9).is_none());
     }

@@ -85,6 +85,11 @@ fn loopback_many_workers_many_short_jobs() {
     for id in ids {
         assert_eq!(d.job_record(id).unwrap().status, JobStatus::Succeeded);
     }
+    // The batch can drain before the last worker thread has connected;
+    // a shutdown now would refuse it, and it expects to register.
+    while d.workers().len() < WORKERS {
+        thread::sleep(Duration::from_millis(1));
+    }
     d.shutdown();
     let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(total, JOBS, "every job ran exactly once");

@@ -9,3 +9,9 @@ fn serve_metrics(inner: &Inner, sock: &mut TcpStream) {
     sock.flush();
     st.touch();
 }
+
+fn writes_output_under_lock(inner: &Inner, path: &Path, text: &str) {
+    let st = inner.sched.lock();
+    std::fs::write(path, text);
+    st.touch();
+}

@@ -19,3 +19,18 @@ fn serve_metrics(inner: &Inner, sock: &mut TcpStream) {
     sock.write_all(page.as_bytes());
     sock.flush();
 }
+
+fn queues_output_under_lock(inner: &Inner, path: PathBuf, text: String) {
+    {
+        let st = inner.sched.lock();
+        st.table.write(text.len());
+        inner.outputs.lock().push((path, text));
+    }
+    let files = {
+        let mut queued = inner.outputs.lock();
+        std::mem::take(&mut *queued)
+    };
+    for (path, text) in files {
+        std::fs::write(path, text);
+    }
+}

@@ -70,6 +70,11 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "write_msg_buf",
 ];
 
+/// `std::fs` functions that block on the disk, matched only when called
+/// through the module path (`fs::write(..)`): a bare `write` is also a
+/// lock, a buffer and a formatter method.
+pub const BLOCKING_FS: &[&str] = &["write", "create_dir_all"];
+
 /// A lock guard that is live at some program point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeldGuard {
@@ -529,7 +534,8 @@ fn find_let_binding(toks: &[Tok], lo: usize, dot: usize) -> Option<(String, usiz
 /// Shapes: `.recv()`-style method calls from [`BLOCKING_METHODS`],
 /// `.send(` on a socket-writer receiver (channel sends are
 /// non-blocking for the unbounded channels used here), and free or
-/// method calls of the [`BLOCKING_CALLS`] frame helpers. Shared by J2
+/// method calls of the [`BLOCKING_CALLS`] frame helpers, and `fs::`-
+/// qualified calls of the [`BLOCKING_FS`] functions. Shared by J2
 /// (blocking under a lock guard), J7 (blocking in a reactor callback),
 /// J8 (blocking in the ring writer path), and the taint seed.
 pub fn blocking_op_at(toks: &[Tok], i: usize) -> Option<String> {
@@ -562,6 +568,10 @@ pub fn blocking_op_at(toks: &[Tok], i: usize) -> Option<String> {
     // method calls of the frame helpers.
     if t.kind == TokKind::Ident && BLOCKING_CALLS.contains(&t.text.as_str()) && is_called(toks, i) {
         return Some(format!("{}()", t.text));
+    }
+    let via_fs = i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].text == "fs";
+    if via_fs && BLOCKING_FS.contains(&t.text.as_str()) && is_called(toks, i) {
+        return Some(format!("fs::{}()", t.text));
     }
     None
 }

@@ -1017,8 +1017,12 @@ fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
         return;
     }
     let toks = &file.lexed.toks;
+    // The dispatcher's scheduling core is handler scope as a whole:
+    // every transition in it runs on a frame, a disconnect or a replayed
+    // journal, whatever its name.
+    let all_handlers = file.path.ends_with("jets-core/src/core.rs");
     for func in &file.funcs {
-        if func.in_test || !is_handler_fn(&func.name) {
+        if func.in_test || !(all_handlers || is_handler_fn(&func.name)) {
             continue;
         }
         let mut i = func.body.start;

@@ -55,7 +55,11 @@ fn lock_order_good_is_clean() {
 fn lock_across_blocking_bad_fires_exactly() {
     assert_eq!(
         fired("lock-across-blocking/bad.rs"),
-        vec![("J2".to_string(), 3), ("J2".to_string(), 9)]
+        vec![
+            ("J2".to_string(), 3),
+            ("J2".to_string(), 9),
+            ("J2".to_string(), 15)
+        ]
     );
 }
 
