@@ -1008,7 +1008,6 @@ fn is_handler_fn(name: &str) -> bool {
         || name.starts_with("recover_")
         || name.starts_with("reconcile_")
         || name.ends_with("_loop")
-        || name.ends_with("_pump")
         || name.contains("session")
 }
 
@@ -1017,10 +1016,12 @@ fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
         return;
     }
     let toks = &file.lexed.toks;
-    // The dispatcher's scheduling core is handler scope as a whole:
-    // every transition in it runs on a frame, a disconnect or a replayed
-    // journal, whatever its name.
-    let all_handlers = file.path.ends_with("jets-core/src/core.rs");
+    // The dispatcher's scheduling core and the relay's routing core are
+    // handler scope as a whole: every transition in them runs on a frame,
+    // a disconnect or a replayed journal, whatever its name.
+    let all_handlers = ["jets-core/src/core.rs", "jets-relay/src/core.rs"]
+        .iter()
+        .any(|core| file.path.ends_with(core));
     for func in &file.funcs {
         if func.in_test || !(all_handlers || is_handler_fn(&func.name)) {
             continue;
@@ -1662,6 +1663,16 @@ mod tests {
         "#;
         let f = lint_one(src);
         assert!(f.iter().any(|f| f.rule == Rule::J6), "{f:?}");
+    }
+
+    #[test]
+    fn the_pure_cores_are_handler_scope_whatever_a_function_is_called() {
+        let src = "fn tick(&mut self) { self.members.get(&0).unwrap(); }";
+        for core in ["jets-core/src/core.rs", "jets-relay/src/core.rs"] {
+            let f = lint_sources(&[(PathBuf::from("crates").join(core), src.to_string())]);
+            assert!(f.iter().any(|f| f.rule == Rule::J6), "{core}: {f:?}");
+        }
+        assert!(lint_one(src).is_empty(), "a shell file is scoped by name");
     }
 
     #[test]

@@ -1,65 +1,56 @@
-//! The relay daemon: one upstream dispatcher connection fronting a
-//! block of downstream workers.
+//! The relay daemon: the shell around [`RelayCore`].
+//!
+//! What the relay *decides* — routing, re-registration, what is held
+//! across an outage, who gets cancelled locally — lives in
+//! [`crate::core`], and each guarantee is an invariant
+//! `tests/relay_model.rs` checks after every input of 2,000 seeded fault
+//! schedules. This file owns what the core may not: the sockets, the
+//! clock, the one lock, the metric handles and the event ring.
 //!
 //! ## Thread anatomy
 //!
-//! * **reactor event loop** — every member connection is multiplexed
-//!   onto one `jets-reactor` event loop: nonblocking reads drive the
-//!   [`MemberConn`] state machine, writes drain bounded per-member
-//!   outboxes. The worker-facing thread bill is O(1) in block size —
-//!   the old design spent a reader thread plus a writer thread (and an
-//!   unbounded channel) per member.
-//! * **upstream pump** — owns the dispatcher connection: connects (with
-//!   the PR 2 reconnect/backoff machinery), says `RelayHello`,
-//!   re-registers every member, then drains the upstream frame queue.
-//!   Every frame already queued when the pump wakes goes upstream in
-//!   one `write` (a member's `Done` and `Request` arrive together and
-//!   leave together); the pump never waits for a batch to fill.
-//!   The queue doubles as the outage buffer: frames enqueued while the
-//!   dispatcher is away are replayed into the next session. It is
-//!   bounded ([`RelayConfig::upqueue_limit`]) with a drop-oldest
-//!   overflow policy — see [`crate::upqueue`].
-//! * **upstream reader** — one per session; routes `RelayRegistered`
-//!   acks into the local↔global tables and unwraps routed
-//!   `RelayAssign`/`RelayCancel` envelopes to the addressed member.
-//! * **liveness ticker** — every `liveness_flush`, queues a `Flush`
-//!   frame; the pump turns it into one `BatchedHeartbeat` covering all
-//!   recently-heard members.
+//! * **the event loop** (`relay-loop-0`) — every member connection *and*
+//!   the upstream session are state machines on one `jets-reactor` loop.
+//!   A frame is decoded, handed to the core under the state lock, and
+//!   whatever the core emits is encoded onto the target connection's
+//!   bounded outbox before the callback returns; the loop drains the
+//!   outboxes at the end of the same iteration. A member's `Done` and
+//!   `Request`, read in one segment, therefore leave upstream as
+//!   `RelayDone` + `RelayRequest` in one `write` with no thread hand-off,
+//!   and a `RelayAssign` reaches its member the same way.
+//! * **the housekeeping thread** (`relay-keeper`) — everything that
+//!   blocks: connect upstream with the worker agent's backoff policy,
+//!   adopt the socket onto the loop ([`Reactor::add_stream`]), then sleep
+//!   on a condvar until the session's `on_close`, delivering
+//!   [`RelayCore::tick`] every `liveness_flush` meanwhile. A session that
+//!   ends before the dispatcher acked its hello counts as a failed
+//!   attempt, so a peer that accepts and closes is backed off from like
+//!   one that refuses.
 //!
 //! ## Locking
 //!
-//! One mutex guards the member tables. Member heartbeats do **not**
-//! take it — each member's last-heard clock is a relay-local
-//! `AtomicU64`, mirroring the dispatcher's lock-free liveness path — so
-//! a heartbeat storm from the block costs the relay N relaxed stores
-//! and the dispatcher one frame per flush period.
+//! One mutex guards the core and the connection handles its effects
+//! reach. The loop, the housekeeping thread and the accessors on
+//! [`Relay`] are the only takers, and none holds it across a blocking
+//! call: sends under it are outbox pushes.
 
+use crate::core::{Effects, Fact, RelayCore};
 use crate::metrics::RelayMetrics;
-use crate::upqueue::UpQueue;
-use jets_core::events::{EventKind, EventLog, SpanKind, WriterRole};
-use jets_core::protocol::{
-    decode_msg, encode_msg_buf, DispatcherMsg, MsgReader, MsgWriter, WorkerMsg, MAX_FRAME_BYTES,
-};
-use jets_core::spec::{JobId, TaskId, WorkerId};
+use jets_core::events::{EventLog, WriterRole};
+use jets_core::protocol::{decode_msg, encode_msg_buf, DispatcherMsg, WorkerMsg, MAX_FRAME_BYTES};
 use jets_obs::MetricsServer;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
-use jets_ring::stdx::{Mutex, SplitMix64};
+use jets_ring::stdx::{wait_for, Mutex, SplitMix64};
 use jets_worker::ReconnectPolicy;
-use std::collections::{HashMap, HashSet};
-use std::io::{self, BufReader};
+use std::collections::HashMap;
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Condvar, MutexGuard};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Stack size for relay service threads.
 const CONN_STACK: usize = 192 * 1024;
-
-/// Most frames the pump encodes into one upstream write. A replay after
-/// a long outage can find the whole queue ready; this bounds the encode
-/// buffer, not the rate.
-const PUMP_BATCH: usize = 256;
 
 /// Tuning knobs for one relay daemon.
 #[derive(Debug, Clone)]
@@ -83,10 +74,10 @@ pub struct RelayConfig {
     /// same machinery a worker agent uses toward the dispatcher. When
     /// attempts are exhausted the relay gives up and severs its block.
     pub reconnect: ReconnectPolicy,
-    /// High-water mark, in frames, of the bounded upstream replay
-    /// queue. At the mark the oldest frame is dropped to admit the
-    /// newest, so a long partition under a busy block caps relay memory
-    /// instead of growing it without bound.
+    /// High-water mark, in frames, of the bounded outage buffer (results
+    /// held while the dispatcher is away). At the mark the oldest frame
+    /// is dropped to admit the newest, so a long partition under a busy
+    /// block caps relay memory instead of growing it without bound.
     pub upqueue_limit: usize,
     /// Path of the mmap-backed flight-recorder file for the relay's own
     /// event log (drop events, member churn). When set, events survive
@@ -123,7 +114,7 @@ impl RelayConfig {
         self
     }
 
-    /// Builder-style replay-queue high-water mark.
+    /// Builder-style outage-buffer high-water mark.
     pub fn with_upqueue_limit(mut self, limit: usize) -> Self {
         self.upqueue_limit = limit;
         self
@@ -152,157 +143,126 @@ pub struct RelayStats {
     pub upstream_sessions: u64,
 }
 
-/// A worker's task result held for replay (at most one per member: a
-/// worker reports one `Done` per assignment before requesting again).
-/// The trailing `u64` is the job's trace id, carried so the replayed
-/// frame still correlates with the submission's span tree.
-type DoneFrame = (TaskId, i32, u64, Option<String>, u64);
-
-/// One downstream worker, as the relay sees it.
-struct Member {
-    name: String,
-    cores: u32,
-    location: String,
-    /// Dispatcher-assigned id under the *current* upstream session;
-    /// `None` until the `RelayRegistered` ack lands.
-    global: Option<WorkerId>,
-    /// The member's bounded reactor outbox: frames queue here and the
-    /// event loop drains them to the socket. Never blocks.
+/// One reactor connection, as the shell holds it.
+struct Link {
+    /// The bounded outbox the event loop drains. Never blocks.
     out: Arc<Outbox>,
     /// Socket clone for severing ([`Relay::kill`]).
     sock: Option<TcpStream>,
-    /// Milliseconds since the relay epoch at which the member was last
-    /// heard (lock-free; the member's reader thread stores, the flush
-    /// path loads).
-    last_heard: Arc<AtomicU64>,
-    /// The task/job the member is executing, for local gang fan-out.
-    inflight: Option<(TaskId, JobId)>,
-    /// True between the member's `Request` and its next `Assign`; used
-    /// to re-issue the request after an upstream re-registration.
-    wants_work: bool,
-    /// A `Done` that could not be forwarded (produced while the
-    /// dispatcher was away); replayed right after the next ack.
-    pending_done: Option<DoneFrame>,
 }
 
-/// Member tables, guarded by one mutex.
+impl Link {
+    fn sever(&self) {
+        if let Some(sock) = &self.sock {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// What the core's effects reach, keyed the way the core names them.
 #[derive(Default)]
-struct State {
-    /// Members by relay-local id.
-    members: HashMap<u64, Member>,
-    /// Reverse routing table: current-session global id → local id.
-    by_global: HashMap<WorkerId, u64>,
-    /// Reusable wire-encode buffer for frames sent under this lock.
+struct Links {
+    members: HashMap<u64, Link>,
+    /// The current upstream session and its number.
+    up: Option<(u64, Link)>,
+    /// The dispatcher acked the current session's hello.
+    hello_acked: bool,
+    /// Dispatcher-ordered shutdown, [`Relay::kill`] / [`Relay::shutdown`],
+    /// or reconnect exhaustion.
+    stopped: bool,
+    /// Reusable wire-encode buffer: steady-state sends allocate nothing.
     enc: Vec<u8>,
 }
 
-/// Frames queued for the upstream pump. The queue is bounded
-/// (drop-oldest at [`RelayConfig::upqueue_limit`]) and survives session
-/// loss — it *is* the reconnect replay buffer.
-enum UpFrame {
-    /// Register member `local` (new member, or replay after reconnect).
-    Register(u64),
-    /// Member `local` wants work.
-    Request(u64),
-    /// Member `local` finished a task.
-    Done {
-        /// The member.
-        local: u64,
-        /// Which task.
-        task_id: TaskId,
-        /// Its exit code.
-        exit_code: i32,
-        /// Wall time in milliseconds.
-        wall_ms: u64,
-        /// Captured output tail.
-        output: Option<String>,
-        /// Trace id minted at submission (0 = untraced).
-        trace: u64,
-    },
-    /// Claim member `local`'s in-flight task upstream
-    /// ([`WorkerMsg::RelayMemberState`]) so a restarted dispatcher
-    /// re-adopts the gang during its reconciliation window instead of
-    /// relaunching it.
-    MemberState(u64),
-    /// The worker with this *global* id is gone.
-    Gone(WorkerId),
-    /// Emit a batched liveness frame now.
-    Flush,
+struct State {
+    core: RelayCore,
+    links: Links,
 }
 
 struct Inner {
     config: RelayConfig,
     epoch: Instant,
-    shutdown: AtomicBool,
     state: Mutex<State>,
-    /// Bounded upstream frame queue — the replay buffer across
-    /// dispatcher outages (see [`crate::upqueue`]).
-    up_q: Arc<UpQueue<UpFrame>>,
-    next_local: AtomicU64,
-    /// Socket of the current upstream session, for severing.
-    upstream: Mutex<Option<TcpStream>>,
-    local_cancels: AtomicU64,
-    batched_frames: AtomicU64,
-    upstream_sessions: AtomicU64,
-    /// Scrapeable mirror of the stats atomics (see [`RelayMetrics`]).
+    /// Wakes the housekeeping thread: the session ended, or the relay
+    /// stopped. Paired with `state`.
+    wake: Condvar,
     metrics: Arc<RelayMetrics>,
     /// The `/metrics` responder, when one was started.
     metrics_server: Mutex<Option<MetricsServer>>,
-    /// Operational events (queue overflow, …) — same log shape the
-    /// dispatcher keeps, dumped by `jets events`.
+    /// Span edges and operational events (buffer overflow) — same log
+    /// shape the dispatcher keeps, dumped by `jets events`.
     events: EventLog,
-    /// This relay's dispatcher-assigned id under the current upstream
-    /// session (0 until the first hello ack); stamps event records.
-    relay_global: AtomicU64,
-    /// `now_ms` of the last `UpQueueDropped` event (`u64::MAX` = never),
-    /// rate-limiting overflow reporting to one event per second.
-    last_drop_event_ms: AtomicU64,
 }
 
-fn now_ms(inner: &Inner) -> u64 {
-    inner.epoch.elapsed().as_millis() as u64
+/// The shell's [`Effects`]: where the core's decisions become bytes.
+struct Sink<'a> {
+    inner: &'a Inner,
+    links: &'a mut Links,
 }
 
-/// Queue one frame for the upstream pump, surfacing queue depth and
-/// drop-oldest evictions on the metric surface. Never blocks.
-fn queue_up(inner: &Inner, frame: UpFrame) {
-    if inner.up_q.push(frame) {
-        inner.metrics.upqueue_dropped_total.inc();
-        note_upqueue_drop(inner);
+/// Encode `msg` onto a member's outbox. A failed send means the outbox
+/// is closed or overflowed: the reactor is tearing the connection down,
+/// and its `on_close` unwinds the state.
+fn send_member(link: &Link, enc: &mut Vec<u8>, msg: &DispatcherMsg) {
+    let _ = encode_msg_buf(msg, enc).is_ok() && link.out.send(enc);
+}
+
+impl Effects for Sink<'_> {
+    fn to_member(&mut self, local: u64, msg: &DispatcherMsg) {
+        if let Some(link) = self.links.members.get(&local) {
+            send_member(link, &mut self.links.enc, msg);
+        }
     }
-    inner.metrics.upqueue_depth.set(inner.up_q.len() as i64);
-}
 
-/// Surface a drop-oldest eviction on the event log, at most once per
-/// second: a sustained overflow must not flood the log it reports on.
-/// The event carries the *cumulative* drop counter, so consecutive
-/// events show the loss rate across the gap.
-fn note_upqueue_drop(inner: &Inner) {
-    const MIN_GAP_MS: u64 = 1_000;
-    let now = now_ms(inner);
-    let last = inner.last_drop_event_ms.load(Ordering::Relaxed);
-    if last != u64::MAX && now.saturating_sub(last) < MIN_GAP_MS {
-        return;
+    fn to_upstream(&mut self, msg: &WorkerMsg) {
+        let Links { up, enc, .. } = &mut *self.links;
+        if let Some((_, link)) = up {
+            let _ = encode_msg_buf(msg, enc).is_ok() && link.out.send(enc);
+        }
     }
-    // One winner per gap: a losing racer just skips its event.
-    if inner
-        .last_drop_event_ms
-        .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok()
-    {
-        inner.events.record(EventKind::UpQueueDropped {
-            relay: inner.relay_global.load(Ordering::Acquire),
-            dropped: inner.metrics.upqueue_dropped_total.get(),
-        });
+
+    fn fact(&mut self, fact: Fact) {
+        let m = &self.inner.metrics;
+        match fact {
+            Fact::Event(kind) => self.inner.events.record(kind),
+            Fact::HelloAcked => self.links.hello_acked = true,
+            Fact::Dropped => m.upqueue_dropped_total.inc(),
+            Fact::LocalCancels(n) => m.local_cancels_total.add(n),
+            Fact::Heartbeat => m.batched_heartbeats_total.inc(),
+        }
     }
 }
 
-/// Encode `msg` and queue it on a member's bounded outbox. Never
-/// blocks, so it is safe under the state lock; `false` means the outbox
-/// is closed or overflowed (the reactor is disconnecting the member,
-/// and the close path unwinds its state).
-fn send_member(m: &Member, enc: &mut Vec<u8>, msg: &DispatcherMsg) -> bool {
-    encode_msg_buf(msg, enc).is_ok() && m.out.send(enc)
+/// One input to the core under a lock already held: sample the clock
+/// once, make the call, refresh the level gauges.
+fn apply<R>(
+    inner: &Inner,
+    st: &mut State,
+    input: impl FnOnce(&mut RelayCore, &mut Sink<'_>, u64) -> R,
+) -> R {
+    let State { core, links } = st;
+    let now = inner.epoch.elapsed().as_millis() as u64;
+    let out = input(core, &mut Sink { inner, links }, now);
+    let m = &inner.metrics;
+    m.members.set(core.members() as i64);
+    m.upqueue_depth.set(core.held() as i64);
+    m.upstream_connected.set(links.up.is_some() as i64);
+    out
+}
+
+/// One input to the core, start to finish.
+fn step<R>(inner: &Inner, input: impl FnOnce(&mut RelayCore, &mut Sink<'_>, u64) -> R) -> R {
+    apply(inner, &mut inner.state.lock(), input)
+}
+
+/// Stop the relay: no new members, no reconnect. `also` runs under the
+/// same lock, before the housekeeping thread is woken.
+fn stop(inner: &Inner, also: impl FnOnce(&mut Links)) {
+    step(inner, |_, fx, _| {
+        fx.links.stopped = true;
+        also(fx.links);
+    });
+    inner.wake.notify_all();
 }
 
 /// A running relay daemon.
@@ -313,28 +273,29 @@ fn send_member(m: &Member, enc: &mut Vec<u8>, msg: &DispatcherMsg) -> bool {
 pub struct Relay {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    /// Member-facing event loops. Declared last so the reactor drops
-    /// (and flushes queued frames) after everything else is torn down.
-    reactor: Reactor,
+    keeper: Option<JoinHandle<()>>,
+    /// The event loop. Declared last so the reactor drops (and flushes
+    /// queued frames) after everything else is torn down.
+    reactor: Arc<Reactor>,
 }
 
 impl Relay {
-    /// Bind the worker-facing listener and start all service threads.
-    /// Returns immediately; the upstream connection is established (and
-    /// re-established) in the background.
+    /// Bind the worker-facing listener and start the event loop and the
+    /// housekeeping thread. Returns immediately; the upstream connection
+    /// is established (and re-established) in the background.
     pub fn start(config: RelayConfig) -> io::Result<Relay> {
         let listener = TcpListener::bind(&config.listen_addr)?;
         let addr = listener.local_addr()?;
-        // One event loop multiplexes the whole block: a relay fronts a
-        // machine-room's worth of workers, not a cluster's.
-        let reactor = Reactor::start(ReactorConfig {
+        // One event loop multiplexes the whole block and the upstream
+        // session: a relay fronts a machine-room's worth of workers, not
+        // a cluster's.
+        let reactor = Arc::new(Reactor::start(ReactorConfig {
             event_loops: 1,
             max_frame: MAX_FRAME_BYTES,
             thread_name: "relay-loop".to_string(),
             thread_stack: CONN_STACK,
             ..ReactorConfig::default()
-        })?;
-        let up_q = Arc::new(UpQueue::new(config.upqueue_limit));
+        })?);
         let events = match &config.flight_recorder {
             Some(path) => EventLog::file_backed_with_role(
                 path,
@@ -343,53 +304,48 @@ impl Relay {
             )?,
             None => EventLog::new(),
         };
+        let core = RelayCore::new(
+            config.name.clone(),
+            config.location.clone(),
+            config.worker_stale_after.as_millis() as u64,
+            config.upqueue_limit,
+        );
+        let links = Links::default();
         let inner = Arc::new(Inner {
             config,
             epoch: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            state: Mutex::new(State::default()),
-            up_q,
-            next_local: AtomicU64::new(0),
-            upstream: Mutex::new(None),
-            local_cancels: AtomicU64::new(0),
-            batched_frames: AtomicU64::new(0),
-            upstream_sessions: AtomicU64::new(0),
+            state: Mutex::new(State { core, links }),
+            wake: Condvar::new(),
             metrics: Arc::new(RelayMetrics::new()),
             metrics_server: Mutex::new(None),
             events,
-            relay_global: AtomicU64::new(0),
-            last_drop_event_ms: AtomicU64::new(u64::MAX),
         });
         let factory_inner = Arc::clone(&inner);
         reactor.listen(
             listener,
             Arc::new(move |stream: &TcpStream, _peer: SocketAddr| {
-                if factory_inner.shutdown.load(Ordering::Acquire) {
+                if step(&factory_inner, |_, fx, _| fx.links.stopped) {
                     return None;
                 }
                 Some(Box::new(MemberConn {
                     inner: Arc::clone(&factory_inner),
-                    outbox: None,
                     // Clone taken before the reactor owns the stream, so
-                    // kill()/give_up() can sever the member later.
+                    // kill() and give-up can sever the member later.
                     sock: stream.try_clone().ok(),
-                    state: MemberConnState::Handshake,
+                    out: None,
+                    local: None,
                 }) as Box<dyn ConnHandler>)
             }),
         )?;
-        let tick_inner = Arc::clone(&inner);
-        thread::Builder::new()
-            .name("relay-tick".to_string())
+        let (keeper_inner, keeper_reactor) = (Arc::clone(&inner), Arc::clone(&reactor));
+        let keeper = thread::Builder::new()
+            .name("relay-keeper".to_string())
             .stack_size(CONN_STACK)
-            .spawn(move || liveness_ticker(tick_inner))?;
-        let pump_inner = Arc::clone(&inner);
-        thread::Builder::new()
-            .name("relay-pump".to_string())
-            .stack_size(CONN_STACK)
-            .spawn(move || upstream_pump(pump_inner))?;
+            .spawn(move || housekeeping(&keeper_inner, &keeper_reactor))?;
         Ok(Relay {
             inner,
             addr,
+            keeper: Some(keeper),
             reactor,
         })
     }
@@ -401,27 +357,29 @@ impl Relay {
 
     /// Currently connected members.
     pub fn member_count(&self) -> usize {
-        self.inner.state.lock().members.len()
+        step(&self.inner, |core, _, _| core.members())
     }
 
     /// True while an upstream session is established.
     pub fn is_connected(&self) -> bool {
-        self.inner.upstream.lock().is_some()
+        step(&self.inner, |_, fx, _| fx.links.up.is_some())
     }
 
     /// True once the relay has stopped — dispatcher-ordered shutdown,
     /// [`Relay::kill`]/[`Relay::shutdown`], or reconnect exhaustion.
     pub fn is_stopped(&self) -> bool {
-        self.inner.shutdown.load(Ordering::Acquire)
+        step(&self.inner, |_, fx, _| fx.links.stopped)
     }
 
-    /// Counters snapshot.
+    /// Counters snapshot, read off the metric handles (one source, so the
+    /// scrape and the snapshot cannot disagree).
     pub fn stats(&self) -> RelayStats {
+        let m = &self.inner.metrics;
         RelayStats {
             members: self.member_count(),
-            local_cancels: self.inner.local_cancels.load(Ordering::Relaxed),
-            batched_frames: self.inner.batched_frames.load(Ordering::Relaxed),
-            upstream_sessions: self.inner.upstream_sessions.load(Ordering::Relaxed),
+            local_cancels: m.local_cancels_total.get(),
+            batched_frames: m.batched_heartbeats_total.get(),
+            upstream_sessions: m.upstream_sessions_total.get(),
         }
     }
 
@@ -437,8 +395,8 @@ impl Relay {
         self.inner.events.clone()
     }
 
-    /// Live counters from the member-facing reactor (connections,
-    /// wakeups, outbox high-water, slow-consumer disconnects).
+    /// Live counters from the relay's reactor (connections, wakeups,
+    /// outbox high-water, slow-consumer disconnects).
     pub fn reactor_stats(&self) -> Arc<ReactorStats> {
         self.reactor.stats()
     }
@@ -454,13 +412,15 @@ impl Relay {
     }
 
     /// Sever the upstream connection *without* stopping the relay: the
-    /// pump reconnects with backoff and re-registers the block. This is
-    /// the dispatcher-outage fault-injection primitive (the relay-side
-    /// analogue of `Worker::disconnect`).
+    /// housekeeping thread reconnects with backoff and the block is
+    /// re-registered. This is the dispatcher-outage fault-injection
+    /// primitive (the relay-side analogue of `Worker::disconnect`).
     pub fn partition_upstream(&self) {
-        if let Some(sock) = self.inner.upstream.lock().take() {
-            let _ = sock.shutdown(Shutdown::Both);
-        }
+        step(&self.inner, |_, fx, _| {
+            if let Some((_, link)) = &fx.links.up {
+                link.sever();
+            }
+        });
     }
 
     /// Kill the relay abruptly: sever the upstream connection and every
@@ -469,736 +429,273 @@ impl Relay {
     /// own reconnect policies; the dispatcher sees EOF and declares the
     /// whole block down.
     pub fn kill(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        if let Some(sock) = self.inner.upstream.lock().take() {
-            let _ = sock.shutdown(Shutdown::Both);
-        }
-        let st = self.inner.state.lock();
-        for m in st.members.values() {
-            if let Some(sock) = &m.sock {
-                let _ = sock.shutdown(Shutdown::Both);
-            }
-        }
+        stop(&self.inner, |links| {
+            let up = links.up.iter().map(|(_, link)| link);
+            links.members.values().chain(up).for_each(Link::sever);
+        });
     }
 
     /// Orderly stop: forward `Shutdown` to every member (so their
     /// agents exit cleanly), then sever upstream and stop accepting.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        {
-            let mut st = self.inner.state.lock();
-            let State { members, enc, .. } = &mut *st;
-            for m in members.values() {
-                send_member(m, enc, &DispatcherMsg::Shutdown);
+        stop(&self.inner, |links| {
+            for link in links.members.values() {
+                send_member(link, &mut links.enc, &DispatcherMsg::Shutdown);
             }
-        }
-        if let Some(sock) = self.inner.upstream.lock().take() {
-            let _ = sock.shutdown(Shutdown::Both);
-        }
+            if let Some((_, link)) = &links.up {
+                link.sever();
+            }
+        });
     }
 }
 
 impl Drop for Relay {
     fn drop(&mut self) {
         self.kill();
-    }
-}
-
-fn liveness_ticker(inner: Arc<Inner>) {
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
+        if let Some(keeper) = self.keeper.take() {
+            let _ = keeper.join();
         }
-        thread::sleep(inner.config.liveness_flush);
-        queue_up(&inner, UpFrame::Flush);
     }
 }
 
-/// One member connection as a reactor state machine; speaks the
-/// ordinary worker protocol — a worker cannot tell a relay from a
-/// dispatcher. Replaces the old per-member reader + writer threads.
+/// One member connection on the event loop; speaks the ordinary worker
+/// protocol — a worker cannot tell a relay from a dispatcher.
 struct MemberConn {
     inner: Arc<Inner>,
-    /// The reactor-managed write side, captured in `on_open`.
-    outbox: Option<Arc<Outbox>>,
-    /// Socket clone taken at accept time; moves into the member table
-    /// at registration so [`Relay::kill`] can sever it.
+    /// Socket clone taken at accept time; moves into the link table at
+    /// registration.
     sock: Option<TcpStream>,
-    state: MemberConnState,
-}
-
-enum MemberConnState {
-    /// Waiting for the first frame, which must be `Register`.
-    Handshake,
-    /// Registered as member `local`.
-    Registered {
-        /// The member's relay-local id.
-        local: u64,
-        /// The member's last-heard clock, shared with the member table
-        /// (lock-free; the event loop stores, the flush path loads).
-        last_heard: Arc<AtomicU64>,
-    },
+    /// The reactor-managed write side, captured in `on_open`.
+    out: Option<Arc<Outbox>>,
+    /// The member's relay-local id, once it has said `Register`.
+    local: Option<u64>,
 }
 
 impl ConnHandler for MemberConn {
     fn on_open(&mut self, outbox: &Arc<Outbox>) {
-        self.outbox = Some(Arc::clone(outbox));
+        self.out = Some(Arc::clone(outbox));
     }
 
     fn on_frame(&mut self, frame: &[u8]) -> Flow {
-        // An unparseable frame is a protocol violation; sever. The
-        // close path unwinds whatever state the member had.
-        let Ok(msg) = decode_msg::<WorkerMsg>(frame) else {
+        // An unparseable frame is a protocol violation; sever. The close
+        // path unwinds whatever state the member had.
+        let (Ok(msg), Some(out)) = (decode_msg::<WorkerMsg>(frame), &self.out) else {
             return Flow::Close;
         };
-        if matches!(self.state, MemberConnState::Handshake) {
-            self.on_handshake(msg)
-        } else {
-            self.on_member(msg)
-        }
-    }
-
-    fn on_close(&mut self, _reason: CloseReason) {
-        if let MemberConnState::Registered { local, .. } =
-            std::mem::replace(&mut self.state, MemberConnState::Handshake)
-        {
-            member_down(&self.inner, local);
-        }
-        // A connection that never finished its handshake registered no
-        // state; nothing to unwind.
-    }
-}
-
-impl MemberConn {
-    /// Handshake: the first message must be `Register` (relays do not
-    /// chain). Anything else is a protocol violation with no member
-    /// state yet to unwind — drop the connection.
-    fn on_handshake(&mut self, msg: WorkerMsg) -> Flow {
-        let (name, cores, location) = match msg {
-            WorkerMsg::Register {
-                name,
-                cores,
-                location,
-            } => (name, cores, location),
-            WorkerMsg::Request
-            | WorkerMsg::Done { .. }
-            | WorkerMsg::Heartbeat
-            | WorkerMsg::Goodbye
-            | WorkerMsg::SessionState { .. }
-            | WorkerMsg::RelayHello { .. }
-            | WorkerMsg::RelayRegister { .. }
-            | WorkerMsg::RelayRequest { .. }
-            | WorkerMsg::RelayDone { .. }
-            | WorkerMsg::BatchedHeartbeat { .. }
-            | WorkerMsg::RelayWorkerGone { .. }
-            | WorkerMsg::RelayMemberState { .. } => return Flow::Close,
-        };
-        let Some(outbox) = &self.outbox else {
-            return Flow::Close;
-        };
-        let local = self.inner.next_local.fetch_add(1, Ordering::Relaxed);
-        let last_heard = Arc::new(AtomicU64::new(now_ms(&self.inner)));
-        {
-            let mut st = self.inner.state.lock();
-            st.members.insert(
-                local,
-                Member {
+        let inner = &*self.inner;
+        match (msg, self.local) {
+            // The handshake: the first frame, and only the first, is
+            // `Register`. Forwarded in this same loop iteration.
+            (
+                WorkerMsg::Register {
                     name,
                     cores,
                     location,
-                    global: None,
-                    out: Arc::clone(outbox),
-                    sock: self.sock.take(),
-                    last_heard: Arc::clone(&last_heard),
-                    inflight: None,
-                    wants_work: false,
-                    pending_done: None,
                 },
-            );
-            self.inner.metrics.members.set(st.members.len() as i64);
+                None,
+            ) => {
+                let link = Link {
+                    out: Arc::clone(out),
+                    sock: self.sock.take(),
+                };
+                self.local = Some(step(inner, |core, fx, now| {
+                    let local = core.register(now, (name, cores, location), fx);
+                    fx.links.members.insert(local, link);
+                    local
+                }));
+            }
+            (WorkerMsg::Request, Some(l)) => step(inner, |core, fx, now| core.request(now, l, fx)),
+            (
+                WorkerMsg::Done {
+                    task_id,
+                    exit_code,
+                    wall_ms,
+                    output,
+                    trace,
+                },
+                Some(l),
+            ) => {
+                let done = (task_id, exit_code, wall_ms, output, trace);
+                step(inner, |core, fx, now| core.done(now, l, done, fx));
+            }
+            (WorkerMsg::Heartbeat, Some(l)) => step(inner, |core, _, now| core.heartbeat(now, l)),
+            (WorkerMsg::SessionState { running }, Some(l)) => {
+                step(inner, |core, fx, now| {
+                    core.session_state(now, l, running, fx)
+                });
+            }
+            // `Goodbye`; anything but `Register` first, or `Register`
+            // twice; a relay-scoped frame (relays do not chain): sever.
+            (
+                WorkerMsg::Register { .. }
+                | WorkerMsg::Request
+                | WorkerMsg::Done { .. }
+                | WorkerMsg::Heartbeat
+                | WorkerMsg::Goodbye
+                | WorkerMsg::SessionState { .. }
+                | WorkerMsg::RelayHello { .. }
+                | WorkerMsg::RelayRegister { .. }
+                | WorkerMsg::RelayRequest { .. }
+                | WorkerMsg::RelayDone { .. }
+                | WorkerMsg::BatchedHeartbeat { .. }
+                | WorkerMsg::RelayWorkerGone { .. }
+                | WorkerMsg::RelayMemberState { .. },
+                _,
+            ) => return Flow::Close,
         }
-        // The worker's Registered ack is sent only once the dispatcher
-        // acks the forwarded registration, so a member can never race
-        // ahead of its own global id.
-        queue_up(&self.inner, UpFrame::Register(local));
-        self.state = MemberConnState::Registered { local, last_heard };
         Flow::Continue
     }
 
-    /// One frame from a registered member.
-    fn on_member(&self, msg: WorkerMsg) -> Flow {
-        let MemberConnState::Registered { local, last_heard } = &self.state else {
+    fn on_close(&mut self, _reason: CloseReason) {
+        // A connection that never registered has no state to unwind.
+        if let Some(local) = self.local.take() {
+            step(&self.inner, |core, fx, _| {
+                fx.links.members.remove(&local);
+                core.gone(local, fx);
+            });
+        }
+    }
+}
+
+/// Upstream session `n` on the event loop. Its outbox is in
+/// `Links::up`; this half only reads.
+struct UpstreamConn {
+    inner: Arc<Inner>,
+    n: u64,
+}
+
+impl ConnHandler for UpstreamConn {
+    fn on_open(&mut self, _outbox: &Arc<Outbox>) {}
+
+    fn on_frame(&mut self, frame: &[u8]) -> Flow {
+        let Ok(msg) = decode_msg::<DispatcherMsg>(frame) else {
             return Flow::Close;
         };
-        let local = *local;
-        match msg {
-            WorkerMsg::Request => {
-                // jets-lint: allow(relaxed) liveness timestamp only: the flush filter tolerates staleness; ordering is irrelevant
-                last_heard.store(now_ms(&self.inner), Ordering::Relaxed);
-                {
-                    let mut st = self.inner.state.lock();
-                    if let Some(m) = st.members.get_mut(&local) {
-                        m.wants_work = true;
-                    }
-                }
-                queue_up(&self.inner, UpFrame::Request(local));
-                Flow::Continue
-            }
-            WorkerMsg::Done {
-                task_id,
-                exit_code,
-                wall_ms,
-                output,
-                trace,
-            } => {
-                // jets-lint: allow(relaxed) liveness timestamp only: the flush filter tolerates staleness; ordering is irrelevant
-                last_heard.store(now_ms(&self.inner), Ordering::Relaxed);
-                {
-                    let mut st = self.inner.state.lock();
-                    if let Some(m) = st.members.get_mut(&local) {
-                        m.inflight = None;
-                    }
-                }
-                queue_up(
-                    &self.inner,
-                    UpFrame::Done {
-                        local,
-                        task_id,
-                        exit_code,
-                        wall_ms,
-                        output,
-                        trace,
-                    },
-                );
-                Flow::Continue
-            }
-            // The relay-local liveness hot path: one relaxed store, no
-            // lock, no upstream frame — the flush batches it.
-            WorkerMsg::Heartbeat => {
-                // jets-lint: allow(relaxed) liveness timestamp only: the flush filter tolerates staleness; ordering is irrelevant
-                last_heard.store(now_ms(&self.inner), Ordering::Relaxed);
-                Flow::Continue
-            }
-            WorkerMsg::Goodbye => Flow::Close,
-            // A member re-registered carrying a task across its own
-            // outage: adopt the claim into the table and forward it
-            // upstream under the member's current global id. If the
-            // registration ack is still in flight, the ack handler
-            // forwards the claim instead (it sees the inflight entry).
-            WorkerMsg::SessionState { running } => {
-                // jets-lint: allow(relaxed) liveness timestamp only: the flush filter tolerates staleness; ordering is irrelevant
-                last_heard.store(now_ms(&self.inner), Ordering::Relaxed);
-                if let Some((task_id, job_id)) = running {
-                    let acked = {
-                        let mut st = self.inner.state.lock();
-                        match st.members.get_mut(&local) {
-                            Some(m) => {
-                                m.inflight = Some((task_id, job_id));
-                                m.global.is_some()
-                            }
-                            None => false,
-                        }
-                    };
-                    if acked {
-                        queue_up(&self.inner, UpFrame::MemberState(local));
-                    }
-                }
-                Flow::Continue
-            }
-            // Relay-scoped frames (or a second Register) on a member
-            // connection are protocol violations; sever.
-            WorkerMsg::Register { .. }
-            | WorkerMsg::RelayHello { .. }
-            | WorkerMsg::RelayRegister { .. }
-            | WorkerMsg::RelayRequest { .. }
-            | WorkerMsg::RelayDone { .. }
-            | WorkerMsg::BatchedHeartbeat { .. }
-            | WorkerMsg::RelayWorkerGone { .. }
-            | WorkerMsg::RelayMemberState { .. } => Flow::Close,
+        let n = self.n;
+        if step(&self.inner, |core, fx, _| core.upstream(n, msg, fx)) {
+            return Flow::Continue;
         }
+        // Dispatcher-ordered shutdown, already fanned out to the block.
+        stop(&self.inner, |_| {});
+        Flow::Close
+    }
+
+    fn on_close(&mut self, _reason: CloseReason) {
+        let n = self.n;
+        step(&self.inner, |core, fx, _| {
+            core.session_down(n);
+            fx.links.up.take_if(|(live, _)| *live == n);
+        });
+        self.inner.wake.notify_all();
     }
 }
 
-/// A member's connection dropped. Remove it, fan gang cancellation out
-/// to same-job members locally (no dispatcher round-trip), and tell the
-/// dispatcher the worker is gone.
-fn member_down(inner: &Inner, local: u64) {
-    let (gone_global, cancels) = {
-        let mut st = inner.state.lock();
-        let State {
-            members,
-            by_global,
-            enc,
-        } = &mut *st;
-        let Some(m) = members.remove(&local) else {
-            return;
-        };
-        if let Some(g) = m.global {
-            by_global.remove(&g);
-        }
-        let mut cancels = 0u64;
-        if let Some((_, job)) = m.inflight {
-            // Local gang fan-out: a worker death inside this relay
-            // reaches same-relay survivors immediately; the dispatcher's
-            // own RelayCancel for them arrives later and is ignored as a
-            // duplicate by the worker.
-            for sib in members.values() {
-                if let Some((sib_task, sib_job)) = sib.inflight {
-                    if sib_job == job {
-                        send_member(sib, enc, &DispatcherMsg::Cancel { task_id: sib_task });
-                        cancels += 1;
-                    }
-                }
-            }
-        }
-        inner.metrics.members.set(members.len() as i64);
-        (m.global, cancels)
-    };
-    inner.local_cancels.fetch_add(cancels, Ordering::Relaxed);
-    inner.metrics.local_cancels_total.add(cancels);
-    if let Some(worker) = gone_global {
-        queue_up(inner, UpFrame::Gone(worker));
-    }
-    // A member that died before its ack simply never existed upstream;
-    // if the ack is in flight, the routed reply path reports it gone.
-}
-
-/// Sleep `dur` in slices, returning early on shutdown.
-fn interruptible_sleep(inner: &Inner, mut dur: Duration) {
-    while !dur.is_zero() {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let slice = dur.min(Duration::from_millis(20));
-        thread::sleep(slice);
-        dur -= slice;
-    }
-}
-
-/// The upstream pump: connect (with backoff) → hello → re-register the
-/// block → drain the frame queue until the session dies, then repeat.
-fn upstream_pump(inner: Arc<Inner>) {
-    let policy = inner.config.reconnect.clone();
-    let mut failed_attempts: u32 = 0;
+/// The housekeeping thread: connect (with backoff) → adopt the session
+/// onto the loop → tick until it ends, then repeat.
+fn housekeeping(inner: &Arc<Inner>, reactor: &Reactor) {
+    let policy = &inner.config.reconnect;
     // Deterministic backoff jitter, as in the worker agent.
     let mut jitter = SplitMix64::new(policy.seed);
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
+    let mut failed: u32 = 0;
+    for n in 1.. {
+        let stream = TcpStream::connect(&inner.config.dispatcher_addr);
+        let mut st = inner.state.lock();
+        if let Ok(stream) = stream {
+            st = serve_session(inner, reactor, n, stream, st);
+        }
+        if st.links.stopped {
             return;
         }
-        let stream = match TcpStream::connect(&inner.config.dispatcher_addr) {
-            Ok(s) => s,
-            Err(_) => {
-                failed_attempts += 1;
-                if failed_attempts >= policy.max_attempts {
-                    // Out of budget: the relay is dead. Sever the block
-                    // so workers fall back on their own policies.
-                    give_up(&inner);
-                    return;
-                }
-                let shift = (failed_attempts - 1).min(16);
-                let backoff = policy
-                    .base_backoff
-                    .saturating_mul(1u32 << shift)
-                    .min(policy.max_backoff);
-                let dur = backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * jitter.gen_f64());
-                interruptible_sleep(&inner, dur);
-                continue;
-            }
-        };
-        failed_attempts = 0;
-        stream.set_nodelay(true).ok();
-        let read_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        *inner.upstream.lock() = stream.try_clone().ok();
-        inner.upstream_sessions.fetch_add(1, Ordering::Relaxed);
-        inner.metrics.upstream_sessions_total.inc();
-        inner.metrics.upstream_connected.set(1);
-
-        // Per-session reader: routes acks and envelopes until EOF.
-        let session_dead = Arc::new(AtomicBool::new(false));
-        {
-            let reader_inner = Arc::clone(&inner);
-            let dead = Arc::clone(&session_dead);
-            let spawned = thread::Builder::new()
-                .name("relay-upread".to_string())
-                .stack_size(CONN_STACK)
-                .spawn(move || {
-                    let mut reader = MsgReader::new(BufReader::new(read_half));
-                    while let Ok(Some(msg)) = reader.recv::<DispatcherMsg>() {
-                        if !handle_upstream(&reader_inner, msg) {
-                            break;
-                        }
-                    }
-                    dead.store(true, Ordering::Release);
-                });
-            // No reader means no session: tear this attempt down and
-            // let the outer loop reconnect with backoff.
-            if spawned.is_err() {
-                *inner.upstream.lock() = None;
-                inner.metrics.upstream_connected.set(0);
-                continue;
-            }
+        if std::mem::take(&mut st.links.hello_acked) {
+            failed = 0;
+            continue;
         }
-
-        let mut writer = MsgWriter::new(stream);
-        let mut session_ok = writer
-            .send(&WorkerMsg::RelayHello {
-                name: inner.config.name.clone(),
-                location: inner.config.location.clone(),
-            })
-            .is_ok();
-
-        // Locals registered in *this* session (suppresses duplicates
-        // when buffered Register frames drain after the bulk replay).
-        let mut sent: HashSet<u64> = HashSet::new();
-        if session_ok {
-            // New session, new global ids: invalidate the old mapping
-            // and re-register every member.
-            let locals: Vec<u64> = {
-                let mut st = inner.state.lock();
-                st.by_global.clear();
-                for m in st.members.values_mut() {
-                    m.global = None;
-                }
-                let mut l: Vec<u64> = st.members.keys().copied().collect();
-                l.sort_unstable();
-                l
-            };
-            session_ok = locals
-                .into_iter()
-                .all(|local| queue_register(&inner, &mut writer, local, &mut sent))
-                && writer.flush().is_ok();
-        }
-
-        let mut batch = Vec::new();
-        while session_ok
-            && !inner.shutdown.load(Ordering::Acquire)
-            && !session_dead.load(Ordering::Acquire)
-        {
-            inner
-                .up_q
-                .pop_ready(Duration::from_millis(25), PUMP_BATCH, &mut batch);
-            if batch.is_empty() {
-                continue;
-            }
-            inner.metrics.upqueue_depth.set(inner.up_q.len() as i64);
-            session_ok = batch
-                .drain(..)
-                .all(|frame| forward(&inner, &mut writer, frame, &mut sent))
-                && writer.flush().is_ok();
-        }
-
-        // Session over (EOF, write error, partition, or shutdown).
-        *inner.upstream.lock() = None;
-        inner.metrics.upstream_connected.set(0);
-        let _ = writer.get_ref().shutdown(Shutdown::Both);
-        if inner.shutdown.load(Ordering::Acquire) {
+        // Refused, or accepted and dropped before the hello was acked.
+        failed += 1;
+        if failed >= policy.max_attempts {
+            // Out of budget: the relay is dead. Sever the block so
+            // workers fall back on their own policies.
+            st.links.stopped = true;
+            st.links.members.values().for_each(Link::sever);
             return;
         }
-        // Loop: reconnect with backoff and replay.
-    }
-}
-
-/// Upstream reconnects exhausted: sever every member so their agents'
-/// own reconnect policies take over, and stop the relay.
-fn give_up(inner: &Inner) {
-    inner.shutdown.store(true, Ordering::Release);
-    let st = inner.state.lock();
-    for m in st.members.values() {
-        if let Some(sock) = &m.sock {
-            let _ = sock.shutdown(Shutdown::Both);
+        let backoff = policy
+            .base_backoff
+            .saturating_mul(1u32 << (failed - 1).min(16))
+            .min(policy.max_backoff);
+        let shave = policy.jitter.clamp(0.0, 1.0) * jitter.gen_f64();
+        let until = Instant::now() + backoff.mul_f64(1.0 - shave);
+        while !st.links.stopped && Instant::now() < until {
+            let left = until.saturating_duration_since(Instant::now());
+            st = wait_for(&inner.wake, st, left).0;
         }
     }
 }
 
-/// Queue member `local`'s registration for upstream, once per session.
-fn queue_register(
-    inner: &Inner,
-    writer: &mut MsgWriter<TcpStream>,
-    local: u64,
-    sent: &mut HashSet<u64>,
-) -> bool {
-    if sent.contains(&local) {
-        return true;
+/// Adopt `stream` as upstream session `n` and serve it until its
+/// `on_close` has run, delivering a tick every `liveness_flush`.
+fn serve_session<'a>(
+    inner: &'a Arc<Inner>,
+    reactor: &Reactor,
+    n: u64,
+    stream: TcpStream,
+    mut st: MutexGuard<'a, State>,
+) -> MutexGuard<'a, State> {
+    if st.links.stopped {
+        return st;
     }
-    let info = {
-        let st = inner.state.lock();
-        st.members
-            .get(&local)
-            .map(|m| (m.name.clone(), m.cores, m.location.clone()))
+    let sock = stream.try_clone().ok();
+    let conn = Box::new(UpstreamConn {
+        inner: Arc::clone(inner),
+        n,
+    });
+    // Adopted under the lock, so the session's `on_close` cannot run
+    // before `up` names it. (Queues the socket for the loop; no I/O.)
+    let Ok(out) = reactor.add_stream(stream, conn) else {
+        return st;
     };
-    let Some((name, cores, location)) = info else {
-        return true; // member already left; nothing to register
-    };
-    sent.insert(local);
-    writer
-        .queue(&WorkerMsg::RelayRegister {
-            local,
-            name,
-            cores,
-            location,
-        })
-        .is_ok()
-}
-
-/// Translate one queued frame into wire traffic for the current
-/// session and queue it on `writer`; the pump flushes once per batch.
-/// Returns false when the frame cannot be encoded, which ends the
-/// session like a dead socket does.
-fn forward(
-    inner: &Inner,
-    writer: &mut MsgWriter<TcpStream>,
-    frame: UpFrame,
-    sent: &mut HashSet<u64>,
-) -> bool {
-    match frame {
-        UpFrame::Register(local) => queue_register(inner, writer, local, sent),
-        UpFrame::Request(local) => {
-            let global = {
-                let st = inner.state.lock();
-                st.members.get(&local).and_then(|m| m.global)
-            };
-            match global {
-                Some(worker) => writer.queue(&WorkerMsg::RelayRequest { worker }).is_ok(),
-                // Not yet (re-)acked this session: `wants_work` re-issues
-                // the request as soon as the ack lands. Dropping here is
-                // what makes buffered pre-outage requests idempotent.
-                None => true,
-            }
+    st.links.up = Some((n, Link { out, sock }));
+    inner.metrics.upstream_sessions_total.inc();
+    // Hello plus the whole block's registrations, in one write.
+    apply(inner, &mut st, |core, fx, _| core.session_up(n, fx));
+    let flush = inner.config.liveness_flush;
+    let mut next_tick = Instant::now() + flush;
+    // Only this thread installs a session, so `up` is this one until
+    // its `on_close` clears it.
+    while !st.links.stopped && st.links.up.is_some() {
+        let now = Instant::now();
+        if now >= next_tick {
+            apply(inner, &mut st, |core, fx, now| core.tick(now, fx));
+            next_tick = now + flush;
         }
-        UpFrame::Done {
-            local,
-            task_id,
-            exit_code,
-            wall_ms,
-            output,
-            trace,
-        } => {
-            let global = {
-                let st = inner.state.lock();
-                st.members.get(&local).and_then(|m| m.global)
-            };
-            match global {
-                Some(worker) => writer
-                    .queue(&WorkerMsg::RelayDone {
-                        worker,
-                        task_id,
-                        exit_code,
-                        wall_ms,
-                        output,
-                        trace,
-                    })
-                    .is_ok(),
-                None => {
-                    // Produced while the dispatcher was away: hold it and
-                    // replay right after the member's re-registration ack
-                    // (the dispatcher will drop it as stale, but the
-                    // replay keeps the frame order intact).
-                    let mut st = inner.state.lock();
-                    if let Some(m) = st.members.get_mut(&local) {
-                        m.pending_done = Some((task_id, exit_code, wall_ms, output, trace));
-                    }
-                    true
-                }
-            }
-        }
-        UpFrame::MemberState(local) => {
-            let claim = {
-                let st = inner.state.lock();
-                st.members
-                    .get(&local)
-                    .and_then(|m| m.global.map(|g| (g, m.inflight)))
-            };
-            match claim {
-                Some((worker, Some((task_id, job_id)))) => writer
-                    .queue(&WorkerMsg::RelayMemberState {
-                        worker,
-                        task_id,
-                        job_id,
-                    })
-                    .is_ok(),
-                // Finished (or left) before the frame drained: nothing
-                // left to claim.
-                _ => true,
-            }
-        }
-        UpFrame::Gone(worker) => writer.queue(&WorkerMsg::RelayWorkerGone { worker }).is_ok(),
-        UpFrame::Flush => {
-            let stale_ms = inner.config.worker_stale_after.as_millis() as u64;
-            let now = now_ms(inner);
-            let workers: Vec<u64> = {
-                let st = inner.state.lock();
-                st.members
-                    .values()
-                    .filter(|m| {
-                        now.saturating_sub(m.last_heard.load(Ordering::Relaxed)) <= stale_ms
-                    })
-                    .filter_map(|m| m.global)
-                    .collect()
-            };
-            if workers.is_empty() {
-                return true;
-            }
-            inner.batched_frames.fetch_add(1, Ordering::Relaxed);
-            inner.metrics.batched_heartbeats_total.inc();
-            writer
-                .queue(&WorkerMsg::BatchedHeartbeat { workers })
-                .is_ok()
-        }
+        st = wait_for(&inner.wake, st, next_tick - now).0;
     }
-}
-
-/// Route one dispatcher message. Returns false to end the session
-/// (orderly shutdown).
-fn handle_upstream(inner: &Inner, msg: DispatcherMsg) -> bool {
-    match msg {
-        // The relay's own hello ack: remember the assigned id — it
-        // stamps this relay's event records.
-        DispatcherMsg::Registered { worker_id } => {
-            inner.relay_global.store(worker_id, Ordering::Release);
-            true
-        }
-        DispatcherMsg::RelayRegistered { local, worker_id } => {
-            let mut st = inner.state.lock();
-            let State {
-                members,
-                by_global,
-                enc,
-            } = &mut *st;
-            if let Some(m) = members.get_mut(&local) {
-                m.global = Some(worker_id);
-                // The member's own Registered completes its handshake
-                // (a re-registration's duplicate ack is ignored by the
-                // agent's inbox loop).
-                send_member(m, enc, &DispatcherMsg::Registered { worker_id });
-                // A member still mid-task across the outage: claim its
-                // gang (before any replayed Done) so a restarted
-                // dispatcher re-adopts it instead of relaunching.
-                if m.inflight.is_some() {
-                    queue_up(inner, UpFrame::MemberState(local));
-                }
-                // Replay traffic held across the outage, in order.
-                if let Some((task_id, exit_code, wall_ms, output, trace)) = m.pending_done.take() {
-                    queue_up(
-                        inner,
-                        UpFrame::Done {
-                            local,
-                            task_id,
-                            exit_code,
-                            wall_ms,
-                            output,
-                            trace,
-                        },
-                    );
-                }
-                if m.wants_work {
-                    queue_up(inner, UpFrame::Request(local));
-                }
-                by_global.insert(worker_id, local);
-            } else {
-                // The member left between registration and ack.
-                queue_up(inner, UpFrame::Gone(worker_id));
-            }
-            true
-        }
-        DispatcherMsg::RelayAssign { worker, assignment } => {
-            let mut st = inner.state.lock();
-            let State {
-                members,
-                by_global,
-                enc,
-            } = &mut *st;
-            let local = by_global.get(&worker).copied();
-            match local.and_then(|l| members.get_mut(&l)) {
-                Some(m) => {
-                    m.inflight = Some((assignment.task_id, assignment.job_id));
-                    m.wants_work = false;
-                    // The forward span covers unwrap → member outbox; the
-                    // pushes are lock-free ring writes, safe under the
-                    // state lock. Actual socket drain time shows up as
-                    // the gap to the worker's stage span.
-                    let (trace, job, task) =
-                        (assignment.trace, assignment.job_id, assignment.task_id);
-                    inner.events.span_start(
-                        trace,
-                        SpanKind::RelayForward,
-                        WriterRole::Relay,
-                        job,
-                        task,
-                    );
-                    send_member(m, enc, &DispatcherMsg::Assign(assignment));
-                    inner.events.span_end(
-                        trace,
-                        SpanKind::RelayForward,
-                        WriterRole::Relay,
-                        job,
-                        task,
-                    );
-                }
-                None => {
-                    // Assigned to a member that just died; tell the
-                    // dispatcher so it tears the gang down promptly.
-                    queue_up(inner, UpFrame::Gone(worker));
-                }
-            }
-            true
-        }
-        DispatcherMsg::RelayCancel { worker, task_id } => {
-            let mut st = inner.state.lock();
-            let State {
-                members,
-                by_global,
-                enc,
-            } = &mut *st;
-            let local = by_global.get(&worker).copied();
-            if let Some(m) = local.and_then(|l| members.get_mut(&l)) {
-                if m.inflight.map(|(t, _)| t) == Some(task_id) {
-                    m.inflight = None;
-                }
-                send_member(m, enc, &DispatcherMsg::Cancel { task_id });
-            }
-            true
-        }
-        DispatcherMsg::Shutdown => {
-            // Fan the shutdown out to the block and stop.
-            inner.shutdown.store(true, Ordering::Release);
-            let mut st = inner.state.lock();
-            let State { members, enc, .. } = &mut *st;
-            for m in members.values() {
-                send_member(m, enc, &DispatcherMsg::Shutdown);
-            }
-            false
-        }
-        // Unrouted worker-directed frames on the relay connection are a
-        // dispatcher bug; drop them rather than guessing a member.
-        DispatcherMsg::Assign(_) | DispatcherMsg::Cancel { .. } => true,
-    }
+    st
 }
 
 #[cfg(test)]
 mod tests {
+    //! Loopback smokes of the shell: real sockets, real threads. What the
+    //! relay *decides* is tested on the core under a virtual clock
+    //! (`tests/relay_model.rs`); these cover what only the shell has —
+    //! the wire, the event loop, the reconnect thread.
     use super::*;
+    use jets_core::protocol::{MsgReader, MsgWriter, TaskAssignment, TaskKind};
     use jets_core::registry::WorkerState;
     use jets_core::spec::{CommandSpec, JobSpec};
     use jets_core::{Dispatcher, DispatcherConfig, JobStatus};
     use jets_worker::apps::standard_registry;
-    use jets_worker::{Executor, TaskExecutor, Worker, WorkerConfig};
+    use jets_worker::{Executor, Worker, WorkerConfig};
+    use std::io::{BufReader, Read, Write};
 
     const WAIT: Duration = Duration::from_secs(60);
-
-    fn executor() -> Arc<dyn TaskExecutor> {
-        Arc::new(Executor::new(standard_registry()))
-    }
 
     fn spawn_worker(addr: &str, name: &str) -> Worker {
         let config = WorkerConfig {
             heartbeat: Some(Duration::from_millis(25)),
             ..WorkerConfig::new(addr, name)
         };
-        Worker::spawn(config, executor())
+        Worker::spawn(config, Arc::new(Executor::new(standard_registry())))
     }
 
     fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -1206,6 +703,15 @@ mod tests {
         while !cond() {
             assert!(Instant::now() < deadline, "timed out waiting for {what}");
             thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    fn noops(d: &Dispatcher, n: usize) {
+        let ids =
+            d.submit_all((0..n).map(|_| JobSpec::sequential(CommandSpec::builtin("noop", vec![]))));
+        assert!(d.wait_idle(WAIT));
+        for id in ids {
+            assert_eq!(d.job_record(id).unwrap().status, JobStatus::Succeeded);
         }
     }
 
@@ -1235,28 +741,23 @@ mod tests {
         assert_eq!(d.connections_accepted(), 1, "one socket fronts the block");
         assert_eq!(relay.member_count(), 3);
         assert!(relay.is_connected());
-        let ids = d
-            .submit_all((0..12).map(|_| JobSpec::sequential(CommandSpec::builtin("noop", vec![]))));
-        assert!(d.wait_idle(WAIT));
-        for id in ids {
-            assert_eq!(d.job_record(id).unwrap().status, JobStatus::Succeeded);
-        }
+        noops(&d, 12);
         d.shutdown();
         for w in workers {
             w.join();
         }
+        wait_until("the ordered shutdown to stop the relay", || {
+            relay.is_stopped()
+        });
     }
 
     /// A member that reports and re-requests in one segment (what the
-    /// agent's paired send produces) is forwarded in that order: the
-    /// dispatcher must see the worker's `RelayDone` before the
-    /// `RelayRequest` that makes it assignable again. The dispatcher here
-    /// is a scripted socket, so the upstream frame order is observable.
+    /// agent's paired send produces) reaches the dispatcher the same way:
+    /// `RelayDone` then `RelayRequest`, in that order, in one `read` — the
+    /// pair crosses the relay inside one loop iteration. The dispatcher
+    /// here is a scripted socket, so the upstream bytes are observable.
     #[test]
     fn coalesced_done_and_request_keep_their_order_upstream() {
-        use jets_core::protocol::{TaskAssignment, TaskKind};
-        use std::io::Write;
-
         let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
         let relay = Relay::start(
             RelayConfig::new(upstream.local_addr().unwrap().to_string(), "relay-o")
@@ -1264,87 +765,85 @@ mod tests {
                 .with_liveness_flush(Duration::from_secs(3600)),
         )
         .unwrap();
-        let (up, _) = upstream.accept().unwrap();
+        let (mut up, _) = upstream.accept().unwrap();
         up.set_read_timeout(Some(WAIT)).unwrap();
         let mut up_tx = MsgWriter::new(up.try_clone().unwrap());
-        let mut up_rx = MsgReader::new(BufReader::new(up));
+        let mut up_rx = MsgReader::new(BufReader::new(up.try_clone().unwrap()));
         let mut next_up = move || up_rx.recv::<WorkerMsg>().unwrap().expect("relay hung up");
-
         assert!(matches!(next_up(), WorkerMsg::RelayHello { .. }));
-        up_tx
-            .send(&DispatcherMsg::Registered { worker_id: 1 })
-            .unwrap();
+        let ack = DispatcherMsg::Registered { worker_id: 1 };
+        up_tx.send(&ack).unwrap();
 
         let mut member = TcpStream::connect(relay.addr()).unwrap();
         member.set_read_timeout(Some(WAIT)).unwrap();
         let mut member_rx = MsgReader::new(BufReader::new(member.try_clone().unwrap()));
-        let mut next_down = move || {
-            member_rx
-                .recv::<DispatcherMsg>()
-                .unwrap()
-                .expect("relay hung up")
-        };
-        let mut wire = Vec::new();
-        let mut frame = |msg: &WorkerMsg| {
+        let mut next_down = move || member_rx.recv::<DispatcherMsg>().unwrap().unwrap();
+        let frame = |msg: &WorkerMsg| {
+            let mut wire = Vec::new();
             encode_msg_buf(msg, &mut wire).unwrap();
-            wire.clone()
+            wire
         };
-        let register = frame(&WorkerMsg::Register {
-            name: "raw".into(),
+        let (name, location) = ("raw".to_string(), "rack-0".to_string());
+        let register = WorkerMsg::Register {
+            name,
             cores: 1,
-            location: "rack-0".into(),
-        });
-        member.write_all(&register).unwrap();
+            location,
+        };
+        member.write_all(&frame(&register)).unwrap();
         let WorkerMsg::RelayRegister { local, .. } = next_up() else {
             panic!("expected RelayRegister");
         };
-        up_tx
-            .send(&DispatcherMsg::RelayRegistered {
-                local,
-                worker_id: 7,
-            })
-            .unwrap();
-        assert_eq!(next_down(), DispatcherMsg::Registered { worker_id: 7 });
+        let worker_id = 7;
+        let ack = DispatcherMsg::RelayRegistered { local, worker_id };
+        up_tx.send(&ack).unwrap();
+        assert_eq!(next_down(), DispatcherMsg::Registered { worker_id });
         member.write_all(&frame(&WorkerMsg::Request)).unwrap();
         assert_eq!(next_up(), WorkerMsg::RelayRequest { worker: 7 });
 
         for task_id in 1..=3u64 {
+            let cmd = CommandSpec::builtin("noop", vec![]);
+            let assignment = TaskAssignment {
+                task_id,
+                job_id: task_id,
+                trace: 0,
+                kind: TaskKind::Sequential { cmd },
+                stage: Vec::new(),
+            };
+            let worker = 7;
             up_tx
-                .send(&DispatcherMsg::RelayAssign {
-                    worker: 7,
-                    assignment: TaskAssignment {
-                        task_id,
-                        job_id: task_id,
-                        trace: 0,
-                        kind: TaskKind::Sequential {
-                            cmd: CommandSpec::builtin("noop", vec![]),
-                        },
-                        stage: Vec::new(),
-                    },
-                })
+                .send(&DispatcherMsg::RelayAssign { worker, assignment })
                 .unwrap();
             let DispatcherMsg::Assign(a) = next_down() else {
                 panic!("expected Assign");
             };
             assert_eq!(a.task_id, task_id);
+            let (exit_code, wall_ms, output, trace) = (0, 0, None, 0);
             let mut pair = frame(&WorkerMsg::Done {
                 task_id,
-                exit_code: 0,
-                wall_ms: 0,
-                output: None,
-                trace: 0,
+                exit_code,
+                wall_ms,
+                output,
+                trace,
             });
             pair.extend(frame(&WorkerMsg::Request));
             member.write_all(&pair).unwrap();
-            match next_up() {
-                WorkerMsg::RelayDone {
-                    worker: 7,
-                    task_id: t,
-                    ..
-                } => assert_eq!(t, task_id),
-                other => panic!("expected RelayDone first, got {other:?}"),
-            }
-            assert_eq!(next_up(), WorkerMsg::RelayRequest { worker: 7 });
+            // Nothing else is in flight: one read is one upstream write.
+            let mut segment = [0u8; 4096];
+            let n = up.read(&mut segment).unwrap();
+            let relayed: Vec<WorkerMsg> = segment[..n]
+                .split(|&b| b == b'\n')
+                .filter(|line| !line.is_empty())
+                .map(|line| decode_msg(line).unwrap())
+                .collect();
+            let done = WorkerMsg::RelayDone {
+                worker,
+                task_id,
+                exit_code,
+                wall_ms,
+                output: None,
+                trace,
+            };
+            assert_eq!(relayed, [done, WorkerMsg::RelayRequest { worker }]);
         }
         relay.kill();
     }
@@ -1365,12 +864,7 @@ mod tests {
             .map(|i| spawn_worker(&addr, &format!("pp-{i}")))
             .collect();
         wait_until("initial registration", || d.alive_workers() == 2);
-        let ids =
-            d.submit_all((0..4).map(|_| JobSpec::sequential(CommandSpec::builtin("noop", vec![]))));
-        assert!(d.wait_idle(WAIT));
-        for id in ids {
-            assert_eq!(d.job_record(id).unwrap().status, JobStatus::Succeeded);
-        }
+        noops(&d, 4);
 
         relay.partition_upstream();
         // The dispatcher sees the relay die and downs the whole block
@@ -1380,90 +874,43 @@ mod tests {
             let dead = |w: &jets_core::registry::WorkerInfo| w.state == WorkerState::Dead;
             d.workers().into_iter().filter(dead).count() == 2
         });
-        // …then the pump reconnects and re-registers both members.
+        // …then the relay reconnects and re-registers both members.
         wait_until("block re-registered", || d.alive_workers() == 2);
         assert!(relay.stats().upstream_sessions >= 2);
         // The members never reconnected themselves — same sockets, new
         // session — and they still get work.
         assert_eq!(relay.member_count(), 2);
-        let ids =
-            d.submit_all((0..4).map(|_| JobSpec::sequential(CommandSpec::builtin("noop", vec![]))));
-        assert!(d.wait_idle(WAIT));
-        for id in ids {
-            assert_eq!(d.job_record(id).unwrap().status, JobStatus::Succeeded);
-        }
+        noops(&d, 4);
         d.shutdown();
         for w in workers {
             w.join();
         }
     }
 
-    /// A sustained upstream outage overflows a tiny replay queue; the
-    /// drops surface as rate-limited `UpQueueDropped` events alongside
-    /// the counter, not one event per evicted frame.
+    /// A peer that accepts and closes (a dispatcher mid-shutdown, a wrong
+    /// port) is backed off from like one that refuses: a session that
+    /// ends before its hello is acked is a failed attempt, and the budget
+    /// runs out.
     #[test]
-    fn upqueue_overflow_is_surfaced_on_the_event_log() {
-        // No dispatcher ever answers: the liveness ticker's Flush frames
-        // pile into a one-slot queue and each new frame evicts the last.
-        let relay = Relay::start(
-            RelayConfig::new("127.0.0.1:1", "relay-drop")
-                .with_liveness_flush(Duration::from_millis(5))
-                .with_upqueue_limit(1),
-        )
-        .unwrap();
-        wait_until("a drop event", || {
-            relay
-                .events()
-                .snapshot()
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::UpQueueDropped { .. }))
-        });
-        assert!(relay.metrics().upqueue_dropped_total.get() >= 1);
-        let drop_events = relay
-            .events()
-            .snapshot()
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::UpQueueDropped { .. }))
-            .count();
-        assert!(
-            drop_events <= 2,
-            "rate limit breached: {drop_events} events"
-        );
-    }
-
-    /// A member dying mid-gang cancels its same-relay gang peers
-    /// locally, without waiting for the dispatcher round-trip.
-    #[test]
-    fn member_death_cancels_same_gang_locally() {
-        let d = Dispatcher::start(DispatcherConfig::default()).unwrap();
-        let relay = Relay::start(RelayConfig::new(d.addr().to_string(), "relay-c")).unwrap();
-        let addr = relay.addr().to_string();
-        let metrics = Arc::new(jets_worker::WorkerMetrics::new());
-        let spawn = |name: &str| {
-            let config = WorkerConfig {
-                heartbeat: Some(Duration::from_millis(25)),
-                ..WorkerConfig::new(&addr, name).with_metrics(Arc::clone(&metrics))
-            };
-            Worker::spawn(config, executor())
+    fn accept_and_close_exhausts_the_reconnect_budget() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let policy = ReconnectPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(5),
+            max_backoff: Duration::from_millis(10),
+            ..ReconnectPolicy::default()
         };
-        let w0 = spawn("cc-0");
-        let w1 = spawn("cc-1");
-        wait_until("registration", || d.alive_workers() == 2);
-        let id = d.submit(JobSpec::mpi(
-            2,
-            CommandSpec::builtin("mpi-sleep", vec!["2000".into()]),
-        ));
-        // Both agents hold their task, so both assignments have passed
-        // through the relay. (The dispatcher marks the gang busy inside
-        // `submit`, before the relay has seen either frame; a member
-        // killed that early has nothing in flight to fan a cancel from.)
-        wait_until("gang to start", || metrics.tasks_inflight.get() == 2);
-        w0.kill();
-        assert!(d.wait_idle(WAIT));
-        assert_eq!(d.job_record(id).unwrap().status, JobStatus::Failed);
-        wait_until("local cancel fan-out", || relay.stats().local_cancels >= 1);
-        d.shutdown();
-        w1.join();
-        w0.join();
+        let addr = upstream.local_addr().unwrap().to_string();
+        let relay = Relay::start(RelayConfig::new(addr, "relay-x").with_reconnect(policy)).unwrap();
+        upstream.set_nonblocking(true).unwrap();
+        let mut accepts = 0;
+        wait_until("the relay to give up", || {
+            accepts += upstream.accept().is_ok() as u32; // accepted, dropped
+            relay.is_stopped()
+        });
+        // Stopped means the reconnect thread is done: nothing more comes.
+        accepts += std::iter::from_fn(|| upstream.accept().ok()).count() as u32;
+        assert!((1..=3).contains(&accepts), "{accepts} accepts");
+        assert_eq!(relay.stats().upstream_sessions, u64::from(accepts));
     }
 }

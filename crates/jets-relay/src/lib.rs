@@ -16,24 +16,27 @@
 //! * **aggregates registrations** — each member is forwarded as a
 //!   `RelayRegister` and mapped `local ↔ global` id once the dispatcher
 //!   acks;
-//! * **coalesces liveness** — member heartbeats land in a relay-local
-//!   atomic; a periodic `BatchedHeartbeat` frame vouches for every
-//!   recently-heard member in one line;
+//! * **coalesces liveness** — member heartbeats stop at the relay; a
+//!   periodic `BatchedHeartbeat` frame vouches for every recently-heard
+//!   member in one line;
 //! * **multiplexes task traffic** — `Request`/`Done` go up and
 //!   `Assign`/`Cancel` come down in routed envelopes over the single
 //!   connection, routed by relay-local tables;
 //! * **fans out gang cancellation locally** — when a member dies
 //!   mid-gang, same-relay members of the same job are canceled
 //!   immediately, without waiting for the dispatcher round-trip;
-//! * **buffers and replays across dispatcher reconnects** — upstream
-//!   frames queue while the dispatcher is away; on reconnect the relay
-//!   re-registers its block (new global ids) and replays held traffic,
-//!   so workers never notice the outage.
+//! * **buffers and replays across dispatcher reconnects** — results
+//!   produced while the dispatcher is away are held; on reconnect the
+//!   relay re-registers its block (new global ids) and replays them, so
+//!   workers never notice the outage.
 //!
-//! See `docs/relay.md` for the topology and the failure matrix.
+//! What the relay decides is [`core::RelayCore`], a pure state machine;
+//! [`daemon`] is the shell of sockets, one event loop and one lock around
+//! it. See `docs/relay.md` for the topology and the failure matrix.
 
 #![warn(missing_docs)]
 
+pub mod core;
 pub mod daemon;
 pub mod metrics;
 pub mod upqueue;

@@ -1,9 +1,10 @@
 //! The relay daemon's live metric surface.
 //!
-//! Mirrors [`crate::RelayStats`] — the snapshot struct tests read — as
-//! scrapeable `jets-obs` handles, plus the upstream-connected gauge an
-//! operator actually pages on. Maintained inline at the same sites that
-//! update the stats atomics, so the two surfaces cannot drift.
+//! Scrapeable `jets-obs` handles, plus the upstream-connected gauge an
+//! operator actually pages on. The counters move on the facts
+//! [`crate::core::RelayCore`] emits and [`crate::RelayStats`] — the
+//! snapshot struct tests read — is read off these same handles, so the
+//! two surfaces cannot drift.
 
 use jets_obs::{Counter, Gauge, Registry};
 use std::sync::Arc;
@@ -22,9 +23,9 @@ pub struct RelayMetrics {
     pub local_cancels_total: Arc<Counter>,
     /// Batched liveness frames sent upstream.
     pub batched_heartbeats_total: Arc<Counter>,
-    /// Frames waiting in the bounded upstream replay queue.
+    /// Results waiting in the bounded outage buffer.
     pub upqueue_depth: Arc<Gauge>,
-    /// Frames evicted by the replay queue's drop-oldest overflow policy.
+    /// Results evicted by the outage buffer's drop-oldest overflow policy.
     pub upqueue_dropped_total: Arc<Counter>,
 }
 

@@ -1,11 +1,10 @@
-//! End-to-end tests for the relay tier (the PR's acceptance criteria).
-//!
-//! The centerpiece is the loopback topology the issue prescribes: 16
-//! workers behind 2 relays run a multi-gang batch to completion while
-//! the dispatcher observes exactly 2 inbound connections, and killing
-//! one relay mid-run still converges on the surviving block.
+//! The end-to-end smoke of the relay tier: 16 workers behind 2 relays run
+//! a multi-gang batch to completion while the dispatcher observes exactly
+//! 2 inbound connections, and killing one relay mid-run still converges
+//! on the surviving block. What a relay *decides* (local gang
+//! cancellation, batched liveness, replay across an outage) is checked
+//! without sockets or sleeps in `crates/jets-relay/tests/relay_model.rs`.
 
-use jets::core::registry::WorkerState;
 use jets::core::spec::{CommandSpec, JobSpec};
 use jets::core::{Dispatcher, DispatcherConfig, EventKind, JobStatus};
 use jets::sim::{science_registry, RelayedAllocation, RelayedAllocationConfig};
@@ -110,98 +109,6 @@ fn two_relay_topology_survives_relay_death() {
     assert_eq!(relay_ups, 2, "expected exactly two relay registrations");
     assert!(relay_downs >= 1, "relay death never recorded");
 
-    dispatcher.shutdown();
-    topo.join_all();
-}
-
-/// Relayed workers stay alive through the dispatcher's heartbeat
-/// monitor on batched liveness frames alone: several timeout windows
-/// pass with no direct heartbeats and nobody is declared dead.
-#[test]
-fn batched_liveness_keeps_relayed_workers_alive() {
-    let dispatcher = Dispatcher::start(DispatcherConfig {
-        heartbeat_timeout: Some(Duration::from_millis(400)),
-        monitor_tick: Duration::from_millis(10),
-        ..DispatcherConfig::default()
-    })
-    .unwrap();
-    let topo = RelayedAllocation::start(
-        &dispatcher.addr().to_string(),
-        RelayedAllocationConfig::new(1, 4)
-            .with_heartbeat(Duration::from_millis(50))
-            .with_liveness_flush(Duration::from_millis(50)),
-        executor(),
-    )
-    .unwrap();
-    wait_until("4 relayed workers", || dispatcher.alive_workers() == 4);
-
-    // Ride out several heartbeat-timeout windows.
-    std::thread::sleep(Duration::from_millis(1600));
-    assert_eq!(
-        dispatcher.alive_workers(),
-        4,
-        "batched liveness failed to vouch for the block"
-    );
-    let stats = topo.relay(0).unwrap().stats();
-    assert!(
-        stats.batched_frames > 0,
-        "no batched heartbeat frames were sent"
-    );
-    // And the block still does work.
-    let id = dispatcher.submit(JobSpec::sequential(CommandSpec::builtin("noop", vec![])));
-    assert!(dispatcher.wait_idle(WAIT));
-    assert_eq!(
-        dispatcher.job_record(id).unwrap().status,
-        JobStatus::Succeeded
-    );
-    dispatcher.shutdown();
-    topo.join_all();
-}
-
-/// A worker dying mid-gang gets its same-relay gang peers canceled by
-/// the relay itself — the survivors' cancels never round-trip through
-/// the dispatcher.
-#[test]
-fn gang_cancellation_fans_out_at_the_relay() {
-    let dispatcher = Dispatcher::start(DispatcherConfig {
-        heartbeat_timeout: Some(Duration::from_secs(2)),
-        monitor_tick: Duration::from_millis(10),
-        ..DispatcherConfig::default()
-    })
-    .unwrap();
-    let topo = RelayedAllocation::start(
-        &dispatcher.addr().to_string(),
-        RelayedAllocationConfig::new(1, 4).with_heartbeat(Duration::from_millis(50)),
-        executor(),
-    )
-    .unwrap();
-    wait_until("4 relayed workers", || dispatcher.alive_workers() == 4);
-
-    let id = dispatcher.submit(JobSpec::mpi(
-        4,
-        CommandSpec::builtin("mpi-sleep", vec!["2000".into()]),
-    ));
-    let block = topo.block(0).unwrap();
-    wait_until("gang to occupy the block", || {
-        dispatcher
-            .workers()
-            .iter()
-            .filter(|w| matches!(w.state, WorkerState::Busy(_)))
-            .count()
-            == 4
-    });
-    assert!(block.kill(0));
-
-    assert!(dispatcher.wait_idle(WAIT));
-    assert_eq!(
-        dispatcher.job_record(id).unwrap().status,
-        JobStatus::Failed,
-        "gang with no retry budget must fail"
-    );
-    // The relay canceled the three survivors locally.
-    wait_until("local cancel fan-out", || {
-        topo.relay(0).unwrap().stats().local_cancels >= 3
-    });
     dispatcher.shutdown();
     topo.join_all();
 }
