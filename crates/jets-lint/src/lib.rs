@@ -1011,17 +1011,23 @@ fn is_handler_fn(name: &str) -> bool {
         || name.contains("session")
 }
 
+/// The files that are handler scope as a whole.
+const PURE_CORES: [&str; 3] = [
+    "jets-core/src/core.rs",
+    "jets-relay/src/core.rs",
+    "jets-worker/src/core.rs",
+];
+
 fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
     if file.file_is_test {
         return;
     }
     let toks = &file.lexed.toks;
-    // The dispatcher's scheduling core and the relay's routing core are
-    // handler scope as a whole: every transition in them runs on a frame,
-    // a disconnect or a replayed journal, whatever its name.
-    let all_handlers = ["jets-core/src/core.rs", "jets-relay/src/core.rs"]
-        .iter()
-        .any(|core| file.path.ends_with(core));
+    // The dispatcher's scheduling core, the relay's routing core and the
+    // pilot's core are handler scope as a whole: every transition in them
+    // runs on a frame, a disconnect or a replayed journal, whatever its
+    // name.
+    let all_handlers = PURE_CORES.iter().any(|core| file.path.ends_with(core));
     for func in &file.funcs {
         if func.in_test || !(all_handlers || is_handler_fn(&func.name)) {
             continue;
@@ -1668,7 +1674,7 @@ mod tests {
     #[test]
     fn the_pure_cores_are_handler_scope_whatever_a_function_is_called() {
         let src = "fn tick(&mut self) { self.members.get(&0).unwrap(); }";
-        for core in ["jets-core/src/core.rs", "jets-relay/src/core.rs"] {
+        for core in PURE_CORES {
             let f = lint_sources(&[(PathBuf::from("crates").join(core), src.to_string())]);
             assert!(f.iter().any(|f| f.rule == Rule::J6), "{core}: {f:?}");
         }

@@ -619,12 +619,7 @@ fn housekeeping(inner: &Arc<Inner>, reactor: &Reactor) {
             st.links.members.values().for_each(Link::sever);
             return;
         }
-        let backoff = policy
-            .base_backoff
-            .saturating_mul(1u32 << (failed - 1).min(16))
-            .min(policy.max_backoff);
-        let shave = policy.jitter.clamp(0.0, 1.0) * jitter.gen_f64();
-        let until = Instant::now() + backoff.mul_f64(1.0 - shave);
+        let until = Instant::now() + policy.backoff(failed, &mut jitter);
         while !st.links.stopped && Instant::now() < until {
             let left = until.saturating_duration_since(Instant::now());
             st = wait_for(&inner.wake, st, left).0;

@@ -4,33 +4,37 @@
 //! [`World`] puts the real [`RelayCore`] between the real dispatcher
 //! [`Core`] — behind [`World::on_relay`], the shell's translation of the
 //! seven relay frames, and [`DFx`], whose sends are routed envelopes — and
-//! virtual pilots that behave like `jets-worker`'s agent. Every hop is
-//! FIFO with seeded delay, so a `Done` is in flight when the upstream
-//! dies, a `Cancel` crosses a `Done`, and a dead session's frames are
-//! still being read after the next one is up. [`RFx`] checks each frame as
-//! it is emitted; [`World::audit`] checks the rest after every input. A
-//! failure names seed and case: `CASE=n cargo test -p jets-relay --test
-//! relay_model replay -- --ignored --nocapture` prints its frames.
+//! the real [`PilotCore`], five behind the relay and two beside it, each
+//! behind [`PFx`]: seeded task durations, tasks that ignore their grace,
+//! runner results that arrive late. Every hop is FIFO with seeded delay,
+//! so a `Done` is in flight when a link dies, a `Cancel` crosses a `Done`,
+//! and a dead session's frames are still being read after the next one is
+//! up. [`RFx`] and [`PFx`] check each frame and fact as it is emitted;
+//! [`World::audit`] checks the rest after every input. A failure names
+//! seed and case: `CASE=n cargo test -p jets-relay --test relay_model
+//! replay -- --ignored --nocapture` prints its frames.
 
 use jets_core::core::{Core, CoreConfig, Effects as DispatcherEffects, Fact as DispatcherFact};
 use jets_core::events::EventKind;
 use jets_core::journal::{self, Record};
-use jets_core::protocol::{TaskAssignment, TaskKind, EXIT_CANCELED};
+use jets_core::protocol::{TaskAssignment, TaskKind};
 use jets_core::registry::HeartbeatHandle;
 use jets_core::{CommandSpec, DispatcherMsg, GroupingPolicy, JobId, JobSpec, QueuePolicy};
 use jets_core::{TaskId, WorkerId, WorkerMsg};
 use jets_relay::core::{DoneFrame, Effects, Fact, RelayCore};
 use jets_ring::stdx::{check, SplitMix64};
+use jets_worker::core::{Effects as PilotEffects, Fact as PilotFact, PilotCore};
+use jets_worker::executor::TaskOutcome;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 0x5EED_4E1A;
+/// Pilots behind the relay; `ALL` counts the two beside it, on
+/// connections of their own numbered `DIRECT` + the inputs so far.
 const PILOTS: u64 = 5;
-
-/// What a member says to the relay: `Request` (`None`), the `Done` of a
-/// task with its exit code, or — `Err` — the claim on a task carried
-/// across the member's own outage.
-type Said = Option<Result<(TaskId, i32), (TaskId, JobId)>>;
+const ALL: usize = 7;
+const DIRECT: u64 = 1 << 32;
+const GRACE: Duration = Duration::from_millis(8);
 
 /// One frame on its way somewhere.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,9 +43,9 @@ enum Hop {
     Up(u64, WorkerMsg),
     /// Dispatcher → relay, likewise.
     Down(u64, DispatcherMsg),
-    /// Member `local` → relay.
-    Say(u64, Said),
-    /// Relay → member `local`.
+    /// A pilot → its peer, on connection `local` (or `DIRECT + n`).
+    Say(u64, WorkerMsg),
+    /// The peer → that pilot.
     Hear(u64, DispatcherMsg),
 }
 
@@ -123,6 +127,9 @@ impl Effects for RFx {
 struct DFx {
     /// Frames for the relay, in send order; `None` with no relay connected.
     out: Option<Vec<DispatcherMsg>>,
+    /// The direct workers' connections, and the frames for those.
+    direct: BTreeMap<WorkerId, u64>,
+    to_direct: Vec<(u64, DispatcherMsg)>,
     wal: Vec<Record>,
     unfinished: BTreeSet<JobId>,
 }
@@ -135,10 +142,22 @@ impl DFx {
 
 impl DispatcherEffects for DFx {
     fn send_assign(&mut self, worker: WorkerId, assignment: TaskAssignment) -> bool {
-        self.send(DispatcherMsg::RelayAssign { worker, assignment })
+        match self.direct.get(&worker) {
+            Some(&conn) => self
+                .to_direct
+                .push((conn, DispatcherMsg::Assign(assignment))),
+            None => return self.send(DispatcherMsg::RelayAssign { worker, assignment }),
+        }
+        true
     }
     fn send_cancel(&mut self, worker: WorkerId, task_id: TaskId) -> bool {
-        self.send(DispatcherMsg::RelayCancel { worker, task_id })
+        match self.direct.get(&worker) {
+            Some(&conn) => self
+                .to_direct
+                .push((conn, DispatcherMsg::Cancel { task_id })),
+            None => return self.send(DispatcherMsg::RelayCancel { worker, task_id }),
+        }
+        true
     }
     fn pmi_start(&mut self, _: JobId, _: &str, _: u32) -> std::io::Result<String> {
         Ok("127.0.0.1:9".to_string())
@@ -162,15 +181,83 @@ impl DispatcherEffects for DFx {
     }
 }
 
+/// A pilot's effects: seeded runners, every frame and fact checked as it
+/// is emitted.
 #[derive(Default)]
+struct PFx {
+    /// The time, this input's random bits, this input's frames.
+    now: u64,
+    dice: u64,
+    out: Vec<WorkerMsg>,
+    /// The connection; writes on it succeed from `Registered` on.
+    link: Option<u64>,
+    wire: bool,
+    gone: bool,
+    /// Runner results on their way: when, whose, exit code, and whether
+    /// the task left the pilot without it.
+    results: Vec<(u64, u64, i32, bool)>,
+    /// Tasks accepted with no `Done` on a wire yet, and whether tripped.
+    owed: BTreeMap<TaskId, bool>,
+    /// The exec span: 0 none, 1 open, 2 closed and awaiting `TaskEnded`.
+    span: u8,
+}
+
+impl PilotEffects for PFx {
+    fn send(&mut self, msg: &WorkerMsg) -> bool {
+        assert!(!self.gone, "{msg:?} after Goodbye");
+        let claimed = matches!(self.out.first(), Some(WorkerMsg::SessionState { .. }));
+        match msg {
+            WorkerMsg::Done { task_id, .. } if self.wire => {
+                let tripped = self.owed.remove(task_id).expect("a second Done");
+                assert!(!(claimed && tripped), "a canceled Done was stashed");
+                assert!(self.out.last() != Some(&WorkerMsg::Request), "Done late");
+            }
+            WorkerMsg::Request => assert_eq!(self.span, 0, "Request with a task in flight"),
+            WorkerMsg::SessionState { .. } => assert_eq!(self.out, [], "a late claim"),
+            _ => {}
+        }
+        self.gone = self.wire && *msg == WorkerMsg::Goodbye;
+        self.out.extend(self.wire.then(|| msg.clone()));
+        self.wire
+    }
+    fn send_pair(&mut self, done: &WorkerMsg, request: &WorkerMsg) -> bool {
+        self.send(done) && self.send(request)
+    }
+    fn run(&mut self, runner: u64, _fresh: bool) {
+        let idle = self.results.iter().all(|r| r.1 != runner || r.3);
+        assert!(idle, "runner {runner} handed a second task");
+        let (due, failed) = (
+            self.now + 1 + self.dice % 50,
+            (self.dice >> 8).is_multiple_of(10),
+        );
+        self.results.push((due, runner, failed as i32, false));
+    }
+    fn trip(&mut self, task: TaskId) {
+        self.owed.insert(task, true);
+        // One in three stands down at once; the others ignore their grace.
+        let obeys = (self.dice >> 16).is_multiple_of(3);
+        if let Some(r) = self.results.iter_mut().rfind(|r| obeys && !r.3) {
+            r.0 = self.now + (self.dice >> 24) % 3;
+        }
+    }
+    fn hang_up_read(&mut self) {}
+    fn fact(&mut self, fact: PilotFact) {
+        let (from, to) = match fact {
+            PilotFact::Event(EventKind::SpanStart { .. }) => (0, 1),
+            PilotFact::Event(EventKind::SpanEnd { .. }) => (1, 2),
+            PilotFact::Event(EventKind::TaskEnded { .. }) => (2, 0),
+            _ => return,
+        };
+        assert_eq!(self.span, from, "{fact:?}");
+        // Once the task has left, whatever a runner still owes is late.
+        self.span = to;
+        self.results.iter_mut().for_each(|r| r.3 |= to == 0);
+    }
+}
+
 struct Pilot {
-    /// Its relay-local id while connected, and whether `Registered` came.
-    local: Option<u64>,
-    ready: bool,
-    /// Task, job, when it ends, how.
-    running: Option<(TaskId, JobId, u64, i32)>,
-    /// Results with no wire to go out on, replayed after `Registered`.
-    stash: Vec<(TaskId, i32)>,
+    core: PilotCore,
+    fx: PFx,
 }
 
 struct World {
@@ -193,6 +280,9 @@ struct World {
     /// Frames in flight, in send order, each with its arrival time.
     wire: Vec<(u64, Hop)>,
     pilots: Vec<Pilot>,
+    /// Pilot outages with a task in flight, `Cancel`s that crossed the
+    /// `Done`, grace expiries.
+    seen: [u64; 3],
     /// What the relay has forwarded and not seen end, by member.
     inflight: BTreeMap<u64, (TaskId, JobId)>,
     /// `Cancel`s the last relay input sent to members.
@@ -227,13 +317,20 @@ impl World {
             sessions: 0,
             eof: None,
             wire: Vec::new(),
-            pilots: (0..PILOTS).map(|_| Pilot::default()).collect(),
+            pilots: (0..ALL).map(|_| World::boot()).collect(),
+            seen: [0; 3],
             inflight: BTreeMap::new(),
             cancels: BTreeSet::new(),
             inputs: 0,
             losses: 0,
             crashes: 0,
         }
+    }
+
+    /// A pilot process, started.
+    fn boot() -> Pilot {
+        let (core, fx) = (PilotCore::new(GRACE, None), PFx::default());
+        Pilot { core, fx }
     }
 
     fn pick(&mut self, n: u64) -> u64 {
@@ -291,7 +388,28 @@ impl World {
             out.into_iter()
                 .for_each(|msg| self.send(Hop::Down(n, msg), 9));
         }
+        for (conn, msg) in std::mem::take(&mut self.dfx.to_direct) {
+            self.send(Hop::Hear(conn, msg), 9);
+        }
         self.audit();
+    }
+
+    /// One input into pilot `p`'s core: its frames go onto its connection.
+    fn pilot<R>(&mut self, p: usize, f: impl FnOnce(&mut PilotCore, &mut PFx, Instant) -> R) -> R {
+        let (at, dice) = (
+            self.t0 + Duration::from_millis(self.now),
+            self.rng.next_u64(),
+        );
+        let Pilot { core, fx } = &mut self.pilots[p];
+        (fx.now, fx.dice) = (self.now, dice);
+        let out = f(core, fx, at);
+        let (frames, link) = (std::mem::take(&mut fx.out), fx.link);
+        for msg in frames {
+            let hop = Hop::Say(link.expect("a frame and no connection"), msg);
+            self.rfx.trace.iter_mut().for_each(|t| t.push(hop.clone()));
+            self.send(hop, 3);
+        }
+        out
     }
 
     fn audit(&self) {
@@ -378,7 +496,7 @@ impl World {
 
     /// One frame read off upstream session `n` — possibly a dead one.
     fn relay_reads(&mut self, n: u64, msg: DispatcherMsg) {
-        let member = |l: u64| self.pilots.iter().any(|p| p.local == Some(l));
+        let member = |l: u64| self.pilots.iter().any(|p| p.fx.link == Some(l));
         match msg {
             _ if self.session != Some(n) => {}
             DispatcherMsg::RelayRegistered { local, worker_id } if member(local) => {
@@ -395,61 +513,99 @@ impl World {
         self.relay(|core, fx, _| core.upstream(n, msg, fx));
     }
 
-    fn member_says(&mut self, local: u64, said: Said) {
-        match said {
-            None => self.relay(|core, fx, now| core.request(now, local, fx)),
-            Some(Ok((task, exit_code))) => {
-                self.inflight.remove(&local);
-                let done = (task, exit_code, 1, None, 0);
-                self.relay(|core, fx, now| core.done(now, local, done, fx));
+    /// `DispatcherConn::on_direct` for a direct pilot's frame, the relay's
+    /// `MemberConn::on_frame` for a member's; `Goodbye` closes either.
+    fn pilot_says(&mut self, link: u64, msg: WorkerMsg) {
+        let worker = self.dfx.direct.iter().find(|d| *d.1 == link).map(|d| *d.0);
+        match (msg, worker) {
+            (WorkerMsg::Goodbye, _) => {
+                let p = self.pilots.iter().position(|p| p.fx.link == Some(link));
+                p.into_iter().for_each(|p| self.disconnect(p, true));
             }
-            Some(Err(running)) => {
-                self.inflight.insert(local, running);
-                self.relay(|core, fx, now| core.session_state(now, local, Some(running), fx));
-            }
-        }
-    }
-
-    /// The agent: replay the stash and ask for work once registered, run
-    /// what is assigned, obey a `Cancel` that names the running task.
-    fn pilot_hears(&mut self, local: u64, msg: DispatcherMsg) {
-        let Some(p) = self.pilots.iter().position(|p| p.local == Some(local)) else {
-            return;
-        };
-        let (ends, exit_code) = (self.now + 1 + self.pick(40), (self.pick(10) == 0) as i32);
-        match msg {
-            DispatcherMsg::Registered { .. } if !self.pilots[p].ready => {
-                self.pilots[p].ready = true;
-                for result in std::mem::take(&mut self.pilots[p].stash) {
-                    self.send(Hop::Say(local, Some(Ok(result))), 3);
+            (WorkerMsg::Request, Some(w)) => self.disp(|core, fx, at| {
+                core.park(&[w]);
+                core.schedule(at, fx);
+            }),
+            (WorkerMsg::SessionState { running: Some(r) }, Some(w)) => self.disp(|core, fx, at| {
+                let _ = core.claim(at, w, r, fx) || fx.send_cancel(w, r.0);
+            }),
+            (
+                WorkerMsg::Done {
+                    task_id: t,
+                    exit_code: e,
+                    wall_ms,
+                    output,
+                    trace,
+                },
+                w,
+            ) => match w {
+                Some(w) => self.disp(|core, fx, at| core.done(at, w, t, e, output, fx)),
+                None if link < DIRECT => {
+                    self.inflight.remove(&link);
+                    self.relay(|core, fx, now| {
+                        core.done(now, link, (t, e, wall_ms, output, trace), fx)
+                    });
                 }
-                if self.pilots[p].running.is_none() {
-                    self.send(Hop::Say(local, None), 3);
-                }
-            }
-            DispatcherMsg::Assign(a) => {
-                let run = (a.task_id, a.job_id, ends, exit_code);
-                let busy = self.pilots[p].running.replace(run);
-                assert_eq!(busy, None, "pilot {p} double-assigned");
-            }
-            DispatcherMsg::Cancel { task_id }
-                if self.pilots[p].running.take_if(|r| r.0 == task_id).is_some() =>
-            {
-                self.report(p, task_id, EXIT_CANCELED);
+                None => {}
+            },
+            _ if link >= DIRECT => {}
+            (WorkerMsg::Request, _) => self.relay(|core, fx, now| core.request(now, link, fx)),
+            (WorkerMsg::SessionState { running }, _) => {
+                running.map(|r| self.inflight.insert(link, r));
+                self.relay(|core, fx, now| core.session_state(now, link, running, fx));
             }
             _ => {}
         }
     }
 
-    /// `Done` then `Request` — or the stash, with no wire to send on.
-    fn report(&mut self, p: usize, task: TaskId, exit_code: i32) {
-        match self.pilots[p].local.filter(|_| self.pilots[p].ready) {
-            None => self.pilots[p].stash.push((task, exit_code)),
-            Some(local) => {
-                self.send(Hop::Say(local, Some(Ok((task, exit_code)))), 3);
-                self.send(Hop::Say(local, None), 0);
+    /// The agent's session loop: one frame off connection `link`.
+    fn pilot_hears(&mut self, link: u64, msg: DispatcherMsg) {
+        let on_link = |p: &Pilot| p.fx.link == Some(link) && !p.fx.gone;
+        let Some(p) = self.pilots.iter().position(on_link) else {
+            return;
+        };
+        let (running, up) = (self.pilots[p].core.running(), self.pilots[p].fx.wire);
+        let crossed = |task_id| up && running.map(|r| r.0) != Some(task_id);
+        self.seen[1] += matches!(msg, DispatcherMsg::Cancel { task_id } if crossed(task_id)) as u64;
+        let staged = self.pick(12) > 0;
+        self.pilot(p, |core, fx, now| match msg {
+            DispatcherMsg::Registered { worker_id } if !up => {
+                fx.wire = true;
+                core.session_up(now, worker_id, fx);
+                let claim = WorkerMsg::SessionState { running };
+                assert!(running.is_none() || fx.out == [claim], "unclaimed");
             }
+            // The handshake is not over: the shell would resync.
+            _ if !up => {}
+            DispatcherMsg::Assign(a) => {
+                assert_eq!(running, None, "pilot {p} double-assigned");
+                fx.owed.insert(a.task_id, false);
+                core.assign(now, &a, staged, fx);
+            }
+            DispatcherMsg::Cancel { task_id } => core.cancel(now, task_id, fx),
+            DispatcherMsg::Shutdown => core.shutdown(fx),
+            _ => {}
+        });
+    }
+
+    /// Pilot `p`'s runners deliver what is due — a late result must change
+    /// nothing — and its clock ticks.
+    fn pilot_runs(&mut self, p: usize) {
+        let now = self.now;
+        while let Some(i) = self.pilots[p].fx.results.iter().position(|r| r.0 <= now) {
+            let (_, runner, exit_code, late) = self.pilots[p].fx.results.remove(i);
+            let (output, was) = (None, self.pilots[p].core.running());
+            self.pilot(p, |core, fx, at| {
+                let counted = core.finished(at, runner, TaskOutcome { exit_code, output }, fx);
+                assert_eq!(counted, !late, "runner {runner}'s result");
+                assert!(!late || (fx.out.is_empty() && core.running() == was));
+            });
         }
+        self.seen[2] += self.pilot(p, |core, fx, at| {
+            let expired = core.deadline().is_some_and(|deadline| deadline <= at);
+            core.tick(at, fx);
+            expired as u64
+        });
     }
 
     /// Time passes: the relay notices a dead wire, due tasks end, and
@@ -461,44 +617,66 @@ impl World {
             self.rfx.acked.clear();
             self.relay(|core, _, _| core.session_down(n));
         }
-        for p in 0..self.pilots.len() {
-            let due = |r: &mut (TaskId, JobId, u64, i32)| r.2 <= self.now;
-            if let Some((task, _, _, exit_code)) = self.pilots[p].running.take_if(due) {
-                self.report(p, task, exit_code);
-            }
-        }
+        (0..ALL).for_each(|p| self.pilot_runs(p));
         while let Some(i) = self.wire.iter().position(|f| f.0 <= self.now) {
             match self.wire.remove(i).1 {
                 Hop::Up(n, msg) => self.on_relay(n, msg),
                 Hop::Down(n, msg) => self.relay_reads(n, msg),
-                Hop::Say(local, said) => self.member_says(local, said),
-                Hop::Hear(local, msg) => self.pilot_hears(local, msg),
+                Hop::Say(link, msg) => self.pilot_says(link, msg),
+                Hop::Hear(link, msg) => self.pilot_hears(link, msg),
             }
         }
     }
 
-    /// (Re-)register pilot `p`; the claim on a task carried across its
-    /// own outage rides right behind the registration.
+    /// Pilot `p` — a fresh process, if the last said `Goodbye` — connects
+    /// and says `Register`; the ack is on its way.
     fn connect(&mut self, p: usize) {
-        if self.pilots[p].local.is_some() {
+        if self.pilots[p].fx.link.is_some() {
             return;
+        }
+        if self.pilots[p].fx.gone {
+            self.pilots[p] = World::boot();
         }
         let who = (format!("p{p}"), 1, format!("rack{}", p % 2));
-        let local = self.relay(|core, fx, now| core.register(now, who, fx));
-        (self.pilots[p].local, self.pilots[p].ready) = (Some(local), false);
-        if let Some((task, job, ..)) = self.pilots[p].running {
-            self.send(Hop::Say(local, Some(Err((task, job)))), 3);
-        }
+        let conn = DIRECT + self.inputs;
+        self.pilots[p].fx.link = Some(match p < PILOTS as usize {
+            true => self.relay(|core, fx, now| core.register(now, who, fx)),
+            // `DispatcherConn::on_handshake`
+            false => {
+                self.disp(|core, fx, at| {
+                    let worker_id = core.register(at, who, None, fx).0;
+                    fx.direct.insert(worker_id, conn);
+                    let registered = DispatcherMsg::Registered { worker_id };
+                    fx.to_direct.push((conn, registered));
+                });
+                conn
+            }
+        });
     }
 
-    /// Pilot `p`'s connection drops — with the process (`dies`) or
-    /// without. The local fan-out reaches exactly the same-job siblings.
+    /// Pilot `p`'s end of its connection closes — with the process
+    /// (`dies`) or without; returns which connection it was.
+    fn hang_up(&mut self, p: usize, dies: bool) -> Option<u64> {
+        let link = self.pilots[p].fx.link.take()?;
+        self.seen[0] += (!dies && self.pilots[p].core.running().is_some()) as u64;
+        self.pilots[p].fx.wire = false;
+        self.pilot(p, |core, fx, now| core.session_down(now, fx));
+        if dies {
+            self.pilots[p] = World::boot();
+        }
+        Some(link)
+    }
+
+    /// Pilot `p`'s connection drops. At the relay, the local fan-out
+    /// reaches exactly the same-job siblings.
     fn disconnect(&mut self, p: usize, dies: bool) {
-        let Some(local) = self.pilots[p].local.take() else {
+        let Some(local) = self.hang_up(p, dies) else {
             return;
         };
-        if dies {
-            self.pilots[p] = Pilot::default();
+        let worker = self.dfx.direct.iter().find(|d| *d.1 == local).map(|d| *d.0);
+        if let Some(worker) = worker {
+            self.dfx.direct.remove(&worker);
+            return self.disp(|core, fx, at| core.worker_down(at, worker, fx));
         }
         let job = self.inflight.remove(&local).map(|r| r.1);
         let same_job = |(_, r): &(&u64, &(TaskId, JobId))| Some(r.1) == job;
@@ -544,6 +722,8 @@ impl World {
         self.crashes += 1;
         self.lose_upstream(true);
         (self.conn, self.dfx.out) = (None, None);
+        (PILOTS as usize..ALL).for_each(|p| _ = self.hang_up(p, false));
+        self.dfx.direct.clear();
         let recovered = journal::recover(&self.dfx.wal);
         self.dfx.wal.push(Record::Restarted);
         self.disp = Core::new(self.config.clone(), self.t0);
@@ -557,7 +737,7 @@ impl World {
 
     /// One step of the schedule: time passes and one thing happens.
     fn step(&mut self) {
-        let (ms, p) = (self.pick(8), self.pick(PILOTS) as usize);
+        let (ms, p) = (self.pick(8), self.pick(ALL as u64) as usize);
         self.pass(ms);
         match self.pick(100) {
             0..=14 => {
@@ -566,45 +746,56 @@ impl World {
                     0 => JobSpec::mpi(2 + self.pick(2) as u32, cmd),
                     _ => JobSpec::sequential(cmd),
                 };
-                let spec = match self.pick(5) {
+                let spec = match self.pick(3) {
                     0 => spec.with_deadline(Duration::from_millis(10 + self.pick(30))),
                     _ => spec,
                 };
                 let spec = spec.with_retries(self.pick(3) as u32);
                 self.disp(|core, fx, at| drop(core.submit(at, vec![spec], fx)));
             }
-            15..=34 => self.tick(),
-            35..=54 => self.connect(p),
-            55..=72 => self.connect_upstream(),
-            73..=78 => self.disconnect(p, true),
-            79..=83 => self.disconnect(p, false),
+            15..=30 => self.tick(),
+            31..=50 => self.connect(p),
+            51..=67 => self.connect_upstream(),
+            68..=72 => self.disconnect(p, true),
+            73..=80 => self.disconnect(p, false),
+            // Somebody tells the pilot to go, mid-task or not.
+            81..=83 => self.pilots[p].fx.link.into_iter().for_each(|link| {
+                self.send(Hop::Hear(link, DispatcherMsg::Shutdown), 3);
+            }),
             84..=95 => self.lose_upstream(false),
             _ => self.crash(),
         }
     }
 
     /// One schedule: a two-slot outage buffer (so it overflows), ≥ 200
-    /// inputs of faults; then faults stop, everything heals, and every job
-    /// submitted reaches its terminal state, exactly once.
+    /// inputs of faults; then faults stop, everything heals, every job
+    /// submitted reaches its terminal state, exactly once, and every pilot
+    /// is idle, owing nothing but the `Done`s of canceled tasks.
     fn schedule(seed: u64, trace: bool) -> World {
         let mut w = World::new(seed, 2, None);
         w.rfx.trace = trace.then(Vec::new);
         w.connect_upstream();
-        (0..PILOTS as usize).for_each(|p| w.connect(p));
+        (0..ALL).for_each(|p| w.connect(p));
         while w.inputs < 200 {
             w.step();
         }
+        let idle = |p: &Pilot| {
+            let quit = p.fx.wire && p.core.running().is_none() && p.fx.span == 0;
+            quit && p.fx.owed.values().all(|tripped| *tripped)
+        };
         for _ in 0..2_000 {
-            if w.dfx.unfinished.is_empty() {
+            if w.dfx.unfinished.is_empty() && w.pilots.iter().all(idle) {
                 break;
             }
             w.pass(12);
             w.connect_upstream();
-            (0..PILOTS as usize).for_each(|p| w.connect(p));
+            (0..ALL).for_each(|p| w.connect(p));
             w.tick();
         }
         assert!(w.dfx.unfinished.is_empty(), "stuck: {:?}", w.dfx.unfinished);
         assert!(w.disp.running() == 0 && w.disp.queue().is_empty());
+        let owing = w.pilots.iter().position(|p| !idle(p));
+        assert_eq!(owing, None, "a pilot still runs, or lost a Done");
         w
     }
 }
@@ -613,17 +804,20 @@ impl World {
 fn seeded_fault_schedules_keep_every_invariant() {
     const SCHEDULES: u64 = 2_000;
     let started = Instant::now();
-    let (mut inputs, mut losses, mut crashes) = (0, 0, 0);
+    let (mut inputs, mut losses, mut crashes, mut seen) = (0, 0, 0, [0; 3]);
     check(SEED, SCHEDULES, |rng| {
         let w = World::schedule(rng.next_u64(), false);
         (inputs, losses, crashes) = (inputs + w.inputs, losses + w.losses, crashes + w.crashes);
+        seen = std::array::from_fn(|i| seen[i] + w.seen[i]);
     });
     let secs = started.elapsed().as_secs_f64();
     println!(
         "relay_model: {SCHEDULES} schedules, {inputs} inputs, {losses} upstream losses \
-         ({crashes} of them dispatcher crash/restores) in {secs:.2} s"
+         ({crashes} of them dispatcher crash/restores); pilot outages mid-task, Cancels \
+         crossing a Done, grace expiries: {seen:?}; {secs:.2} s"
     );
     assert!(losses - crashes >= SCHEDULES && crashes >= SCHEDULES);
+    assert!(seen.iter().all(|n| *n >= SCHEDULES), "{seen:?}");
 }
 
 #[test]

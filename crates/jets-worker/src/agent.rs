@@ -1,16 +1,45 @@
-//! The worker agent: connection lifecycle, task loop, kill switch,
-//! reconnect with backoff, and dispatcher-driven task cancellation.
+//! The worker agent: the shell around [`PilotCore`].
+//!
+//! What a pilot *decides* — what a session opens with, what is carried or
+//! stashed across an outage, what `Cancel` and `Shutdown` mean mid-task,
+//! when a runner is given up on, when to stop reconnecting — lives in
+//! [`crate::core`], each guarantee an invariant that
+//! `jets-relay/tests/relay_model.rs` checks after every input of 2,000
+//! seeded fault schedules. This file owns what the core may not: socket,
+//! clock, lock, threads, cancel token, flight recorder, metric handles.
+//!
+//! ## Thread anatomy
+//!
+//! * **the agent** (`worker-*`) connects, registers, then blocks in the
+//!   session socket's read; a frame is one core input. Whatever blocks
+//!   happens here, off the lock, and its *result* is the input: connect +
+//!   handshake → `session_up` or `session_down` (whose count sets the
+//!   backoff sleep), staging → `assign`'s `staged`, a read timed out on
+//!   [`PilotCore::deadline`] → `tick`, EOF → `session_down`.
+//! * **the runner** (`task`), long-lived, executes one task at a time and
+//!   delivers `finished` itself, so that `Done` and the next `Request`
+//!   leave in one write from the thread that has the result: two
+//!   hand-offs per task (`tests/wakeups.rs`). A runner the core gave up
+//!   on learns so from `finished`'s `false`, and ends.
+//! * **the heartbeat** (`hb-*`; if configured, one per session) delivers
+//!   `tick` whenever [`PilotCore::heartbeat_due`] says.
+//!
+//! One mutex guards `{core, wire}`. Every input takes it, in
+//! `Pilot::input`, and nothing blocks under it but the socket write a
+//! send is; the kill switch keeps its own handle on the socket, so that
+//! it can sever a session whose write is stuck.
 
+use crate::core::{span, Effects, Fact, PilotCore};
 use crate::executor::{CancelToken, TaskExecutor, TaskOutcome, EXIT_RANK_PANIC, EXIT_SPAWN_FAILED};
 use crate::metrics::WorkerMetrics;
 use crate::staging::NodeLocalCache;
 use jets_core::protocol::{
-    DispatcherMsg, MsgReader, MsgWriter, TaskAssignment, WorkerMsg, EXIT_CANCELED,
+    DispatcherMsg, MsgReader, MsgWriter, TaskAssignment, TaskKind, WorkerMsg,
 };
 use jets_core::spec::CommandSpec;
-use jets_core::{EventKind, EventLog, SpanKind, WriterRole};
+use jets_core::{EventLog, SpanKind, WriterRole};
 use jets_ring::stdx::{Mutex, SplitMix64};
-use std::io::{BufReader, ErrorKind};
+use std::io::{self, BufReader, ErrorKind};
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,6 +47,8 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+pub use crate::core::EXIT_STAGING_FAILED;
 
 /// How an agent retries a lost dispatcher connection.
 ///
@@ -39,6 +70,16 @@ pub struct ReconnectPolicy {
     pub jitter: f64,
     /// Seed for the jitter PRNG (deterministic per worker).
     pub seed: u64,
+}
+
+impl ReconnectPolicy {
+    /// The wait before the attempt that follows `failed` failures in a row.
+    pub fn backoff(&self, failed: u32, jitter: &mut SplitMix64) -> Duration {
+        let shift = failed.saturating_sub(1).min(16);
+        let backoff = self.base_backoff.saturating_mul(1u32 << shift);
+        let shave = self.jitter.clamp(0.0, 1.0) * jitter.gen_f64();
+        backoff.min(self.max_backoff).mul_f64(1.0 - shave)
+    }
 }
 
 impl Default for ReconnectPolicy {
@@ -157,43 +198,29 @@ impl Worker {
         // The flight recorder is opened here (not in the loop thread) so
         // a bad path surfaces before the agent silently runs unrecorded,
         // and so callers can read the same ring via `events()`. A failed
-        // open degrades to no recording: the agent's job is running
-        // tasks, not archiving its own diagnostics.
-        let name = &config.name;
-        let log =
-            config
-                .flight_recorder
-                .as_ref()
-                .and_then(|path| {
-                    match EventLog::file_backed_with_role(
-                        path,
-                        jets_core::events::DEFAULT_EVENT_CAPACITY,
-                        WriterRole::Worker,
-                    ) {
-                        Ok(log) => Some(log),
-                        Err(err) => {
-                            eprintln!(
-                                "worker {name}: flight recorder {} unavailable: {err}",
-                                path.display()
-                            );
-                            None
-                        }
-                    }
-                });
+        // open degrades to no recording: the agent's job is running tasks.
+        let log = config.flight_recorder.as_ref().and_then(|path| {
+            let capacity = jets_core::events::DEFAULT_EVENT_CAPACITY;
+            let opened = EventLog::file_backed_with_role(path, capacity, WriterRole::Worker);
+            let (name, path) = (&config.name, path.display());
+            let warn = |err: &io::Error| {
+                eprintln!("worker {name}: flight recorder {path} unavailable: {err}")
+            };
+            opened.inspect_err(warn).ok()
+        });
+        let core = PilotCore::new(config.cancel_grace, config.heartbeat);
         let pilot = Arc::new(Pilot {
             config,
             executor,
             log,
             kill: AtomicBool::new(false),
             sock: Mutex::new(None),
-            link: Mutex::new(Link::default()),
+            state: Mutex::new((core, Wire::default())),
         });
         let agent = Agent {
             pilot: Arc::clone(&pilot),
-            runner: None,
-            runners_started: 0,
-            grace: None,
-            local_cache: LazyCache::default(),
+            jobs: None,
+            local_cache: None,
         };
         let handle = thread::Builder::new()
             .name(format!("worker-{}", pilot.config.name))
@@ -256,111 +283,20 @@ impl Worker {
     }
 }
 
-/// Exit code reported when node-local staging fails before the task runs.
-pub const EXIT_STAGING_FAILED: i32 = 13;
-
-/// Lazily-created node-local cache (most workers never stage anything).
+/// What the core's effects reach, under the same lock as the core.
 #[derive(Default)]
-struct LazyCache {
-    cache: Option<NodeLocalCache>,
-}
-
-impl LazyCache {
-    fn get_or_init(&mut self, worker_name: &str) -> std::io::Result<&NodeLocalCache> {
-        if self.cache.is_none() {
-            let dir = std::env::temp_dir()
-                .join(format!("jets-local-{worker_name}-{}", std::process::id()));
-            self.cache = Some(NodeLocalCache::new(dir)?);
-        }
-        Ok(self.cache.as_ref().expect("just initialized"))
-    }
-}
-
-/// Append an environment variable to the assignment's command.
-fn push_env(assignment: &mut TaskAssignment, key: &str, value: &str) {
-    let cmd = match &mut assignment.kind {
-        jets_core::protocol::TaskKind::Sequential { cmd } => cmd,
-        jets_core::protocol::TaskKind::MpiProxy { cmd, .. } => cmd,
-    };
-    let env = match cmd {
-        CommandSpec::Exec { env, .. } | CommandSpec::Builtin { env, .. } => env,
-    };
-    env.push((key.to_string(), value.to_string()));
-}
-
-/// Holds the in-flight gauge up for as long as its task is in flight;
-/// dropping the task balances it on every path (report, abandoned
-/// grace, session loss, kill).
-struct InflightGuard(Arc<jets_obs::Gauge>);
-
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        self.0.dec();
-    }
-}
-
-/// Records `WorkerDown` into the flight recorder when a registered
-/// session ends, on every exit path — the ring replay then pairs one
-/// down with every `WorkerUp`.
-struct SessionEventGuard<'a> {
-    events: Option<&'a EventLog>,
-    worker: u64,
-}
-
-impl Drop for SessionEventGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(log) = self.events {
-            log.record(EventKind::WorkerDown {
-                worker: self.worker,
-            });
-        }
-    }
-}
-
-/// How one dispatcher session ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SessionEnd {
-    /// Dispatcher said `Shutdown` — the agent is done.
-    Shutdown,
-    /// The kill switch fired — the agent is done.
-    Killed,
-    /// The connection dropped; a reconnect policy may start a new session.
-    Lost,
-}
-
-/// How the agent's one wait, the read on the session socket, ends when
-/// not with a frame.
-enum NoFrame {
-    /// The connection is gone (or its read half was hung up on purpose).
-    Closed,
-    /// A canceled task used up its grace and is still running.
-    GraceExpired,
-}
-
-/// A task handed to the runner and not yet reported. It outlives a lost
-/// session: the runner keeps executing, and these fields let the *next*
-/// session claim the task, honour a late `Cancel`, and report the
-/// outcome.
-struct RunningTask {
-    task_id: u64,
-    job_id: u64,
-    /// Trace id from the assignment, so the `Done` and the exec span-end
-    /// still correlate with the submission after an outage.
-    trace: u64,
-    ranks: u32,
-    /// The runner executing it; a result from any other runner is late.
-    runner: u64,
+struct Wire {
+    /// The session's write half (one encode buffer for all it sends), from
+    /// `session_up` until a write fails or the session ends.
+    tx: Option<MsgWriter<TcpStream>>,
+    /// The in-flight task's token.
     cancel: CancelToken,
-    started: Instant,
-    /// A `Cancel` tripped the token; the agent's grace clock is running.
-    canceled: bool,
-    _inflight: Option<InflightGuard>,
+    /// What `run` asked for: the agent, the only thread whose inputs
+    /// start tasks, acts on it once off the lock.
+    started: Option<(u64, bool, CancelToken)>,
 }
 
-/// What the threads of one pilot share. The agent thread reads the
-/// session socket and starts tasks; the long-lived runner thread
-/// executes them and reports each result itself; a heartbeat thread
-/// lives as long as a session that wants one.
+/// What the threads of one pilot share.
 struct Pilot {
     config: WorkerConfig,
     executor: Arc<dyn TaskExecutor>,
@@ -369,237 +305,122 @@ struct Pilot {
     /// The kill switch's handle on the session socket: severing it is
     /// what wakes an agent blocked in its read.
     sock: Mutex<Option<TcpStream>>,
-    link: Mutex<Link>,
+    state: Mutex<(PilotCore, Wire)>,
 }
 
 impl Pilot {
     fn killed(&self) -> bool {
         self.kill.load(Ordering::Acquire)
     }
+
+    /// One input to the core: take the lock, sample the clock, call.
+    fn input<R>(&self, input: impl FnOnce(&mut PilotCore, Instant, &mut Sink<'_>) -> R) -> R {
+        let (core, wire) = &mut *self.state.lock();
+        input(core, Instant::now(), &mut Sink { pilot: self, wire })
+    }
+
+    /// `tick`, then how long until `due` owes the next one.
+    fn tick(&self, due: fn(&PilotCore) -> Option<Instant>) -> Option<Duration> {
+        self.input(|core, now, fx| {
+            core.tick(now, fx);
+            due(core).map(|at| at.saturating_duration_since(now))
+        })
+    }
+
+    /// Sleep `total`, in slices so that a kill is prompt; false if killed.
+    fn sleep(&self, total: Duration) -> bool {
+        let until = Instant::now() + total;
+        while !self.killed() && Instant::now() < until {
+            let left = until.saturating_duration_since(Instant::now());
+            thread::sleep(left.min(Duration::from_millis(20)));
+        }
+        !self.killed()
+    }
+
+    /// The one place that writes the flight recorder and the metrics.
+    fn fact(&self, fact: Fact) {
+        match (fact, &self.config.metrics) {
+            (Fact::Event(kind), _) => self.log.as_ref().map_or((), |log| log.record(kind)),
+            (_, None) => {}
+            (Fact::SessionUp, Some(m)) => m.sessions_total.inc(),
+            (Fact::SessionLost, Some(m)) => m.connections_lost_total.inc(),
+            (Fact::TaskBegan, Some(m)) => m.tasks_inflight.inc(),
+            (Fact::TaskLeft(wall_ms, exit_code, canceled), Some(m)) => {
+                m.tasks_inflight.dec();
+                m.tasks_executed_total.inc();
+                if canceled {
+                    m.tasks_canceled_total.inc();
+                } else if exit_code != 0 {
+                    m.tasks_failed_total.inc();
+                }
+                m.task_seconds.record(wall_ms.saturating_mul(1_000));
+            }
+            (Fact::StagingFailed, Some(m)) => m.staging_failed_total.inc(),
+        }
+    }
 }
 
-/// The session's write half and the state decided together with what is
-/// written to it, all under the one lock that keeps frames from
-/// interleaving. Only the wire is per session; the rest survives a lost
-/// dispatcher, because a dispatcher restart severs every connection but
-/// kills no worker process: the pilot's task is still running and its
-/// results still matter. Both are carried across the gap — the in-flight
-/// task (claimed via [`WorkerMsg::SessionState`] so a recovering
-/// dispatcher re-adopts the gang instead of relaunching it) and any
-/// terminal `Done` that never reached the old wire (replayed verbatim
-/// after the next registration, so the dispatcher hears every result
-/// exactly once).
-#[derive(Default)]
-struct Link {
-    /// `None` between sessions: a task that ends then is stashed. The
-    /// `MsgWriter` reuses one encode buffer for every message a session
-    /// sends.
-    wire: Option<MsgWriter<TcpStream>>,
-    worker_id: u64,
-    /// The in-flight task, if any.
-    task: Option<RunningTask>,
-    /// `Shutdown` was read while the task ran: its report ends the agent.
-    stopping: bool,
-    /// Terminal reports whose send failed: replayed after re-register.
-    stashed: Vec<WorkerMsg>,
-    tasks_done: u64,
+/// The shell's [`Effects`]: where the core's decisions become bytes.
+struct Sink<'a> {
+    pilot: &'a Pilot,
+    wire: &'a mut Wire,
 }
 
-impl Link {
-    fn send(&mut self, msg: &WorkerMsg) -> std::io::Result<()> {
-        match &mut self.wire {
-            Some(wire) => wire.send(msg),
-            None => Err(std::io::ErrorKind::NotConnected.into()),
-        }
-    }
-
-    /// Take over a registered session's write half. Recovery handshake
-    /// first (dispatcher crash recovery): claim the task carried from the
-    /// previous session so a restarted dispatcher can re-adopt its gang
-    /// during the reconciliation window — an established dispatcher
-    /// answers an unknown claim with `Cancel` — then replay terminal
-    /// reports that never made it onto the old wire, oldest first,
-    /// keeping the rest stashed if this wire dies too. Then the first
-    /// `Request`, unless a carried task is still running: its runner asks
-    /// when it reports.
-    fn open_session(
-        &mut self,
-        mut wire: MsgWriter<TcpStream>,
-        worker_id: u64,
-    ) -> std::io::Result<()> {
-        if self.task.is_some() || !self.stashed.is_empty() {
-            let running = self.task.as_ref().map(|t| (t.task_id, t.job_id));
-            wire.send(&WorkerMsg::SessionState { running })?;
-            while let Some(msg) = self.stashed.first() {
-                wire.send(msg)?;
-                self.stashed.remove(0);
-                self.tasks_done += 1;
-            }
-        }
-        if self.task.is_none() {
-            wire.send(&WorkerMsg::Request)?;
-        }
-        self.wire = Some(wire);
-        self.worker_id = worker_id;
-        Ok(())
-    }
-
-    /// The session is over: say `Goodbye` if the dispatcher asked for
-    /// the shutdown, and let go of the wire.
-    fn close_session(&mut self, goodbye: bool) {
-        if goodbye {
-            let _ = self.send(&WorkerMsg::Goodbye);
-        }
-        self.wire = None;
-    }
-
-    /// Put a task's `Done` on the wire and, in the same write, the
-    /// `Request` for the next task — the dispatcher reads both in one
-    /// wakeup. A pilot that is stopping reports without asking.
-    fn report(&mut self, pilot: &Pilot, done: &WorkerMsg) -> std::io::Result<()> {
-        let alone = self.stopping || pilot.killed();
-        let sent = match &mut self.wire {
-            Some(wire) if alone => wire.send(done),
-            Some(wire) => wire.send_pair(done, &WorkerMsg::Request),
-            None => Err(std::io::ErrorKind::NotConnected.into()),
-        };
-        if sent.is_err() {
-            // Whoever wrote, it is the agent that ends the session: a
-            // severed socket is what it wakes up on.
-            if let Some(wire) = self.wire.take() {
-                let _ = wire.get_ref().shutdown(Shutdown::Both);
-            }
+impl Sink<'_> {
+    /// A write that fails severs the socket: whoever wrote, it is the
+    /// agent that ends the session, and a dead socket is what wakes it.
+    fn write(&mut self, write: impl FnOnce(&mut MsgWriter<TcpStream>) -> io::Result<()>) -> bool {
+        let sent = self.wire.tx.as_mut().is_some_and(|tx| write(tx).is_ok());
+        if let Some(tx) = self.wire.tx.take_if(|_| !sent) {
+            let _ = tx.get_ref().shutdown(Shutdown::Both);
         }
         sent
     }
+}
 
-    /// Trip the in-flight task's token if `task_id` names it — gang
-    /// teardown, a deadline, or a rejected claim. True when this was the
-    /// first cancel, which starts the grace clock.
-    fn cancel(&mut self, task_id: u64) -> bool {
-        match &mut self.task {
-            Some(task) if task.task_id == task_id && !task.canceled => {
-                task.cancel.cancel();
-                task.canceled = true;
-                true
-            }
-            _ => false, // stale
+impl Effects for Sink<'_> {
+    fn send(&mut self, msg: &WorkerMsg) -> bool {
+        self.write(|tx| tx.send(msg))
+    }
+
+    fn send_pair(&mut self, done: &WorkerMsg, request: &WorkerMsg) -> bool {
+        self.write(|tx| tx.send_pair(done, request))
+    }
+
+    fn run(&mut self, runner: u64, fresh: bool) {
+        self.wire.cancel = CancelToken::new();
+        self.wire.started = Some((runner, fresh, self.wire.cancel.clone()));
+    }
+
+    fn trip(&mut self, _task: u64) {
+        self.wire.cancel.cancel();
+    }
+
+    fn hang_up_read(&mut self) {
+        if let Some(tx) = &self.wire.tx {
+            let _ = tx.get_ref().shutdown(Shutdown::Read);
         }
     }
 
-    /// A task is on its way to its runner.
-    fn begin(&mut self, pilot: &Pilot, task: RunningTask) {
-        if let Some(log) = &pilot.log {
-            log.record(EventKind::TaskStarted {
-                task: task.task_id,
-                job: task.job_id,
-                worker: self.worker_id,
-                ranks: task.ranks,
-            });
-            let (trace, job) = (task.trace, task.job_id);
-            log.span_start(trace, SpanKind::Exec, WriterRole::Worker, job, task.task_id);
-        }
-        self.task = Some(task);
-    }
-
-    /// Runner `runner` finished the task it was handed: report it. False
-    /// when that runner was abandoned, and its late result discarded.
-    fn finish(&mut self, pilot: &Pilot, runner: u64, outcome: TaskOutcome) -> bool {
-        if self.task.as_ref().is_none_or(|t| t.runner != runner) {
-            return false;
-        }
-        self.end_task(pilot, Some(outcome))
-    }
-
-    /// The in-flight task ended — `outcome` from its runner, `None` when
-    /// the runner was given up on. Record it, report it and ask for the
-    /// next; a report that misses the wire is stashed. False when no task
-    /// was in flight.
-    fn end_task(&mut self, pilot: &Pilot, outcome: Option<TaskOutcome>) -> bool {
-        let Some(task) = self.task.take() else {
-            return false;
-        };
-        // A canceled task always reports EXIT_CANCELED — the dispatcher
-        // already discounted the task, so the report's only job is
-        // recycling this worker via the stale-Done path.
-        let outcome = match outcome {
-            Some(o) if !task.canceled => o,
-            abandoned_or_canceled => TaskOutcome {
-                exit_code: EXIT_CANCELED,
-                output: abandoned_or_canceled.and_then(|o| o.output),
-            },
-        };
-        let wall_ms = task.started.elapsed().as_millis() as u64;
-        if let Some(log) = &pilot.log {
-            // For a carried task this closes the span the original
-            // session opened; the outage is inside it, which is the truth.
-            let (trace, job) = (task.trace, task.job_id);
-            log.span_end(trace, SpanKind::Exec, WriterRole::Worker, job, task.task_id);
-            log.record(EventKind::TaskEnded {
-                task: task.task_id,
-                job: task.job_id,
-                worker: self.worker_id,
-                ranks: task.ranks,
-                exit_code: outcome.exit_code,
-                trace: task.trace,
-            });
-        }
-        if let Some(m) = &pilot.config.metrics {
-            m.tasks_executed_total.inc();
-            if task.canceled {
-                m.tasks_canceled_total.inc();
-            } else if outcome.exit_code != 0 {
-                m.tasks_failed_total.inc();
-            }
-            m.task_seconds.record(wall_ms.saturating_mul(1_000));
-        }
-        let done = WorkerMsg::Done {
-            task_id: task.task_id,
-            exit_code: outcome.exit_code,
-            wall_ms,
-            output: outcome.output,
-            trace: task.trace,
-        };
-        if self.report(pilot, &done).is_ok() {
-            self.tasks_done += 1;
-        } else if !pilot.killed() && !task.canceled {
-            // Stash it for replay after the next registration so the
-            // dispatcher still hears the result exactly once (a canceled
-            // report carries no information a recovering dispatcher
-            // wants).
-            self.stashed.push(done);
-        }
-        if self.stopping {
-            // That was the last report. The agent reads (or is about to
-            // read) a socket that will say no more: hang up that half,
-            // so that it wakes and says `Goodbye`.
-            if let Some(wire) = &self.wire {
-                let _ = wire.get_ref().shutdown(Shutdown::Read);
-            }
-        }
-        true
+    fn fact(&mut self, fact: Fact) {
+        self.pilot.fact(fact);
     }
 }
 
 type Rx = MsgReader<BufReader<TcpStream>>;
+type Job = (TaskAssignment, CancelToken);
 
 /// The thread tasks execute on: jobs in over the returned channel, each
-/// result reported through [`Link::finish`]. Tasks run off the agent's
-/// own thread so that a kill or an expired cancel grace can abandon one:
-/// dropping the sender lets the stuck thread finish in the background,
-/// its result discarded — just as a killed pilot's task dies with the
-/// node — and the next task lazily starts a fresh runner.
-fn spawn_runner(
-    pilot: Arc<Pilot>,
-    id: u64,
-) -> std::io::Result<Sender<(TaskAssignment, CancelToken)>> {
-    let (jobs, inbox) = channel::<(TaskAssignment, CancelToken)>();
+/// result delivered as [`PilotCore::finished`]. Off the agent's thread, so
+/// that a kill or an expired grace can give a task up: the stuck thread
+/// ends when it learns its result is late, the next task gets a fresh one.
+fn spawn_runner(pilot: Arc<Pilot>, id: u64) -> io::Result<Sender<Job>> {
+    let (jobs, inbox) = channel::<Job>();
     thread::Builder::new()
         .name("task".to_string())
         .stack_size(256 * 1024)
         .spawn(move || {
-            // Ends when the sender is dropped: abandoned, or the agent
-            // exited.
+            // Ends with the sender: replaced, or the agent exited.
             for (assignment, cancel) in inbox.iter() {
                 let run = || pilot.executor.execute_cancellable(&assignment, &cancel);
                 // A panicking task fails that task, not the pilot.
@@ -607,7 +428,7 @@ fn spawn_runner(
                     exit_code: EXIT_RANK_PANIC,
                     output: None,
                 });
-                if !pilot.link.lock().finish(&pilot, id, outcome) {
+                if !pilot.input(|core, now, fx| core.finished(now, id, outcome, fx)) {
                     return;
                 }
             }
@@ -615,401 +436,193 @@ fn spawn_runner(
     Ok(jobs)
 }
 
-/// The agent thread's own state; what it shares is in [`Pilot`].
-struct Agent {
-    pilot: Arc<Pilot>,
-    /// The current runner's id and job channel.
-    runner: Option<(u64, Sender<(TaskAssignment, CancelToken)>)>,
-    runners_started: u64,
-    /// When the canceled in-flight task is given up on. The only thing
-    /// that puts a timeout on the socket read.
-    grace: Option<Instant>,
-    local_cache: LazyCache,
-}
-
-impl Agent {
-    fn lost_or_killed(&self) -> SessionEnd {
-        if self.pilot.killed() {
-            SessionEnd::Killed
-        } else {
-            SessionEnd::Lost
-        }
-    }
-
-    fn run(mut self) -> WorkerExit {
-        let reason = self.run_sessions();
-        WorkerExit {
-            tasks_done: self.pilot.link.lock().tasks_done,
-            reason,
-        }
-    }
-
-    /// Connect, run a session, and reconnect under the policy until the
-    /// dispatcher says `Shutdown`, the kill switch fires, or the policy
-    /// gives up.
-    fn run_sessions(&mut self) -> ExitReason {
-        let pilot = Arc::clone(&self.pilot);
-        let config = &pilot.config;
-        if !config.connect_delay.is_zero() {
-            thread::sleep(config.connect_delay);
-        }
-        let mut failed_attempts = 0u32;
-        // Deterministic per seed, so a test can replay a backoff schedule.
-        let mut jitter = SplitMix64::new(config.reconnect.as_ref().map_or(1, |p| p.seed));
-        loop {
-            if pilot.killed() {
-                return ExitReason::Killed;
-            }
-            if let Ok(stream) = TcpStream::connect(&config.dispatcher_addr) {
-                failed_attempts = 0;
-                let end = self.run_session(stream);
-                // Nothing left to sever — and an abandoned runner, which
-                // shares the pilot, must not hold the socket open.
-                *pilot.sock.lock() = None;
-                match end {
-                    SessionEnd::Shutdown => return ExitReason::Shutdown,
-                    SessionEnd::Killed => return ExitReason::Killed,
-                    SessionEnd::Lost => {
-                        if let Some(m) = &config.metrics {
-                            m.connections_lost_total.inc();
-                        }
-                    }
-                }
-            }
-            // Connection failed or the session dropped: retry under the
-            // reconnect policy, or end the agent the legacy way.
-            let Some(policy) = &config.reconnect else {
-                return ExitReason::ConnectionLost;
-            };
-            failed_attempts += 1;
-            if failed_attempts > policy.max_attempts {
-                return ExitReason::ConnectionLost;
-            }
-            // Exponential backoff, capped, with up to `jitter` shaved off so
-            // a partitioned allocation does not reconnect in lockstep.
-            let shift = (failed_attempts - 1).min(16);
-            let backoff = policy
-                .base_backoff
-                .saturating_mul(1u32 << shift)
-                .min(policy.max_backoff);
-            let mut remaining =
-                backoff.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * jitter.gen_f64());
-            // Sleep in slices so a kill during backoff is honoured promptly.
-            while !remaining.is_zero() {
-                if pilot.killed() {
-                    return ExitReason::Killed;
-                }
-                let slice = remaining.min(Duration::from_millis(20));
-                thread::sleep(slice);
-                remaining = remaining.saturating_sub(slice);
-            }
-        }
-    }
-
-    /// Run one registered dispatcher session over an established stream:
-    /// register, heartbeat, and act on the dispatcher's frames until the
-    /// connection ends.
-    fn run_session(&mut self, stream: TcpStream) -> SessionEnd {
-        let pilot = Arc::clone(&self.pilot);
-        let config = &pilot.config;
-        stream.set_nodelay(true).ok();
-        let (Ok(write_half), Ok(kill_half)) = (stream.try_clone(), stream.try_clone()) else {
-            return SessionEnd::Lost;
-        };
-        *pilot.sock.lock() = Some(kill_half);
-        // A kill that found the previous session's socket in the slot.
-        if pilot.killed() {
-            return SessionEnd::Killed;
-        }
-        // Nobody else can write until `open_session` shares the wire.
-        let mut wire = MsgWriter::new(write_half);
-        let mut rx: Rx = MsgReader::new(BufReader::new(stream));
-        if wire
-            .send(&WorkerMsg::Register {
-                name: config.name.clone(),
-                cores: config.cores,
-                location: config.location.clone(),
-            })
-            .is_err()
-        {
-            return self.lost_or_killed();
-        }
-        let worker_id = match rx.recv::<DispatcherMsg>().ok().flatten() {
-            Some(DispatcherMsg::Registered { worker_id }) => {
-                if let Some(m) = &config.metrics {
-                    m.sessions_total.inc();
-                }
-                worker_id
-            }
-            // Anything but the Registered ack before the handshake
-            // completes means a confused or dying dispatcher: resync by
-            // tearing the session down and reconnecting.
-            Some(
-                DispatcherMsg::Assign(_)
-                | DispatcherMsg::Cancel { .. }
-                | DispatcherMsg::Shutdown
-                | DispatcherMsg::RelayRegistered { .. }
-                | DispatcherMsg::RelayAssign { .. }
-                | DispatcherMsg::RelayCancel { .. },
-            )
-            | None => return self.lost_or_killed(),
-        };
-        if let Some(log) = &pilot.log {
-            log.record(EventKind::WorkerUp { worker: worker_id });
-        }
-        // Drop guard, not per-return records: the session exits from many
-        // arms below, and the replayed ring should show one `WorkerDown`
-        // for every `WorkerUp` on all of them.
-        let _session_events = SessionEventGuard {
-            events: pilot.log.as_ref(),
-            worker: worker_id,
-        };
-        if pilot.link.lock().open_session(wire, worker_id).is_err() {
-            return self.lost_or_killed();
-        }
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let heartbeat = config
-            .heartbeat
-            .map(|period| spawn_heartbeat(Arc::clone(&pilot), period, Arc::clone(&stop)));
-        let end = match heartbeat {
-            // Without heartbeats the dispatcher would eventually declare
-            // this worker hung; better to fail the session now and retry
-            // than to register silently and be quarantined later.
-            Some(Err(_)) => self.lost_or_killed(),
-            _ => self.session_loop(&mut rx),
-        };
-        // The heartbeat thread goes first, so `Goodbye` is the last frame.
-        stop.store(true, Ordering::Release);
-        if let Some(Ok(handle)) = heartbeat {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-        pilot.link.lock().close_session(end == SessionEnd::Shutdown);
-        end
-    }
-
-    /// Block for the next dispatcher frame. The read has a timeout only
-    /// while a canceled task's grace clock runs; a frame the timeout cuts
-    /// in two stays in `rx` and is completed by the next read.
-    fn next_frame(&mut self, rx: &mut Rx) -> Result<DispatcherMsg, NoFrame> {
-        loop {
-            if let Some(deadline) = self.grace {
-                let left = deadline.saturating_duration_since(Instant::now());
-                let sock = rx.get_ref().get_ref();
-                let link = self.pilot.link.lock();
-                if !link.task.as_ref().is_some_and(|t| t.canceled) {
-                    // It stood down and its runner reported.
-                    self.grace = None;
-                    let _ = sock.set_read_timeout(None);
-                } else if left.is_zero() {
-                    return Err(NoFrame::GraceExpired);
-                } else {
-                    let _ = sock.set_read_timeout(Some(left));
-                }
-            }
-            match rx.recv::<DispatcherMsg>() {
-                Ok(Some(msg)) => return Ok(msg),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Ok(None) | Err(_) => return Err(NoFrame::Closed),
-            }
-        }
-    }
-
-    /// Act on the dispatcher's frames until the session ends; the first
-    /// `Request` (or the carried task's claim) is already on the wire.
-    /// While a task runs the dispatcher's verdict is honoured as it
-    /// arrives: silence lets the task finish and its runner report, a
-    /// `Cancel` trips its token at once and starts the grace clock.
-    fn session_loop(&mut self, rx: &mut Rx) -> SessionEnd {
-        let pilot = Arc::clone(&self.pilot);
-        loop {
-            match self.next_frame(rx) {
-                Ok(DispatcherMsg::Assign(assignment)) => {
-                    if let Err(end) = self.start(assignment) {
-                        return end;
-                    }
-                }
-                Ok(DispatcherMsg::Cancel { task_id }) => {
-                    if pilot.link.lock().cancel(task_id) {
-                        self.grace = Some(Instant::now() + pilot.config.cancel_grace);
-                    }
-                }
-                Ok(DispatcherMsg::Shutdown) => {
-                    let mut link = pilot.link.lock();
-                    if link.task.is_none() {
-                        return SessionEnd::Shutdown;
-                    }
-                    link.stopping = true;
-                }
-                // Stray acks and relay-scoped envelopes (a worker never
-                // receives routed frames — its relay unwraps them): ignore.
-                Ok(
-                    DispatcherMsg::Registered { .. }
-                    | DispatcherMsg::RelayRegistered { .. }
-                    | DispatcherMsg::RelayAssign { .. }
-                    | DispatcherMsg::RelayCancel { .. },
-                ) => {}
-                Err(NoFrame::GraceExpired) => {
-                    // Abandon the runner with the task, unless it
-                    // reported at the last moment.
-                    if pilot.link.lock().end_task(&pilot, None) {
-                        self.runner = None;
-                    }
-                }
-                Err(NoFrame::Closed) => {
-                    let mut link = pilot.link.lock();
-                    // Hung up on purpose, after the last report (which
-                    // went out: the wire is still there).
-                    if link.stopping && link.task.is_none() && link.wire.is_some() {
-                        return SessionEnd::Shutdown;
-                    }
-                    link.wire = None;
-                    link.stopping = false;
-                    // The dispatcher vanished mid-task. Keep the task
-                    // alive and carry it into the next session: a
-                    // restarted dispatcher re-adopts the gang from our
-                    // `SessionState` claim, while a dispatcher that
-                    // merely dropped us answers with `Cancel`. A task
-                    // already canceled is discounted everywhere —
-                    // abandon it.
-                    if link.task.as_ref().is_some_and(|t| t.canceled) {
-                        link.task = None;
-                        self.runner = None;
-                    }
-                    return self.lost_or_killed();
-                }
-            }
-        }
-    }
-
-    /// Report a task that failed before execution started.
-    fn report_failure(&self, task_id: u64, trace: u64, exit_code: i32) -> Result<(), SessionEnd> {
-        let done = WorkerMsg::Done {
-            task_id,
-            exit_code,
-            wall_ms: 0,
-            output: None,
-            trace,
-        };
-        let pilot = &self.pilot;
-        let sent = pilot.link.lock().report(pilot, &done);
-        sent.map_err(|_| self.lost_or_killed())
-    }
-
-    /// Stage an assignment's files and hand it to the runner, starting
-    /// one if the last was abandoned. `Err` ends the session.
-    fn start(&mut self, mut assignment: TaskAssignment) -> Result<(), SessionEnd> {
-        let pilot = &self.pilot;
-        let config = &pilot.config;
-        // A stray `Assign` while a task is in flight: ignore.
-        if pilot.link.lock().task.is_some() {
-            return Ok(());
-        }
-        // Node-local staging (paper Section 5, feature 2): copy the job's
-        // listed files into this node's cache once, then expose the cache
-        // directory to the task.
-        if !assignment.stage.is_empty() {
-            let (trace, job, task) = (assignment.trace, assignment.job_id, assignment.task_id);
-            if let Some(log) = &pilot.log {
-                log.span_start(trace, SpanKind::Stage, WriterRole::Worker, job, task);
-            }
-            // The span closes on failure too — a stage span whose end
-            // abuts a failed report is exactly what the trace should show.
-            let staged = match self.local_cache.get_or_init(&config.name) {
-                Ok(cache) => cache.stage_all(&assignment.stage).is_ok().then(|| {
-                    push_env(
-                        &mut assignment,
-                        "JETS_LOCAL_DIR",
-                        &cache.dir().to_string_lossy(),
-                    );
-                }),
-                Err(_) => None,
-            };
-            if let Some(log) = &pilot.log {
-                log.span_end(trace, SpanKind::Stage, WriterRole::Worker, job, task);
-            }
-            if staged.is_none() {
-                if let Some(m) = &config.metrics {
-                    m.staging_failed_total.inc();
-                }
-                return self.report_failure(task, trace, EXIT_STAGING_FAILED);
-            }
-        }
-
-        if self.runner.is_none() {
-            self.runners_started += 1;
-            let id = self.runners_started;
-            self.runner = spawn_runner(Arc::clone(pilot), id)
-                .ok()
-                .map(|jobs| (id, jobs));
-        }
-        // A task that never got a thread reports the executor's spawn
-        // failure code, exactly as if the process itself had failed to
-        // start; the dispatcher's retry ladder takes it from there.
-        let Some((runner, jobs)) = &self.runner else {
-            return self.report_failure(assignment.task_id, assignment.trace, EXIT_SPAWN_FAILED);
-        };
-        let task = RunningTask {
-            task_id: assignment.task_id,
-            job_id: assignment.job_id,
-            trace: assignment.trace,
-            ranks: match &assignment.kind {
-                jets_core::protocol::TaskKind::Sequential { .. } => 1,
-                jets_core::protocol::TaskKind::MpiProxy { ranks, .. } => ranks.len() as u32,
-            },
-            runner: *runner,
-            cancel: CancelToken::new(),
-            started: Instant::now(),
-            canceled: false,
-            // Guard, not paired inc/dec calls: the task leaves the link
-            // on several paths, and the gauge must balance on all of them.
-            _inflight: config.metrics.as_ref().map(|m| {
-                m.tasks_inflight.inc();
-                InflightGuard(Arc::clone(&m.tasks_inflight))
-            }),
-        };
-        // In the link before the runner has it: the runner reports
-        // through the link, possibly before `send` returns.
-        let cancel = task.cancel.clone();
-        pilot.link.lock().begin(pilot, task);
-        if jobs.send((assignment, cancel)).is_err() {
-            // The runner thread is gone; the task never ran.
-            let outcome = TaskOutcome {
-                exit_code: EXIT_SPAWN_FAILED,
-                output: None,
-            };
-            pilot.link.lock().finish(pilot, *runner, outcome);
-            self.runner = None;
-        }
-        Ok(())
-    }
-}
-
-/// The session's heartbeat thread: one `Heartbeat` per `period` until
-/// the session ends (`stop`, with an unpark so it ends now and not a
-/// period later), the pilot is killed, or the wire fails.
-fn spawn_heartbeat(
-    pilot: Arc<Pilot>,
-    period: Duration,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<JoinHandle<()>> {
+/// A session's heartbeat thread: `tick` whenever a `Heartbeat` is due,
+/// until the session is over (the agent unparks it then, so that it ends
+/// now and not a period later) or the pilot is killed.
+fn spawn_heartbeat(pilot: Arc<Pilot>) -> io::Result<JoinHandle<()>> {
     thread::Builder::new()
         .name(format!("hb-{}", pilot.config.name))
         .stack_size(64 * 1024)
         .spawn(move || {
-            let mut due = Instant::now() + period;
-            while !stop.load(Ordering::Acquire) && !pilot.killed() {
-                let now = Instant::now();
-                if now < due {
-                    thread::park_timeout(due - now);
-                } else if pilot.link.lock().send(&WorkerMsg::Heartbeat).is_ok() {
-                    due = now + period;
-                } else {
-                    return;
-                }
+            let alive = |_: &Duration| !pilot.killed();
+            while let Some(left) = pilot.tick(PilotCore::heartbeat_due).filter(alive) {
+                thread::park_timeout(left);
             }
         })
+}
+
+/// The agent thread's own state; what it shares is in [`Pilot`].
+struct Agent {
+    pilot: Arc<Pilot>,
+    /// The current runner's inbox.
+    jobs: Option<Sender<Job>>,
+    /// Created by the first assignment that stages anything.
+    local_cache: Option<NodeLocalCache>,
+}
+
+impl Agent {
+    /// Connect, serve a session, reconnect under the policy — until the
+    /// dispatcher says `Shutdown`, the kill switch fires, or it gives up.
+    fn run(mut self) -> WorkerExit {
+        let pilot = Arc::clone(&self.pilot);
+        let policy = pilot.config.reconnect.as_ref();
+        // Deterministic per seed, so a test can replay a backoff schedule.
+        let mut jitter = SplitMix64::new(policy.map_or(1, |p| p.seed));
+        let mut wait = pilot.config.connect_delay;
+        let reason = loop {
+            if !pilot.sleep(wait) {
+                break ExitReason::Killed;
+            }
+            let connected = TcpStream::connect(&pilot.config.dispatcher_addr).ok();
+            let heartbeat = connected.and_then(|stream| self.serve_session(&pilot, stream));
+            let failed = pilot.input(|core, now, fx| {
+                fx.wire.tx = None;
+                core.session_down(now, fx)
+            });
+            // Nothing left to sever — and a runner given up on, which
+            // shares the pilot, must not hold the socket open.
+            *pilot.sock.lock() = None;
+            if let Some(heartbeat) = heartbeat {
+                heartbeat.thread().unpark();
+                let _ = heartbeat.join();
+            }
+            wait = match (failed, policy) {
+                _ if pilot.killed() => break ExitReason::Killed,
+                (None, _) => break ExitReason::Shutdown,
+                (Some(n), Some(policy)) if n <= policy.max_attempts => {
+                    policy.backoff(n, &mut jitter)
+                }
+                // Out of attempts, or the legacy connect-once behaviour.
+                (Some(_), _) => break ExitReason::ConnectionLost,
+            };
+        };
+        let tasks_done = pilot.input(|core, _, _| core.tasks_done());
+        WorkerExit { tasks_done, reason }
+    }
+
+    /// One session over an established stream: register, hand the wire
+    /// to the core, act on frames. Returns the session's heartbeat thread.
+    fn serve_session(&mut self, pilot: &Arc<Pilot>, stream: TcpStream) -> Option<JoinHandle<()>> {
+        let config = &pilot.config;
+        stream.set_nodelay(true).ok();
+        let (write_half, kill_half) = (stream.try_clone().ok()?, stream.try_clone().ok()?);
+        *pilot.sock.lock() = Some(kill_half);
+        // A kill that found the previous session's socket in the slot.
+        if pilot.killed() {
+            return None;
+        }
+        let mut tx = MsgWriter::new(write_half);
+        let mut rx: Rx = MsgReader::new(BufReader::new(stream));
+        let register = WorkerMsg::Register {
+            name: config.name.clone(),
+            cores: config.cores,
+            location: config.location.clone(),
+        };
+        tx.send(&register).ok()?;
+        // Anything but the ack before the handshake completes means a
+        // confused or dying dispatcher: resync by reconnecting.
+        let Some(DispatcherMsg::Registered { worker_id }) = rx.recv().ok().flatten() else {
+            return None;
+        };
+        // The first `Request` (or the carried task's claim) leaves in the
+        // lock hold that adopts the wire.
+        pilot.input(|core, now, fx| {
+            fx.wire.tx = Some(tx);
+            core.session_up(now, worker_id, fx);
+        });
+        // Without heartbeats the dispatcher would declare this worker
+        // hung: better to fail the session now and retry.
+        let heartbeat = config.heartbeat.map(|_| spawn_heartbeat(Arc::clone(pilot)));
+        let heartbeat = heartbeat.transpose().ok()?;
+        self.session_loop(pilot, &mut rx);
+        heartbeat
+    }
+
+    /// Act on the dispatcher's frames until the connection is gone or,
+    /// after `Goodbye`, hung up. The read has a timeout only while a grace
+    /// clock runs; a frame it cuts in two is completed by the next read.
+    fn session_loop(&mut self, pilot: &Arc<Pilot>, rx: &mut Rx) {
+        // A `Cancel` was read and its task may still be in its grace:
+        // only then is the core asked, each turn, how long is left.
+        let mut timed = false;
+        loop {
+            if timed {
+                let left = pilot.tick(PilotCore::deadline);
+                let _ = rx.get_ref().get_ref().set_read_timeout(left);
+                timed = left.is_some();
+            }
+            match rx.recv::<DispatcherMsg>() {
+                Ok(Some(DispatcherMsg::Assign(assignment))) => self.start(pilot, assignment),
+                Ok(Some(DispatcherMsg::Cancel { task_id })) => {
+                    pilot.input(|core, now, fx| core.cancel(now, task_id, fx));
+                    timed = true;
+                }
+                Ok(Some(DispatcherMsg::Shutdown)) => pilot.input(|core, _, fx| core.shutdown(fx)),
+                // Stray acks, and envelopes a relay would have unwrapped.
+                Ok(Some(
+                    DispatcherMsg::Registered { .. }
+                    | DispatcherMsg::RelayRegistered { .. }
+                    | DispatcherMsg::RelayAssign { .. }
+                    | DispatcherMsg::RelayCancel { .. },
+                )) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Ok(None) | Err(_) => return,
+            }
+        }
+    }
+
+    /// Node-local staging (paper Section 5, feature 2): copy the job's
+    /// files into this node's cache once, then show the task the cache.
+    fn stage(&mut self, name: &str, assignment: &mut TaskAssignment) -> io::Result<()> {
+        let cache = match &mut self.local_cache {
+            Some(cache) => cache,
+            empty => {
+                let dir = format!("jets-local-{name}-{}", std::process::id());
+                empty.insert(NodeLocalCache::new(std::env::temp_dir().join(dir))?)
+            }
+        };
+        cache.stage_all(&assignment.stage)?;
+        let (TaskKind::Sequential { cmd } | TaskKind::MpiProxy { cmd, .. }) = &mut assignment.kind;
+        let (CommandSpec::Exec { env, .. } | CommandSpec::Builtin { env, .. }) = cmd;
+        let dir = cache.dir().to_string_lossy().into_owned();
+        env.push(("JETS_LOCAL_DIR".to_string(), dir));
+        Ok(())
+    }
+
+    /// Stage an assignment's files, give the core the result, and hand
+    /// the task it accepted to the runner.
+    fn start(&mut self, pilot: &Arc<Pilot>, mut assignment: TaskAssignment) {
+        let mut staged = true;
+        if !assignment.stage.is_empty() {
+            let task = (assignment.trace, assignment.job_id, assignment.task_id);
+            pilot.fact(span(SpanKind::Stage, false, task));
+            staged = self.stage(&pilot.config.name, &mut assignment).is_ok();
+            // The span closes on failure too — a stage span whose end
+            // abuts a failed report is exactly what the trace should show.
+            pilot.fact(span(SpanKind::Stage, true, task));
+        }
+        let started = pilot.input(|core, now, fx| {
+            core.assign(now, &assignment, staged, fx);
+            fx.wire.started.take()
+        });
+        let Some((runner, fresh, cancel)) = started else {
+            return;
+        };
+        if fresh || self.jobs.is_none() {
+            self.jobs = spawn_runner(Arc::clone(pilot), runner).ok();
+        }
+        let unsent = |jobs: &Sender<Job>| jobs.send((assignment, cancel)).is_err();
+        if self.jobs.as_ref().is_none_or(unsent) {
+            self.jobs = None;
+            // A task that never got a thread reports the executor's spawn
+            // failure code: the dispatcher's retry ladder takes over.
+            let outcome = TaskOutcome {
+                exit_code: EXIT_SPAWN_FAILED,
+                output: None,
+            };
+            pilot.input(|core, now, fx| core.finished(now, runner, outcome, fx));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1017,7 +630,9 @@ mod tests {
     use super::*;
     use crate::apps::standard_registry;
     use crate::executor::Executor;
-    use jets_core::spec::{CommandSpec, JobSpec};
+    use jets_core::protocol::EXIT_CANCELED;
+    use jets_core::spec::JobSpec;
+    use jets_core::EventKind;
     use jets_core::{Dispatcher, DispatcherConfig, JobStatus};
 
     const WAIT: Duration = Duration::from_secs(30);
@@ -1027,14 +642,9 @@ mod tests {
     }
 
     fn spawn_workers(d: &Dispatcher, n: usize) -> Vec<Worker> {
-        let exec = executor();
+        let config = |i| WorkerConfig::new(d.addr().to_string(), format!("w{i}"));
         (0..n)
-            .map(|i| {
-                Worker::spawn(
-                    WorkerConfig::new(d.addr().to_string(), format!("w{i}")),
-                    Arc::clone(&exec),
-                )
-            })
+            .map(|i| Worker::spawn(config(i), executor()))
             .collect()
     }
 
@@ -1121,8 +731,7 @@ mod tests {
 
     /// An executor that records where its tasks run. `block` ignores
     /// its token and spins until the test releases it; `until-cancel`
-    /// returns the moment its token trips; `spin:N` ignores its token
-    /// for N µs; anything else is a no-op.
+    /// returns the moment its token trips; anything else is a no-op.
     #[derive(Default)]
     struct ProbeExecutor {
         log: Mutex<ProbeLog>,
@@ -1137,7 +746,6 @@ mod tests {
         fn execute_cancellable(&self, a: &TaskAssignment, cancel: &CancelToken) -> TaskOutcome {
             self.log.lock().threads.push(thread::current().id());
             match a.cmd().name() {
-                app if app.starts_with("spin:") => spin(app[5..].parse().unwrap()),
                 "block" => {
                     while !self.release.load(Ordering::Acquire) {
                         thread::sleep(Duration::from_millis(1));
@@ -1158,18 +766,10 @@ mod tests {
         }
     }
 
-    fn spin(us: u64) {
-        let until = Instant::now() + Duration::from_micros(us);
-        while Instant::now() < until {
-            std::hint::spin_loop();
-        }
-    }
-
     /// The dispatcher end of one agent connection, driven by the test
     /// frame by frame so that what the agent puts on the wire, and when,
     /// is observable.
     struct ScriptedDispatcher {
-        listener: std::net::TcpListener,
         rx: MsgReader<BufReader<TcpStream>>,
         tx: MsgWriter<TcpStream>,
     }
@@ -1184,49 +784,17 @@ mod tests {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap().to_string();
             let worker = Worker::spawn(config(WorkerConfig::new(addr, "scripted")), exec);
-            let (rx, tx) = Self::accept(&listener);
-            let mut d = ScriptedDispatcher { listener, rx, tx };
-            d.register();
-            assert_eq!(d.recv(), WorkerMsg::Request);
-            (d, worker)
-        }
-
-        fn accept(
-            listener: &std::net::TcpListener,
-        ) -> (MsgReader<BufReader<TcpStream>>, MsgWriter<TcpStream>) {
             let (stream, _) = listener.accept().unwrap();
             stream.set_read_timeout(Some(WAIT)).unwrap();
             stream.set_nodelay(true).unwrap();
             let tx = MsgWriter::new(stream.try_clone().unwrap());
-            (MsgReader::new(BufReader::new(stream)), tx)
-        }
-
-        /// Take the agent's `Register` and acknowledge it.
-        fn register(&mut self) {
-            assert!(matches!(self.recv(), WorkerMsg::Register { .. }));
-            self.tx
-                .send(&DispatcherMsg::Registered { worker_id: 1 })
-                .unwrap();
-        }
-
-        /// Cut the connection, as a dying dispatcher would, and take the
-        /// agent's next one through registration.
-        fn cut_and_reaccept(&mut self, before_registered: impl FnOnce()) {
-            self.tx.get_ref().shutdown(Shutdown::Both).unwrap();
-            (self.rx, self.tx) = Self::accept(&self.listener);
-            before_registered();
-            self.register();
-        }
-
-        /// Every frame up to the agent's hang-up.
-        fn frames_to_eof(&mut self) -> Vec<WorkerMsg> {
-            std::iter::from_fn(|| self.rx.recv().unwrap()).collect()
-        }
-
-        /// Send `Shutdown`; the agent's exit and what it wrote on its way.
-        fn shut_down(mut self, w: Worker) -> (WorkerExit, Vec<WorkerMsg>) {
-            self.tx.send(&DispatcherMsg::Shutdown).unwrap();
-            (w.join(), self.frames_to_eof())
+            let rx = MsgReader::new(BufReader::new(stream));
+            let mut d = ScriptedDispatcher { rx, tx };
+            assert!(matches!(d.recv(), WorkerMsg::Register { .. }));
+            let registered = DispatcherMsg::Registered { worker_id: 1 };
+            d.tx.send(&registered).unwrap();
+            assert_eq!(d.recv(), WorkerMsg::Request);
+            (d, worker)
         }
 
         fn recv(&mut self) -> WorkerMsg {
@@ -1234,19 +802,8 @@ mod tests {
         }
 
         fn assign(&mut self, task_id: u64, app: &str) {
-            self.tx.send(&Self::assignment(task_id, app)).unwrap();
-        }
-
-        fn assignment(task_id: u64, app: &str) -> DispatcherMsg {
-            DispatcherMsg::Assign(TaskAssignment {
-                task_id,
-                job_id: task_id,
-                trace: 0,
-                kind: jets_core::protocol::TaskKind::Sequential {
-                    cmd: CommandSpec::builtin(app, vec![]),
-                },
-                stage: Vec::new(),
-            })
+            let assign = DispatcherMsg::Assign(assignment(task_id, app));
+            self.tx.send(&assign).unwrap();
         }
 
         /// The `Done` for `task_id` and the `Request` that rides with it.
@@ -1262,6 +819,18 @@ mod tests {
             assert_eq!(t, task_id);
             assert_eq!(self.recv(), WorkerMsg::Request);
             exit_code
+        }
+    }
+
+    fn assignment(task_id: u64, app: &str) -> TaskAssignment {
+        TaskAssignment {
+            task_id,
+            job_id: task_id,
+            trace: 0,
+            kind: TaskKind::Sequential {
+                cmd: CommandSpec::builtin(app, vec![]),
+            },
+            stage: Vec::new(),
         }
     }
 
@@ -1286,44 +855,6 @@ mod tests {
         assert_eq!(threads.len(), 200);
         threads.dedup();
         assert_eq!(threads.len(), 1, "a thread per task is what this replaced");
-    }
-
-    #[test]
-    fn expired_cancel_grace_abandons_the_runner_and_the_next_task_gets_a_fresh_one() {
-        let grace = Duration::from_millis(60);
-        let exec = Arc::new(ProbeExecutor::default());
-        let (mut d, w) = ScriptedDispatcher::with_agent(
-            |c| WorkerConfig {
-                cancel_grace: grace,
-                ..c
-            },
-            exec.clone(),
-        );
-        d.assign(1, "block");
-        wait_for("the blocking task to start", || {
-            exec.log.lock().threads.len() == 1
-        });
-        let canceled_at = Instant::now();
-        d.tx.send(&DispatcherMsg::Cancel { task_id: 1 }).unwrap();
-        assert_eq!(d.done_then_request(1), EXIT_CANCELED);
-        assert!(
-            canceled_at.elapsed() >= grace,
-            "reported before the grace ran out"
-        );
-        // The first task is still stuck; the second must not queue behind it.
-        d.assign(2, "noop");
-        assert_eq!(d.done_then_request(2), 0);
-        assert!(!exec.release.load(Ordering::Acquire));
-        let threads = exec.log.lock().threads.clone();
-        assert_eq!(threads.len(), 2);
-        assert_ne!(
-            threads[0], threads[1],
-            "second task ran on the stuck runner"
-        );
-        d.tx.send(&DispatcherMsg::Shutdown).unwrap();
-        let exit = w.join();
-        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 2));
-        exec.release.store(true, Ordering::Release);
     }
 
     #[test]
@@ -1374,127 +905,6 @@ mod tests {
         assert_eq!(w.join().reason, ExitReason::Shutdown);
     }
 
-    /// Whichever of the runner (task over) and the agent (`Cancel` read)
-    /// gets to the link first decides the exit code; the other finds
-    /// nothing left to report.
-    #[test]
-    fn cancel_racing_completion_yields_one_done_then_one_request() {
-        let exec = Arc::new(ProbeExecutor::default());
-        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c, exec);
-        let mut rng = SplitMix64::new(15);
-        for task_id in 1..=200 {
-            let (run_us, cancel_after_us) = (rng.gen_range(0..300), rng.gen_range(0..300));
-            d.assign(task_id, &format!("spin:{run_us}"));
-            spin(cancel_after_us);
-            d.tx.send(&DispatcherMsg::Cancel { task_id }).unwrap();
-            let exit_code = d.done_then_request(task_id);
-            assert!(matches!(exit_code, 0 | EXIT_CANCELED), "exit {exit_code}");
-        }
-        // A second `Done` or `Request` anywhere above would have been
-        // read in place of the next round's `Done`, or of this `Goodbye`.
-        let (exit, frames) = d.shut_down(w);
-        assert_eq!(frames, [WorkerMsg::Goodbye]);
-        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 200));
-    }
-
-    #[test]
-    fn task_that_ends_during_an_outage_is_reported_once_on_the_next_wire() {
-        let exec = Arc::new(ProbeExecutor::default());
-        let policy = ReconnectPolicy {
-            base_backoff: Duration::from_millis(5),
-            ..ReconnectPolicy::default()
-        };
-        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c.with_reconnect(policy), exec.clone());
-        d.assign(1, "block");
-        wait_for("the blocking task to start", || {
-            exec.log.lock().threads.len() == 1
-        });
-        // The agent is back and waiting for `Registered` when the task
-        // ends: no wire to report on.
-        d.cut_and_reaccept(|| {
-            exec.release.store(true, Ordering::Release);
-            thread::sleep(Duration::from_millis(50));
-        });
-        // Stashed by then (or, on a slow host, still running and claimed).
-        let WorkerMsg::SessionState { running } = d.recv() else {
-            panic!("expected SessionState");
-        };
-        assert!(running.is_none() || running == Some((1, 1)));
-        assert_eq!(d.done_then_request(1), 0);
-        d.assign(2, "noop");
-        assert_eq!(d.done_then_request(2), 0);
-        let (exit, frames) = d.shut_down(w);
-        assert_eq!(frames, [WorkerMsg::Goodbye]);
-        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 2));
-    }
-
-    #[test]
-    fn shutdown_mid_task_yields_done_without_request_then_goodbye() {
-        let exec = Arc::new(ProbeExecutor::default());
-        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c, exec.clone());
-        d.assign(1, "block");
-        wait_for("the blocking task to start", || {
-            exec.log.lock().threads.len() == 1
-        });
-        d.tx.send(&DispatcherMsg::Shutdown).unwrap();
-        // Time for the agent to read it; the task is what it waits for.
-        thread::sleep(Duration::from_millis(100));
-        assert!(!w.is_finished());
-        exec.release.store(true, Ordering::Release);
-        let exit = w.join();
-        let frames = d.frames_to_eof();
-        assert!(
-            matches!(
-                frames[..],
-                [
-                    WorkerMsg::Done {
-                        task_id: 1,
-                        exit_code: 0,
-                        ..
-                    },
-                    WorkerMsg::Goodbye
-                ]
-            ),
-            "{frames:?}"
-        );
-        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 1));
-    }
-
-    #[test]
-    fn shutdown_then_expired_grace_still_ends_the_agent() {
-        let exec = Arc::new(ProbeExecutor::default());
-        let (mut d, w) = ScriptedDispatcher::with_agent(
-            |c| WorkerConfig {
-                cancel_grace: Duration::from_millis(40),
-                ..c
-            },
-            exec.clone(),
-        );
-        d.assign(1, "block");
-        wait_for("the blocking task to start", || {
-            exec.log.lock().threads.len() == 1
-        });
-        // Nobody releases the task: it is the agent that gives up on it.
-        d.tx.send(&DispatcherMsg::Cancel { task_id: 1 }).unwrap();
-        let (exit, frames) = d.shut_down(w);
-        assert!(
-            matches!(
-                frames[..],
-                [
-                    WorkerMsg::Done {
-                        task_id: 1,
-                        exit_code: EXIT_CANCELED,
-                        ..
-                    },
-                    WorkerMsg::Goodbye
-                ]
-            ),
-            "{frames:?}"
-        );
-        assert_eq!((exit.reason, exit.tasks_done), (ExitReason::Shutdown, 1));
-        exec.release.store(true, Ordering::Release);
-    }
-
     /// The grace clock is a read timeout on the session socket; a frame
     /// half-received when it fires must survive it.
     #[test]
@@ -1513,8 +923,8 @@ mod tests {
             exec.log.lock().threads.len() == 1
         });
         let mut frame = Vec::new();
-        jets_core::protocol::encode_msg_buf(&ScriptedDispatcher::assignment(2, "noop"), &mut frame)
-            .unwrap();
+        let assign = DispatcherMsg::Assign(assignment(2, "noop"));
+        jets_core::protocol::encode_msg_buf(&assign, &mut frame).unwrap();
         let (head, tail) = frame.split_at(frame.len() / 2);
         d.tx.send(&DispatcherMsg::Cancel { task_id: 1 }).unwrap();
         d.tx.get_mut().write_all(head).unwrap();
@@ -1527,28 +937,256 @@ mod tests {
         exec.release.store(true, Ordering::Release);
     }
 
-    /// The heartbeat thread ends with its session, not up to a period
-    /// (and one `Heartbeat`) later.
+    /// What the pilot decides is tested on the core alone, on a virtual
+    /// `now`. A frame as those tests see it: a `Done` is `Ok((task, exit))`.
+    type Frame = Result<(u64, i32), WorkerMsg>;
+    const REQUEST: Frame = Err(WorkerMsg::Request);
+    const GOODBYE: Frame = Err(WorkerMsg::Goodbye);
+
+    /// Records what the core causes; `wire` is whether a write succeeds.
+    #[derive(Default)]
+    struct Fake {
+        wire: bool,
+        frames: Vec<Frame>,
+        runs: Vec<(u64, bool)>,
+        tripped: Vec<u64>,
+        hung_up: bool,
+        facts: Vec<Fact>,
+    }
+
+    impl Effects for Fake {
+        fn send(&mut self, msg: &WorkerMsg) -> bool {
+            let frame = match msg {
+                WorkerMsg::Done {
+                    task_id, exit_code, ..
+                } => Ok((*task_id, *exit_code)),
+                other => Err(other.clone()),
+            };
+            self.frames.extend(self.wire.then_some(frame));
+            self.wire
+        }
+        fn send_pair(&mut self, done: &WorkerMsg, request: &WorkerMsg) -> bool {
+            self.send(done) && self.send(request)
+        }
+        fn run(&mut self, runner: u64, fresh: bool) {
+            self.runs.push((runner, fresh));
+        }
+        fn trip(&mut self, task: u64) {
+            self.tripped.push(task);
+        }
+        fn hang_up_read(&mut self) {
+            self.hung_up = true;
+        }
+        fn fact(&mut self, fact: Fact) {
+            self.facts.push(fact);
+        }
+    }
+
+    impl Fake {
+        fn sent(&mut self) -> Vec<Frame> {
+            std::mem::take(&mut self.frames)
+        }
+    }
+
+    fn ok() -> TaskOutcome {
+        let (exit_code, output) = (0, None);
+        TaskOutcome { exit_code, output }
+    }
+
+    /// A core (60 ms grace) in its first session; `at(ms)` is that long after.
+    fn pilot(heartbeat: Option<u64>) -> (PilotCore, Fake, impl Fn(u64) -> Instant) {
+        let t0 = Instant::now();
+        let at = move |ms| t0 + Duration::from_millis(ms);
+        let heartbeat = heartbeat.map(Duration::from_millis);
+        let mut core = PilotCore::new(Duration::from_millis(60), heartbeat);
+        let mut fx = Fake {
+            wire: true,
+            ..Fake::default()
+        };
+        core.session_up(t0, 1, &mut fx);
+        assert_eq!(fx.sent(), [REQUEST]);
+        (core, fx, at)
+    }
+
+    #[test]
+    fn expired_cancel_grace_abandons_the_runner_and_the_next_task_gets_a_fresh_one() {
+        let (mut core, mut fx, at) = pilot(None);
+        core.assign(at(0), &assignment(1, "block"), true, &mut fx);
+        core.cancel(at(10), 1, &mut fx);
+        core.cancel(at(30), 1, &mut fx); // a duplicate restarts nothing
+        assert_eq!((&fx.tripped[..], core.deadline()), (&[1][..], Some(at(70))));
+        core.tick(at(69), &mut fx);
+        assert_eq!(fx.sent(), [], "reported before the grace ran out");
+        core.tick(at(70), &mut fx);
+        assert_eq!(fx.sent(), [Ok((1, EXIT_CANCELED)), REQUEST]);
+        core.assign(at(80), &assignment(2, "noop"), true, &mut fx);
+        assert_eq!(fx.runs, [(1, true), (2, true)], "ran on the stuck runner");
+        assert!(core.finished(at(81), 2, ok(), &mut fx));
+        assert_eq!(fx.sent(), [Ok((2, 0)), REQUEST]);
+        // The stuck task ends at last: its runner is told so, nobody else.
+        assert!(!core.finished(at(90), 1, ok(), &mut fx));
+        core.shutdown(&mut fx);
+        assert_eq!((fx.sent(), core.tasks_done()), (vec![GOODBYE], 2));
+    }
+
+    /// Result or `Cancel`, the first decides the exit code; the other finds
+    /// nothing left to report.
+    #[test]
+    fn cancel_racing_completion_yields_one_done_then_one_request() {
+        let (mut core, mut fx, at) = pilot(None);
+        let mut rng = SplitMix64::new(15);
+        for task in 1..=200 {
+            let (now, cancel_first) = (at(100 * task), rng.gen_range(0..2) == 0);
+            core.assign(now, &assignment(task, "spin"), true, &mut fx);
+            if cancel_first {
+                core.cancel(now, task, &mut fx);
+            }
+            assert!(core.finished(now, 1, ok(), &mut fx));
+            core.cancel(now, task, &mut fx);
+            core.tick(at(100 * task + 70), &mut fx);
+            let exit_code = if cancel_first { EXIT_CANCELED } else { 0 };
+            assert_eq!(fx.sent(), [Ok((task, exit_code)), REQUEST]);
+        }
+        assert_eq!(fx.runs.last(), Some(&(1, false)), "one runner throughout");
+        core.shutdown(&mut fx);
+        assert_eq!((fx.sent(), core.tasks_done()), (vec![GOODBYE], 200));
+    }
+
+    #[test]
+    fn task_that_ends_during_an_outage_is_reported_once_on_the_next_wire() {
+        let (mut core, mut fx, at) = pilot(None);
+        core.assign(at(0), &assignment(1, "block"), true, &mut fx);
+        fx.wire = false;
+        assert_eq!(core.session_down(at(5), &mut fx), Some(1));
+        // No wire to report on: stashed, and a second outage keeps it so.
+        assert!(core.finished(at(9), 1, ok(), &mut fx));
+        assert_eq!(core.session_down(at(10), &mut fx), Some(2));
+        fx.wire = true;
+        core.session_up(at(30), 2, &mut fx);
+        let claim = Err(WorkerMsg::SessionState { running: None });
+        assert_eq!(fx.sent(), [claim, Ok((1, 0)), REQUEST]);
+        core.assign(at(40), &assignment(2, "noop"), true, &mut fx);
+        assert!(core.finished(at(41), 1, ok(), &mut fx));
+        assert_eq!(fx.sent(), [Ok((2, 0)), REQUEST]);
+        fx.wire = false;
+        // A session that had registered starts the ladder over.
+        assert_eq!(core.session_down(at(50), &mut fx), Some(1));
+        fx.wire = true;
+        core.session_up(at(60), 3, &mut fx);
+        assert_eq!(fx.sent(), [REQUEST], "nothing replayed twice");
+        core.shutdown(&mut fx);
+        assert_eq!((fx.sent(), core.tasks_done()), (vec![GOODBYE], 2));
+    }
+
+    #[test]
+    fn shutdown_mid_task_yields_done_without_request_then_goodbye() {
+        let (mut core, mut fx, at) = pilot(None);
+        core.assign(at(0), &assignment(1, "block"), true, &mut fx);
+        core.shutdown(&mut fx);
+        // The task is what the pilot waits for.
+        assert_eq!((fx.sent(), fx.hung_up), (vec![], false));
+        assert!(core.finished(at(100), 1, ok(), &mut fx));
+        assert_eq!((fx.sent(), fx.hung_up), (vec![Ok((1, 0)), GOODBYE], true));
+        assert!(core.session_down(at(101), &mut fx).is_none() && core.tasks_done() == 1);
+    }
+
+    #[test]
+    fn shutdown_then_expired_grace_still_ends_the_agent() {
+        let (mut core, mut fx, at) = pilot(None);
+        core.assign(at(0), &assignment(1, "block"), true, &mut fx);
+        core.cancel(at(1), 1, &mut fx);
+        core.shutdown(&mut fx);
+        core.tick(at(61), &mut fx);
+        assert_eq!(fx.sent(), [Ok((1, EXIT_CANCELED)), GOODBYE]);
+        assert!(fx.hung_up && !core.finished(at(99), 1, ok(), &mut fx));
+        assert!(core.session_down(at(99), &mut fx).is_none() && core.tasks_done() == 1);
+    }
+
+    /// No `Heartbeat` follows the `Goodbye`, however the ticks fall.
     #[test]
     fn goodbye_is_the_last_frame_of_a_shut_down_session() {
-        let exec = Arc::new(ProbeExecutor::default());
-        let (mut d, w) = ScriptedDispatcher::with_agent(
-            |c| WorkerConfig {
-                heartbeat: Some(Duration::from_millis(5)),
-                ..c
-            },
-            exec,
-        );
-        assert_eq!(d.recv(), WorkerMsg::Heartbeat);
-        assert_eq!(d.recv(), WorkerMsg::Heartbeat);
-        let (exit, frames) = d.shut_down(w);
-        assert_eq!(exit.reason, ExitReason::Shutdown);
-        let (last, before) = frames.split_last().expect("a Goodbye at least");
-        assert_eq!(*last, WorkerMsg::Goodbye, "{frames:?}");
-        assert!(
-            before.iter().all(|f| *f == WorkerMsg::Heartbeat),
-            "{frames:?}"
-        );
+        let (mut core, mut fx, at) = pilot(Some(5));
+        (0..=12).for_each(|ms| core.tick(at(ms), &mut fx));
+        let beats = vec![Err(WorkerMsg::Heartbeat); 2];
+        assert_eq!((fx.sent(), core.heartbeat_due()), (beats, Some(at(15))));
+        core.shutdown(&mut fx);
+        (13..=40).for_each(|ms| core.tick(at(ms), &mut fx));
+        assert_eq!((fx.sent(), core.heartbeat_due()), (vec![GOODBYE], None));
+    }
+
+    #[test]
+    fn carried_task_yields_to_dispatcher_verdict_after_disconnect() {
+        let (mut core, mut fx, at) = pilot(None);
+        core.assign(at(0), &assignment(1, "sleep"), true, &mut fx);
+        fx.wire = false;
+        core.session_down(at(100), &mut fx);
+        fx.wire = true;
+        // The task is carried and claimed; no `Request` while it runs.
+        core.session_up(at(150), 2, &mut fx);
+        let running = Some((1, 1));
+        assert_eq!(fx.sent(), [Err(WorkerMsg::SessionState { running })]);
+        // A dispatcher that never died has requeued the job: it rejects the
+        // claim, the task stands down, the worker (and runner) is recycled.
+        core.cancel(at(151), 1, &mut fx);
+        assert!(core.finished(at(152), 1, ok(), &mut fx));
+        assert_eq!(fx.sent(), [Ok((1, EXIT_CANCELED)), REQUEST]);
+        core.assign(at(160), &assignment(2, "sleep"), true, &mut fx);
+        assert_eq!((fx.tripped.len(), fx.runs.last()), (1, Some(&(1, false))));
+    }
+
+    #[test]
+    fn staging_failure_is_reported_and_the_pilot_asks_for_more() {
+        let (mut core, mut fx, at) = pilot(None);
+        core.assign(at(0), &assignment(1, "noop"), false, &mut fx);
+        assert_eq!(fx.sent(), [Ok((1, EXIT_STAGING_FAILED)), REQUEST]);
+        assert!(fx.facts[2..] == [Fact::StagingFailed] && fx.runs.is_empty());
+        core.assign(at(1), &assignment(2, "noop"), true, &mut fx);
+        assert_eq!((fx.runs.len(), core.running()), (1, Some((2, 2))));
+    }
+
+    /// Every way out of the pilot closes the task's span: the parent
+    /// dropped a canceled task on connection loss without a record.
+    #[test]
+    fn a_canceled_task_dropped_with_its_session_closes_its_span() {
+        let (mut core, mut fx, at) = pilot(None);
+        core.assign(at(0), &assignment(1, "block"), true, &mut fx);
+        core.cancel(at(10), 1, &mut fx);
+        fx.wire = false;
+        assert_eq!(core.session_down(at(20), &mut fx), Some(1));
+        let ended = |f: &&Fact| matches!(f, Fact::Event(EventKind::TaskEnded { task: 1, .. }));
+        assert_eq!(fx.facts.iter().filter(ended).count(), 1, "{:?}", fx.facts);
+        assert!(fx.facts.contains(&span(SpanKind::Exec, true, (0, 1, 1))));
+        assert!(fx.facts.contains(&Fact::TaskLeft(20, EXIT_CANCELED, true)));
+        // Discounted everywhere: not claimed, not replayed, its runner left.
+        fx.wire = true;
+        core.session_up(at(30), 2, &mut fx);
+        assert_eq!((fx.sent(), core.running()), (vec![REQUEST], None));
+        assert!(!core.finished(at(40), 1, ok(), &mut fx));
+        core.assign(at(50), &assignment(2, "noop"), true, &mut fx);
+        assert_eq!((fx.sent(), fx.runs.last()), (vec![], Some(&(2, true))));
+    }
+
+    /// Accept-and-close (a wrong port, a dispatcher mid-shutdown) is a
+    /// failed attempt each time, not a fresh start.
+    #[test]
+    fn a_peer_that_accepts_and_closes_is_given_up_on() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let policy = ReconnectPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(1),
+            ..ReconnectPolicy::default()
+        };
+        let addr = listener.local_addr().unwrap().to_string();
+        let config = WorkerConfig::new(addr, "shunned").with_reconnect(policy);
+        let w = Worker::spawn(config, executor());
+        listener.set_nonblocking(true).unwrap();
+        let mut accepts = 0;
+        while !w.is_finished() {
+            accepts += listener.accept().is_ok() as u32;
+        }
+        assert_eq!(w.join().reason, ExitReason::ConnectionLost);
+        // The first attempt, then the three failures the policy tolerates.
+        assert!((1..=4).contains(&accepts), "{accepts} accepts");
     }
 
     #[test]
@@ -1620,30 +1258,6 @@ mod tests {
         assert_eq!(d.job_record(ok).unwrap().status, JobStatus::Succeeded);
         d.shutdown();
         w.join();
-    }
-
-    #[test]
-    fn carried_task_yields_to_dispatcher_verdict_after_disconnect() {
-        let d = Dispatcher::start(DispatcherConfig::default()).unwrap();
-        let w = Worker::spawn(
-            WorkerConfig::new(d.addr().to_string(), "carrier")
-                .with_reconnect(ReconnectPolicy::default()),
-            executor(),
-        );
-        let id = d.submit(
-            JobSpec::sequential(CommandSpec::builtin("sleep", vec!["400".into()])).with_retries(1),
-        );
-        thread::sleep(Duration::from_millis(100));
-        // Sever the link mid-task without killing the pilot. The agent
-        // carries the running task into its next session and claims it
-        // via `SessionState`; this dispatcher never died, already
-        // requeued the job, and rejects the claim with `Cancel` — the
-        // retry then runs to completion on the same (recycled) worker.
-        w.disconnect();
-        assert!(d.wait_idle(WAIT));
-        assert_eq!(d.job_record(id).unwrap().status, JobStatus::Succeeded);
-        d.shutdown();
-        assert_eq!(w.join().reason, ExitReason::Shutdown);
     }
 
     #[test]

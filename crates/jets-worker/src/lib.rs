@@ -19,15 +19,16 @@
 //!   benchmarks: no-ops, timed sleeps, and the barrier–sleep–barrier MPI
 //!   synthetic task.
 //!
-//! [`agent::Worker`] owns the connection lifecycle and exposes a *kill
-//! switch* ([`agent::Worker::kill`]) that severs the socket abruptly —
-//! the fault-injection primitive behind the paper's faulty-allocation
-//! experiment (Fig. 10).
+//! What the pilot decides is [`core::PilotCore`], with no clock, lock or
+//! socket in it; [`agent::Worker`] is the shell of threads around it, and
+//! its *kill switch* ([`agent::Worker::kill`]) severs the socket abruptly —
+//! the fault-injection primitive of the paper's Fig. 10 experiment.
 
 #![warn(missing_docs)]
 
 pub mod agent;
 pub mod apps;
+pub mod core;
 pub mod executor;
 pub mod metrics;
 pub mod staging;
