@@ -14,17 +14,21 @@
 //!   `sched` lock, sample the clock once, call, release.
 //! * **Effects** — the core's sends go onto the connections' bounded
 //!   outboxes while `sched` is still held (so an `Assign` can never trail
-//!   the `Cancel` that kills it); each MPI gang's background PMI server
-//!   (the paper's `mpiexec`, see `jets-pmi`) lives in a map beside the
-//!   core; and every [`Fact`] the core emits is turned into its ring
-//!   records, write-ahead records, counters and job-table update by the
-//!   one `match` in `Sink::fact`. Captured task output is queued there
+//!   the `Cancel` that kills it); the MPI gangs' PMI service (the paper's
+//!   `mpiexec`, see `jets-pmi`) is one [`PmiHub`] whose listener sits on
+//!   the same reactor — `pmi_start` opens a job in it and hands out its
+//!   one address, and a gang's first fence release reaches the core from
+//!   the event loop that saw it; and every [`Fact`] the core emits is
+//!   turned into its ring records, write-ahead records, counters and
+//!   job-table update by the one `match` in `Sink::fact`. Captured task output is queued there
 //!   and written to `stdout_dir` off the lock, off the event loops.
 //!
 //! ## Locking domains (see `docs/performance.md`)
 //!
-//! * **`sched` lock** — the core plus the connection and PMI maps:
-//!   everything a scheduling decision reads or writes to.
+//! * **`sched` lock** — the core plus the connection map and the open
+//!   PMI job ids: everything a scheduling decision reads or writes to.
+//!   The hub's own `pmi` lock is a leaf below it (`sched` → `pmi`, never
+//!   the reverse: the hub reports a release after it has unlocked).
 //! * **`book` lock** — job records and the outstanding count: what the
 //!   client-facing API (`wait_idle`, `wait_job`, `records`) polls. Lock
 //!   order is always `sched` → `book`, never the reverse; the only place
@@ -48,7 +52,7 @@ use crate::queue::QueuePolicy;
 use crate::registry::{HeartbeatHandle, QuarantinePolicy};
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_obs::MetricsServer;
-use jets_pmi::{PmiServer, PmiServerConfig};
+use jets_pmi::PmiHub;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
 use jets_ring::stdx::{wait_for, Mutex};
 use jets_ring::WriterRole;
@@ -216,8 +220,9 @@ struct Io {
     /// Connected relay daemons (ids share the worker id space). Shutdown
     /// is sent once per relay, not once per relayed worker.
     relays: HashMap<WorkerId, Arc<Outbox>>,
-    /// Each running MPI gang's PMI server, alive as long as its attempt.
-    pmi: HashMap<JobId, PmiServer>,
+    /// Each running MPI gang's PMI job id, open in the hub as long as
+    /// its attempt.
+    pmi: HashMap<JobId, String>,
     /// Reusable wire-encode buffer: steady-state sends allocate nothing.
     enc: Vec<u8>,
     /// Write-ahead records of the facts emitted since the last flush.
@@ -289,6 +294,8 @@ struct Inner {
     /// The reactor's monotonic counters; the monitor bridges them into
     /// the metric surface each tick.
     reactor_stats: Arc<ReactorStats>,
+    /// The PMI service of every running gang, on the reactor's loops.
+    pmi: Arc<PmiHub>,
 }
 
 /// One input to the core, start to finish: take `sched`, sample the
@@ -378,22 +385,24 @@ impl Effects for Sink<'_> {
     }
 
     fn pmi_start(&mut self, job: JobId, jobid: &str, size: u32) -> io::Result<String> {
-        let mut config = PmiServerConfig::new(jobid, size);
-        config.fence_timeout = self.inner.config.pmi_fence_timeout;
-        let server = PmiServer::start(config)?;
-        let addr = server.addr().to_string();
-        self.io.pmi.insert(job, server);
-        Ok(addr)
+        let (hub, patience) = (&self.inner.pmi, self.inner.config.pmi_fence_timeout);
+        if !hub.input(|pmi, _| pmi.open_job(jobid, job, size, patience)) {
+            return Err(io::Error::other(format!("pmi job {jobid} is already open")));
+        }
+        self.io.pmi.insert(job, jobid.to_string());
+        Ok(hub.addr().to_string())
     }
 
     fn pmi_abort(&mut self, job: JobId, reason: &str) {
-        if let Some(server) = self.io.pmi.get(&job) {
-            server.abort(reason);
+        if let Some(jobid) = self.io.pmi.get(&job) {
+            let hub = &self.inner.pmi;
+            hub.input(|pmi, fx| pmi.abort_job(jobid, reason, fx));
         }
     }
 
     fn pmi_stop(&mut self, job: JobId) -> Option<Instant> {
-        self.io.pmi.remove(&job)?.first_barrier_at()
+        let jobid = self.io.pmi.remove(&job)?;
+        self.inner.pmi.input(|pmi, fx| pmi.close_job(&jobid, fx))
     }
 
     /// The one place a lifecycle fact reaches the ring, the journal, the
@@ -576,6 +585,8 @@ impl Dispatcher {
     pub fn start(config: DispatcherConfig) -> io::Result<Dispatcher> {
         let listener = TcpListener::bind(&config.bind_addr)?;
         let addr = listener.local_addr()?;
+        // Ranks reach the PMI service the way pilots reach the dispatcher.
+        let (pmi, pmi_listener) = PmiHub::bind(addr.ip())?;
         let reactor = Reactor::start(ReactorConfig {
             event_loops: config.event_loops,
             outbox_limit: config.outbox_limit,
@@ -639,6 +650,7 @@ impl Dispatcher {
             killed: AtomicBool::new(false),
             journal,
             reactor_stats: reactor.stats(),
+            pmi,
         });
         let m = &inner.metrics;
         m.reactor_event_loops.set(reactor.event_loops() as i64);
@@ -669,6 +681,12 @@ impl Dispatcher {
                 }) as Box<dyn ConnHandler>)
             }),
         )?;
+        // A gang's first fence release is an input like any other, made
+        // from the event loop that saw it, after the hub has unlocked.
+        let fence_inner = Arc::clone(&inner);
+        inner.pmi.serve(&reactor, pmi_listener, move |job, at| {
+            step(&fence_inner, |core, fx, _| core.fence_released(job, at, fx));
+        })?;
         let monitor_inner = Arc::clone(&inner);
         thread::Builder::new()
             .name("jets-monitor".to_string())
@@ -882,17 +900,23 @@ impl Drop for Dispatcher {
 
 /// The dispatcher's periodic duties: the core's tick (hang detection,
 /// deadlines, quarantine release, the reconciliation window), PMI fence
-/// observation, the `Interval` fsync, queued task output, and bridging
+/// time-outs, the `Interval` fsync, queued task output, and bridging
 /// reactor and ring counters into the metric surface. One thread.
 fn monitor_loop(inner: Arc<Inner>) {
     let tick = inner.config.monitor_tick.max(Duration::from_millis(1));
     // The reactor's counters are monotonic; remembering the previous
     // sample lets the bridge publish deltas so the jets-obs counters
     // stay monotonic too. Likewise the ring's.
-    let mut prev = [0u64; 4];
+    let mut prev = [0u64; 5];
     while !inner.shutdown.load(Ordering::Acquire) {
         thread::sleep(tick);
-        bridge_counters(&inner, &mut prev);
+        // A fence that has waited `pmi_fence_timeout` aborts its gang:
+        // the parked ranks are told, their tasks fail, the core requeues.
+        let pmi_errors = inner.pmi.input(|pmi, fx| {
+            pmi.tick(Instant::now(), fx);
+            pmi.protocol_errors()
+        });
+        bridge_counters(&inner, &mut prev, pmi_errors);
         flush_outputs(&inner);
         // Under the `Interval` fsync policy the monitor tick is the
         // durability clock: one flush per tick, off the hot path.
@@ -904,15 +928,6 @@ fn monitor_loop(inner: Arc<Inner>) {
             }
         }
         step(&inner, |core, fx, now| {
-            // A gang's first fence releases on its PMI server's own
-            // thread; polling here stamps the pmi-barrier → run boundary
-            // within one tick of the release (the core ignores a fence
-            // it has already seen).
-            let fence =
-                |(&job, server): (&JobId, &PmiServer)| Some((job, server.first_barrier_at()?));
-            for (job, at) in fx.io.pmi.iter().filter_map(fence).collect::<Vec<_>>() {
-                core.fence_released(job, at, fx);
-            }
             core.tick(now, fx);
             // The O(workers) gauges are refreshed here, once per tick,
             // so the hot path never walks the registry for metrics' sake.
@@ -926,11 +941,12 @@ fn monitor_loop(inner: Arc<Inner>) {
     }
 }
 
-/// Publish the reactor's and the flight recorder's counters into the
-/// metric surface. Lock-free on both sides: the sources are atomics the
-/// writers already maintain (nothing is decoded, no ring slot is read),
-/// the metric handles are atomics.
-fn bridge_counters(inner: &Inner, prev: &mut [u64; 4]) {
+/// Publish the reactor's and the flight recorder's counters, and the PMI
+/// service's `pmi_errors` the caller read with its tick, into the metric
+/// surface. Lock-free on both sides: the sources are atomics the writers
+/// already maintain (nothing is decoded, no ring slot is read), the metric
+/// handles are atomics.
+fn bridge_counters(inner: &Inner, prev: &mut [u64; 5], pmi_errors: u64) {
     let (rs, m) = (&inner.reactor_stats, &inner.metrics);
     m.reactor_connections.set(rs.connections_open() as i64);
     m.reactor_outbox_high_water_bytes
@@ -946,12 +962,14 @@ fn bridge_counters(inner: &Inner, prev: &mut [u64; 4]) {
         // `--flight-recorder` shows on /metrics instead of silently
         // losing history.
         recorded.saturating_sub(capacity),
+        pmi_errors,
     ];
     let counters = [
         &m.reactor_wakeups_total,
         &m.reactor_slow_consumer_disconnects_total,
         &m.events_recorded_total,
         &m.flight_reader_laps_total,
+        &m.pmi_protocol_errors_total,
     ];
     for ((counter, now), prev) in counters.into_iter().zip(now).zip(prev) {
         counter.add(now.saturating_sub(*prev));

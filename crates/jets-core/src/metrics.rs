@@ -94,6 +94,9 @@ pub struct DispatcherMetrics {
     /// Events the writer has overwritten (recorded − retained). Nonzero
     /// means the `--flight-recorder` ring is too small to hold the run.
     pub flight_reader_laps_total: Arc<Counter>,
+    /// Rank connections the PMI service refused or closed for breaking
+    /// the protocol (undecodable line, bad `init`, command out of order).
+    pub pmi_protocol_errors_total: Arc<Counter>,
     /// Queue-wait phase: last enqueue → workers selected.
     pub phase_queue: Arc<Histogram>,
     /// Launch phase: workers selected → assignments shipped.
@@ -215,6 +218,10 @@ impl DispatcherMetrics {
                 "jets_flight_reader_laps_total",
                 "Events the ring writer has overwritten (recorded - retained)",
             ),
+            pmi_protocol_errors_total: r.counter(
+                "jets_pmi_protocol_errors_total",
+                "Rank connections the PMI service closed for breaking the protocol",
+            ),
             phase_queue: phase("queue"),
             phase_launch: phase("launch"),
             phase_pmi: phase("pmi"),
@@ -282,6 +289,7 @@ mod tests {
             "jets_events_retained",
             "jets_events_capacity",
             "jets_flight_reader_laps_total",
+            "jets_pmi_protocol_errors_total",
             "jets_build_info",
             JOB_PHASE_METRIC,
         ] {

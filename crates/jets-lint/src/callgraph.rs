@@ -151,7 +151,7 @@ pub struct CallGraph<'a> {
     /// witness found (deterministic: files and functions in order).
     pub lock_edges: BTreeMap<(String, String), LockEdge>,
     /// Namespaced lock fields discovered from struct declarations
-    /// (plus the canonical `sched` / `book` pair).
+    /// (plus the canonical `sched` / `book` / `pmi`).
     pub lock_fields: BTreeSet<String>,
 }
 
@@ -188,10 +188,11 @@ impl<'a> CallGraph<'a> {
             }
         }
         for file in files.iter() {
-            // sched/book are lock fields wherever they are used, even
-            // in fixture sets that carry no struct declaration.
-            lock_fields.insert(format!("{}:sched", file.krate));
-            lock_fields.insert(format!("{}:book", file.krate));
+            // sched/book/pmi are lock fields wherever they are used,
+            // even in fixture sets that carry no struct declaration.
+            for field in ["sched", "book", "pmi"] {
+                lock_fields.insert(format!("{}:{field}", file.krate));
+            }
         }
 
         let mut g = CallGraph {

@@ -28,7 +28,7 @@
 //! | id  | key                  | invariant                                         |
 //! |-----|----------------------|---------------------------------------------------|
 //! | J0  | (meta)               | suppression comments must be well-formed + reasoned|
-//! | J1  | `lock-order`         | `sched` before `book`, never reversed or re-entered|
+//! | J1  | `lock-order`         | `sched` before `book` and `pmi`, never reversed or re-entered|
 //! | J2  | `lock-across-blocking` | no let-bound lock guard live across blocking ops (direct or via a tainted callee) |
 //! | J3  | `relaxed`            | Relaxed store/swap on a cross-thread flag needs a reason |
 //! | J4  | `protocol`           | WorkerMsg/DispatcherMsg matches name every variant |
@@ -534,11 +534,15 @@ pub fn strip_suppression_lines(src: &str, lines: &BTreeSet<u32>) -> String {
 // Shared helpers for J1/J2.
 // ---------------------------------------------------------------------------
 
-/// The locks with a canonical order. Lower rank is acquired first.
+/// The locks with a canonical order. Lower rank is acquired first. `pmi`
+/// (the PMI hub's table, `jets-pmi/src/server.rs`) is taken under `sched`
+/// by `Effects::pmi_abort`, so it must never be held while reaching for
+/// `sched`: a fence release is reported after the hub has unlocked.
 fn lock_rank(field: &str) -> Option<u8> {
     match field {
         "sched" => Some(0),
         "book" => Some(1),
+        "pmi" => Some(2),
         _ => None,
     }
 }
@@ -582,7 +586,7 @@ fn rule_lock_order(file: &FileIndex, findings: &mut Vec<Finding>) {
                         &file.path,
                         l.line,
                         format!(
-                            "lock-order inversion: `{}` acquired while `{}` guard `{}` (line {}) is live; canonical order is sched → book",
+                            "lock-order inversion: `{}` acquired while `{}` guard `{}` (line {}) is live; canonical order is sched → book → pmi",
                             l.field, g.field, g.name, g.line
                         ),
                     ));
@@ -1012,10 +1016,11 @@ fn is_handler_fn(name: &str) -> bool {
 }
 
 /// The files that are handler scope as a whole.
-const PURE_CORES: [&str; 3] = [
+const PURE_CORES: [&str; 4] = [
     "jets-core/src/core.rs",
     "jets-relay/src/core.rs",
     "jets-worker/src/core.rs",
+    "jets-pmi/src/service.rs",
 ];
 
 fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
@@ -1023,10 +1028,10 @@ fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
         return;
     }
     let toks = &file.lexed.toks;
-    // The dispatcher's scheduling core, the relay's routing core and the
-    // pilot's core are handler scope as a whole: every transition in them
-    // runs on a frame, a disconnect or a replayed journal, whatever its
-    // name.
+    // The dispatcher's scheduling core, the relay's routing core, the
+    // pilot's core and the PMI service (decode path included) are handler
+    // scope as a whole: every transition in them runs on a frame, a
+    // disconnect or a replayed journal, whatever its name.
     let all_handlers = PURE_CORES.iter().any(|core| file.path.ends_with(core));
     for func in &file.funcs {
         if func.in_test || !(all_handlers || is_handler_fn(&func.name)) {
@@ -1065,15 +1070,17 @@ const REACTOR_CALLBACKS: &[&str] = &["on_open", "on_frame", "on_close"];
 
 /// Path predicate for the reactor-converted fan-in crates: their
 /// per-connection serve/accept paths must not spawn threads, because
-/// connection concurrency belongs to the reactor. The blocking client
-/// crates (worker agent, jets-pmi, jets-mpi) keep their thread-per-
-/// connection accept loops by design and are exempt by path.
+/// connection concurrency belongs to the reactor (jets-pmi's rank
+/// connections) or to one poller thread (jets-mpi's endpoint). The worker
+/// agent is a blocking client by design and exempt by path.
 fn reactor_scoped_path(path: &Path) -> bool {
     let s = path.to_string_lossy().replace('\\', "/");
     s.split('/').any(|comp| {
         comp.contains("jets-core")
             || comp.contains("jets-relay")
             || comp.contains("jets-reactor")
+            || comp.contains("jets-pmi")
+            || comp.contains("jets-mpi")
             || comp == "reactor"
     })
 }
@@ -1426,6 +1433,28 @@ mod tests {
     }
 
     #[test]
+    fn pmi_is_a_leaf_below_sched() {
+        // `Effects::pmi_abort` takes the hub's lock under `sched`; the
+        // hub reaching for `sched` with its own lock held is the deadlock.
+        let canonical = r#"
+            fn pmi_abort(inner: &Inner, hub: &PmiHub) {
+                let st = inner.sched.lock();
+                let shared = hub.pmi.lock();
+            }
+        "#;
+        assert!(lint_one(canonical).is_empty(), "{:?}", lint_one(canonical));
+        let inverted = r#"
+            fn on_frame(hub: &PmiHub, inner: &Inner) {
+                let shared = hub.pmi.lock();
+                let st = inner.sched.lock();
+            }
+        "#;
+        let f = lint_one(inverted);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::J1);
+    }
+
+    #[test]
     fn guard_scope_exit_clears_locks() {
         let src = r#"
             fn scoped(inner: &Inner) {
@@ -1707,17 +1736,24 @@ mod tests {
 
     #[test]
     fn spawn_in_blocking_client_serve_is_fine() {
-        // jets-pmi keeps its thread-per-connection accept loop by design.
+        // The worker agent is a blocking client by design; jets-pmi and
+        // jets-mpi are not any more: a thread per rank connection there
+        // is the pattern the PMI hub and the MPI endpoint replaced.
         let src = r#"
             fn serve_rank(stream: TcpStream) {
                 thread::spawn(move || pump(stream));
             }
         "#;
-        let f = lint_sources(&[(
-            PathBuf::from("crates/jets-pmi/src/server.rs"),
-            src.to_string(),
-        )]);
+        let lint_at = |path: &str| lint_sources(&[(PathBuf::from(path), src.to_string())]);
+        let f = lint_at("crates/jets-worker/src/agent.rs");
         assert!(f.is_empty(), "{f:?}");
+        for path in [
+            "crates/jets-pmi/src/server.rs",
+            "crates/jets-mpi/src/endpoint.rs",
+        ] {
+            let f = lint_at(path);
+            assert!(f.iter().any(|f| f.rule == Rule::J7), "{path}: {f:?}");
+        }
     }
 
     #[test]
@@ -1862,6 +1898,44 @@ mod tests {
         assert!(f[0].message.contains("x:book"));
         assert!(f[0].message.contains("x:sched"));
         assert!(f[0].message.contains("touch_sched"));
+    }
+
+    #[test]
+    fn reporting_a_fence_release_under_the_pmi_lock_is_a_cycle() {
+        // `sched -> pmi` exists (`pmi_abort` runs under `sched`), so the
+        // hub may only call back into the scheduler once it has unlocked.
+        let abort = r#"
+            fn pmi_abort(inner: &Inner, hub: &PmiHub) {
+                let st = inner.sched.lock();
+                abort_job(hub);
+            }
+            fn abort_job(hub: &PmiHub) {
+                let shared = hub.pmi.lock();
+            }
+            fn fence_released(inner: &Inner) {
+                let st = inner.sched.lock();
+            }
+        "#;
+        let under_the_lock = r#"
+            fn rank_line(hub: &PmiHub, inner: &Inner) {
+                let shared = hub.pmi.lock();
+                fence_released(inner);
+            }
+        "#;
+        let f = lint_one(&format!("{abort}{under_the_lock}"));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::J9);
+        assert!(f[0].message.contains("x:pmi") && f[0].message.contains("x:sched"));
+        let after_the_unlock = r#"
+            fn rank_line(hub: &PmiHub, inner: &Inner) {
+                {
+                    let shared = hub.pmi.lock();
+                }
+                fence_released(inner);
+            }
+        "#;
+        let f = lint_one(&format!("{abort}{after_the_unlock}"));
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

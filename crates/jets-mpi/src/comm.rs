@@ -7,6 +7,7 @@
 //! MPI implementation).
 
 use crate::datatype::MpiData;
+use crate::endpoint::Endpoint;
 use crate::error::MpiError;
 use crate::mem::MemEndpoint;
 use crate::tcp::TcpTransport;
@@ -55,9 +56,19 @@ impl Communicator {
     }
 
     /// Wire up over real TCP sockets using an initialized PMI client —
-    /// the path a Hydra-proxied process takes.
+    /// the path a Hydra-proxied process takes. The rank gets an endpoint
+    /// of its own, on the interface its PMI connection left by, that lives
+    /// as long as the communicator.
     pub fn via_pmi(pmi: &mut PmiClient) -> Result<Self, MpiError> {
-        let transport = TcpTransport::wire_up(pmi)?;
+        let endpoint = Endpoint::bind(pmi.local_ip()?)?;
+        Self::via_endpoint(pmi, Arc::new(endpoint))
+    }
+
+    /// Wire up as [`Communicator::via_pmi`] does, receiving through an
+    /// endpoint that is already bound — a pilot's, shared by every rank it
+    /// hosts, one job after another.
+    pub fn via_endpoint(pmi: &mut PmiClient, endpoint: Arc<Endpoint>) -> Result<Self, MpiError> {
+        let transport = TcpTransport::wire_up(pmi, endpoint)?;
         Ok(Self::from_transport(Box::new(transport)))
     }
 

@@ -9,9 +9,9 @@
 //! message-passing library rather than a mock:
 //!
 //! * **Wire-up** via `jets-pmi`: each rank publishes a business card
-//!   (`bc.<rank> = host:port`), fences, and resolves peers lazily.
-//! * **Transports** ([`transport`]): real TCP sockets ([`tcp`]) for
-//!   separate-process ranks, and an in-process fabric ([`mem`]) for
+//!   (`bc.<rank> = host:port/slot`), fences, and connects to peers lazily.
+//! * **Transports** ([`transport`]): real TCP sockets ([`tcp`], received
+//!   through one [`endpoint`] per pilot) for separate-process ranks, and an in-process fabric ([`mem`]) for
 //!   thread-per-rank jobs, with an injectable [`NetModel`] reproducing the
 //!   latency/bandwidth difference between native messaging (IBM DCMF) and
 //!   MPICH2-over-ZeptoOS-TCP that Figure 8 of the paper measures.
@@ -42,6 +42,7 @@
 pub mod collectives;
 pub mod comm;
 pub mod datatype;
+pub mod endpoint;
 pub mod error;
 pub mod mem;
 pub mod mpiio;
@@ -53,6 +54,7 @@ pub mod transport;
 
 pub use comm::{Communicator, ANY_SOURCE};
 pub use datatype::{MpiData, ReduceOp};
+pub use endpoint::Endpoint;
 pub use error::MpiError;
 pub use mem::MemFabric;
 pub use mpiio::CollectiveFile;

@@ -1,88 +1,70 @@
 //! TCP transport: how separate-process ranks exchange frames.
 //!
-//! Wire-up follows the MPICH2-on-sockets flow exactly: each rank binds an
-//! ephemeral listener, publishes `bc.<rank> = host:port` into the job's PMI
-//! key-value space, fences, and resolves peers from the KVS. Connections
-//! are established lazily on first send. Each direction of traffic uses the
-//! socket the *sender* initiated (accepted sockets are read-only), so
-//! per-(source, destination) FIFO ordering holds without any sequencing.
+//! Wire-up follows the MPICH2-on-sockets flow: each rank registers with
+//! its pilot's [`Endpoint`] (one listener and one progress thread for every
+//! rank the pilot ever hosts), publishes the card it is given as `bc.<rank>`
+//! into the job's PMI key-value space, fences, and reads its peers' cards
+//! out of what the fence delivered — one PMI round trip in all.
+//! Connections are established lazily on first send. Each direction of
+//! traffic uses the socket the *sender* initiated (accepted sockets are
+//! read-only), so per-(source, destination) FIFO ordering holds without any
+//! sequencing.
 //!
 //! Frame format: a 12-byte little-endian header `[src u32][tag u32][len
-//! u32]` followed by `len` payload bytes.
+//! u32]` followed by `len` payload bytes, after a 12-byte hello `[slot
+//! u64][src u32]` naming the inbox the connection is for.
 
+use crate::endpoint::Endpoint;
 use crate::error::MpiError;
 use crate::transport::{Frame, Transport};
 use jets_pmi::PmiClient;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
-/// Upper bound on a single frame payload; guards against corrupt headers.
-const MAX_FRAME: u32 = 1 << 30;
-
-/// Stack size for reader/acceptor service threads.
-const SERVICE_STACK: usize = 128 * 1024;
-
-/// A TCP endpoint for one rank, wired up through PMI.
+/// One rank's attachment to an [`Endpoint`], wired up through PMI.
 pub struct TcpTransport {
     rank: u32,
     size: u32,
+    /// Held so that a private endpoint lives as long as its rank.
+    endpoint: Arc<Endpoint>,
+    slot: u64,
     incoming_tx: Sender<Frame>,
     incoming_rx: Receiver<Frame>,
     /// Lazily-opened write sockets, indexed by destination rank.
     writers: Vec<Option<TcpStream>>,
-    peer_addrs: Vec<String>,
-    shutdown_flag: Arc<AtomicBool>,
+    peer_cards: Vec<String>,
     down: bool,
 }
 
 impl TcpTransport {
-    /// Bind a listener, exchange business cards through `pmi`, and start
-    /// accepting peer connections.
-    pub fn wire_up(pmi: &mut PmiClient) -> Result<TcpTransport, MpiError> {
-        let rank = pmi.rank();
-        let size = pmi.size();
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let my_addr = listener.local_addr()?.to_string();
-        listener.set_nonblocking(true)?;
-
-        pmi.put(&format!("bc.{rank}"), &my_addr)
-            .map_err(|e| MpiError::Pmi(e.to_string()))?;
-        pmi.fence().map_err(|e| MpiError::Pmi(e.to_string()))?;
-
-        let mut peer_addrs = Vec::with_capacity(size as usize);
-        for peer in 0..size {
-            let card = pmi
-                .get(&format!("bc.{peer}"))
-                .map_err(|e| MpiError::Pmi(e.to_string()))?
-                .ok_or_else(|| MpiError::Pmi(format!("no business card for rank {peer}")))?;
-            peer_addrs.push(card);
-        }
-
-        let (incoming_tx, incoming_rx) = channel();
-        let shutdown_flag = Arc::new(AtomicBool::new(false));
-        let acceptor_tx = incoming_tx.clone();
-        let acceptor_flag = Arc::clone(&shutdown_flag);
-        thread::Builder::new()
-            .name(format!("mpi-accept-{rank}"))
-            .stack_size(SERVICE_STACK)
-            .spawn(move || accept_loop(listener, acceptor_tx, acceptor_flag))
-            .expect("spawn mpi acceptor");
-
-        Ok(TcpTransport {
+    /// Register on `endpoint` and exchange business cards through `pmi`.
+    pub fn wire_up(pmi: &mut PmiClient, endpoint: Arc<Endpoint>) -> Result<TcpTransport, MpiError> {
+        let pmi_err = |e: jets_pmi::client::PmiError| MpiError::Pmi(e.to_string());
+        let (rank, size) = (pmi.rank(), pmi.size());
+        let mine = endpoint.register();
+        let mut transport = TcpTransport {
             rank,
             size,
-            incoming_tx,
-            incoming_rx,
+            endpoint,
+            slot: mine.slot,
+            incoming_tx: mine.tx,
+            incoming_rx: mine.rx,
             writers: (0..size).map(|_| None).collect(),
-            peer_addrs,
-            shutdown_flag,
+            peer_cards: Vec::with_capacity(size as usize),
             down: false,
-        })
+        };
+        pmi.put(&format!("bc.{rank}"), &mine.card)
+            .map_err(pmi_err)?;
+        pmi.fence().map_err(pmi_err)?;
+        for peer in 0..size {
+            let card = pmi.get(&format!("bc.{peer}")).map_err(pmi_err)?;
+            let missing = || MpiError::Pmi(format!("no business card for rank {peer}"));
+            transport.peer_cards.push(card.ok_or_else(missing)?);
+        }
+        Ok(transport)
     }
 
     fn writer_for(&mut self, dst: u32) -> Result<&mut TcpStream, MpiError> {
@@ -91,12 +73,20 @@ impl TcpTransport {
             .get_mut(dst as usize)
             .ok_or_else(|| MpiError::Protocol(format!("rank {dst} out of range")))?;
         if slot.is_none() {
-            let stream = TcpStream::connect(&self.peer_addrs[dst as usize])
-                .map_err(|_| MpiError::Disconnected { peer: dst })?;
+            let card = &self.peer_cards[dst as usize];
+            let (addr, inbox) = card
+                .rsplit_once('/')
+                .and_then(|(addr, inbox)| Some((addr, inbox.parse::<u64>().ok()?)))
+                .ok_or_else(|| MpiError::Protocol(format!("rank {dst}'s card is {card}")))?;
+            let mut stream =
+                TcpStream::connect(addr).map_err(|_| MpiError::Disconnected { peer: dst })?;
             stream.set_nodelay(true)?;
-            let mut stream = stream;
-            // Hello: identify ourselves so the peer's reader labels frames.
-            stream.write_all(&self.rank.to_le_bytes())?;
+            // Hello: which inbox this connection feeds, and who we are,
+            // so the peer's endpoint labels our frames.
+            let mut hello = [0u8; 12];
+            hello[..8].copy_from_slice(&inbox.to_le_bytes());
+            hello[8..].copy_from_slice(&self.rank.to_le_bytes());
+            stream.write_all(&hello)?;
             *slot = Some(stream);
         }
         Ok(slot.as_mut().expect("just filled"))
@@ -146,9 +136,9 @@ impl Transport for TcpTransport {
 
     fn shutdown(&mut self) {
         self.down = true;
-        self.shutdown_flag.store(true, Ordering::Release);
+        self.endpoint.retire(self.slot);
         for w in &mut self.writers {
-            *w = None; // dropping closes the socket; peers' readers see EOF
+            *w = None; // dropping closes the socket; the peer's endpoint sees EOF
         }
     }
 }
@@ -159,79 +149,12 @@ impl Drop for TcpTransport {
     }
 }
 
-fn accept_loop(listener: TcpListener, incoming: Sender<Frame>, shutdown: Arc<AtomicBool>) {
-    let mut backoff = Duration::from_micros(200);
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                backoff = Duration::from_micros(200);
-                stream.set_nodelay(true).ok();
-                let tx = incoming.clone();
-                // Spawn failure sheds this connection; the peer rank's
-                // connect will fail or time out and surface there.
-                if thread::Builder::new()
-                    .name("mpi-read".to_string())
-                    .stack_size(SERVICE_STACK)
-                    .spawn(move || read_loop(stream, tx))
-                    .is_err()
-                {
-                    continue;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(5));
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Decode a little-endian u32 from a 4-byte slice without a fallible
-/// conversion (callers index fixed-size header arrays).
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-fn read_loop(mut stream: TcpStream, incoming: Sender<Frame>) {
-    let mut hello = [0u8; 4];
-    if stream.read_exact(&mut hello).is_err() {
-        return;
-    }
-    let src = u32::from_le_bytes(hello);
-    let mut header = [0u8; 12];
-    loop {
-        if stream.read_exact(&mut header).is_err() {
-            return; // peer closed: normal teardown, communicator handles it
-        }
-        let frame_src = le_u32(&header[0..4]);
-        let tag = le_u32(&header[4..8]);
-        let len = le_u32(&header[8..12]);
-        if frame_src != src || len > MAX_FRAME {
-            return; // corrupt stream; drop the connection
-        }
-        let mut payload = vec![0u8; len as usize];
-        if stream.read_exact(&mut payload).is_err() {
-            return;
-        }
-        let frame = Frame {
-            src,
-            tag,
-            payload: Arc::from(payload),
-        };
-        if incoming.send(frame).is_err() {
-            return; // local endpoint dropped
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use jets_pmi::{PmiServer, PmiServerConfig};
+    use std::net::{IpAddr, Ipv4Addr};
+    use std::thread;
 
     /// Run `size` process-style ranks (threads with their own PMI clients
     /// and TCP transports) through `f`.
@@ -241,14 +164,17 @@ mod tests {
     ) -> jets_pmi::JobOutcome {
         let server = PmiServer::start(PmiServerConfig::new("tcp-test", size)).unwrap();
         let addr = server.addr().to_string();
+        // One endpoint for all the ranks, as on a pilot with ppn = size.
+        let endpoint = Arc::new(Endpoint::bind(IpAddr::V4(Ipv4Addr::LOCALHOST)).unwrap());
         let f = Arc::new(f);
         let mut handles = Vec::new();
         for rank in 0..size {
             let addr = addr.clone();
             let f = Arc::clone(&f);
+            let endpoint = Arc::clone(&endpoint);
             handles.push(thread::spawn(move || {
                 let mut pmi = PmiClient::connect(&addr, rank, size, "tcp-test").unwrap();
-                let mut t = TcpTransport::wire_up(&mut pmi).unwrap();
+                let mut t = TcpTransport::wire_up(&mut pmi, endpoint).unwrap();
                 f(&mut t);
                 pmi.finalize().unwrap();
                 t.shutdown();
@@ -366,5 +292,74 @@ mod tests {
             }
         });
         assert_eq!(outcome, jets_pmi::JobOutcome::Success);
+    }
+
+    #[test]
+    fn a_megabyte_each_way_at_once_completes() {
+        // Both ranks write before either reads: only the endpoints'
+        // eager, unbounded delivery keeps the two `write_all`s from
+        // waiting on each other for ever.
+        let outcome = run_tcp_ranks(2, |t| {
+            let (me, peer) = (t.rank(), 1 - t.rank());
+            let big: Vec<u8> = (0..1_000_000u32)
+                .map(|i| (i % 251) as u8 ^ me as u8)
+                .collect();
+            let payload = Arc::from(big);
+            t.send(
+                peer,
+                Frame {
+                    src: me,
+                    tag: 4,
+                    payload,
+                },
+            )
+            .unwrap();
+            let f = t.recv(Duration::from_secs(20)).unwrap().unwrap();
+            assert_eq!((f.src, f.payload.len()), (peer, 1_000_000));
+            let expect = |(i, &b): (usize, &u8)| b == (i % 251) as u8 ^ peer as u8;
+            assert!(f.payload.iter().enumerate().all(expect));
+        });
+        assert_eq!(outcome, jets_pmi::JobOutcome::Success);
+    }
+
+    #[test]
+    fn two_jobs_at_once_on_one_endpoint_do_not_cross() {
+        let endpoint = Arc::new(Endpoint::bind(IpAddr::V4(Ipv4Addr::LOCALHOST)).unwrap());
+        let jobs: Vec<_> = ["left", "right"]
+            .into_iter()
+            .map(|jobid| {
+                let server = PmiServer::start(PmiServerConfig::new(jobid, 2)).unwrap();
+                let ranks: Vec<_> = (0..2u32)
+                    .map(|rank| {
+                        let (addr, endpoint) = (server.addr().to_string(), Arc::clone(&endpoint));
+                        thread::spawn(move || {
+                            let mut pmi = PmiClient::connect(&addr, rank, 2, jobid).unwrap();
+                            let mut t = TcpTransport::wire_up(&mut pmi, endpoint).unwrap();
+                            let payload: Arc<[u8]> = Arc::from(jobid.as_bytes());
+                            for tag in 0..50 {
+                                let (src, payload) = (rank, Arc::clone(&payload));
+                                t.send(1 - rank, Frame { src, tag, payload }).unwrap();
+                                let f = t.recv(Duration::from_secs(10)).unwrap().unwrap();
+                                assert_eq!(
+                                    (f.src, f.tag, &f.payload[..]),
+                                    (1 - rank, tag, jobid.as_bytes())
+                                );
+                            }
+                            pmi.finalize().unwrap();
+                        })
+                    })
+                    .collect();
+                (server, ranks)
+            })
+            .collect();
+        for (server, ranks) in jobs {
+            ranks.into_iter().for_each(|h| h.join().unwrap());
+            assert_eq!(
+                server.wait(Duration::from_secs(10)),
+                jets_pmi::JobOutcome::Success
+            );
+        }
+        // Four ranks, one listener: each opened one connection to its peer.
+        assert_eq!(endpoint.connections_accepted(), 4);
     }
 }

@@ -15,8 +15,11 @@
 //! * [`wire`] — a line-oriented PMI-1-style wire protocol
 //!   (`cmd=put key=... value=...`).
 //! * [`kvs`] — the per-job key-value space with fence (barrier) semantics.
-//! * [`server`] — the process-manager side ([`PmiServer`]): one listener per
-//!   MPI job, serving `size` rank connections.
+//! * [`service`] — the process-manager side as a table of jobs
+//!   ([`PmiService`]): no socket, clock, lock or thread in it.
+//! * [`server`] — that table on sockets: [`PmiHub`], any number of jobs
+//!   behind one listener on a reactor its owner already runs (the
+//!   dispatcher's), and [`PmiServer`], one job on a private reactor.
 //! * [`client`] — the rank side ([`PmiClient`]), used by the `jets-mpi`
 //!   library during wire-up, configured from `PMI_*` environment variables
 //!   exactly as Hydra proxies configure user processes.
@@ -34,11 +37,13 @@ pub mod client;
 pub mod kvs;
 pub mod manual;
 pub mod server;
+pub mod service;
 pub mod wire;
 
 pub use client::PmiClient;
 pub use manual::{ManualLauncher, ProxyCommand, RankLayout};
-pub use server::{JobOutcome, PmiServer, PmiServerConfig};
+pub use server::{PmiHub, PmiServer, PmiServerConfig};
+pub use service::{JobOutcome, PmiService};
 pub use wire::{Message, WireError};
 
 /// Environment variable carrying the rank of a PMI-managed process.
@@ -49,3 +54,14 @@ pub const ENV_SIZE: &str = "PMI_SIZE";
 pub const ENV_ADDR: &str = "PMI_ADDR";
 /// Environment variable carrying the PMI job identifier.
 pub const ENV_JOBID: &str = "PMI_JOBID";
+
+/// The `PMI_*` environment of one rank: what a proxy hands the process it
+/// starts, and what [`PmiClient::from_lookup`] reads back.
+pub fn rank_env(rank: u32, size: u32, pmi_addr: &str, jobid: &str) -> Vec<(String, String)> {
+    vec![
+        (ENV_RANK.to_string(), rank.to_string()),
+        (ENV_SIZE.to_string(), size.to_string()),
+        (ENV_ADDR.to_string(), pmi_addr.to_string()),
+        (ENV_JOBID.to_string(), jobid.to_string()),
+    ]
+}

@@ -9,8 +9,6 @@
 //! each carrying the block of ranks the node hosts and the per-rank
 //! `PMI_*` environment.
 
-use crate::{ENV_ADDR, ENV_JOBID, ENV_RANK, ENV_SIZE};
-
 /// How an MPI job's ranks map onto nodes: `nodes` nodes with `ppn`
 /// consecutive ranks each (Hydra's default block mapping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,12 +71,7 @@ impl ProxyCommand {
             "rank {rank} is not hosted by proxy {}",
             self.node_index
         );
-        vec![
-            (ENV_RANK.to_string(), rank.to_string()),
-            (ENV_SIZE.to_string(), self.size.to_string()),
-            (ENV_ADDR.to_string(), self.pmi_addr.clone()),
-            (ENV_JOBID.to_string(), self.jobid.clone()),
-        ]
+        crate::rank_env(rank, self.size, &self.pmi_addr, &self.jobid)
     }
 }
 

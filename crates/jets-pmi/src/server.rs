@@ -1,19 +1,25 @@
-//! The process-manager side of PMI: one [`PmiServer`] per MPI job.
+//! The PMI service on sockets: [`PmiHub`] — one [`PmiService`] behind one
+//! mutex, one listener on a [`Reactor`] its owner already runs, a
+//! [`ConnHandler`] per rank connection, replies through the connections'
+//! [`Outbox`]es — and [`PmiServer`], the stand-alone form: a hub with one
+//! job on a private one-loop reactor (`jets-mpiexec`, tests, benchmarks).
+//! No thread per job or per rank on either.
 //!
-//! In MPICH2/Hydra terms this is the network service that `mpiexec` keeps
-//! running after printing proxy commands under `launcher=manual`: it accepts
-//! one connection per rank, serves the key-value space, implements the
-//! fence, and reports the job outcome once every rank finalizes (or any
-//! rank aborts / disconnects early).
+//! Lock order: the hub's `pmi` lock is a leaf below the dispatcher's `sched`
+//! (`Effects::pmi_abort` runs under it), so nothing here calls out with
+//! `pmi` held: a first fence release is reported after the unlock.
 
-use crate::kvs::{FenceResult, KeyValueSpace};
+use crate::service::{ConnId, Effects, PmiService, MAX_LINE};
 use crate::wire::Message;
+use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig};
 use jets_ring::stdx::{wait_for, Mutex};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io;
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar};
-use std::thread;
 use std::time::{Duration, Instant};
+
+pub use crate::service::JobOutcome;
 
 /// Configuration for a per-job PMI server.
 #[derive(Debug, Clone)]
@@ -37,134 +43,202 @@ impl PmiServerConfig {
     }
 }
 
-/// Final status of a PMI job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobOutcome {
-    /// Every rank connected, initialized, and finalized.
-    Success,
-    /// The job aborted (explicit `cmd=abort`, early disconnect, or fence
-    /// failure). Carries the first abort reason observed.
-    Aborted(String),
-    /// [`PmiServer::wait`] gave up before the job finished.
-    TimedOut,
+/// The service's replies, onto the connections' outboxes. `Outbox::send`
+/// never blocks, so this runs under the hub's lock.
+#[derive(Default)]
+struct Wire {
+    outboxes: HashMap<ConnId, Arc<Outbox>>,
+    /// A reply is encoded once, however many connections it goes to.
+    line: Vec<u8>,
 }
 
-struct Completion {
-    finalized: u32,
-    outcome: Option<JobOutcome>,
+impl Effects for Wire {
+    fn send(&mut self, to: &[ConnId], msg: &Message) {
+        self.line.clear();
+        self.line.extend_from_slice(msg.encode().as_bytes());
+        self.line.push(b'\n');
+        for out in to.iter().filter_map(|conn| self.outboxes.get(conn)) {
+            out.send(&self.line);
+        }
+    }
+
+    fn close(&mut self, conn: ConnId) {
+        if let Some(out) = self.outboxes.get(&conn) {
+            out.close(); // graceful: the `cmd=abort` before it is flushed
+        }
+    }
 }
 
+/// Everything behind the hub's one lock.
+#[derive(Default)]
 struct Shared {
-    completion: Mutex<Completion>,
-    cond: Condvar,
-    kvs: KeyValueSpace,
-    config: PmiServerConfig,
-    /// When the first fence released: the moment the whole gang had
-    /// connected, exchanged cards, and cleared PMI negotiation. The
-    /// dispatcher reads this to split a job's launch latency into
-    /// PMI-wait versus run time (the `pmi` phase of `JobPhases`).
-    first_fence: Mutex<Option<Instant>>,
+    service: PmiService,
+    wire: Wire,
 }
 
-impl Shared {
-    fn record_abort(&self, reason: &str) {
-        let mut c = self.completion.lock();
-        if c.outcome.is_none() {
-            c.outcome = Some(JobOutcome::Aborted(reason.to_string()));
-        }
-        self.kvs.abort(reason);
-        self.cond.notify_all();
-    }
-
-    fn record_finalize(&self) {
-        let mut c = self.completion.lock();
-        c.finalized += 1;
-        if c.finalized == self.config.size && c.outcome.is_none() {
-            c.outcome = Some(JobOutcome::Success);
-        }
-        self.cond.notify_all();
-    }
-
-    fn aborted(&self) -> bool {
-        matches!(self.completion.lock().outcome, Some(JobOutcome::Aborted(_)))
-    }
-}
-
-/// A running PMI server for a single MPI job.
-///
-/// The server owns a listener thread and one small-stack thread per rank
-/// connection; all threads exit once the job completes or aborts.
-pub struct PmiServer {
+/// A manager's PMI service: any number of jobs behind one address.
+pub struct PmiHub {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    pmi: Mutex<Shared>,
+    /// Signalled after every input; [`PmiServer::wait`] sleeps on it.
+    changed: Condvar,
 }
 
-/// Stack size for connection-handler threads. These threads parse short
-/// text lines and touch the KVS; the default 8 MiB stack would waste
-/// address space when hundreds of jobs run concurrently.
-const HANDLER_STACK: usize = 128 * 1024;
+type OnRelease = dyn Fn(u64, Instant) + Send + Sync;
+
+impl PmiHub {
+    /// Bind an ephemeral port on `ip`. Nothing is served until the
+    /// listener is handed to [`PmiHub::serve`].
+    pub fn bind(ip: IpAddr) -> io::Result<(Arc<PmiHub>, TcpListener)> {
+        let listener = TcpListener::bind((ip, 0))?;
+        let hub = PmiHub {
+            addr: listener.local_addr()?,
+            pmi: Mutex::new(Shared::default()),
+            changed: Condvar::new(),
+        };
+        Ok((Arc::new(hub), listener))
+    }
+
+    /// Serve `listener` on `reactor`. `on_release(tag, at)` runs on an
+    /// event loop, with no hub lock held, when a job's first fence
+    /// releases; it must not block.
+    pub fn serve(
+        self: &Arc<Self>,
+        reactor: &Reactor,
+        listener: TcpListener,
+        on_release: impl Fn(u64, Instant) + Send + Sync + 'static,
+    ) -> io::Result<()> {
+        let (hub, on_release) = (Arc::clone(self), Arc::new(on_release) as Arc<OnRelease>);
+        let accept = move |_: &TcpStream, _| {
+            let conn = RankConn {
+                hub: Arc::clone(&hub),
+                on_release: Arc::clone(&on_release),
+                outbox: None,
+            };
+            Some(Box::new(conn) as Box<dyn ConnHandler>)
+        };
+        reactor.listen(listener, Arc::new(accept))
+    }
+
+    /// Address ranks must connect to (`PMI_ADDR`), the same for every job.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// One input to the service — `open_job`, `abort_job`, `close_job`,
+    /// `tick`, a read — under the lock; `f`'s replies go out on the wire.
+    pub fn input<R>(&self, f: impl FnOnce(&mut PmiService, &mut dyn Effects) -> R) -> R {
+        let mut shared = self.pmi.lock();
+        let Shared { service, wire } = &mut *shared;
+        let out = f(service, wire);
+        drop(shared);
+        self.changed.notify_all();
+        out
+    }
+}
+
+/// One rank's connection, driven by a reactor event loop: each line is one
+/// input to the service. Never blocks (rule J7).
+struct RankConn {
+    hub: Arc<PmiHub>,
+    on_release: Arc<OnRelease>,
+    outbox: Option<Arc<Outbox>>,
+}
+
+impl ConnHandler for RankConn {
+    fn on_open(&mut self, outbox: &Arc<Outbox>) {
+        self.outbox = Some(Arc::clone(outbox));
+        let mut shared = self.hub.pmi.lock();
+        let outboxes = &mut shared.wire.outboxes;
+        outboxes.insert(outbox.id(), Arc::clone(outbox));
+    }
+
+    fn on_frame(&mut self, frame: &[u8]) -> Flow {
+        // Lines behind the one the service closed this connection on
+        // are not inputs.
+        if let Some(conn) = self.outbox.as_ref().filter(|out| !out.is_closed()) {
+            let (id, now) = (conn.id(), Instant::now());
+            let released = self.hub.input(|pmi, fx| pmi.on_frame(id, frame, now, fx));
+            if let Some((tag, at)) = released {
+                (self.on_release)(tag, at);
+            }
+        }
+        Flow::Continue
+    }
+
+    fn on_close(&mut self, _reason: CloseReason) {
+        if let Some(id) = self.outbox.take().map(|conn| conn.id()) {
+            self.hub.pmi.lock().wire.outboxes.remove(&id);
+            self.hub.input(|pmi, fx| pmi.on_disconnect(id, fx));
+        }
+    }
+}
+
+/// A running PMI server for a single MPI job: a [`PmiHub`] with that one
+/// job open, on a private one-loop reactor that lives as long as this does.
+pub struct PmiServer {
+    hub: Arc<PmiHub>,
+    jobid: String,
+    _reactor: Reactor,
+}
 
 impl PmiServer {
     /// Bind a listener on an ephemeral localhost port and start serving.
     pub fn start(config: PmiServerConfig) -> io::Result<PmiServer> {
         assert!(config.size > 0, "PMI job must have at least one rank");
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared {
-            completion: Mutex::new(Completion {
-                finalized: 0,
-                outcome: None,
-            }),
-            cond: Condvar::new(),
-            kvs: KeyValueSpace::new(config.size),
-            config,
-            first_fence: Mutex::new(None),
-        });
-        let accept_shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("pmi-accept".to_string())
-            .stack_size(HANDLER_STACK)
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn pmi accept thread");
-        Ok(PmiServer { addr, shared })
+        let (hub, listener) = PmiHub::bind(IpAddr::V4(Ipv4Addr::LOCALHOST))?;
+        let reactor = Reactor::start(ReactorConfig {
+            event_loops: 1,
+            max_frame: MAX_LINE,
+            thread_name: "pmi".to_string(),
+            thread_stack: 128 * 1024,
+            ..ReactorConfig::default()
+        })?;
+        hub.serve(&reactor, listener, |_, _| {})?;
+        hub.input(|pmi, _| pmi.open_job(&config.jobid, 0, config.size, config.fence_timeout));
+        Ok(PmiServer {
+            hub,
+            jobid: config.jobid,
+            _reactor: reactor,
+        })
     }
 
     /// Address ranks must connect to (`PMI_ADDR`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The job's key-value space (for inspection and tests).
-    pub fn kvs(&self) -> &KeyValueSpace {
-        &self.shared.kvs
+        self.hub.addr()
     }
 
     /// Abort the job from the manager side (e.g. the scheduler noticed a
     /// worker died before its proxy connected).
     pub fn abort(&self, reason: &str) {
-        self.shared.record_abort(reason);
+        self.hub
+            .input(|pmi, fx| pmi.abort_job(&self.jobid, reason, fx));
     }
 
-    /// Block until the job completes, aborts, or `timeout` passes.
+    /// Block until the job completes, aborts, or `timeout` passes. Fence
+    /// time-outs are enforced from here, waking at each deadline: a
+    /// stand-alone server has no other clock.
     pub fn wait(&self, timeout: Duration) -> JobOutcome {
-        let deadline = Instant::now() + timeout;
-        let mut c = self.shared.completion.lock();
+        let give_up = Instant::now() + timeout;
         loop {
-            if let Some(outcome) = &c.outcome {
+            let now = Instant::now();
+            self.hub.input(|pmi, fx| pmi.tick(now, fx));
+            let shared = self.hub.pmi.lock();
+            if let Some(outcome) = shared.service.outcome(&self.jobid) {
                 return outcome.clone();
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if now >= give_up {
                 return JobOutcome::TimedOut;
             }
-            c = wait_for(&self.shared.cond, c, deadline - now).0;
+            let next = shared.service.next_deadline();
+            let wake = next.map_or(give_up, |deadline| deadline.min(give_up));
+            drop(wait_for(&self.hub.changed, shared, wake - now));
         }
     }
 
     /// Outcome if the job already finished, without blocking.
     pub fn try_outcome(&self) -> Option<JobOutcome> {
-        self.shared.completion.lock().outcome.clone()
+        self.hub.input(|pmi, _| pmi.outcome(&self.jobid).cloned())
     }
 
     /// When the job's first fence released — the end of PMI negotiation
@@ -172,158 +246,15 @@ impl PmiServer {
     /// `None` while negotiation is still in flight or if the job never
     /// fences.
     pub fn first_barrier_at(&self) -> Option<Instant> {
-        *self.shared.first_fence.lock()
+        self.hub.input(|pmi, _| pmi.first_fence(&self.jobid))
     }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut accepted = 0;
-    let mut backoff = Duration::from_micros(200);
-    while accepted < shared.config.size {
-        if shared.aborted() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                accepted += 1;
-                backoff = Duration::from_micros(200);
-                let conn_shared = Arc::clone(&shared);
-                let name = format!("pmi-conn-{}", shared.config.jobid);
-                // A rank that never gets a handler thread can never
-                // barrier: abort the job cleanly instead of panicking
-                // the server thread and hanging every other rank.
-                if thread::Builder::new()
-                    .name(name)
-                    .stack_size(HANDLER_STACK)
-                    .spawn(move || {
-                        if let Err(reason) = serve_connection(stream, &conn_shared) {
-                            conn_shared.record_abort(&reason);
-                        }
-                    })
-                    .is_err()
-                {
-                    shared.record_abort("pmi: failed to spawn connection handler");
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(backoff);
-                // Exponential backoff bounded at 5 ms keeps idle accept
-                // loops cheap when many jobs are in flight on few cores.
-                backoff = (backoff * 2).min(Duration::from_millis(5));
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Serve one rank connection. Returns `Err(reason)` if the job must abort.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> Result<(), String> {
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut rank: Option<u32> = None;
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("pmi read error: {e}"))?;
-        if n == 0 {
-            return match rank {
-                // EOF after finalize_ack is the normal disconnect.
-                None => Err("rank disconnected before init".to_string()),
-                Some(r) => {
-                    if shared.completion.lock().outcome.is_some() {
-                        Ok(())
-                    } else {
-                        Err(format!("rank {r} disconnected before finalize"))
-                    }
-                }
-            };
-        }
-        let msg = Message::decode(&line).map_err(|e| format!("pmi protocol error: {e}"))?;
-        match msg {
-            Message::Init {
-                rank: r,
-                size,
-                jobid,
-            } => {
-                if size != shared.config.size {
-                    return Err(format!(
-                        "rank {r} announced size {size}, expected {}",
-                        shared.config.size
-                    ));
-                }
-                if jobid != shared.config.jobid {
-                    return Err(format!(
-                        "rank {r} announced job {jobid}, expected {}",
-                        shared.config.jobid
-                    ));
-                }
-                rank = Some(r);
-                send(&mut writer, &Message::InitAck)?;
-            }
-            Message::Put { key, value } => {
-                shared.kvs.put(&key, &value);
-                send(&mut writer, &Message::PutAck)?;
-            }
-            Message::Get { key } => match shared.kvs.get(&key) {
-                Some(value) => send(&mut writer, &Message::GetAck { value })?,
-                None => send(&mut writer, &Message::GetFail { key })?,
-            },
-            Message::Fence => match shared.kvs.fence(shared.config.fence_timeout) {
-                FenceResult::Released => {
-                    {
-                        let mut first = shared.first_fence.lock();
-                        if first.is_none() {
-                            *first = Some(Instant::now());
-                        }
-                    }
-                    send(&mut writer, &Message::FenceAck)?
-                }
-                FenceResult::Aborted => {
-                    let reason = shared
-                        .kvs
-                        .abort_reason()
-                        .unwrap_or_else(|| "aborted".to_string());
-                    send(&mut writer, &Message::Abort { reason }).ok();
-                    return Ok(()); // abort already recorded elsewhere
-                }
-                FenceResult::TimedOut => {
-                    return Err(format!(
-                        "fence timed out after {:?} (rank {:?})",
-                        shared.config.fence_timeout, rank
-                    ));
-                }
-            },
-            Message::Finalize => {
-                send(&mut writer, &Message::FinalizeAck)?;
-                shared.record_finalize();
-                return Ok(());
-            }
-            Message::Abort { reason } => {
-                return Err(format!("rank {rank:?} aborted: {reason}"));
-            }
-            other => {
-                return Err(format!("unexpected client message: {other:?}"));
-            }
-        }
-    }
-}
-
-fn send(writer: &mut TcpStream, msg: &Message) -> Result<(), String> {
-    let mut line = msg.encode();
-    line.push('\n');
-    writer
-        .write_all(line.as_bytes())
-        .map_err(|e| format!("pmi write error: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::PmiClient;
+    use std::thread;
 
     const WAIT: Duration = Duration::from_secs(20);
 

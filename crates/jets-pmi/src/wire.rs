@@ -86,8 +86,13 @@ pub enum Message {
     /// Enter the KVS fence (collective barrier over all ranks).
     Fence,
     /// All ranks have fenced; puts made before the fence are now globally
-    /// visible.
-    FenceAck,
+    /// visible. Carries what the job committed since the previous fence
+    /// (`key=<k> value=<v>` repeated) — what a Hydra proxy caches after a
+    /// fence — so the `get`s that follow are local.
+    FenceAck {
+        /// The key-value pairs this fence made visible.
+        pairs: Vec<(String, String)>,
+    },
     /// Orderly rank exit.
     Finalize,
     /// Server acknowledges finalize; the rank may disconnect.
@@ -169,7 +174,16 @@ impl Message {
             Message::GetAck { value } => format!("cmd=get_ack value={}", escape(value)),
             Message::GetFail { key } => format!("cmd=get_fail key={}", escape(key)),
             Message::Fence => "cmd=fence".to_string(),
-            Message::FenceAck => "cmd=fence_ack".to_string(),
+            Message::FenceAck { pairs } => {
+                let mut line = "cmd=fence_ack".to_string();
+                for (key, value) in pairs {
+                    line.push_str(" key=");
+                    line.push_str(&escape(key));
+                    line.push_str(" value=");
+                    line.push_str(&escape(value));
+                }
+                line
+            }
             Message::Finalize => "cmd=finalize".to_string(),
             Message::FinalizeAck => "cmd=finalize_ack".to_string(),
             Message::Abort { reason } => format!("cmd=abort reason={}", escape(reason)),
@@ -203,6 +217,12 @@ impl Message {
             let v = field(name)?;
             v.parse().map_err(|_| WireError::BadNumber(v))
         };
+        let pair = |kv: &[(String, String)]| match kv {
+            [(k, key), (v, value)] if k == "key" && v == "value" => {
+                Ok((key.clone(), value.clone()))
+            }
+            _ => Err(WireError::MissingField("value")),
+        };
         match cmd.as_str() {
             "init" => Ok(Message::Init {
                 rank: num("rank")?,
@@ -221,7 +241,9 @@ impl Message {
             }),
             "get_fail" => Ok(Message::GetFail { key: field("key")? }),
             "fence" => Ok(Message::Fence),
-            "fence_ack" => Ok(Message::FenceAck),
+            "fence_ack" => Ok(Message::FenceAck {
+                pairs: fields.chunks(2).map(pair).collect::<Result<_, _>>()?,
+            }),
             "finalize" => Ok(Message::Finalize),
             "finalize_ack" => Ok(Message::FinalizeAck),
             "abort" => Ok(Message::Abort {
@@ -322,12 +344,27 @@ mod tests {
             Message::InitAck,
             Message::PutAck,
             Message::Fence,
-            Message::FenceAck,
+            Message::FenceAck { pairs: Vec::new() },
             Message::Finalize,
             Message::FinalizeAck,
         ] {
             assert_eq!(Message::decode(&m.encode()).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn fence_ack_carries_pairs_in_order() {
+        let m = Message::FenceAck {
+            pairs: vec![
+                ("bc.0".to_string(), "10.0.0.1:4000/7".to_string()),
+                ("odd key".to_string(), "a=b %\n".to_string()),
+            ],
+        };
+        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        assert_eq!(
+            Message::decode("cmd=fence_ack key=a"),
+            Err(WireError::MissingField("value"))
+        );
     }
 
     #[test]

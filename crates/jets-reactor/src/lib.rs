@@ -14,10 +14,13 @@
 //! already links, so the reactor compiles and its tests run in the
 //! offline shadow workspace.
 //!
-//! The blocking client paths (worker agent outbound, jets-pmi,
-//! jets-mpi) intentionally stay on the existing code — the reactor
-//! serves the fan-in sides (dispatcher, relay member-facing) where
-//! connection counts scale with the cluster.
+//! The reactor serves the fan-in sides, where connection counts scale
+//! with the cluster: the dispatcher's worker and relay connections, the
+//! relay's members, and the ranks' connections to the PMI service
+//! (`jets_pmi::PmiHub`, a second listener on the dispatcher's reactor).
+//! `jets_mpi::Endpoint` uses the [`Poller`] alone, one thread over a
+//! pilot's inbound mesh sockets. The blocking client paths (the worker
+//! agent's session, a rank's `PmiClient`) stay on the calling thread.
 
 mod outbox;
 mod poller;

@@ -418,7 +418,9 @@ fn spawn_runner(pilot: Arc<Pilot>, id: u64) -> io::Result<Sender<Job>> {
     let (jobs, inbox) = channel::<Job>();
     thread::Builder::new()
         .name("task".to_string())
-        .stack_size(256 * 1024)
+        // An MPI proxy's first local rank runs here, so this is what a
+        // `rank-N` thread gets (address space only).
+        .stack_size(512 * 1024)
         .spawn(move || {
             // Ends with the sender: replaced, or the agent exited.
             for (assignment, cancel) in inbox.iter() {

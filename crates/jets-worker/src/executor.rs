@@ -2,10 +2,12 @@
 
 use jets_core::protocol::{TaskAssignment, TaskKind, EXIT_CANCELED};
 use jets_core::spec::CommandSpec;
-use jets_mpi::{Communicator, MpiError};
+use jets_mpi::{Communicator, Endpoint, MpiError};
 use jets_pmi::PmiClient;
-use jets_ring::stdx::RwLock;
+use jets_ring::stdx::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::net::IpAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -47,6 +49,29 @@ pub struct TaskContext {
     pub rank: Option<u32>,
     /// Total ranks in the job (1 for sequential tasks).
     pub size: u32,
+    /// The executor's MPI endpoint, for [`TaskContext::mpi`].
+    endpoint: PilotEndpoint,
+}
+
+/// A pilot's one MPI endpoint, bound by the first rank that wires up —
+/// a pilot that only ever runs sequential tasks pays nothing — and shared
+/// by every rank after it. Cloning shares the cell.
+#[derive(Clone, Default)]
+struct PilotEndpoint(Arc<Mutex<Option<Arc<Endpoint>>>>);
+
+impl PilotEndpoint {
+    /// The endpoint, on `ip`: the interface a rank's PMI connection left
+    /// by, i.e. the one that routes to the dispatcher. Should that ever
+    /// change, a new endpoint replaces the old for the ranks to come.
+    fn on(&self, ip: IpAddr) -> std::io::Result<Arc<Endpoint>> {
+        let mut cell = self.0.lock();
+        if let Some(endpoint) = cell.as_ref().filter(|e| e.addr().ip() == ip) {
+            return Ok(Arc::clone(endpoint));
+        }
+        let endpoint = Arc::new(Endpoint::bind(ip)?);
+        *cell = Some(Arc::clone(&endpoint));
+        Ok(endpoint)
+    }
 }
 
 impl TaskContext {
@@ -66,7 +91,8 @@ impl TaskContext {
     pub fn mpi(&self) -> Result<MpiJob, MpiError> {
         let mut pmi =
             PmiClient::from_lookup(|k| self.env(k)).map_err(|e| MpiError::Pmi(e.to_string()))?;
-        let comm = Communicator::via_pmi(&mut pmi)?;
+        let endpoint = self.endpoint.on(pmi.local_ip()?)?;
+        let comm = Communicator::via_endpoint(&mut pmi, endpoint)?;
         Ok(MpiJob { pmi, comm })
     }
 }
@@ -79,6 +105,11 @@ pub struct MpiJob {
 }
 
 impl MpiJob {
+    /// PMI round trips this rank has paid so far (wire-up is one).
+    pub fn pmi_round_trips(&self) -> u64 {
+        self.pmi.round_trips()
+    }
+
     /// Orderly MPI + PMI teardown. Call at the end of the application.
     pub fn finalize(mut self) -> Result<(), MpiError> {
         self.comm.finalize()?;
@@ -194,12 +225,23 @@ pub const EXIT_RANK_PANIC: i32 = 125;
 #[derive(Clone, Default)]
 pub struct Executor {
     registry: AppRegistry,
+    endpoint: PilotEndpoint,
 }
 
 impl Executor {
     /// An executor over the given registry.
     pub fn new(registry: AppRegistry) -> Self {
-        Executor { registry }
+        Executor {
+            registry,
+            endpoint: PilotEndpoint::default(),
+        }
+    }
+
+    /// TCP connections the MPI endpoint has accepted, over every rank
+    /// this executor hosted (zero before the first one wires up).
+    pub fn mpi_connections_accepted(&self) -> u64 {
+        let endpoint = self.endpoint.0.lock();
+        endpoint.as_ref().map_or(0, |e| e.connections_accepted())
     }
 
     /// The executor's registry (register more apps through this).
@@ -207,43 +249,8 @@ impl Executor {
         &self.registry
     }
 
-    fn run_one(
-        &self,
-        cmd: &CommandSpec,
-        extra_env: Vec<(String, String)>,
-        rank: Option<u32>,
-        size: u32,
-    ) -> i32 {
-        match cmd {
-            CommandSpec::Builtin { app, args, env } => {
-                let Some(f) = self.registry.get(app) else {
-                    return EXIT_UNKNOWN_APP;
-                };
-                let mut merged = env.clone();
-                merged.extend(extra_env);
-                let ctx = TaskContext {
-                    args: args.clone(),
-                    env: merged,
-                    rank,
-                    size,
-                };
-                f(&ctx)
-            }
-            CommandSpec::Exec { program, args, env } => {
-                let mut command = Command::new(program);
-                command.args(args);
-                for (k, v) in env.iter().chain(extra_env.iter()) {
-                    command.env(k, v);
-                }
-                match command.status() {
-                    Ok(status) => status.code().unwrap_or(EXIT_SPAWN_FAILED),
-                    Err(_) => EXIT_SPAWN_FAILED,
-                }
-            }
-        }
-    }
-
-    /// Like `run_one` but captures stdout for `Exec` commands.
+    /// Run one command to completion: a builtin in-process, an `Exec` as
+    /// an OS process whose standard output is captured.
     fn run_one_captured(
         &self,
         cmd: &CommandSpec,
@@ -251,7 +258,22 @@ impl Executor {
         rank: Option<u32>,
         size: u32,
     ) -> TaskOutcome {
-        match cmd {
+        let (exit_code, output) = match cmd {
+            CommandSpec::Builtin { app, args, env } => match self.registry.get(app) {
+                Some(f) => {
+                    let mut merged = env.clone();
+                    merged.extend(extra_env);
+                    let ctx = TaskContext {
+                        args: args.clone(),
+                        env: merged,
+                        rank,
+                        size,
+                        endpoint: self.endpoint.clone(),
+                    };
+                    (f(&ctx), None)
+                }
+                None => (EXIT_UNKNOWN_APP, None),
+            },
             CommandSpec::Exec { program, args, env } => {
                 let mut command = Command::new(program);
                 command.args(args);
@@ -259,21 +281,15 @@ impl Executor {
                     command.env(k, v);
                 }
                 match command.output() {
-                    Ok(out) => TaskOutcome {
-                        exit_code: out.status.code().unwrap_or(EXIT_SPAWN_FAILED),
-                        output: truncate_output(String::from_utf8_lossy(&out.stdout).into_owned()),
-                    },
-                    Err(_) => TaskOutcome {
-                        exit_code: EXIT_SPAWN_FAILED,
-                        output: None,
-                    },
+                    Ok(out) => (
+                        out.status.code().unwrap_or(EXIT_SPAWN_FAILED),
+                        truncate_output(String::from_utf8_lossy(&out.stdout).into_owned()),
+                    ),
+                    Err(_) => (EXIT_SPAWN_FAILED, None),
                 }
             }
-            builtin => TaskOutcome {
-                exit_code: self.run_one(builtin, extra_env, rank, size),
-                output: None,
-            },
-        }
+        };
+        TaskOutcome { exit_code, output }
     }
 
     /// Like `run_one_captured` for `Exec` commands, but polls `cancel`
@@ -338,45 +354,45 @@ impl Executor {
         TaskOutcome { exit_code, output }
     }
 
-    /// Run an MPI proxy's local ranks, one thread each (like a Hydra
-    /// proxy forking one process per local rank), concatenating their
-    /// captured output tails in rank order. When `cancel` is supplied,
-    /// each rank's `Exec` child is killable.
-    #[allow(clippy::too_many_arguments)]
+    /// Run an MPI proxy's local ranks (like a Hydra proxy forking one
+    /// process per local rank): the first on the calling thread — the
+    /// pilot's long-lived runner — and a thread each for the rest,
+    /// concatenating their captured output tails in rank order. When
+    /// `cancel` is supplied, each rank's `Exec` child is killable.
     fn proxy_captured(
         &self,
         cmd: &CommandSpec,
         ranks: &[u32],
-        size: u32,
-        pmi_addr: &str,
-        pmi_jobid: &str,
+        (size, pmi_addr, pmi_jobid): (u32, &str, &str),
         cancel: Option<&CancelToken>,
     ) -> TaskOutcome {
-        let mut handles = Vec::with_capacity(ranks.len());
-        for &rank in ranks {
-            let this = self.clone();
-            let cmd = cmd.clone();
-            let pmi_env = vec![
-                (jets_pmi::ENV_RANK.to_string(), rank.to_string()),
-                (jets_pmi::ENV_SIZE.to_string(), size.to_string()),
-                (jets_pmi::ENV_ADDR.to_string(), pmi_addr.to_string()),
-                (jets_pmi::ENV_JOBID.to_string(), pmi_jobid.to_string()),
-            ];
-            let cancel = cancel.cloned();
-            let h = thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(512 * 1024)
-                .spawn(move || match &cancel {
-                    Some(c) => this.run_one_cancellable(&cmd, pmi_env, Some(rank), size, c),
-                    None => this.run_one_captured(&cmd, pmi_env, Some(rank), size),
+        let run = |rank: u32| {
+            let pmi_env = jets_pmi::rank_env(rank, size, pmi_addr, pmi_jobid);
+            match cancel {
+                Some(c) => self.run_one_cancellable(cmd, pmi_env, Some(rank), size, c),
+                None => self.run_one_captured(cmd, pmi_env, Some(rank), size),
+            }
+        };
+        let (first, rest) = (ranks.first(), ranks.get(1..).unwrap_or_default());
+        let outcomes: Vec<thread::Result<TaskOutcome>> = thread::scope(|s| {
+            let spawned: Vec<_> = rest
+                .iter()
+                .map(|&rank| {
+                    thread::Builder::new()
+                        .name(format!("rank-{rank}"))
+                        .stack_size(512 * 1024)
+                        .spawn_scoped(s, move || run(rank))
+                        .expect("spawn rank thread")
                 })
-                .expect("spawn rank thread");
-            handles.push(h);
-        }
+                .collect();
+            let first = first.map(|&rank| catch_unwind(AssertUnwindSafe(|| run(rank))));
+            let rest = spawned.into_iter().map(|h| h.join());
+            first.into_iter().chain(rest).collect()
+        });
         let mut exit = 0;
         let mut combined = String::new();
-        for h in handles {
-            match h.join() {
+        for outcome in outcomes {
+            match outcome {
                 Ok(outcome) => {
                     if outcome.exit_code != 0 && exit == 0 {
                         exit = outcome.exit_code;
@@ -408,7 +424,7 @@ impl TaskExecutor for Executor {
                 size,
                 pmi_addr,
                 pmi_jobid,
-            } => self.proxy_captured(cmd, ranks, *size, pmi_addr, pmi_jobid, None),
+            } => self.proxy_captured(cmd, ranks, (*size, pmi_addr, pmi_jobid), None),
         }
     }
 
@@ -427,53 +443,12 @@ impl TaskExecutor for Executor {
                 size,
                 pmi_addr,
                 pmi_jobid,
-            } => self.proxy_captured(cmd, ranks, *size, pmi_addr, pmi_jobid, Some(cancel)),
+            } => self.proxy_captured(cmd, ranks, (*size, pmi_addr, pmi_jobid), Some(cancel)),
         }
     }
 
     fn execute(&self, assignment: &TaskAssignment) -> i32 {
-        match &assignment.kind {
-            TaskKind::Sequential { cmd } => self.run_one(cmd, Vec::new(), None, 1),
-            TaskKind::MpiProxy {
-                cmd,
-                ranks,
-                size,
-                pmi_addr,
-                pmi_jobid,
-            } => {
-                // One rank per thread, like a Hydra proxy forking one
-                // process per local rank. Exec commands become real
-                // per-rank OS processes via run_one.
-                let mut handles = Vec::with_capacity(ranks.len());
-                for &rank in ranks {
-                    let this = self.clone();
-                    let cmd = cmd.clone();
-                    let pmi_env = vec![
-                        (jets_pmi::ENV_RANK.to_string(), rank.to_string()),
-                        (jets_pmi::ENV_SIZE.to_string(), size.to_string()),
-                        (jets_pmi::ENV_ADDR.to_string(), pmi_addr.clone()),
-                        (jets_pmi::ENV_JOBID.to_string(), pmi_jobid.clone()),
-                    ];
-                    let size = *size;
-                    let h = thread::Builder::new()
-                        .name(format!("rank-{rank}"))
-                        .stack_size(512 * 1024)
-                        .spawn(move || this.run_one(&cmd, pmi_env, Some(rank), size))
-                        .expect("spawn rank thread");
-                    handles.push(h);
-                }
-                let mut exit = 0;
-                for h in handles {
-                    match h.join() {
-                        Ok(code) if code != 0 && exit == 0 => exit = code,
-                        Ok(_) => {}
-                        Err(_) if exit == 0 => exit = EXIT_RANK_PANIC,
-                        Err(_) => {}
-                    }
-                }
-                exit
-            }
-        }
+        self.execute_captured(assignment).exit_code
     }
 }
 
@@ -541,6 +516,7 @@ mod tests {
             env: vec![("K".into(), "cmd".into()), ("K".into(), "pmi".into())],
             rank: Some(0),
             size: 1,
+            endpoint: PilotEndpoint::default(),
         };
         assert_eq!(ctx.env("K").as_deref(), Some("pmi"));
         assert_eq!(ctx.env("missing"), None);

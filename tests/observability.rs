@@ -3,7 +3,9 @@
 //! with the same parser `jets top` uses, and checked for sanity.
 
 use jets::core::spec::{CommandSpec, JobSpec};
-use jets::core::{metrics::JOB_PHASE_METRIC, Dispatcher, DispatcherConfig, EventKind, JobStatus};
+use jets::core::{
+    metrics::JOB_PHASE_METRIC, Dispatcher, DispatcherConfig, EventKind, JobStatus, SpanKind,
+};
 use jets::sim::{science_registry, Allocation, AllocationConfig};
 use jets::worker::Executor;
 use jets_cli::prom::Scrape;
@@ -15,7 +17,11 @@ const WORKERS: u32 = 16;
 const JOBS: usize = 100;
 
 fn boot(nodes: u32) -> (Dispatcher, Allocation) {
-    let dispatcher = Dispatcher::start(DispatcherConfig::default()).unwrap();
+    boot_with(DispatcherConfig::default(), nodes)
+}
+
+fn boot_with(config: DispatcherConfig, nodes: u32) -> (Dispatcher, Allocation) {
+    let dispatcher = Dispatcher::start(config).unwrap();
     let allocation = Allocation::start(
         &dispatcher.addr().to_string(),
         AllocationConfig::new(nodes),
@@ -131,7 +137,7 @@ fn live_scrape_tracks_a_running_batch() {
 fn mpi_jobs_record_pmi_phase_and_event_log_matches() {
     let (dispatcher, allocation) = boot(4);
     let ids = dispatcher.submit_all(
-        (0..8).map(|_| JobSpec::mpi(2, CommandSpec::builtin("mpi-sleep", vec!["5".into()]))),
+        (0..8).map(|_| JobSpec::mpi(2, CommandSpec::builtin("mpi-sleep", vec!["20".into()]))),
     );
     assert!(dispatcher.wait_idle(WAIT));
     for id in &ids {
@@ -172,9 +178,58 @@ fn mpi_jobs_record_pmi_phase_and_event_log_matches() {
             queue_us + launch_us + pmi + run_us <= total_us + 1_000,
             "job {job}: phases exceed total by more than rounding"
         );
-        // The task slept ~5 simulated ms between barriers.
-        assert!(run_us > 0, "job {job}: zero run span");
+        // The task slept 20 ms between barriers, and the fence released
+        // before it began: `pmi` is the wire-up, not the task.
+        assert!(run_us >= 20_000, "job {job}: run {run_us} us");
+        assert!(pmi < 20_000, "job {job}: pmi {pmi} us");
     }
+    // The `pmi-barrier` span closes when the fence releases — an event,
+    // not the monitor's next look — so it too is shorter than the task.
+    let edge = |e: &jets::core::Event| match e.kind {
+        EventKind::SpanStart { kind, job, .. } => {
+            (kind == SpanKind::PmiBarrier).then_some((job, true))
+        }
+        EventKind::SpanEnd { kind, job, .. } => {
+            (kind == SpanKind::PmiBarrier).then_some((job, false))
+        }
+        _ => None,
+    };
+    let mut opened = std::collections::HashMap::new();
+    let mut spans = 0;
+    for (e, (job, start)) in events.iter().filter_map(|e| Some((e, edge(e)?))) {
+        if start {
+            opened.insert(job, e.t);
+        } else {
+            let held = e.t - opened.remove(&job).expect("a span ends after it starts");
+            assert!(
+                held < Duration::from_millis(20),
+                "job {job}: pmi-barrier {held:?}"
+            );
+            spans += 1;
+        }
+    }
+    assert_eq!((spans, opened.len()), (8, 0));
+    dispatcher.shutdown();
+    allocation.join_all();
+}
+
+/// Nothing on the MPI path may assume `127.0.0.1`: the PMI service binds
+/// the address the dispatcher was told to, and a rank's endpoint the
+/// interface its PMI connection left by.
+#[test]
+fn an_mpi_gang_runs_on_the_address_the_dispatcher_was_bound_to() {
+    let config = DispatcherConfig {
+        bind_addr: "127.0.0.2:0".to_string(),
+        ..DispatcherConfig::default()
+    };
+    let (dispatcher, allocation) = boot_with(config, 2);
+    assert_eq!(dispatcher.addr().ip().to_string(), "127.0.0.2");
+    let id = dispatcher.submit(JobSpec::mpi(
+        2,
+        CommandSpec::builtin("mpi-sleep", vec!["1".into()]),
+    ));
+    let record = dispatcher.wait_job(id, WAIT).expect("the gang ends");
+    assert_eq!((record.status, record.attempts), (JobStatus::Succeeded, 1));
     dispatcher.shutdown();
     allocation.join_all();
 }
