@@ -1,6 +1,6 @@
 //! A simulated allocation: many pilot-job workers against one dispatcher.
 
-use jets_ring::stdx::Mutex;
+use jets_ring::stdx::{Mutex, Rank};
 use jets_worker::{ReconnectPolicy, TaskExecutor, Worker, WorkerConfig, WorkerExit};
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,7 +123,7 @@ impl Allocation {
             workers.push(Some(Worker::spawn(worker_config, Arc::clone(&executor))));
         }
         Allocation {
-            workers: Mutex::new(workers),
+            workers: Mutex::ranked(Rank::Allocation, workers),
             exits: Mutex::new(Vec::new()),
         }
     }

@@ -27,14 +27,14 @@
 //!
 //! * **`sched` lock** — the core plus the connection map and the open
 //!   PMI job ids: everything a scheduling decision reads or writes to.
-//!   The hub's own `pmi` lock is a leaf below it (`sched` → `pmi`, never
-//!   the reverse: the hub reports a release after it has unlocked).
 //! * **`book` lock** — job records and the outstanding count: what the
-//!   client-facing API (`wait_idle`, `wait_job`, `records`) polls. Lock
-//!   order is always `sched` → `book`, never the reverse; the only place
-//!   that takes `book` under `sched` is `Sink::book`.
+//!   client-facing API (`wait_idle`, `wait_job`, `records`) polls. The
+//!   only place that takes it under `sched` is `Sink::book`.
 //! * **no lock** — worker liveness. Each `Heartbeat` is one relaxed
 //!   atomic store through a [`HeartbeatHandle`].
+//!
+//! The order these and the hub's `pmi` are taken in is
+//! [`jets_ring::stdx::Rank`], checked at every `lock()` in debug builds.
 //!
 //! `Request` handling is *coalesced*: readers push their worker id onto a
 //! small mutexed list and ring a scheduling doorbell; a storm of N parked
@@ -54,14 +54,14 @@ use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_obs::MetricsServer;
 use jets_pmi::PmiHub;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
-use jets_ring::stdx::{wait_for, Mutex};
+use jets_ring::stdx::{wait_for, Guard, Mutex, Rank};
 use jets_ring::WriterRole;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -78,8 +78,6 @@ pub struct DispatcherConfig {
     /// disregarded. `None` disables hang detection (socket EOF still
     /// detects outright death).
     pub heartbeat_timeout: Option<Duration>,
-    /// Patience for PMI fences inside launched MPI jobs.
-    pub pmi_fence_timeout: Duration,
     /// When set, each task's captured standard output is also written to
     /// `<dir>/job<J>.task<T>.out` — the paper's "into a file" step of the
     /// output path (Section 6.1.6).
@@ -94,10 +92,6 @@ pub struct DispatcherConfig {
     /// not the connection count — is the dispatcher's thread bill for
     /// socket handling.
     pub event_loops: usize,
-    /// Bounded per-connection outbound buffer, in bytes. A peer that
-    /// stops reading fills it and is disconnected (the slow-consumer
-    /// policy) instead of growing dispatcher memory without limit.
-    pub outbox_limit: usize,
     /// Path of the crash-recovery write-ahead journal. When set, every
     /// job state transition is appended before it becomes externally
     /// visible, and a restart with the same path replays the journal to
@@ -129,12 +123,10 @@ impl Default for DispatcherConfig {
             queue_policy: QueuePolicy::Fifo,
             grouping: GroupingPolicy::Fcfs,
             heartbeat_timeout: None,
-            pmi_fence_timeout: Duration::from_secs(60),
             stdout_dir: None,
             quarantine: Some(QuarantinePolicy::default()),
             monitor_tick: Duration::from_millis(25),
             event_loops: 2,
-            outbox_limit: 16 * 1024 * 1024,
             journal: None,
             fsync_policy: FsyncPolicy::Always,
             reconcile_window: Duration::from_secs(2),
@@ -245,7 +237,7 @@ struct Book {
 /// Job `id` reached a terminal state (its record is already updated):
 /// wake the threads waiting for that job, and the ones waiting for idle
 /// only if it was the last job outstanding.
-fn job_ended(inner: &Inner, mut book: MutexGuard<'_, Book>, id: JobId) {
+fn job_ended(inner: &Inner, mut book: Guard<'_, Book>, id: JobId) {
     book.outstanding = book.outstanding.saturating_sub(1);
     let waiters = book.job_waiters.remove(&id);
     let idle = book.outstanding == 0;
@@ -264,8 +256,7 @@ struct Inner {
     /// Live metric handles; every recording is a relaxed `fetch_add` (or
     /// a gauge store), so instrumentation never contends with scheduling.
     metrics: Arc<DispatcherMetrics>,
-    /// The core and what its effects reach. Lock order: `sched` before
-    /// `book`, never the reverse.
+    /// The core and what its effects reach.
     sched: Mutex<Sched>,
     /// Job records and the outstanding count.
     book: Mutex<Book>,
@@ -354,7 +345,7 @@ impl<'a> Sink<'a> {
     /// The job table, with everything journaled so far on disk first: a
     /// state is never client-visible before its record is. The one place
     /// `book` is taken under `sched`.
-    fn book(&mut self) -> MutexGuard<'a, Book> {
+    fn book(&mut self) -> Guard<'a, Book> {
         self.flush_wal();
         self.inner.book.lock()
     }
@@ -385,8 +376,8 @@ impl Effects for Sink<'_> {
     }
 
     fn pmi_start(&mut self, job: JobId, jobid: &str, size: u32) -> io::Result<String> {
-        let (hub, patience) = (&self.inner.pmi, self.inner.config.pmi_fence_timeout);
-        if !hub.input(|pmi, _| pmi.open_job(jobid, job, size, patience)) {
+        let hub = &self.inner.pmi;
+        if !hub.input(|pmi, _| pmi.open_job(jobid, job, size, PMI_FENCE_TIMEOUT)) {
             return Err(io::Error::other(format!("pmi job {jobid} is already open")));
         }
         self.io.pmi.insert(job, jobid.to_string());
@@ -564,6 +555,9 @@ fn flush_outputs(inner: &Inner) {
 /// Stack size for dispatcher service threads (event loops + monitor).
 const CONN_STACK: usize = 192 * 1024;
 
+/// Patience for PMI fences inside launched MPI jobs.
+const PMI_FENCE_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// A running JETS dispatcher.
 ///
 /// Dropping the dispatcher shuts it down: workers receive `Shutdown`,
@@ -589,7 +583,6 @@ impl Dispatcher {
         let (pmi, pmi_listener) = PmiHub::bind(addr.ip())?;
         let reactor = Reactor::start(ReactorConfig {
             event_loops: config.event_loops,
-            outbox_limit: config.outbox_limit,
             max_frame: MAX_FRAME_BYTES,
             thread_stack: CONN_STACK,
             ..ReactorConfig::default()
@@ -629,15 +622,21 @@ impl Dispatcher {
                 .as_micros() as u64,
         };
         let inner = Arc::new(Inner {
-            sched: Mutex::new(Sched {
-                core: Core::new(core_config, Instant::now()),
-                io: Io::default(),
-            }),
-            book: Mutex::new(Book {
-                records: HashMap::new(),
-                outstanding: 0,
-                job_waiters: HashMap::new(),
-            }),
+            sched: Mutex::ranked(
+                Rank::Sched,
+                Sched {
+                    core: Core::new(core_config, Instant::now()),
+                    io: Io::default(),
+                },
+            ),
+            book: Mutex::ranked(
+                Rank::Book,
+                Book {
+                    records: HashMap::new(),
+                    outstanding: 0,
+                    job_waiters: HashMap::new(),
+                },
+            ),
             config,
             log,
             metrics: Arc::new(DispatcherMetrics::new()),
@@ -910,7 +909,7 @@ fn monitor_loop(inner: Arc<Inner>) {
     let mut prev = [0u64; 5];
     while !inner.shutdown.load(Ordering::Acquire) {
         thread::sleep(tick);
-        // A fence that has waited `pmi_fence_timeout` aborts its gang:
+        // A fence that has waited `PMI_FENCE_TIMEOUT` aborts its gang:
         // the parked ranks are told, their tasks fail, the core requeues.
         let pmi_errors = inner.pmi.input(|pmi, fx| {
             pmi.tick(Instant::now(), fx);
@@ -1287,6 +1286,14 @@ mod tests {
     use std::io::{BufReader, Read};
 
     type Wire = (TcpStream, BufReader<TcpStream>);
+
+    /// No clock, lock, thread, socket, file, journal, ring or PMI server
+    /// in the scheduling core: that is what lets `tests/core_model.rs`
+    /// drive the real one under a virtual clock.
+    #[test]
+    fn the_core_is_pure() {
+        jets_ring::stdx::assert_pure(include_str!("core.rs"), &[]);
+    }
 
     /// Connect, say `hello`, return the write and read halves once the
     /// dispatcher has answered.

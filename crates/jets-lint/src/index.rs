@@ -1,18 +1,13 @@
 //! Pass 1 of the two-pass analysis: the workspace symbol index.
 //!
 //! Every source file is lexed and split into functions, and each
-//! function is summarized into [`FnFacts`]: the calls it makes, the
-//! lock guards it acquires (and what was already held at that point),
-//! and the blocking operations it performs directly. Pass 2 (see
-//! [`crate::callgraph`]) stitches these per-file summaries into a
-//! workspace call graph and runs the interprocedural rules over it.
-//!
-//! Indexing is embarrassingly parallel — each file's facts depend only
-//! on its own tokens — so [`index_sources`] fans the file list out
-//! across a fixed pool of `std::thread` workers (the same thread model
-//! as the reactor's event loops: N threads, static assignment, no work
-//! queue). All cross-file resolution (call edges, lock-field
-//! declarations, protocol enum definitions) happens after the join.
+//! function is summarized into [`FnFacts`]: the calls it makes and the
+//! blocking operations it performs directly, each with the lock guards
+//! live at that point. Pass 2 (see [`crate::callgraph`]) stitches these
+//! per-file summaries into a workspace call graph and runs the
+//! interprocedural rules over it. Each file's facts depend only on its
+//! own tokens; all cross-file resolution (call edges, protocol enum
+//! definitions) happens afterwards.
 
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 use std::collections::BTreeSet;
@@ -111,20 +106,6 @@ pub struct BlockSite {
     pub in_spawn: bool,
 }
 
-/// A lock acquisition inside a function body.
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    /// Receiver field of `.lock()` / `.read()` / `.write()`.
-    pub field: String,
-    /// `lock` for Mutex, `read`/`write` for RwLock candidates (only
-    /// counted by pass 2 when the field is a declared RwLock).
-    pub method: String,
-    pub line: u32,
-    pub held: Vec<HeldGuard>,
-    pub is_let: bool,
-    pub in_spawn: bool,
-}
-
 /// One function with its interprocedural facts.
 #[derive(Debug)]
 pub struct FnFacts {
@@ -136,16 +117,6 @@ pub struct FnFacts {
     pub in_test: bool,
     pub calls: Vec<CallSite>,
     pub blocking: Vec<BlockSite>,
-    pub locks: Vec<LockSite>,
-}
-
-/// A `field: Mutex<..>` / `field: RwLock<..>` struct-field declaration.
-#[derive(Debug, Clone)]
-pub struct LockDecl {
-    pub field: String,
-    /// `Mutex` or `RwLock`.
-    pub kind: String,
-    pub line: u32,
 }
 
 /// One appearance of `Enum::Variant` for a protocol enum.
@@ -165,14 +136,13 @@ pub struct VariantUse {
 pub struct FileIndex {
     pub path: PathBuf,
     /// Crate the file belongs to (`jets-core` for
-    /// `crates/jets-core/src/dispatcher.rs`), used to namespace lock
-    /// fields so same-named fields in unrelated crates don't alias.
+    /// `crates/jets-core/src/dispatcher.rs`): call sites resolve to
+    /// functions of the caller's own crate.
     pub krate: String,
     pub lexed: Lexed,
     /// Whole file is test-ish scope (tests/, benches/, examples/ dirs).
     pub file_is_test: bool,
     pub funcs: Vec<FnFacts>,
-    pub lock_decls: Vec<LockDecl>,
     /// Protocol enum definitions found in this file.
     pub enum_defs: Vec<(String, BTreeSet<String>)>,
     /// Protocol `Enum::Variant` uses (constructions and patterns).
@@ -198,51 +168,6 @@ pub fn crate_of(path: &Path) -> String {
     "root".to_string()
 }
 
-/// Index a set of in-memory sources across a fixed pool of `threads`
-/// worker threads. Output order matches input order regardless of the
-/// thread count, so the analysis is deterministic.
-pub fn index_sources(sources: &[(PathBuf, String)], threads: usize) -> Vec<FileIndex> {
-    let threads = threads.max(1).min(sources.len().max(1));
-    if threads == 1 {
-        return sources
-            .iter()
-            .map(|(p, s)| index_file(p.clone(), s))
-            .collect();
-    }
-    // Static round-robin assignment, reactor-style: worker `w` owns
-    // every file whose position ≡ w (mod threads). No shared queue, no
-    // locks; the join is the only synchronization.
-    let mut slots: Vec<Option<FileIndex>> = Vec::with_capacity(sources.len());
-    slots.resize_with(sources.len(), || None);
-    let mut out: Vec<Vec<(usize, FileIndex)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let srcs = &sources;
-            handles.push(scope.spawn(move || {
-                let mut mine = Vec::new();
-                let mut i = w;
-                while i < srcs.len() {
-                    let (p, s) = &srcs[i];
-                    mine.push((i, index_file(p.clone(), s)));
-                    i += threads;
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            // A worker panicking means an indexing bug; propagate.
-            out.push(h.join().expect("index worker panicked"));
-        }
-    });
-    for chunk in out {
-        for (i, fi) in chunk {
-            slots[i] = Some(fi);
-        }
-    }
-    slots.into_iter().map(|s| s.expect("indexed")).collect()
-}
-
 /// Index one file: lex, split into functions, extract per-function
 /// facts and file-level declarations.
 pub fn index_file(path: PathBuf, src: &str) -> FileIndex {
@@ -257,7 +182,6 @@ pub fn index_file(path: PathBuf, src: &str) -> FileIndex {
     for f in &mut funcs {
         extract_fn_facts(&lexed.toks, f);
     }
-    let lock_decls = collect_lock_decls(&lexed.toks);
     let enum_defs = collect_enum_defs(&lexed.toks);
     let pattern_mask = compute_pattern_mask(&lexed.toks);
     let variant_uses = collect_variant_uses(&lexed.toks, &pattern_mask, &test_mask, file_is_test);
@@ -268,7 +192,6 @@ pub fn index_file(path: PathBuf, src: &str) -> FileIndex {
         lexed,
         file_is_test,
         funcs,
-        lock_decls,
         enum_defs,
         variant_uses,
         atomic_loads,
@@ -404,7 +327,6 @@ fn split_functions(toks: &[Tok], test_mask: &[bool]) -> Vec<FnFacts> {
                     in_test,
                     calls: Vec::new(),
                     blocking: Vec::new(),
-                    locks: Vec::new(),
                 });
                 // Continue *inside* the body so nested fns are found too.
                 i = start;
@@ -416,28 +338,23 @@ fn split_functions(toks: &[Tok], test_mask: &[bool]) -> Vec<FnFacts> {
     funcs
 }
 
-/// A guard tracked during the scan (same semantics as the J1/J2 rules:
-/// let-bound guards live until `drop`, shadowing, or scope exit).
+/// A guard tracked during the scan: let-bound guards live until `drop`,
+/// shadowing, or scope exit.
 #[derive(Debug, Clone)]
-pub struct Guard {
-    pub name: String,
-    pub field: String,
+struct Guard {
+    name: String,
+    field: String,
     /// Brace depth the binding was created at.
-    pub depth: i32,
-    pub line: u32,
+    depth: i32,
+    line: u32,
 }
 
-/// Scan a function body, calling `on_lock` at every `.lock()` call with
-/// (receiver-field, live guards, is-let-binding, token index) and
-/// `on_tok` for every other token with the live-guard list. Maintains
-/// the guard list: let-bound guards live until `drop(name)`, shadowing,
-/// or scope exit; temporary `x.lock().y` guards are not tracked as live
-/// past the statement (they die at the end of the expression).
-pub fn scan_guards<FL, FT>(toks: &[Tok], body: Range<usize>, mut on_lock: FL, mut on_tok: FT)
-where
-    FL: FnMut(&str, &[Guard], bool, usize),
-    FT: FnMut(&Tok, usize, &[Guard]),
-{
+/// Scan a function body, calling `on_tok` for every token outside a
+/// `.lock()` call with the live-guard list. Maintains the guard list:
+/// let-bound guards live until `drop(name)`, shadowing, or scope exit;
+/// temporary `x.lock().y` guards are not tracked as live past the
+/// statement (they die at the end of the expression).
+fn scan_guards(toks: &[Tok], body: Range<usize>, mut on_tok: impl FnMut(&Tok, usize, &[Guard])) {
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth = 0i32;
     let mut i = body.start;
@@ -474,9 +391,7 @@ where
                 String::new()
             };
             // Is this a let binding? Walk back to the statement start.
-            let binding = find_let_binding(toks, body.start, i);
-            on_lock(&field, &guards, binding.is_some(), i);
-            if let Some((name, _let_idx)) = binding {
+            if let Some((name, _let_idx)) = find_let_binding(toks, body.start, i) {
                 // Shadowing: a rebound name kills the old guard.
                 guards.retain(|g| g.name != name);
                 guards.push(Guard {
@@ -628,8 +543,8 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "unsafe", "await", "break", "continue",
 ];
 
-/// Extract the call sites, blocking ops, and lock acquisitions of one
-/// function, with the held-guard set at each point.
+/// Extract the call sites and blocking ops of one function, with the
+/// held-guard set at each point.
 fn extract_fn_facts(toks: &[Tok], f: &mut FnFacts) {
     let body = f.body.clone();
     // Pre-compute the token ranges covered by `spawn(..)` argument
@@ -638,10 +553,6 @@ fn extract_fn_facts(toks: &[Tok], f: &mut FnFacts) {
 
     let mut calls = Vec::new();
     let mut blocking = Vec::new();
-    // Both scan_guards closures record lock sites (let-bound `.lock()`
-    // in the first, `.read()`/`.write()` candidates in the second), so
-    // the vec is shared through a RefCell.
-    let locks = std::cell::RefCell::new(Vec::new());
 
     let held_of = |guards: &[Guard]| -> Vec<HeldGuard> {
         guards
@@ -654,109 +565,73 @@ fn extract_fn_facts(toks: &[Tok], f: &mut FnFacts) {
             .collect()
     };
 
-    scan_guards(
-        toks,
-        body.clone(),
-        |field, guards, is_let, idx| {
-            locks.borrow_mut().push(LockSite {
-                field: field.to_string(),
-                method: "lock".to_string(),
-                line: toks[idx].line,
+    scan_guards(toks, body.clone(), |t, i, guards| {
+        let in_spawn = spawn_mask[i - body.start];
+        if let Some(op) = blocking_op_at(toks, i) {
+            blocking.push(BlockSite {
+                op,
+                line: t.line,
                 held: held_of(guards),
-                is_let,
-                in_spawn: spawn_mask[idx - body.start],
+                in_spawn,
             });
-        },
-        |t, i, guards| {
-            let in_spawn = spawn_mask[i - body.start];
-            // RwLock acquisition candidates: `.read()` / `.write()`
-            // with an ident receiver. Pass 2 only keeps these when the
-            // receiver is a declared RwLock field, so `stream.read(..)`
-            // style I/O never aliases in.
-            if t.is_punct(".")
-                && i + 3 < body.end
-                && (toks[i + 1].is_ident("read") || toks[i + 1].is_ident("write"))
-                && toks[i + 2].is_punct("(")
-                && toks[i + 3].is_punct(")")
-                && i > body.start
-                && toks[i - 1].kind == TokKind::Ident
-            {
-                locks.borrow_mut().push(LockSite {
-                    field: toks[i - 1].text.clone(),
-                    method: toks[i + 1].text.clone(),
-                    line: t.line,
+        }
+        // Call sites: `.name(` method calls and `name(` free calls
+        // (last path segment for `a::b::name(`). Macros (`name!`)
+        // and keywords are not calls; names already covered by the
+        // blocking detector are recorded there instead.
+        let (is_call, name_idx) = if t.is_punct(".")
+            && toks
+                .get(i + 1)
+                .map(|n| n.kind == TokKind::Ident && is_called(toks, i + 1))
+                .unwrap_or(false)
+        {
+            (true, i + 1)
+        } else if t.kind == TokKind::Ident
+            && is_called(toks, i)
+            && !NON_CALL_KEYWORDS.contains(&t.text.as_str())
+            && !(i > body.start && toks[i - 1].is_punct("."))
+            && !is_type_qualified(toks, i, body.start)
+        {
+            // Module-qualified calls (`journal::replay(..)`) and
+            // `Self::x(..)` are kept: the last segment is the
+            // callee name. `.`-prefixed idents are skipped — the
+            // `.`-branch above already recorded the method call —
+            // and `Type::assoc(..)` calls are skipped: resolving
+            // `PmiHub::bind` by the bare name `bind` would hit every
+            // constructor of that name in the crate. (Method calls
+            // are resolved by bare name, which is why the hub's
+            // `open_job` / `abort_job` / `close_job` do not share a
+            // name with the service's or the journal's.)
+            (true, i)
+        } else {
+            (false, 0)
+        };
+        if is_call {
+            let name = &toks[name_idx].text;
+            // Skip type constructors (PascalCase) and macro-ish
+            // names; workspace functions are snake_case.
+            let snake = name
+                .chars()
+                .next()
+                .map(|c| c.is_lowercase() || c == '_')
+                .unwrap_or(false);
+            let is_macro = toks
+                .get(name_idx + 1)
+                .map(|n| n.is_punct("!"))
+                .unwrap_or(false);
+            if snake && !is_macro {
+                calls.push(CallSite {
+                    name: name.clone(),
+                    line: toks[name_idx].line,
                     held: held_of(guards),
-                    is_let: false,
                     in_spawn,
                 });
             }
-            if let Some(op) = blocking_op_at(toks, i) {
-                blocking.push(BlockSite {
-                    op,
-                    line: t.line,
-                    held: held_of(guards),
-                    in_spawn,
-                });
-            }
-            // Call sites: `.name(` method calls and `name(` free calls
-            // (last path segment for `a::b::name(`). Macros (`name!`)
-            // and keywords are not calls; names already covered by the
-            // blocking detector are recorded there instead.
-            let (is_call, name_idx) = if t.is_punct(".")
-                && toks
-                    .get(i + 1)
-                    .map(|n| n.kind == TokKind::Ident && is_called(toks, i + 1))
-                    .unwrap_or(false)
-            {
-                (true, i + 1)
-            } else if t.kind == TokKind::Ident
-                && is_called(toks, i)
-                && !NON_CALL_KEYWORDS.contains(&t.text.as_str())
-                && !(i > body.start && toks[i - 1].is_punct("."))
-                && !is_type_qualified(toks, i, body.start)
-            {
-                // Module-qualified calls (`journal::replay(..)`) and
-                // `Self::x(..)` are kept: the last segment is the
-                // callee name. `.`-prefixed idents are skipped — the
-                // `.`-branch above already recorded the method call —
-                // and `Type::assoc(..)` calls are skipped: resolving
-                // `PmiHub::bind` by the bare name `bind` would hit every
-                // constructor of that name in the crate. (Method calls
-                // are resolved by bare name, which is why the hub's
-                // `open_job` / `abort_job` / `close_job` do not share a
-                // name with the service's or the journal's.)
-                (true, i)
-            } else {
-                (false, 0)
-            };
-            if is_call {
-                let name = &toks[name_idx].text;
-                // Skip type constructors (PascalCase) and macro-ish
-                // names; workspace functions are snake_case.
-                let snake = name
-                    .chars()
-                    .next()
-                    .map(|c| c.is_lowercase() || c == '_')
-                    .unwrap_or(false);
-                let is_macro = toks
-                    .get(name_idx + 1)
-                    .map(|n| n.is_punct("!"))
-                    .unwrap_or(false);
-                if snake && !is_macro {
-                    calls.push(CallSite {
-                        name: name.clone(),
-                        line: toks[name_idx].line,
-                        held: held_of(guards),
-                        in_spawn,
-                    });
-                }
-            }
-        },
-    );
+        }
+    });
 
     f.calls = calls;
     f.blocking = blocking;
-    f.locks = locks.into_inner();
 }
 
 /// Mark the token offsets (relative to `body.start`) inside the
@@ -785,44 +660,6 @@ fn compute_spawn_mask(toks: &[Tok], body: Range<usize>) -> Vec<bool> {
         i += 1;
     }
     mask
-}
-
-/// Collect `field: Mutex<..>` / `field: RwLock<..>` declarations
-/// (including `Arc<Mutex<..>>` wrappers) anywhere in the file.
-fn collect_lock_decls(toks: &[Tok]) -> Vec<LockDecl> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].kind == TokKind::Ident && toks[i + 1].is_punct(":") {
-            // Walk the type expression: `Mutex<`, `Arc<Mutex<`,
-            // `Arc<RwLock<` — accept any wrapper chain of idents and
-            // `<` until the lock type or something else.
-            let mut j = i + 2;
-            let mut hops = 0;
-            while hops < 4 && j + 1 < toks.len() && toks[j].kind == TokKind::Ident {
-                let name = toks[j].text.as_str();
-                if (name == "Mutex" || name == "RwLock") && toks[j + 1].is_punct("<") {
-                    out.push(LockDecl {
-                        field: toks[i].text.clone(),
-                        kind: name.to_string(),
-                        line: toks[i].line,
-                    });
-                    break;
-                }
-                if toks[j + 1].is_punct("<") {
-                    j += 2;
-                    hops += 1;
-                } else if toks[j + 1].is_punct("::") {
-                    // `std::sync::Mutex<`, `stdx::Mutex<`
-                    j += 2;
-                } else {
-                    break;
-                }
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 /// Collect protocol enum definitions (`enum WorkerMsg { … }`) from the

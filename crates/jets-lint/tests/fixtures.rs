@@ -42,16 +42,6 @@ fn render(findings: &[Finding]) -> String {
 }
 
 #[test]
-fn lock_order_bad_fires_exactly() {
-    assert_eq!(fired("lock-order/bad.rs"), vec![("J1".to_string(), 3)]);
-}
-
-#[test]
-fn lock_order_good_is_clean() {
-    assert_clean("lock-order/good.rs");
-}
-
-#[test]
 fn lock_across_blocking_bad_fires_exactly() {
     assert_eq!(
         fired("lock-across-blocking/bad.rs"),
@@ -247,27 +237,6 @@ fn callgraph_three_hop_taint_bad_fires_exactly() {
 #[test]
 fn callgraph_three_hop_taint_good_is_clean() {
     assert_clean("callgraph/taint-3hop/good.rs");
-}
-
-#[test]
-fn callgraph_lock_cycle_bad_fires_exactly() {
-    // One cycle, anchored at the inter-procedural witness edge: the
-    // call made while `book` is held (line 9).
-    assert_eq!(
-        fired("callgraph/lock-cycle/bad.rs"),
-        vec![("J9".to_string(), 9)]
-    );
-    let findings = lint_paths(&[fixture("callgraph/lock-cycle/bad.rs")]);
-    assert!(
-        findings[0].message.contains("touch_sched"),
-        "witness path missing: {}",
-        findings[0]
-    );
-}
-
-#[test]
-fn callgraph_lock_cycle_good_is_clean() {
-    assert_clean("callgraph/lock-cycle/good.rs");
 }
 
 #[test]

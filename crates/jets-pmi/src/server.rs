@@ -5,14 +5,14 @@
 //! job on a private one-loop reactor (`jets-mpiexec`, tests, benchmarks).
 //! No thread per job or per rank on either.
 //!
-//! Lock order: the hub's `pmi` lock is a leaf below the dispatcher's `sched`
-//! (`Effects::pmi_abort` runs under it), so nothing here calls out with
-//! `pmi` held: a first fence release is reported after the unlock.
+//! The hub's lock is [`Rank::Pmi`], taken under the dispatcher's `sched`,
+//! so nothing here calls out with it held: a first fence release is
+//! reported after the unlock.
 
 use crate::service::{ConnId, Effects, PmiService, MAX_LINE};
 use crate::wire::Message;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig};
-use jets_ring::stdx::{wait_for, Mutex};
+use jets_ring::stdx::{wait_for, Mutex, Rank};
 use std::collections::HashMap;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -93,7 +93,7 @@ impl PmiHub {
         let listener = TcpListener::bind((ip, 0))?;
         let hub = PmiHub {
             addr: listener.local_addr()?,
-            pmi: Mutex::new(Shared::default()),
+            pmi: Mutex::ranked(Rank::Pmi, Shared::default()),
             changed: Condvar::new(),
         };
         Ok((Arc::new(hub), listener))
@@ -257,6 +257,12 @@ mod tests {
     use std::thread;
 
     const WAIT: Duration = Duration::from_secs(20);
+
+    /// No clock, lock, atomic, thread or socket in the PMI service.
+    #[test]
+    fn the_service_is_pure() {
+        jets_ring::stdx::assert_pure(include_str!("service.rs"), &["Atomic", "TcpStream"]);
+    }
 
     fn run_ranks(size: u32, f: impl Fn(PmiClient) + Send + Sync + 'static) -> JobOutcome {
         let server = PmiServer::start(PmiServerConfig::new("t", size)).unwrap();

@@ -143,8 +143,6 @@ pub struct ReactorConfig {
     /// Maximum bytes buffered for a single incoming frame before the
     /// connection is dropped as oversize.
     pub max_frame: usize,
-    /// Per-loop scratch read buffer size.
-    pub read_chunk: usize,
     /// Event-loop thread name prefix.
     pub thread_name: String,
     /// Event-loop thread stack size.
@@ -157,7 +155,6 @@ impl Default for ReactorConfig {
             event_loops: 2,
             outbox_limit: 16 << 20,
             max_frame: 16 << 20,
-            read_chunk: 64 << 10,
             thread_name: "jets-reactor".to_string(),
             thread_stack: 256 * 1024,
         }
@@ -243,7 +240,6 @@ pub(crate) struct Router {
     shutdown: AtomicBool,
     max_frame: usize,
     outbox_limit: usize,
-    read_chunk: usize,
 }
 
 impl Router {
@@ -332,7 +328,6 @@ impl Reactor {
             shutdown: AtomicBool::new(false),
             max_frame: config.max_frame,
             outbox_limit: config.outbox_limit,
-            read_chunk: config.read_chunk.max(1024),
         });
         let mut threads = Vec::with_capacity(n);
         for (i, (rx, poller)) in tails.into_iter().enumerate() {
@@ -407,11 +402,14 @@ impl Drop for Reactor {
     }
 }
 
+/// Per-loop scratch read buffer size.
+const READ_CHUNK: usize = 64 << 10;
+
 fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, mut poller: Box<dyn Poller>) {
     let shared = router.loops[me].clone();
     let mut entries: HashMap<u64, Entry> = HashMap::new();
     let mut events: Vec<Event> = Vec::new();
-    let mut chunk = vec![0u8; router.read_chunk];
+    let mut chunk = vec![0u8; READ_CHUNK];
     // If the waker cannot be registered the loop degrades to timed
     // polling so shutdown and kicks still land.
     let waker_armed = poller

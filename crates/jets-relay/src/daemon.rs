@@ -40,12 +40,12 @@ use jets_core::events::{EventLog, WriterRole};
 use jets_core::protocol::{decode_msg, encode_msg_buf, DispatcherMsg, WorkerMsg, MAX_FRAME_BYTES};
 use jets_obs::MetricsServer;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
-use jets_ring::stdx::{wait_for, Mutex, SplitMix64};
+use jets_ring::stdx::{wait_for, Guard, Mutex, Rank, SplitMix64};
 use jets_worker::ReconnectPolicy;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -314,7 +314,7 @@ impl Relay {
         let inner = Arc::new(Inner {
             config,
             epoch: Instant::now(),
-            state: Mutex::new(State { core, links }),
+            state: Mutex::ranked(Rank::Relay, State { core, links }),
             wake: Condvar::new(),
             metrics: Arc::new(RelayMetrics::new()),
             metrics_server: Mutex::new(None),
@@ -634,8 +634,8 @@ fn serve_session<'a>(
     reactor: &Reactor,
     n: u64,
     stream: TcpStream,
-    mut st: MutexGuard<'a, State>,
-) -> MutexGuard<'a, State> {
+    mut st: Guard<'a, State>,
+) -> Guard<'a, State> {
     if st.links.stopped {
         return st;
     }
@@ -684,6 +684,13 @@ mod tests {
     use std::io::{BufReader, Read, Write};
 
     const WAIT: Duration = Duration::from_secs(60);
+
+    /// No clock, lock, atomic, thread, socket or file in the routing core
+    /// (`tests/relay_model.rs` is its fake shell).
+    #[test]
+    fn the_core_is_pure() {
+        jets_ring::stdx::assert_pure(include_str!("core.rs"), &["Atomic"]);
+    }
 
     fn spawn_worker(addr: &str, name: &str) -> Worker {
         let config = WorkerConfig {

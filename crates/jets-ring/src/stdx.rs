@@ -1,27 +1,178 @@
-//! The two things every JETS crate needs beyond `std`, kept in the
+//! The things every JETS crate needs beyond `std`, kept in the
 //! workspace's dependency-free leaf: locks whose `lock()`/`read()`/
-//! `write()` ignore poisoning, and the seeded generator.
+//! `write()` ignore poisoning and whose order is checked where they are
+//! taken, the seeded generator, and the purity check of the pure cores.
 //!
 //! Poisoning is ignored because every structure behind these locks is
 //! updated in steps that each leave it valid; a holder that panicked
 //! must not take the dispatcher's other threads down with it.
 
-use std::ops::Range;
+use std::ops::{Deref, DerefMut, Range};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{self, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-/// `std::sync::Mutex` whose `lock` never reports poisoning.
-#[derive(Debug, Default)]
-pub struct Mutex<T>(sync::Mutex<T>);
+/// The lock order of the whole workspace, stated once: a thread may take
+/// a [`Mutex`] only if its rank comes strictly later in this table than
+/// the rank of every `Mutex` it already holds. Debug builds check that at
+/// every `lock()`, through closures, trait objects and crate boundaries;
+/// so reverse order, re-entry and two locks of one rank all panic where
+/// the second lock is taken, before anything can deadlock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum Rank {
+    /// cluster-sim's `Allocation::workers`: a kill or a partition reaches
+    /// into a pilot (its `sock`) with the table of nodes held.
+    Allocation,
+    /// The dispatcher's `sched`: the scheduling core and what its effects
+    /// reach. Everything a decision touches is taken under it.
+    Sched,
+    /// The dispatcher's `book`: job records and the outstanding count,
+    /// updated under `sched` by `Sink::book`, polled alone by clients.
+    Book,
+    /// The PMI hub's table: `Effects::pmi_start` / `pmi_abort` / `pmi_stop`
+    /// run under `sched`, so the hub reports a fence release to the
+    /// scheduler only after it has unlocked.
+    Pmi,
+    /// The relay's `state`: its routing core and links.
+    Relay,
+    /// A pilot's `state`: its core and the session's write half.
+    Pilot,
+    /// The node-local cache's `entries`, held across a copy and the
+    /// `copies` count that follows it.
+    Staging,
+    /// A swiftlite array's `elems`: an element is vivified — its future
+    /// made, mapped and, for an input file, fulfilled — with the table held.
+    Elements,
+    /// Nothing is acquired while a leaf is held. What [`Mutex::new`] makes.
+    #[default]
+    Leaf,
+}
 
-impl<T> Mutex<T> {
-    pub const fn new(value: T) -> Self {
-        Mutex(sync::Mutex::new(value))
+#[cfg(debug_assertions)]
+thread_local! {
+    /// The ranks this thread holds, ascending (each was checked against
+    /// the last when it was pushed).
+    static HELD: std::cell::RefCell<Vec<Rank>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The first violation any thread found. From then on every `lock()`, on
+/// any thread, panics with it too, and so does every [`wait_for`] within
+/// a second: the thread that took its locks in the wrong order is usually
+/// an event loop, and what a test waits on is some other thread, which
+/// would otherwise sit out its time-out for a reply that cannot come.
+#[cfg(debug_assertions)]
+static VIOLATION: sync::OnceLock<String> = sync::OnceLock::new();
+
+/// (A thread already unwinding takes its locks in `Drop`s: let it.)
+#[cfg(debug_assertions)]
+fn repeat_violation() {
+    if let Some(earlier) = VIOLATION.get().filter(|_| !std::thread::panicking()) {
+        panic!("{earlier}");
+    }
+}
+
+#[cfg(debug_assertions)]
+fn violation(msg: String) -> ! {
+    // This crate's own unit tests violate the order on purpose, by the dozen.
+    #[cfg(not(test))]
+    let _ = VIOLATION.set(format!("{msg} (first seen on another thread)"));
+    panic!("{msg}");
+}
+
+/// One entry of this thread's held list, removed when it drops.
+#[cfg(debug_assertions)]
+#[derive(Debug)]
+struct Held(Rank);
+
+#[cfg(debug_assertions)]
+impl Held {
+    fn acquire(rank: Rank) -> Held {
+        repeat_violation();
+        let top = HELD.with_borrow(|held| held.last().copied());
+        if let Some(top) = top.filter(|&top| top >= rank) {
+            violation(format!(
+                "lock order: `{rank:?}` taken while `{top:?}` is held; see `stdx::Rank`"
+            ));
+        }
+        HELD.with_borrow_mut(|held| held.push(rank));
+        Held(rank)
     }
 
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    /// A condvar wait releases only the lock it is given.
+    fn assert_alone(&self) {
+        let other = HELD.with_borrow(|held| held.iter().copied().find(|&rank| rank != self.0));
+        if let Some(other) = other {
+            let waited = self.0;
+            violation(format!(
+                "lock order: waiting on `{waited:?}`'s condvar while `{other:?}` is held"
+            ));
+        }
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for Held {
+    fn drop(&mut self) {
+        // `try_with`: a guard may drop while the thread's locals are torn down.
+        let _ = HELD.try_with(|held| held.borrow_mut().retain(|&rank| rank != self.0));
+    }
+}
+
+/// `std::sync::Mutex` whose `lock` never reports poisoning and, in debug
+/// builds, checks its [`Rank`] against the locks the thread holds.
+#[derive(Debug, Default)]
+pub struct Mutex<T> {
+    #[cfg(debug_assertions)]
+    rank: Rank,
+    inner: sync::Mutex<T>,
+}
+
+impl<T> Mutex<T> {
+    /// A [`Rank::Leaf`] lock.
+    pub const fn new(value: T) -> Self {
+        Mutex::ranked(Rank::Leaf, value)
+    }
+
+    pub const fn ranked(rank: Rank, value: T) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = rank;
+        Mutex {
+            #[cfg(debug_assertions)]
+            rank,
+            inner: sync::Mutex::new(value),
+        }
+    }
+
+    pub fn lock(&self) -> Guard<'_, T> {
+        Guard {
+            // Checked before blocking: a wrong order panics, never hangs.
+            #[cfg(debug_assertions)]
+            held: Held::acquire(self.rank),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+}
+
+/// A locked [`Mutex`]: `MutexGuard` and nothing else in release builds,
+/// plus the thread's held-list entry in debug builds.
+#[derive(Debug)]
+pub struct Guard<'a, T> {
+    inner: MutexGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    held: Held,
+}
+
+impl<T> Deref for Guard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T> DerefMut for Guard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.inner
     }
 }
 
@@ -44,16 +195,61 @@ impl<T> RwLock<T> {
 }
 
 /// `Condvar::wait_timeout` on a [`Mutex`] guard, poisoning ignored:
-/// returns the reacquired guard and whether the wait timed out.
+/// returns the reacquired guard and whether the whole `timeout` passed.
+/// Like any condvar wait it may return early unnotified — a debug build
+/// does after a second, to look for a violation on another thread — so
+/// callers loop on their predicate and their deadline. The waited lock
+/// must be the only one the thread holds: any other would stay locked for
+/// the whole wait.
 pub fn wait_for<'a, T>(
     cv: &sync::Condvar,
-    guard: MutexGuard<'a, T>,
+    mut guard: Guard<'a, T>,
     timeout: Duration,
-) -> (MutexGuard<'a, T>, bool) {
-    let (guard, res) = cv
-        .wait_timeout(guard, timeout)
+) -> (Guard<'a, T>, bool) {
+    #[cfg(debug_assertions)]
+    guard.held.assert_alone();
+    let slice = match cfg!(debug_assertions) {
+        true => timeout.min(Duration::from_secs(1)),
+        false => timeout,
+    };
+    let (inner, res) = cv
+        .wait_timeout(guard.inner, slice)
         .unwrap_or_else(PoisonError::into_inner);
-    (guard, res.timed_out())
+    guard.inner = inner;
+    #[cfg(debug_assertions)]
+    repeat_violation();
+    (guard, res.timed_out() && slice == timeout)
+}
+
+/// What no pure core may mention: clocks, locks, threads, sockets, files
+/// and the shells' own I/O types.
+const IMPURE: [&str; 12] = [
+    "Instant::now",
+    "SystemTime",
+    "elapsed()",
+    "Mutex",
+    "Condvar",
+    "thread::",
+    "std::net",
+    "std::fs",
+    "Outbox",
+    "Journal",
+    "EventLog",
+    "PmiServer",
+];
+
+/// Panics, listing the lines, if the code of `source` — up to its
+/// `#[cfg(test)]`, comment lines aside — mentions a word of `IMPURE` or
+/// of `also`. Each pure core's crate runs this over `include_str!` of it.
+pub fn assert_pure(source: &str, also: &[&str]) {
+    let code = source.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+    let impure: Vec<String> = code
+        .enumerate()
+        .filter(|(_, l)| !l.trim_start().starts_with("//"))
+        .filter(|(_, l)| IMPURE.iter().chain(also).any(|word| l.contains(word)))
+        .map(|(i, l)| format!("{}: {}", i + 1, l.trim()))
+        .collect();
+    assert!(impure.is_empty(), "not pure:\n{}", impure.join("\n"));
 }
 
 /// The splitmix64 output function: a bijective 64-bit mix.
@@ -143,7 +339,7 @@ mod tests {
 
     #[test]
     fn locks_survive_a_holder_that_panicked() {
-        let m = Arc::new(Mutex::new(1));
+        let m = Arc::new(Mutex::ranked(Rank::Sched, 1));
         let rw = Arc::new(RwLock::new(2));
         let (m2, rw2) = (Arc::clone(&m), Arc::clone(&rw));
         let holder = std::thread::spawn(move || {
@@ -163,6 +359,109 @@ mod tests {
         let (guard, timed_out) = wait_for(&cv, m.lock(), Duration::from_millis(5));
         assert!(timed_out);
         assert_eq!(*guard, 7);
+    }
+
+    /// The message of the order panic `f` must end in.
+    #[cfg(debug_assertions)]
+    fn order_panic(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("no order panic");
+        *payload.downcast::<String>().expect("a formatted panic")
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn taking_an_earlier_rank_panics_naming_both_locks() {
+        let (sched, book) = (
+            Mutex::ranked(Rank::Sched, ()),
+            Mutex::ranked(Rank::Book, ()),
+        );
+        drop((sched.lock(), book.lock())); // the table's order is fine
+        let msg = order_panic(|| {
+            let _book = book.lock();
+            let _sched = sched.lock();
+        });
+        assert!(msg.contains("`Sched` taken while `Book` is held"), "{msg}");
+        // The unwinding dropped `_book`: this thread holds nothing again.
+        drop((sched.lock(), book.lock()));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn re_entry_panics_instead_of_deadlocking() {
+        let pmi = Mutex::ranked(Rank::Pmi, ());
+        let msg = order_panic(|| {
+            let _outer = pmi.lock();
+            let _inner = pmi.lock();
+        });
+        assert!(msg.contains("`Pmi` taken while `Pmi` is held"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn nothing_is_taken_under_a_leaf_not_even_a_leaf() {
+        let (a, b) = (Mutex::new(()), Mutex::<()>::default());
+        let msg = order_panic(|| {
+            let _a = a.lock();
+            let _b = b.lock();
+        });
+        assert!(msg.contains("`Leaf` taken while `Leaf` is held"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn guards_dropped_out_of_order_leave_the_held_list_right() {
+        let locks = [Rank::Sched, Rank::Book, Rank::Pmi].map(|rank| Mutex::ranked(rank, ()));
+        let [sched, book, pmi] = &locks;
+        let (s, b, p) = (sched.lock(), book.lock(), pmi.lock());
+        drop(b);
+        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Sched, Rank::Pmi]));
+        // `Book` is free but `Pmi`, later in the table, is still held.
+        let msg = order_panic(|| drop(book.lock()));
+        assert!(msg.contains("`Book` taken while `Pmi` is held"), "{msg}");
+        drop(s);
+        drop(p);
+        HELD.with_borrow(|held| assert!(held.is_empty()));
+        drop((sched.lock(), book.lock(), pmi.lock()));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn wait_for_keeps_its_lock_s_entry_and_refuses_a_second_lock() {
+        let (sched, book) = (Mutex::ranked(Rank::Sched, ()), Mutex::ranked(Rank::Book, 7));
+        let cv = sync::Condvar::new();
+        let (guard, _) = wait_for(&cv, book.lock(), Duration::from_millis(1));
+        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Book]));
+        drop(guard);
+        HELD.with_borrow(|held| assert!(held.is_empty()));
+        let msg = order_panic(|| {
+            let _sched = sched.lock();
+            wait_for(&cv, book.lock(), Duration::from_millis(1));
+        });
+        let want = "waiting on `Book`'s condvar while `Sched` is held";
+        assert!(msg.contains(want), "{msg}");
+    }
+
+    /// Release builds pay nothing: the guard is the `MutexGuard`.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_release_guard_is_a_mutex_guard_and_nothing_is_checked() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Guard<u8>>(), size_of::<MutexGuard<u8>>());
+        assert_eq!(size_of::<Mutex<u8>>(), size_of::<sync::Mutex<u8>>());
+        let (a, b) = (Mutex::new(()), Mutex::new(()));
+        drop((a.lock(), b.lock()));
+    }
+
+    #[test]
+    fn assert_pure_reads_code_only_and_names_the_impure_lines() {
+        let pure = "// a Mutex in a comment\nfn f(now: Instant) {}\n#[cfg(test)]\nuse std::fs;";
+        assert_pure(pure, &["Atomic"]);
+        let impure = "fn f() {\n    Instant::now();\n    AtomicU64::new(0);\n}";
+        let failure = catch_unwind(|| assert_pure(impure, &["Atomic"]));
+        let msg = failure.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("2: Instant::now();"), "{msg}");
+        assert!(msg.contains("3: AtomicU64::new(0);"), "{msg}");
+        assert_pure(impure.replace("Instant::now();", "").as_str(), &[]);
     }
 
     #[test]

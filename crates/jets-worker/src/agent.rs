@@ -38,7 +38,7 @@ use jets_core::protocol::{
 };
 use jets_core::spec::CommandSpec;
 use jets_core::{EventLog, SpanKind, WriterRole};
-use jets_ring::stdx::{Mutex, SplitMix64};
+use jets_ring::stdx::{Mutex, Rank, SplitMix64};
 use std::io::{self, BufReader, ErrorKind};
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -215,7 +215,7 @@ impl Worker {
             log,
             kill: AtomicBool::new(false),
             sock: Mutex::new(None),
-            state: Mutex::new((core, Wire::default())),
+            state: Mutex::ranked(Rank::Pilot, (core, Wire::default())),
         });
         let agent = Agent {
             pilot: Arc::clone(&pilot),
@@ -638,6 +638,14 @@ mod tests {
     use jets_core::{Dispatcher, DispatcherConfig, JobStatus};
 
     const WAIT: Duration = Duration::from_secs(30);
+
+    /// No clock, lock, atomic, thread, socket or cancel token in the
+    /// pilot's core (`relay_model`'s `PFx` is its fake shell).
+    #[test]
+    fn the_core_is_pure() {
+        let also = ["Atomic", "TcpStream", "CancelToken"];
+        jets_ring::stdx::assert_pure(include_str!("core.rs"), &also);
+    }
 
     fn executor() -> Arc<dyn TaskExecutor> {
         Arc::new(Executor::new(standard_registry()))

@@ -12,7 +12,7 @@
 //! reuse the cached copy) and exports the cache directory to the task as
 //! `JETS_LOCAL_DIR`.
 
-use jets_ring::stdx::Mutex;
+use jets_ring::stdx::{Mutex, Rank};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -35,7 +35,7 @@ impl NodeLocalCache {
         std::fs::create_dir_all(&dir)?;
         Ok(NodeLocalCache {
             dir,
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::ranked(Rank::Staging, HashMap::new()),
             copies: Mutex::new(0),
         })
     }

@@ -8,7 +8,7 @@
 //! auto-vivify on first reference, so a reader of `c[7]` and the app call
 //! that later writes `c[7]` meet at the same cell regardless of order.
 
-use jets_ring::stdx::{wait_for, Mutex};
+use jets_ring::stdx::{wait_for, Mutex, Rank};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
@@ -203,7 +203,7 @@ impl ArrayHandle {
     pub fn new(is_file: bool, mapper: Option<ElementMapper>) -> Self {
         ArrayHandle {
             inner: Arc::new(ArrayInner {
-                elems: Mutex::new(HashMap::new()),
+                elems: Mutex::ranked(Rank::Elements, HashMap::new()),
                 mapper,
                 is_file,
             }),
