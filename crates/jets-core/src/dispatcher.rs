@@ -217,6 +217,8 @@ struct Io {
     pmi: HashMap<JobId, String>,
     /// Reusable wire-encode buffer: steady-state sends allocate nothing.
     enc: Vec<u8>,
+    /// The spare `Inner::pending_ready` buffer `step` swaps in.
+    parked: Vec<WorkerId>,
     /// Write-ahead records of the facts emitted since the last flush.
     wal: Vec<Record>,
 }
@@ -295,13 +297,16 @@ struct Inner {
 fn step<R>(inner: &Inner, input: impl FnOnce(&mut Core, &mut Sink<'_>, Instant) -> R) -> R {
     let mut st = inner.sched.lock();
     let Sched { core, io } = &mut *st;
+    // The parked list and a spare trade buffers, so neither is ever
+    // freed: once both have grown, a `Request` allocates nothing.
+    std::mem::swap(&mut io.parked, &mut *inner.pending_ready.lock());
+    core.park(&io.parked);
+    io.parked.clear();
     let mut fx = Sink {
         inner,
         io,
         reported: None,
     };
-    let parked = std::mem::take(&mut *inner.pending_ready.lock());
-    core.park(&parked);
     let out = input(core, &mut fx, Instant::now());
     fx.flush_wal();
     // The O(1) gauges are maintained inline so scrapes between monitor
@@ -1281,11 +1286,11 @@ mod tests {
     //! the wire, the PMI servers, the journal file, the condvars and the
     //! output files.
     use super::*;
-    use crate::protocol::{read_msg, write_msg, TaskKind};
+    use crate::protocol::{MsgReader, MsgWriter, TaskKind};
     use crate::spec::CommandSpec;
     use std::io::{BufReader, Read};
 
-    type Wire = (TcpStream, BufReader<TcpStream>);
+    type Wire = (MsgWriter<TcpStream>, MsgReader<BufReader<TcpStream>>);
 
     /// No clock, lock, thread, socket, file, journal, ring or PMI server
     /// in the scheduling core: that is what lets `tests/core_model.rs`
@@ -1302,9 +1307,10 @@ mod tests {
         // `Done` then `Request` are two small writes: Nagle would hold
         // the second for the first one's delayed ACK.
         stream.set_nodelay(true).unwrap();
-        let (mut writer, mut reader) = (stream.try_clone().unwrap(), BufReader::new(stream));
-        write_msg(&mut writer, hello).unwrap();
-        let Some(DispatcherMsg::Registered { .. }) = read_msg(&mut reader).unwrap() else {
+        let mut writer = MsgWriter::new(stream.try_clone().unwrap());
+        let mut reader = MsgReader::new(BufReader::new(stream));
+        writer.send(hello).unwrap();
+        let Some(DispatcherMsg::Registered { .. }) = reader.recv().unwrap() else {
             panic!("expected Registered");
         };
         (writer, reader)
@@ -1326,17 +1332,17 @@ mod tests {
             let (mut writer, mut reader) = handshake(addr, &hello);
             let mut done = 0;
             for _ in 0..tasks_to_run {
-                write_msg(&mut writer, &WorkerMsg::Request).unwrap();
-                match read_msg::<DispatcherMsg>(&mut reader).unwrap() {
+                writer.send(&WorkerMsg::Request).unwrap();
+                match reader.recv::<DispatcherMsg>().unwrap() {
                     Some(DispatcherMsg::Assign(a)) => {
-                        write_msg(&mut writer, &run_assignment(&a)).unwrap();
+                        writer.send(&run_assignment(&a)).unwrap();
                         done += 1;
                     }
                     Some(DispatcherMsg::Shutdown) | None => break,
                     other => panic!("unexpected: {other:?}"),
                 }
             }
-            write_msg(&mut writer, &WorkerMsg::Goodbye).ok();
+            writer.send(&WorkerMsg::Goodbye).ok();
             done
         })
     }
@@ -1481,8 +1487,8 @@ mod tests {
                     cores,
                     location,
                 };
-                write_msg(&mut writer, &register).unwrap();
-                match read_msg(&mut reader).unwrap() {
+                writer.send(&register).unwrap();
+                match reader.recv().unwrap() {
                     Some(DispatcherMsg::RelayRegistered {
                         local: echoed,
                         worker_id,
@@ -1494,11 +1500,11 @@ mod tests {
                 }
             }
             for &worker in &ids {
-                write_msg(&mut writer, &WorkerMsg::RelayRequest { worker }).unwrap();
+                writer.send(&WorkerMsg::RelayRequest { worker }).unwrap();
             }
             let mut done = 0usize;
             while done < 20 {
-                match read_msg::<DispatcherMsg>(&mut reader).unwrap() {
+                match reader.recv::<DispatcherMsg>().unwrap() {
                     Some(DispatcherMsg::RelayAssign { worker, assignment }) => {
                         assert!(ids.contains(&worker), "routed to a member we own");
                         let WorkerMsg::Done {
@@ -1519,15 +1525,15 @@ mod tests {
                             output,
                             trace,
                         };
-                        write_msg(&mut writer, &report).unwrap();
-                        write_msg(&mut writer, &WorkerMsg::RelayRequest { worker }).unwrap();
+                        writer.send(&report).unwrap();
+                        writer.send(&WorkerMsg::RelayRequest { worker }).unwrap();
                         done += 1;
                     }
                     Some(DispatcherMsg::Shutdown) | None => break,
                     other => panic!("unexpected: {other:?}"),
                 }
             }
-            write_msg(&mut writer, &WorkerMsg::Goodbye).ok();
+            writer.send(&WorkerMsg::Goodbye).ok();
             done
         });
         // Wait for the block to register.

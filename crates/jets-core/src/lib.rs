@@ -22,7 +22,8 @@
 //!
 //! * [`spec`] — job specifications and the stand-alone `jets` input-file
 //!   format (`MPI: 4 namd2.sh input-1.pdb output-1.log`).
-//! * [`protocol`] — the dispatcher ⇄ worker wire protocol (JSON lines).
+//! * [`protocol`] — the dispatcher ⇄ worker wire protocol (binary frames,
+//!   one per line).
 //! * [`queue`] — FIFO job queue, plus the priority/backfill policy the
 //!   paper lists as future work (ablated in `bench/ablation_queue`).
 //! * [`registry`] — worker bookkeeping; liveness is lock-free per-worker

@@ -1,34 +1,58 @@
 //! Dispatcher ⇄ worker wire protocol.
 //!
-//! One TCP connection per worker, carrying newline-delimited JSON
-//! messages. The worker speaks first (`Register`), then loops
-//! `Request → Assign → Done`. Fault detection rests on this connection:
-//! an EOF or read error is the dispatcher's signal that the pilot job
-//! died, exactly as in the paper's faulty-allocation experiment (Fig. 10).
+//! One TCP connection per worker, carrying one binary frame per message,
+//! each ended by a `\n` byte. The worker speaks first (`Register`), then
+//! loops `Request → Assign → Done`. Fault detection rests on this
+//! connection: an EOF or read error is the dispatcher's signal that the
+//! pilot job died, exactly as in the paper's faulty-allocation experiment
+//! (Fig. 10).
+//!
+//! ## Frames
+//!
+//! A frame is a tag byte naming the variant, then its fields in
+//! declaration order, written with the [`jets_ring::codec`] primitives:
+//! integers as LEB128 (signed ones zigzagged), trace ids as eight
+//! little-endian bytes, strings and lists as a length and then their
+//! bytes or elements, an `Option` as a 0/1 byte and then the value. The
+//! codec escapes `\n` out of every frame, so the reactor, PMI's text
+//! lines and [`MsgReader`] all find a frame's end by that one byte. Tags
+//! are printable ASCII and a relay envelope's tag is the lowercase of
+//! the frame it routes (`D` is `Done`, `d` is `RelayDone`), so a hexdump
+//! of the wire reads. A no-op `Assign` is 26 bytes.
+//!
+//! [`decode_msg`] reads a frame in one pass, straight into the message:
+//! no intermediate value and no unescaped copy. Damaged input — a cut,
+//! a flipped bit, a length that lies, a tag from the future — is
+//! [`io::ErrorKind::InvalidData`], never a panic, and no length field
+//! can reserve more than the frame's own size
+//! (`tests/wire_mutation.rs`).
 //!
 //! ## Buffer-reuse contract
 //!
 //! The hot paths on both sides of the connection reuse one encode buffer
-//! (`Vec<u8>`) per writer and one line buffer (`String`) per reader, so a
-//! steady stream of `Request`/`Assign`/`Done`/`Heartbeat` messages makes
-//! **zero** allocations once the buffers have grown to the workload's
-//! high-water mark. [`write_msg_buf`] / [`read_msg_buf`] expose the
-//! buffers explicitly; [`MsgWriter`] / [`MsgReader`] own them for callers
-//! that keep a connection around. The legacy [`write_msg`] / [`read_msg`]
-//! entry points allocate fresh buffers per call and remain for one-shot
-//! use and tests; both paths produce identical bytes on the wire.
+//! (`Vec<u8>`) per writer and one frame buffer per reader: a reactor
+//! connection encodes with [`encode_msg_buf`] into a buffer it keeps and
+//! decodes the frames the reactor hands it with [`decode_msg`];
+//! [`MsgWriter`] / [`MsgReader`] own their buffers for the blocking
+//! callers that keep a connection around. A steady stream of
+//! `Request`/`Assign`/`Done`/`Heartbeat` encodes without allocating once
+//! the buffers have grown to the workload's high-water mark.
 //!
-//! Every frame (one JSON line, newline included) is capped at
-//! [`MAX_FRAME_BYTES`]: a corrupt or hostile peer cannot OOM the process
-//! with a single unbounded line — the read fails with
-//! [`io::ErrorKind::InvalidData`] and the connection is torn down.
+//! Every frame, its delimiter included, is capped at [`MAX_FRAME_BYTES`]:
+//! a corrupt or hostile peer cannot OOM the process with a single
+//! unbounded frame — the read fails with [`io::ErrorKind::InvalidData`]
+//! and the connection is torn down.
+//!
+//! The message types keep serde derives for one reader only:
+//! `benchmark/tests/serde_shim.rs` checks the JSON stand-in the
+//! benchmark owns against them. Nothing on the wire goes through them.
 
 use crate::spec::{CommandSpec, JobId, StageFile, TaskId};
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
+use jets_ring::codec::{invalid, Get, Put, END};
 use std::io::{self, BufRead, Read, Write};
 
 /// Messages a worker sends to the dispatcher.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum WorkerMsg {
     /// First message on the connection: announce this pilot job.
     Register {
@@ -55,8 +79,8 @@ pub enum WorkerMsg {
         #[serde(default)]
         output: Option<String>,
         /// The job's trace id, echoed from the assignment so span
-        /// events on both ends of the wire join one timeline (0 from
-        /// peers predating tracing).
+        /// events on both ends of the wire join one timeline (0 when
+        /// the job is untraced).
         #[serde(default)]
         trace: u64,
     },
@@ -110,8 +134,8 @@ pub enum WorkerMsg {
         /// Captured standard output (tail).
         #[serde(default)]
         output: Option<String>,
-        /// The job's trace id, echoed from the assignment (0 from
-        /// peers predating tracing).
+        /// The job's trace id, echoed from the assignment (0 when the
+        /// job is untraced).
         #[serde(default)]
         trace: u64,
     },
@@ -158,7 +182,7 @@ pub enum WorkerMsg {
 }
 
 /// Messages the dispatcher sends to a worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum DispatcherMsg {
     /// Registration accepted; `worker_id` names this worker from now on.
     Registered {
@@ -214,7 +238,7 @@ pub enum DispatcherMsg {
 pub use crate::spec::{EXIT_CANCELED, EXIT_DEADLINE, EXIT_UNDELIVERABLE, EXIT_WORKER_LOST};
 
 /// One unit of work shipped to one worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TaskAssignment {
     /// Unique task identifier.
     pub task_id: TaskId,
@@ -228,13 +252,13 @@ pub struct TaskAssignment {
     /// The job's 64-bit trace id, minted at submission. Rides every
     /// `Assign`/`RelayAssign` so the relay and worker can emit span
     /// events into their own flight recorders under the same id (0
-    /// from dispatchers predating tracing).
+    /// when the job is untraced).
     #[serde(default)]
     pub trace: u64,
 }
 
 /// The two shapes of work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum TaskKind {
     /// A single-process job (no PMI involved).
     Sequential {
@@ -268,114 +292,390 @@ impl TaskAssignment {
     }
 }
 
-/// Upper bound on one wire frame — a JSON line, its trailing newline
-/// included. Large enough for any sane task assignment or output tail
-/// (16 MiB), small enough that a corrupt length-less stream cannot OOM
-/// the dispatcher through a single `read_line`.
+/// Upper bound on one wire frame, its trailing newline included. Large
+/// enough for any sane task assignment or output tail (16 MiB), small
+/// enough that a corrupt stream with no delimiter cannot OOM the
+/// dispatcher through one frame.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
-/// Write one message as a JSON line (allocates a fresh buffer; see
-/// [`write_msg_buf`] for the reusable-buffer variant the hot paths use).
-pub fn write_msg<M: Serialize>(writer: &mut impl Write, msg: &M) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(128);
-    write_msg_buf(writer, msg, &mut buf)
+/// A message with a wire encoding: [`WorkerMsg`] and [`DispatcherMsg`].
+pub trait Wire: Sized {
+    /// Append the frame body (everything but the delimiter).
+    fn put(&self, p: &mut Put<'_>);
+    /// Read a frame body, all of it: an unknown tag, any damaged field
+    /// and any byte left over are `InvalidData` (checked once, by
+    /// [`Get::end`], before the message is put together).
+    fn get(g: &mut Get<'_>) -> io::Result<Self>;
 }
 
-/// Write one message as a JSON line, encoding into `buf` (cleared first,
-/// capacity kept) so steady-state traffic never allocates. Frames larger
-/// than [`MAX_FRAME_BYTES`] are refused with `InvalidData` before
-/// anything reaches the wire.
-pub fn write_msg_buf<M: Serialize>(
-    writer: &mut impl Write,
-    msg: &M,
-    buf: &mut Vec<u8>,
-) -> io::Result<()> {
-    encode_msg_buf(msg, buf)?;
-    writer.write_all(buf)
+impl Wire for WorkerMsg {
+    fn put(&self, p: &mut Put<'_>) {
+        match self {
+            WorkerMsg::Register {
+                name,
+                cores,
+                location,
+            } => {
+                p.u8(b'R');
+                p.str(name);
+                p.var((*cores).into());
+                p.str(location);
+            }
+            WorkerMsg::Request => p.u8(b'Q'),
+            WorkerMsg::Done {
+                task_id,
+                exit_code,
+                wall_ms,
+                output,
+                trace,
+            } => {
+                p.u8(b'D');
+                put_result(p, *task_id, *exit_code, *wall_ms, output, *trace);
+            }
+            WorkerMsg::Heartbeat => p.u8(b'B'),
+            WorkerMsg::Goodbye => p.u8(b'G'),
+            WorkerMsg::SessionState { running } => {
+                p.u8(b'S');
+                p.bool(running.is_some());
+                if let Some((task, job)) = running {
+                    p.var(*task);
+                    p.var(*job);
+                }
+            }
+            WorkerMsg::RelayHello { name, location } => {
+                p.u8(b'h');
+                p.str(name);
+                p.str(location);
+            }
+            WorkerMsg::RelayRegister {
+                local,
+                name,
+                cores,
+                location,
+            } => {
+                p.u8(b'r');
+                p.var(*local);
+                p.str(name);
+                p.var((*cores).into());
+                p.str(location);
+            }
+            WorkerMsg::RelayRequest { worker } => {
+                p.u8(b'q');
+                p.var(*worker);
+            }
+            WorkerMsg::RelayDone {
+                worker,
+                task_id,
+                exit_code,
+                wall_ms,
+                output,
+                trace,
+            } => {
+                p.u8(b'd');
+                p.var(*worker);
+                put_result(p, *task_id, *exit_code, *wall_ms, output, *trace);
+            }
+            WorkerMsg::BatchedHeartbeat { workers } => {
+                p.u8(b'b');
+                p.count(workers.len());
+                workers.iter().for_each(|&w| p.var(w));
+            }
+            WorkerMsg::RelayWorkerGone { worker } => {
+                p.u8(b'g');
+                p.var(*worker);
+            }
+            WorkerMsg::RelayMemberState {
+                worker,
+                task_id,
+                job_id,
+            } => {
+                p.u8(b's');
+                p.var(*worker);
+                p.var(*task_id);
+                p.var(*job_id);
+            }
+        }
+    }
+
+    fn get(g: &mut Get<'_>) -> io::Result<Self> {
+        let msg = match g.u8() {
+            b'R' => WorkerMsg::Register {
+                name: g.str(),
+                cores: g.var_u32(),
+                location: g.str(),
+            },
+            b'Q' => WorkerMsg::Request,
+            b'D' => WorkerMsg::Done {
+                task_id: g.var(),
+                exit_code: g.zig_i32(),
+                wall_ms: g.var(),
+                output: get_output(g),
+                trace: g.u64le(),
+            },
+            b'B' => WorkerMsg::Heartbeat,
+            b'G' => WorkerMsg::Goodbye,
+            b'S' => WorkerMsg::SessionState {
+                running: g.bool().then(|| (g.var(), g.var())),
+            },
+            b'h' => WorkerMsg::RelayHello {
+                name: g.str(),
+                location: g.str(),
+            },
+            b'r' => WorkerMsg::RelayRegister {
+                local: g.var(),
+                name: g.str(),
+                cores: g.var_u32(),
+                location: g.str(),
+            },
+            b'q' => WorkerMsg::RelayRequest { worker: g.var() },
+            b'd' => WorkerMsg::RelayDone {
+                worker: g.var(),
+                task_id: g.var(),
+                exit_code: g.zig_i32(),
+                wall_ms: g.var(),
+                output: get_output(g),
+                trace: g.u64le(),
+            },
+            b'b' => WorkerMsg::BatchedHeartbeat {
+                workers: g.list(Get::var),
+            },
+            b'g' => WorkerMsg::RelayWorkerGone { worker: g.var() },
+            b's' => WorkerMsg::RelayMemberState {
+                worker: g.var(),
+                task_id: g.var(),
+                job_id: g.var(),
+            },
+            _ => return Err(invalid()),
+        };
+        g.end()?;
+        Ok(msg)
+    }
 }
 
-/// Encode one message as a newline-terminated JSON frame into `buf`
-/// (cleared first, capacity kept) without touching any socket. This is
-/// the half of [`write_msg_buf`] the reactor paths use: the frame is
+impl Wire for DispatcherMsg {
+    fn put(&self, p: &mut Put<'_>) {
+        match self {
+            DispatcherMsg::Registered { worker_id } => {
+                p.u8(b'R');
+                p.var(*worker_id);
+            }
+            DispatcherMsg::Assign(assignment) => {
+                p.u8(b'A');
+                put_assignment(p, assignment);
+            }
+            DispatcherMsg::Cancel { task_id } => {
+                p.u8(b'C');
+                p.var(*task_id);
+            }
+            DispatcherMsg::Shutdown => p.u8(b'X'),
+            DispatcherMsg::RelayRegistered { local, worker_id } => {
+                p.u8(b'r');
+                p.var(*local);
+                p.var(*worker_id);
+            }
+            DispatcherMsg::RelayAssign { worker, assignment } => {
+                p.u8(b'a');
+                p.var(*worker);
+                put_assignment(p, assignment);
+            }
+            DispatcherMsg::RelayCancel { worker, task_id } => {
+                p.u8(b'c');
+                p.var(*worker);
+                p.var(*task_id);
+            }
+        }
+    }
+
+    fn get(g: &mut Get<'_>) -> io::Result<Self> {
+        let msg = match g.u8() {
+            b'R' => DispatcherMsg::Registered { worker_id: g.var() },
+            b'A' => return get_assignment(g, None),
+            b'C' => DispatcherMsg::Cancel { task_id: g.var() },
+            b'X' => DispatcherMsg::Shutdown,
+            b'r' => DispatcherMsg::RelayRegistered {
+                local: g.var(),
+                worker_id: g.var(),
+            },
+            b'a' => {
+                let worker = g.var();
+                return get_assignment(g, Some(worker));
+            }
+            b'c' => DispatcherMsg::RelayCancel {
+                worker: g.var(),
+                task_id: g.var(),
+            },
+            _ => return Err(invalid()),
+        };
+        g.end()?;
+        Ok(msg)
+    }
+}
+
+/// The fields `Done` and `RelayDone` share.
+fn put_result(
+    p: &mut Put<'_>,
+    task: TaskId,
+    exit: i32,
+    wall_ms: u64,
+    out: &Option<String>,
+    trace: u64,
+) {
+    p.var(task);
+    p.zig(exit.into());
+    p.var(wall_ms);
+    p.bool(out.is_some());
+    if let Some(out) = out {
+        p.str(out);
+    }
+    p.u64le(trace);
+}
+
+fn get_output(g: &mut Get<'_>) -> Option<String> {
+    g.bool().then(|| g.str())
+}
+
+fn put_assignment(p: &mut Put<'_>, a: &TaskAssignment) {
+    p.var(a.task_id);
+    p.var(a.job_id);
+    match &a.kind {
+        TaskKind::Sequential { cmd } => {
+            p.u8(b'S');
+            put_cmd(p, cmd);
+        }
+        TaskKind::MpiProxy {
+            cmd,
+            ranks,
+            size,
+            pmi_addr,
+            pmi_jobid,
+        } => {
+            p.u8(b'M');
+            put_cmd(p, cmd);
+            p.count(ranks.len());
+            ranks.iter().for_each(|&r| p.var(r.into()));
+            p.var((*size).into());
+            p.str(pmi_addr);
+            p.str(pmi_jobid);
+        }
+    }
+    p.count(a.stage.len());
+    for file in &a.stage {
+        p.str(&file.source);
+        p.str(&file.name);
+    }
+    p.u64le(a.trace);
+}
+
+/// An `Assign`, or with `relay` a `RelayAssign`, read in full into plain
+/// locals and put together only once the frame has proved valid: the
+/// hottest decode builds its message (over 200 bytes) once, in place,
+/// instead of moving nested parts into it.
+fn get_assignment(g: &mut Get<'_>, relay: Option<u64>) -> io::Result<DispatcherMsg> {
+    let (task_id, job_id, kind) = (g.var(), g.var(), g.u8());
+    let (cmd, name, args) = (g.u8(), g.str(), g.list(Get::str));
+    let env = g.list(|g| (g.str(), g.str()));
+    let mpi = kind == b'M';
+    let (ranks, size, pmi_addr, pmi_jobid) = match mpi {
+        true => (g.list(Get::var_u32), g.var_u32(), g.str(), g.str()),
+        false => Default::default(),
+    };
+    let stage = g.list(|g| StageFile {
+        source: g.str(),
+        name: g.str(),
+    });
+    let trace = g.u64le();
+    if !matches!(kind, b'S' | b'M') || !matches!(cmd, b'E' | b'B') {
+        g.fail();
+    }
+    g.end()?;
+    let cmd = match cmd {
+        b'E' => CommandSpec::Exec {
+            program: name,
+            args,
+            env,
+        },
+        _ => CommandSpec::Builtin {
+            app: name,
+            args,
+            env,
+        },
+    };
+    let kind = match mpi {
+        true => TaskKind::MpiProxy {
+            cmd,
+            ranks,
+            size,
+            pmi_addr,
+            pmi_jobid,
+        },
+        false => TaskKind::Sequential { cmd },
+    };
+    let assignment = TaskAssignment {
+        task_id,
+        job_id,
+        kind,
+        stage,
+        trace,
+    };
+    Ok(match relay {
+        None => DispatcherMsg::Assign(assignment),
+        Some(worker) => DispatcherMsg::RelayAssign { worker, assignment },
+    })
+}
+
+fn put_cmd(p: &mut Put<'_>, cmd: &CommandSpec) {
+    p.u8(match cmd {
+        CommandSpec::Exec { .. } => b'E',
+        CommandSpec::Builtin { .. } => b'B',
+    });
+    p.str(cmd.name());
+    p.count(cmd.args().len());
+    cmd.args().iter().for_each(|arg| p.str(arg));
+    p.count(cmd.env().len());
+    for (key, value) in cmd.env() {
+        p.str(key);
+        p.str(value);
+    }
+}
+
+/// Encode one message as a newline-terminated frame into `buf` (cleared
+/// first, capacity kept) without touching any socket: the frame is
 /// queued on a nonblocking outbox instead of written inline, so the
-/// encoder must never block. Frames larger than [`MAX_FRAME_BYTES`]
-/// are refused with `InvalidData` before anything is queued.
-pub fn encode_msg_buf<M: Serialize>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
+/// encoder must never block. Frames larger than [`MAX_FRAME_BYTES`] are
+/// refused with `InvalidData` before anything is queued.
+pub fn encode_msg_buf<M: Wire>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
     buf.clear();
     encode_msg_append(msg, buf)
 }
 
-/// Append one newline-terminated JSON frame to `buf`, keeping whatever
-/// whole frames it already holds — how several messages become one
-/// `write`. A refused frame (encode error, or larger than
-/// [`MAX_FRAME_BYTES`]) is rolled back: `buf` never ends in a partial
-/// frame.
-fn encode_msg_append<M: Serialize>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
+/// Append one newline-terminated frame to `buf`, keeping whatever whole
+/// frames it already holds — how several messages become one `write`. A
+/// frame larger than [`MAX_FRAME_BYTES`] is rolled back: `buf` never ends
+/// in a partial frame.
+fn encode_msg_append<M: Wire>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
     let start = buf.len();
-    let encoded = serde_json::to_writer(&mut *buf, msg)
-        .map_err(io::Error::other)
-        .and_then(|()| {
-            buf.push(b'\n');
-            let len = buf.len() - start;
-            if len > MAX_FRAME_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("outgoing frame of {len} bytes exceeds MAX_FRAME_BYTES"),
-                ));
-            }
-            Ok(())
-        });
-    if encoded.is_err() {
+    msg.put(&mut Put(buf));
+    buf.push(END);
+    let len = buf.len() - start;
+    if len > MAX_FRAME_BYTES {
         buf.truncate(start);
-    }
-    encoded
-}
-
-/// Decode one already-reassembled frame body into a message. This is
-/// the read-side half of [`encode_msg_buf`] for reactor paths: the
-/// reactor delivers complete frames (trailing newline stripped), so no
-/// buffered reader is involved.
-pub fn decode_msg<M: DeserializeOwned>(frame: &[u8]) -> io::Result<M> {
-    let text =
-        std::str::from_utf8(frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    serde_json::from_str(text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-/// Read one JSON-line message; `Ok(None)` on clean EOF (allocates a fresh
-/// frame buffer; see [`read_msg_buf`] for the reusable-buffer variant).
-pub fn read_msg<M: DeserializeOwned>(reader: &mut impl BufRead) -> io::Result<Option<M>> {
-    read_msg_buf(reader, &mut Vec::new())
-}
-
-/// Read one JSON-line message into the reused `frame` buffer (emptied
-/// once the message is decoded, capacity kept); `Ok(None)` on clean EOF.
-/// A read that fails part-way — `WouldBlock`/`TimedOut` from a socket
-/// with a read timeout — leaves what arrived in `frame`, and the next
-/// call with the same buffer carries on from it, losing no byte. Frames
-/// longer than [`MAX_FRAME_BYTES`] yield `InvalidData` instead of
-/// growing without bound — the connection should be dropped, since the
-/// remainder of the oversized line is still in flight.
-pub fn read_msg_buf<M: DeserializeOwned>(
-    reader: &mut impl BufRead,
-    frame: &mut Vec<u8>,
-) -> io::Result<Option<M>> {
-    // `take` bounds how much one frame can pull in; one extra byte
-    // distinguishes "exactly at the cap" from "over it".
-    let room = (MAX_FRAME_BYTES + 1).saturating_sub(frame.len()) as u64;
-    let n = (&mut *reader).take(room).read_until(b'\n', frame)?;
-    if n == 0 && frame.is_empty() {
-        return Ok(None);
-    }
-    let msg = if frame.len() > MAX_FRAME_BYTES {
-        Err(io::Error::new(
+        return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "incoming frame exceeds MAX_FRAME_BYTES",
-        ))
-    } else {
-        decode_msg(frame)
-    };
-    frame.clear();
-    msg.map(Some)
+            format!("outgoing frame of {len} bytes exceeds MAX_FRAME_BYTES"),
+        ));
+    }
+    Ok(())
+}
+
+/// Decode one frame body (its trailing newline already stripped, as the
+/// reactor delivers frames) into a message. A frame that is not exactly
+/// one valid encoding — cut short, followed by trailing bytes, over the
+/// cap — is `InvalidData`.
+pub fn decode_msg<M: Wire>(frame: &[u8]) -> io::Result<M> {
+    if frame.len() >= MAX_FRAME_BYTES {
+        return Err(invalid());
+    }
+    M::get(&mut Get::new(frame))
 }
 
 /// A connection write half plus its reused encode buffer.
@@ -402,7 +702,7 @@ impl<W: Write> MsgWriter<W> {
 
     /// Encode one message behind the frames already queued, writing
     /// nothing. A refused message queues nothing.
-    pub fn queue<M: Serialize>(&mut self, msg: &M) -> io::Result<()> {
+    pub fn queue<M: Wire>(&mut self, msg: &M) -> io::Result<()> {
         encode_msg_append(msg, &mut self.buf)
     }
 
@@ -420,18 +720,14 @@ impl<W: Write> MsgWriter<W> {
     }
 
     /// Send one message (plus anything queued before it) now.
-    pub fn send<M: Serialize>(&mut self, msg: &M) -> io::Result<()> {
+    pub fn send<M: Wire>(&mut self, msg: &M) -> io::Result<()> {
         self.queue(msg)?;
         self.flush()
     }
 
     /// Send two messages as one write — a worker's `Done` and its next
     /// `Request`. Either both frames reach the writer or neither does.
-    pub fn send_pair<A: Serialize, B: Serialize>(
-        &mut self,
-        first: &A,
-        second: &B,
-    ) -> io::Result<()> {
+    pub fn send_pair<A: Wire, B: Wire>(&mut self, first: &A, second: &B) -> io::Result<()> {
         let mark = self.buf.len();
         if let Err(err) = self.queue(first).and_then(|()| self.queue(second)) {
             self.buf.truncate(mark);
@@ -468,11 +764,34 @@ impl<R: BufRead> MsgReader<R> {
         }
     }
 
-    /// Receive one message, reusing the internal frame buffer; `Ok(None)`
-    /// on clean EOF. As with [`read_msg_buf`], a frame cut short by a
-    /// read timeout is completed by the next call.
-    pub fn recv<M: DeserializeOwned>(&mut self) -> io::Result<Option<M>> {
-        read_msg_buf(&mut self.inner, &mut self.frame)
+    /// Receive one message, reusing the internal frame buffer (emptied
+    /// once the message is decoded, capacity kept); `Ok(None)` on clean
+    /// EOF, `UnexpectedEof` on an EOF inside a frame. A read that fails
+    /// part-way — `WouldBlock`/`TimedOut` from a socket with a read
+    /// timeout — leaves what arrived in the buffer, and the next call
+    /// carries on from it, losing no byte. Frames longer than
+    /// [`MAX_FRAME_BYTES`] yield `InvalidData` instead of growing without
+    /// bound — the connection should be dropped, since the remainder of
+    /// the oversized frame is still in flight.
+    pub fn recv<M: Wire>(&mut self) -> io::Result<Option<M>> {
+        let frame = &mut self.frame;
+        // `take` bounds how much one frame can pull in; one extra byte
+        // distinguishes "exactly at the cap" from "over it".
+        let room = (MAX_FRAME_BYTES + 1).saturating_sub(frame.len()) as u64;
+        let n = (&mut self.inner).take(room).read_until(END, frame)?;
+        if n == 0 && frame.is_empty() {
+            return Ok(None);
+        }
+        let msg = match frame.split_last() {
+            _ if frame.len() > MAX_FRAME_BYTES => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "incoming frame exceeds MAX_FRAME_BYTES",
+            )),
+            Some((&END, body)) => decode_msg(body),
+            _ => Err(io::ErrorKind::UnexpectedEof.into()),
+        };
+        frame.clear();
+        msg.map(Some)
     }
 
     /// Access the underlying reader (e.g. to set a socket read timeout).
@@ -486,12 +805,19 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
-    fn round_trip<M: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug>(msg: M) {
+    fn frame<M: Wire>(msg: &M) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_msg(&mut buf, &msg).unwrap();
-        let mut reader = BufReader::new(&buf[..]);
-        let back: M = read_msg(&mut reader).unwrap().unwrap();
+        encode_msg_buf(msg, &mut buf).unwrap();
+        buf
+    }
+
+    fn round_trip<M: Wire + PartialEq + std::fmt::Debug>(msg: M) {
+        let mut wire = Vec::new();
+        MsgWriter::new(&mut wire).send(&msg).unwrap();
+        let mut reader = MsgReader::new(&wire[..]);
+        let back: M = reader.recv().unwrap().unwrap();
         assert_eq!(back, msg);
+        assert!(reader.recv::<M>().unwrap().is_none());
     }
 
     #[test]
@@ -598,17 +924,17 @@ mod tests {
         });
     }
 
-    /// A batched frame for a big block must still be one line well under
-    /// the frame cap (the whole point of coalescing).
+    /// A batched frame for a big block must still be one frame well under
+    /// the cap (the whole point of coalescing).
     #[test]
     fn batched_heartbeat_scales_within_frame_cap() {
         let msg = WorkerMsg::BatchedHeartbeat {
             workers: (0..4096u64).collect(),
         };
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &msg).unwrap();
+        let wire = frame(&msg);
         assert!(wire.len() < MAX_FRAME_BYTES / 16);
-        let got: WorkerMsg = read_msg(&mut BufReader::new(&wire[..])).unwrap().unwrap();
+        assert_eq!(wire.iter().filter(|&&b| b == END).count(), 1);
+        let got: WorkerMsg = decode_msg(&wire[..wire.len() - 1]).unwrap();
         assert_eq!(got, msg);
     }
 
@@ -629,22 +955,25 @@ mod tests {
     #[test]
     fn eof_reads_as_none() {
         let empty: &[u8] = &[];
-        let mut reader = BufReader::new(empty);
-        let got: Option<WorkerMsg> = read_msg(&mut reader).unwrap();
+        let got: Option<WorkerMsg> = MsgReader::new(empty).recv().unwrap();
         assert!(got.is_none());
     }
 
     #[test]
     fn garbage_is_an_error_not_a_panic() {
-        let mut reader = BufReader::new(&b"not json\n"[..]);
-        let got: io::Result<Option<WorkerMsg>> = read_msg(&mut reader);
-        assert!(got.is_err());
+        let got = MsgReader::new(&b"not a frame\n"[..]).recv::<WorkerMsg>();
+        assert_eq!(got.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // A frame cut by EOF is no frame, even when its prefix would be.
+        let mut cut = frame(&WorkerMsg::Request);
+        cut.pop();
+        let got = MsgReader::new(&cut[..]).recv::<WorkerMsg>();
+        assert_eq!(got.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 
-    /// Both write paths must produce byte-identical frames, and each
-    /// read path must decode frames produced by either writer.
+    /// The writer and the reactor-side encoder put the same bytes on the
+    /// wire, and each read path decodes what the other side wrote.
     #[test]
-    fn legacy_and_buffered_paths_interoperate() {
+    fn writer_and_encoder_frames_interoperate() {
         let msg = WorkerMsg::Done {
             task_id: 7,
             exit_code: 0,
@@ -652,21 +981,13 @@ mod tests {
             output: Some("tail".into()),
             trace: 7,
         };
-        let mut legacy = Vec::new();
-        write_msg(&mut legacy, &msg).unwrap();
-        let mut buffered = Vec::new();
-        let mut buf = Vec::new();
-        write_msg_buf(&mut buffered, &msg, &mut buf).unwrap();
-        assert_eq!(legacy, buffered);
-
-        // legacy write → buffered read
-        let mut line = Vec::new();
-        let mut reader = BufReader::new(&legacy[..]);
-        let got: WorkerMsg = read_msg_buf(&mut reader, &mut line).unwrap().unwrap();
+        let mut written = Vec::new();
+        MsgWriter::new(&mut written).send(&msg).unwrap();
+        let encoded = frame(&msg);
+        assert_eq!(written, encoded);
+        let got: WorkerMsg = MsgReader::new(&encoded[..]).recv().unwrap().unwrap();
         assert_eq!(got, msg);
-        // buffered write → legacy read
-        let mut reader = BufReader::new(&buffered[..]);
-        let got: WorkerMsg = read_msg(&mut reader).unwrap().unwrap();
+        let got: WorkerMsg = decode_msg(&written[..written.len() - 1]).unwrap();
         assert_eq!(got, msg);
     }
 
@@ -736,9 +1057,8 @@ mod tests {
         let mut w = MsgWriter::new(CountingSink::default());
         w.send_pair(&done(5, None), &WorkerMsg::Request).unwrap();
         assert_eq!(w.get_ref().writes.len(), 1, "Done+Request share a write");
-        let mut separate = Vec::new();
-        write_msg(&mut separate, &done(5, None)).unwrap();
-        write_msg(&mut separate, &WorkerMsg::Request).unwrap();
+        let mut separate = frame(&done(5, None));
+        separate.extend(frame(&WorkerMsg::Request));
         assert_eq!(w.get_ref().writes[0], separate, "frames are unchanged");
         // queue + queue + flush is the same thing spelled out.
         w.queue(&done(6, None)).unwrap();
@@ -758,9 +1078,7 @@ mod tests {
         w.get_mut().fail_next = true;
         assert!(w.send_pair(&done(1, None), &WorkerMsg::Request).is_err());
         w.send(&WorkerMsg::Heartbeat).unwrap();
-        let mut only = Vec::new();
-        write_msg(&mut only, &WorkerMsg::Heartbeat).unwrap();
-        assert_eq!(w.get_ref().writes, vec![only]);
+        assert_eq!(w.get_ref().writes, vec![frame(&WorkerMsg::Heartbeat)]);
     }
 
     #[test]
@@ -772,22 +1090,20 @@ mod tests {
         assert!(w.send_pair(&WorkerMsg::Request, &huge).is_err());
         assert!(w.get_ref().writes.is_empty(), "nothing reached the wire");
         w.flush().unwrap();
-        let mut only = Vec::new();
-        write_msg(&mut only, &WorkerMsg::Heartbeat).unwrap();
+        let only = frame(&WorkerMsg::Heartbeat);
         assert_eq!(w.get_ref().writes, vec![only], "earlier frame intact");
     }
 
     #[test]
     fn oversized_incoming_frame_is_rejected_gracefully() {
-        // A line (sans newline) just over the cap must be InvalidData on
-        // both read paths, not an OOM or a panic.
+        // A frame just over the cap must be InvalidData, not an OOM or a
+        // panic, whether the reader or the reactor reassembled it.
         let mut wire = vec![b'x'; MAX_FRAME_BYTES + 16];
-        wire.push(b'\n');
-        let err = read_msg::<WorkerMsg>(&mut BufReader::new(&wire[..])).unwrap_err();
+        let err = decode_msg::<WorkerMsg>(&wire).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let mut frame = Vec::new();
-        let err =
-            read_msg_buf::<WorkerMsg>(&mut BufReader::new(&wire[..]), &mut frame).unwrap_err();
+        wire.push(END);
+        let mut r = MsgReader::new(BufReader::new(&wire[..]));
+        let err = r.recv::<WorkerMsg>().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -813,13 +1129,13 @@ mod tests {
             task_id: 7,
             exit_code: 0,
             wall_ms: 3,
-            output: Some("naïve".into()),
+            output: Some("naïve\n".into()),
             trace: 9,
         };
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &done).unwrap();
-        write_msg(&mut wire, &WorkerMsg::Request).unwrap();
-        // Every cut, the ones inside the two-byte `ï` included.
+        let mut wire = frame(&done);
+        wire.extend(frame(&WorkerMsg::Request));
+        // Every cut, the ones inside the two-byte `ï` and the escaped
+        // newline included.
         for cut in 1..wire.len() {
             let chunks = [&wire[..cut], &wire[cut..]];
             let mut r = MsgReader::new(BufReader::new(TimingOut(chunks.iter(), false)));
@@ -844,37 +1160,40 @@ mod tests {
             output: Some("y".repeat(MAX_FRAME_BYTES)),
             trace: 0,
         };
-        let mut sink = Vec::new();
-        let err = write_msg(&mut sink, &msg).unwrap_err();
+        let mut w = MsgWriter::new(Vec::new());
+        let err = w.send(&msg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(sink.is_empty(), "nothing may reach the wire");
+        assert!(w.get_ref().is_empty(), "nothing may reach the wire");
     }
 
     #[test]
     fn frame_at_the_cap_still_reads() {
-        // Exactly MAX_FRAME_BYTES including the newline is legal.
-        let payload = "z".repeat(MAX_FRAME_BYTES - "\"\"\n".len());
-        let mut wire = format!("{payload:?}").into_bytes();
-        wire.push(b'\n');
+        // Exactly MAX_FRAME_BYTES including the newline is legal: a `Done`
+        // whose output fills the frame (tag, task, exit, wall, `Some`,
+        // 4-byte length, output, trace, newline).
+        let output = "z".repeat(MAX_FRAME_BYTES - 18);
+        let msg = done(1, Some(output));
+        let wire = frame(&msg);
         assert_eq!(wire.len(), MAX_FRAME_BYTES);
-        let got: String = read_msg(&mut BufReader::new(&wire[..])).unwrap().unwrap();
-        assert_eq!(got.len(), payload.len());
+        let got: WorkerMsg = MsgReader::new(&wire[..]).recv().unwrap().unwrap();
+        assert_eq!(got, msg);
     }
 
     #[test]
     fn multiple_messages_stream() {
         let mut buf = Vec::new();
-        write_msg(&mut buf, &WorkerMsg::Request).unwrap();
-        write_msg(&mut buf, &WorkerMsg::Heartbeat).unwrap();
-        let mut reader = BufReader::new(&buf[..]);
+        let mut w = MsgWriter::new(&mut buf);
+        w.send(&WorkerMsg::Request).unwrap();
+        w.send(&WorkerMsg::Heartbeat).unwrap();
+        let mut reader = MsgReader::new(BufReader::new(&buf[..]));
         assert_eq!(
-            read_msg::<WorkerMsg>(&mut reader).unwrap().unwrap(),
+            reader.recv::<WorkerMsg>().unwrap().unwrap(),
             WorkerMsg::Request
         );
         assert_eq!(
-            read_msg::<WorkerMsg>(&mut reader).unwrap().unwrap(),
+            reader.recv::<WorkerMsg>().unwrap().unwrap(),
             WorkerMsg::Heartbeat
         );
-        assert!(read_msg::<WorkerMsg>(&mut reader).unwrap().is_none());
+        assert!(reader.recv::<WorkerMsg>().unwrap().is_none());
     }
 }

@@ -56,14 +56,10 @@ pub const BLOCKING_METHODS: &[&str] = &[
     "connect",
 ];
 
-/// Free functions / paths that block (`thread::sleep`, frame I/O).
-pub const BLOCKING_CALLS: &[&str] = &[
-    "sleep",
-    "read_msg",
-    "read_msg_buf",
-    "write_msg",
-    "write_msg_buf",
-];
+/// Free functions / paths that block (`thread::sleep`). Blocking frame
+/// I/O is a method call — `MsgReader::recv`, `MsgWriter::send` on a
+/// writer — and [`blocking_op_at`]'s method shapes catch it.
+pub const BLOCKING_CALLS: &[&str] = &["sleep"];
 
 /// `std::fs` functions that block on the disk, matched only when called
 /// through the module path (`fs::write(..)`): a bare `write` is also a
@@ -448,8 +444,8 @@ fn find_let_binding(toks: &[Tok], lo: usize, dot: usize) -> Option<(String, usiz
 /// If the token at `i` begins a blocking operation, describe it.
 /// Shapes: `.recv()`-style method calls from [`BLOCKING_METHODS`],
 /// `.send(` on a socket-writer receiver (channel sends are
-/// non-blocking for the unbounded channels used here), and free or
-/// method calls of the [`BLOCKING_CALLS`] frame helpers, and `fs::`-
+/// non-blocking for the unbounded channels used here), free or method
+/// calls of the [`BLOCKING_CALLS`], and `fs::`-
 /// qualified calls of the [`BLOCKING_FS`] functions. Shared by J2
 /// (blocking under a lock guard), J7 (blocking in a reactor callback),
 /// J8 (blocking in the ring writer path), and the taint seed.
@@ -478,9 +474,8 @@ pub fn blocking_op_at(toks: &[Tok], i: usize) -> Option<String> {
         }
         return None;
     }
-    // Exclude method position: `x.read_msg()` still counts, but
-    // `guard.recv()` is handled above; here we accept both free and
-    // method calls of the frame helpers.
+    // The ident itself, whatever precedes it: `sleep(..)`,
+    // `thread::sleep(..)` and `x.sleep(..)` all count.
     if t.kind == TokKind::Ident && BLOCKING_CALLS.contains(&t.text.as_str()) && is_called(toks, i) {
         return Some(format!("{}()", t.text));
     }

@@ -32,7 +32,7 @@
 //! | J3  | `relaxed`            | Relaxed store/swap on a cross-thread flag needs a reason |
 //! | J4  | `protocol`           | WorkerMsg/DispatcherMsg matches name every variant |
 //! | J5  | `exit-code`          | negative sentinel exit codes only in `spec.rs`    |
-//! | J6  | `unwrap`             | no unwrap/expect in connection-handler paths      |
+//! | J6  | `unwrap`             | no unwrap/expect in connection-handler paths or the wire decoder |
 //! | J7  | `reactor`            | no thread spawns in per-connection serve paths; no blocking calls (direct or transitive) in reactor callbacks |
 //! | J8  | `ring`               | flight-recorder writer path stays lock-free and allocation-free |
 //! | J10 | `protocol-parity`    | every protocol variant constructed is matched somewhere |
@@ -805,12 +805,15 @@ fn is_handler_fn(name: &str) -> bool {
         || name.contains("session")
 }
 
-/// The files that are handler scope as a whole.
-const PURE_CORES: [&str; 4] = [
+/// The files that are handler scope as a whole: the pure cores, and the
+/// wire codec — its primitives and the message codec built on them.
+const WHOLE_FILE_SCOPE: [&str; 6] = [
     "jets-core/src/core.rs",
     "jets-relay/src/core.rs",
     "jets-worker/src/core.rs",
     "jets-pmi/src/service.rs",
+    "jets-ring/src/codec.rs",
+    "jets-core/src/protocol.rs",
 ];
 
 fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
@@ -821,8 +824,12 @@ fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
     // The dispatcher's scheduling core, the relay's routing core, the
     // pilot's core and the PMI service (decode path included) are handler
     // scope as a whole: every transition in them runs on a frame, a
-    // disconnect or a replayed journal, whatever its name.
-    let all_handlers = PURE_CORES.iter().any(|core| file.path.ends_with(core));
+    // disconnect or a replayed journal, whatever its name. So is the wire
+    // codec, which reads every frame any peer sends before a handler
+    // sees it.
+    let all_handlers = WHOLE_FILE_SCOPE
+        .iter()
+        .any(|scoped| file.path.ends_with(scoped));
     for func in &file.funcs {
         if func.in_test || !(all_handlers || is_handler_fn(&func.name)) {
             continue;
@@ -1398,8 +1405,8 @@ mod tests {
     #[test]
     fn unwrap_in_handler_fires_j6() {
         let src = r#"
-            fn serve_worker(stream: TcpStream) {
-                let msg = read_msg(&mut stream).unwrap();
+            fn serve_worker(reader: MsgReader) {
+                let msg = reader.recv::<WorkerMsg>().unwrap();
             }
         "#;
         let f = lint_one(src);
@@ -1409,7 +1416,7 @@ mod tests {
     #[test]
     fn the_pure_cores_are_handler_scope_whatever_a_function_is_called() {
         let src = "fn tick(&mut self) { self.members.get(&0).unwrap(); }";
-        for core in PURE_CORES {
+        for core in WHOLE_FILE_SCOPE {
             let f = lint_sources(&[(PathBuf::from("crates").join(core), src.to_string())]);
             assert!(f.iter().any(|f| f.rule == Rule::J6), "{core}: {f:?}");
         }

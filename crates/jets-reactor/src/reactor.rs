@@ -14,8 +14,12 @@
 //! short mutex push plus one byte on the wake pipe. `Outbox::send`
 //! therefore never blocks and is safe under scheduler locks. A send
 //! made by the loop's own handlers while it dispatches events skips
-//! the pipe byte: the loop drains its inbox at the end of that same
-//! iteration, so a reply from `on_frame` costs no extra wakeup.
+//! the pipe byte: the loop flushes it as soon as the readiness event
+//! that produced it is handled, before the next ready connection's
+//! turn. A reply from `on_frame` costs no extra wakeup and does not wait
+//! for the rest of the iteration — so two loops, or a loop and its
+//! peers, overlap instead of taking turns. Frames that one event
+//! produces together still leave in one `write`.
 //! Handlers run on the loop thread and must not block — jets-lint rule
 //! J7 enforces that textually.
 
@@ -39,6 +43,9 @@ thread_local! {
     /// the loop that will run `drain_inbox` before it next sleeps; null
     /// on every other thread and outside the dispatch phase.
     static DISPATCHING: Cell<*const LoopShared> = const { Cell::new(std::ptr::null()) };
+    /// A handler of the dispatching loop kicked one of its outboxes:
+    /// the loop flushes before it handles the next event.
+    static KICKED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// What a handler wants done with its connection after a frame.
@@ -178,9 +185,11 @@ impl LoopShared {
     /// Ask the loop to revisit connection `id` (flush or teardown).
     pub(crate) fn kick(&self, id: u64) {
         lock(&self.inbox).kicks.push(id);
-        // Raised by this loop's own handler mid-dispatch: the inbox
-        // drain that ends the iteration picks it up, no wakeup needed.
-        if !DISPATCHING.with(|d| std::ptr::eq(d.get(), self)) {
+        // Raised by this loop's own handler mid-dispatch: the flush after
+        // the current event picks it up, no wakeup needed.
+        if DISPATCHING.with(|d| std::ptr::eq(d.get(), self)) {
+            KICKED.with(|k| k.set(true));
+        } else {
             self.wake();
         }
     }
@@ -410,6 +419,8 @@ fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, mut poller: Box<dy
     let mut entries: HashMap<u64, Entry> = HashMap::new();
     let mut events: Vec<Event> = Vec::new();
     let mut chunk = vec![0u8; READ_CHUNK];
+    // The kick list's spare buffer: taking the list costs no allocation.
+    let mut kicked: Vec<u64> = Vec::new();
     // If the waker cannot be registered the loop degrades to timed
     // polling so shutdown and kicks still land.
     let waker_armed = poller
@@ -442,12 +453,17 @@ fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, mut poller: Box<dy
             if ev.writable && entries.contains_key(&ev.token) {
                 flush_and_apply(&mut entries, poller.as_mut(), &router, ev.token);
             }
+            // Replies leave with the event that produced them.
+            if KICKED.with(|k| k.replace(false)) {
+                flush_kicked(&router, &shared, &mut entries, poller.as_mut(), &mut kicked);
+            }
         }
         // From here on a kick must write the pipe again: one raised
         // while the inbox drains (an `on_close` sending to a sibling)
         // lands after the drain took its snapshot.
         DISPATCHING.with(|d| d.set(std::ptr::null()));
-        drain_inbox(&router, &shared, &mut entries, poller.as_mut());
+        KICKED.with(|k| k.set(false));
+        drain_inbox(&router, &shared, &mut entries, poller.as_mut(), &mut kicked);
         if router.shutdown.load(Ordering::Acquire) {
             break;
         }
@@ -487,20 +503,15 @@ fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, mut poller: Box<dy
     inbox.kicks.clear();
 }
 
-/// Drain pending registrations and kicks pushed by other threads.
+/// Drain pending registrations, then every kick still pending.
 fn drain_inbox(
     router: &Arc<Router>,
     shared: &Arc<LoopShared>,
     entries: &mut HashMap<u64, Entry>,
     poller: &mut dyn Poller,
+    kicked: &mut Vec<u64>,
 ) {
-    let (new, kicks) = {
-        let mut inbox = lock(&shared.inbox);
-        (
-            std::mem::take(&mut inbox.new),
-            std::mem::take(&mut inbox.kicks),
-        )
-    };
+    let new = std::mem::take(&mut lock(&shared.inbox).new);
     for inj in new {
         match inj {
             Injected::Conn {
@@ -556,7 +567,20 @@ fn drain_inbox(
             }
         }
     }
-    for id in kicks {
+    flush_kicked(router, shared, entries, poller, kicked);
+}
+
+/// Flush every connection a kick names. The list trades buffers with
+/// `spare`, so neither is ever freed.
+fn flush_kicked(
+    router: &Arc<Router>,
+    shared: &LoopShared,
+    entries: &mut HashMap<u64, Entry>,
+    poller: &mut dyn Poller,
+    spare: &mut Vec<u64>,
+) {
+    std::mem::swap(spare, &mut lock(&shared.inbox).kicks);
+    for id in spare.drain(..) {
         flush_and_apply(entries, poller, router, id);
     }
 }
@@ -735,6 +759,9 @@ mod tests {
         frames: Mutex<Vec<Vec<u8>>>,
         closes: Mutex<Vec<CloseReason>>,
         outboxes: Mutex<Vec<Arc<Outbox>>>,
+        /// `WitnessConn`'s notes: (wakeups so far, bytes the other
+        /// connections had queued) per frame.
+        witnessed: Mutex<Vec<(u64, usize)>>,
     }
 
     impl Probe {
@@ -986,9 +1013,48 @@ mod tests {
         }
     }
 
-    /// One event loop serving `EchoConn`s, so every connection is a
-    /// sibling on the same loop.
-    fn start_echo() -> (Reactor, Arc<Probe>, SocketAddr) {
+    /// Echoes like `EchoConn`, but first notes the loop's wakeup count
+    /// and how many bytes every other connection still has queued. A
+    /// `stall` frame holds the loop up, so that frames sent meanwhile
+    /// are all ready at its next wait.
+    struct WitnessConn {
+        probe: Arc<Probe>,
+        stats: Arc<ReactorStats>,
+        outbox: Option<Arc<Outbox>>,
+    }
+
+    impl ConnHandler for WitnessConn {
+        fn on_open(&mut self, outbox: &Arc<Outbox>) {
+            lock(&self.probe.outboxes).push(outbox.clone());
+            self.outbox = Some(outbox.clone());
+        }
+
+        fn on_frame(&mut self, frame: &[u8]) -> Flow {
+            if frame == b"stall" {
+                thread::sleep(Duration::from_millis(100));
+                return Flow::Continue;
+            }
+            let Some(me) = &self.outbox else {
+                return Flow::Close;
+            };
+            let others = lock(&self.probe.outboxes)
+                .iter()
+                .filter(|other| !Arc::ptr_eq(me, other))
+                .map(|other| other.queued())
+                .sum();
+            lock(&self.probe.witnessed).push((self.stats.wakeups(), others));
+            me.send(&[frame, b"\n"].concat());
+            Flow::Continue
+        }
+
+        fn on_close(&mut self, _reason: CloseReason) {}
+    }
+
+    /// One event loop serving the handlers `make` builds, so every
+    /// connection is a sibling on the same loop.
+    fn start_one_loop(
+        make: impl Fn(Arc<Probe>, Arc<ReactorStats>) -> Box<dyn ConnHandler> + Send + Sync + 'static,
+    ) -> (Reactor, Arc<Probe>, SocketAddr) {
         let reactor = Reactor::start(ReactorConfig {
             event_loops: 1,
             ..ReactorConfig::default()
@@ -997,19 +1063,23 @@ mod tests {
         let probe = Arc::new(Probe::default());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let p = probe.clone();
+        let (p, stats) = (probe.clone(), reactor.stats());
         reactor
             .listen(
                 listener,
-                Arc::new(move |_stream, _peer| {
-                    Some(Box::new(EchoConn {
-                        probe: p.clone(),
-                        outbox: None,
-                    }) as Box<dyn ConnHandler>)
-                }),
+                Arc::new(move |_stream, _peer| Some(make(p.clone(), stats.clone()))),
             )
             .unwrap();
         (reactor, probe, addr)
+    }
+
+    fn start_echo() -> (Reactor, Arc<Probe>, SocketAddr) {
+        start_one_loop(|probe, _| {
+            Box::new(EchoConn {
+                probe,
+                outbox: None,
+            })
+        })
     }
 
     /// Connect and wait until the loop has registered the connection.
@@ -1055,6 +1125,47 @@ mod tests {
             "{wakeups} wakeups for {ROUNDS} round trips"
         );
         assert_eq!(reactor.stats().frames_in(), ROUNDS + 1);
+    }
+
+    /// Replies leave with the event that produced them: of two
+    /// connections readable in one iteration, the one handled second
+    /// finds the first one's reply already written, not queued behind
+    /// the rest of the iteration.
+    #[test]
+    fn a_reply_is_flushed_before_the_next_event_is_handled() {
+        let (_reactor, probe, addr) = start_one_loop(|probe, stats| {
+            let outbox = None;
+            Box::new(WitnessConn {
+                probe,
+                stats,
+                outbox,
+            })
+        });
+        let mut staller = echo_client(addr, &probe, 1);
+        let mut a = echo_client(addr, &probe, 2);
+        let mut b = echo_client(addr, &probe, 3);
+        let mut one_iteration = 0;
+        for round in 0..10 {
+            lock(&probe.witnessed).clear();
+            staller.write_all(b"stall\n").unwrap();
+            // Give the loop time to enter the stall.
+            thread::sleep(Duration::from_millis(20));
+            a.write_all(b"a\n").unwrap();
+            b.write_all(b"b\n").unwrap();
+            assert_eq!(read_line(&mut a), b"a");
+            assert_eq!(read_line(&mut b), b"b");
+            let seen = lock(&probe.witnessed).clone();
+            assert_eq!(seen.len(), 2, "round {round}");
+            assert!(
+                seen.iter().all(|&(_, queued)| queued == 0),
+                "round {round}: a sibling's reply was still queued: {seen:?}"
+            );
+            one_iteration += usize::from(seen[0].0 == seen[1].0);
+        }
+        assert!(
+            one_iteration > 0,
+            "the two frames never shared an iteration"
+        );
     }
 
     /// A send from a thread that is not the loop still wakes it.

@@ -13,11 +13,12 @@
 //!   the upstream session are state machines on one `jets-reactor` loop.
 //!   A frame is decoded, handed to the core under the state lock, and
 //!   whatever the core emits is encoded onto the target connection's
-//!   bounded outbox before the callback returns; the loop drains the
-//!   outboxes at the end of the same iteration. A member's `Done` and
-//!   `Request`, read in one segment, therefore leave upstream as
-//!   `RelayDone` + `RelayRequest` in one `write` with no thread hand-off,
-//!   and a `RelayAssign` reaches its member the same way.
+//!   bounded outbox before the callback returns; the loop writes those
+//!   outboxes as soon as the readiness event is handled, before it turns
+//!   to the next connection. A member's `Done` and `Request`, read in one
+//!   segment, therefore leave upstream as `RelayDone` + `RelayRequest` in
+//!   one `write` with no thread hand-off, and a `RelayAssign` reaches its
+//!   member the same way.
 //! * **the housekeeping thread** (`relay-keeper`) — everything that
 //!   blocks: connect upstream with the worker agent's backoff policy,
 //!   adopt the socket onto the loop ([`Reactor::add_stream`]), then sleep
@@ -756,7 +757,7 @@ mod tests {
     /// A member that reports and re-requests in one segment (what the
     /// agent's paired send produces) reaches the dispatcher the same way:
     /// `RelayDone` then `RelayRequest`, in that order, in one `read` — the
-    /// pair crosses the relay inside one loop iteration. The dispatcher
+    /// pair crosses the relay inside one readiness event. The dispatcher
     /// here is a scripted socket, so the upstream bytes are observable.
     #[test]
     fn coalesced_done_and_request_keep_their_order_upstream() {

@@ -25,8 +25,10 @@
 //!
 //! Zero dependencies, `std` only. As the workspace's leaf crate it also
 //! carries [`stdx`]: the poison-ignoring locks and the seeded generator
-//! the other crates use in place of third-party ones.
+//! the other crates use in place of third-party ones; and [`codec`], the
+//! put/get primitives the dispatcher ⇄ worker wire protocol is written in.
 
+pub mod codec;
 mod region;
 mod ring;
 pub mod stdx;

@@ -8,7 +8,7 @@
 //! Linux-only: the thread census reads `/proc/self/status`.
 #![cfg(target_os = "linux")]
 
-use jets::core::protocol::{read_msg, write_msg, DispatcherMsg, WorkerMsg};
+use jets::core::protocol::{DispatcherMsg, MsgReader, MsgWriter, WorkerMsg};
 use jets::core::{Dispatcher, DispatcherConfig};
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -44,18 +44,16 @@ fn thread_bill_is_o_event_loops_at_512_connections() {
     let mut conns = Vec::with_capacity(CONNS);
     for i in 0..CONNS {
         let sock = TcpStream::connect(&addr).unwrap();
-        let mut writer = sock.try_clone().unwrap();
-        let mut reader = BufReader::new(sock);
-        write_msg(
-            &mut writer,
-            &WorkerMsg::Register {
+        let mut writer = MsgWriter::new(sock.try_clone().unwrap());
+        let mut reader = MsgReader::new(BufReader::new(sock));
+        writer
+            .send(&WorkerMsg::Register {
                 name: format!("scale-{i}"),
                 cores: 1,
                 location: "scale".to_string(),
-            },
-        )
-        .unwrap();
-        let ack: Option<DispatcherMsg> = read_msg(&mut reader).unwrap();
+            })
+            .unwrap();
+        let ack: Option<DispatcherMsg> = reader.recv().unwrap();
         assert!(
             matches!(ack, Some(DispatcherMsg::Registered { .. })),
             "connection {i}: expected Registered ack, got {ack:?}"
