@@ -3,12 +3,12 @@
 //! [`Core`] is the paper's scheduler (§5, Figs. 3–5): match queued jobs
 //! to parked pilots, ship, collect, requeue on failure. It is single-
 //! threaded and owns no resource. Every entry point takes the caller's
-//! `now` plus one input — a submitted batch, a registration, parked
-//! requests, a result, a lost worker or relay, a claim, a released fence,
-//! a tick, a replayed write-ahead log — and everything it causes leaves
-//! through the [`Effects`] the caller passes in: frames to pilots, the
-//! per-gang PMI service, and one [`Fact`] per lifecycle fact, emitted
-//! exactly once at the transition that makes it true.
+//! `now` plus one input — a submitted batch, a registration, a request,
+//! a heartbeat, a result, a lost worker or relay, a claim, a released
+//! fence, a tick, a replayed write-ahead log — and everything it causes
+//! leaves through the [`Effects`] the caller passes in: frames to
+//! pilots, the per-gang PMI service, and one [`Fact`] per lifecycle
+//! fact, emitted exactly once at the transition that makes it true.
 //!
 //! What this file may not contain (CI greps for it): a clock read, a
 //! lock, a thread, a socket, a file, the write-ahead log, the event ring
@@ -30,7 +30,7 @@ use crate::protocol::{
 };
 use crate::queue::{JobQueue, QueuePolicy, QueuedJob};
 use crate::ready::ReadyList;
-use crate::registry::{HeartbeatHandle, QuarantinePolicy, Registry, WorkerState};
+use crate::registry::{QuarantinePolicy, Registry, WorkerState};
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_pmi::{ManualLauncher, RankLayout};
 use jets_ring::stdx::splitmix64;
@@ -443,20 +443,19 @@ impl Core {
     }
 
     /// Register a worker reachable directly (`relay: None`) or through a
-    /// relay; returns its id and liveness handle. A name with too many
-    /// recent gang-kills is admitted benched.
+    /// relay; returns its id. A name with too many recent gang-kills is
+    /// admitted benched.
     pub fn register<E: Effects>(
         &mut self,
         now: Instant,
         (name, cores, location): (String, u32, String),
         relay: Option<WorkerId>,
         fx: &mut E,
-    ) -> (WorkerId, HeartbeatHandle) {
+    ) -> WorkerId {
         let worker = self.next_worker;
         self.next_worker += 1;
         let reconnect = self.registry.known_name(&name);
-        let hb = self
-            .registry
+        self.registry
             .insert(worker, name, cores, location, relay, now);
         fx.fact(Fact::WorkerUp { worker, reconnect });
         if let Some(WorkerState::Quarantined { until_ms }) =
@@ -469,7 +468,7 @@ impl Core {
                 until_ms,
             }));
         }
-        (worker, hb)
+        worker
     }
 
     /// A relay connected; returns its id.
@@ -480,28 +479,37 @@ impl Core {
         relay
     }
 
-    /// Move `Request`s into the ready list. Only workers still idle
-    /// enter (duplicates are suppressed); one that died since asking is
-    /// skipped, and a benched worker's request is *held* — [`Core::tick`]
-    /// replays it when the bench expires, so it never has to re-request.
-    pub fn park(&mut self, workers: &[WorkerId]) {
-        for &worker in workers {
-            match self.registry.get(worker).map(|w| (w.state, w.loc)) {
-                Some((WorkerState::Idle, loc)) => {
-                    self.ready.park(worker, loc);
-                }
-                Some((WorkerState::Quarantined { .. }, _)) => {
-                    if !self.quarantined_ready.contains(&worker) {
-                        self.quarantined_ready.push(worker);
-                    }
-                }
-                Some((WorkerState::Busy(_) | WorkerState::Dead, _)) | None => {}
+    /// `worker` asked for work: it parks and a scheduling pass runs. Only
+    /// an idle worker enters the ready list (a duplicate is suppressed);
+    /// a dead or busy one's request is dropped, and a benched worker's is
+    /// *held* — [`Core::tick`] replays it when the bench expires, so it
+    /// never has to re-request.
+    pub fn request<E: Effects>(&mut self, now: Instant, worker: WorkerId, fx: &mut E) {
+        self.registry.touch(worker, now);
+        match self.registry.get(worker).map(|w| (w.state, w.loc)) {
+            Some((WorkerState::Idle, loc)) => {
+                self.ready.park(worker, loc);
             }
+            Some((WorkerState::Quarantined { .. }, _)) => {
+                if !self.quarantined_ready.contains(&worker) {
+                    self.quarantined_ready.push(worker);
+                }
+            }
+            Some((WorkerState::Busy(_) | WorkerState::Dead, _)) | None => {}
+        }
+        self.schedule(now, fx);
+    }
+
+    /// `workers` were heard from: a heartbeat, or a relay's batch of
+    /// them. Nothing is decided until the next [`Core::tick`].
+    pub fn heard(&mut self, now: Instant, workers: &[WorkerId]) {
+        for &worker in workers {
+            self.registry.touch(worker, now);
         }
     }
 
     /// Match queued jobs against parked workers until nothing fits.
-    pub fn schedule<E: Effects>(&mut self, now: Instant, fx: &mut E) {
+    fn schedule<E: Effects>(&mut self, now: Instant, fx: &mut E) {
         // Reconciliation window: no new launches until surviving workers
         // have claimed their in-flight tasks (or the window expires).
         if self.recovery.is_some() {
@@ -715,7 +723,8 @@ impl Core {
         output: Option<String>,
         fx: &mut E,
     ) {
-        self.registry.mark_idle(worker, now);
+        self.registry.touch(worker, now);
+        self.registry.mark_idle(worker);
         let Some(&job) = self.tasks.get(&task) else {
             return;
         };
@@ -1065,6 +1074,7 @@ impl Core {
         (task, job): (TaskId, JobId),
         fx: &mut E,
     ) -> bool {
+        self.registry.touch(worker, now);
         let Some(rs) = self.recovery.as_mut() else {
             return false;
         };

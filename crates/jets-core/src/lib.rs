@@ -26,8 +26,8 @@
 //!   one per line).
 //! * [`queue`] — FIFO job queue, plus the priority/backfill policy the
 //!   paper lists as future work (ablated in `bench/ablation_queue`).
-//! * [`registry`] — worker bookkeeping; liveness is lock-free per-worker
-//!   atomics ([`registry::HeartbeatHandle`]).
+//! * [`registry`] — worker bookkeeping; liveness is each worker's
+//!   last-seen clock, refreshed by the core's inputs from that worker.
 //! * [`group`] — worker-group selection: first-come-first-served (the
 //!   paper's default) or location-aware (future work, ablated), over
 //!   interned location ids.

@@ -8,11 +8,8 @@
 //! name constants here are shared with `jets events --stats`, so offline
 //! percentile tables and live scrapes use identical metric names.
 //!
-//! Deliberately absent: a heartbeats counter. Worker liveness is one
-//! relaxed store into a *per-worker* atomic precisely so a heartbeat
-//! storm shares no cache line across connections; a single shared
-//! counter would reintroduce that contention for a number nobody pages
-//! on. The monitor samples liveness-derived gauges instead.
+//! Deliberately absent: a heartbeats counter, a number nobody pages on.
+//! The monitor samples liveness-derived gauges instead.
 
 use jets_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -63,10 +60,7 @@ pub struct DispatcherMetrics {
     /// Connections currently registered on the reactor's event loops
     /// (workers + relays + anything else the reactor multiplexes).
     pub reactor_connections: Arc<Gauge>,
-    /// Event-loop threads the reactor runs — the dispatcher's whole
-    /// connection-handling thread bill, independent of connections.
-    pub reactor_event_loops: Arc<Gauge>,
-    /// Readiness wakeups across all event loops.
+    /// Readiness wakeups of the event loop.
     pub reactor_wakeups_total: Arc<Counter>,
     /// High-water mark of any single connection's bounded outbox.
     pub reactor_outbox_high_water_bytes: Arc<Gauge>,
@@ -175,7 +169,6 @@ impl DispatcherMetrics {
                 "jets_reactor_connections",
                 "Connections registered on the reactor event loops",
             ),
-            reactor_event_loops: r.gauge("jets_reactor_event_loops", "Reactor event-loop threads"),
             reactor_wakeups_total: r.counter(
                 "jets_reactor_wakeups_total",
                 "Readiness wakeups across all event loops",
@@ -277,7 +270,6 @@ mod tests {
             "jets_quarantined_current",
             "jets_relays_current",
             "jets_reactor_connections",
-            "jets_reactor_event_loops",
             "jets_reactor_wakeups_total",
             "jets_reactor_outbox_high_water_bytes",
             "jets_reactor_slow_consumer_disconnects_total",

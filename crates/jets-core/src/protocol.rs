@@ -142,8 +142,8 @@ pub enum WorkerMsg {
     /// Coalesced liveness for a relay's whole block: one periodic frame
     /// replaces per-worker `Heartbeat` traffic upstream. Each listed
     /// worker was heard from recently at the relay; the dispatcher feeds
-    /// every id into the same lock-free AtomicU64 liveness path a direct
-    /// heartbeat takes.
+    /// the ids of members this relay registered to the core as one
+    /// heartbeat input.
     BatchedHeartbeat {
         /// Dispatcher-assigned ids of workers the relay vouches for.
         workers: Vec<u64>,

@@ -3,17 +3,16 @@
 //! Workers are persistent pilot jobs; the dispatcher tracks each one from
 //! registration to death. Death is detected two ways, per the paper's
 //! fault-tolerance feature ("JETS automatically disregards workers that
-//! fail or hang"): the connection dropping (fail) and heartbeat silence
-//! (hang).
+//! fail or hang"): the connection dropping (fail) and silence (hang).
 //!
-//! ## Liveness is lock-free
+//! ## Liveness is plain core state
 //!
-//! Last-seen tracking lives in one `AtomicU64` per worker (milliseconds
-//! since the registry's epoch), shared between the registry and the
-//! worker's connection thread through a [`HeartbeatHandle`]. A heartbeat
-//! storm from ten thousand pilots therefore never touches the scheduling
-//! lock — each `Heartbeat` message is a single relaxed atomic store. The
-//! monitor thread reads the same atomics when hunting for hung workers.
+//! Each worker's last-seen clock is a `u64` of milliseconds since the
+//! registry's epoch, in its [`WorkerInfo`]. The core refreshes it on
+//! every input it takes from that worker — registration, `Request`,
+//! `Done`, a claim, a heartbeat ([`Registry::touch`]) — and
+//! [`Registry::stale`] reads it on the monitor tick. The dispatcher takes
+//! every input on one event loop, so nothing here is shared or atomic.
 //!
 //! ## No clock in here
 //!
@@ -25,44 +24,7 @@
 use crate::group::{LocId, LocationInterner};
 use crate::spec::{JobId, WorkerId};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A lock-free handle to one worker's last-seen clock.
-///
-/// Cloned into the worker's connection thread at registration;
-/// [`HeartbeatHandle::beat`] is the entire cost of a `Heartbeat` message.
-#[derive(Debug, Clone)]
-pub struct HeartbeatHandle {
-    /// Milliseconds since `epoch` at which the worker was last heard.
-    last_seen_ms: Arc<AtomicU64>,
-    /// The registry's shared epoch.
-    epoch: Instant,
-}
-
-impl HeartbeatHandle {
-    fn new(epoch: Instant, now: Instant) -> Self {
-        let h = HeartbeatHandle {
-            last_seen_ms: Arc::new(AtomicU64::new(0)),
-            epoch,
-        };
-        h.beat(now);
-        h
-    }
-
-    /// Record "heard from at `now`". Lock-free; safe from any thread.
-    pub fn beat(&self, now: Instant) {
-        // jets-lint: allow(relaxed) monotonic liveness clock: the monitor tolerates a stale read (one extra tick of apparent silence); no data is published through this store
-        self.last_seen_ms
-            .store(ms_between(self.epoch, now), Ordering::Relaxed);
-    }
-
-    /// Milliseconds, at `now`, since this worker was last heard from.
-    pub fn silence_ms(&self, now: Instant) -> u64 {
-        ms_between(self.epoch, now).saturating_sub(self.last_seen_ms.load(Ordering::Relaxed))
-    }
-}
 
 /// Whole milliseconds from `epoch` to `now`, zero if `now` is earlier.
 fn ms_between(epoch: Instant, now: Instant) -> u64 {
@@ -142,8 +104,9 @@ pub struct WorkerInfo {
     pub loc: LocId,
     /// Current state.
     pub state: WorkerState,
-    /// Lock-free last-seen clock, shared with the connection thread.
-    pub liveness: HeartbeatHandle,
+    /// When the worker was last heard from, in milliseconds since the
+    /// registry's epoch.
+    pub last_seen_ms: u64,
     /// Completed task count.
     pub tasks_done: u64,
     /// The relay this worker registered through (`None` for a direct
@@ -185,11 +148,10 @@ impl Registry {
         }
     }
 
-    /// Record a worker registered at `now` through `relay` (`None` for a
-    /// direct connection), returning its liveness handle for the
-    /// connection thread. Admitted `Idle` unless the name has
-    /// `threshold`+ live strikes under the quarantine policy, in which
-    /// case it starts `Quarantined`.
+    /// Record a worker registered (and so heard from) at `now` through
+    /// `relay` (`None` for a direct connection). Admitted `Idle` unless
+    /// the name has `threshold`+ live strikes under the quarantine
+    /// policy, in which case it starts `Quarantined`.
     pub fn insert(
         &mut self,
         id: WorkerId,
@@ -198,9 +160,8 @@ impl Registry {
         location: String,
         relay: Option<WorkerId>,
         now: Instant,
-    ) -> HeartbeatHandle {
+    ) {
         let loc = self.locations.intern(&location);
-        let liveness = HeartbeatHandle::new(self.epoch, now);
         let state = self.admission_state(&name, now);
         self.seen_names.insert(name.clone());
         self.workers.insert(
@@ -212,12 +173,11 @@ impl Registry {
                 location,
                 loc,
                 state,
-                liveness: liveness.clone(),
+                last_seen_ms: ms_between(self.epoch, now),
                 tasks_done: 0,
                 relay,
             },
         );
-        liveness
     }
 
     /// Ids of live workers registered through `relay`, in id order.
@@ -323,20 +283,19 @@ impl Registry {
         &self.locations
     }
 
-    /// Update a worker's liveness timestamp. Lock-free once you hold the
-    /// worker's [`HeartbeatHandle`]; this by-id variant is for callers
-    /// that only have the registry.
-    pub fn touch(&self, id: WorkerId, now: Instant) {
-        if let Some(w) = self.workers.get(&id) {
-            w.liveness.beat(now);
+    /// The worker was heard from at `now`.
+    pub fn touch(&mut self, id: WorkerId, now: Instant) {
+        if let Some(w) = self.workers.get_mut(&id) {
+            w.last_seen_ms = ms_between(self.epoch, now);
         }
     }
 
-    /// Transition a worker to `Busy(job)`.
+    /// Transition a worker to `Busy(job)`. An assignment restarts its
+    /// silence clock.
     pub fn mark_busy(&mut self, id: WorkerId, job: JobId, now: Instant) {
         if let Some(w) = self.workers.get_mut(&id) {
             w.state = WorkerState::Busy(job);
-            w.liveness.beat(now);
+            w.last_seen_ms = ms_between(self.epoch, now);
         }
     }
 
@@ -344,17 +303,12 @@ impl Registry {
     /// Dead and quarantined workers stay put: a late `Done` (stale report
     /// after a hang verdict or a cancellation) must not resurrect or
     /// un-bench them.
-    pub fn mark_idle(&mut self, id: WorkerId, now: Instant) {
+    pub fn mark_idle(&mut self, id: WorkerId) {
         if let Some(w) = self.workers.get_mut(&id) {
-            match w.state {
-                WorkerState::Busy(_) => {
-                    w.tasks_done += 1;
-                    w.state = WorkerState::Idle;
-                }
-                WorkerState::Idle => {}
-                WorkerState::Quarantined { .. } | WorkerState::Dead => return,
+            if let WorkerState::Busy(_) = w.state {
+                w.tasks_done += 1;
+                w.state = WorkerState::Idle;
             }
-            w.liveness.beat(now);
         }
     }
 
@@ -370,15 +324,15 @@ impl Registry {
         job
     }
 
-    /// Workers not seen for longer than `timeout` at `now` (hang
+    /// Workers not heard from for longer than `timeout` at `now` (hang
     /// detection), in id order. Does not report already-dead workers.
-    /// Reads only the per-worker atomics — no worker's connection thread
-    /// is ever blocked by this.
     pub fn stale(&self, now: Instant, timeout: Duration) -> Vec<WorkerId> {
-        let timeout_ms = timeout.as_millis() as u64;
+        let (now, timeout_ms) = (ms_between(self.epoch, now), timeout.as_millis() as u64);
+        let silent = |w: &&WorkerInfo| now.saturating_sub(w.last_seen_ms) > timeout_ms;
         self.workers
             .values()
-            .filter(|w| w.state != WorkerState::Dead && w.liveness.silence_ms(now) > timeout_ms)
+            .filter(|w| w.state != WorkerState::Dead)
+            .filter(silent)
             .map(|w| w.id)
             .collect()
     }
@@ -455,7 +409,7 @@ mod tests {
         r.mark_busy(1, 77, t0);
         assert_eq!(r.get(1).unwrap().state, WorkerState::Busy(77));
         assert_eq!(r.busy_count(), 1);
-        r.mark_idle(1, t0);
+        r.mark_idle(1);
         assert_eq!(r.get(1).unwrap().state, WorkerState::Idle);
         assert_eq!(r.get(1).unwrap().tasks_done, 1);
     }
@@ -464,7 +418,7 @@ mod tests {
     fn idle_to_idle_does_not_inflate_task_count() {
         let t0 = Instant::now();
         let mut r = reg_with(t0, &[1]);
-        r.mark_idle(1, t0);
+        r.mark_idle(1);
         assert_eq!(r.get(1).unwrap().tasks_done, 0);
     }
 
@@ -490,19 +444,26 @@ mod tests {
         assert!(r.stale(at(t0, 15), Duration::from_millis(5)).is_empty());
     }
 
-    /// A heartbeat handle keeps a worker fresh without any registry call
-    /// — the lock-free path the dispatcher's heartbeat handling uses.
+    /// No clock, lock, atomic or thread: liveness is a field the core
+    /// writes on its own inputs.
     #[test]
-    fn heartbeat_handle_is_shared_with_the_registry() {
+    fn the_registry_is_pure() {
+        jets_ring::stdx::assert_pure(include_str!("registry.rs"), &["Atomic"]);
+    }
+
+    /// A touch restarts the silence clock to the millisecond, and a
+    /// reading from before the last touch counts no silence at all.
+    #[test]
+    fn a_touch_restarts_the_silence_clock() {
         let t0 = Instant::now();
-        let mut r = Registry::new(t0, None);
-        let hb = r.insert(1, "w1".into(), 1, "rack-0".into(), None, t0);
-        assert_eq!(r.stale(at(t0, 15), Duration::from_millis(5)), vec![1]);
-        hb.beat(at(t0, 15));
-        assert!(r.stale(at(t0, 18), Duration::from_millis(5)).is_empty());
-        assert_eq!(hb.silence_ms(at(t0, 18)), 3);
-        // A reading from before the last beat saturates to zero.
-        assert_eq!(hb.silence_ms(at(t0, 10)), 0);
+        let mut r = reg_with(t0, &[1]);
+        let timeout = Duration::from_millis(5);
+        assert_eq!(r.stale(at(t0, 15), timeout), vec![1]);
+        r.touch(1, at(t0, 15));
+        assert_eq!(r.get(1).unwrap().last_seen_ms, 15);
+        assert!(r.stale(at(t0, 20), timeout).is_empty());
+        assert_eq!(r.stale(at(t0, 21), timeout), vec![1]);
+        assert!(r.stale(at(t0, 10), timeout).is_empty());
     }
 
     #[test]
@@ -566,7 +527,7 @@ mod tests {
         // Quarantined still counts as alive, and a stale Done does not
         // un-bench it.
         assert_eq!(r.alive_count(), 1);
-        r.mark_idle(3, at(t0, 8));
+        r.mark_idle(3);
         assert!(matches!(
             r.get(3).unwrap().state,
             WorkerState::Quarantined { .. }
@@ -647,7 +608,7 @@ mod tests {
         let mut r = Registry::new(t0, None);
         r.touch(9, t0);
         r.mark_busy(9, 1, t0);
-        r.mark_idle(9, t0);
+        r.mark_idle(9);
         assert_eq!(r.mark_dead(9), None);
         assert!(r.get(9).is_none());
     }

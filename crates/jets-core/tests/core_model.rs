@@ -28,7 +28,7 @@ use jets_core::journal::{self, Record};
 use jets_core::protocol::{
     TaskAssignment, EXIT_CANCELED, EXIT_DEADLINE, EXIT_UNDELIVERABLE, EXIT_WORKER_LOST,
 };
-use jets_core::registry::{HeartbeatHandle, QuarantinePolicy, WorkerState};
+use jets_core::registry::{QuarantinePolicy, WorkerState};
 use jets_core::spec::{CommandSpec, JobId, JobSpec, TaskId, WorkerId};
 use jets_core::stats::measured_utilization;
 use jets_core::{GroupingPolicy, QueuePolicy};
@@ -508,17 +508,21 @@ impl Bench {
     }
 
     /// Register a direct worker and park its first `Request`.
-    fn worker(&mut self, name: &str) -> (WorkerId, HeartbeatHandle) {
+    fn worker(&mut self, name: &str) -> WorkerId {
         let now = self.now();
         let who = (name.to_string(), 1, "rack".to_string());
-        let (id, hb) = self.core.register(now, who, None, &mut self.fx);
+        let id = self.core.register(now, who, None, &mut self.fx);
         self.request(id);
-        (id, hb)
+        id
     }
 
     fn request(&mut self, worker: WorkerId) {
-        self.core.park(&[worker]);
-        self.core.schedule(self.now(), &mut self.fx);
+        self.core.request(self.now(), worker, &mut self.fx);
+    }
+
+    /// A heartbeat from each of `workers`, as one input (a relay's batch).
+    fn heard(&mut self, workers: &[WorkerId]) {
+        self.core.heard(self.now(), workers);
     }
 
     fn submit(&mut self, spec: JobSpec) -> JobId {
@@ -577,7 +581,7 @@ fn gang(nodes: u32) -> JobSpec {
 #[test]
 fn a_nonzero_exit_without_retry_budget_fails_the_job() {
     let mut b = Bench::new();
-    let (w, _) = b.worker("a");
+    let w = b.worker("a");
     let id = b.submit(seq());
     let (_, task) = b.assigned();
     b.done(w, task, 1);
@@ -601,11 +605,11 @@ fn a_job_larger_than_the_pool_waits_until_workers_arrive() {
 #[test]
 fn a_failed_attempt_requeues_with_budget_and_steers_away_from_the_blamed_worker() {
     let mut b = Bench::new();
-    let (a, _) = b.worker("a");
+    let a = b.worker("a");
     let id = b.submit(gang(2).with_retries(1));
-    let (c, _) = b.worker("c");
+    let c = b.worker("c");
     let shipped = b.sent();
-    let (d, _) = b.worker("d");
+    let d = b.worker("d");
     // `a` reports a failure, its peer `c` a success: the attempt fails
     // when the last member is in, and only `a` is blamed.
     let [Sent::Assign { task, .. }, Sent::Assign { task: peer, .. }] = shipped[..] else {
@@ -617,13 +621,13 @@ fn a_failed_attempt_requeues_with_budget_and_steers_away_from_the_blamed_worker(
         Status::Running,
         "a gang waits for every member"
     );
+    // The blamed `a` asks again at once and `e` registers after it, so
+    // when the attempt fails the ready list is [d, a, e]: oldest-first
+    // would hand the retry to `a`.
+    b.request(a);
+    let e = b.worker("e");
     b.done(c, peer, 0);
-    assert_eq!(b.job(id), (Status::Pending, 1, &[9, 0][..]));
     assert_eq!(b.fx.requeues, 1);
-    // Everyone asks again, the blamed worker first: the retry takes the
-    // two it does not blame (`d` has been parked all along).
-    b.core.park(&[a, c]);
-    b.core.schedule(b.now(), &mut b.fx);
     let workers = |sent: Vec<Sent>| -> Vec<WorkerId> {
         let worker = |s: &Sent| match *s {
             Sent::Assign { worker, .. } => worker,
@@ -631,8 +635,9 @@ fn a_failed_attempt_requeues_with_budget_and_steers_away_from_the_blamed_worker(
         };
         sent.iter().map(worker).collect()
     };
-    assert_eq!(workers(b.sent()), [d, c], "excluded hint honoured");
+    assert_eq!(workers(b.sent()), [d, e], "excluded hint honoured");
     assert_eq!(b.job(id).1, 2);
+    assert!(b.core.ready().contains(a), "the blamed worker stays parked");
     // The hint is best effort: with only the blamed worker left, it runs.
     let lone = b.submit(seq().with_retries(1));
     let (w, task) = b.assigned();
@@ -650,19 +655,19 @@ fn a_failed_attempt_requeues_with_budget_and_steers_away_from_the_blamed_worker(
 #[test]
 fn worker_death_fails_the_job_without_budget_and_requeues_it_with() {
     let mut b = Bench::new();
-    let (a, _) = b.worker("a");
+    let a = b.worker("a");
     let doomed = b.submit(seq());
     b.core.worker_down(b.now(), a, &mut b.fx);
     assert_eq!(b.job(doomed), (Status::Failed, 1, &[EXIT_WORKER_LOST][..]));
     assert_eq!(b.state(a), WorkerState::Dead);
     // Idempotent: the hang detector may report the same death again.
     b.core.worker_down(b.now(), a, &mut b.fx);
-    let (c, _) = b.worker("c");
+    let c = b.worker("c");
     let lucky = b.submit(seq().with_retries(2));
     b.sent();
     b.core.worker_down(b.now(), c, &mut b.fx);
     assert_eq!(b.job(lucky), (Status::Pending, 1, &[EXIT_WORKER_LOST][..]));
-    let (e, _) = b.worker("e");
+    let e = b.worker("e");
     let (w, task) = b.assigned();
     assert_eq!(w, e);
     b.done(e, task, 0);
@@ -672,8 +677,8 @@ fn worker_death_fails_the_job_without_budget_and_requeues_it_with() {
 #[test]
 fn an_undeliverable_assignment_tears_the_gang_down_and_requeues() {
     let mut b = Bench::new();
-    let (a, _) = b.worker("a");
-    let (c, _) = b.worker("c");
+    let a = b.worker("a");
+    let c = b.worker("c");
     b.fx.ghosts.insert(c);
     let id = b.submit(gang(2).with_retries(1));
     let sent = b.sent();
@@ -695,8 +700,8 @@ fn an_undeliverable_assignment_tears_the_gang_down_and_requeues() {
 #[test]
 fn a_pmi_service_that_cannot_start_fails_the_job_and_frees_the_workers() {
     let mut b = Bench::new();
-    let (a, _) = b.worker("a");
-    let (c, _) = b.worker("c");
+    let a = b.worker("a");
+    let c = b.worker("c");
     b.fx.pmi_fail = true;
     let id = b.submit(gang(2).with_retries(3));
     assert_eq!(b.job(id), (Status::Failed, 1, &[][..]));
@@ -711,9 +716,9 @@ fn relay_death_downs_every_member_and_only_its_members() {
     let mut members = Vec::new();
     for name in ["m0", "m1", "m2"] {
         let who = (name.to_string(), 1, "rack".to_string());
-        members.push(b.core.register(b.now(), who, Some(relay), &mut b.fx).0);
+        members.push(b.core.register(b.now(), who, Some(relay), &mut b.fx));
     }
-    let (direct, _) = b.worker("direct");
+    let direct = b.worker("direct");
     b.sent();
     b.request(members[0]);
     let id = b.submit(seq());
@@ -737,7 +742,7 @@ fn relay_death_downs_every_member_and_only_its_members() {
 #[test]
 fn a_deadline_ends_the_attempt_with_exit_deadline_and_charges_one_retry() {
     let mut b = Bench::new();
-    let (a, _) = b.worker("a");
+    let a = b.worker("a");
     let id = b.submit(
         seq()
             .with_deadline(Duration::from_millis(50))
@@ -776,7 +781,7 @@ fn quarantine_holds_a_request_and_replays_it_when_the_bench_expires() {
     let mut b = Bench::new();
     // Two deaths mid-task earn the name two strikes.
     for _ in 0..2 {
-        let (w, _) = b.worker("flaky");
+        let w = b.worker("flaky");
         b.submit(seq());
         b.core.worker_down(b.now(), w, &mut b.fx);
     }
@@ -789,7 +794,7 @@ fn quarantine_holds_a_request_and_replays_it_when_the_bench_expires() {
     // The third registration is benched for penalty × strikes = 60 ms:
     // its Request is held, and a queued job waits.
     b.sent();
-    let (w, _) = b.worker("flaky");
+    let w = b.worker("flaky");
     assert_eq!(b.state(w), WorkerState::Quarantined { until_ms: 60 });
     let id = b.submit(seq());
     b.advance(59);
@@ -808,15 +813,15 @@ fn quarantine_holds_a_request_and_replays_it_when_the_bench_expires() {
 #[test]
 fn heartbeat_silence_downs_the_worker_and_cancels_its_gang() {
     let mut b = Bench::new();
-    let (a, hb_a) = b.worker("a");
-    let (c, _silent) = b.worker("c");
+    let a = b.worker("a");
+    let c = b.worker("c");
     let id = b.submit(gang(2).with_retries(1));
     let sent = b.sent();
     let Sent::Assign { task: task_a, .. } = sent[0] else {
         panic!()
     };
     b.advance(HEARTBEAT_TIMEOUT_MS);
-    hb_a.beat(b.now());
+    b.heard(&[a]);
     b.tick();
     assert_eq!(
         b.state(c),
@@ -824,7 +829,7 @@ fn heartbeat_silence_downs_the_worker_and_cancels_its_gang() {
         "silent for exactly the timeout: not yet"
     );
     b.advance(1);
-    hb_a.beat(b.now());
+    b.heard(&[a]);
     b.tick();
     assert_eq!(b.state(c), WorkerState::Dead);
     assert_eq!(
@@ -844,6 +849,102 @@ fn heartbeat_silence_downs_the_worker_and_cancels_its_gang() {
     };
     b.done(c, task_c, 0);
     assert_eq!(b.state(c), WorkerState::Dead);
+}
+
+/// Liveness is an input like any other: a worker that does nothing but
+/// beat outlives the timeout many times over, busy or idle.
+#[test]
+fn a_worker_heard_only_through_heartbeats_stays_alive_past_the_timeout() {
+    let mut b = Bench::new();
+    let a = b.worker("a");
+    let idle = b.worker("idle");
+    let id = b.submit(seq());
+    assert_eq!(b.assigned().0, a);
+    for _ in 0..10 {
+        b.advance(HEARTBEAT_TIMEOUT_MS / 2);
+        b.heard(&[a]);
+        b.heard(&[idle]);
+        b.tick();
+    }
+    assert_eq!(b.fx.now_ms, 5 * HEARTBEAT_TIMEOUT_MS);
+    assert!(b.fx.downs.is_empty(), "downed {:?}", b.fx.downs);
+    assert_eq!(b.state(a), WorkerState::Busy(id));
+    assert_eq!(b.state(idle), WorkerState::Idle);
+    assert!(b.core.ready().contains(idle));
+}
+
+/// A silent worker is downed on the first tick past the timeout — not
+/// one millisecond earlier — and only once, however many ticks follow.
+#[test]
+fn a_silent_worker_is_downed_exactly_once_on_the_first_tick_past_the_timeout() {
+    let mut b = Bench::new();
+    let loud = b.worker("loud");
+    b.advance(10);
+    let silent = b.worker("silent");
+    b.advance(HEARTBEAT_TIMEOUT_MS);
+    b.heard(&[loud]);
+    b.tick();
+    assert!(b.fx.downs.is_empty(), "silent for exactly the timeout");
+    b.advance(1);
+    b.tick();
+    assert_eq!(std::mem::take(&mut b.fx.downs), [silent]);
+    assert_eq!(b.state(silent), WorkerState::Dead);
+    assert!(!b.core.ready().contains(silent));
+    for _ in 0..5 {
+        b.advance(HEARTBEAT_TIMEOUT_MS);
+        b.heard(&[loud]);
+        b.tick();
+    }
+    assert!(b.fx.downs.is_empty(), "downed again: {:?}", b.fx.downs);
+    // A heartbeat from the dead does not resurrect it.
+    b.heard(&[silent]);
+    b.tick();
+    assert_eq!(b.state(silent), WorkerState::Dead);
+    assert_eq!(b.state(loud), WorkerState::Idle);
+}
+
+/// A relay's members are heard through its batches alone, under the
+/// same rules: one batch keeps every member it names alive, and a member
+/// the batches stop naming is downed once, on the first tick past the
+/// timeout, its gang with it.
+#[test]
+fn a_relayed_member_kept_alive_only_by_batched_heartbeats_follows_the_same_rules() {
+    let mut b = Bench::new();
+    let relay = b.core.relay_up(&mut b.fx);
+    let members: Vec<WorkerId> = ["m0", "m1", "m2"]
+        .iter()
+        .map(|name| {
+            let who = (name.to_string(), 1, "rack".to_string());
+            let id = b.core.register(b.now(), who, Some(relay), &mut b.fx);
+            b.request(id);
+            id
+        })
+        .collect();
+    let id = b.submit(gang(2).with_retries(1));
+    assert_eq!(b.sent().len(), 2, "m0 and m1 run the gang");
+    for _ in 0..4 {
+        b.advance(HEARTBEAT_TIMEOUT_MS / 2);
+        b.heard(&members);
+        b.tick();
+    }
+    assert!(b.fx.downs.is_empty(), "downed {:?}", b.fx.downs);
+    // The relay stops vouching for m1.
+    let batch = [members[0], members[2]];
+    b.advance(HEARTBEAT_TIMEOUT_MS);
+    b.heard(&batch);
+    b.tick();
+    assert!(b.fx.downs.is_empty(), "silent for exactly the timeout");
+    b.advance(1);
+    b.heard(&batch);
+    b.tick();
+    assert_eq!(std::mem::take(&mut b.fx.downs), [members[1]]);
+    assert_eq!(b.job(id).0, Status::Pending, "the gang went down with it");
+    b.advance(HEARTBEAT_TIMEOUT_MS);
+    b.heard(&batch);
+    b.tick();
+    assert!(b.fx.downs.is_empty(), "downed again: {:?}", b.fx.downs);
+    assert_ne!(b.state(members[0]), WorkerState::Dead);
+    assert_ne!(b.state(members[2]), WorkerState::Dead);
 }
 
 /// Five jobs on two workers, crashed with two in flight.
@@ -874,7 +975,7 @@ fn queued_jobs_replay_and_a_clean_finish_leaves_nothing_to_replay() {
         2,
         "a Cancel per unclaimed orphan, to ids nobody holds"
     );
-    let (w, _) = b.worker("n");
+    let w = b.worker("n");
     let fresh = b.submit(seq());
     assert!(fresh > ids[4]);
     // Drain everything; the journal then proves every job terminal.
@@ -900,7 +1001,7 @@ fn the_reconcile_window_expires_into_a_requeue_with_the_attempt_refunded() {
     b.advance(RECONCILE_WINDOW_MS - 1);
     b.tick();
     assert!(b.core.recovering());
-    let (w, _) = b.worker("late");
+    let w = b.worker("late");
     assert!(b.sent().is_empty(), "no launches while the window is open");
     b.advance(1);
     b.tick();
@@ -926,7 +1027,7 @@ fn the_window_closes_early_once_every_orphan_is_claimed_or_reported() {
     // One survivor re-registers and claims its task; a wrong claim is
     // refused (the caller answers with a Cancel).
     let who = ("a".to_string(), 1, "rack".to_string());
-    let (a, _) = b.core.register(b.now(), who, None, &mut b.fx);
+    let a = b.core.register(b.now(), who, None, &mut b.fx);
     let (job, task) = orphans[0];
     assert!(!b.core.claim(b.now(), a, (task, job + 100), &mut b.fx));
     assert!(b.core.claim(b.now(), a, (task, job), &mut b.fx));
@@ -934,7 +1035,7 @@ fn the_window_closes_early_once_every_orphan_is_claimed_or_reported() {
     assert!(b.core.recovering(), "one orphan still out");
     // The other finished during the outage and replays its result.
     let who = ("c".to_string(), 1, "rack".to_string());
-    let (c, _) = b.core.register(b.now(), who, None, &mut b.fx);
+    let c = b.core.register(b.now(), who, None, &mut b.fx);
     let (job2, task2) = orphans[1];
     b.done(c, task2, 0);
     assert_eq!(b.job(job2), (Status::Succeeded, 1, &[0][..]));
@@ -951,7 +1052,7 @@ fn the_window_closes_early_once_every_orphan_is_claimed_or_reported() {
 fn the_facts_tell_the_story_in_order() {
     let mut b = Bench::new();
     b.fx.trace = Some(Vec::new());
-    let (w, _) = b.worker("a");
+    let w = b.worker("a");
     b.submit(seq());
     let (_, task) = b.assigned();
     b.done(w, task, 0);
@@ -1007,8 +1108,8 @@ struct Pilot {
     name: String,
     /// The relay it sits behind, if any.
     relay: Option<usize>,
-    /// This session's id and liveness handle; `None` while disconnected.
-    link: Option<(WorkerId, HeartbeatHandle)>,
+    /// This session's id; `None` while disconnected.
+    link: Option<WorkerId>,
     running: Option<Run>,
     /// Results that found no wire to go out on: replayed after the next
     /// registration, like the agent's stash.
@@ -1058,9 +1159,7 @@ impl World {
     }
 
     fn pilot_of(&self, worker: WorkerId) -> Option<usize> {
-        self.pilots
-            .iter()
-            .position(|p| p.link.as_ref().is_some_and(|l| l.0 == worker))
+        self.pilots.iter().position(|p| p.link == Some(worker))
     }
 
     /// One input went into the core: let the pilots react to what it
@@ -1130,7 +1229,7 @@ impl World {
 
     /// `Done`, then `Request` — or the stash, with no wire to send on.
     fn report(&mut self, p: usize, task: TaskId, exit_code: i32) {
-        let Some(worker) = self.pilots[p].link.as_ref().map(|l| l.0) else {
+        let Some(worker) = self.pilots[p].link else {
             return self.pilots[p].stashed.push((task, exit_code));
         };
         self.b.done(worker, task, exit_code);
@@ -1174,8 +1273,8 @@ impl World {
         };
         let who = (pilot.name.clone(), 1, format!("rack{}", p % 2));
         let now = self.b.now();
-        let (worker, hb) = self.b.core.register(now, who, relay, &mut self.b.fx);
-        self.pilots[p].link = Some((worker, hb));
+        let worker = self.b.core.register(now, who, relay, &mut self.b.fx);
+        self.pilots[p].link = Some(worker);
         // The claim rides in the same write as the registration. Refused,
         // the dispatcher answers `Cancel`: the pilot kills the zombie and
         // says so.
@@ -1201,7 +1300,7 @@ impl World {
 
     /// The session's connection is gone and the dispatcher has noticed.
     fn disconnect(&mut self, p: usize) {
-        if let Some((worker, _)) = self.pilots[p].link.take() {
+        if let Some(worker) = self.pilots[p].link.take() {
             self.b
                 .core
                 .worker_down(self.b.now(), worker, &mut self.b.fx);
@@ -1255,16 +1354,14 @@ impl World {
         self.settle();
     }
 
-    /// Time passes: healthy pilots beat, dead connections are noticed,
-    /// due tasks report.
+    /// Time passes: healthy pilots beat (one heartbeat input for them
+    /// all), dead connections are noticed, due tasks report.
     fn pass_time(&mut self) {
         self.b.advance(self.rng.gen_range(0..12));
         let now = self.b.now();
-        for pilot in self.pilots.iter().filter(|p| p.alive && !p.hung) {
-            if let Some((_, hb)) = &pilot.link {
-                hb.beat(now);
-            }
-        }
+        let healthy = self.pilots.iter().filter(|p| p.alive && !p.hung);
+        let beating: Vec<WorkerId> = healthy.filter_map(|p| p.link).collect();
+        self.b.heard(&beating);
         // A connection that died last step is noticed now.
         for worker in std::mem::take(&mut self.b.fx.ghosts) {
             self.b.core.worker_down(now, worker, &mut self.b.fx);
@@ -1295,7 +1392,7 @@ impl World {
             // The connection dies silently: sends to it fail until the
             // dispatcher notices, next step.
             75..=79 => {
-                if let Some((worker, _)) = self.pilots[p].link.take() {
+                if let Some(worker) = self.pilots[p].link.take() {
                     self.b.fx.ghosts.insert(worker);
                 }
             }
@@ -1472,10 +1569,7 @@ fn replay_one_case_with_its_trace() {
         println!("{line}");
     }
     for p in &w.pilots {
-        let (link, run) = (
-            p.link.as_ref().map(|l| l.0),
-            p.running.as_ref().map(|r| r.task),
-        );
+        let (link, run) = (p.link, p.running.as_ref().map(|r| r.task));
         println!(
             "{}: worker {link:?}, task {run:?}, alive {}, hung {}",
             p.name, p.alive, p.hung

@@ -3,10 +3,13 @@
 //! These drive the real TCP socket path with raw-protocol workers using
 //! the buffered wire API ([`MsgReader`]/[`MsgWriter`]), exercising:
 //!
-//! * many workers × many short jobs submitted as one batch (`Request`
-//!   bursts coalesce into batched scheduling passes);
-//! * a heartbeat flood running concurrently with scheduling — heartbeats
-//!   are lock-free, so the flood must not stall job completion;
+//! * many workers × many short jobs submitted as one batch, and a burst
+//!   of `Request`s parked before any job exists, which one submission
+//!   must drain;
+//! * a heartbeat flood running concurrently with scheduling — each
+//!   heartbeat is one input on the dispatcher's one event loop, and the
+//!   loop takes one frame per connection per readiness event, so the
+//!   flood must not stall job completion;
 //! * oversized frames, which must drop the offending connection without
 //!   taking the dispatcher down;
 //! * a worker's `Done` and next `Request` arriving as one segment, or
@@ -95,8 +98,8 @@ fn loopback_many_workers_many_short_jobs() {
     assert_eq!(total, JOBS, "every job ran exactly once");
 }
 
-/// Workers all park *before* any job exists, so submission releases one
-/// burst of parked `Request`s through the coalesced scheduling path.
+/// Workers all park *before* any job exists, so the one scheduling pass
+/// of the submission must place every job on the parked workers.
 #[test]
 fn request_burst_before_submission_is_fully_absorbed() {
     const WORKERS: usize = 8;
@@ -124,8 +127,8 @@ fn request_burst_before_submission_is_fully_absorbed() {
 }
 
 /// Registered workers hammer heartbeats as fast as the socket allows
-/// while other workers churn through a batch. Heartbeat handling is
-/// lock-free, so the flood must not stall scheduling.
+/// while other workers churn through a batch. Heartbeats share the event
+/// loop with everything else, so the flood must not stall scheduling.
 #[test]
 fn heartbeat_flood_does_not_stall_scheduling() {
     const FLOODERS: usize = 4;

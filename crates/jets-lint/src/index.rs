@@ -115,19 +115,6 @@ pub struct FnFacts {
     pub blocking: Vec<BlockSite>,
 }
 
-/// One appearance of `Enum::Variant` for a protocol enum.
-#[derive(Debug, Clone)]
-pub struct VariantUse {
-    pub enum_name: String,
-    pub variant: String,
-    pub line: u32,
-    /// The use sits in pattern position (match arm, `let` / `if let`
-    /// binding pattern, `matches!` argument) rather than being a
-    /// construction.
-    pub is_pattern: bool,
-    pub in_test: bool,
-}
-
 /// One source file prepared for analysis: pass-1 output.
 pub struct FileIndex {
     pub path: PathBuf,
@@ -141,14 +128,11 @@ pub struct FileIndex {
     pub funcs: Vec<FnFacts>,
     /// Protocol enum definitions found in this file.
     pub enum_defs: Vec<(String, BTreeSet<String>)>,
-    /// Protocol `Enum::Variant` uses (constructions and patterns).
-    pub variant_uses: Vec<VariantUse>,
     /// `(atomic-field, function)` pairs for `.load(` sites (rule J3).
     pub atomic_loads: Vec<(String, String)>,
 }
 
-/// Enum names whose matches must be exhaustive and whose constructed
-/// variants must be matched somewhere (rules J4 / J10).
+/// Enum names whose matches must be exhaustive (rule J4).
 pub const PROTOCOL_ENUMS: &[&str] = &["WorkerMsg", "DispatcherMsg"];
 
 /// Derive the owning crate from a path: the component after `crates`,
@@ -179,8 +163,6 @@ pub fn index_file(path: PathBuf, src: &str) -> FileIndex {
         extract_fn_facts(&lexed.toks, f);
     }
     let enum_defs = collect_enum_defs(&lexed.toks);
-    let pattern_mask = compute_pattern_mask(&lexed.toks);
-    let variant_uses = collect_variant_uses(&lexed.toks, &pattern_mask, &test_mask, file_is_test);
     let atomic_loads = collect_atomic_loads_file(&lexed.toks, &funcs);
     FileIndex {
         path,
@@ -189,7 +171,6 @@ pub fn index_file(path: PathBuf, src: &str) -> FileIndex {
         file_is_test,
         funcs,
         enum_defs,
-        variant_uses,
         atomic_loads,
     }
 }
@@ -801,98 +782,6 @@ pub fn parse_match(toks: &[Tok], match_idx: usize, limit: usize) -> Option<Match
         line: toks[match_idx].line,
         arms,
     })
-}
-
-/// Mark every token index that sits in *pattern position*: match-arm
-/// patterns, the pattern of `let` / `if let` / `while let` bindings
-/// (tokens between `let` and the `=`), and `matches!(..)` argument
-/// lists. Everything else mentioning `Enum::Variant` is a construction.
-fn compute_pattern_mask(toks: &[Tok]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_ident("match") {
-            if let Some(m) = parse_match(toks, i, toks.len()) {
-                for arm in &m.arms {
-                    for k in arm.clone() {
-                        mask[k] = true;
-                    }
-                }
-            }
-        } else if t.is_ident("let") {
-            // `let PAT = …` / `if let PAT = …` / `while let PAT = …`:
-            // mark until the `=` at bracket depth 0 (stop at `;` or
-            // `{` for safety on `let … else` and malformed input).
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                    depth += 1;
-                } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                } else if depth == 0 && (t.is_punct("=") || t.is_punct(";")) {
-                    break;
-                }
-                mask[j] = true;
-                j += 1;
-            }
-        } else if t.is_ident("matches")
-            && toks.get(i + 1).map(|n| n.is_punct("!")).unwrap_or(false)
-            && toks.get(i + 2).map(|n| n.is_punct("(")).unwrap_or(false)
-        {
-            let mut depth = 1i32;
-            let mut j = i + 3;
-            while j < toks.len() && depth > 0 {
-                if toks[j].is_punct("(") {
-                    depth += 1;
-                } else if toks[j].is_punct(")") {
-                    depth -= 1;
-                }
-                if depth > 0 {
-                    mask[j] = true;
-                }
-                j += 1;
-            }
-        }
-        i += 1;
-    }
-    mask
-}
-
-/// Collect every `Enum::Variant` appearance for the protocol enums,
-/// classified as pattern or construction.
-fn collect_variant_uses(
-    toks: &[Tok],
-    pattern_mask: &[bool],
-    test_mask: &[bool],
-    file_is_test: bool,
-) -> Vec<VariantUse> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].kind == TokKind::Ident
-            && PROTOCOL_ENUMS.contains(&toks[i].text.as_str())
-            && toks[i + 1].is_punct("::")
-            && toks[i + 2].kind == TokKind::Ident
-        {
-            out.push(VariantUse {
-                enum_name: toks[i].text.clone(),
-                variant: toks[i + 2].text.clone(),
-                line: toks[i].line,
-                is_pattern: pattern_mask[i] || pattern_mask[i + 2],
-                in_test: file_is_test || test_mask[i],
-            });
-            i += 3;
-            continue;
-        }
-        i += 1;
-    }
-    out
 }
 
 /// `(atomic-field, enclosing-function)` pairs for every `.load(` with

@@ -2,8 +2,8 @@
 //!
 //! The dispatcher and relay are built around a handful of concurrency
 //! invariants that ordinary type checking cannot see: the rule that no
-//! lock is held across blocking socket I/O, the `AcqRel` doorbell
-//! discipline around `Ordering::Relaxed` atomics, exhaustive handling
+//! lock is held across blocking socket I/O, the discipline around
+//! `Ordering::Relaxed` atomics, exhaustive handling
 //! of every protocol envelope, and the negative exit-code registry.
 //! This crate turns those prose invariants (see
 //! `docs/static-analysis.md`) into a machine-checked pass that runs as
@@ -17,8 +17,7 @@
 //! pass 2 ([`callgraph`]) stitches the summaries into a name-based call
 //! graph and derives blocking taint. The rules are per-file; J2 and J7
 //! additionally fire *through* the graph on calls to blocking-tainted
-//! helpers (with the witness chain in the diagnostic), and J10 reads
-//! the whole set. Each rule is deliberately narrow: it targets the
+//! helpers (with the witness chain in the diagnostic). Each rule is deliberately narrow: it targets the
 //! exact shape of the invariant in this codebase, preferring a missed
 //! exotic case over a false positive that trains people to sprinkle
 //! suppressions.
@@ -35,7 +34,6 @@
 //! | J6  | `unwrap`             | no unwrap/expect in connection-handler paths or the wire decoder |
 //! | J7  | `reactor`            | no thread spawns in per-connection serve paths; no blocking calls (direct or transitive) in reactor callbacks |
 //! | J8  | `ring`               | flight-recorder writer path stays lock-free and allocation-free |
-//! | J10 | `protocol-parity`    | every protocol variant constructed is matched somewhere |
 //!
 //! Suppression syntax (the reason is mandatory):
 //!
@@ -84,9 +82,6 @@ pub enum Rule {
     /// heap allocation inside a flight-recorder writer-path function
     /// (`push*`/`record*`/`encode*` in ring-scoped files).
     J8,
-    /// Protocol parity: a `WorkerMsg`/`DispatcherMsg` variant is
-    /// constructed somewhere but matched nowhere.
-    J10,
 }
 
 impl Rule {
@@ -101,7 +96,6 @@ impl Rule {
             Rule::J6 => "unwrap",
             Rule::J7 => "reactor",
             Rule::J8 => "ring",
-            Rule::J10 => "protocol-parity",
         }
     }
 
@@ -116,7 +110,6 @@ impl Rule {
             Rule::J6 => "J6",
             Rule::J7 => "J7",
             Rule::J8 => "J8",
-            Rule::J10 => "J10",
         }
     }
 }
@@ -131,7 +124,6 @@ const ALLOW_KEYS: &[&str] = &[
     "unwrap",
     "reactor",
     "ring",
-    "protocol-parity",
 ];
 
 pub use index::SUPPRESSION_REACH;
@@ -201,7 +193,7 @@ type EnumDefs = BTreeMap<String, BTreeSet<String>>;
 
 /// Lint in-memory sources: `(path, contents)` pairs. This is the core
 /// entry point; [`lint_paths`] reads files and delegates here. Enum
-/// definitions for rules J4/J10 and cross-function load sites for rule
+/// definitions for rule J4 and cross-function load sites for rule
 /// J3 are resolved across the whole set, so fixtures can carry their
 /// own mini enum definitions.
 pub fn lint_sources(sources: &[(PathBuf, String)]) -> Vec<Finding> {
@@ -249,7 +241,6 @@ pub fn lint_sources(sources: &[(PathBuf, String)]) -> Vec<Finding> {
         sup.sort_by_key(|s| s.line);
         suppressions.push((fi, sup));
     }
-    rule_protocol_parity(&files, &enums, &mut findings);
 
     // Apply suppressions per file.
     let mut kept = Vec::new();
@@ -1099,54 +1090,6 @@ fn rule_ring_writer(file: &FileIndex, findings: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// J10: protocol parity — constructed variants must be matched.
-// ---------------------------------------------------------------------------
-
-fn rule_protocol_parity(files: &[FileIndex], enums: &EnumDefs, findings: &mut Vec<Finding>) {
-    // Which (enum, variant) pairs are matched (pattern position) in
-    // non-test code anywhere in the analysis set?
-    let mut matched: BTreeSet<(&str, &str)> = BTreeSet::new();
-    for file in files {
-        for u in &file.variant_uses {
-            if u.is_pattern && !u.in_test {
-                matched.insert((u.enum_name.as_str(), u.variant.as_str()));
-            }
-        }
-    }
-    // First non-test construction site per (enum, variant), in file
-    // order (deterministic: sources arrive sorted).
-    let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
-    for file in files {
-        for u in &file.variant_uses {
-            if u.is_pattern || u.in_test {
-                continue;
-            }
-            let Some(def) = enums.get(&u.enum_name) else {
-                continue; // enum not defined in the analysis set
-            };
-            if !def.contains(&u.variant) {
-                continue; // associated fn / const, not a variant
-            }
-            if matched.contains(&(u.enum_name.as_str(), u.variant.as_str())) {
-                continue;
-            }
-            if !reported.insert((u.enum_name.clone(), u.variant.clone())) {
-                continue;
-            }
-            findings.push(Finding::new(
-                Rule::J10,
-                &file.path,
-                u.line,
-                format!(
-                    "`{}::{}` is constructed here but matched nowhere in the workspace: a dead or unhandled protocol arm is how wire-protocol drift starts",
-                    u.enum_name, u.variant
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1588,23 +1531,6 @@ mod tests {
             }
         "#;
         assert!(lint_one(src).is_empty(), "{:?}", lint_one(src));
-    }
-
-    #[test]
-    fn constructed_but_never_matched_variant_fires_j10() {
-        let src = r#"
-            enum WorkerMsg { Register, Zombie }
-            fn emit(out: &mut Vec<WorkerMsg>) {
-                out.push(WorkerMsg::Zombie);
-            }
-            fn check(m: &WorkerMsg) -> bool {
-                if let WorkerMsg::Register = m { true } else { false }
-            }
-        "#;
-        let f = lint_one(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::J10);
-        assert!(f[0].message.contains("WorkerMsg::Zombie"));
     }
 
     #[test]

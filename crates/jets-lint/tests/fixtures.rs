@@ -239,20 +239,6 @@ fn callgraph_three_hop_taint_good_is_clean() {
     assert_clean("callgraph/taint-3hop/good.rs");
 }
 
-#[test]
-fn callgraph_parity_bad_fires_exactly() {
-    // `WorkerMsg::Zombie` is constructed (line 7) but matched nowhere.
-    assert_eq!(
-        fired("callgraph/parity/bad.rs"),
-        vec![("J10".to_string(), 7)]
-    );
-}
-
-#[test]
-fn callgraph_parity_good_is_clean() {
-    assert_clean("callgraph/parity/good.rs");
-}
-
 /// The acceptance gate, runnable from the test suite: the real tree
 /// must carry zero unsuppressed findings. Walks up from this crate to
 /// the workspace root.

@@ -18,7 +18,6 @@ use jets_core::core::{Core, CoreConfig, Effects as DispatcherEffects, Fact as Di
 use jets_core::events::EventKind;
 use jets_core::journal::{self, Record};
 use jets_core::protocol::{TaskAssignment, TaskKind};
-use jets_core::registry::HeartbeatHandle;
 use jets_core::{CommandSpec, DispatcherMsg, GroupingPolicy, JobId, JobSpec, QueuePolicy};
 use jets_core::{TaskId, WorkerId, WorkerMsg};
 use jets_relay::core::{DoneFrame, Effects, Fact, RelayCore};
@@ -268,8 +267,8 @@ struct World {
     disp: Core,
     dfx: DFx,
     /// The dispatcher's end of the live relay connection: session stamp,
-    /// relay id, member liveness handles.
-    conn: Option<(u64, WorkerId, BTreeMap<WorkerId, HeartbeatHandle>)>,
+    /// relay id, the members it registered.
+    conn: Option<(u64, WorkerId, BTreeSet<WorkerId>)>,
     relay: RelayCore,
     rfx: RFx,
     /// The session the relay believes in, how many there have been, and
@@ -432,26 +431,26 @@ impl World {
     fn on_relay(&mut self, n: u64, msg: WorkerMsg) {
         if let WorkerMsg::RelayHello { .. } = msg {
             self.dfx.out = Some(Vec::new());
-            self.conn = Some((n, 0, BTreeMap::new()));
+            self.conn = Some((n, 0, BTreeSet::new()));
             let mut relay = 0;
             self.disp(|core, fx, _| {
                 relay = core.relay_up(fx);
                 fx.send(DispatcherMsg::Registered { worker_id: relay });
             });
-            return self.conn = Some((n, relay, BTreeMap::new()));
+            return self.conn = Some((n, relay, BTreeSet::new()));
         }
         // A frame off a connection that is already closed goes nowhere.
         let Some((_, relay, mut members)) = self.conn.take_if(|c| c.0 == n) else {
             return;
         };
-        let heard = members.contains_key(match &msg {
+        let heard = members.contains(match &msg {
             WorkerMsg::RelayRequest { worker }
             | WorkerMsg::RelayDone { worker, .. }
             | WorkerMsg::RelayWorkerGone { worker }
             | WorkerMsg::RelayMemberState { worker, .. } => worker,
             _ => &0,
         });
-        self.conn = Some((n, relay, BTreeMap::new())); // `disp` reads the stamp
+        self.conn = Some((n, relay, BTreeSet::new())); // `disp` reads the stamp
         self.disp(|core, fx, at| match msg {
             WorkerMsg::RelayRegister {
                 local,
@@ -459,14 +458,11 @@ impl World {
                 cores,
                 location,
             } => {
-                let (worker_id, hb) = core.register(at, (name, cores, location), Some(relay), fx);
-                members.insert(worker_id, hb);
+                let worker_id = core.register(at, (name, cores, location), Some(relay), fx);
+                members.insert(worker_id);
                 fx.send(DispatcherMsg::RelayRegistered { local, worker_id });
             }
-            WorkerMsg::RelayRequest { worker } if heard => {
-                core.park(&[worker]);
-                core.schedule(at, fx);
-            }
+            WorkerMsg::RelayRequest { worker } if heard => core.request(at, worker, fx),
             WorkerMsg::RelayDone {
                 worker,
                 task_id,
@@ -474,9 +470,9 @@ impl World {
                 output,
                 ..
             } if heard => core.done(at, worker, task_id, exit_code, output, fx),
-            WorkerMsg::BatchedHeartbeat { workers } => {
-                let known = workers.iter().filter_map(|w| members.get(w));
-                known.for_each(|hb| hb.beat(at));
+            WorkerMsg::BatchedHeartbeat { mut workers } => {
+                workers.retain(|w| members.contains(w));
+                core.heard(at, &workers);
             }
             WorkerMsg::RelayWorkerGone { worker } if heard => {
                 members.remove(&worker);
@@ -522,10 +518,7 @@ impl World {
                 let p = self.pilots.iter().position(|p| p.fx.link == Some(link));
                 p.into_iter().for_each(|p| self.disconnect(p, true));
             }
-            (WorkerMsg::Request, Some(w)) => self.disp(|core, fx, at| {
-                core.park(&[w]);
-                core.schedule(at, fx);
-            }),
+            (WorkerMsg::Request, Some(w)) => self.disp(|core, fx, at| core.request(at, w, fx)),
             (WorkerMsg::SessionState { running: Some(r) }, Some(w)) => self.disp(|core, fx, at| {
                 let _ = core.claim(at, w, r, fx) || fx.send_cancel(w, r.0);
             }),
@@ -644,7 +637,7 @@ impl World {
             // `DispatcherConn::on_handshake`
             false => {
                 self.disp(|core, fx, at| {
-                    let worker_id = core.register(at, who, None, fx).0;
+                    let worker_id = core.register(at, who, None, fx);
                     fx.direct.insert(worker_id, conn);
                     let registered = DispatcherMsg::Registered { worker_id };
                     fx.to_direct.push((conn, registered));

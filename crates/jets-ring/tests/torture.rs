@@ -7,7 +7,7 @@
 //! file offline and proves the committed prefix is intact.
 
 use jets_ring::{Ring, PAYLOAD_BYTES};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,8 +15,9 @@ use std::time::{Duration, Instant};
 /// Many writers, many readers, a deliberately tiny window, sustained
 /// wrap-around. Asserts the invariants every consumer relies on:
 /// sequence numbers are unique across writers, each reader observes a
-/// strictly increasing sequence, and read + lapped accounts for every
-/// record ever pushed.
+/// strictly increasing sequence, every record a reader returns carries
+/// the payload pushed under its seq, and read + lapped accounts for
+/// every record ever pushed.
 #[test]
 fn torture_multi_writer_multi_reader_wraparound() {
     const WRITERS: usize = 4;
@@ -31,29 +32,27 @@ fn torture_multi_writer_multi_reader_wraparound() {
         let mut cur = ring.reader();
         let stop = Arc::clone(&stop);
         readers.push(std::thread::spawn(move || {
-            let mut last: Option<u64> = None;
-            let mut seen = 0u64;
-            let drain =
-                |cur: &mut jets_ring::RingReader, last: &mut Option<u64>, seen: &mut u64| {
-                    while let Some(rec) = cur.poll() {
-                        if let Some(prev) = *last {
-                            assert!(rec.seq > prev, "reader regressed: {} after {prev}", rec.seq);
-                        }
-                        // Payload integrity: writers stamp (writer_id, i).
-                        let mut w = [0u8; 8];
-                        w.copy_from_slice(&rec.payload()[..8]);
-                        let writer = u64::from_le_bytes(w);
-                        assert!(writer < WRITERS as u64, "garbage writer id {writer}");
-                        *last = Some(rec.seq);
-                        *seen += 1;
+            // (seq, writer, i) of every record read.
+            let mut read: Vec<(u64, u64, u64)> = Vec::new();
+            let drain = |cur: &mut jets_ring::RingReader, read: &mut Vec<(u64, u64, u64)>| {
+                while let Some(rec) = cur.poll() {
+                    if let Some(&(prev, ..)) = read.last() {
+                        assert!(rec.seq > prev, "reader regressed: {} after {prev}", rec.seq);
                     }
-                };
+                    let word = |k: usize| {
+                        let mut w = [0u8; 8];
+                        w.copy_from_slice(&rec.payload()[8 * k..8 * k + 8]);
+                        u64::from_le_bytes(w)
+                    };
+                    read.push((rec.seq, word(0), word(1)));
+                }
+            };
             while !stop.load(Ordering::Acquire) {
-                drain(&mut cur, &mut last, &mut seen);
+                drain(&mut cur, &mut read);
                 std::hint::spin_loop();
             }
-            drain(&mut cur, &mut last, &mut seen);
-            (seen, cur.lapped())
+            drain(&mut cur, &mut read);
+            (read, cur.lapped())
         }));
     }
 
@@ -72,18 +71,28 @@ fn torture_multi_writer_multi_reader_wraparound() {
         }));
     }
 
-    let mut all_seqs = HashSet::with_capacity(TOTAL as usize);
-    for h in writers {
-        for seq in h.join().expect("writer thread") {
-            assert!(all_seqs.insert(seq), "sequence {seq} claimed twice");
+    // What was pushed under each seq.
+    let mut pushed: HashMap<u64, (u64, u64)> = HashMap::with_capacity(TOTAL as usize);
+    for (w, h) in writers.into_iter().enumerate() {
+        for (i, seq) in h.join().expect("writer thread").into_iter().enumerate() {
+            let clash = pushed.insert(seq, (w as u64, i as u64));
+            assert!(clash.is_none(), "sequence {seq} claimed twice");
         }
     }
-    assert_eq!(all_seqs.len() as u64, TOTAL);
+    assert_eq!(pushed.len() as u64, TOTAL);
     assert_eq!(ring.seq(), TOTAL, "claim cursor covers every push");
 
     stop.store(true, Ordering::Release);
     for h in readers {
-        let (seen, lapped) = h.join().expect("reader thread");
+        let (read, lapped) = h.join().expect("reader thread");
+        for &(seq, w, i) in &read {
+            assert_eq!(
+                pushed[&seq],
+                (w, i),
+                "seq {seq} read with another record's payload"
+            );
+        }
+        let seen = read.len() as u64;
         assert_eq!(
             seen + lapped,
             TOTAL,
@@ -93,51 +102,59 @@ fn torture_multi_writer_multi_reader_wraparound() {
     }
 }
 
-/// A `jets top`-shaped poller: periodic snapshots while the writer
-/// runs, each snapshot a bounded drain that never waits on anything.
+/// A `jets top`-shaped poller: periodic frames while the writer runs,
+/// each frame a bounded drain that never waits on anything. The writer
+/// pushes a fixed count; the poller keeps framing until it has caught
+/// up, so it always drains the last window over several frames.
 #[test]
 fn torture_periodic_poller_never_blocks() {
+    /// Records per frame: a quarter of the window, so catching up on a
+    /// full window takes at least four frames.
+    const FRAME: usize = 1_024;
+    const PUSHES: u64 = 200_000;
     let ring = Ring::anon(4096);
-    let stop = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicBool::new(false));
     let poller = {
         let mut cur = ring.reader();
-        let stop = Arc::clone(&stop);
+        let done = Arc::clone(&done);
         std::thread::spawn(move || {
-            let mut polls = 0u64;
+            let (mut frames_with_records, mut seen) = (0u64, 0u64);
+            let mut last: Option<u64> = None;
             let mut worst = Duration::ZERO;
-            while !stop.load(Ordering::Acquire) {
+            loop {
+                // Read before the frame: once the writer is done, a
+                // frame that comes up short has caught up for good.
+                let writer_done = done.load(Ordering::Acquire);
                 let t = Instant::now();
                 let mut batch = 0;
-                while let Some(_rec) = cur.poll() {
+                while let Some(rec) = cur.poll() {
+                    if let Some(prev) = last {
+                        assert!(rec.seq > prev, "poller regressed: {} after {prev}", rec.seq);
+                    }
+                    last = Some(rec.seq);
                     batch += 1;
-                    if batch >= 10_000 {
+                    if batch == FRAME {
                         break; // bounded drain, like a UI frame
                     }
                 }
                 worst = worst.max(t.elapsed());
-                polls += 1;
+                seen += batch as u64;
+                frames_with_records += (batch > 0) as u64;
+                if writer_done && batch < FRAME {
+                    return (frames_with_records, seen, cur.lapped(), worst);
+                }
                 std::thread::sleep(Duration::from_millis(1));
             }
-            (polls, worst)
         })
     };
-    // Push flat-out for a fixed wall time (a release-mode push is tens
-    // of nanoseconds, so a fixed count would end before the poller's
-    // second frame).
-    let until = Instant::now() + Duration::from_millis(200);
-    let mut i = 0u64;
-    while Instant::now() < until {
+    for i in 0..PUSHES {
         ring.push(&i.to_le_bytes());
-        i += 1;
     }
-    stop.store(true, Ordering::Release);
-    let (polls, worst) = poller.join().expect("poller thread");
-    assert!(i > 100_000, "writer should have pushed plenty, got {i}");
-    assert!(
-        polls > 10,
-        "poller should have run many frames, got {polls}"
-    );
-    // Generous bound: a 10k-record drain is microseconds of copying; a
+    done.store(true, Ordering::Release);
+    let (frames, seen, lapped, worst) = poller.join().expect("poller thread");
+    assert!(frames >= 2, "records arrived in {frames} frame(s)");
+    assert_eq!(seen + lapped, PUSHES, "seen {seen} + lapped {lapped}");
+    // Generous bound: a bounded drain is microseconds of copying; a
     // second would mean the reader waited on the writer somewhere.
     assert!(worst < Duration::from_secs(1), "poll frame took {worst:?}");
 }

@@ -3,9 +3,9 @@
 //! O(event loops), not O(connections). Under the old design every
 //! connection cost a blocking reader thread plus a writer thread, so
 //! this workload would have added ~1024 threads; the reactor multiplexes
-//! all of it onto the fixed event-loop pool.
+//! all of it onto the dispatcher's one event loop.
 //!
-//! Linux-only: the thread census reads `/proc/self/status`.
+//! Linux-only: the thread census reads `/proc/self`.
 #![cfg(target_os = "linux")]
 
 use jets::core::protocol::{DispatcherMsg, MsgReader, MsgWriter, WorkerMsg};
@@ -20,6 +20,16 @@ const CONNS: usize = 512;
 /// harness's own threads. Far below one-per-connection either way.
 const SLACK: usize = 32;
 
+/// Threads of this process named `jets-reactor-*`: event loops.
+fn event_loop_threads() -> usize {
+    let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm")).ok();
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .filter_map(|t| comm(t.ok()?))
+        .filter(|name| name.starts_with("jets-reactor"))
+        .count()
+}
+
 /// `Threads:` from `/proc/self/status` — every thread in this process.
 fn thread_count() -> usize {
     std::fs::read_to_string("/proc/self/status")
@@ -31,7 +41,7 @@ fn thread_count() -> usize {
 }
 
 #[test]
-fn thread_bill_is_o_event_loops_at_512_connections() {
+fn thread_bill_is_one_event_loop_at_512_connections() {
     let d = Dispatcher::start(DispatcherConfig::default()).unwrap();
     let addr = d.addr().to_string();
     // Snapshot after start: the event loops and monitor are running, so
@@ -69,9 +79,10 @@ fn thread_bill_is_o_event_loops_at_512_connections() {
         "thread count grew by {grown} across {CONNS} connections \
          (before={before}, after={after}); the reactor should hold it O(event loops)"
     );
-    assert!(
-        d.reactor_event_loops() < SLACK,
-        "event-loop pool itself should be small"
+    assert_eq!(
+        event_loop_threads(),
+        1,
+        "the dispatcher runs one event loop"
     );
 
     d.shutdown();
