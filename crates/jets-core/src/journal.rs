@@ -2,29 +2,36 @@
 //!
 //! A dispatcher restarted with the same journal path must reconstruct
 //! every queued job, every in-flight gang, and the quarantine ledger —
-//! so each state transition appends one fixed-layout record *before*
-//! the transition becomes externally visible. The format is std-only:
-//! no serde on this path, just hand-packed little-endian fields behind
-//! a per-record CRC, in the spirit of the planned mmap flight-recorder
-//! ring.
+//! so each state transition appends one record *before* the transition
+//! becomes externally visible. A record is written with the wire codec:
+//! [`Record`] implements [`Wire`] as `WorkerMsg` and `DispatcherMsg` do,
+//! and a `Submitted` record carries its command and staging manifest in
+//! the very bytes an `Assign` carries them in.
 //!
 //! ## On-disk format
 //!
 //! ```text
-//! file   := magic records*
-//! magic  := "JETSWAL1"                  (8 bytes)
-//! record := len:u32 crc:u32 payload     (len = payload length,
-//!                                        crc = CRC-32/IEEE of payload)
-//! payload := tag:u8 fields…             (fixed layout per tag; strings
-//!                                        and lists are u32-length-prefixed)
+//! file    := magic frame*
+//! magic   := "JETSWAL2"                 (8 bytes)
+//! frame   := len:u32 crc:u32 payload    (little-endian; len = payload
+//!                                        length, crc = CRC-32/IEEE of it)
+//! payload := tag fields…                (the wire codec: LEB128 integers,
+//!                                        zigzag exit codes and priority,
+//!                                        length-prefixed strings and lists)
+//! tag     := 'S' Submitted | 'Q' Enqueued | 'A' Assigned | 'T' TaskEnded
+//!          | 'F' Finished | 'R' Requeued | 'K' QuarantineStrike
+//!          | 'U' QuarantineRelease | 'D' DeadlineExceeded | 'B' Restarted
 //! ```
 //!
-//! Replay scans the longest valid prefix: the first record whose frame
-//! is short (a torn tail from a crash mid-append) or whose CRC
-//! mismatches (corruption) ends the scan, and [`Journal::open`]
-//! truncates the file back to that prefix before appending again. A
-//! torn final record is therefore expected and silent; the byte counts
-//! in [`ReplaySummary`] make the loss visible to `jets journal verify`.
+//! Replay scans the longest valid prefix: the first frame that is short
+//! (a torn tail from a crash mid-append), fails its CRC or does not
+//! decode (corruption) ends the scan, and [`Journal::open`] truncates the
+//! file back to that prefix before appending again. A torn final record
+//! is therefore expected and silent; the byte counts in [`ReplaySummary`]
+//! make the loss visible to `jets journal verify`. A file with any other
+//! magic, `JETSWAL1` included, is refused and left as it is. An append
+//! the disk cuts short is cut back off the file, so the records appended
+//! after a transient write error still replay.
 //!
 //! ## Durability knob
 //!
@@ -40,20 +47,17 @@
 //! [`recover`] keeps stable by resuming the task counter past the
 //! journal's maximum.
 
-use crate::spec::{CommandSpec, JobId, JobSpec, StageFile, TaskId, WorkerId};
+use crate::protocol::{decode_msg, get_cmd, get_stage, put_cmd, put_stage, Wire, MAX_FRAME_BYTES};
+use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
+use jets_ring::codec::{invalid, Get, Put};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// File magic: identifies a JETS write-ahead log, version 1.
-pub const MAGIC: &[u8; 8] = b"JETSWAL1";
-
-/// Largest payload [`scan`] accepts; anything bigger is treated as a
-/// corrupt length field (ends the valid prefix) rather than an
-/// allocation request.
-const MAX_RECORD_BYTES: u32 = 16 * 1024 * 1024;
+/// File magic: identifies a JETS write-ahead log, version 2.
+pub const MAGIC: &[u8; 8] = b"JETSWAL2";
 
 /// When appended records reach the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,16 +158,126 @@ pub enum Record {
     Restarted,
 }
 
-const TAG_SUBMITTED: u8 = 1;
-const TAG_ENQUEUED: u8 = 2;
-const TAG_ASSIGNED: u8 = 3;
-const TAG_TASK_ENDED: u8 = 4;
-const TAG_FINISHED: u8 = 5;
-const TAG_REQUEUED: u8 = 6;
-const TAG_STRIKE: u8 = 7;
-const TAG_RELEASE: u8 = 8;
-const TAG_DEADLINE: u8 = 9;
-const TAG_RESTARTED: u8 = 10;
+impl Wire for Record {
+    fn put(&self, p: &mut Put<'_>) {
+        match self {
+            Record::Submitted { job, spec } => {
+                p.u8(b'S');
+                p.var(*job);
+                p.var(spec.nodes.into());
+                p.var(spec.ppn.into());
+                p.zig(spec.priority.into());
+                p.var(spec.max_retries.into());
+                p.bool(spec.mpi);
+                p.bool(spec.deadline_ms.is_some());
+                if let Some(ms) = spec.deadline_ms {
+                    p.var(ms);
+                }
+                put_cmd(p, &spec.cmd);
+                put_stage(p, &spec.stage);
+            }
+            Record::Enqueued { job, attempts } => {
+                p.u8(b'Q');
+                p.var(*job);
+                p.var((*attempts).into());
+            }
+            Record::Assigned {
+                job,
+                attempt,
+                tasks,
+            } => {
+                p.u8(b'A');
+                p.var(*job);
+                p.var((*attempt).into());
+                p.count(tasks.len());
+                for &(worker, task) in tasks {
+                    p.var(worker);
+                    p.var(task);
+                }
+            }
+            Record::TaskEnded {
+                job,
+                task,
+                exit_code,
+            } => {
+                p.u8(b'T');
+                p.var(*job);
+                p.var(*task);
+                p.zig((*exit_code).into());
+            }
+            Record::Finished { job, success } => {
+                p.u8(b'F');
+                p.var(*job);
+                p.bool(*success);
+            }
+            Record::Requeued { job, attempts } => {
+                p.u8(b'R');
+                p.var(*job);
+                p.var((*attempts).into());
+            }
+            Record::QuarantineStrike { name } => {
+                p.u8(b'K');
+                p.str(name);
+            }
+            Record::QuarantineRelease { name } => {
+                p.u8(b'U');
+                p.str(name);
+            }
+            Record::DeadlineExceeded { job } => {
+                p.u8(b'D');
+                p.var(*job);
+            }
+            Record::Restarted => p.u8(b'B'),
+        }
+    }
+
+    fn get(g: &mut Get<'_>) -> io::Result<Self> {
+        let rec = match g.u8() {
+            b'S' => Record::Submitted {
+                job: g.var(),
+                spec: JobSpec {
+                    nodes: g.var_u32(),
+                    ppn: g.var_u32(),
+                    priority: g.zig_i32(),
+                    max_retries: g.var_u32(),
+                    mpi: g.bool(),
+                    deadline_ms: g.bool().then(|| g.var()),
+                    cmd: get_cmd(g),
+                    stage: get_stage(g),
+                },
+            },
+            b'Q' => Record::Enqueued {
+                job: g.var(),
+                attempts: g.var_u32(),
+            },
+            b'A' => Record::Assigned {
+                job: g.var(),
+                attempt: g.var_u32(),
+                tasks: g.list(|g| (g.var(), g.var())),
+            },
+            b'T' => Record::TaskEnded {
+                job: g.var(),
+                task: g.var(),
+                exit_code: g.zig_i32(),
+            },
+            b'F' => Record::Finished {
+                job: g.var(),
+                success: g.bool(),
+            },
+            b'R' => Record::Requeued {
+                job: g.var(),
+                attempts: g.var_u32(),
+            },
+            b'K' => Record::QuarantineStrike { name: g.str() },
+            b'U' => Record::QuarantineRelease { name: g.str() },
+            b'D' => Record::DeadlineExceeded { job: g.var() },
+            b'B' => Record::Restarted,
+            _ => return Err(invalid()),
+        };
+        g.end()?;
+        Ok(rec)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected, poly 0xEDB88320) — table built at compile time.
@@ -201,299 +315,35 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codec: hand-packed little-endian, length-prefixed strings/lists.
+// Frames: the byte halves of append and scan, and the file around them.
 // ---------------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Append `recs` to `buf` as frames, each record encoded straight into
+/// `buf` behind an 8-byte header that its length and CRC then fill. A
+/// record [`scan_bytes`] could not read back — a payload of
+/// [`MAX_FRAME_BYTES`] or more — refuses the whole batch with
+/// `InvalidData` and leaves `buf` as it was.
+pub fn append_frames(buf: &mut Vec<u8>, recs: &[Record]) -> io::Result<()> {
+    let start = buf.len();
+    for rec in recs {
+        let head = buf.len();
+        buf.extend_from_slice(&[0; 8]);
+        rec.put(&mut Put(buf));
+        let payload = &buf[head + 8..];
+        if payload.len() >= MAX_FRAME_BYTES {
+            buf.truncate(start);
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "journal record exceeds MAX_FRAME_BYTES",
+            ));
+        }
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32(payload).to_le_bytes();
+        buf[head..head + 4].copy_from_slice(&len);
+        buf[head + 4..head + 8].copy_from_slice(&crc);
+    }
+    Ok(())
 }
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(buf: &mut Vec<u8>, v: i32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_spec(buf: &mut Vec<u8>, spec: &JobSpec) {
-    put_u32(buf, spec.nodes);
-    put_u32(buf, spec.ppn);
-    put_i32(buf, spec.priority);
-    put_u32(buf, spec.max_retries);
-    buf.push(spec.mpi as u8);
-    match spec.deadline_ms {
-        Some(ms) => {
-            buf.push(1);
-            put_u64(buf, ms);
-        }
-        None => buf.push(0),
-    }
-    let (variant, name, args, env) = match &spec.cmd {
-        CommandSpec::Exec { program, args, env } => (0u8, program, args, env),
-        CommandSpec::Builtin { app, args, env } => (1u8, app, args, env),
-    };
-    buf.push(variant);
-    put_str(buf, name);
-    put_u32(buf, args.len() as u32);
-    for a in args {
-        put_str(buf, a);
-    }
-    put_u32(buf, env.len() as u32);
-    for (k, v) in env {
-        put_str(buf, k);
-        put_str(buf, v);
-    }
-    put_u32(buf, spec.stage.len() as u32);
-    for f in &spec.stage {
-        put_str(buf, &f.source);
-        put_str(buf, &f.name);
-    }
-}
-
-/// Bounds-checked reader over one CRC-validated payload. A truncation
-/// *inside* a valid frame means the encoder and decoder disagree —
-/// corruption the CRC happened to miss — so every getter errors instead
-/// of panicking.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
-            return Err(bad("record payload truncated"));
-        };
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn i32(&mut self) -> io::Result<i32> {
-        let b = self.bytes(4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| bad("record string not UTF-8"))
-    }
-
-    fn done(&self) -> io::Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad("record payload has trailing bytes"))
-        }
-    }
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn get_spec(c: &mut Cursor<'_>) -> io::Result<JobSpec> {
-    let nodes = c.u32()?;
-    let ppn = c.u32()?;
-    let priority = c.i32()?;
-    let max_retries = c.u32()?;
-    let mpi = c.u8()? != 0;
-    let deadline_ms = match c.u8()? {
-        0 => None,
-        1 => Some(c.u64()?),
-        _ => return Err(bad("bad deadline flag")),
-    };
-    let variant = c.u8()?;
-    let name = c.str()?;
-    let nargs = c.u32()? as usize;
-    let mut args = Vec::with_capacity(nargs.min(1024));
-    for _ in 0..nargs {
-        args.push(c.str()?);
-    }
-    let nenv = c.u32()? as usize;
-    let mut env = Vec::with_capacity(nenv.min(1024));
-    for _ in 0..nenv {
-        let k = c.str()?;
-        let v = c.str()?;
-        env.push((k, v));
-    }
-    let cmd = match variant {
-        0 => CommandSpec::Exec {
-            program: name,
-            args,
-            env,
-        },
-        1 => CommandSpec::Builtin {
-            app: name,
-            args,
-            env,
-        },
-        _ => return Err(bad("bad command variant")),
-    };
-    let nstage = c.u32()? as usize;
-    let mut stage = Vec::with_capacity(nstage.min(1024));
-    for _ in 0..nstage {
-        let source = c.str()?;
-        let name = c.str()?;
-        stage.push(StageFile { source, name });
-    }
-    Ok(JobSpec {
-        nodes,
-        ppn,
-        cmd,
-        priority,
-        max_retries,
-        mpi,
-        stage,
-        deadline_ms,
-    })
-}
-
-/// Encode one record's payload (tag + fields) into `buf`.
-fn encode_payload(rec: &Record, buf: &mut Vec<u8>) {
-    match rec {
-        Record::Submitted { job, spec } => {
-            buf.push(TAG_SUBMITTED);
-            put_u64(buf, *job);
-            put_spec(buf, spec);
-        }
-        Record::Enqueued { job, attempts } => {
-            buf.push(TAG_ENQUEUED);
-            put_u64(buf, *job);
-            put_u32(buf, *attempts);
-        }
-        Record::Assigned {
-            job,
-            attempt,
-            tasks,
-        } => {
-            buf.push(TAG_ASSIGNED);
-            put_u64(buf, *job);
-            put_u32(buf, *attempt);
-            put_u32(buf, tasks.len() as u32);
-            for (w, t) in tasks {
-                put_u64(buf, *w);
-                put_u64(buf, *t);
-            }
-        }
-        Record::TaskEnded {
-            job,
-            task,
-            exit_code,
-        } => {
-            buf.push(TAG_TASK_ENDED);
-            put_u64(buf, *job);
-            put_u64(buf, *task);
-            put_i32(buf, *exit_code);
-        }
-        Record::Finished { job, success } => {
-            buf.push(TAG_FINISHED);
-            put_u64(buf, *job);
-            buf.push(*success as u8);
-        }
-        Record::Requeued { job, attempts } => {
-            buf.push(TAG_REQUEUED);
-            put_u64(buf, *job);
-            put_u32(buf, *attempts);
-        }
-        Record::QuarantineStrike { name } => {
-            buf.push(TAG_STRIKE);
-            put_str(buf, name);
-        }
-        Record::QuarantineRelease { name } => {
-            buf.push(TAG_RELEASE);
-            put_str(buf, name);
-        }
-        Record::DeadlineExceeded { job } => {
-            buf.push(TAG_DEADLINE);
-            put_u64(buf, *job);
-        }
-        Record::Restarted => buf.push(TAG_RESTARTED),
-    }
-}
-
-/// Decode one CRC-validated payload.
-fn decode_payload(payload: &[u8]) -> io::Result<Record> {
-    let mut c = Cursor::new(payload);
-    let rec = match c.u8()? {
-        TAG_SUBMITTED => Record::Submitted {
-            job: c.u64()?,
-            spec: get_spec(&mut c)?,
-        },
-        TAG_ENQUEUED => Record::Enqueued {
-            job: c.u64()?,
-            attempts: c.u32()?,
-        },
-        TAG_ASSIGNED => {
-            let job = c.u64()?;
-            let attempt = c.u32()?;
-            let n = c.u32()? as usize;
-            let mut tasks = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let w = c.u64()?;
-                let t = c.u64()?;
-                tasks.push((w, t));
-            }
-            Record::Assigned {
-                job,
-                attempt,
-                tasks,
-            }
-        }
-        TAG_TASK_ENDED => Record::TaskEnded {
-            job: c.u64()?,
-            task: c.u64()?,
-            exit_code: c.i32()?,
-        },
-        TAG_FINISHED => Record::Finished {
-            job: c.u64()?,
-            success: c.u8()? != 0,
-        },
-        TAG_REQUEUED => Record::Requeued {
-            job: c.u64()?,
-            attempts: c.u32()?,
-        },
-        TAG_STRIKE => Record::QuarantineStrike { name: c.str()? },
-        TAG_RELEASE => Record::QuarantineRelease { name: c.str()? },
-        TAG_DEADLINE => Record::DeadlineExceeded { job: c.u64()? },
-        TAG_RESTARTED => Record::Restarted,
-        _ => return Err(bad("unknown record tag")),
-    };
-    c.done()?;
-    Ok(rec)
-}
-
-// ---------------------------------------------------------------------------
-// Scan / append.
-// ---------------------------------------------------------------------------
 
 /// What a full journal scan found.
 #[derive(Debug)]
@@ -514,66 +364,55 @@ impl ReplaySummary {
     }
 }
 
-/// Scan `path`, returning the longest valid prefix's records. Missing
-/// file ⇒ empty summary; wrong magic ⇒ `InvalidData` (refusing to
-/// append over a file that is not a journal); a torn or CRC-corrupt
-/// tail ⇒ silently ends the prefix.
-pub fn scan(path: &Path) -> io::Result<ReplaySummary> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok(ReplaySummary {
-                records: Vec::new(),
-                valid_len: 0,
-                total_len: 0,
-            })
+/// Read the longest valid prefix of a journal's bytes: what [`scan`]
+/// does with a file's contents. No bytes ⇒ empty summary; any other
+/// magic ⇒ `InvalidData` (refusing to append over a file that is not
+/// this journal format); a torn, CRC-corrupt or undecodable frame ⇒
+/// silently ends the prefix.
+pub fn scan_bytes(data: &[u8]) -> io::Result<ReplaySummary> {
+    let mut rest = match data.strip_prefix(MAGIC) {
+        Some(frames) => frames,
+        None if data.is_empty() => data,
+        None => {
+            let magic = String::from_utf8_lossy(&data[..data.len().min(MAGIC.len())]);
+            let want = String::from_utf8_lossy(MAGIC);
+            let why = format!("not a {want} journal: the file starts {magic:?}");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why));
         }
-        Err(e) => return Err(e),
     };
-    let mut data = Vec::new();
-    file.read_to_end(&mut data)?;
-    let total_len = data.len() as u64;
-    if data.is_empty() {
-        return Ok(ReplaySummary {
-            records: Vec::new(),
-            valid_len: 0,
-            total_len,
-        });
-    }
-    if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
-        return Err(bad("not a JETS journal (bad magic)"));
-    }
     let mut records = Vec::new();
-    let mut pos = MAGIC.len();
-    loop {
-        // Frame header: len + crc. A short header is a torn tail.
-        if pos + 8 > data.len() {
-            break;
-        }
-        let len = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
-        let crc = u32::from_le_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
-        if len == 0 || len > MAX_RECORD_BYTES {
-            break; // corrupt length field
-        }
-        let start = pos + 8;
-        let Some(end) = start.checked_add(len as usize).filter(|&e| e <= data.len()) else {
-            break; // torn payload
-        };
-        let payload = &data[start..end];
-        if crc32(payload) != crc {
-            break; // corrupt record: reject it and everything after
-        }
-        let Ok(rec) = decode_payload(payload) else {
-            break; // CRC-valid but undecodable: treat as corruption
-        };
+    while let Some((rec, next)) = next_frame(rest) {
         records.push(rec);
-        pos = end;
+        rest = next;
     }
     Ok(ReplaySummary {
         records,
-        valid_len: pos as u64,
-        total_len,
+        valid_len: (data.len() - rest.len()) as u64,
+        total_len: data.len() as u64,
     })
+}
+
+/// The record in the frame `data` starts with, and the bytes after that
+/// frame; `None` if the frame is cut short, fails its CRC or does not
+/// decode.
+fn next_frame(data: &[u8]) -> Option<(Record, &[u8])> {
+    let ([l0, l1, l2, l3, c0, c1, c2, c3], rest) = data.split_first_chunk::<8>()?;
+    let len = u32::from_le_bytes([*l0, *l1, *l2, *l3]) as usize;
+    let (payload, rest) = rest.split_at_checked(len)?;
+    if crc32(payload) != u32::from_le_bytes([*c0, *c1, *c2, *c3]) {
+        return None;
+    }
+    Some((decode_msg(payload).ok()?, rest))
+}
+
+/// Scan the journal at `path` ([`scan_bytes`] of its contents); a
+/// missing file scans as empty.
+pub fn scan(path: &Path) -> io::Result<ReplaySummary> {
+    match std::fs::read(path) {
+        Ok(data) => scan_bytes(&data),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => scan_bytes(&[]),
+        Err(e) => Err(e),
+    }
 }
 
 /// The file handle and its reusable encode buffer, together under one
@@ -581,13 +420,15 @@ pub fn scan(path: &Path) -> io::Result<ReplaySummary> {
 struct Writer {
     file: File,
     buf: Vec<u8>,
+    /// Where the last whole frame ends; `None` once a failed append could
+    /// not be cut back off the file, after which every append is refused.
+    end: Option<u64>,
 }
 
 /// An open, append-mode journal.
 pub struct Journal {
     writer: Mutex<Writer>,
     policy: FsyncPolicy,
-    path: PathBuf,
 }
 
 impl Journal {
@@ -613,23 +454,18 @@ impl Journal {
             file.set_len(summary.valid_len)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::End(0))?;
+        let end = file.seek(SeekFrom::End(0))?;
         Ok((
             Journal {
                 writer: Mutex::new(Writer {
                     file,
                     buf: Vec::with_capacity(256),
+                    end: Some(end),
                 }),
                 policy,
-                path,
             },
             summary.records,
         ))
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Append one record (one frame, one write, fsync per policy).
@@ -639,7 +475,9 @@ impl Journal {
 
     /// Append a batch of records as consecutive frames under one lock
     /// acquisition, one write, and (under `Always`) one fsync — the
-    /// submit-batch fast path.
+    /// submit-batch fast path. A write or fsync that fails leaves none of
+    /// the batch in the file: it is cut back to the last whole frame, so
+    /// later appends stay readable.
     pub fn append_all(&self, recs: &[Record]) -> io::Result<()> {
         if recs.is_empty() {
             return Ok(());
@@ -651,22 +489,28 @@ impl Journal {
             // than risk writing garbage.
             Err(_) => return Err(io::Error::other("journal writer poisoned")),
         };
-        let Writer { file, buf } = &mut *w;
+        let Writer { file, buf, end } = &mut *w;
+        let Some(at) = *end else {
+            return Err(io::Error::other(
+                "journal ends in a frame it could not remove",
+            ));
+        };
         buf.clear();
-        let mut payload = Vec::with_capacity(128);
-        for rec in recs {
-            payload.clear();
-            encode_payload(rec, &mut payload);
-            put_u32(buf, payload.len() as u32);
-            put_u32(buf, crc32(&payload));
-            buf.extend_from_slice(&payload);
-        }
+        append_frames(buf, recs)?;
         // jets-lint: allow(lock-across-blocking) serializing appends through this write is the writer lock's entire job
-        file.write_all(buf)?;
-        if self.policy == FsyncPolicy::Always {
-            file.sync_data()?;
-        }
-        Ok(())
+        let written = file.write_all(buf).and_then(|()| match self.policy {
+            FsyncPolicy::Always => file.sync_data(),
+            FsyncPolicy::Interval | FsyncPolicy::Never => Ok(()),
+        });
+        *end = match written {
+            Ok(()) => Some(at + buf.len() as u64),
+            // A partial frame would end every later scan where it starts.
+            Err(_) => file
+                .set_len(at)
+                .and_then(|()| file.seek(SeekFrom::Start(at)))
+                .ok(),
+        };
+        written
     }
 
     /// Flush to disk now; the `Interval` policy's timer calls this.
@@ -855,6 +699,7 @@ pub fn recover(records: &[Record]) -> Recovered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{CommandSpec, StageFile};
 
     fn tmp(name: &str) -> PathBuf {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -929,76 +774,63 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A journal holding `recs`, and the offset each record's frame ends at.
+    fn framed(recs: &[Record]) -> (Vec<u8>, Vec<usize>) {
+        let mut bytes = MAGIC.to_vec();
+        let ends = recs
+            .iter()
+            .map(|rec| {
+                append_frames(&mut bytes, std::slice::from_ref(rec)).unwrap();
+                bytes.len()
+            })
+            .collect();
+        (bytes, ends)
+    }
+
     #[test]
     fn torn_final_record_is_truncated_and_survivors_kept() {
-        let path = tmp("torn");
+        // A crash mid-append, at every byte: the cut keeps exactly the
+        // records whose frames end before it.
         let originals = all_kinds();
-        {
-            let (j, _) = Journal::open(&path, FsyncPolicy::Never).unwrap();
-            j.append_all(&originals).unwrap();
+        let (bytes, ends) = framed(&originals);
+        for cut in MAGIC.len()..=bytes.len() {
+            let summary = scan_bytes(&bytes[..cut]).unwrap();
+            let whole = ends.iter().take_while(|&&end| end <= cut).count();
+            assert_eq!(summary.records, originals[..whole], "cut at {cut}");
+            let valid = ends[..whole].last().copied().unwrap_or(MAGIC.len());
+            assert_eq!(summary.valid_len, valid as u64, "cut at {cut}");
+            assert_eq!(summary.dropped_bytes(), (cut - valid) as u64);
         }
-        // Simulate a crash mid-append: a frame header promising more
-        // payload than the file holds.
-        let clean_len = std::fs::metadata(&path).unwrap().len();
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&200u32.to_le_bytes()).unwrap();
-            f.write_all(&0xDEAD_BEEFu32.to_le_bytes()).unwrap();
-            f.write_all(b"only a few bytes").unwrap();
-        }
-        let summary = scan(&path).unwrap();
-        assert_eq!(summary.records, originals);
-        assert_eq!(summary.valid_len, clean_len);
-        assert!(summary.dropped_bytes() > 0);
         // Reopen truncates the tail and appends continue cleanly.
+        let path = tmp("torn");
+        std::fs::write(&path, &bytes[..ends[3] + 5]).unwrap();
         {
             let (j, replayed) = Journal::open(&path, FsyncPolicy::Always).unwrap();
-            assert_eq!(replayed, originals);
+            assert_eq!(replayed, originals[..4]);
             j.append(&Record::Restarted).unwrap();
         }
         let (_, after) = Journal::open(&path, FsyncPolicy::Never).unwrap();
-        assert_eq!(after.len(), originals.len() + 1);
-        assert_eq!(after.last(), Some(&Record::Restarted));
+        assert_eq!(after, [&originals[..4], &[Record::Restarted]].concat());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn crc_corrupt_record_rejected_with_everything_after() {
-        let path = tmp("corrupt");
-        {
-            let (j, _) = Journal::open(&path, FsyncPolicy::Never).unwrap();
-            for i in 0..5 {
-                j.append(&Record::Enqueued {
-                    job: i,
-                    attempts: 0,
-                })
-                .unwrap();
-            }
+        // One flipped bit anywhere in a frame, header or payload, rejects
+        // it and every frame after it: a valid-prefix scan cannot trust
+        // frame boundaries past a corrupt frame.
+        let originals = all_kinds();
+        let (bytes, ends) = framed(&originals);
+        let mut rng = jets_ring::stdx::SplitMix64::new(0x0C0D_EC3C);
+        let starts = std::iter::once(MAGIC.len()).chain(ends.iter().copied());
+        for (i, (start, end)) in starts.zip(ends.iter().copied()).enumerate() {
+            let mut data = bytes.clone();
+            let at = rng.gen_range(start as u64..end as u64) as usize;
+            data[at] ^= 1 << rng.gen_range(0..8);
+            let summary = scan_bytes(&data).unwrap();
+            assert_eq!(summary.records, originals[..i], "bit flipped at {at}");
+            assert_eq!(summary.valid_len, start as u64);
         }
-        // Flip one payload byte in the third record: it and both
-        // successors must be rejected (a valid-prefix scan cannot trust
-        // frame boundaries after a corrupt frame).
-        let mut data = std::fs::read(&path).unwrap();
-        let frame = 8 + 13; // header + Enqueued payload (tag + u64 + u32)
-        let third_payload = MAGIC.len() + 2 * frame + 8;
-        data[third_payload + 3] ^= 0xFF;
-        std::fs::write(&path, &data).unwrap();
-        let summary = scan(&path).unwrap();
-        assert_eq!(
-            summary.records,
-            vec![
-                Record::Enqueued {
-                    job: 0,
-                    attempts: 0
-                },
-                Record::Enqueued {
-                    job: 1,
-                    attempts: 0
-                },
-            ]
-        );
-        assert_eq!(summary.dropped_bytes(), 3 * frame as u64);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1008,6 +840,41 @@ mod tests {
         let err = scan(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(Journal::open(&path, FsyncPolicy::Always).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An old journal is not mistaken for a torn one: truncating it to
+    /// its magic would lose every record in it.
+    #[test]
+    fn a_version_1_journal_is_refused_and_left_as_it_is() {
+        let path = tmp("v1");
+        let v1 = [&b"JETSWAL1"[..], &13u32.to_le_bytes(), &[7; 17]].concat();
+        std::fs::write(&path, &v1).unwrap();
+        for err in [
+            scan(&path).unwrap_err(),
+            Journal::open(&path, FsyncPolicy::Always).err().unwrap(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("JETSWAL1"), "{err}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), v1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A record the scan could not read back would end every later scan
+    /// at itself, so it is refused with its batch before anything is
+    /// written.
+    #[test]
+    fn a_record_over_the_frame_cap_is_refused_with_its_batch() {
+        let path = tmp("huge");
+        let (j, _) = Journal::open(&path, FsyncPolicy::Never).unwrap();
+        let huge = Record::QuarantineStrike {
+            name: "x".repeat(MAX_FRAME_BYTES),
+        };
+        let err = j.append_all(&[Record::Restarted, huge]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        j.append(&Record::Restarted).unwrap();
+        assert_eq!(scan(&path).unwrap().records, [Record::Restarted]);
         std::fs::remove_file(&path).ok();
     }
 

@@ -70,7 +70,8 @@ pub struct DispatcherMetrics {
     /// State-transition records appended to the write-ahead journal.
     pub journal_records_total: Arc<Counter>,
     /// Journal appends that failed (disk error); the dispatcher keeps
-    /// running, but crash recovery from that point is degraded.
+    /// running. The failed batch is missing from the journal, so a
+    /// crash recovers without those transitions; later appends replay.
     pub journal_errors_total: Arc<Counter>,
     /// Non-terminal jobs rebuilt from the journal at the last restart.
     pub journal_replayed_jobs: Arc<Gauge>,

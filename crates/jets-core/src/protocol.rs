@@ -18,7 +18,9 @@
 //! lines and [`MsgReader`] all find a frame's end by that one byte. Tags
 //! are printable ASCII and a relay envelope's tag is the lowercase of
 //! the frame it routes (`D` is `Done`, `d` is `RelayDone`), so a hexdump
-//! of the wire reads. A no-op `Assign` is 26 bytes.
+//! of the wire reads. A no-op `Assign` is 26 bytes. The write-ahead
+//! journal's records are bodies of the same codec
+//! ([`journal`](crate::journal)), framed by length and CRC on disk.
 //!
 //! [`decode_msg`] reads a frame in one pass, straight into the message:
 //! no intermediate value and no unescaped copy. Damaged input — a cut,
@@ -298,7 +300,9 @@ impl TaskAssignment {
 /// dispatcher through one frame.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
-/// A message with a wire encoding: [`WorkerMsg`] and [`DispatcherMsg`].
+/// A message with a wire encoding: [`WorkerMsg`] and [`DispatcherMsg`],
+/// and the journal's [`Record`](crate::journal::Record), whose bodies the
+/// journal frames with a length and a CRC instead of a `\n`.
 pub trait Wire: Sized {
     /// Append the frame body (everything but the delimiter).
     fn put(&self, p: &mut Put<'_>);
@@ -558,48 +562,26 @@ fn put_assignment(p: &mut Put<'_>, a: &TaskAssignment) {
             p.str(pmi_jobid);
         }
     }
-    p.count(a.stage.len());
-    for file in &a.stage {
-        p.str(&file.source);
-        p.str(&file.name);
-    }
+    put_stage(p, &a.stage);
     p.u64le(a.trace);
 }
 
-/// An `Assign`, or with `relay` a `RelayAssign`, read in full into plain
-/// locals and put together only once the frame has proved valid: the
-/// hottest decode builds its message (over 200 bytes) once, in place,
-/// instead of moving nested parts into it.
+/// An `Assign`, or with `relay` a `RelayAssign`, read in full into
+/// locals and put together only once the frame has proved valid.
 fn get_assignment(g: &mut Get<'_>, relay: Option<u64>) -> io::Result<DispatcherMsg> {
     let (task_id, job_id, kind) = (g.var(), g.var(), g.u8());
-    let (cmd, name, args) = (g.u8(), g.str(), g.list(Get::str));
-    let env = g.list(|g| (g.str(), g.str()));
+    let cmd = get_cmd(g);
     let mpi = kind == b'M';
     let (ranks, size, pmi_addr, pmi_jobid) = match mpi {
         true => (g.list(Get::var_u32), g.var_u32(), g.str(), g.str()),
         false => Default::default(),
     };
-    let stage = g.list(|g| StageFile {
-        source: g.str(),
-        name: g.str(),
-    });
+    let stage = get_stage(g);
     let trace = g.u64le();
-    if !matches!(kind, b'S' | b'M') || !matches!(cmd, b'E' | b'B') {
+    if !matches!(kind, b'S' | b'M') {
         g.fail();
     }
     g.end()?;
-    let cmd = match cmd {
-        b'E' => CommandSpec::Exec {
-            program: name,
-            args,
-            env,
-        },
-        _ => CommandSpec::Builtin {
-            app: name,
-            args,
-            env,
-        },
-    };
     let kind = match mpi {
         true => TaskKind::MpiProxy {
             cmd,
@@ -623,7 +605,10 @@ fn get_assignment(g: &mut Get<'_>, relay: Option<u64>) -> io::Result<DispatcherM
     })
 }
 
-fn put_cmd(p: &mut Put<'_>, cmd: &CommandSpec) {
+/// A command, as an `Assign` and the journal's `Submitted` record both
+/// carry it: its shape (`E` exec, `B` builtin), name, arguments and
+/// environment.
+pub(crate) fn put_cmd(p: &mut Put<'_>, cmd: &CommandSpec) {
     p.u8(match cmd {
         CommandSpec::Exec { .. } => b'E',
         CommandSpec::Builtin { .. } => b'B',
@@ -636,6 +621,44 @@ fn put_cmd(p: &mut Put<'_>, cmd: &CommandSpec) {
         p.str(key);
         p.str(value);
     }
+}
+
+/// Read what [`put_cmd`] wrote; an unknown shape marks the record invalid.
+pub(crate) fn get_cmd(g: &mut Get<'_>) -> CommandSpec {
+    let (shape, name, args) = (g.u8(), g.str(), g.list(Get::str));
+    let env = g.list(|g| (g.str(), g.str()));
+    if !matches!(shape, b'E' | b'B') {
+        g.fail();
+    }
+    match shape {
+        b'E' => CommandSpec::Exec {
+            program: name,
+            args,
+            env,
+        },
+        _ => CommandSpec::Builtin {
+            app: name,
+            args,
+            env,
+        },
+    }
+}
+
+/// A staging manifest, as an `Assign` and a `Submitted` record carry it.
+pub(crate) fn put_stage(p: &mut Put<'_>, stage: &[StageFile]) {
+    p.count(stage.len());
+    for file in stage {
+        p.str(&file.source);
+        p.str(&file.name);
+    }
+}
+
+/// Read what [`put_stage`] wrote.
+pub(crate) fn get_stage(g: &mut Get<'_>) -> Vec<StageFile> {
+    g.list(|g| StageFile {
+        source: g.str(),
+        name: g.str(),
+    })
 }
 
 /// Encode one message as a newline-terminated frame into `buf` (cleared

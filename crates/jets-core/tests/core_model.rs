@@ -9,8 +9,9 @@
 //! number never exceeds the retry budget) before it updates the job
 //! table a client would see. Its write-ahead records come from
 //! [`Fact::wal`] — the projection the shell appends to the journal file —
-//! so a crash here is `journal::recover(&records_so_far)` followed by
-//! [`Core::restore`], the path a restarted dispatcher takes.
+//! and are kept as the file's bytes, so a crash here is `journal::scan`
+//! of those bytes, `journal::recover` and [`Core::restore`], the path a
+//! restarted dispatcher takes.
 //!
 //! [`World`] adds the pilots: state machines that answer `Assign` with a
 //! `Done` after a seeded duration, obey `Cancel`, keep running across a
@@ -124,8 +125,9 @@ struct Fx {
     pmi_fail: bool,
     /// Live PMI services and when each one's first fence releases.
     pmi: BTreeMap<JobId, u64>,
-    /// Everything journaled so far, across incarnations.
-    wal: Vec<Record>,
+    /// The journal file's bytes: everything journaled so far, across
+    /// incarnations.
+    wal: Vec<u8>,
     /// Workers declared down since the world last looked.
     downs: Vec<WorkerId>,
     jobs: BTreeMap<JobId, Job>,
@@ -153,7 +155,7 @@ impl Fx {
             ghosts: BTreeSet::new(),
             pmi_fail: false,
             pmi: BTreeMap::new(),
-            wal: Vec::new(),
+            wal: journal::MAGIC.to_vec(),
             downs: Vec::new(),
             jobs: BTreeMap::new(),
             unfinished: BTreeSet::new(),
@@ -176,6 +178,20 @@ impl Fx {
 
     fn job(&mut self, id: JobId) -> &mut Job {
         self.jobs.get_mut(&id).expect("a fact about an unknown job")
+    }
+
+    /// Append records to the journal's bytes, framed as the shell's
+    /// `Journal` writes them.
+    fn journal(&mut self, recs: &[Record]) {
+        journal::append_frames(&mut self.wal, recs).expect("records fit a frame");
+    }
+
+    /// Every record the journal's bytes hold, read back as a restart
+    /// reads them: all of them, or the encoding lost one.
+    fn records(&self) -> Vec<Record> {
+        let scanned = journal::scan_bytes(&self.wal).expect("a journal");
+        assert_eq!(scanned.dropped_bytes(), 0, "a record did not decode");
+        scanned.records
     }
 
     /// The dispatcher process died: what lived in its memory is gone.
@@ -350,7 +366,9 @@ impl Effects for Fx {
     }
 
     fn fact(&mut self, fact: Fact<'_>) {
-        fact.wal(&mut self.wal);
+        let mut recs = Vec::new();
+        fact.wal(&mut recs);
+        self.journal(&recs);
         match &fact {
             Fact::Event(kind) => self.note(|| format!("{kind:?}")),
             Fact::Submitted { jobs } => self.note(|| format!("Submitted x{}", jobs.len())),
@@ -541,8 +559,8 @@ impl Bench {
     /// Kill the dispatcher and start its successor from the journal.
     fn crash(&mut self) {
         self.fx.crash();
-        let recovered = journal::recover(&self.fx.wal);
-        self.fx.wal.push(Record::Restarted);
+        let recovered = journal::recover(&self.fx.records());
+        self.fx.journal(&[Record::Restarted]);
         self.core = Core::new(config(), self.fx.t0);
         self.core.restore(self.now(), recovered, &mut self.fx);
     }
@@ -756,7 +774,10 @@ fn a_deadline_ends_the_attempt_with_exit_deadline_and_charges_one_retry() {
     b.tick();
     assert_eq!(b.sent(), [Sent::Cancel { worker: a, task }]);
     assert_eq!(b.job(id), (Status::Pending, 1, &[EXIT_DEADLINE][..]));
-    assert!(b.fx.wal.contains(&Record::DeadlineExceeded { job: id }));
+    assert!(b
+        .fx
+        .records()
+        .contains(&Record::DeadlineExceeded { job: id }));
     // The cancelled worker's late report is stale: it frees the worker
     // and changes nothing else. A deadline blames nobody, so the retry
     // may land on the same worker — and the second expiry is final.
@@ -786,7 +807,7 @@ fn quarantine_holds_a_request_and_replays_it_when_the_bench_expires() {
         b.core.worker_down(b.now(), w, &mut b.fx);
     }
     let strikes =
-        b.fx.wal
+        b.fx.records()
             .iter()
             .filter(|r| matches!(r, Record::QuarantineStrike { .. }))
             .count();
@@ -805,7 +826,7 @@ fn quarantine_holds_a_request_and_replays_it_when_the_bench_expires() {
     b.advance(1);
     b.tick();
     assert_eq!(b.assigned().0, w);
-    assert!(b.fx.wal.contains(&Record::QuarantineRelease {
+    assert!(b.fx.records().contains(&Record::QuarantineRelease {
         name: "flaky".into()
     }));
 }
@@ -988,7 +1009,7 @@ fn queued_jobs_replay_and_a_clean_finish_leaves_nothing_to_replay() {
     }
     assert_eq!(ran, 6);
     assert!(b.fx.unfinished.is_empty());
-    let rec = journal::recover(&b.fx.wal);
+    let rec = journal::recover(&b.fx.records());
     assert!(rec.jobs.is_empty());
     assert_eq!(rec.finished, 6);
 }
@@ -1086,7 +1107,7 @@ fn the_facts_tell_the_story_in_order() {
     assert_eq!(ring + 1, 18, "JobStarted is the eighteenth");
     assert!(b.fx.spans.is_empty());
     assert_eq!(
-        b.fx.wal.len(),
+        b.fx.records().len(),
         5,
         "Submitted, Enqueued, Assigned, TaskEnded, Finished"
     );

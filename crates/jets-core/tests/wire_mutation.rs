@@ -1,7 +1,8 @@
 //! The wire decoder against damaged and hostile frames.
 //!
-//! A corpus with every `WorkerMsg` and `DispatcherMsg` variant — the list
-//! is checked against an exhaustive `match`, so a new variant cannot ship
+//! A corpus with every `WorkerMsg` and `DispatcherMsg` variant, and every
+//! journal `Record` (a WAL payload is the same codec) — the lists are
+//! checked against exhaustive `match`es, so a new variant cannot ship
 //! without a codec arm and a place here — round-trips, and then every
 //! frame of it is cut at every byte, bit-flipped, given lengths that lie,
 //! unknown tags and broken escapes, and pushed to `MAX_FRAME_BYTES` ± 1.
@@ -13,17 +14,19 @@
 //! The mutations are seeded (`stdx::check`): a failure names the seed and
 //! case, and `SEED`/`CASES` below replay or widen it.
 
+use jets_core::journal::Record;
 use jets_core::protocol::{
     decode_msg, encode_msg_buf, DispatcherMsg, MsgReader, TaskAssignment, TaskKind, Wire,
     WorkerMsg, MAX_FRAME_BYTES,
 };
-use jets_core::spec::{CommandSpec, StageFile};
+use jets_core::spec::{CommandSpec, JobSpec, StageFile};
 use jets_ring::codec::{Put, END, ESC};
 use jets_ring::stdx::{check, SplitMix64};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Debug;
 use std::io;
+use std::time::Duration;
 
 const SEED: u64 = 0x5eed_c0de;
 const CASES: u64 = 3_000;
@@ -204,6 +207,65 @@ fn dispatcher_msgs() -> Vec<DispatcherMsg> {
     msgs
 }
 
+/// The journal's records: a WAL payload is one of these bodies.
+fn records() -> Vec<Record> {
+    let spec = |cmd| {
+        JobSpec::mpi_ppn(10, 0xDB, cmd)
+            .with_priority(-10)
+            .with_retries(u32::MAX)
+            .with_deadline(Duration::from_millis(u64::MAX))
+    };
+    let mut recs: Vec<Record> = commands()
+        .into_iter()
+        .zip([10, 0xDB])
+        .map(|(cmd, job)| Record::Submitted {
+            job,
+            spec: spec(cmd),
+        })
+        .collect();
+    recs.push(Record::Submitted {
+        job: u64::MAX,
+        spec: JobSpec::sequential(CommandSpec::builtin("noop", vec![]))
+            .with_stage(vec![StageFile::named(awkward(), "")]),
+    });
+    recs.extend([
+        Record::Enqueued {
+            job: 10,
+            attempts: 0,
+        },
+        Record::Assigned {
+            job: 0xDB,
+            attempt: u32::MAX,
+            tasks: vec![(10, 0xDB), (u64::MAX, 0)],
+        },
+        Record::Assigned {
+            job: 1,
+            attempt: 1,
+            tasks: vec![],
+        },
+        Record::TaskEnded {
+            job: 10,
+            task: 123_456,
+            exit_code: i32::MIN,
+        },
+        Record::Finished {
+            job: 10,
+            success: true,
+        },
+        Record::Requeued {
+            job: 10,
+            attempts: 0xDB,
+        },
+        Record::QuarantineStrike { name: awkward() },
+        Record::QuarantineRelease {
+            name: String::new(),
+        },
+        Record::DeadlineExceeded { job: 0xDB },
+        Record::Restarted,
+    ]);
+    recs
+}
+
 /// Which variant: no wildcard, so a new variant fails to compile here
 /// until it has an index — and then `every_variant_round_trips` fails
 /// until the corpus carries one.
@@ -248,6 +310,23 @@ fn dispatcher_variant(m: &DispatcherMsg) -> usize {
     }
 }
 const DISPATCHER_VARIANTS: usize = 11;
+
+/// As [`worker_variant`], for the journal's records.
+fn record_variant(r: &Record) -> usize {
+    match r {
+        Record::Submitted { .. } => 0,
+        Record::Enqueued { .. } => 1,
+        Record::Assigned { .. } => 2,
+        Record::TaskEnded { .. } => 3,
+        Record::Finished { .. } => 4,
+        Record::Requeued { .. } => 5,
+        Record::QuarantineStrike { .. } => 6,
+        Record::QuarantineRelease { .. } => 7,
+        Record::DeadlineExceeded { .. } => 8,
+        Record::Restarted => 9,
+    }
+}
+const RECORD_VARIANTS: usize = 10;
 
 fn frame<M: Wire>(msg: &M) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -314,6 +393,10 @@ fn every_variant_round_trips() {
         seen.iter().all(|&s| s),
         "DispatcherMsg shapes missing: {seen:?}"
     );
+    let records = records();
+    let mut seen = [false; RECORD_VARIANTS];
+    records.iter().for_each(|r| seen[record_variant(r)] = true);
+    assert!(seen.iter().all(|&s| s), "Record variants missing: {seen:?}");
 
     fn one<M: Wire + PartialEq + Debug>(msgs: &[M]) {
         let mut stream = Vec::new();
@@ -333,6 +416,7 @@ fn every_variant_round_trips() {
     }
     one(&workers);
     one(&dispatchers);
+    one(&records);
 }
 
 /// The encoding is prefix-free: no proper prefix of a frame is a frame.
@@ -348,6 +432,7 @@ fn truncation_at_every_byte_is_invalid() {
     }
     one(&worker_msgs());
     one(&dispatcher_msgs());
+    one(&records());
 }
 
 /// One mutation of `b`, drawn from `rng`.
@@ -394,30 +479,28 @@ fn mutate(rng: &mut SplitMix64, mut b: Vec<u8>) -> Vec<u8> {
     b
 }
 
+/// One corpus frame, mutated `rounds` times, through [`decode_damaged`]:
+/// whether it still decoded.
+fn mutated<M: Wire + PartialEq + Debug>(rng: &mut SplitMix64, corpus: &[M], rounds: u64) -> bool {
+    let msg = &corpus[rng.gen_range(0..corpus.len() as u64) as usize];
+    let mut b = body(msg);
+    for _ in 0..rounds {
+        b = mutate(rng, b);
+    }
+    decode_damaged::<M>(&b).is_some()
+}
+
 #[test]
 fn seeded_mutations_are_invalid_or_round_trip() {
-    let (workers, dispatchers) = (worker_msgs(), dispatcher_msgs());
+    let (workers, dispatchers, records) = (worker_msgs(), dispatcher_msgs(), records());
     let (mut decoded, mut rejected) = (0, 0);
     check(SEED, CASES, |rng| {
         // Several mutations stacked on one frame, sometimes.
         let rounds = 1 + rng.gen_range(0..3);
-        let ok = match rng.gen_range(0..2) {
-            0 => {
-                let msg = &workers[rng.gen_range(0..workers.len() as u64) as usize];
-                let mut b = body(msg);
-                for _ in 0..rounds {
-                    b = mutate(rng, b);
-                }
-                decode_damaged::<WorkerMsg>(&b).is_some()
-            }
-            _ => {
-                let msg = &dispatchers[rng.gen_range(0..dispatchers.len() as u64) as usize];
-                let mut b = body(msg);
-                for _ in 0..rounds {
-                    b = mutate(rng, b);
-                }
-                decode_damaged::<DispatcherMsg>(&b).is_some()
-            }
+        let ok = match rng.gen_range(0..3) {
+            0 => mutated(rng, &workers, rounds),
+            1 => mutated(rng, &dispatchers, rounds),
+            _ => mutated(rng, &records, rounds),
         };
         match ok {
             true => decoded += 1,
@@ -456,6 +539,27 @@ fn lying_lengths_allocate_nothing() {
         assert_eq!(got.unwrap_err().kind(), io::ErrorKind::InvalidData);
         assert_eq!(allocated, 0, "{f:?}");
     }
+    // The same claims as a journal record's task list and a strike's name.
+    for claim in [1u64 << 40, 1_000, 5] {
+        let mut b = Vec::new();
+        let mut p = Put(&mut b);
+        p.u8(b'A');
+        p.var(1);
+        p.var(1);
+        p.var(claim);
+        p.var(7);
+        let (got, allocated) = counted(|| decode_msg::<Record>(&b));
+        assert_eq!(got.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(allocated, 0, "{b:?}");
+        b.clear();
+        let mut p = Put(&mut b);
+        p.u8(b'K');
+        p.var(claim);
+        p.0.extend_from_slice(b"abc");
+        let (got, allocated) = counted(|| decode_msg::<Record>(&b));
+        assert_eq!(got.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(allocated, 0, "{b:?}");
+    }
     let mut b = body(&DispatcherMsg::Assign(assignments().remove(0)));
     // The first assignment's `args` count follows its command's name.
     let args_at = b.windows(4).position(|w| w == b"noop").unwrap() + 4;
@@ -470,12 +574,16 @@ fn lying_lengths_allocate_nothing() {
 fn unknown_tags_and_broken_escapes_are_invalid() {
     let worker_tags = b"RQDBGhrqdbgSs";
     let dispatcher_tags = b"RACXrac";
+    let record_tags = b"SQATFRKUDB";
     for tag in 0..=u8::MAX {
         if !worker_tags.contains(&tag) {
             assert_invalid::<WorkerMsg>(&[tag], &format!("worker tag {tag:#x}"));
         }
         if !dispatcher_tags.contains(&tag) {
             assert_invalid::<DispatcherMsg>(&[tag], &format!("dispatcher tag {tag:#x}"));
+        }
+        if !record_tags.contains(&tag) {
+            assert_invalid::<Record>(&[tag], &format!("record tag {tag:#x}"));
         }
     }
     // Inner tags: the task shape and the command shape of an `Assign`,

@@ -796,15 +796,20 @@ fn is_handler_fn(name: &str) -> bool {
         || name.contains("session")
 }
 
-/// The files that are handler scope as a whole: the pure cores, and the
-/// wire codec — its primitives and the message codec built on them.
-const WHOLE_FILE_SCOPE: [&str; 6] = [
+/// The files that are handler scope as a whole: the pure cores, and every
+/// decoder of bytes from outside the process — the wire codec's
+/// primitives, the message and journal codecs built on them, the flight
+/// ring's slot codec and the PMI line parser.
+const WHOLE_FILE_SCOPE: [&str; 9] = [
     "jets-core/src/core.rs",
     "jets-relay/src/core.rs",
     "jets-worker/src/core.rs",
     "jets-pmi/src/service.rs",
     "jets-ring/src/codec.rs",
     "jets-core/src/protocol.rs",
+    "jets-core/src/journal.rs",
+    "jets-core/src/events.rs",
+    "jets-pmi/src/wire.rs",
 ];
 
 fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
@@ -815,9 +820,9 @@ fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
     // The dispatcher's scheduling core, the relay's routing core, the
     // pilot's core and the PMI service (decode path included) are handler
     // scope as a whole: every transition in them runs on a frame, a
-    // disconnect or a replayed journal, whatever its name. So is the wire
-    // codec, which reads every frame any peer sends before a handler
-    // sees it.
+    // disconnect or a replayed journal, whatever its name. So is every
+    // decoder, which reads what a peer sent or a dead process left on
+    // disk before a handler sees it.
     let all_handlers = WHOLE_FILE_SCOPE
         .iter()
         .any(|scoped| file.path.ends_with(scoped));

@@ -123,9 +123,10 @@ pub fn escape(s: &str) -> String {
 }
 
 fn encode_byte(out: &mut String, b: u8) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('%');
-    out.push(hex_digit(b >> 4));
-    out.push(hex_digit(b & 0xf));
+    out.push(HEX[usize::from(b >> 4)].into());
+    out.push(HEX[usize::from(b & 0xf)].into());
 }
 
 /// Reverse of [`escape`].
@@ -148,10 +149,6 @@ pub fn unescape(s: &str) -> Result<String, WireError> {
         }
     }
     String::from_utf8(out).map_err(|_| WireError::BadEscape(s.to_string()))
-}
-
-fn hex_digit(nibble: u8) -> char {
-    char::from_digit(nibble as u32, 16).expect("nibble in range")
 }
 
 fn from_hex(b: u8) -> Option<u8> {

@@ -129,13 +129,23 @@ struct DFx {
     /// The direct workers' connections, and the frames for those.
     direct: BTreeMap<WorkerId, u64>,
     to_direct: Vec<(u64, DispatcherMsg)>,
-    wal: Vec<Record>,
+    /// The journal file's bytes, across incarnations.
+    wal: Vec<u8>,
     unfinished: BTreeSet<JobId>,
 }
 
 impl DFx {
     fn send(&mut self, msg: DispatcherMsg) -> bool {
         self.out.as_mut().map(|out| out.push(msg)).is_some()
+    }
+
+    /// Append records to the journal's bytes, framed as the shell's
+    /// `Journal` writes them (behind the magic, as it opens a new file).
+    fn journal(&mut self, recs: &[Record]) {
+        if self.wal.is_empty() {
+            self.wal.extend_from_slice(journal::MAGIC);
+        }
+        journal::append_frames(&mut self.wal, recs).expect("records fit a frame");
     }
 }
 
@@ -166,7 +176,9 @@ impl DispatcherEffects for DFx {
         None
     }
     fn fact(&mut self, fact: DispatcherFact<'_>) {
-        fact.wal(&mut self.wal);
+        let mut recs = Vec::new();
+        fact.wal(&mut recs);
+        self.journal(&recs);
         match fact {
             DispatcherFact::Submitted { jobs } => {
                 let fresh = jobs.iter().all(|j| self.unfinished.insert(j.id));
@@ -717,8 +729,10 @@ impl World {
         (self.conn, self.dfx.out) = (None, None);
         (PILOTS as usize..ALL).for_each(|p| _ = self.hang_up(p, false));
         self.dfx.direct.clear();
-        let recovered = journal::recover(&self.dfx.wal);
-        self.dfx.wal.push(Record::Restarted);
+        let scanned = journal::scan_bytes(&self.dfx.wal).expect("a journal");
+        assert_eq!(scanned.dropped_bytes(), 0, "a record did not decode");
+        let recovered = journal::recover(&scanned.records);
+        self.dfx.journal(&[Record::Restarted]);
         self.disp = Core::new(self.config.clone(), self.t0);
         self.disp(|core, fx, at| core.restore(at, recovered, fx));
     }
