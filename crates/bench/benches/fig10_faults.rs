@@ -11,7 +11,7 @@
 //! with the same 32 workers; the two series are printed per bin.
 
 use cluster_sim::workload::{sleep_batch, TimeScale};
-use cluster_sim::FaultInjector;
+use cluster_sim::{ChaosInjector, FaultMix, FaultPlan};
 use jets_bench::{banner, boot, env_or};
 use jets_core::{stats, DispatcherConfig};
 use std::sync::Arc;
@@ -36,8 +36,15 @@ fn main() {
         .collect();
     bed.dispatcher.submit_all(batch);
 
-    let injector = FaultInjector::start(Arc::clone(&bed.allocation), kill_interval, 42);
-    let killed = injector.join(); // runs until the allocation is empty
+    let mix = FaultMix {
+        kill: 1,
+        partition: 0,
+        calm: 0,
+        max_kills: workers,
+    };
+    let plan = FaultPlan::seeded(42, workers, kill_interval, mix);
+    // One kill per interval until the allocation is empty.
+    let killed = ChaosInjector::start(Arc::clone(&bed.allocation), plan).join();
     assert_eq!(killed.len(), workers as usize);
     // Give the dispatcher a moment to observe the last EOFs.
     std::thread::sleep(Duration::from_millis(300));

@@ -1,11 +1,14 @@
 //! Deterministic chaos: a seeded fault plan replayed against an allocation.
 //!
-//! [`crate::faults::FaultInjector`] reproduces the paper's experiment —
-//! permanent kills only, one per tick. The chaos harness generalises it
-//! into a **plan**: a timed sequence of fault events (kill / partition /
+//! A **plan** is a timed sequence of fault events (kill / partition /
 //! calm tick) generated *up front* from a seed, so a failing test run
 //! replays exactly by reusing the seed, and the mix of fault types is a
-//! declared knob instead of an accident of timing.
+//! declared knob instead of an accident of timing. The paper's Fig. 10
+//! experiment — "a fault injection script ... terminated randomly
+//! selected pilot jobs, one at a time, at regular 10-s intervals"
+//! (Section 6.1.5) — is the kill-only plan:
+//! `FaultPlan::seeded(seed, n, interval, FaultMix { kill: 1, partition: 0,
+//! calm: 0, max_kills: n })`.
 //!
 //! Two fault flavours map onto the two worker-agent primitives:
 //!
@@ -252,6 +255,76 @@ impl ChaosInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::AllocationConfig;
+
+    /// `n` pilots that stay live without a dispatcher: each sits in its
+    /// boot delay until a fault kills it.
+    fn idle_allocation(n: u32) -> Arc<Allocation> {
+        Arc::new(Allocation::start_delayed(
+            "127.0.0.1:1",
+            AllocationConfig::new(n),
+            Arc::new(jets_worker::Executor::default()),
+            Duration::from_secs(3600),
+        ))
+    }
+
+    /// The paper's Fig. 10 script: `n` kills, one per `interval`.
+    fn kills(n: u32, interval: Duration) -> FaultPlan {
+        let mix = FaultMix {
+            kill: 1,
+            partition: 0,
+            calm: 0,
+            max_kills: n,
+        };
+        FaultPlan::seeded(42, n, interval, mix)
+    }
+
+    fn wait_live(alloc: &Allocation, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while alloc.live_count() != n {
+            assert!(
+                Instant::now() < deadline,
+                "{} live, want {n}",
+                alloc.live_count()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn injector_kills_everyone_eventually() {
+        let alloc = idle_allocation(5);
+        let plan = kills(5, Duration::from_millis(100));
+        let applied = ChaosInjector::start(Arc::clone(&alloc), plan).join();
+        let mut killed: Vec<usize> = applied
+            .iter()
+            .map(|&(action, idx)| {
+                assert_eq!(action, FaultAction::Kill);
+                idx
+            })
+            .collect();
+        killed.sort_unstable();
+        assert_eq!(killed, vec![0, 1, 2, 3, 4], "distinct live workers");
+        wait_live(&alloc, 0);
+        alloc.join_all();
+    }
+
+    #[test]
+    fn injector_stops_on_request() {
+        let alloc = idle_allocation(4);
+        // One kill now, the rest an hour away: `stop` must not wait them out.
+        let mut plan = kills(4, Duration::from_secs(3600));
+        plan.events[0].at = Duration::ZERO;
+        let injector = ChaosInjector::start(Arc::clone(&alloc), plan);
+        wait_live(&alloc, 3);
+        let applied = injector.stop();
+        assert_eq!(applied.len(), 1, "applied: {applied:?}");
+        assert_eq!(alloc.live_count(), 3);
+        for i in 0..4 {
+            alloc.kill(i);
+        }
+        alloc.join_all();
+    }
 
     #[test]
     fn same_seed_same_plan() {

@@ -17,18 +17,17 @@
 //!    pay true cost, which is what makes the paper's saturation effects
 //!    reappear instead of being programmed in.
 //!
-//! [`FaultInjector`] reproduces the paper's faulty-allocation experiment
-//! (Fig. 10): kill one randomly chosen pilot at fixed intervals and watch
-//! the dispatcher keep the survivors busy. [`chaos`] generalises it into
-//! seeded, replayable fault *plans* that mix permanent kills with
-//! transient partitions (reconnecting agents).
+//! [`chaos`] replays seeded fault *plans* against an allocation. A
+//! kill-only plan, one kill per interval, is the paper's faulty-allocation
+//! experiment (Fig. 10): kill one randomly chosen pilot at fixed intervals
+//! and watch the dispatcher keep the survivors busy. Other plans mix
+//! permanent kills with transient partitions (reconnecting agents).
 
 #![warn(missing_docs)]
 
 pub mod allocation;
 pub mod apps;
 pub mod chaos;
-pub mod faults;
 pub mod relays;
 pub mod spectrum;
 pub mod workload;
@@ -38,7 +37,6 @@ pub use apps::{register_namd, science_registry};
 pub use chaos::{
     ChaosInjector, DispatcherHooks, FaultAction, FaultEvent, FaultMix, FaultPlan, DISPATCHER_TARGET,
 };
-pub use faults::FaultInjector;
 pub use relays::{RelayedAllocation, RelayedAllocationConfig};
 pub use spectrum::{halving_spectrum, linear_wait, SpectrumAllocator};
 pub use workload::{NamdDurationModel, TimeScale};

@@ -309,7 +309,6 @@ fn print_phase_stats(events: &[jets_core::Event]) {
     struct SizeRow {
         jobs: u64,
         queue: Histogram,
-        launch: Histogram,
         run: Histogram,
         pmi: Histogram,
         pmi_jobs: u64,
@@ -320,7 +319,6 @@ fn print_phase_stats(events: &[jets_core::Event]) {
         if let EventKind::JobPhases {
             nodes,
             queue_us,
-            launch_us,
             pmi_us,
             run_us,
             ..
@@ -329,7 +327,6 @@ fn print_phase_stats(events: &[jets_core::Event]) {
             let row = by_size.entry(*nodes).or_insert_with(|| SizeRow {
                 jobs: 0,
                 queue: Histogram::new(),
-                launch: Histogram::new(),
                 run: Histogram::new(),
                 pmi: Histogram::new(),
                 pmi_jobs: 0,
@@ -337,7 +334,6 @@ fn print_phase_stats(events: &[jets_core::Event]) {
             });
             row.jobs += 1;
             row.queue.record(*queue_us);
-            row.launch.record(*launch_us);
             row.run.record(*run_us);
             match pmi_us {
                 Some(us) => {
@@ -365,16 +361,15 @@ fn print_phase_stats(events: &[jets_core::Event]) {
         jets_core::metrics::JOB_PHASE_METRIC
     );
     println!(
-        "  {:>5} {:>6}  {:<28} {:<28} {:<28} {:<28}",
-        "nodes", "jobs", "queue", "launch", "run", "pmi"
+        "  {:>5} {:>6}  {:<28} {:<28} {:<28}",
+        "nodes", "jobs", "queue", "run", "pmi"
     );
     for (nodes, row) in &by_size {
         println!(
-            "  {:>5} {:>6}  {:<28} {:<28} {:<28} {:<28}",
+            "  {:>5} {:>6}  {:<28} {:<28} {:<28}",
             nodes,
             row.jobs,
             fmt(&row.queue.snapshot()),
-            fmt(&row.launch.snapshot()),
             fmt(&row.run.snapshot()),
             if row.pmi_jobs > 0 {
                 format!("{} ({} gangs)", fmt(&row.pmi.snapshot()), row.pmi_jobs)

@@ -28,6 +28,7 @@
 
 use cluster_sim::science_registry;
 use jets_cli::parse_args;
+use jets_reactor::{Reactor, ReactorConfig};
 use jets_worker::{Executor, ReconnectPolicy, Worker, WorkerConfig, WorkerMetrics};
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,20 +103,29 @@ fn main() {
     }
     let metrics = Arc::new(WorkerMetrics::new());
     config.metrics = Some(Arc::clone(&metrics));
-    // Held for the process lifetime; dropping it would close the port.
-    let mut _metrics_server = None;
-    if let Some(addr) = args.get("metrics-addr") {
-        match jets_obs::serve_metrics(addr, metrics.registry()) {
-            Ok(server) => {
-                println!("jets-worker: serving http://{}/metrics", server.addr());
-                _metrics_server = Some(server);
+    // The agent is a blocking client with no event loop of its own, so
+    // `/metrics` gets a one-loop reactor, held for the process lifetime.
+    let _metrics_loop = args.get("metrics-addr").map(|addr| {
+        let config = ReactorConfig {
+            event_loops: 1,
+            thread_name: "worker-metrics".to_string(),
+            ..ReactorConfig::default()
+        };
+        let served = Reactor::start(config).and_then(|reactor| {
+            let local = jets_obs::serve_metrics(&reactor, addr, metrics.registry())?;
+            Ok((reactor, local))
+        });
+        match served {
+            Ok((reactor, local)) => {
+                println!("jets-worker: serving http://{local}/metrics");
+                reactor
             }
             Err(e) => {
                 eprintln!("jets-worker: cannot serve metrics on {addr}: {e}");
                 std::process::exit(1);
             }
         }
-    }
+    });
     let name = config.name.clone();
     println!("jets-worker: {name} connecting to {endpoint}");
     let worker = Worker::spawn(config, Arc::new(Executor::new(science_registry())));

@@ -7,8 +7,8 @@
 //! Section 3, principles 1–2):
 //!
 //! * **Socket management** — one `jets-reactor` event loop multiplexing
-//!   every worker and relay connection (and the PMI service's ranks).
-//!   The thread bill is one loop, not O(connections).
+//!   every worker and relay connection (and the PMI service's ranks, and
+//!   `/metrics` scrapes). The thread bill is one loop, not O(connections).
 //! * **Inputs** — each frame, submission, disconnect and monitor tick
 //!   becomes exactly one call on the [`Core`], made through `step`: take
 //!   the `sched` lock, sample the clock once, call, release. A `Request`
@@ -49,7 +49,6 @@ use crate::protocol::{
 use crate::queue::QueuePolicy;
 use crate::registry::QuarantinePolicy;
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
-use jets_obs::MetricsServer;
 use jets_pmi::PmiHub;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
 use jets_ring::stdx::{wait_for, Guard, Mutex, Rank};
@@ -58,7 +57,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -258,9 +257,6 @@ struct Inner {
     /// `sched` and written by [`flush_outputs`] on a thread that may
     /// block. A leaf lock.
     outputs: Mutex<Vec<(PathBuf, String)>>,
-    /// Total TCP connections the reactor listener has taken — the number
-    /// the relay tier exists to shrink from O(workers) to O(relays).
-    accepted: AtomicU64,
     shutdown: AtomicBool,
     /// Set by [`Dispatcher::kill`]: shut down *silently*, the way a
     /// crash would — no goodbye frames, no further journal writes (the
@@ -396,14 +392,12 @@ impl Effects for Sink<'_> {
                     EventKind::RelayDown { relay } => drop(self.io.relays.remove(relay)),
                     EventKind::JobPhases {
                         queue_us,
-                        launch_us,
                         pmi_us,
                         run_us,
                         total_us,
                         ..
                     } => {
                         m.phase_queue.record(*queue_us);
-                        m.phase_launch.record(*launch_us);
                         pmi_us.iter().for_each(|&us| m.phase_pmi.record(us));
                         m.phase_run.record(*run_us);
                         m.phase_total.record(*total_us);
@@ -544,16 +538,13 @@ const PMI_FENCE_TIMEOUT: Duration = Duration::from_secs(60);
 /// A running JETS dispatcher.
 ///
 /// Dropping the dispatcher shuts it down: workers receive `Shutdown`,
-/// the reactor's event loop stops, and service threads drain.
+/// the reactor's event loop stops (closing every listener, `/metrics`
+/// included), and service threads drain.
 pub struct Dispatcher {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    /// The `/metrics` responder, when one was started; dropping the
-    /// dispatcher stops it.
-    metrics_server: Mutex<Option<MetricsServer>>,
-    /// The event loop serving every connection. Declared after
-    /// `metrics_server` so queued `Shutdown` frames get the reactor's
-    /// final flush when the dispatcher drops.
+    /// The event loop serving every connection. Dropped after `shutdown`
+    /// has queued the `Shutdown` frames, which get its final flush.
     reactor: Reactor,
 }
 
@@ -625,7 +616,6 @@ impl Dispatcher {
             metrics: Arc::new(DispatcherMetrics::new()),
             idle_cv: Condvar::new(),
             outputs: Mutex::new(Vec::new()),
-            accepted: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             journal,
@@ -652,7 +642,6 @@ impl Dispatcher {
                 if factory_inner.shutdown.load(Ordering::Acquire) {
                     return None;
                 }
-                factory_inner.accepted.fetch_add(1, Ordering::Relaxed);
                 factory_inner.metrics.connections_accepted_total.inc();
                 Some(Box::new(DispatcherConn {
                     inner: Arc::clone(&factory_inner),
@@ -676,7 +665,6 @@ impl Dispatcher {
         Ok(Dispatcher {
             inner,
             addr,
-            metrics_server: Mutex::new(None),
             reactor,
         })
     }
@@ -698,14 +686,11 @@ impl Dispatcher {
         Arc::clone(&self.inner.metrics)
     }
 
-    /// Start a `/metrics` + `/healthz` HTTP responder on `addr` (port 0
-    /// picks an ephemeral port) and return the bound address. The
-    /// responder lives until the dispatcher is dropped.
+    /// Serve `GET /metrics` and `GET /healthz` on `addr` (port 0 picks an
+    /// ephemeral port) from the dispatcher's own event loop, and return
+    /// the bound address. The port closes when the dispatcher is dropped.
     pub fn serve_metrics(&self, addr: &str) -> io::Result<SocketAddr> {
-        let server = jets_obs::serve_metrics(addr, self.inner.metrics.registry())?;
-        let local = server.addr();
-        *self.metrics_server.lock() = Some(server);
-        Ok(local)
+        jets_obs::serve_metrics(&self.reactor, addr, self.inner.metrics.registry())
     }
 
     /// Submit one job; returns its identifier.
@@ -801,7 +786,7 @@ impl Dispatcher {
     /// With a relay tier this stays at O(relays) however many workers
     /// register behind them.
     pub fn connections_accepted(&self) -> u64 {
-        self.inner.accepted.load(Ordering::Relaxed)
+        self.inner.metrics.connections_accepted_total.get()
     }
 
     /// Number of currently connected relay daemons.

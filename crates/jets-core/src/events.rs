@@ -221,7 +221,9 @@ pub enum EventKind {
         nodes: u32,
         /// Queue wait: last enqueue → workers selected.
         queue_us: u64,
-        /// Launch: workers selected → all assignments shipped.
+        /// Always 0: a scheduling pass is one instant on the core's clock,
+        /// and the `sched` and `ship` spans carry its real microseconds.
+        /// Kept so recorded files keep their shape.
         launch_us: u64,
         /// PMI negotiation: assignments shipped → first barrier
         /// released. `None` for jobs that never fence (sequential).

@@ -10,9 +10,8 @@
 //! over-approximates reachability within a crate at the price of
 //! occasional false positives. Cross-crate edges are deliberately not
 //! formed: without type information, `wait_for(&cvar, ..)` in the
-//! dispatcher would otherwise resolve to the reactor's `poll(2)`
-//! wrapper of the same name, and every such collision fabricates a
-//! taint chain. Ubiquitous trait / teardown method names (`new`,
+//! dispatcher would otherwise resolve to every other crate's function
+//! of the same name, and every such collision fabricates a taint chain. Ubiquitous trait / teardown method names (`new`,
 //! `clone`, `shutdown`, `kill`, …) are excluded from resolution
 //! entirely — an edge through them would be noise, not signal. These
 //! limits are documented in `docs/static-analysis.md`.

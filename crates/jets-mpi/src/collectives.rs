@@ -3,7 +3,7 @@
 //! Algorithms are the textbook ones MPICH uses for small communicators:
 //! dissemination barrier, binomial-tree broadcast and reduce, linear
 //! gather/scatter. Every collective call consumes one fresh internal tag
-//! ([`Communicator::next_collective_tag`]) so back-to-back collectives
+//! (`Communicator::next_collective_tag`) so back-to-back collectives
 //! cannot cross-match even when fast ranks race ahead.
 
 use crate::comm::Communicator;

@@ -15,7 +15,7 @@
 //!   thread-per-rank jobs, with an injectable [`NetModel`] reproducing the
 //!   latency/bandwidth difference between native messaging (IBM DCMF) and
 //!   MPICH2-over-ZeptoOS-TCP that Figure 8 of the paper measures.
-//! * **Point-to-point** ([`Communicator::send`], [`Communicator::recv`]):
+//! * **Point-to-point** ([`Communicator::send`], [`Communicator::recv_vec`]):
 //!   blocking, tagged, eager-protocol messaging with MPI's per-(source,
 //!   destination) non-overtaking guarantee.
 //! * **Collectives** ([`collectives`]): barrier (dissemination), broadcast

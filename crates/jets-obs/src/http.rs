@@ -1,118 +1,82 @@
-//! Std-only HTTP/1.0 responder for `GET /metrics` and `GET /healthz`.
+//! Std-only HTTP/1.0 `GET /metrics` and `GET /healthz`, served from a
+//! reactor the caller already runs.
 //!
-//! One named thread accepts connections on a non-blocking listener and
-//! answers each request inline — a scrape is a single short-lived
-//! connection, so there is no per-connection thread and nothing shared
-//! with the dispatcher beyond the lock-free metric handles. The registry
-//! is rendered to a `String` *before* any socket write, so no lock is
-//! ever held across network I/O.
-//!
-//! Between scrapes the accept loop parks on `poll(2)` (via
-//! `jets_reactor::wait_readable`) rather than sleep-polling: an idle
-//! responder wakes only for a connection or the periodic stop-flag
-//! check, never on a busy-wait timer.
+//! A scrape is one more connection on its owner's event loop. The
+//! request's lines arrive as frames, and the blank line that ends the
+//! request is answered in the same callback: the registry rendered to a
+//! string, one outbox push, a graceful close. A scraper that stops
+//! mid-request holds one idle connection and nothing else; no thread
+//! waits on it, and the loop's other connections never notice.
 
 use crate::metrics::Registry;
-use std::io::{BufRead, BufReader, Write};
+use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Upper bound on one idle park: the loop re-checks the stop flag at
-/// least this often even if no connection ever arrives.
-const ACCEPT_IDLE: Duration = Duration::from_millis(50);
-/// Per-request socket timeout: a scraper that stalls cannot wedge the
-/// responder thread for longer than this.
+/// Per-request socket timeout of [`scrape`].
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Handle for a running metrics responder. Dropping it stops the thread.
-pub struct MetricsServer {
-    local: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// The address the responder actually bound (resolves `:0`).
-    pub fn addr(&self) -> SocketAddr {
-        self.local
-    }
-
-    /// Stop the responder thread and wait for it to exit.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Bind `addr` and serve the registry over HTTP until the returned
-/// handle is dropped. `GET /metrics` answers with Prometheus text
-/// exposition format, `GET /healthz` with `ok`; anything else is 404.
-pub fn serve_metrics(addr: &str, registry: Arc<Registry>) -> std::io::Result<MetricsServer> {
+/// Bind `addr` (port 0 picks an ephemeral port) and serve `registry` on
+/// `reactor`'s event loop until the reactor shuts down; returns the
+/// bound address. `GET /metrics` answers with Prometheus text exposition
+/// format, `GET /healthz` with `ok`; anything else is 404.
+pub fn serve_metrics(
+    reactor: &Reactor,
+    addr: &str,
+    registry: Arc<Registry>,
+) -> io::Result<SocketAddr> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let handle = thread::Builder::new()
-        .name("jets-obs-http".into())
-        .spawn(move || accept_loop(listener, registry, stop2))?;
-    Ok(MetricsServer {
-        local,
-        stop,
-        handle: Some(handle),
-    })
+    reactor.listen(
+        listener,
+        Arc::new(move |_: &TcpStream, _: SocketAddr| {
+            Some(Box::new(Scrape {
+                registry: Arc::clone(&registry),
+                outbox: None,
+                request: None,
+            }) as Box<dyn ConnHandler>)
+        }),
+    )?;
+    Ok(local)
 }
 
-fn accept_loop(listener: TcpListener, registry: Arc<Registry>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((sock, _)) => handle_scrape(sock, &registry),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => park_for_accept(&listener),
-            // Transient accept errors (EMFILE, reset during handshake):
-            // back off and keep serving.
-            Err(_) => thread::sleep(ACCEPT_IDLE),
+/// One scrape connection.
+struct Scrape {
+    registry: Arc<Registry>,
+    outbox: Option<Arc<Outbox>>,
+    /// The request line, once it has arrived.
+    request: Option<String>,
+}
+
+impl ConnHandler for Scrape {
+    fn on_open(&mut self, outbox: &Arc<Outbox>) {
+        self.outbox = Some(Arc::clone(outbox));
+    }
+
+    fn on_frame(&mut self, line: &[u8]) -> Flow {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        // Lines after the answer (a pipelined second request) are ignored.
+        let Some(outbox) = self.outbox.as_ref().filter(|o| !o.is_closed()) else {
+            return Flow::Continue;
+        };
+        match &self.request {
+            None => self.request = Some(String::from_utf8_lossy(line).into_owned()),
+            Some(request) if line.is_empty() => {
+                outbox.send(&handle_request(&self.registry, request));
+                outbox.close();
+            }
+            Some(_) => {} // a header
         }
+        Flow::Continue
     }
+
+    fn on_close(&mut self, _reason: CloseReason) {}
 }
 
-/// Park until the listener is readable (a connection is pending) or the
-/// idle bound passes, whichever comes first — no busy-wait.
-#[cfg(unix)]
-fn park_for_accept(listener: &TcpListener) {
-    use std::os::fd::AsRawFd;
-    if jets_reactor::wait_readable(listener.as_raw_fd(), ACCEPT_IDLE).is_err() {
-        // poll(2) failing is unheard of on a valid fd; degrade to the
-        // old sleep rather than spinning on the error.
-        thread::sleep(ACCEPT_IDLE);
-    }
-}
-
-#[cfg(not(unix))]
-fn park_for_accept(_listener: &TcpListener) {
-    thread::sleep(ACCEPT_IDLE);
-}
-
-/// Answer one scrape. All errors are swallowed: a broken scraper must
-/// never take the responder (or anything it observes) down with it.
-fn handle_scrape(sock: TcpStream, registry: &Registry) {
-    let _ = sock.set_read_timeout(Some(REQUEST_TIMEOUT));
-    let _ = sock.set_write_timeout(Some(REQUEST_TIMEOUT));
-    let mut reader = BufReader::new(sock);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
+/// The whole HTTP response to `request_line` (`GET /metrics HTTP/1.0`).
+fn handle_request(registry: &Registry, request_line: &str) -> Vec<u8> {
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = match path {
         "/metrics" => (
@@ -127,16 +91,11 @@ fn handle_scrape(sock: TcpStream, registry: &Registry) {
             "not found\n".to_string(),
         ),
     };
-    let header = format!(
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    format!(
+        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    );
-    let mut sock = reader.into_inner();
-    if sock.write_all(header.as_bytes()).is_err() {
-        return;
-    }
-    let _ = sock.write_all(body.as_bytes());
-    let _ = sock.flush();
+    )
+    .into_bytes()
 }
 
 /// Fetch `path` from a metrics responder at `addr` and return the body.
@@ -174,14 +133,25 @@ pub fn scrape(addr: &str, path: &str) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jets_reactor::ReactorConfig;
+    use std::io::Read;
+
+    fn one_loop() -> Reactor {
+        Reactor::start(ReactorConfig {
+            event_loops: 1,
+            ..ReactorConfig::default()
+        })
+        .expect("start a reactor")
+    }
 
     #[test]
     fn serves_metrics_healthz_and_404() {
+        let reactor = one_loop();
         let registry = Arc::new(Registry::new());
-        let c = registry.counter("jets_test_total", "A test counter");
+        let c = registry.counter("jets_test_total", "A test counter", &[]);
         c.add(9);
-        let server = serve_metrics("127.0.0.1:0", registry).expect("bind");
-        let addr = server.addr().to_string();
+        let addr = serve_metrics(&reactor, "127.0.0.1:0", registry).expect("bind");
+        let addr = addr.to_string();
 
         let body = scrape(&addr, "/metrics").expect("scrape metrics");
         assert!(body.contains("# TYPE jets_test_total counter"));
@@ -194,12 +164,29 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
+    /// The answer waits for the blank line that ends the request, however
+    /// the request is cut, and carries the exposition content type.
+    #[test]
+    fn a_request_cut_anywhere_is_answered_at_its_end() {
+        let reactor = one_loop();
+        let addr = serve_metrics(&reactor, "127.0.0.1:0", Arc::new(Registry::new())).unwrap();
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.set_read_timeout(Some(REQUEST_TIMEOUT)).unwrap();
+        for part in ["GET /met", "rics HTTP/1.1\r\nHost: x\r", "\n", "\r\n"] {
+            sock.write_all(part.as_bytes()).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let mut reply = String::new();
+        sock.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "{reply}");
+        assert!(reply.contains("Content-Type: text/plain; version=0.0.4"));
+    }
+
     #[test]
     fn shutdown_releases_the_port() {
-        let registry = Arc::new(Registry::new());
-        let mut server = serve_metrics("127.0.0.1:0", registry).expect("bind");
-        let addr = server.addr();
-        server.shutdown();
+        let reactor = one_loop();
+        let addr = serve_metrics(&reactor, "127.0.0.1:0", Arc::new(Registry::new())).expect("bind");
+        reactor.shutdown();
         // After shutdown the port is free to rebind.
         let rebind = TcpListener::bind(addr);
         assert!(rebind.is_ok(), "port still held after shutdown: {rebind:?}");

@@ -1,4 +1,6 @@
-//! Lock-free metric primitives and the registry that renders them.
+//! Lock-free metric primitives, the registry that renders them, and the
+//! [`metric_set!`](crate::metric_set) table each daemon declares its
+//! metrics in.
 //!
 //! Everything on the recording side is a single atomic RMW: counters and
 //! gauges are one `fetch_add`/`fetch_sub`, histograms are three (bucket,
@@ -11,7 +13,7 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -75,11 +77,10 @@ const SUB: usize = 16;
 const NUM_BUCKETS: usize = LINEAR_MAX as usize + 60 * SUB;
 
 /// Log-linear bucketed histogram over `u64` samples (by convention:
-/// microseconds for latency metrics; the registry renders those as
-/// seconds).
+/// microseconds; the registry renders them as seconds).
 ///
-/// Layout is the classic HDR shape: exact buckets below [`LINEAR_MAX`],
-/// then 16 linear sub-buckets per power-of-two octave, giving ≤ 6%
+/// Layout is the classic HDR shape: exact buckets below 16, then 16
+/// linear sub-buckets per power-of-two octave, giving ≤ 6%
 /// relative error on quantiles across the full `u64` range for a fixed
 /// 7.6 KiB of `AtomicU64`s. Recording is wait-free; snapshots read the
 /// buckets racily, which can momentarily undercount the tail but never
@@ -217,32 +218,24 @@ impl Histogram {
     }
 }
 
-/// How a histogram's samples should be rendered in the exposition text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// Samples are raw counts; render as-is.
-    Raw,
-    /// Samples are microseconds; render as fractional seconds (so the
-    /// metric name can follow the Prometheus `_seconds` convention).
-    Micros,
-}
-
 enum Kind {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>, Unit),
+    /// Microsecond samples, rendered as a summary in seconds.
+    Histogram(Arc<Histogram>),
 }
 
 struct Entry {
     name: &'static str,
-    help: &'static str,
+    help: String,
     labels: Vec<(&'static str, String)>,
     kind: Kind,
 }
 
 /// Named collection of metrics, rendered in Prometheus text exposition
 /// format. Registration and rendering lock a `Mutex`; the returned
-/// handles never do.
+/// handles never do. Series sharing a name are registered one after
+/// another and rendered under one `# HELP`/`# TYPE` header, the first's.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
@@ -254,167 +247,92 @@ impl Registry {
         Registry::default()
     }
 
-    fn push(&self, e: Entry) {
-        let mut g = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        g.push(e);
+    fn add<T: Default>(
+        &self,
+        name: &'static str,
+        help: &str,
+        labels: &[(&'static str, &str)],
+        kind: fn(Arc<T>) -> Kind,
+    ) -> Arc<T> {
+        let handle = Arc::new(T::default());
+        let entry = Entry {
+            name,
+            help: help.to_string(),
+            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
+            kind: kind(Arc::clone(&handle)),
+        };
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        entries.push(entry);
+        handle
     }
 
-    /// Register a counter and return its recording handle.
-    pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
-        let c = Arc::new(Counter::default());
-        self.push(Entry {
-            name,
-            help,
-            labels: Vec::new(),
-            kind: Kind::Counter(c.clone()),
-        });
-        c
+    /// Register a counter and return its recording handle. `labels` are
+    /// rendered on every sample of the series (`phase="queue"`).
+    pub fn counter(
+        &self,
+        name: &'static str,
+        help: &str,
+        labels: &[(&'static str, &str)],
+    ) -> Arc<Counter> {
+        self.add(name, help, labels, Kind::Counter)
     }
 
     /// Register a gauge and return its recording handle.
-    pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::default());
-        self.push(Entry {
-            name,
-            help,
-            labels: Vec::new(),
-            kind: Kind::Gauge(g.clone()),
-        });
-        g
-    }
-
-    /// Register a gauge with a fixed label set (e.g. the
-    /// `jets_build_info` identity gauge) and return its recording
-    /// handle. Labels are rendered on every sample of this series.
-    pub fn gauge_labeled(
+    pub fn gauge(
         &self,
         name: &'static str,
-        help: &'static str,
+        help: &str,
         labels: &[(&'static str, &str)],
     ) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::default());
-        self.push(Entry {
-            name,
-            help,
-            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-            kind: Kind::Gauge(g.clone()),
-        });
-        g
+        self.add(name, help, labels, Kind::Gauge)
     }
 
     /// Register a histogram of microsecond samples, exposed as a
-    /// Prometheus summary in seconds with p50/p95/p99 quantiles. The
-    /// label pair distinguishes series sharing one metric name (e.g.
-    /// `phase="queue"`).
-    pub fn histogram_micros(
+    /// Prometheus summary in seconds with p50/p95/p99 quantiles.
+    pub fn histogram(
         &self,
         name: &'static str,
-        help: &'static str,
+        help: &str,
         labels: &[(&'static str, &str)],
     ) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
-        self.push(Entry {
-            name,
-            help,
-            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-            kind: Kind::Histogram(h.clone(), Unit::Micros),
-        });
-        h
-    }
-
-    /// Register a histogram of raw (unit-less) samples.
-    pub fn histogram_raw(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
-        self.push(Entry {
-            name,
-            help,
-            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-            kind: Kind::Histogram(h.clone(), Unit::Raw),
-        });
-        h
+        self.add(name, help, labels, Kind::Histogram)
     }
 
     /// Render every registered metric as Prometheus text exposition
-    /// format (version 0.0.4). Entries sharing a metric name (labelled
-    /// series) emit one `# HELP`/`# TYPE` header for the group.
+    /// format (version 0.0.4).
     pub fn render(&self) -> String {
-        let entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::with_capacity(entries.len() * 96);
         let mut last_name = "";
         for e in entries.iter() {
-            if e.name != last_name {
+            let name = e.name;
+            if name != last_name {
                 let ty = match e.kind {
                     Kind::Counter(_) => "counter",
                     Kind::Gauge(_) => "gauge",
-                    Kind::Histogram(..) => "summary",
+                    Kind::Histogram(_) => "summary",
                 };
-                let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
-                let _ = writeln!(out, "# TYPE {} {}", e.name, ty);
-                last_name = e.name;
+                let _ = writeln!(out, "# HELP {name} {}", e.help);
+                let _ = writeln!(out, "# TYPE {name} {ty}");
+                last_name = name;
             }
-            match &e.kind {
-                Kind::Counter(c) => {
-                    let _ = writeln!(out, "{}{} {}", e.name, label_str(&e.labels, None), c.get());
-                }
-                Kind::Gauge(g) => {
-                    let _ = writeln!(out, "{}{} {}", e.name, label_str(&e.labels, None), g.get());
-                }
-                Kind::Histogram(h, unit) => {
+            let labels = label_str(&e.labels, None);
+            let _ = match &e.kind {
+                Kind::Counter(c) => writeln!(out, "{name}{labels} {}", c.get()),
+                Kind::Gauge(g) => writeln!(out, "{name}{labels} {}", g.get()),
+                Kind::Histogram(h) => {
                     let s = h.snapshot();
+                    let seconds = |us: u64| us as f64 / 1_000_000.0;
                     for (q, v) in [("0.5", s.p50), ("0.95", s.p95), ("0.99", s.p99)] {
-                        let _ = writeln!(
-                            out,
-                            "{}{} {}",
-                            e.name,
-                            label_str(&e.labels, Some(q)),
-                            fmt_sample(v, *unit)
-                        );
+                        let quantile = label_str(&e.labels, Some(q));
+                        let _ = writeln!(out, "{name}{quantile} {:.6}", seconds(v));
                     }
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        e.name,
-                        label_str(&e.labels, None),
-                        fmt_sample(s.sum, *unit)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        e.name,
-                        label_str(&e.labels, None),
-                        s.count
-                    );
+                    let _ = writeln!(out, "{name}_sum{labels} {:.6}", seconds(s.sum));
+                    writeln!(out, "{name}_count{labels} {}", s.count)
                 }
-            }
+            };
         }
         out
-    }
-}
-
-/// Register the conventional `jets_build_info` identity gauge: constant
-/// value 1 with the build's version and git hash as labels, so scrapes
-/// across a cluster can spot mixed-version deployments at a glance.
-/// Callers pass their own compile-time identity (typically
-/// `env!("CARGO_PKG_VERSION")` and an `option_env!`-provided hash).
-pub fn register_build_info(registry: &Registry, version: &str, git_hash: &str) {
-    registry
-        .gauge_labeled(
-            "jets_build_info",
-            "Build identity (constant 1; version and git hash in labels)",
-            &[("version", version), ("git_hash", git_hash)],
-        )
-        .set(1);
-}
-
-fn fmt_sample(v: u64, unit: Unit) -> String {
-    match unit {
-        Unit::Raw => v.to_string(),
-        Unit::Micros => format!("{:.6}", v as f64 / 1_000_000.0),
     }
 }
 
@@ -427,6 +345,126 @@ fn label_str(labels: &[(&'static str, String)], quantile: Option<&str>) -> Strin
         parts.push(format!("quantile=\"{q}\""));
     }
     format!("{{{}}}", parts.join(","))
+}
+
+/// A metric's `# HELP` text: the summary paragraph of its doc comment
+/// (the lines before the first blank one) on one line, without the
+/// closing period. [`metric_set!`](crate::metric_set) passes each
+/// field's doc lines here.
+pub fn help_text(doc: &[&str]) -> String {
+    let summary: Vec<&str> = doc
+        .iter()
+        .map(|line| line.trim())
+        .take_while(|line| !line.is_empty())
+        .collect();
+    let text = summary.join(" ");
+    text.strip_suffix('.').unwrap_or(&text).to_string()
+}
+
+/// Declare a daemon's metric set: each metric once, as a documented
+/// field with its kind and metric name.
+///
+/// ```
+/// jets_obs::metric_set! {
+///     /// Handles for one example daemon.
+///     pub struct ExampleMetrics {
+///         /// Frames read off the wire.
+///         frames_total: counter("jets_example_frames_total"),
+///         /// Connected peers.
+///         peers: gauge("jets_example_peers"),
+///         /// Per-phase latency.
+///         ///
+///         /// This series: time spent queued.
+///         phase_queue: histogram("jets_example_phase_seconds", phase = "queue"),
+///     }
+/// }
+/// let m = ExampleMetrics::new();
+/// m.frames_total.inc();
+/// assert!(m.render().contains("# HELP jets_example_frames_total Frames read off the wire\n"));
+/// assert_eq!(ExampleMetrics::NAMES[0], "jets_build_info");
+/// ```
+///
+/// Each field becomes a `pub Arc<Counter | Gauge | Histogram>`; a
+/// histogram takes microseconds and renders them as seconds. The
+/// summary paragraph of the field's doc comment is its `# HELP` text
+/// ([`help_text`]), so series that share a name share their summary and
+/// say what sets each apart in a later paragraph. The struct gets
+/// `new()`, which also registers `jets_build_info` with the calling
+/// crate's version, plus `registry()`, `render()`, `Default`, `Debug` and
+/// `NAMES`: `jets_build_info`, then each field's metric name in order.
+#[macro_export]
+macro_rules! metric_set {
+    (@type counter) => { $crate::Counter };
+    (@type gauge) => { $crate::Gauge };
+    (@type histogram) => { $crate::Histogram };
+    (
+        $(#[$attr:meta])*
+        pub struct $set:ident {
+            $(
+                $(#[doc = $doc:expr])+
+                $field:ident: $kind:ident($name:expr $(, $label:ident = $value:expr)*),
+            )*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $set {
+            registry: ::std::sync::Arc<$crate::Registry>,
+            $(
+                $(#[doc = $doc])+
+                pub $field: ::std::sync::Arc<$crate::metric_set!(@type $kind)>,
+            )*
+        }
+
+        impl $set {
+            /// `jets_build_info`, then every field's metric name in order.
+            pub const NAMES: &'static [&'static str] = &["jets_build_info", $($name),*];
+
+            /// Register the whole set on a fresh registry, after the
+            /// constant-1 build identity gauge.
+            pub fn new() -> $set {
+                let r = ::std::sync::Arc::new($crate::Registry::new());
+                let build = [
+                    ("version", env!("CARGO_PKG_VERSION")),
+                    ("git_hash", option_env!("JETS_GIT_HASH").unwrap_or("unknown")),
+                ];
+                let help = "Build identity (constant 1; version and git hash in labels)";
+                r.gauge("jets_build_info", help, &build).set(1);
+                $set {
+                    $(
+                        $field: r.$kind(
+                            $name,
+                            &$crate::help_text(&[$($doc),+]),
+                            &[$((stringify!($label), $value)),*],
+                        ),
+                    )*
+                    registry: r,
+                }
+            }
+
+            /// The registry backing these handles (what `/metrics` renders).
+            pub fn registry(&self) -> ::std::sync::Arc<$crate::Registry> {
+                ::std::sync::Arc::clone(&self.registry)
+            }
+
+            /// Render the current values as Prometheus text exposition format.
+            pub fn render(&self) -> String {
+                self.registry.render()
+            }
+        }
+
+        impl Default for $set {
+            fn default() -> Self {
+                Self::new()
+            }
+        }
+
+        // The values are live atomics: a point-in-time dump would mislead.
+        impl ::std::fmt::Debug for $set {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                f.debug_struct(stringify!($set)).finish_non_exhaustive()
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -515,14 +553,14 @@ mod tests {
     #[test]
     fn render_groups_labelled_series() {
         let r = Registry::new();
-        let c = r.counter("jets_jobs_completed_total", "Jobs finished");
-        let g = r.gauge("jets_workers_ready", "Idle registered workers");
-        let h1 = r.histogram_micros(
+        let c = r.counter("jets_jobs_completed_total", "Jobs finished", &[]);
+        let g = r.gauge("jets_workers_ready", "Idle registered workers", &[]);
+        let h1 = r.histogram(
             "jets_job_phase_seconds",
             "Phase latency",
             &[("phase", "queue")],
         );
-        let h2 = r.histogram_micros(
+        let h2 = r.histogram(
             "jets_job_phase_seconds",
             "Phase latency",
             &[("phase", "run")],
@@ -546,5 +584,15 @@ mod tests {
         assert!(text.contains("jets_job_phase_seconds_count{phase=\"run\"} 1"));
         // Microsecond samples render as seconds.
         assert!(text.contains("jets_job_phase_seconds_sum{phase=\"queue\"} 0.001000"));
+    }
+
+    #[test]
+    fn help_is_the_doc_summary_on_one_line() {
+        let doc = [" Jobs that reached", " a terminal state.", "", " Details."];
+        assert_eq!(help_text(&doc), "Jobs that reached a terminal state");
+        assert_eq!(
+            help_text(&[" 1 while connected, else 0"]),
+            "1 while connected, else 0"
+        );
     }
 }

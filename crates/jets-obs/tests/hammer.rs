@@ -113,8 +113,8 @@ fn snapshot_while_recording_never_invents_samples() {
 #[test]
 fn render_under_concurrent_recording_is_well_formed() {
     let r = Arc::new(Registry::new());
-    let c = r.counter("jets_hammer_total", "hammered counter");
-    let h = r.histogram_micros(
+    let c = r.counter("jets_hammer_total", "hammered counter", &[]);
+    let h = r.histogram(
         "jets_hammer_seconds",
         "hammered histogram",
         &[("phase", "x")],

@@ -30,7 +30,6 @@ mod sys;
 pub use outbox::{CloseReason, Outbox};
 pub use poller::{new_poller, Event, Interest, Poller};
 pub use reactor::{AcceptFn, ConnHandler, Flow, Reactor, ReactorConfig, ReactorStats};
-pub use sys::{wait_for, wait_readable, POLLIN, POLLOUT};
 
 use std::sync::{Mutex, MutexGuard};
 

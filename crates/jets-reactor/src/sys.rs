@@ -11,36 +11,12 @@
 use std::io;
 use std::os::fd::RawFd;
 use std::os::raw::{c_int, c_void};
-use std::time::Duration;
 
 extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
 }
-
-/// `struct pollfd`, identical on every supported platform.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollFd {
-    /// File descriptor to poll.
-    pub fd: c_int,
-    /// Requested events.
-    pub events: i16,
-    /// Returned events.
-    pub revents: i16,
-}
-
-#[cfg(target_os = "linux")]
-type NFds = std::os::raw::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type NFds = std::os::raw::c_uint;
-
-/// `POLLIN`: data available to read.
-pub const POLLIN: i16 = 0x001;
-/// `POLLOUT`: writable without blocking.
-pub const POLLOUT: i16 = 0x004;
 
 /// Close a raw descriptor, ignoring errors (used on teardown paths
 /// where there is nothing left to do about one).
@@ -58,34 +34,6 @@ pub fn read_fd(fd: RawFd, buf: &mut [u8]) -> isize {
 /// Nonblocking byte write on a raw descriptor (the waker pipe).
 pub fn write_fd(fd: RawFd, buf: &[u8]) -> isize {
     unsafe { write(fd, buf.as_ptr() as *const c_void, buf.len()) }
-}
-
-/// Park the calling thread until `fd` is readable or `timeout` passes;
-/// `Ok(true)` means readable. One `poll(2)` call — this is the
-/// primitive the jets-obs accept loop parks on instead of sleeping.
-pub fn wait_readable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
-    wait_for(fd, POLLIN, timeout)
-}
-
-/// Park until `fd` reports any of `events` (`POLLIN` / `POLLOUT`) or
-/// the timeout passes. A signal interruption reports "not ready" —
-/// callers loop anyway.
-pub fn wait_for(fd: RawFd, events: i16, timeout: Duration) -> io::Result<bool> {
-    let mut pfd = PollFd {
-        fd,
-        events,
-        revents: 0,
-    };
-    let ms = timeout.as_millis().min(c_int::MAX as u128) as c_int;
-    let rc = unsafe { poll(&mut pfd, 1, ms) };
-    if rc < 0 {
-        let err = io::Error::last_os_error();
-        if err.kind() == io::ErrorKind::Interrupted {
-            return Ok(false);
-        }
-        return Err(err);
-    }
-    Ok(rc > 0)
 }
 
 /// Create the loop's self-pipe waker: `(read_end, write_end)`, both
@@ -246,23 +194,6 @@ pub mod platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
-
-    #[test]
-    fn wait_readable_times_out_then_fires() {
-        use std::os::fd::AsRawFd;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        let fd = server.as_raw_fd();
-        // Nothing pending: times out.
-        assert!(!wait_readable(fd, Duration::from_millis(10)).unwrap());
-        client.write_all(b"x").unwrap();
-        // One byte pending: fires well before the timeout.
-        assert!(wait_readable(fd, Duration::from_secs(5)).unwrap());
-    }
 
     #[test]
     fn wake_pipe_round_trips_a_byte() {
@@ -271,7 +202,7 @@ mod tests {
         // Empty: nonblocking read reports would-block (negative).
         assert!(read_fd(rx, &mut buf) < 0);
         assert_eq!(write_fd(tx, &[1]), 1);
-        assert!(wait_readable(rx, Duration::from_secs(1)).unwrap());
+        // A pipe write is readable as soon as it returns.
         assert_eq!(read_fd(rx, &mut buf), 1);
         close_fd(rx);
         close_fd(tx);

@@ -9,8 +9,9 @@
 //!
 //! ## Thread anatomy
 //!
-//! * **the event loop** (`relay-loop-0`) — every member connection *and*
-//!   the upstream session are state machines on one `jets-reactor` loop.
+//! * **the event loop** (`relay-loop-0`) — every member connection, the
+//!   upstream session and any `/metrics` scrape are state machines on one
+//!   `jets-reactor` loop.
 //!   A frame is decoded, handed to the core under the state lock, and
 //!   whatever the core emits is encoded onto the target connection's
 //!   bounded outbox before the callback returns; the loop writes those
@@ -39,7 +40,6 @@ use crate::core::{Effects, Fact, RelayCore};
 use crate::metrics::RelayMetrics;
 use jets_core::events::{EventLog, WriterRole};
 use jets_core::protocol::{decode_msg, encode_msg_buf, DispatcherMsg, WorkerMsg, MAX_FRAME_BYTES};
-use jets_obs::MetricsServer;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
 use jets_ring::stdx::{wait_for, Guard, Mutex, Rank, SplitMix64};
 use jets_worker::ReconnectPolicy;
@@ -188,8 +188,6 @@ struct Inner {
     /// stopped. Paired with `state`.
     wake: Condvar,
     metrics: Arc<RelayMetrics>,
-    /// The `/metrics` responder, when one was started.
-    metrics_server: Mutex<Option<MetricsServer>>,
     /// Span edges and operational events (buffer overflow) — same log
     /// shape the dispatcher keeps, dumped by `jets events`.
     events: EventLog,
@@ -318,7 +316,6 @@ impl Relay {
             state: Mutex::ranked(Rank::Relay, State { core, links }),
             wake: Condvar::new(),
             metrics: Arc::new(RelayMetrics::new()),
-            metrics_server: Mutex::new(None),
             events,
         });
         let factory_inner = Arc::clone(&inner);
@@ -403,13 +400,11 @@ impl Relay {
     }
 
     /// Serve `GET /metrics` (Prometheus text) and `GET /healthz` on
-    /// `addr`; returns the bound address (use port 0 for ephemeral).
-    /// The responder stops when the relay is dropped.
+    /// `addr` from the relay's own event loop; returns the bound address
+    /// (use port 0 for ephemeral). The port closes when the relay is
+    /// dropped.
     pub fn serve_metrics(&self, addr: &str) -> io::Result<SocketAddr> {
-        let server = jets_obs::serve_metrics(addr, self.inner.metrics.registry())?;
-        let local = server.addr();
-        *self.inner.metrics_server.lock() = Some(server);
-        Ok(local)
+        jets_obs::serve_metrics(&self.reactor, addr, self.inner.metrics.registry())
     }
 
     /// Sever the upstream connection *without* stopping the relay: the

@@ -20,7 +20,7 @@
 //!
 //! The ordering discipline (per-slot seqlock stamps, Release-publish /
 //! Acquire-observe, validated copies) is documented where it lives, in
-//! [`ring`]. Records are opaque 120-byte payloads here; the event
+//! `src/ring.rs`. Records are opaque 120-byte payloads here; the event
 //! codec lives with `EventKind` in jets-core.
 //!
 //! Zero dependencies, `std` only. As the workspace's leaf crate it also

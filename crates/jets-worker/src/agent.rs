@@ -114,7 +114,7 @@ pub struct WorkerConfig {
     pub reconnect: Option<ReconnectPolicy>,
     /// After a dispatcher `Cancel`, how long the agent waits for the task
     /// to acknowledge the token before abandoning its thread and
-    /// reporting [`EXIT_CANCELED`].
+    /// reporting [`EXIT_CANCELED`](jets_core::protocol::EXIT_CANCELED).
     pub cancel_grace: Duration,
     /// Process-wide metric handles; `None` disables recording. Shared by
     /// every agent of a simulated allocation, so one scrape covers them
@@ -749,10 +749,6 @@ mod tests {
     }
 
     impl TaskExecutor for ProbeExecutor {
-        fn execute(&self, _assignment: &TaskAssignment) -> i32 {
-            0
-        }
-
         fn execute_cancellable(&self, a: &TaskAssignment, cancel: &CancelToken) -> TaskOutcome {
             self.log.lock().threads.push(thread::current().id());
             match a.cmd().name() {

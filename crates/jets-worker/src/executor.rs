@@ -173,30 +173,18 @@ pub const OUTPUT_CAPTURE_LIMIT: usize = 4096;
 
 /// Runs assignments; implemented by [`Executor`] and by test doubles.
 pub trait TaskExecutor: Send + Sync {
+    /// Execute under a cancellation token, capturing standard output
+    /// where supported. An executor that can kill the task's child
+    /// processes does so when the token trips and returns
+    /// [`EXIT_CANCELED`]; the agent's grace-period abandonment bounds one
+    /// that cannot.
+    fn execute_cancellable(&self, assignment: &TaskAssignment, cancel: &CancelToken)
+        -> TaskOutcome;
+
     /// Execute the assignment to completion, returning its exit code.
-    fn execute(&self, assignment: &TaskAssignment) -> i32;
-
-    /// Execute and capture standard output where supported. The default
-    /// forwards to [`TaskExecutor::execute`] with no capture.
-    fn execute_captured(&self, assignment: &TaskAssignment) -> TaskOutcome {
-        TaskOutcome {
-            exit_code: self.execute(assignment),
-            output: None,
-        }
-    }
-
-    /// Execute under a cancellation token: an executor that supports it
-    /// kills the task's child processes when the token trips and returns
-    /// [`EXIT_CANCELED`]. The default ignores the token and forwards to
-    /// [`TaskExecutor::execute_captured`] — the agent's grace-period
-    /// abandonment still bounds such executors.
-    fn execute_cancellable(
-        &self,
-        assignment: &TaskAssignment,
-        cancel: &CancelToken,
-    ) -> TaskOutcome {
-        let _ = cancel;
-        self.execute_captured(assignment)
+    fn execute(&self, assignment: &TaskAssignment) -> i32 {
+        self.execute_cancellable(assignment, &CancelToken::new())
+            .exit_code
     }
 }
 
@@ -250,53 +238,11 @@ impl Executor {
     }
 
     /// Run one command to completion: a builtin in-process, an `Exec` as
-    /// an OS process whose standard output is captured.
-    fn run_one_captured(
-        &self,
-        cmd: &CommandSpec,
-        extra_env: Vec<(String, String)>,
-        rank: Option<u32>,
-        size: u32,
-    ) -> TaskOutcome {
-        let (exit_code, output) = match cmd {
-            CommandSpec::Builtin { app, args, env } => match self.registry.get(app) {
-                Some(f) => {
-                    let mut merged = env.clone();
-                    merged.extend(extra_env);
-                    let ctx = TaskContext {
-                        args: args.clone(),
-                        env: merged,
-                        rank,
-                        size,
-                        endpoint: self.endpoint.clone(),
-                    };
-                    (f(&ctx), None)
-                }
-                None => (EXIT_UNKNOWN_APP, None),
-            },
-            CommandSpec::Exec { program, args, env } => {
-                let mut command = Command::new(program);
-                command.args(args);
-                for (k, v) in env.iter().chain(extra_env.iter()) {
-                    command.env(k, v);
-                }
-                match command.output() {
-                    Ok(out) => (
-                        out.status.code().unwrap_or(EXIT_SPAWN_FAILED),
-                        truncate_output(String::from_utf8_lossy(&out.stdout).into_owned()),
-                    ),
-                    Err(_) => (EXIT_SPAWN_FAILED, None),
-                }
-            }
-        };
-        TaskOutcome { exit_code, output }
-    }
-
-    /// Like `run_one_captured` for `Exec` commands, but polls `cancel`
-    /// while the child runs and kills it when the token trips. Builtins
+    /// an OS process whose standard output is captured, polling `cancel`
+    /// while the child runs and killing it when the token trips. Builtins
     /// run to completion — in-process code cannot be safely killed; the
     /// agent abandons the task thread after its cancel grace instead.
-    fn run_one_cancellable(
+    fn run_one(
         &self,
         cmd: &CommandSpec,
         extra_env: Vec<(String, String)>,
@@ -304,8 +250,29 @@ impl Executor {
         size: u32,
         cancel: &CancelToken,
     ) -> TaskOutcome {
-        let CommandSpec::Exec { program, args, env } = cmd else {
-            return self.run_one_captured(cmd, extra_env, rank, size);
+        let (program, args, env) = match cmd {
+            CommandSpec::Exec { program, args, env } => (program, args, env),
+            CommandSpec::Builtin { app, args, env } => {
+                let Some(f) = self.registry.get(app) else {
+                    return TaskOutcome {
+                        exit_code: EXIT_UNKNOWN_APP,
+                        output: None,
+                    };
+                };
+                let mut merged = env.clone();
+                merged.extend(extra_env);
+                let ctx = TaskContext {
+                    args: args.clone(),
+                    env: merged,
+                    rank,
+                    size,
+                    endpoint: self.endpoint.clone(),
+                };
+                return TaskOutcome {
+                    exit_code: f(&ctx),
+                    output: None,
+                };
+            }
         };
         let mut command = Command::new(program);
         command.args(args);
@@ -357,21 +324,18 @@ impl Executor {
     /// Run an MPI proxy's local ranks (like a Hydra proxy forking one
     /// process per local rank): the first on the calling thread — the
     /// pilot's long-lived runner — and a thread each for the rest,
-    /// concatenating their captured output tails in rank order. When
-    /// `cancel` is supplied, each rank's `Exec` child is killable.
+    /// concatenating their captured output tails in rank order. Each
+    /// rank's `Exec` child is killed when `cancel` trips.
     fn proxy_captured(
         &self,
         cmd: &CommandSpec,
         ranks: &[u32],
         (size, pmi_addr, pmi_jobid): (u32, &str, &str),
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> TaskOutcome {
         let run = |rank: u32| {
             let pmi_env = jets_pmi::rank_env(rank, size, pmi_addr, pmi_jobid);
-            match cancel {
-                Some(c) => self.run_one_cancellable(cmd, pmi_env, Some(rank), size, c),
-                None => self.run_one_captured(cmd, pmi_env, Some(rank), size),
-            }
+            self.run_one(cmd, pmi_env, Some(rank), size, cancel)
         };
         let (first, rest) = (ranks.first(), ranks.get(1..).unwrap_or_default());
         let outcomes: Vec<thread::Result<TaskOutcome>> = thread::scope(|s| {
@@ -413,9 +377,13 @@ impl Executor {
 }
 
 impl TaskExecutor for Executor {
-    fn execute_captured(&self, assignment: &TaskAssignment) -> TaskOutcome {
+    fn execute_cancellable(
+        &self,
+        assignment: &TaskAssignment,
+        cancel: &CancelToken,
+    ) -> TaskOutcome {
         match &assignment.kind {
-            TaskKind::Sequential { cmd } => self.run_one_captured(cmd, Vec::new(), None, 1),
+            TaskKind::Sequential { cmd } => self.run_one(cmd, Vec::new(), None, 1, cancel),
             // MPI proxies route each rank's output through the proxy; we
             // concatenate the local ranks' tails in rank order.
             TaskKind::MpiProxy {
@@ -424,31 +392,8 @@ impl TaskExecutor for Executor {
                 size,
                 pmi_addr,
                 pmi_jobid,
-            } => self.proxy_captured(cmd, ranks, (*size, pmi_addr, pmi_jobid), None),
+            } => self.proxy_captured(cmd, ranks, (*size, pmi_addr, pmi_jobid), cancel),
         }
-    }
-
-    fn execute_cancellable(
-        &self,
-        assignment: &TaskAssignment,
-        cancel: &CancelToken,
-    ) -> TaskOutcome {
-        match &assignment.kind {
-            TaskKind::Sequential { cmd } => {
-                self.run_one_cancellable(cmd, Vec::new(), None, 1, cancel)
-            }
-            TaskKind::MpiProxy {
-                cmd,
-                ranks,
-                size,
-                pmi_addr,
-                pmi_jobid,
-            } => self.proxy_captured(cmd, ranks, (*size, pmi_addr, pmi_jobid), Some(cancel)),
-        }
-    }
-
-    fn execute(&self, assignment: &TaskAssignment) -> i32 {
-        self.execute_captured(assignment).exit_code
     }
 }
 

@@ -9,102 +9,27 @@
 //! The `jets-worker` binary serves this registry at `--metrics-addr`;
 //! see `docs/observability.md` for the name reference.
 
-use jets_obs::{Counter, Gauge, Histogram, Registry};
-use std::fmt;
-use std::sync::Arc;
-
-/// Static metric handles shared by the worker agents of one process.
-pub struct WorkerMetrics {
-    registry: Arc<Registry>,
-    /// Registered dispatcher sessions (re-registrations included, so a
-    /// value above the agent count means reconnects happened).
-    pub sessions_total: Arc<Counter>,
-    /// Sessions that ended in connection loss (EOF, write failure).
-    pub connections_lost_total: Arc<Counter>,
-    /// Task results reported upstream (any exit code).
-    pub tasks_executed_total: Arc<Counter>,
-    /// Reported tasks whose exit code was nonzero.
-    pub tasks_failed_total: Arc<Counter>,
-    /// Tasks that ended through dispatcher-driven cancellation.
-    pub tasks_canceled_total: Arc<Counter>,
-    /// Assignments abandoned because node-local staging failed.
-    pub staging_failed_total: Arc<Counter>,
-    /// Tasks currently executing across this process's agents.
-    pub tasks_inflight: Arc<Gauge>,
-    /// Wall time of reported tasks.
-    pub task_seconds: Arc<Histogram>,
-}
-
-impl WorkerMetrics {
-    /// Register the worker metric set on a fresh registry.
-    pub fn new() -> WorkerMetrics {
-        let r = Arc::new(Registry::new());
-        jets_obs::register_build_info(
-            &r,
-            env!("CARGO_PKG_VERSION"),
-            option_env!("JETS_GIT_HASH").unwrap_or("unknown"),
-        );
-        WorkerMetrics {
-            sessions_total: r.counter(
-                "jets_worker_sessions_total",
-                "Registered dispatcher sessions (re-registrations included)",
-            ),
-            connections_lost_total: r.counter(
-                "jets_worker_connections_lost_total",
-                "Sessions that ended in connection loss",
-            ),
-            tasks_executed_total: r.counter(
-                "jets_worker_tasks_executed_total",
-                "Task results reported upstream",
-            ),
-            tasks_failed_total: r.counter(
-                "jets_worker_tasks_failed_total",
-                "Reported tasks with a nonzero exit code",
-            ),
-            tasks_canceled_total: r.counter(
-                "jets_worker_tasks_canceled_total",
-                "Tasks ended by dispatcher-driven cancellation",
-            ),
-            staging_failed_total: r.counter(
-                "jets_worker_staging_failed_total",
-                "Assignments abandoned because node-local staging failed",
-            ),
-            tasks_inflight: r.gauge(
-                "jets_worker_tasks_inflight",
-                "Tasks currently executing in this process",
-            ),
-            task_seconds: r.histogram_micros(
-                "jets_worker_task_seconds",
-                "Wall time of reported tasks",
-                &[],
-            ),
-            registry: r,
-        }
-    }
-
-    /// The registry backing these handles (what `/metrics` renders).
-    pub fn registry(&self) -> Arc<Registry> {
-        self.registry.clone()
-    }
-
-    /// Render the current values as Prometheus text exposition format.
-    pub fn render(&self) -> String {
-        self.registry.render()
-    }
-}
-
-impl Default for WorkerMetrics {
-    fn default() -> Self {
-        WorkerMetrics::new()
-    }
-}
-
-// `WorkerConfig` derives `Debug` and carries an optional handle to this
-// struct; the values are live atomics, so a point-in-time dump would be
-// misleading anyway.
-impl fmt::Debug for WorkerMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerMetrics").finish_non_exhaustive()
+jets_obs::metric_set! {
+    /// Static metric handles shared by the worker agents of one process.
+    pub struct WorkerMetrics {
+        /// Registered dispatcher sessions (re-registrations included).
+        ///
+        /// A value above the agent count means reconnects happened.
+        sessions_total: counter("jets_worker_sessions_total"),
+        /// Sessions that ended in connection loss.
+        connections_lost_total: counter("jets_worker_connections_lost_total"),
+        /// Task results reported upstream.
+        tasks_executed_total: counter("jets_worker_tasks_executed_total"),
+        /// Reported tasks with a nonzero exit code.
+        tasks_failed_total: counter("jets_worker_tasks_failed_total"),
+        /// Tasks ended by dispatcher-driven cancellation.
+        tasks_canceled_total: counter("jets_worker_tasks_canceled_total"),
+        /// Assignments abandoned because node-local staging failed.
+        staging_failed_total: counter("jets_worker_staging_failed_total"),
+        /// Tasks currently executing in this process.
+        tasks_inflight: gauge("jets_worker_tasks_inflight"),
+        /// Wall time of reported tasks.
+        task_seconds: histogram("jets_worker_task_seconds"),
     }
 }
 
@@ -114,23 +39,17 @@ mod tests {
 
     #[test]
     fn all_metric_names_render() {
-        let m = WorkerMetrics::new();
-        m.sessions_total.inc();
-        m.tasks_inflight.set(2);
-        m.task_seconds.record(5_000);
-        let text = m.render();
-        for name in [
-            "jets_worker_sessions_total",
-            "jets_worker_connections_lost_total",
-            "jets_worker_tasks_executed_total",
-            "jets_worker_tasks_failed_total",
-            "jets_worker_tasks_canceled_total",
-            "jets_worker_staging_failed_total",
-            "jets_worker_tasks_inflight",
-            "jets_worker_task_seconds",
-            "jets_build_info",
-        ] {
-            assert!(text.contains(name), "missing {name} in render");
+        let text = WorkerMetrics::new().render();
+        for name in WorkerMetrics::NAMES {
+            assert!(text.contains(&format!("# TYPE {name} ")), "missing {name}");
+        }
+    }
+
+    #[test]
+    fn every_metric_is_documented() {
+        let doc = include_str!("../../../docs/observability.md");
+        for name in WorkerMetrics::NAMES {
+            assert!(doc.contains(name), "{name} is not in docs/observability.md");
         }
     }
 }

@@ -12,7 +12,9 @@
 
 use jets::core::spec::{CommandSpec, JobSpec};
 use jets::core::{stats, Dispatcher, DispatcherConfig, JobStatus};
-use jets::sim::{science_registry, Allocation, AllocationConfig, FaultInjector};
+use jets::sim::{
+    science_registry, Allocation, AllocationConfig, ChaosInjector, FaultMix, FaultPlan,
+};
 use jets::worker::Executor;
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,11 +45,18 @@ fn main() {
 
     // Kill one pilot at a time — but stop while a few still live so the
     // batch can finish.
-    let injector = FaultInjector::start(Arc::clone(&allocation), Duration::from_millis(300), 42);
+    let mix = FaultMix {
+        kill: 1,
+        partition: 0,
+        calm: 0,
+        max_kills: nodes,
+    };
+    let plan = FaultPlan::seeded(42, nodes, Duration::from_millis(300), mix);
+    let injector = ChaosInjector::start(Arc::clone(&allocation), plan);
     while allocation.live_count() > 3 {
         std::thread::sleep(Duration::from_millis(20));
     }
-    let killed = injector.stop();
+    let killed: Vec<usize> = injector.stop().into_iter().map(|(_, i)| i).collect();
     println!("killed workers (in order): {killed:?}");
 
     assert!(dispatcher.wait_idle(Duration::from_secs(120)), "batch hung");

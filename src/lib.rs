@@ -10,7 +10,7 @@
 //!
 //! | Module | Crate | Role |
 //! |---|---|---|
-//! | [`obs`] | `jets-obs` | live metrics: counters, gauges, histograms, the `/metrics` responder |
+//! | [`obs`] | `jets-obs` | live metrics: counters, gauges, histograms, the `/metrics` endpoint |
 //! | [`core`] | `jets-core` | the dispatcher: worker registry, job queue, MPI-group aggregation, statistics |
 //! | [`pmi`] | `jets-pmi` | the PMI process-management substrate (`mpiexec launcher=manual`) |
 //! | [`mpi`] | `jets-mpi` | the sockets message-passing library tasks link against |

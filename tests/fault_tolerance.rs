@@ -2,7 +2,9 @@
 
 use jets::core::spec::{CommandSpec, JobSpec};
 use jets::core::{stats, Dispatcher, DispatcherConfig, JobStatus};
-use jets::sim::{science_registry, Allocation, AllocationConfig, FaultInjector};
+use jets::sim::{
+    science_registry, Allocation, AllocationConfig, ChaosInjector, FaultMix, FaultPlan,
+};
 use jets::worker::Executor;
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,7 +30,14 @@ fn sequential_batch_survives_fault_injection() {
     let _ids = dispatcher.submit_all((0..36).map(|_| {
         JobSpec::sequential(CommandSpec::builtin("sleep", vec!["100".into()])).with_retries(10)
     }));
-    let injector = FaultInjector::start(Arc::clone(&allocation), Duration::from_millis(150), 7);
+    let mix = FaultMix {
+        kill: 1,
+        partition: 0,
+        calm: 0,
+        max_kills: 6,
+    };
+    let plan = FaultPlan::seeded(7, 6, Duration::from_millis(150), mix);
+    let injector = ChaosInjector::start(Arc::clone(&allocation), plan);
     // Let three workers die, then stop injecting.
     while allocation.live_count() > 3 {
         std::thread::sleep(Duration::from_millis(10));

@@ -16,8 +16,8 @@ use std::net::TcpStream;
 /// Connections held open simultaneously (the issue's floor).
 const CONNS: usize = 512;
 
-/// Thread-count slack: the monitor, the metrics responder, the test
-/// harness's own threads. Far below one-per-connection either way.
+/// Thread-count slack: the monitor, the test harness's own threads. Far
+/// below one-per-connection either way.
 const SLACK: usize = 32;
 
 /// Threads of this process named `jets-reactor-*`: event loops.
