@@ -21,10 +21,10 @@ pub struct AllocationConfig {
     pub boot_stagger: Duration,
     /// Worker heartbeat period (`None` disables heartbeats).
     pub heartbeat: Option<Duration>,
-    /// Reconnect-with-backoff policy for every agent (`None` keeps the
-    /// legacy connect-once behaviour). Each worker gets the policy with a
-    /// per-node jitter seed so backoffs decorrelate deterministically.
-    pub reconnect: Option<ReconnectPolicy>,
+    /// Reconnect-with-backoff policy for every agent (connect-once by
+    /// default). Each worker gets the policy with a per-node jitter seed
+    /// so backoffs decorrelate deterministically.
+    pub reconnect: ReconnectPolicy,
     /// Worker-name prefix: node `i` is named `{name_prefix}-{i:04}`.
     /// Distinct prefixes keep blocks from colliding in the dispatcher's
     /// name-keyed quarantine ledger when several allocations coexist
@@ -41,7 +41,7 @@ impl AllocationConfig {
             locations: vec!["sim".to_string()],
             boot_stagger: Duration::ZERO,
             heartbeat: None,
-            reconnect: None,
+            reconnect: ReconnectPolicy::connect_once(),
             name_prefix: "node".to_string(),
         }
     }
@@ -54,7 +54,7 @@ impl AllocationConfig {
 
     /// Builder-style reconnect policy for every agent.
     pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = Some(policy);
+        self.reconnect = policy;
         self
     }
 
@@ -105,10 +105,8 @@ impl Allocation {
         for i in 0..config.nodes {
             let location = config.locations[i as usize % config.locations.len()].clone();
             // Decorrelate reconnect jitter across nodes deterministically.
-            let reconnect = config.reconnect.clone().map(|mut p| {
-                p.seed = p.seed.wrapping_add(u64::from(i)).max(1);
-                p
-            });
+            let mut reconnect = config.reconnect.clone();
+            reconnect.seed = reconnect.seed.wrapping_add(u64::from(i)).max(1);
             let name = format!("{}-{i:04}", config.name_prefix);
             let worker_config = WorkerConfig {
                 dispatcher_addr: dispatcher_addr.to_string(),

@@ -28,6 +28,7 @@
 pub mod allocation;
 pub mod apps;
 pub mod chaos;
+pub mod des;
 pub mod relays;
 pub mod spectrum;
 pub mod workload;

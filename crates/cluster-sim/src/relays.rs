@@ -30,7 +30,7 @@ pub struct RelayedAllocationConfig {
     /// Worker heartbeat period (`None` disables heartbeats).
     pub heartbeat: Option<Duration>,
     /// Reconnect policy for the worker agents (toward their relay).
-    pub reconnect: Option<ReconnectPolicy>,
+    pub reconnect: ReconnectPolicy,
     /// Batched-liveness flush period of each relay.
     pub liveness_flush: Duration,
 }
@@ -44,7 +44,7 @@ impl RelayedAllocationConfig {
             nodes_per_relay,
             cores_per_node: 4,
             heartbeat: None,
-            reconnect: None,
+            reconnect: ReconnectPolicy::connect_once(),
             liveness_flush: Duration::from_millis(100),
         }
     }

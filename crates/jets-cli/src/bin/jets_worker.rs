@@ -65,12 +65,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let defaults = ReconnectPolicy::default();
     let wants_reconnect = args.has_flag("reconnect")
         || ["attempts", "base-ms", "cap-ms", "jitter", "seed"]
             .iter()
             .any(|k| args.get(&format!("reconnect-{k}")).is_some());
-    let reconnect = wants_reconnect.then(|| ReconnectPolicy {
+    let defaults = match wants_reconnect {
+        true => ReconnectPolicy::default(),
+        false => ReconnectPolicy::connect_once(),
+    };
+    let reconnect = ReconnectPolicy {
         max_attempts: args.get_parse("reconnect-attempts", defaults.max_attempts),
         base_backoff: Duration::from_millis(args.get_parse(
             "reconnect-base-ms",
@@ -81,7 +84,7 @@ fn main() {
         ),
         jitter: args.get_parse("reconnect-jitter", defaults.jitter),
         seed: args.get_parse("reconnect-seed", defaults.seed),
-    });
+    };
     let mut config = WorkerConfig {
         dispatcher_addr: endpoint.clone(),
         name: args

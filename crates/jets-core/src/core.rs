@@ -10,14 +10,14 @@
 //! pilots, the per-gang PMI service, and one [`Fact`] per lifecycle
 //! fact, emitted exactly once at the transition that makes it true.
 //!
-//! What this file may not contain (CI greps for it): a clock read, a
-//! lock, a thread, a socket, a file, the write-ahead log, the event ring
-//! or a PMI server. The shell in [`crate::dispatcher`] owns all of those
-//! and turns each `Fact` into ring records, a log record, counters and
-//! the client-visible job table in one `match`. The fake in
-//! `tests/core_model.rs` drives the same `Core` with virtual pilots
-//! under a virtual clock and a seeded fault schedule, which is what the
-//! one interface here is for.
+//! What this file may not contain (the shell's `the_core_is_pure` test
+//! fails if it does): a clock read, a lock, a thread, a socket, a file,
+//! the write-ahead log, the event ring or a PMI server. The shell in
+//! [`crate::dispatcher`] owns all of those and turns each `Fact` into ring
+//! records, a log record, counters and the client-visible job table in one
+//! `match`. `cluster_sim::des` drives the same `Core` beside the real
+//! relay, pilot and PMI cores under one virtual clock and a seeded fault
+//! schedule, which is what the one interface here is for.
 //!
 //! Every sweep iterates in id order (`BTreeMap`, rank-ordered gang
 //! lists), so equal inputs give an equal effect trace, bit for bit.

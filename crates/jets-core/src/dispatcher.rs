@@ -1213,7 +1213,7 @@ fn claim(inner: &Inner, worker: WorkerId, running: (TaskId, JobId)) -> bool {
 mod tests {
     //! Loopback tests of the shell: real sockets, real threads. What the
     //! dispatcher *decides* is tested on the core under a virtual clock
-    //! (`tests/core_model.rs`); these cover what only the shell has —
+    //! (`tests/core_model.rs`, `cluster_sim::des`); these cover what only the shell has —
     //! the wire, the PMI servers, the journal file, the condvars and the
     //! output files.
     use super::*;
@@ -1224,7 +1224,7 @@ mod tests {
     type Wire = (MsgWriter<TcpStream>, MsgReader<BufReader<TcpStream>>);
 
     /// No clock, lock, atomic, thread, socket, file, journal, ring or PMI
-    /// server in the scheduling core: that is what lets `tests/core_model.rs`
+    /// server in the scheduling core: that is what lets `cluster_sim::des`
     /// drive the real one under a virtual clock.
     #[test]
     fn the_core_is_pure() {

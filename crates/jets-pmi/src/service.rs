@@ -16,7 +16,7 @@
 
 use crate::kvs::{FenceResult, KeyValueSpace};
 use crate::wire::Message;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// How the service names a connection; the shell picks the numbers.
@@ -70,10 +70,12 @@ struct Member {
 }
 
 /// The PMI jobs of one manager and the rank connections speaking for them.
+/// Both tables are ordered, so a sweep (`tick`) answers in job-id order
+/// and equal inputs give equal replies, bit for bit.
 #[derive(Default)]
 pub struct PmiService {
-    jobs: HashMap<String, Job>,
-    members: HashMap<ConnId, Member>,
+    jobs: BTreeMap<String, Job>,
+    members: BTreeMap<ConnId, Member>,
     protocol_errors: u64,
 }
 
@@ -286,7 +288,7 @@ impl PmiService {
 
 /// Record the abort (the first reason sticks) and answer everyone parked
 /// in the job's fence.
-fn fail(job: &mut Job, members: &mut HashMap<ConnId, Member>, reason: &str, fx: Fx) {
+fn fail(job: &mut Job, members: &mut BTreeMap<ConnId, Member>, reason: &str, fx: Fx) {
     let reason = reason.to_string();
     job.outcome
         .get_or_insert(JobOutcome::Aborted(reason.clone()));
@@ -461,6 +463,23 @@ mod tests {
         assert_eq!((s.next_deadline(), &fx.closed[..]), (None, &[1][..]));
         s.tick(t0 + 2 * PATIENCE, &mut fx);
         assert_eq!(fx.take(), [], "nobody is parked any more");
+    }
+
+    /// Two fences expiring in one tick abort in job-id order, whatever the
+    /// process: a hashed table answered in an order that changed with
+    /// every fresh service.
+    #[test]
+    fn fences_expiring_in_one_tick_abort_in_job_id_order() {
+        for _ in 0..64 {
+            let (mut s, mut fx, t0) = with_job("b", 2, 20);
+            join(&mut s, &mut fx, "a", 2, 10, t0);
+            for conn in [20, 10] {
+                s.on_message(conn, Message::Fence, t0, &mut fx);
+            }
+            s.tick(t0 + PATIENCE, &mut fx);
+            let told: Vec<ConnId> = fx.take().into_iter().map(|(conn, _)| conn).collect();
+            assert_eq!((told, &fx.closed[..]), (vec![10, 20], &[10, 20][..]));
+        }
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! members, frames to the dispatcher, and one [`Fact`] per counter or
 //! event-log update.
 //!
-//! What this file may not contain (CI greps for it): a clock read, a
-//! lock, a shared counter, a spawned worker, a socket, a file or the event
-//! ring. The shell in [`crate::daemon`] owns all of those. The fake in
-//! `tests/relay_model.rs` drives this same core between the real
-//! dispatcher core and virtual pilots over delayed links under a seeded
-//! fault schedule, which is what the one interface here is for.
+//! What this file may not contain (the shell's `the_core_is_pure` test
+//! fails if it does): a clock read, a lock, a shared counter, a spawned
+//! worker, a socket, a file or the event ring. The shell in
+//! [`crate::daemon`] owns all of those. `cluster_sim::des` drives this
+//! same core between the real dispatcher, pilot and PMI cores over delayed
+//! links under a seeded fault schedule, which is what the one interface
+//! here is for.
 //!
 //! Two rules carry most of the guarantees. A member has a global id only
 //! while the session that acked it is up (`session_down` forgets every

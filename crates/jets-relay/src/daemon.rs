@@ -2,8 +2,8 @@
 //!
 //! What the relay *decides* — routing, re-registration, what is held
 //! across an outage, who gets cancelled locally — lives in
-//! [`crate::core`], and each guarantee is an invariant
-//! `tests/relay_model.rs` checks after every input of 2,000 seeded fault
+//! [`crate::core`], and each guarantee is an invariant the seeded world
+//! (`cluster_sim::des`) checks after every input of 2,000 fault
 //! schedules. This file owns what the core may not: the sockets, the
 //! clock, the one lock, the metric handles and the event ring.
 //!
@@ -668,7 +668,7 @@ fn serve_session<'a>(
 mod tests {
     //! Loopback smokes of the shell: real sockets, real threads. What the
     //! relay *decides* is tested on the core under a virtual clock
-    //! (`tests/relay_model.rs`); these cover what only the shell has —
+    //! (`tests/relay_model.rs`, `cluster_sim::des`); these cover what only the shell has —
     //! the wire, the event loop, the reconnect thread.
     use super::*;
     use jets_core::protocol::{MsgReader, MsgWriter, TaskAssignment, TaskKind};
@@ -682,7 +682,7 @@ mod tests {
     const WAIT: Duration = Duration::from_secs(60);
 
     /// No clock, lock, atomic, thread, socket or file in the routing core
-    /// (`tests/relay_model.rs` is its fake shell).
+    /// (`cluster_sim::des` is its fake shell).
     #[test]
     fn the_core_is_pure() {
         jets_ring::stdx::assert_pure(include_str!("core.rs"), &["Atomic"]);

@@ -3,9 +3,9 @@
 //! What a pilot *decides* — what a session opens with, what is carried or
 //! stashed across an outage, what `Cancel` and `Shutdown` mean mid-task,
 //! when a runner is given up on, when to stop reconnecting — lives in
-//! [`crate::core`], each guarantee an invariant that
-//! `jets-relay/tests/relay_model.rs` checks after every input of 2,000
-//! seeded fault schedules. This file owns what the core may not: socket,
+//! [`crate::core`], each guarantee an invariant that the seeded world
+//! (`cluster_sim::des`) checks after every input of 2,000 fault
+//! schedules. This file owns what the core may not: socket,
 //! clock, lock, threads, cancel token, flight recorder, metric handles.
 //!
 //! ## Thread anatomy
@@ -82,6 +82,16 @@ impl ReconnectPolicy {
     }
 }
 
+impl ReconnectPolicy {
+    /// No retry: the first lost or refused connection ends the agent.
+    pub fn connect_once() -> Self {
+        ReconnectPolicy {
+            max_attempts: 0,
+            ..ReconnectPolicy::default()
+        }
+    }
+}
+
 impl Default for ReconnectPolicy {
     fn default() -> Self {
         ReconnectPolicy {
@@ -109,9 +119,9 @@ pub struct WorkerConfig {
     pub heartbeat: Option<Duration>,
     /// Delay before the agent connects (models node boot time).
     pub connect_delay: Duration,
-    /// Reconnect-with-backoff policy; `None` keeps the legacy
-    /// connect-once behaviour (any connection loss ends the agent).
-    pub reconnect: Option<ReconnectPolicy>,
+    /// Reconnect-with-backoff policy; [`ReconnectPolicy::connect_once`]
+    /// (the default) ends the agent at the first connection loss.
+    pub reconnect: ReconnectPolicy,
     /// After a dispatcher `Cancel`, how long the agent waits for the task
     /// to acknowledge the token before abandoning its thread and
     /// reporting [`EXIT_CANCELED`](jets_core::protocol::EXIT_CANCELED).
@@ -138,7 +148,7 @@ impl WorkerConfig {
             location: "default".to_string(),
             heartbeat: None,
             connect_delay: Duration::ZERO,
-            reconnect: None,
+            reconnect: ReconnectPolicy::connect_once(),
             cancel_grace: Duration::from_millis(200),
             metrics: None,
             flight_recorder: None,
@@ -147,7 +157,7 @@ impl WorkerConfig {
 
     /// Builder-style reconnect policy.
     pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = Some(policy);
+        self.reconnect = policy;
         self
     }
 
@@ -467,9 +477,9 @@ impl Agent {
     /// dispatcher says `Shutdown`, the kill switch fires, or it gives up.
     fn run(mut self) -> WorkerExit {
         let pilot = Arc::clone(&self.pilot);
-        let policy = pilot.config.reconnect.as_ref();
+        let policy = &pilot.config.reconnect;
         // Deterministic per seed, so a test can replay a backoff schedule.
-        let mut jitter = SplitMix64::new(policy.map_or(1, |p| p.seed));
+        let mut jitter = SplitMix64::new(policy.seed);
         let mut wait = pilot.config.connect_delay;
         let reason = loop {
             if !pilot.sleep(wait) {
@@ -488,14 +498,11 @@ impl Agent {
                 heartbeat.thread().unpark();
                 let _ = heartbeat.join();
             }
-            wait = match (failed, policy) {
+            wait = match failed {
                 _ if pilot.killed() => break ExitReason::Killed,
-                (None, _) => break ExitReason::Shutdown,
-                (Some(n), Some(policy)) if n <= policy.max_attempts => {
-                    policy.backoff(n, &mut jitter)
-                }
-                // Out of attempts, or the legacy connect-once behaviour.
-                (Some(_), _) => break ExitReason::ConnectionLost,
+                None => break ExitReason::Shutdown,
+                Some(n) if n <= policy.max_attempts => policy.backoff(n, &mut jitter),
+                Some(_) => break ExitReason::ConnectionLost,
             };
         };
         let tasks_done = pilot.input(|core, _, _| core.tasks_done());
@@ -640,7 +647,7 @@ mod tests {
     const WAIT: Duration = Duration::from_secs(30);
 
     /// No clock, lock, atomic, thread, socket or cancel token in the
-    /// pilot's core (`relay_model`'s `PFx` is its fake shell).
+    /// pilot's core (`cluster_sim::des` is its fake shell).
     #[test]
     fn the_core_is_pure() {
         let also = ["Atomic", "TcpStream", "CancelToken"];
@@ -1176,23 +1183,26 @@ mod tests {
     /// failed attempt each time, not a fresh start.
     #[test]
     fn a_peer_that_accepts_and_closes_is_given_up_on() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let policy = ReconnectPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            ..ReconnectPolicy::default()
-        };
-        let addr = listener.local_addr().unwrap().to_string();
-        let config = WorkerConfig::new(addr, "shunned").with_reconnect(policy);
-        let w = Worker::spawn(config, executor());
-        listener.set_nonblocking(true).unwrap();
-        let mut accepts = 0;
-        while !w.is_finished() {
-            accepts += listener.accept().is_ok() as u32;
+        // The first attempt, then the failures the policy tolerates: none
+        // at all for a connect-once pilot.
+        for (max_attempts, most) in [(0, 1), (3, 4)] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let policy = ReconnectPolicy {
+                max_attempts,
+                base_backoff: Duration::from_millis(1),
+                ..ReconnectPolicy::default()
+            };
+            let addr = listener.local_addr().unwrap().to_string();
+            let config = WorkerConfig::new(addr, "shunned").with_reconnect(policy);
+            let w = Worker::spawn(config, executor());
+            listener.set_nonblocking(true).unwrap();
+            let mut accepts = 0;
+            while !w.is_finished() {
+                accepts += listener.accept().is_ok() as u32;
+            }
+            assert_eq!(w.join().reason, ExitReason::ConnectionLost);
+            assert!((1..=most).contains(&accepts), "{accepts} accepts");
         }
-        assert_eq!(w.join().reason, ExitReason::ConnectionLost);
-        // The first attempt, then the three failures the policy tolerates.
-        assert!((1..=4).contains(&accepts), "{accepts} accepts");
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! taking the caller's `now` where the decision depends on it, and all it
 //! causes leaves through the caller's [`Effects`].
 //!
-//! What this file may not contain (CI greps for it): a clock read, a
-//! lock, a shared counter, a spawned worker, a socket, a file, the event
-//! ring or a cancel token. The shell in [`crate::agent`] owns those; what
-//! blocks there comes back as an input. The fake behind the interface is
-//! in `jets-relay/tests/relay_model.rs`, which drives this same core
-//! against the real dispatcher and relay cores under seeded faults.
+//! What this file may not contain (the shell's `the_core_is_pure` test
+//! fails if it does): a clock read, a lock, a shared counter, a spawned
+//! worker, a socket, a file, the event ring or a cancel token. The shell
+//! in [`crate::agent`] owns those; what blocks there comes back as an
+//! input. The fake behind the interface is in `cluster_sim::des`, which
+//! drives this same core against the real dispatcher, relay and PMI cores
+//! under seeded faults.
 //!
 //! Three rules carry the guarantees. The in-flight task leaves through
 //! one function (`leave`) that closes its span and counters on every

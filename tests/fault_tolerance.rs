@@ -160,11 +160,11 @@ fn exhausted_retry_budget_fails_exactly_once() {
 
 #[test]
 fn partitioned_worker_is_quarantined_then_reused() {
-    // A worker that dies mid-gang and reconnects must be benched
-    // (quarantined) on re-registration, then released and reused once
-    // the penalty expires — the full strike → bench → release cycle.
+    // A real socket severed mid-task, and the agent's reconnect: the
+    // strike → bench → release decisions are the seeded world's and
+    // `quarantine_holds_a_request_and_replays_it_when_the_bench_expires`;
+    // what only the shell shows is the counters on /metrics.
     use jets::core::registry::QuarantinePolicy;
-    use jets::core::EventKind;
     use jets::worker::{ReconnectPolicy, Worker, WorkerConfig};
     let dispatcher = Dispatcher::start(DispatcherConfig {
         quarantine: Some(QuarantinePolicy {
@@ -180,7 +180,7 @@ fn partitioned_worker_is_quarantined_then_reused() {
     let worker = Worker::spawn(
         WorkerConfig {
             heartbeat: Some(Duration::from_millis(100)),
-            reconnect: Some(ReconnectPolicy::default()),
+            reconnect: ReconnectPolicy::default(),
             ..WorkerConfig::new(dispatcher.addr().to_string(), "flaky")
         },
         Arc::new(Executor::new(science_registry())),
@@ -204,47 +204,6 @@ fn partitioned_worker_is_quarantined_then_reused() {
     // the worker's name and requeues the job; the agent reconnects.
     worker.disconnect();
     assert!(dispatcher.wait_idle(WAIT), "job never recovered");
-    let rec = dispatcher.job_record(id).unwrap();
-    assert_eq!(rec.status, JobStatus::Succeeded);
-    assert_eq!(rec.attempts, 2, "exactly one retry after the partition");
-
-    let events = dispatcher.events().snapshot();
-    let ups: Vec<u64> = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::WorkerUp { worker } => Some(worker),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(ups.len(), 2, "expected the one agent to register twice");
-    let benched: Vec<u64> = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::WorkerQuarantined {
-                worker, strikes, ..
-            } => {
-                assert_eq!(strikes, 1);
-                Some(worker)
-            }
-            _ => None,
-        })
-        .collect();
-    assert_eq!(benched, vec![ups[1]], "the reconnection must be benched");
-    // The successful run happened on the *second* registration — the
-    // benched worker was released and reused.
-    let last_ended = events
-        .iter()
-        .rev()
-        .find_map(|e| match e.kind {
-            EventKind::TaskEnded {
-                worker,
-                exit_code: 0,
-                ..
-            } => Some(worker),
-            _ => None,
-        })
-        .expect("no successful task");
-    assert_eq!(last_ended, ups[1]);
     // The fault counters tell the same story through /metrics: one
     // pilot came back under a known name, its job was requeued once,
     // and the bench emptied before the queue drained.
@@ -267,8 +226,8 @@ fn partitioned_worker_is_quarantined_then_reused() {
 fn hung_worker_is_disregarded_and_job_rescued() {
     // Paper Section 5, feature 3: "JETS automatically disregards workers
     // that fail or hang." A worker whose task never finishes (and that
-    // sends no heartbeats) must be declared hung by the monitor; its job
-    // requeues onto a healthy worker.
+    // sends no heartbeats) must be declared hung by the real monitor
+    // thread's ticks; its job goes back to the queue.
     use jets::worker::{Executor, TaskContext, Worker, WorkerConfig};
     let dispatcher = Dispatcher::start(DispatcherConfig {
         heartbeat_timeout: Some(Duration::from_millis(400)),
@@ -309,23 +268,12 @@ fn hung_worker_is_disregarded_and_job_rescued() {
         assert!(std::time::Instant::now() < deadline, "hang never detected");
         std::thread::sleep(Duration::from_millis(20));
     }
-    // A healthy worker arrives whose "tarpit" finishes instantly.
-    let quick_registry = jets::worker::apps::standard_registry();
-    quick_registry.register("tarpit", |_ctx: &TaskContext| 0);
-    let healthy = Worker::spawn(
-        WorkerConfig {
-            heartbeat: Some(Duration::from_millis(100)),
-            ..WorkerConfig::new(dispatcher.addr().to_string(), "healthy")
-        },
-        Arc::new(Executor::new(quick_registry)),
-    );
-    assert!(dispatcher.wait_idle(WAIT), "rescued job never completed");
+    assert_eq!(dispatcher.metrics().jobs_requeued_total.get(), 1);
     assert_eq!(
         dispatcher.job_record(id).unwrap().status,
-        JobStatus::Succeeded
+        JobStatus::Pending
     );
     dispatcher.shutdown();
     hung.kill();
     hung.join();
-    healthy.join();
 }

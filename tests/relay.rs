@@ -3,7 +3,8 @@
 //! 2 inbound connections, and killing one relay mid-run still converges
 //! on the surviving block. What a relay *decides* (local gang
 //! cancellation, batched liveness, replay across an outage) is checked
-//! without sockets or sleeps in `crates/jets-relay/tests/relay_model.rs`.
+//! without sockets or sleeps in `crates/jets-relay/tests/relay_model.rs`
+//! and the seeded world it runs, `cluster_sim::des`.
 
 use jets::core::spec::{CommandSpec, JobSpec};
 use jets::core::{Dispatcher, DispatcherConfig, EventKind, JobStatus};
