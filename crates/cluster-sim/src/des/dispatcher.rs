@@ -1,6 +1,8 @@
 //! The dispatcher's side of the world: [`Fx`], the fake behind the real
 //! [`Core`](jets_core::core::Core)'s `Effects`, with the real
-//! [`PmiService`] behind `pmi_start` / `pmi_abort` / `pmi_stop`.
+//! [`PmiService`] behind `pmi_start` / `pmi_abort` / `pmi_stop`, and the
+//! dispatcher's end of every connection — the [`Peer`] the core's router
+//! reads each frame over.
 //!
 //! Every [`Fact`] is checked against the job's lifecycle as it is emitted
 //! (finished once, a gang is `nodes` tasks or none, a worker holds one
@@ -10,7 +12,7 @@
 //! restart path: `journal::scan_bytes`, `journal::recover`,
 //! `Core::restore`. `PmiWire` checks what the PMI service says.
 
-use jets_core::core::{Effects, Fact};
+use jets_core::core::{Effects, Fact, Peer};
 use jets_core::events::{Event, EventKind};
 use jets_core::journal::{self, Record, Recovered};
 use jets_core::protocol::{DispatcherMsg, TaskAssignment};
@@ -69,6 +71,10 @@ pub struct Fx {
     pub sent: Vec<(u64, DispatcherMsg)>,
     /// Each reachable worker's connection and whether it is a relay's.
     pub conns: BTreeMap<WorkerId, (u64, bool)>,
+    /// The dispatcher's end of each open connection.
+    pub peers: BTreeMap<u64, Peer>,
+    /// The connection the current frame was read from.
+    pub from: u64,
     /// The next `pmi_start` fails, as a bind would with no port left.
     pub pmi_fail: bool,
     /// PMI jobs open, by job.
@@ -88,6 +94,8 @@ pub struct Fx {
     pub(crate) pmi: PmiService,
     pub(crate) wire: PmiWire,
     pub(crate) open: BTreeMap<TaskId, OpenTask>,
+    /// The attempt each task was assigned in.
+    pub(crate) attempts: BTreeMap<TaskId, u32>,
     /// The journal file's bytes, across incarnations.
     wal: Vec<u8>,
     holding: BTreeMap<WorkerId, TaskId>,
@@ -107,6 +115,8 @@ impl Fx {
             now: 0,
             sent: Vec::new(),
             conns: BTreeMap::new(),
+            peers: BTreeMap::new(),
+            from: 0,
             pmi_fail: false,
             pmi_jobs: BTreeMap::new(),
             downs: Vec::new(),
@@ -118,6 +128,7 @@ impl Fx {
             pmi: PmiService::default(),
             wire: PmiWire::at("pmi@0".into()),
             open: BTreeMap::new(),
+            attempts: BTreeMap::new(),
             wal: journal::MAGIC.to_vec(),
             holding: BTreeMap::new(),
             busy: 0,
@@ -153,6 +164,7 @@ impl Fx {
         self.sent.clear();
         self.downs.clear();
         self.conns.clear();
+        self.peers.clear();
         self.pmi_jobs.clear();
         self.holding.clear();
         self.spans.clear();
@@ -239,6 +251,7 @@ impl Fx {
                 let since = self.now;
                 let orphan = false;
                 self.open.insert(task, OpenTask { job, since, orphan });
+                self.attempts.insert(task, self.jobs[&job].attempts);
                 let Stage::Running(started, ..) = &mut self.job(job).stage else {
                     panic!("task {task} started for a job that is not running");
                 };
@@ -309,8 +322,15 @@ impl Effects for Fx {
         self.send(worker, DispatcherMsg::Cancel { task_id }, relayed)
     }
 
+    fn reply(&mut self, msg: DispatcherMsg) {
+        let from = self.from;
+        self.note(|| format!("reply {msg:?} -> {from}"));
+        self.sent.push((self.from, msg));
+    }
+
     fn pmi_start(&mut self, job: JobId, jobid: &str, size: u32) -> io::Result<String> {
-        assert_eq!(jobid, format!("jets-job-{job}"));
+        let attempt = self.jobs[&job].attempts;
+        assert_eq!(jobid, format!("jets-job-{job}.{attempt}"));
         assert_eq!(size, self.jobs[&job].spec.size());
         let fail = std::mem::take(&mut self.pmi_fail);
         self.note(|| format!("pmi_start j{job}: {}", !fail));
@@ -380,7 +400,11 @@ impl Effects for Fx {
                     false => (Status::Pending, Stage::Queued),
                 };
             }
-            Fact::WorkerUp { .. } | Fact::QuarantineReleased { .. } => {}
+            // The shell binds the worker to the connection being read.
+            Fact::WorkerUp {
+                worker, relayed, ..
+            } => _ = self.conns.insert(worker, (self.from, relayed)),
+            Fact::Reported { .. } | Fact::QuarantineReleased { .. } => {}
             // The shell forgets the connection with the worker.
             Fact::WorkerDown { worker, .. } => {
                 self.holding.remove(&worker);
@@ -450,7 +474,7 @@ pub(crate) struct PmiWire {
     /// Every rank connection of this incarnation: job, rank, world size.
     pub(crate) ranks: BTreeMap<ConnId, (JobId, u32, u32)>,
     /// Connections the service accepted and has not closed.
-    open: BTreeMap<ConnId, (JobId, u32, u32)>,
+    pub(crate) open: BTreeMap<ConnId, (JobId, u32, u32)>,
     /// Ranks whose `fence` reached the service, unanswered.
     parked: BTreeSet<ConnId>,
     /// Connections the service closed: what their ranks still send is lost.

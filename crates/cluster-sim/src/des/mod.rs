@@ -4,9 +4,14 @@
 //! as the journal's bytes, its PMI service the real `PmiService`), one
 //! [`RelayCore`] behind [`RFx`] and seven [`PilotCore`]s — five relayed,
 //! two direct. An `MpiProxy`'s rank sends the lines `PmiClient` sends:
-//! `init`, `put bc.<rank>`, `fence`, then `finalize` — or `abort`. Time is
-//! virtual µs; every hop is a one-way FIFO link with seeded delay, and a
-//! closing connection delivers what was written, then end-of-file.
+//! `init` (under the PMI job id its assignment carries), `put bc.<rank>`,
+//! `fence`, then `finalize` — or `abort`. Time is virtual µs; every hop is
+//! a one-way FIFO link with seeded delay, and a closing connection
+//! delivers what was written, then end-of-file.
+//!
+//! Pilots say `Register` over their links, and every frame reaches its
+//! core through the router the shell calls: [`Core::peer_frame`] over the
+//! dispatcher's [`Peer`], or [`RelayCore::member_frame`].
 //!
 //! Faults, drawn per step: a pilot dies, drops its connection, hangs and
 //! comes back, or is told `Shutdown`; the relay loses its upstream; the
@@ -16,8 +21,10 @@
 //!
 //! The fakes check every frame and fact as it is emitted, `audit` the rest
 //! after every input (no job lost or held twice, `ready ⊆ Idle`, no worker
-//! in two gangs, routes = acks, a PMI job lives as long as its attempt, no
-//! rank waits in an aborted fence, no pilot the dispatcher believes in
+//! in two gangs, routes = acks (and, once quiet, cover the dispatcher's
+//! live relayed workers), a PMI job lives as long as its attempt and is
+//! joined by its own ranks only, no rank waits in an aborted fence, no
+//! pilot the dispatcher believes in
 //! runs an ended task once the links between them are quiet); then the
 //! process and link faults stop and everything drains: every job finishes
 //! once, every pilot is idle, Eq. (1) is conserved.
@@ -30,7 +37,7 @@ pub use dispatcher::{Fx, Job};
 pub use relay::{Out, RFx};
 
 use dispatcher::FENCE_TIMEOUT;
-use jets_core::core::{Core, CoreConfig, Effects as _};
+use jets_core::core::{Core, CoreConfig, Peer};
 use jets_core::protocol::{DispatcherMsg, WorkerMsg};
 use jets_core::registry::{QuarantinePolicy, WorkerState};
 use jets_core::spec::{CommandSpec, JobId, JobSpec, TaskId, WorkerId};
@@ -47,7 +54,8 @@ use std::mem::take;
 use std::time::{Duration, Instant};
 
 /// Pilots behind the relay; the two after them are direct, on
-/// connections numbered from `DIRECT`.
+/// connections numbered from `DIRECT` (a member's are below it, and the
+/// relay's to the dispatcher is numbered by its session).
 const MEMBERS: usize = 5;
 const ALL: usize = 7;
 const DIRECT: u64 = 1 << 32;
@@ -117,13 +125,14 @@ enum Step {
 }
 
 /// One MPI rank: a scripted PMI client on pilot `p`'s runner, told of the
-/// PMI service at `addr`. Its fate: 0–2 dies in the fence, 3 aborts, 4–6
-/// exits 1, else 0.
+/// PMI service at `addr` and its job `jobid`. Its fate: 0–2 dies in the
+/// fence, 3 aborts, 4–6 exits 1, else 0.
 struct Rank {
     p: usize,
     runner: u64,
     task: TaskId,
     addr: String,
+    jobid: String,
     step: Step,
     due: u64,
     fate: u64,
@@ -134,15 +143,8 @@ pub struct World {
     rng: SplitMix64,
     disp: Core,
     fx: Fx,
-    /// The dispatcher's end of each direct pilot's connection.
-    direct: BTreeMap<u64, WorkerId>,
-    /// The dispatcher's end of the relay connection: session stamp, relay
-    /// id, the members it registered.
-    conn: Option<(u64, WorkerId, BTreeSet<WorkerId>)>,
     relay: RelayCore,
     rfx: RFx,
-    /// The relay's member connections.
-    locals: BTreeSet<u64>,
     /// The session the relay believes in, how many there have been, and
     /// when the relay notices that the wire died.
     session: Option<u64>,
@@ -152,6 +154,9 @@ pub struct World {
     wire: Vec<(u64, Hop)>,
     pilots: Vec<Pilot>,
     ranks: BTreeMap<ConnId, Rank>,
+    /// The attempt each rank connection was launched for.
+    launched: BTreeMap<ConnId, u32>,
+    /// Connections opened so far: ranks' and pilots'.
     conns: ConnId,
     /// When the monitor ticks and the relay flushes next.
     next: (u64, u64),
@@ -195,17 +200,15 @@ impl World {
             rng: SplitMix64::new(seed),
             disp: Core::new(config(), t0),
             fx: Fx::new(t0),
-            direct: BTreeMap::new(),
-            conn: None,
             relay: RelayCore::new("r".into(), "rack".into(), 50, 2),
             rfx: RFx::default(),
-            locals: BTreeSet::new(),
             session: None,
             sessions: 0,
             eof: None,
             wire: Vec::new(),
             pilots: (0..ALL).map(|_| boot()).collect(),
             ranks: BTreeMap::new(),
+            launched: BTreeMap::new(),
             conns: 1,
             next: (MONITOR, FLUSH),
             inputs: 0,
@@ -248,9 +251,9 @@ impl World {
     }
 
     /// One input into the dispatcher core; its frames go onto the links.
-    fn disp(&mut self, input: impl FnOnce(&mut Core, &mut Fx, Instant)) {
+    fn disp<R>(&mut self, input: impl FnOnce(&mut Core, &mut Fx, Instant) -> R) -> R {
         let at = self.fx.at();
-        input(&mut self.disp, &mut self.fx, at);
+        let out = input(&mut self.disp, &mut self.fx, at);
         self.inputs += 1;
         for (link, msg) in take(&mut self.fx.sent) {
             match link >= DIRECT {
@@ -259,6 +262,7 @@ impl World {
             }
         }
         self.pmi_out();
+        out
     }
 
     /// What the PMI service said goes onto the rank links; then the audit.
@@ -276,7 +280,8 @@ impl World {
         self.inputs += 1;
         for out in self.rfx.sent() {
             let hop = match out {
-                Out::Down(local, msg) => Hop::Hear(local, Some(msg)),
+                // A member's link is what its registration bound.
+                Out::Down(local, msg) => Hop::Hear(self.rfx.links[&local], Some(msg)),
                 Out::Up(msg) => Hop::Up(self.session.expect("a frame up, no session"), msg),
             };
             self.send(hop, 3 * MS);
@@ -316,14 +321,23 @@ impl World {
         state.is_none_or(|s| s == WorkerState::Dead)
     }
 
+    /// The dispatcher's connection to the relay: its session number.
+    fn upstream(&self) -> Option<u64> {
+        self.fx.peers.keys().next().copied().filter(|&n| n < DIRECT)
+    }
+
     /// The worker id the dispatcher knows pilot `p`'s session by, if any.
     fn believed(&self, p: usize) -> Option<WorkerId> {
         let link = self.pilots[p].fx.link?;
         if link >= DIRECT {
-            return self.direct.get(&link).copied();
+            let Some(&Peer::Direct(worker)) = self.fx.peers.get(&link) else {
+                return None;
+            };
+            return Some(worker);
         }
-        let n = self.conn.as_ref()?.0;
-        self.relay.global(link).filter(|_| self.session == Some(n))
+        let local = (*self.rfx.peers.get(&link)?)?;
+        let current = self.upstream().is_some_and(|n| self.session == Some(n));
+        self.relay.global(local).filter(|_| current)
     }
 
     /// Nothing is in flight between pilot `p` and the dispatcher.
@@ -342,6 +356,19 @@ impl World {
         // `by_global` ⊆ acked members — here, exactly this session's acks.
         let acked = self.rfx.acked.iter().map(|(&g, &l)| (g, l));
         assert!(self.relay.routes().eq(acked), "routes differ from the acks");
+        // Once nothing is in flight between them, every worker the
+        // dispatcher believes the relay fronts is one the relay routes.
+        let between = |f: &(u64, Hop)| matches!(f.1, Hop::Up(..) | Hop::Down(..));
+        let peer = self.upstream().and_then(|n| fx.peers.get(&n));
+        if let Some(&Peer::Relay(relay, _)) = peer.filter(|_| !self.wire.iter().any(between)) {
+            let routed = |w: &WorkerId| self.relay.routes().any(|(g, _)| g == *w);
+            let stale = core
+                .registry()
+                .relayed_by(relay)
+                .into_iter()
+                .find(|w| !routed(w));
+            assert_eq!(stale, None, "a relayed worker outlived its member");
+        }
         for worker in core.ready().iter() {
             let idle = core.registry().get(worker).map(|w| w.state) == Some(WorkerState::Idle);
             assert!(idle, "worker {worker} is parked but not idle");
@@ -381,169 +408,81 @@ impl World {
         }
     }
 
-    /// `DispatcherConn::on_relay`, frame for frame, on the dispatcher core.
-    fn on_relay(&mut self, n: u64, msg: WorkerMsg) {
-        let hello = matches!(msg, WorkerMsg::RelayHello { .. });
-        let (mut relay, mut members) = match self.conn.take_if(|c| c.0 == n) {
-            Some((_, relay, members)) => (relay, members),
-            None if hello => (0, BTreeSet::new()),
-            // A frame off a connection that is already closed goes nowhere.
-            None => return,
+    /// A frame, or end-of-file (`None`), off the dispatcher's connection
+    /// `conn`, if it is open: into its router, or its close arm. A sever
+    /// closes the connection, and the other end reads end-of-file.
+    fn read(&mut self, conn: u64, msg: Option<WorkerMsg>) {
+        let Some(mut peer) = self.fx.peers.remove(&conn) else {
+            return;
         };
-        self.conn = Some((n, relay, BTreeSet::new())); // the audit reads the stamp
-        self.disp(|core, fx, at| match msg {
-            WorkerMsg::RelayHello { .. } => {
-                relay = core.relay_up(fx);
-                fx.sent
-                    .push((n, DispatcherMsg::Registered { worker_id: relay }));
-            }
-            WorkerMsg::RelayRegister {
-                local,
-                name,
-                cores,
-                location,
-            } => {
-                let worker_id = core.register(at, (name, cores, location), Some(relay), fx);
-                members.insert(worker_id);
-                fx.conns.insert(worker_id, (n, true));
-                fx.sent
-                    .push((n, DispatcherMsg::RelayRegistered { local, worker_id }));
-            }
-            WorkerMsg::RelayRequest { worker } if members.contains(&worker) => {
-                core.request(at, worker, fx)
-            }
-            WorkerMsg::RelayDone {
-                worker,
-                task_id,
-                exit_code,
-                output,
-                ..
-            } => {
-                if members.contains(&worker) {
-                    core.done(at, worker, task_id, exit_code, output, fx)
+        if let Some(msg) = msg {
+            let kept = self.disp(|core, fx, at| {
+                fx.from = conn;
+                let keep = core.peer_frame(at, &mut peer, msg, fx);
+                if keep {
+                    fx.peers.insert(conn, take(&mut peer));
                 }
+                keep
+            });
+            if kept {
+                return;
             }
-            WorkerMsg::BatchedHeartbeat { mut workers } => {
-                workers.retain(|w| members.contains(w));
-                core.heard(at, &workers);
-            }
-            WorkerMsg::RelayWorkerGone { worker } if members.remove(&worker) => {
-                core.worker_down(at, worker, fx);
-            }
-            WorkerMsg::RelayMemberState {
-                worker,
-                task_id,
-                job_id,
-            } => {
-                if members.contains(&worker) && !core.claim(at, worker, (task_id, job_id), fx) {
-                    fx.send_cancel(worker, task_id);
-                }
-            }
-            // A member's frames arrive in envelopes; anything else, or one
-            // for a worker this relay never registered, is ignored.
-            WorkerMsg::RelayRequest { .. }
-            | WorkerMsg::RelayWorkerGone { .. }
-            | WorkerMsg::Register { .. }
-            | WorkerMsg::Request
-            | WorkerMsg::Done { .. }
-            | WorkerMsg::Heartbeat
-            | WorkerMsg::Goodbye
-            | WorkerMsg::SessionState { .. } => {}
-        });
-        self.conn = Some((n, relay, members));
+            assert!(conn >= DIRECT, "the dispatcher severed the relay");
+            self.send(Hop::Hear(conn, None), MS);
+        }
+        self.disp(|core, fx, at| core.peer_closed(at, peer, fx));
     }
 
     /// One frame read off upstream session `n` — possibly a dead one.
     fn relay_reads(&mut self, n: u64, msg: DispatcherMsg) {
-        if self.session != Some(n) {
-        } else if let DispatcherMsg::RelayRegistered { local, worker_id } = msg {
-            if self.locals.contains(&local) {
+        if let DispatcherMsg::RelayRegistered { local, worker_id } = msg {
+            if self.session == Some(n) && self.rfx.links.contains_key(&local) {
                 self.rfx.acked.insert(worker_id, local);
-            }
-        } else if let DispatcherMsg::RelayCancel { worker, task_id } = msg {
-            let local = self.rfx.acked.get(&worker).copied().unwrap_or(u64::MAX);
-            if self.rfx.inflight.get(&local).map(|r| r.0) == Some(task_id) {
-                self.rfx.inflight.remove(&local);
             }
         }
         self.relay(|core, fx, _| core.upstream(n, msg, fx));
     }
 
-    /// `DispatcherConn::on_direct` for a direct pilot's frame, the relay's
-    /// `MemberConn::on_frame` for a member's; `Goodbye` or end-of-file
-    /// closes either.
-    fn pilot_says(&mut self, link: u64, msg: Option<WorkerMsg>) {
-        let direct = self.direct.get(&link).copied();
-        if direct.is_none() && link >= DIRECT {
-            return; // the dispatcher has closed this connection
-        }
-        let Some(msg) = msg.filter(|m| *m != WorkerMsg::Goodbye) else {
-            return match direct {
-                Some(w) => {
-                    self.direct.remove(&link);
-                    self.disp(|core, fx, at| core.worker_down(at, w, fx));
-                }
-                None => self.member_gone(link),
-            };
+    /// A frame, or end-of-file, off the relay's member connection `conn`,
+    /// if it is open: into its router, or `gone`. A sever closes it too.
+    fn member_says(&mut self, conn: u64, msg: Option<WorkerMsg>) {
+        let Some(mut local) = self.rfx.peers.remove(&conn) else {
+            return;
         };
-        match msg {
-            WorkerMsg::Request => match direct {
-                Some(w) => self.disp(|core, fx, at| core.request(at, w, fx)),
-                None => self.relay(|core, fx, now| core.request(now, link, fx)),
-            },
-            WorkerMsg::Heartbeat => match direct {
-                Some(w) => self.disp(|core, _, at| core.heard(at, &[w])),
-                None => self.relay(|core, _, now| core.heartbeat(now, link)),
-            },
-            WorkerMsg::SessionState { running } => match direct {
-                Some(w) => self.disp(|core, fx, at| {
-                    if let Some(r) = running.filter(|&r| !core.claim(at, w, r, fx)) {
-                        fx.send_cancel(w, r.0);
-                    }
-                }),
-                None => {
-                    running.map(|r| self.rfx.inflight.insert(link, r));
-                    self.relay(|core, fx, now| core.session_state(now, link, running, fx));
+        if let Some(msg) = msg {
+            let kept = self.relay(|core, fx, now| {
+                fx.from = conn;
+                let keep = core.member_frame(now, &mut local, msg, fx);
+                if keep {
+                    fx.peers.insert(conn, local);
                 }
-            },
-            WorkerMsg::Done {
-                task_id,
-                exit_code,
-                wall_ms,
-                output,
-                trace,
-            } => match direct {
-                Some(w) => {
-                    self.disp(|core, fx, at| core.done(at, w, task_id, exit_code, output, fx))
-                }
-                None => {
-                    self.rfx.inflight.remove(&link);
-                    let done = (task_id, exit_code, wall_ms, output, trace);
-                    self.relay(|core, fx, now| core.done(now, link, done, fx));
-                }
-            },
-            // A registered pilot sends none of these.
-            WorkerMsg::Register { .. }
-            | WorkerMsg::Goodbye
-            | WorkerMsg::RelayHello { .. }
-            | WorkerMsg::RelayRegister { .. }
-            | WorkerMsg::RelayRequest { .. }
-            | WorkerMsg::RelayDone { .. }
-            | WorkerMsg::BatchedHeartbeat { .. }
-            | WorkerMsg::RelayWorkerGone { .. }
-            | WorkerMsg::RelayMemberState { .. } => {}
+                keep
+            });
+            if kept {
+                return;
+            }
+            self.send(Hop::Hear(conn, None), 3 * MS);
         }
-    }
-
-    /// Member `local`'s connection closed. At the relay, the local fan-out
-    /// reaches exactly the same-job siblings.
-    fn member_gone(&mut self, local: u64) {
-        let job = self.rfx.inflight.remove(&local).map(|r| r.1);
-        let siblings = self.rfx.inflight.iter().filter(|r| Some(r.1 .1) == job);
-        let expected: BTreeSet<(u64, TaskId)> = siblings.map(|(&l, r)| (l, r.0)).collect();
+        let Some(local) = local else {
+            return;
+        };
+        // At the relay, the local fan-out reaches exactly the siblings it
+        // holds running the same job.
+        let job = self.relay.inflight(local).map(|r| r.1);
+        let same = |l: &u64| {
+            self.relay
+                .inflight(*l)
+                .filter(|r| *l != local && Some(r.1) == job)
+        };
+        let expected: BTreeSet<(u64, TaskId)> = self
+            .rfx
+            .links
+            .keys()
+            .filter_map(|l| Some((*l, same(l)?.0)))
+            .collect();
+        self.rfx.links.remove(&local);
         self.rfx.acked.retain(|_, l| *l != local);
         self.rfx.facts.clear();
-        self.locals.remove(&local);
         self.relay(|core, fx, _| core.gone(local, fx));
         assert_eq!(self.rfx.cancels, expected, "local cancel fan-out");
         let counted = Fact::LocalCancels(expected.len() as u64);
@@ -622,7 +561,7 @@ impl World {
 
     /// Pilot `p`'s runner starts a proxy's rank: it connects after a short
     /// delay — or, one time in six, past the fence time-out.
-    fn spawn(&mut self, p: usize, (runner, task, place, addr): Proxy) {
+    fn spawn(&mut self, p: usize, (runner, task, place, addr, jobid): Proxy) {
         let late = match self.pick(6) {
             0 => FENCE_TIMEOUT.as_micros() as u64 + 5 * MS + self.pick(20 * MS),
             _ => self.pick(2 * MS),
@@ -630,11 +569,13 @@ impl World {
         let (conn, step, due, fate) = (self.conns, Step::Launch, self.fx.now + late, self.pick(24));
         self.conns += 1;
         self.fx.wire.ranks.insert(conn, place);
+        self.launched.insert(conn, self.fx.attempts[&task]);
         let rank = Rank {
             p,
             runner,
             task,
             addr,
+            jobid,
             step,
             due,
             fate,
@@ -664,8 +605,8 @@ impl World {
             // Refused: the service it was told of died with its dispatcher.
             Step::Launch if r.addr != self.fx.wire.addr => self.end(conn, 1),
             Step::Launch => {
-                let ((job, rank, size), fate) = (self.fx.wire.ranks[&conn], r.fate);
-                let jobid = format!("jets-job-{job}");
+                let (jobid, fate) = (r.jobid.clone(), r.fate);
+                let (_, rank, size) = self.fx.wire.ranks[&conn];
                 let (key, value) = (format!("bc.{rank}"), format!("10.0.0.{}:4000/{rank}", r.p));
                 self.send(line(Message::Init { rank, size, jobid }), MS);
                 self.send(line(Message::Put { key, value }), MS);
@@ -725,6 +666,7 @@ impl World {
         }
         // A first fence's release is the hub's `on_release`: the same event.
         let mut released = false;
+        let init = matches!(msg, Some(Message::Init { .. }));
         self.disp(|core, fx, at| {
             let Some(msg) = msg else {
                 fx.wire.gone(conn);
@@ -742,6 +684,15 @@ impl World {
             }
         });
         self.seen[5] += released as u64;
+        // A straggler of an earlier attempt names that attempt's job.
+        if init && self.fx.wire.open.contains_key(&conn) {
+            let (job, launched) = (self.fx.wire.ranks[&conn].0, self.launched[&conn]);
+            let live = self.fx.jobs[&job].attempts;
+            assert_eq!(
+                launched, live,
+                "a rank of job {job}'s attempt {launched} joined attempt {live}"
+            );
+        }
     }
 
     /// Can `hop` be read now? Not by a hung process.
@@ -799,9 +750,11 @@ impl World {
                 hop => format!("{hop:?}"),
             });
             match hop {
-                Hop::Up(n, msg) => self.on_relay(n, msg),
+                Hop::Up(n, msg) => self.read(n, Some(msg)),
                 Hop::Down(n, msg) => self.relay_reads(n, msg),
-                Hop::Say(link, msg) => self.pilot_says(link, msg),
+                // A pilot's frame reaches the dispatcher, or the relay.
+                Hop::Say(link @ DIRECT.., msg) => self.read(link, msg),
+                Hop::Say(link, msg) => self.member_says(link, msg),
                 Hop::Hear(link, msg) => self.pilot_hears(link, msg),
                 Hop::Rank(conn, msg) => self.pmi_hears(conn, msg),
                 Hop::Pmi(conn, msg) => self.rank_hears(conn, msg),
@@ -809,33 +762,29 @@ impl World {
         }
     }
 
-    /// Pilot `p` — a fresh process, if the last one ended — connects and
-    /// says `Register`; the ack is on its way.
+    /// Pilot `p` — a fresh process, if the last one ended — connects, to
+    /// the relay or the dispatcher, and says `Register`.
     fn connect(&mut self, p: usize) {
         match &self.pilots[p] {
             pilot if pilot.fx.link.is_some() || pilot.hung => return,
             pilot if pilot.fx.gone => self.pilots[p] = boot(),
             _ => {}
         }
-        let who = (format!("p{p}"), 1, format!("rack{}", p % 2));
-        let link = if p < MEMBERS {
-            let local = self.relay(|core, fx, now| core.register(now, who, fx));
-            self.locals.insert(local);
-            local
+        let link = self.conns + if p < MEMBERS { 0 } else { DIRECT };
+        self.conns += 1;
+        if link < DIRECT {
+            self.rfx.peers.insert(link, None);
         } else {
-            // `DispatcherConn::on_handshake`
-            let (link, mut worker_id) = (DIRECT + self.conns, 0);
-            self.conns += 1;
-            self.disp(|core, fx, at| {
-                worker_id = core.register(at, who, None, fx);
-                fx.conns.insert(worker_id, (link, false));
-                fx.sent
-                    .push((link, DispatcherMsg::Registered { worker_id }));
-            });
-            self.direct.insert(link, worker_id);
-            link
-        };
+            self.fx.peers.insert(link, Peer::Handshake);
+        }
         self.pilots[p].fx.link = Some(link);
+        let (name, cores, location) = (format!("p{p}"), 1, format!("rack{}", p % 2));
+        let register = WorkerMsg::Register {
+            name,
+            cores,
+            location,
+        };
+        self.send(Hop::Say(link, Some(register)), 3 * MS);
     }
 
     /// Pilot `p`'s end of its connection is gone — with the process
@@ -868,6 +817,7 @@ impl World {
             self.sessions += 1;
             let n = self.sessions;
             self.session = Some(n);
+            self.fx.peers.insert(n, Peer::Handshake);
             self.rfx.forwarded.clear();
             self.relay(|core, fx, _| core.session_up(n, fx));
         }
@@ -883,8 +833,9 @@ impl World {
         self.seen[1] += !crashed as u64;
         self.wire.retain(|f| !matches!(f.1, Hop::Up(..)));
         self.eof = Some(self.fx.now + self.pick(6 * MS));
-        if let Some((_, relay, _)) = self.conn.take().filter(|_| !crashed) {
-            self.disp(|core, fx, at| core.relay_down(at, relay, fx));
+        let peer = self.upstream().and_then(|n| self.fx.peers.remove(&n));
+        if let Some(peer) = peer.filter(|_| !crashed) {
+            self.disp(|core, fx, at| core.peer_closed(at, peer, fx));
         }
     }
 
@@ -894,10 +845,16 @@ impl World {
     fn crash(&mut self) {
         self.seen[0] += 1;
         self.lose_upstream(true);
-        self.conn = None;
         let inbound = |h: &Hop| matches!(*h, Hop::Rank(..) | Hop::Say(DIRECT.., _));
         self.wire.retain(|f| !inbound(&f.1));
-        for link in take(&mut self.direct).into_keys() {
+        let direct: Vec<u64> = self
+            .fx
+            .peers
+            .keys()
+            .copied()
+            .filter(|&l| l >= DIRECT)
+            .collect();
+        for link in direct {
             self.send(Hop::Hear(link, None), MS);
         }
         let wire = &self.fx.wire;
@@ -956,8 +913,9 @@ impl World {
         quit && p.fx.owed.values().all(|tripped| *tripped)
     }
 
-    /// Faults stop, everything heals — a pilot the dispatcher declared
-    /// hung is restarted — and the work drains.
+    /// Faults stop, everything heals — a relayed pilot the dispatcher
+    /// declared hung is restarted (a direct one is severed on its next
+    /// frame and reconnects) — and the work drains.
     fn drain(&mut self) {
         for _ in 0..2_000 {
             if self.fx.unfinished.is_empty() && (0..ALL).all(|p| self.idle(p)) {
@@ -966,7 +924,8 @@ impl World {
             for p in 0..ALL {
                 self.pilots[p].hung = false;
                 let dead = self.believed(p).is_some_and(|w| self.dead(w));
-                if self.pilots[p].fx.wire && self.quiet(p) && dead {
+                let relayed = self.pilots[p].fx.link.is_some_and(|l| l < DIRECT);
+                if relayed && self.pilots[p].fx.wire && self.quiet(p) && dead {
                     self.disconnect(p, true);
                 }
             }

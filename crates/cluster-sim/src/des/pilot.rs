@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 pub(crate) type Owed = (u64, u64, TaskId, i32);
 
 /// An MPI proxy handed to a runner: the runner, the task, its job's id,
-/// rank and world size, and the PMI address it was told of.
-pub(crate) type Proxy = (u64, TaskId, (JobId, u32, u32), String);
+/// rank and world size, and the PMI address and job id it was told of.
+pub(crate) type Proxy = (u64, TaskId, (JobId, u32, u32), String, String);
 
 /// One pilot process's effects: the time, this input's random bits and
 /// frames; the connection (writable from `Registered` on) and `Goodbye`;
@@ -70,12 +70,14 @@ impl Effects for PFx {
             ranks,
             size,
             pmi_addr,
+            pmi_jobid,
             ..
         } = a.kind
         {
             self.results.push((u64::MAX, runner, a.task_id, 0));
             let place = (a.job_id, ranks[0], size);
-            return self.spawned.push((runner, a.task_id, place, pmi_addr));
+            let proxy = (runner, a.task_id, place, pmi_addr, pmi_jobid);
+            return self.spawned.push(proxy);
         }
         let due = self.now + 1_000 * (1 + self.dice % 50);
         let failed = (self.dice >> 8).is_multiple_of(10);

@@ -1,9 +1,10 @@
 //! The relay's side of the world: [`RFx`], the fake behind the real
 //! [`RelayCore`](jets_relay::core::RelayCore)'s `Effects`, checking each
-//! frame as it is emitted.
+//! frame as it is emitted, and the relay's end of every member
+//! connection.
 
 use jets_core::protocol::{DispatcherMsg, WorkerMsg};
-use jets_core::spec::{JobId, TaskId, WorkerId};
+use jets_core::spec::{TaskId, WorkerId};
 use jets_relay::core::{Effects, Fact};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,10 +24,15 @@ pub struct RFx {
     pub facts: Vec<Fact>,
     /// The acks the current session has delivered: global → local.
     pub acked: BTreeMap<WorkerId, u64>,
+    /// The relay's end of each member connection: the member's local id,
+    /// once it has registered.
+    pub peers: BTreeMap<u64, Option<u64>>,
+    /// The member connection the current frame was read from.
+    pub from: u64,
+    /// Where each bound member's frames go: local id → connection.
+    pub links: BTreeMap<u64, u64>,
     /// Results forwarded under the current session.
     pub(crate) forwarded: BTreeSet<(WorkerId, TaskId)>,
-    /// What has been forwarded to each member and not seen end.
-    pub(crate) inflight: BTreeMap<u64, (TaskId, JobId)>,
     /// The `Cancel`s sent to members (the world clears it per input).
     pub(crate) cancels: BTreeSet<(u64, TaskId)>,
     out: Vec<Out>,
@@ -61,8 +67,6 @@ impl Effects for RFx {
         if let DispatcherMsg::Registered { worker_id } = msg {
             let acked = self.acked.get(worker_id);
             assert_eq!(acked, Some(&local), "an ack nobody delivered");
-        } else if let DispatcherMsg::Assign(a) = msg {
-            self.inflight.insert(local, (a.task_id, a.job_id));
         } else if let DispatcherMsg::Cancel { task_id } = *msg {
             self.cancels.insert((local, task_id));
         }
@@ -83,6 +87,11 @@ impl Effects for RFx {
             self.routed(worker, 2);
         }
         self.out.push(Out::Up(msg.clone()));
+    }
+
+    fn bind(&mut self, local: u64) {
+        let fresh = self.links.insert(local, self.from).is_none();
+        assert!(fresh, "member {local} bound twice");
     }
 
     fn fact(&mut self, fact: Fact) {

@@ -3,12 +3,14 @@
 //! [`Core`] is the paper's scheduler (§5, Figs. 3–5): match queued jobs
 //! to parked pilots, ship, collect, requeue on failure. It is single-
 //! threaded and owns no resource. Every entry point takes the caller's
-//! `now` plus one input — a submitted batch, a registration, a request,
-//! a heartbeat, a result, a lost worker or relay, a claim, a released
-//! fence, a tick, a replayed write-ahead log — and everything it causes
-//! leaves through the [`Effects`] the caller passes in: frames to
-//! pilots, the per-gang PMI service, and one [`Fact`] per lifecycle
-//! fact, emitted exactly once at the transition that makes it true.
+//! `now` plus one input — a submitted batch, one frame off a connection,
+//! a closed connection, a released fence, a tick, a replayed write-ahead
+//! log — and everything it causes leaves through the [`Effects`] the
+//! caller passes in: frames to pilots, the per-gang PMI service, and one
+//! [`Fact`] per lifecycle fact, emitted exactly once at the transition
+//! that makes it true.
+//! A frame becomes an input here: [`Core::peer_frame`] is the protocol
+//! of one connection, over the [`Peer`] the shell keeps for it.
 //!
 //! What this file may not contain (the shell's `the_core_is_pure` test
 //! fails if it does): a clock read, a lock, a thread, a socket, a file,
@@ -26,7 +28,8 @@ use crate::events::{EventKind, SpanKind};
 use crate::group::{select_group_ids, GroupScratch, GroupingPolicy};
 use crate::journal::{Record, Recovered, RecoveredPhase};
 use crate::protocol::{
-    TaskAssignment, TaskKind, EXIT_CANCELED, EXIT_DEADLINE, EXIT_UNDELIVERABLE, EXIT_WORKER_LOST,
+    DispatcherMsg, TaskAssignment, TaskKind, WorkerMsg, EXIT_CANCELED, EXIT_DEADLINE,
+    EXIT_UNDELIVERABLE, EXIT_WORKER_LOST,
 };
 use crate::queue::{JobQueue, QueuePolicy, QueuedJob};
 use crate::ready::ReadyList;
@@ -35,7 +38,7 @@ use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_pmi::{ManualLauncher, RankLayout};
 use jets_ring::stdx::splitmix64;
 use jets_ring::WriterRole;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -48,6 +51,9 @@ pub trait Effects {
     fn send_assign(&mut self, worker: WorkerId, assignment: TaskAssignment) -> bool;
     /// Tell `worker` to kill `task`; false if it cannot be delivered.
     fn send_cancel(&mut self, worker: WorkerId, task: TaskId) -> bool;
+    /// Answer on the connection the current frame was read from: a
+    /// handshake's ack, or the `Cancel` of a refused claim.
+    fn reply(&mut self, msg: DispatcherMsg);
     /// Start the PMI service for `job`'s gang of `size` ranks under
     /// `jobid`; returns the address its ranks connect to.
     fn pmi_start(&mut self, job: JobId, jobid: &str, size: u32) -> io::Result<String>;
@@ -71,6 +77,7 @@ pub enum Fact<'a> {
     /// attempt is over, every member accounted for, either way),
     /// `JobPhases`, `DeadlineExceeded`, `WorkerQuarantined`, `RelayUp`,
     /// `RelayDown` (its members follow as `WorkerDown`), `GangReadopted`.
+    /// `RelayUp` names the connection the current frame was read from.
     Event(EventKind),
     /// A batch was accepted; the jobs are about to enter the queue.
     Submitted {
@@ -89,10 +96,13 @@ pub enum Fact<'a> {
         /// True when an attempt was in flight at the crash.
         running: bool,
     },
-    /// A worker registered.
+    /// A worker registered on the connection the current frame was read
+    /// from — its own, or its relay's.
     WorkerUp {
         /// Its id.
         worker: WorkerId,
+        /// It is reached through a relay.
+        relayed: bool,
         /// Its name has registered before.
         reconnect: bool,
     },
@@ -122,6 +132,16 @@ pub enum Fact<'a> {
         attempt: u32,
         /// The gang, in rank order.
         tasks: &'a [(WorkerId, TaskAssignment)],
+    },
+    /// A worker's own report ended `task` (its `TaskEnded` was just
+    /// emitted), with the output it captured.
+    Reported {
+        /// The task's job.
+        job: JobId,
+        /// The task.
+        task: TaskId,
+        /// Its captured standard output, if any.
+        output: Option<&'a str>,
     },
     /// The job went back to the queue front.
     JobRequeued {
@@ -203,6 +223,21 @@ impl Fact<'_> {
             _ => {}
         }
     }
+}
+
+/// What one connection has proven itself to be. The first frame decides:
+/// `Register` makes the peer a direct worker, `RelayHello` a relay
+/// fronting a block of workers.
+#[derive(Debug, Default)]
+pub enum Peer {
+    /// No handshake frame yet.
+    #[default]
+    Handshake,
+    /// A direct worker's connection.
+    Direct(WorkerId),
+    /// A relay's connection, with the members it registered: a frame
+    /// routed for anyone else is ignored.
+    Relay(WorkerId, BTreeSet<WorkerId>),
 }
 
 /// The policies a [`Core`] decides under (a subset of
@@ -442,10 +477,204 @@ impl Core {
         ids
     }
 
+    /// One frame read off `peer`'s connection, as one input. False: sever
+    /// the connection — a protocol violation, a `Goodbye`, or a frame from
+    /// a direct worker already declared dead (it must reconnect to be used
+    /// again); [`Core::peer_closed`] then unwinds what the peer was.
+    pub fn peer_frame<E: Effects>(
+        &mut self,
+        now: Instant,
+        peer: &mut Peer,
+        msg: WorkerMsg,
+        fx: &mut E,
+    ) -> bool {
+        match peer {
+            Peer::Direct(worker) => self.direct(now, *worker, msg, fx),
+            Peer::Relay(relay, members) => self.relayed(now, *relay, members, msg, fx),
+            Peer::Handshake => match self.handshake(now, msg, fx) {
+                Some(handshaken) => {
+                    *peer = handshaken;
+                    true
+                }
+                None => false,
+            },
+        }
+    }
+
+    /// `peer`'s connection closed (end-of-file, an error, an overflowed
+    /// outbox, `Goodbye` or a sever, once): a direct worker dies, a relay
+    /// takes every worker it still fronted with it.
+    pub fn peer_closed<E: Effects>(&mut self, now: Instant, peer: Peer, fx: &mut E) {
+        match peer {
+            Peer::Handshake => return,
+            Peer::Direct(worker) => self.down(now, worker, fx),
+            Peer::Relay(relay, _) => {
+                fx.fact(Fact::Event(EventKind::RelayDown { relay }));
+                for worker in self.registry.relayed_by(relay) {
+                    self.down(now, worker, fx);
+                }
+            }
+        }
+        self.schedule(now, fx);
+    }
+
+    /// The first frame decides what the peer is, and is acked; any other
+    /// first frame is a violation.
+    fn handshake<E: Effects>(&mut self, now: Instant, msg: WorkerMsg, fx: &mut E) -> Option<Peer> {
+        let (worker_id, peer) = match msg {
+            WorkerMsg::Register {
+                name,
+                cores,
+                location,
+            } => {
+                let worker = self.register(now, (name, cores, location), None, fx);
+                (worker, Peer::Direct(worker))
+            }
+            // The name is diagnostics only (the wire carries it for
+            // operators).
+            WorkerMsg::RelayHello { .. } => {
+                let relay = self.next_worker;
+                self.next_worker += 1;
+                fx.fact(Fact::Event(EventKind::RelayUp { relay }));
+                (relay, Peer::Relay(relay, BTreeSet::new()))
+            }
+            WorkerMsg::Request
+            | WorkerMsg::Done { .. }
+            | WorkerMsg::Heartbeat
+            | WorkerMsg::Goodbye
+            | WorkerMsg::SessionState { .. }
+            | WorkerMsg::RelayRegister { .. }
+            | WorkerMsg::RelayRequest { .. }
+            | WorkerMsg::RelayDone { .. }
+            | WorkerMsg::BatchedHeartbeat { .. }
+            | WorkerMsg::RelayWorkerGone { .. }
+            | WorkerMsg::RelayMemberState { .. } => return None,
+        };
+        fx.reply(DispatcherMsg::Registered { worker_id });
+        Some(peer)
+    }
+
+    /// A frame from a registered direct worker. One declared dead (hung)
+    /// is severed, so that it reconnects: its requests would be dropped.
+    fn direct<E: Effects>(
+        &mut self,
+        now: Instant,
+        worker: WorkerId,
+        msg: WorkerMsg,
+        fx: &mut E,
+    ) -> bool {
+        if self.dead(worker) {
+            return false;
+        }
+        match msg {
+            WorkerMsg::Request => self.request(now, worker, fx),
+            WorkerMsg::Done {
+                task_id,
+                exit_code,
+                output,
+                ..
+            } => self.done(now, worker, task_id, exit_code, output, fx),
+            WorkerMsg::Heartbeat => self.registry.touch(worker, now),
+            // Reconciliation: a surviving worker reports the task it is
+            // still running from the previous incarnation. A valid claim
+            // re-adopts it in place; anything else earns a `Cancel` so the
+            // worker kills the zombie and rejoins the pool cleanly.
+            WorkerMsg::SessionState { running } => {
+                if let Some((task_id, _)) = running.filter(|&r| !self.claim(now, worker, r, fx)) {
+                    fx.reply(DispatcherMsg::Cancel { task_id });
+                }
+            }
+            // `Goodbye` closes, as end-of-file would; re-registration or
+            // relay-scoped frames are violations.
+            WorkerMsg::Goodbye
+            | WorkerMsg::Register { .. }
+            | WorkerMsg::RelayHello { .. }
+            | WorkerMsg::RelayRegister { .. }
+            | WorkerMsg::RelayRequest { .. }
+            | WorkerMsg::RelayDone { .. }
+            | WorkerMsg::BatchedHeartbeat { .. }
+            | WorkerMsg::RelayWorkerGone { .. }
+            | WorkerMsg::RelayMemberState { .. } => return false,
+        }
+        true
+    }
+
+    /// A frame from a registered relay: one socket carrying a whole
+    /// block's registrations, requests, results and batched liveness. A
+    /// frame routed for a worker this relay never registered is ignored.
+    fn relayed<E: Effects>(
+        &mut self,
+        now: Instant,
+        relay: WorkerId,
+        members: &mut BTreeSet<WorkerId>,
+        msg: WorkerMsg,
+        fx: &mut E,
+    ) -> bool {
+        match msg {
+            WorkerMsg::RelayRegister {
+                local,
+                name,
+                cores,
+                location,
+            } => {
+                let worker_id = self.register(now, (name, cores, location), Some(relay), fx);
+                members.insert(worker_id);
+                fx.reply(DispatcherMsg::RelayRegistered { local, worker_id });
+            }
+            WorkerMsg::RelayRequest { worker } if members.contains(&worker) => {
+                self.request(now, worker, fx)
+            }
+            WorkerMsg::RelayDone {
+                worker,
+                task_id,
+                exit_code,
+                output,
+                ..
+            } if members.contains(&worker) => {
+                self.done(now, worker, task_id, exit_code, output, fx)
+            }
+            // Batched liveness: one frame, one input for the whole block;
+            // nothing is decided until the next tick.
+            WorkerMsg::BatchedHeartbeat { workers } => {
+                let ours = workers.into_iter().filter(|w| members.contains(w));
+                ours.for_each(|worker| self.registry.touch(worker, now));
+            }
+            WorkerMsg::RelayWorkerGone { worker } => {
+                if members.remove(&worker) {
+                    self.down(now, worker, fx);
+                    self.schedule(now, fx);
+                }
+            }
+            // Reconciliation, relayed: the same adopt-or-cancel decision
+            // as a direct worker's `SessionState`.
+            WorkerMsg::RelayMemberState {
+                worker,
+                task_id,
+                job_id,
+            } => {
+                if members.contains(&worker) && !self.claim(now, worker, (task_id, job_id), fx) {
+                    fx.reply(DispatcherMsg::RelayCancel { worker, task_id });
+                }
+            }
+            // An unknown member's frame; the relay's own keepalive.
+            WorkerMsg::RelayRequest { .. } | WorkerMsg::RelayDone { .. } | WorkerMsg::Heartbeat => {
+            }
+            // `Goodbye` closes, taking the block down as end-of-file
+            // would; direct-worker frames are violations.
+            WorkerMsg::Goodbye
+            | WorkerMsg::Register { .. }
+            | WorkerMsg::Request
+            | WorkerMsg::Done { .. }
+            | WorkerMsg::RelayHello { .. }
+            | WorkerMsg::SessionState { .. } => return false,
+        }
+        true
+    }
+
     /// Register a worker reachable directly (`relay: None`) or through a
     /// relay; returns its id. A name with too many recent gang-kills is
     /// admitted benched.
-    pub fn register<E: Effects>(
+    fn register<E: Effects>(
         &mut self,
         now: Instant,
         (name, cores, location): (String, u32, String),
@@ -457,7 +686,12 @@ impl Core {
         let reconnect = self.registry.known_name(&name);
         self.registry
             .insert(worker, name, cores, location, relay, now);
-        fx.fact(Fact::WorkerUp { worker, reconnect });
+        let relayed = relay.is_some();
+        fx.fact(Fact::WorkerUp {
+            worker,
+            relayed,
+            reconnect,
+        });
         if let Some(WorkerState::Quarantined { until_ms }) =
             self.registry.get(worker).map(|w| w.state)
         {
@@ -471,20 +705,12 @@ impl Core {
         worker
     }
 
-    /// A relay connected; returns its id.
-    pub fn relay_up<E: Effects>(&mut self, fx: &mut E) -> WorkerId {
-        let relay = self.next_worker;
-        self.next_worker += 1;
-        fx.fact(Fact::Event(EventKind::RelayUp { relay }));
-        relay
-    }
-
     /// `worker` asked for work: it parks and a scheduling pass runs. Only
     /// an idle worker enters the ready list (a duplicate is suppressed);
     /// a dead or busy one's request is dropped, and a benched worker's is
     /// *held* — [`Core::tick`] replays it when the bench expires, so it
     /// never has to re-request.
-    pub fn request<E: Effects>(&mut self, now: Instant, worker: WorkerId, fx: &mut E) {
+    fn request<E: Effects>(&mut self, now: Instant, worker: WorkerId, fx: &mut E) {
         self.registry.touch(worker, now);
         match self.registry.get(worker).map(|w| (w.state, w.loc)) {
             Some((WorkerState::Idle, loc)) => {
@@ -498,14 +724,6 @@ impl Core {
             Some((WorkerState::Busy(_) | WorkerState::Dead, _)) | None => {}
         }
         self.schedule(now, fx);
-    }
-
-    /// `workers` were heard from: a heartbeat, or a relay's batch of
-    /// them. Nothing is decided until the next [`Core::tick`].
-    pub fn heard(&mut self, now: Instant, workers: &[WorkerId]) {
-        for &worker in workers {
-            self.registry.touch(worker, now);
-        }
     }
 
     /// Match queued jobs against parked workers until nothing fits.
@@ -588,7 +806,9 @@ impl Core {
             )
         };
         let assignments: Vec<(WorkerId, TaskAssignment)> = if spec.is_mpi() {
-            let jobid = format!("jets-job-{id}");
+            // One PMI job per attempt: a straggler rank of an earlier
+            // attempt names a job that is closed, not the retry's.
+            let jobid = format!("jets-job-{id}.{attempt}");
             let addr = match fx.pmi_start(id, &jobid, spec.size()) {
                 Ok(addr) => addr,
                 Err(_) => {
@@ -714,7 +934,7 @@ impl Core {
 
     /// A worker reported a task result. A stale report (its job already
     /// failed) only returns the worker to `Idle`.
-    pub fn done<E: Effects>(
+    fn done<E: Effects>(
         &mut self,
         now: Instant,
         worker: WorkerId,
@@ -736,6 +956,12 @@ impl Core {
         // id, the stable key.
         active.pending.retain(|&(_, t)| t != task);
         self.end_task(&mut active, job, (worker, task), exit_code, fx);
+        let text = output.as_deref();
+        fx.fact(Fact::Reported {
+            job,
+            task,
+            output: text,
+        });
         active.outputs.extend(output);
         if exit_code != 0 {
             active.failed_workers.push(worker);
@@ -748,30 +974,11 @@ impl Core {
         }
     }
 
-    /// A worker's connection dropped, or it was declared hung.
-    pub fn worker_down<E: Effects>(&mut self, now: Instant, worker: WorkerId, fx: &mut E) {
-        self.down(now, worker, fx);
-        self.schedule(now, fx);
-    }
-
-    /// A relay's connection dropped: every worker it still fronted is
-    /// unreachable, and each death cancels its gang exactly as a direct
-    /// disconnect would.
-    pub fn relay_down<E: Effects>(&mut self, now: Instant, relay: WorkerId, fx: &mut E) {
-        fx.fact(Fact::Event(EventKind::RelayDown { relay }));
-        for worker in self.registry.relayed_by(relay) {
-            self.down(now, worker, fx);
-        }
-        self.schedule(now, fx);
-    }
-
-    /// Idempotent: the reader and the hang detector can both report it.
+    /// A worker is gone: its connection (or its relay's) closed, its
+    /// relay reported it, or it was declared hung. Idempotent: the reader
+    /// and the hang detector can both report it.
     fn down<E: Effects>(&mut self, now: Instant, worker: WorkerId, fx: &mut E) {
-        if self
-            .registry
-            .get(worker)
-            .is_none_or(|w| w.state == WorkerState::Dead)
-        {
+        if self.dead(worker) {
             return;
         }
         let inflight = self.registry.mark_dead(worker);
@@ -801,6 +1008,12 @@ impl Core {
             let why = format!("worker {worker} died");
             self.cancel_gang(now, job, active, EXIT_CANCELED, &why, fx);
         }
+    }
+
+    /// Declared dead, or never registered.
+    fn dead(&self, worker: WorkerId) -> bool {
+        let state = self.registry.get(worker).map(|w| w.state);
+        state.is_none_or(|s| s == WorkerState::Dead)
     }
 
     /// Tear down a running gang: abort its PMI service (unblocking ranks
@@ -1065,9 +1278,9 @@ impl Core {
     /// from the dead incarnation's worker id to the live one and marks
     /// the worker busy; the gang is re-adopted once its last member
     /// claims. False when there is nothing to claim (unknown task, window
-    /// closed, no restart) — the caller answers with a `Cancel` so the
+    /// closed, no restart) — the router answers with a `Cancel` so the
     /// worker kills the zombie.
-    pub fn claim<E: Effects>(
+    fn claim<E: Effects>(
         &mut self,
         now: Instant,
         worker: WorkerId,

@@ -11,12 +11,13 @@
 //!   `/metrics` scrapes). The thread bill is one loop, not O(connections).
 //! * **Inputs** — each frame, submission, disconnect and monitor tick
 //!   becomes exactly one call on the [`Core`], made through `step`: take
-//!   the `sched` lock, sample the clock once, call, release. A `Request`
-//!   parks and schedules in that one call; a `Heartbeat` (or a relay's
-//!   batch of them) refreshes the core's liveness clocks in its own.
+//!   the `sched` lock, sample the clock once, call, release. A frame is
+//!   decoded here and routed by the core, [`Core::peer_frame`] over the
+//!   connection's [`Peer`]; a close is [`Core::peer_closed`].
 //! * **Effects** — the core's sends go onto the connections' bounded
 //!   outboxes while `sched` is still held (so an `Assign` can never trail
-//!   the `Cancel` that kills it); the MPI gangs' PMI service (the paper's
+//!   the `Cancel` that kills it), its replies onto the connection being
+//!   read, which a `WorkerUp` or `RelayUp` binds; the MPI gangs' PMI service (the paper's
 //!   `mpiexec`, see `jets-pmi`) is one [`PmiHub`] whose listener sits on
 //!   the same reactor — `pmi_start` opens a job in it and hands out its
 //!   one address, and a gang's first fence release reaches the core from
@@ -38,7 +39,7 @@
 //! The order these and the hub's `pmi` are taken in is
 //! [`jets_ring::stdx::Rank`], checked at every `lock()` in debug builds.
 
-use crate::core::{Core, CoreConfig, Effects, Fact};
+use crate::core::{Core, CoreConfig, Effects, Fact, Peer};
 use crate::events::{EventKind, EventLog};
 use crate::group::GroupingPolicy;
 use crate::journal::{self, FsyncPolicy, Journal, Record};
@@ -53,7 +54,7 @@ use jets_pmi::PmiHub;
 use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
 use jets_ring::stdx::{wait_for, Guard, Mutex, Rank};
 use jets_ring::WriterRole;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -279,7 +280,7 @@ fn step<R>(inner: &Inner, input: impl FnOnce(&mut Core, &mut Sink<'_>, Instant) 
     let mut fx = Sink {
         inner,
         io,
-        reported: None,
+        from: None,
     };
     let out = input(core, &mut fx, Instant::now());
     fx.flush_wal();
@@ -296,9 +297,8 @@ fn step<R>(inner: &Inner, input: impl FnOnce(&mut Core, &mut Sink<'_>, Instant) 
 struct Sink<'a> {
     inner: &'a Inner,
     io: &'a mut Io,
-    /// The task whose `Done` is this input, with its captured output if
-    /// that is bound for `stdout_dir`.
-    reported: Option<(TaskId, Option<String>)>,
+    /// The connection a frame input was read from.
+    from: Option<Arc<Outbox>>,
 }
 
 impl<'a> Sink<'a> {
@@ -354,6 +354,19 @@ impl Effects for Sink<'_> {
         send_frame(out, &mut self.io.enc, &msg)
     }
 
+    /// A peer accepted before `shutdown` began but registered after its
+    /// broadcast went out is told with its ack.
+    fn reply(&mut self, msg: DispatcherMsg) {
+        let (Some(out), enc) = (&self.from, &mut self.io.enc) else {
+            return;
+        };
+        let registered = matches!(msg, DispatcherMsg::Registered { .. });
+        send_frame(out, enc, &msg);
+        if registered && self.inner.shutdown.load(Ordering::Acquire) {
+            send_frame(out, enc, &DispatcherMsg::Shutdown);
+        }
+    }
+
     fn pmi_start(&mut self, job: JobId, jobid: &str, size: u32) -> io::Result<String> {
         let hub = &self.inner.pmi;
         if !hub.input(|pmi, _| pmi.open_job(jobid, job, size, PMI_FENCE_TIMEOUT)) {
@@ -389,6 +402,11 @@ impl Effects for Sink<'_> {
                     EventKind::TaskStarted { .. } => m.tasks_started_total.inc(),
                     EventKind::DeadlineExceeded { .. } => m.deadline_exceeded_total.inc(),
                     EventKind::GangReadopted { .. } => m.gangs_readopted_total.inc(),
+                    EventKind::RelayUp { relay } => {
+                        if let Some(out) = self.from.clone() {
+                            self.io.relays.insert(*relay, out);
+                        }
+                    }
                     EventKind::RelayDown { relay } => drop(self.io.relays.remove(relay)),
                     EventKind::JobPhases {
                         queue_us,
@@ -401,21 +419,6 @@ impl Effects for Sink<'_> {
                         pmi_us.iter().for_each(|&us| m.phase_pmi.record(us));
                         m.phase_run.record(*run_us);
                         m.phase_total.record(*total_us);
-                    }
-                    // A worker's own report (not a synthesized end)
-                    // counts, and its output takes the final hop of the
-                    // paper's output path: "into a file" — queued here,
-                    // written off the lock by `flush_outputs`.
-                    EventKind::TaskEnded { task, job, .. } => {
-                        let own = self.reported.as_mut().filter(|(t, _)| t == task);
-                        if let Some((_, text)) = own {
-                            m.tasks_ended_total.inc();
-                            if let (Some(dir), Some(text)) = (&inner.config.stdout_dir, text.take())
-                            {
-                                let path = dir.join(format!("job{job}.task{task}.out"));
-                                inner.outputs.lock().push((path, text));
-                            }
-                        }
                     }
                     _ => {}
                 }
@@ -446,11 +449,18 @@ impl Effects for Sink<'_> {
                 let rec = JobRecord::new(job, spec, status, attempts);
                 book.records.insert(job, rec);
             }
-            Fact::WorkerUp { worker, reconnect } => {
+            Fact::WorkerUp {
+                worker,
+                relayed,
+                reconnect,
+            } => {
                 // A name seen before is a pilot coming back after a
                 // disconnect: the fault layer's reconnects, observable.
                 if reconnect {
                     m.reconnects_total.inc();
+                }
+                if let Some(out) = self.from.clone() {
+                    self.io.conns.insert(worker, Conn { out, relayed });
                 }
                 log.record(EventKind::WorkerUp { worker });
             }
@@ -468,6 +478,15 @@ impl Effects for Sink<'_> {
                 if let Some(rec) = self.book().records.get_mut(&job) {
                     rec.status = JobStatus::Running;
                     rec.attempts = attempt;
+                }
+            }
+            // A worker's own report counts; its output takes the paper's
+            // last hop, "into a file", copied only if that is configured.
+            Fact::Reported { job, task, output } => {
+                m.tasks_ended_total.inc();
+                if let (Some(dir), Some(text)) = (&inner.config.stdout_dir, output) {
+                    let path = dir.join(format!("job{job}.task{task}.out"));
+                    inner.outputs.lock().push((path, text.to_owned()));
                 }
             }
             Fact::JobRequeued {
@@ -646,8 +665,7 @@ impl Dispatcher {
                 Some(Box::new(DispatcherConn {
                     inner: Arc::clone(&factory_inner),
                     outbox: None,
-                    enc: Vec::new(),
-                    state: ConnState::Handshake,
+                    peer: Peer::Handshake,
                 }) as Box<dyn ConnHandler>)
             }),
         )?;
@@ -936,33 +954,15 @@ fn bridge_counters(inner: &Inner, prev: &mut [u64; 5], pmi_errors: u64) {
     }
 }
 
-/// What one reactor connection has proven itself to be. The first frame
-/// decides: `Register` makes the peer a direct worker, `RelayHello` a
-/// relay fronting a block of workers.
-enum ConnState {
-    /// No handshake frame yet.
-    Handshake,
-    /// A direct worker's connection.
-    Direct { worker_id: WorkerId },
-    /// A relay's connection, with the members this relay registered: a
-    /// frame routed for anyone else is ignored.
-    Relay {
-        relay_id: WorkerId,
-        members: HashSet<WorkerId>,
-    },
-}
-
-/// Protocol state machine for one inbound connection (worker or relay),
-/// driven by the reactor's event loop. Callbacks run on the loop thread and
-/// never block (rule J7): outbound frames are queued on the connection's
-/// bounded [`Outbox`], and every inbound frame arrives fully reassembled.
+/// One inbound connection (worker or relay) on the reactor's event loop.
+/// Callbacks run on the loop thread and never block (rule J7): a frame
+/// arrives fully reassembled, is decoded and handed to the core's router
+/// in one `step`, and whatever the core sends is queued on a bounded
+/// [`Outbox`].
 struct DispatcherConn {
     inner: Arc<Inner>,
     outbox: Option<Arc<Outbox>>,
-    /// Reusable wire-encode buffer for this connection's own replies
-    /// (registration acks); frames the core sends use `Io::enc` instead.
-    enc: Vec<u8>,
-    state: ConnState,
+    peer: Peer,
 }
 
 impl ConnHandler for DispatcherConn {
@@ -972,241 +972,24 @@ impl ConnHandler for DispatcherConn {
 
     fn on_frame(&mut self, frame: &[u8]) -> Flow {
         // An unparseable frame is a protocol violation; sever. So is a
-        // frame before `on_open`. The close path unwinds whatever state
-        // the peer had.
-        let (Ok(msg), Some(outbox)) = (decode_msg::<WorkerMsg>(frame), self.outbox.clone()) else {
+        // frame before `on_open`.
+        let (Ok(msg), Some(from)) = (decode_msg::<WorkerMsg>(frame), self.outbox.as_ref()) else {
             return Flow::Close;
         };
-        match self.state {
-            ConnState::Handshake => self.on_handshake(msg, outbox),
-            ConnState::Direct { .. } => self.on_direct(msg, &outbox),
-            ConnState::Relay { .. } => self.on_relay(msg, &outbox),
+        let peer = &mut self.peer;
+        match step(&self.inner, |core, fx, now| {
+            fx.from = Some(Arc::clone(from));
+            core.peer_frame(now, peer, msg, fx)
+        }) {
+            true => Flow::Continue,
+            false => Flow::Close,
         }
     }
 
     fn on_close(&mut self, _reason: CloseReason) {
-        let inner = &*self.inner;
-        match std::mem::replace(&mut self.state, ConnState::Handshake) {
-            // The peer never completed a handshake, so there is no
-            // state to unwind.
-            ConnState::Handshake => {}
-            // Socket EOF, error, slow-consumer overflow, and `Goodbye`
-            // all converge here: one death, handled exactly once.
-            ConnState::Direct { worker_id, .. } => {
-                step(inner, |core, fx, now| core.worker_down(now, worker_id, fx));
-            }
-            // Relay gone: every worker it still fronted is unreachable.
-            ConnState::Relay { relay_id, .. } => {
-                step(inner, |core, fx, now| core.relay_down(now, relay_id, fx));
-            }
-        }
+        let peer = std::mem::take(&mut self.peer);
+        step(&self.inner, |core, fx, now| core.peer_closed(now, peer, fx));
     }
-}
-
-impl DispatcherConn {
-    fn reply(&mut self, outbox: &Outbox, msg: &DispatcherMsg) -> Flow {
-        send_frame(outbox, &mut self.enc, msg);
-        Flow::Continue
-    }
-
-    /// Acknowledge a handshake. A peer accepted before `shutdown` began
-    /// but registered after its broadcast went out is told now.
-    fn registered(&mut self, outbox: &Outbox, worker_id: WorkerId) -> Flow {
-        self.reply(outbox, &DispatcherMsg::Registered { worker_id });
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            self.reply(outbox, &DispatcherMsg::Shutdown);
-        }
-        Flow::Continue
-    }
-
-    /// The handshake: the first frame decides what this peer is.
-    fn on_handshake(&mut self, msg: WorkerMsg, outbox: Arc<Outbox>) -> Flow {
-        match msg {
-            WorkerMsg::Register {
-                name,
-                cores,
-                location,
-            } => {
-                let out = Arc::clone(&outbox);
-                let worker_id = step(&self.inner, |core, fx, now| {
-                    let id = core.register(now, (name, cores, location), None, fx);
-                    let relayed = false;
-                    fx.io.conns.insert(id, Conn { out, relayed });
-                    id
-                });
-                self.state = ConnState::Direct { worker_id };
-                self.registered(&outbox, worker_id)
-            }
-            // The name is diagnostics only (the wire carries it for
-            // operators).
-            WorkerMsg::RelayHello { .. } => {
-                let out = Arc::clone(&outbox);
-                let relay_id = step(&self.inner, |core, fx, _| {
-                    let id = core.relay_up(fx);
-                    fx.io.relays.insert(id, out);
-                    id
-                });
-                let members = HashSet::new();
-                self.state = ConnState::Relay { relay_id, members };
-                self.registered(&outbox, relay_id)
-            }
-            // Any other first frame is a protocol violation: the peer
-            // never completed a handshake — just drop the connection.
-            WorkerMsg::Request
-            | WorkerMsg::Done { .. }
-            | WorkerMsg::Heartbeat
-            | WorkerMsg::Goodbye
-            | WorkerMsg::SessionState { .. }
-            | WorkerMsg::RelayRegister { .. }
-            | WorkerMsg::RelayRequest { .. }
-            | WorkerMsg::RelayDone { .. }
-            | WorkerMsg::BatchedHeartbeat { .. }
-            | WorkerMsg::RelayWorkerGone { .. }
-            | WorkerMsg::RelayMemberState { .. } => Flow::Close,
-        }
-    }
-
-    /// A frame from a registered direct worker. Each input the core takes
-    /// from it also restarts the worker's silence clock.
-    fn on_direct(&mut self, msg: WorkerMsg, outbox: &Outbox) -> Flow {
-        let ConnState::Direct { worker_id } = self.state else {
-            return Flow::Close;
-        };
-        let inner = &*self.inner;
-        match msg {
-            WorkerMsg::Request => request(inner, worker_id),
-            WorkerMsg::Done {
-                task_id,
-                exit_code,
-                output,
-                ..
-            } => done(inner, worker_id, task_id, exit_code, output),
-            WorkerMsg::Heartbeat => step(inner, |core, _, now| core.heard(now, &[worker_id])),
-            // Reconciliation: a surviving worker reports the task it is
-            // still running from the previous incarnation. A valid claim
-            // re-adopts it in place; anything else (unknown task, window
-            // already closed, no restart at all) earns a `Cancel` so the
-            // worker kills the zombie and rejoins the pool cleanly.
-            WorkerMsg::SessionState { running } => {
-                if let Some((task_id, _)) = running.filter(|&r| !claim(inner, worker_id, r)) {
-                    return self.reply(outbox, &DispatcherMsg::Cancel { task_id });
-                }
-            }
-            // `on_close` runs the worker-down path, exactly as EOF would.
-            WorkerMsg::Goodbye => return Flow::Close,
-            // Re-registration or relay-scoped frames on a worker
-            // connection are protocol violations; sever.
-            WorkerMsg::Register { .. }
-            | WorkerMsg::RelayHello { .. }
-            | WorkerMsg::RelayRegister { .. }
-            | WorkerMsg::RelayRequest { .. }
-            | WorkerMsg::RelayDone { .. }
-            | WorkerMsg::BatchedHeartbeat { .. }
-            | WorkerMsg::RelayWorkerGone { .. }
-            | WorkerMsg::RelayMemberState { .. } => return Flow::Close,
-        }
-        Flow::Continue
-    }
-
-    /// A frame from a registered relay: a single socket carrying a whole
-    /// block's registrations, requests, results, and batched liveness.
-    /// A relay that routes for a worker it never registered is ignored.
-    fn on_relay(&mut self, msg: WorkerMsg, outbox: &Arc<Outbox>) -> Flow {
-        let ConnState::Relay { relay_id, members } = &mut self.state else {
-            return Flow::Close;
-        };
-        let (inner, relay_id) = (&*self.inner, *relay_id);
-        let ours = |worker: &WorkerId| members.contains(worker);
-        match msg {
-            WorkerMsg::RelayRegister {
-                local,
-                name,
-                cores,
-                location,
-            } => {
-                let out = Arc::clone(outbox);
-                let worker_id = step(inner, |core, fx, now| {
-                    let id = core.register(now, (name, cores, location), Some(relay_id), fx);
-                    let relayed = true;
-                    fx.io.conns.insert(id, Conn { out, relayed });
-                    id
-                });
-                members.insert(worker_id);
-                return self.reply(outbox, &DispatcherMsg::RelayRegistered { local, worker_id });
-            }
-            WorkerMsg::RelayRequest { worker } if ours(&worker) => request(inner, worker),
-            WorkerMsg::RelayDone {
-                worker,
-                task_id,
-                exit_code,
-                output,
-                ..
-            } if ours(&worker) => done(inner, worker, task_id, exit_code, output),
-            // Batched liveness: one frame, one input for the whole block.
-            WorkerMsg::BatchedHeartbeat { mut workers } => {
-                workers.retain(ours);
-                if !workers.is_empty() {
-                    step(inner, |core, _, now| core.heard(now, &workers));
-                }
-            }
-            WorkerMsg::RelayWorkerGone { worker } => {
-                if members.remove(&worker) {
-                    step(inner, |core, fx, now| core.worker_down(now, worker, fx));
-                }
-            }
-            // Reconciliation, relayed: the member's in-flight claim
-            // travels in the relay's envelope. Same adopt-or-cancel
-            // decision as the direct `SessionState` path.
-            WorkerMsg::RelayMemberState {
-                worker,
-                task_id,
-                job_id,
-            } => {
-                if ours(&worker) && !claim(inner, worker, (task_id, job_id)) {
-                    return self.reply(outbox, &DispatcherMsg::RelayCancel { worker, task_id });
-                }
-            }
-            // An unknown member's frame; the relay's own keepalive
-            // (member liveness arrives batched).
-            WorkerMsg::RelayRequest { .. } | WorkerMsg::RelayDone { .. } | WorkerMsg::Heartbeat => {
-            }
-            // `on_close` unwinds the whole block, exactly as EOF would.
-            WorkerMsg::Goodbye => return Flow::Close,
-            // Direct-worker frames on a relay connection are protocol
-            // violations; sever (taking the block down with it).
-            WorkerMsg::Register { .. }
-            | WorkerMsg::Request
-            | WorkerMsg::Done { .. }
-            | WorkerMsg::RelayHello { .. }
-            | WorkerMsg::SessionState { .. } => return Flow::Close,
-        }
-        Flow::Continue
-    }
-}
-
-/// `worker` asked for work: it parks and a scheduling pass runs.
-fn request(inner: &Inner, worker: WorkerId) {
-    step(inner, |core, fx, now| core.request(now, worker, fx));
-}
-
-/// `worker` reported a task result.
-fn done(inner: &Inner, worker: WorkerId, task: TaskId, exit_code: i32, output: Option<String>) {
-    // The copy bound for `stdout_dir`, if that is configured.
-    let file = inner
-        .config
-        .stdout_dir
-        .as_ref()
-        .and_then(|_| output.clone());
-    step(inner, |core, fx, now| {
-        fx.reported = Some((task, file));
-        core.done(now, worker, task, exit_code, output, fx);
-    });
-}
-
-/// A surviving worker (or relay member) claims the task it kept running
-/// across a dispatcher restart; false if there is nothing to claim.
-fn claim(inner: &Inner, worker: WorkerId, running: (TaskId, JobId)) -> bool {
-    step(inner, |core, fx, now| core.claim(now, worker, running, fx))
 }
 
 #[cfg(test)]

@@ -152,7 +152,7 @@ pub enum WorkerMsg {
     },
     /// A relayed worker disconnected from its relay (death or partition).
     /// The dispatcher treats this exactly like a direct worker's EOF:
-    /// `Core::worker_down`, gang cancellation for its in-flight task.
+    /// the worker goes down, gang cancellation for its in-flight task.
     RelayWorkerGone {
         /// Dispatcher-assigned id of the departed worker.
         worker: u64,

@@ -1,19 +1,21 @@
 //! The dispatcher core's decisions, one at a time, under a virtual clock:
-//! one zero-sleep test per decision, scripted on [`Bench`]. The fake is
+//! one zero-sleep test per decision, scripted on [`Bench`], whose workers
+//! and relays speak frames through the core's router. The fake is
 //! `cluster_sim::des::Fx`, the one the seeded world (its tests end this
 //! file) drives the same core with: every fact checked as emitted, the WAL
 //! kept as the journal's bytes (a crash here is the restart path), each
 //! gang's job opened in the real PMI service.
 
 use cluster_sim::des::{config, Fx};
-use jets_core::core::Core;
+use jets_core::core::{Core, Peer};
 use jets_core::journal::{self, Record};
 use jets_core::protocol::{
-    DispatcherMsg, EXIT_CANCELED, EXIT_DEADLINE, EXIT_UNDELIVERABLE, EXIT_WORKER_LOST,
+    DispatcherMsg, WorkerMsg, EXIT_CANCELED, EXIT_DEADLINE, EXIT_UNDELIVERABLE, EXIT_WORKER_LOST,
 };
 use jets_core::registry::WorkerState;
 use jets_core::spec::{CommandSpec, JobId, JobSpec, TaskId, WorkerId};
 use jets_core::JobStatus as Status;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// As `des::config` sets them.
@@ -30,10 +32,13 @@ enum Sent {
 // ---------------------------------------------------------------------------
 // Scripted driving: the decisions, one at a time.
 
-/// A core, its fake and a virtual clock.
+/// A core, its fake, a virtual clock, the connection each worker and
+/// relay registered on, and how many connections were opened.
 struct Bench {
     core: Core,
     fx: Fx,
+    conns: BTreeMap<WorkerId, u64>,
+    opened: u64,
 }
 
 impl Bench {
@@ -42,6 +47,8 @@ impl Bench {
         Bench {
             core: Core::new(config(), t0),
             fx: Fx::new(t0),
+            conns: BTreeMap::new(),
+            opened: 0,
         }
     }
 
@@ -53,13 +60,69 @@ impl Bench {
         self.fx.now += 1_000 * ms;
     }
 
-    /// Register a worker, directly or behind `relay`, on a connection
-    /// numbered by its id.
-    fn register(&mut self, name: &str, relay: Option<WorkerId>) -> WorkerId {
-        let who = (name.to_string(), 1, "rack".to_string());
-        let id = self.core.register(self.now(), who, relay, &mut self.fx);
-        self.fx.conns.insert(id, (id, false));
+    /// One frame on connection `conn` through the core's router; false if
+    /// it severed the connection.
+    fn say(&mut self, conn: u64, msg: WorkerMsg) -> bool {
+        let mut peer = self.fx.peers.remove(&conn).unwrap_or_default();
+        self.fx.from = conn;
+        let keep = self
+            .core
+            .peer_frame(self.now(), &mut peer, msg, &mut self.fx);
+        self.fx.peers.insert(conn, peer);
+        keep
+    }
+
+    /// `worker`'s frame: `direct` on its own connection, `routed` in its
+    /// relay's.
+    fn says(&mut self, worker: WorkerId, direct: WorkerMsg, routed: WorkerMsg) -> bool {
+        let conn = self.conns[&worker];
+        let relayed = matches!(self.fx.peers[&conn], Peer::Relay(..));
+        self.say(conn, if relayed { routed } else { direct })
+    }
+
+    /// The connection `id` registered on closes: the core's close arm.
+    fn close(&mut self, id: WorkerId) {
+        let peer = self.fx.peers.remove(&self.conns[&id]).expect("open");
+        self.core.peer_closed(self.now(), peer, &mut self.fx);
+    }
+
+    /// Say `hello` on a new connection, or `relay`'s, and take the ack.
+    fn handshake(&mut self, hello: WorkerMsg, relay: Option<WorkerId>) -> WorkerId {
+        self.opened += relay.is_none() as u64;
+        let conn = relay.map_or(self.opened, |r| self.conns[&r]);
+        assert!(self.say(conn, hello));
+        let id = match self.fx.sent.pop() {
+            Some((_, DispatcherMsg::Registered { worker_id }))
+            | Some((_, DispatcherMsg::RelayRegistered { worker_id, .. })) => worker_id,
+            other => panic!("no ack: {other:?}"),
+        };
+        self.conns.insert(id, conn);
         id
+    }
+
+    /// A relay says hello on a new connection.
+    fn relay(&mut self) -> WorkerId {
+        let (name, location) = ("r".to_string(), "rack".to_string());
+        self.handshake(WorkerMsg::RelayHello { name, location }, None)
+    }
+
+    /// Register a worker, directly or behind `relay`.
+    fn register(&mut self, name: &str, relay: Option<WorkerId>) -> WorkerId {
+        let (name, cores, location) = (name.to_string(), 1, "rack".to_string());
+        let hello = match relay {
+            Some(_) => WorkerMsg::RelayRegister {
+                local: 0,
+                name,
+                cores,
+                location,
+            },
+            None => WorkerMsg::Register {
+                name,
+                cores,
+                location,
+            },
+        };
+        self.handshake(hello, relay)
     }
 
     /// Register a direct worker and park its first `Request`.
@@ -70,21 +133,67 @@ impl Bench {
     }
 
     fn request(&mut self, worker: WorkerId) {
-        self.core.request(self.now(), worker, &mut self.fx);
+        self.says(
+            worker,
+            WorkerMsg::Request,
+            WorkerMsg::RelayRequest { worker },
+        );
     }
 
-    /// A heartbeat from each of `workers`, as one input (a relay's batch).
+    /// A heartbeat from each of `workers`: a relay's members in one
+    /// batch, a direct worker on its own.
     fn heard(&mut self, workers: &[WorkerId]) {
-        self.core.heard(self.now(), workers);
+        let mut batches: BTreeMap<u64, Vec<WorkerId>> = BTreeMap::new();
+        for &w in workers {
+            batches.entry(self.conns[&w]).or_default().push(w);
+        }
+        for workers in batches.into_values() {
+            let first = workers[0];
+            let batch = WorkerMsg::BatchedHeartbeat { workers };
+            self.says(first, WorkerMsg::Heartbeat, batch);
+        }
+    }
+
+    /// `worker` claims `running` after a restart: true if adopted, false
+    /// if answered with a `Cancel`.
+    fn claim(&mut self, worker: WorkerId, (task_id, job_id): (TaskId, JobId)) -> bool {
+        let running = Some((task_id, job_id));
+        let routed = WorkerMsg::RelayMemberState {
+            worker,
+            task_id,
+            job_id,
+        };
+        self.says(worker, WorkerMsg::SessionState { running }, routed);
+        let refused = matches!(self.fx.sent.last(), Some((_, DispatcherMsg::Cancel { task_id: t }))
+            | Some((_, DispatcherMsg::RelayCancel { task_id: t, .. })) if *t == task_id);
+        if refused {
+            self.fx.sent.pop();
+        }
+        !refused
     }
 
     fn submit(&mut self, spec: JobSpec) -> JobId {
         self.core.submit(self.now(), vec![spec], &mut self.fx)[0]
     }
 
-    fn done(&mut self, worker: WorkerId, task: TaskId, exit_code: i32) {
-        self.core
-            .done(self.now(), worker, task, exit_code, None, &mut self.fx);
+    fn done(&mut self, worker: WorkerId, task_id: TaskId, exit_code: i32) {
+        let (wall_ms, output, trace) = (1, None, 0);
+        let direct = WorkerMsg::Done {
+            task_id,
+            exit_code,
+            wall_ms,
+            output: output.clone(),
+            trace,
+        };
+        let routed = WorkerMsg::RelayDone {
+            worker,
+            task_id,
+            exit_code,
+            wall_ms,
+            output,
+            trace,
+        };
+        self.says(worker, direct, routed);
     }
 
     fn tick(&mut self) {
@@ -98,12 +207,24 @@ impl Bench {
         self.core.restore(self.now(), recovered, &mut self.fx);
     }
 
-    /// The frames sent since the last call.
+    /// The frames sent since the last call, each named by the worker it
+    /// is for.
     fn sent(&mut self) -> Vec<Sent> {
         let sent = std::mem::take(&mut self.fx.sent).into_iter();
-        sent.map(|(worker, msg)| match msg {
-            DispatcherMsg::Assign(a) => Sent::Assign(worker, a.task_id),
-            DispatcherMsg::Cancel { task_id } => Sent::Cancel(worker, task_id),
+        let direct = |conn| {
+            self.conns
+                .iter()
+                .find(|c| *c.1 == conn)
+                .map(|c| *c.0)
+                .unwrap()
+        };
+        sent.map(|(conn, msg)| match msg {
+            DispatcherMsg::Assign(a) => Sent::Assign(direct(conn), a.task_id),
+            DispatcherMsg::RelayAssign { worker, assignment } => {
+                Sent::Assign(worker, assignment.task_id)
+            }
+            DispatcherMsg::Cancel { task_id } => Sent::Cancel(direct(conn), task_id),
+            DispatcherMsg::RelayCancel { worker, task_id } => Sent::Cancel(worker, task_id),
             other => panic!("{other:?}"),
         })
         .collect()
@@ -222,15 +343,13 @@ fn worker_death_fails_the_job_without_budget_and_requeues_it_with() {
     let mut b = Bench::new();
     let a = b.worker("a");
     let doomed = b.submit(seq());
-    b.core.worker_down(b.now(), a, &mut b.fx);
+    b.close(a);
     assert_eq!(b.job(doomed), (Status::Failed, 1, &[EXIT_WORKER_LOST][..]));
     assert_eq!(b.state(a), WorkerState::Dead);
-    // Idempotent: the hang detector may report the same death again.
-    b.core.worker_down(b.now(), a, &mut b.fx);
     let c = b.worker("c");
     let lucky = b.submit(seq().with_retries(2));
     b.sent();
-    b.core.worker_down(b.now(), c, &mut b.fx);
+    b.close(c);
     assert_eq!(b.job(lucky), (Status::Pending, 1, &[EXIT_WORKER_LOST][..]));
     let e = b.worker("e");
     let (w, task) = b.assigned();
@@ -273,7 +392,7 @@ fn a_pmi_service_that_cannot_start_fails_the_job_and_frees_the_workers() {
 #[test]
 fn relay_death_downs_every_member_and_only_its_members() {
     let mut b = Bench::new();
-    let relay = b.core.relay_up(&mut b.fx);
+    let relay = b.relay();
     let members: Vec<WorkerId> = ["m0", "m1", "m2"]
         .iter()
         .map(|name| b.register(name, Some(relay)))
@@ -284,7 +403,7 @@ fn relay_death_downs_every_member_and_only_its_members() {
     let id = b.submit(seq());
     b.submit(seq());
     b.sent();
-    b.core.relay_down(b.now(), relay, &mut b.fx);
+    b.close(relay);
     assert_eq!(std::mem::take(&mut b.fx.downs), members);
     assert!(members.iter().all(|&m| b.state(m) == WorkerState::Dead));
     assert_ne!(b.state(direct), WorkerState::Dead);
@@ -340,7 +459,7 @@ fn quarantine_holds_a_request_and_replays_it_when_the_bench_expires() {
     for _ in 0..2 {
         let w = b.worker("flaky");
         b.submit(seq());
-        b.core.worker_down(b.now(), w, &mut b.fx);
+        b.close(w);
     }
     let strikes =
         b.fx.records()
@@ -454,6 +573,44 @@ fn a_silent_worker_is_downed_exactly_once_on_the_first_tick_past_the_timeout() {
     assert_eq!(b.state(loud), WorkerState::Idle);
 }
 
+/// A direct worker declared hung would have its requests dropped: its next
+/// frame, whatever it is, severs its connection (so it reconnects), and
+/// the close arm finds it already down. A relayed member's frames come in
+/// its relay's envelope and sever nothing.
+#[test]
+fn a_hung_direct_worker_is_severed_on_its_next_frame() {
+    let mut b = Bench::new();
+    let relay = b.relay();
+    let member = b.register("m", Some(relay));
+    let hung = b.worker("hung");
+    let loud = b.worker("loud");
+    b.advance(HEARTBEAT_TIMEOUT_MS + 1);
+    b.heard(&[loud]);
+    b.tick();
+    assert_eq!(std::mem::take(&mut b.fx.downs), [member, hung]);
+    let running = Some((1, 1));
+    for msg in [
+        WorkerMsg::Heartbeat,
+        WorkerMsg::Request,
+        WorkerMsg::SessionState { running },
+    ] {
+        assert!(!b.says(hung, msg, WorkerMsg::Goodbye), "kept");
+    }
+    assert!(
+        b.sent().is_empty(),
+        "a severed frame is answered with nothing"
+    );
+    b.close(hung);
+    assert!(b.fx.downs.is_empty(), "downed twice");
+    assert!(b.says(
+        member,
+        WorkerMsg::Goodbye,
+        WorkerMsg::RelayRequest { worker: member }
+    ));
+    assert!(b.says(loud, WorkerMsg::Heartbeat, WorkerMsg::Goodbye));
+    assert_eq!(b.state(member), WorkerState::Dead);
+}
+
 /// A relay's members are heard through its batches alone, under the
 /// same rules: one batch keeps every member it names alive, and a member
 /// the batches stop naming is downed once, on the first tick past the
@@ -461,7 +618,7 @@ fn a_silent_worker_is_downed_exactly_once_on_the_first_tick_past_the_timeout() {
 #[test]
 fn a_relayed_member_kept_alive_only_by_batched_heartbeats_follows_the_same_rules() {
     let mut b = Bench::new();
-    let relay = b.core.relay_up(&mut b.fx);
+    let relay = b.relay();
     let members: Vec<WorkerId> = ["m0", "m1", "m2"]
         .iter()
         .map(|name| {
@@ -583,8 +740,8 @@ fn the_window_closes_early_once_every_orphan_is_claimed_or_reported() {
     // refused (the caller answers with a Cancel).
     let a = b.register("a", None);
     let (job, task) = orphans[0];
-    assert!(!b.core.claim(b.now(), a, (task, job + 100), &mut b.fx));
-    assert!(b.core.claim(b.now(), a, (task, job), &mut b.fx));
+    assert!(!b.claim(a, (task, job + 100)));
+    assert!(b.claim(a, (task, job)));
     assert_eq!(b.state(a), WorkerState::Busy(job));
     assert!(b.core.recovering(), "one orphan still out");
     // The other finished during the outage and replays its result.
@@ -598,7 +755,7 @@ fn the_window_closes_early_once_every_orphan_is_claimed_or_reported() {
     // Re-adopted, not relaunched: the claimed task's report finishes it.
     b.done(a, task, 0);
     assert_eq!(b.job(job), (Status::Succeeded, 1, &[0][..]));
-    assert!(ids.contains(&job) && !b.core.claim(b.now(), a, (task, job), &mut b.fx));
+    assert!(ids.contains(&job) && !b.claim(a, (task, job)));
 }
 
 #[test]
@@ -616,10 +773,10 @@ fn the_facts_tell_the_story_in_order() {
         .collect();
     #[rustfmt::skip]
     assert_eq!(story, [
-        "WorkerUp", "JobSubmitted", "SpanStart", "Submitted", "SpanEnd", "SpanStart",
+        "WorkerUp", "reply", "JobSubmitted", "SpanStart", "Submitted", "SpanEnd", "SpanStart",
         "JobStarted", "SpanEnd", "SpanStart", "Assigned", "SpanEnd", "SpanStart",
         "TaskStarted", "assign", "SpanEnd", "SpanStart",
-        "TaskEnded", "SpanEnd", "JobCompleted", "SpanStart", "JobPhases", "JobFinished", "SpanEnd",
+        "TaskEnded", "Reported", "SpanEnd", "JobCompleted", "SpanStart", "JobPhases", "JobFinished", "SpanEnd",
     ]);
     // 18 ring records per sequential job, 7 spans, all closed.
     let ring = story
@@ -627,6 +784,8 @@ fn the_facts_tell_the_story_in_order() {
         .filter(|s| {
             ![
                 "WorkerUp",
+                "reply",
+                "Reported",
                 "Submitted",
                 "JobStarted",
                 "Assigned",

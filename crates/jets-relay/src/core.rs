@@ -4,14 +4,16 @@
 //! the member table, the local↔global id maps, what each member has in
 //! flight or is waiting for, the bounded outage buffer, who was heard
 //! when, and which upstream session is current. It is single-threaded and
-//! owns no resource. Every entry point is one input — a member's
-//! `register` / `request` / `done` / `heartbeat` / `session_state` /
-//! `gone`, an upstream `session_up` / `session_down`, one `upstream`
-//! frame, a `tick` — taking the caller's `now` (milliseconds on the
-//! caller's clock) where the decision depends on it, and everything it
-//! causes leaves through the [`Effects`] the caller passes in: frames to
-//! members, frames to the dispatcher, and one [`Fact`] per counter or
-//! event-log update.
+//! owns no resource. Every entry point is one input — one frame off a
+//! member connection (`member_frame`, the member-side protocol: `Register`
+//! first, then `Request` / `Done` / `Heartbeat` / `SessionState`), a
+//! member's connection closing (`gone`), an upstream `session_up` /
+//! `session_down`, one `upstream` frame, a `tick` — taking the caller's
+//! `now` (milliseconds on the caller's clock) where the decision depends
+//! on it, and everything it causes leaves through the [`Effects`] the
+//! caller passes in: frames to members, frames to the dispatcher, the
+//! binding of a new member to its connection, and one [`Fact`] per
+//! counter or event-log update.
 //!
 //! What this file may not contain (the shell's `the_core_is_pure` test
 //! fails if it does): a clock read, a lock, a shared counter, a spawned
@@ -41,6 +43,9 @@ pub trait Effects {
     fn to_member(&mut self, local: u64, msg: &DispatcherMsg);
     /// Queue `msg` on the current upstream session.
     fn to_upstream(&mut self, msg: &WorkerMsg);
+    /// Member `local`, just registered, is the connection the current
+    /// frame was read from: route its `to_member` frames there.
+    fn bind(&mut self, local: u64);
     /// One counter or event-log update, emitted once.
     fn fact(&mut self, fact: Fact);
 }
@@ -169,53 +174,112 @@ impl RelayCore {
         self.by_global.iter().map(|(&g, &l)| (g, l))
     }
 
-    /// A worker connected and said `Register`; returns its relay-local
-    /// id. Its own `Registered` is sent only once the dispatcher acks, so
-    /// a member never races ahead of its global id.
-    pub fn register<E: Effects>(
+    /// What member `local` is running, as far as the relay knows.
+    pub fn inflight(&self, local: u64) -> Option<(TaskId, JobId)> {
+        self.members.get(&local)?.inflight
+    }
+
+    /// One frame off a member connection; `local` is the member's
+    /// relay-local id once it has said `Register` — the first frame, and
+    /// only the first. False: sever the connection (`Goodbye`, anything
+    /// but `Register` first or `Register` twice, a relay-scoped frame:
+    /// relays do not chain); [`RelayCore::gone`] then unwinds the member.
+    pub fn member_frame<E: Effects>(
         &mut self,
         now: u64,
-        who: (String, u32, String),
+        local: &mut Option<u64>,
+        msg: WorkerMsg,
         fx: &mut E,
-    ) -> u64 {
-        let local = self.next_local;
-        self.next_local += 1;
-        let member = Member {
-            who,
-            global: None,
-            heard: now,
-            inflight: None,
-            wants_work: false,
+    ) -> bool {
+        let found = local.and_then(|l| Some((l, self.members.get_mut(&l)?)));
+        let Some((l, m)) = found else {
+            let (
+                None,
+                WorkerMsg::Register {
+                    name,
+                    cores,
+                    location,
+                },
+            ) = (*local, msg)
+            else {
+                return false;
+            };
+            // Its own `Registered` is sent only once the dispatcher acks,
+            // so a member never races ahead of its global id.
+            let member = Member {
+                who: (name, cores, location),
+                global: None,
+                heard: now,
+                inflight: None,
+                wants_work: false,
+            };
+            let l = self.next_local;
+            self.next_local += 1;
+            if self.session.is_some() {
+                announce(l, &member, fx);
+            }
+            self.members.insert(l, member);
+            fx.bind(l);
+            *local = Some(l);
+            return true;
         };
-        if self.session.is_some() {
-            announce(local, &member, fx);
+        m.heard = now;
+        match msg {
+            // Un-acked, the wish is only remembered: the ack re-issues it.
+            WorkerMsg::Request => {
+                m.wants_work = true;
+                if let Some(worker) = m.global {
+                    fx.to_upstream(&WorkerMsg::RelayRequest { worker });
+                }
+            }
+            WorkerMsg::Done {
+                task_id,
+                exit_code,
+                wall_ms,
+                output,
+                trace,
+            } => {
+                m.inflight = None;
+                let done = (task_id, exit_code, wall_ms, output, trace);
+                match m.global {
+                    Some(worker) => fx.to_upstream(&routed_done(worker, done)),
+                    None => self.hold(now, l, done, fx),
+                }
+            }
+            // Heartbeats stop here; `tick` batches them.
+            WorkerMsg::Heartbeat => {}
+            // Re-registered carrying a task across its own outage: adopt
+            // the claim and forward it under the member's id — now, or
+            // from the ack if that is still in flight.
+            WorkerMsg::SessionState { running } => {
+                if let Some((task_id, job_id)) = running {
+                    m.inflight = running;
+                    if let Some(worker) = m.global {
+                        fx.to_upstream(&WorkerMsg::RelayMemberState {
+                            worker,
+                            task_id,
+                            job_id,
+                        });
+                    }
+                }
+            }
+            WorkerMsg::Register { .. }
+            | WorkerMsg::Goodbye
+            | WorkerMsg::RelayHello { .. }
+            | WorkerMsg::RelayRegister { .. }
+            | WorkerMsg::RelayRequest { .. }
+            | WorkerMsg::RelayDone { .. }
+            | WorkerMsg::BatchedHeartbeat { .. }
+            | WorkerMsg::RelayWorkerGone { .. }
+            | WorkerMsg::RelayMemberState { .. } => return false,
         }
-        self.members.insert(local, member);
-        local
+        true
     }
 
-    /// Member `local` wants work. Un-acked, the wish is only remembered:
-    /// the ack re-issues it.
-    pub fn request<E: Effects>(&mut self, now: u64, local: u64, fx: &mut E) {
-        let Some(m) = self.members.get_mut(&local) else {
-            return;
-        };
-        (m.heard, m.wants_work) = (now, true);
-        if let Some(worker) = m.global {
-            fx.to_upstream(&WorkerMsg::RelayRequest { worker });
-        }
-    }
-
-    /// Member `local` finished a task. With no acked id to report it
-    /// under, the result is held for replay after the next ack.
-    pub fn done<E: Effects>(&mut self, now: u64, local: u64, done: DoneFrame, fx: &mut E) {
-        let Some(m) = self.members.get_mut(&local) else {
-            return;
-        };
-        (m.heard, m.inflight) = (now, None);
-        if let Some(worker) = m.global {
-            return fx.to_upstream(&routed_done(worker, done));
-        }
+    /// Hold member `local`'s result, which has no acked id to travel
+    /// under, for replay after the next ack; at the mark the oldest held
+    /// result is dropped.
+    fn hold<E: Effects>(&mut self, now: u64, local: u64, done: DoneFrame, fx: &mut E) {
         if self.held.push((local, done)) {
             self.dropped += 1;
             fx.fact(Fact::Dropped);
@@ -227,41 +291,6 @@ impl RelayCore {
                 let (relay, dropped) = (self.relay_id, self.dropped);
                 fx.fact(Fact::Event(EventKind::UpQueueDropped { relay, dropped }));
             }
-        }
-    }
-
-    /// Member `local` was heard from (its heartbeats stop here; `tick`
-    /// batches them).
-    pub fn heartbeat(&mut self, now: u64, local: u64) {
-        if let Some(m) = self.members.get_mut(&local) {
-            m.heard = now;
-        }
-    }
-
-    /// Member `local` re-registered carrying a task across its own
-    /// outage: adopt the claim and forward it under the member's id — now,
-    /// or from the ack if that is still in flight.
-    pub fn session_state<E: Effects>(
-        &mut self,
-        now: u64,
-        local: u64,
-        running: Option<(TaskId, JobId)>,
-        fx: &mut E,
-    ) {
-        let Some(m) = self.members.get_mut(&local) else {
-            return;
-        };
-        m.heard = now;
-        let Some((task_id, job_id)) = running else {
-            return;
-        };
-        m.inflight = running;
-        if let Some(worker) = m.global {
-            fx.to_upstream(&WorkerMsg::RelayMemberState {
-                worker,
-                task_id,
-                job_id,
-            });
         }
     }
 

@@ -12,8 +12,10 @@
 //! * **the event loop** (`relay-loop-0`) — every member connection, the
 //!   upstream session and any `/metrics` scrape are state machines on one
 //!   `jets-reactor` loop.
-//!   A frame is decoded, handed to the core under the state lock, and
-//!   whatever the core emits is encoded onto the target connection's
+//!   A frame is decoded and handed to the core under the state lock — a
+//!   member's to [`RelayCore::member_frame`], the upstream session's to
+//!   [`RelayCore::upstream`] — and whatever the core emits is encoded
+//!   onto the target connection's
 //!   bounded outbox before the callback returns; the loop writes those
 //!   outboxes as soon as the readiness event is handled, before it turns
 //!   to the next connection. A member's `Done` and `Request`, read in one
@@ -197,6 +199,9 @@ struct Inner {
 struct Sink<'a> {
     inner: &'a Inner,
     links: &'a mut Links,
+    /// The connection an unregistered member's frame was read from,
+    /// which a `Register` binds.
+    from: Option<Link>,
 }
 
 /// Encode `msg` onto a member's outbox. A failed send means the outbox
@@ -220,6 +225,12 @@ impl Effects for Sink<'_> {
         }
     }
 
+    fn bind(&mut self, local: u64) {
+        if let Some(link) = self.from.take() {
+            self.links.members.insert(local, link);
+        }
+    }
+
     fn fact(&mut self, fact: Fact) {
         let m = &self.inner.metrics;
         match fact {
@@ -233,15 +244,17 @@ impl Effects for Sink<'_> {
 }
 
 /// One input to the core under a lock already held: sample the clock
-/// once, make the call, refresh the level gauges.
+/// once, make the call, refresh the level gauges. `from` is the member
+/// connection a frame was read from, until it has registered.
 fn apply<R>(
     inner: &Inner,
     st: &mut State,
+    from: Option<Link>,
     input: impl FnOnce(&mut RelayCore, &mut Sink<'_>, u64) -> R,
 ) -> R {
     let State { core, links } = st;
     let now = inner.epoch.elapsed().as_millis() as u64;
-    let out = input(core, &mut Sink { inner, links }, now);
+    let out = input(core, &mut Sink { inner, links, from }, now);
     let m = &inner.metrics;
     m.members.set(core.members() as i64);
     m.upqueue_depth.set(core.held() as i64);
@@ -251,7 +264,7 @@ fn apply<R>(
 
 /// One input to the core, start to finish.
 fn step<R>(inner: &Inner, input: impl FnOnce(&mut RelayCore, &mut Sink<'_>, u64) -> R) -> R {
-    apply(inner, &mut inner.state.lock(), input)
+    apply(inner, &mut inner.state.lock(), None, input)
 }
 
 /// Stop the relay: no new members, no reconnect. `also` runs under the
@@ -455,11 +468,12 @@ impl Drop for Relay {
 }
 
 /// One member connection on the event loop; speaks the ordinary worker
-/// protocol — a worker cannot tell a relay from a dispatcher.
+/// protocol — a worker cannot tell a relay from a dispatcher. Each frame
+/// is decoded and routed by [`RelayCore::member_frame`] in one input.
 struct MemberConn {
     inner: Arc<Inner>,
-    /// Socket clone taken at accept time; moves into the link table at
-    /// registration.
+    /// Socket clone taken at accept time; moves into the link table when
+    /// the core binds the member.
     sock: Option<TcpStream>,
     /// The reactor-managed write side, captured in `on_open`.
     out: Option<Arc<Outbox>>,
@@ -479,67 +493,17 @@ impl ConnHandler for MemberConn {
             return Flow::Close;
         };
         let inner = &*self.inner;
-        match (msg, self.local) {
-            // The handshake: the first frame, and only the first, is
-            // `Register`. Forwarded in this same loop iteration.
-            (
-                WorkerMsg::Register {
-                    name,
-                    cores,
-                    location,
-                },
-                None,
-            ) => {
-                let link = Link {
-                    out: Arc::clone(out),
-                    sock: self.sock.take(),
-                };
-                self.local = Some(step(inner, |core, fx, now| {
-                    let local = core.register(now, (name, cores, location), fx);
-                    fx.links.members.insert(local, link);
-                    local
-                }));
-            }
-            (WorkerMsg::Request, Some(l)) => step(inner, |core, fx, now| core.request(now, l, fx)),
-            (
-                WorkerMsg::Done {
-                    task_id,
-                    exit_code,
-                    wall_ms,
-                    output,
-                    trace,
-                },
-                Some(l),
-            ) => {
-                let done = (task_id, exit_code, wall_ms, output, trace);
-                step(inner, |core, fx, now| core.done(now, l, done, fx));
-            }
-            (WorkerMsg::Heartbeat, Some(l)) => step(inner, |core, _, now| core.heartbeat(now, l)),
-            (WorkerMsg::SessionState { running }, Some(l)) => {
-                step(inner, |core, fx, now| {
-                    core.session_state(now, l, running, fx)
-                });
-            }
-            // `Goodbye`; anything but `Register` first, or `Register`
-            // twice; a relay-scoped frame (relays do not chain): sever.
-            (
-                WorkerMsg::Register { .. }
-                | WorkerMsg::Request
-                | WorkerMsg::Done { .. }
-                | WorkerMsg::Heartbeat
-                | WorkerMsg::Goodbye
-                | WorkerMsg::SessionState { .. }
-                | WorkerMsg::RelayHello { .. }
-                | WorkerMsg::RelayRegister { .. }
-                | WorkerMsg::RelayRequest { .. }
-                | WorkerMsg::RelayDone { .. }
-                | WorkerMsg::BatchedHeartbeat { .. }
-                | WorkerMsg::RelayWorkerGone { .. }
-                | WorkerMsg::RelayMemberState { .. },
-                _,
-            ) => return Flow::Close,
+        let from = self.local.is_none().then(|| Link {
+            out: Arc::clone(out),
+            sock: self.sock.take(),
+        });
+        let local = &mut self.local;
+        match apply(inner, &mut inner.state.lock(), from, |core, fx, now| {
+            core.member_frame(now, local, msg, fx)
+        }) {
+            true => Flow::Continue,
+            false => Flow::Close,
         }
-        Flow::Continue
     }
 
     fn on_close(&mut self, _reason: CloseReason) {
@@ -648,7 +612,7 @@ fn serve_session<'a>(
     st.links.up = Some((n, Link { out, sock }));
     inner.metrics.upstream_sessions_total.inc();
     // Hello plus the whole block's registrations, in one write.
-    apply(inner, &mut st, |core, fx, _| core.session_up(n, fx));
+    apply(inner, &mut st, None, |core, fx, _| core.session_up(n, fx));
     let flush = inner.config.liveness_flush;
     let mut next_tick = Instant::now() + flush;
     // Only this thread installs a session, so `up` is this one until
@@ -656,7 +620,7 @@ fn serve_session<'a>(
     while !st.links.stopped && st.links.up.is_some() {
         let now = Instant::now();
         if now >= next_tick {
-            apply(inner, &mut st, |core, fx, now| core.tick(now, fx));
+            apply(inner, &mut st, None, |core, fx, now| core.tick(now, fx));
             next_tick = now + flush;
         }
         st = wait_for(&inner.wake, st, next_tick - now).0;

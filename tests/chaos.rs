@@ -15,7 +15,7 @@ use jets::core::spec::{CommandSpec, JobSpec};
 use jets::core::{Dispatcher, DispatcherConfig, EventKind, JobStatus};
 use jets::sim::{
     science_registry, Allocation, AllocationConfig, ChaosInjector, FaultAction, FaultEvent,
-    FaultMix, FaultPlan, RelayedAllocation, RelayedAllocationConfig,
+    FaultMix, FaultPlan,
 };
 use jets::worker::{Executor, ReconnectPolicy};
 use std::collections::HashMap;
@@ -187,78 +187,4 @@ fn seeded_chaos_run_converges() {
 
     dispatcher.shutdown();
     allocation.join_all();
-}
-
-/// Chaos at the relay tier: killing a relay mid-run vaporizes its whole
-/// block at once — a coarser fault than any single-node kill — and the
-/// batch must still converge on the surviving block.
-#[test]
-fn relay_death_mid_run_converges() {
-    let dispatcher = Dispatcher::start(DispatcherConfig {
-        heartbeat_timeout: Some(Duration::from_secs(2)),
-        monitor_tick: Duration::from_millis(10),
-        ..DispatcherConfig::default()
-    })
-    .unwrap();
-    let topo = RelayedAllocation::start(
-        &dispatcher.addr().to_string(),
-        RelayedAllocationConfig::new(2, 4)
-            .with_heartbeat(Duration::from_millis(100))
-            .with_liveness_flush(Duration::from_millis(50)),
-        Arc::new(Executor::new(science_registry())),
-    )
-    .unwrap();
-    while dispatcher.alive_workers() < 8 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(dispatcher.connections_accepted(), 2);
-
-    let specs: Vec<JobSpec> = (0..80)
-        .map(|i| {
-            let spec = if i % 5 == 4 {
-                JobSpec::mpi(2, CommandSpec::builtin("mpi-sleep", vec!["20".into()]))
-            } else {
-                JobSpec::sequential(CommandSpec::builtin("sleep", vec!["30".into()]))
-            };
-            spec.with_retries(40)
-        })
-        .collect();
-    let ids = dispatcher.submit_all(specs);
-
-    // Kill relay 1 once the batch is well underway: every task in
-    // flight on its block dies at once and must be retried elsewhere.
-    let succeeded = |ids: &[u64]| {
-        ids.iter()
-            .filter(|id| {
-                dispatcher
-                    .job_record(**id)
-                    .is_some_and(|r| r.status == JobStatus::Succeeded)
-            })
-            .count()
-    };
-    while succeeded(&ids) < 20 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(topo.kill_relay(1));
-
-    assert!(dispatcher.wait_idle(WAIT), "batch never converged");
-    for id in &ids {
-        let rec = dispatcher.job_record(*id).unwrap();
-        assert_eq!(
-            rec.status,
-            JobStatus::Succeeded,
-            "job {id} ended {:?} after {} attempts",
-            rec.status,
-            rec.attempts
-        );
-    }
-    let events = dispatcher.events().snapshot();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::RelayDown { .. })),
-        "relay death never recorded"
-    );
-    dispatcher.shutdown();
-    topo.join_all();
 }
