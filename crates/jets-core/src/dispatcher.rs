@@ -9,34 +9,41 @@
 //! * **Socket management** — one `jets-reactor` event loop multiplexing
 //!   every worker and relay connection (and the PMI service's ranks, and
 //!   `/metrics` scrapes). The thread bill is one loop, not O(connections).
-//! * **Inputs** — each frame, submission, disconnect and monitor tick
-//!   becomes exactly one call on the [`Core`], made through `step`: take
-//!   the `sched` lock, sample the clock once, call, release. A frame is
-//!   decoded here and routed by the core, [`Core::peer_frame`] over the
-//!   connection's [`Peer`]; a close is [`Core::peer_closed`].
+//! * **Inputs** — each frame, submission, disconnect and timer tick
+//!   becomes exactly one call on the [`Core`], made through `Sched::step`
+//!   on the event loop: sample the clock once, call, flush what it
+//!   journaled. A frame is decoded here and routed by the core,
+//!   [`Core::peer_frame`] over the connection's [`Peer`]; a close is
+//!   [`Core::peer_closed`].
 //! * **Effects** — the core's sends go onto the connections' bounded
-//!   outboxes while `sched` is still held (so an `Assign` can never trail
-//!   the `Cancel` that kills it), its replies onto the connection being
-//!   read, which a `WorkerUp` or `RelayUp` binds; the MPI gangs' PMI service (the paper's
+//!   outboxes within the input that decided them (so an `Assign` can never
+//!   trail the `Cancel` that kills it), its replies onto the connection
+//!   being read, which a `WorkerUp` or `RelayUp` binds; the MPI gangs' PMI service (the paper's
 //!   `mpiexec`, see `jets-pmi`) is one [`PmiHub`] whose listener sits on
 //!   the same reactor — `pmi_start` opens a job in it and hands out its
 //!   one address, and a gang's first fence release reaches the core from
 //!   the event loop that saw it; and every [`Fact`] the core emits is
 //!   turned into its ring records, write-ahead records, counters and
 //!   job-table update by the one `match` in `Sink::fact`. Captured task output is queued there
-//!   and written to `stdout_dir` off the lock, off the event loops.
+//!   and written to `stdout_dir` by a writer thread, off the event loop.
 //!
-//! ## Locking domains (see `docs/performance.md`)
+//! ## Threads and locks (see `docs/performance.md`)
 //!
-//! * **`sched` lock** — the core plus the connection map and the open
-//!   PMI job ids: everything a scheduling decision reads or writes to.
-//!   The event loop takes it once per input; client threads, the monitor
-//!   tick and journal restore are the only other callers of `step`.
+//! * **the event loop** (`jets-reactor-0`) owns the core, the connection
+//!   map and the open PMI job ids — everything a scheduling decision reads
+//!   or writes to — as a [`LoopCell`]: no lock, and any other thread that
+//!   touches them panics. Client threads post to it and wait for the
+//!   answer; journal restore runs before the core moves in. One timer,
+//!   every `monitor_tick`, runs the core's tick, PMI fence time-outs, the
+//!   `Interval` fsync and the counter bridge.
+//! * **the output writer** (`jets-output`) exists only when `stdout_dir`
+//!   is set, and is the one thread that writes there; the output queue
+//!   between it and the loop is a leaf lock.
 //! * **`book` lock** — job records and the outstanding count: what the
-//!   client-facing API (`wait_idle`, `wait_job`, `records`) polls. The
-//!   only place that takes it under `sched` is `Sink::book`.
+//!   client-facing API (`wait_idle`, `wait_job`, `records`) polls, and the
+//!   one lock a client takes. The loop takes it in `Sink::book`.
 //!
-//! The order these and the hub's `pmi` are taken in is
+//! The order `book` and the hub's `pmi` are taken in is
 //! [`jets_ring::stdx::Rank`], checked at every `lock()` in debug builds.
 
 use crate::core::{Core, CoreConfig, Effects, Fact, Peer};
@@ -51,16 +58,17 @@ use crate::queue::QueuePolicy;
 use crate::registry::QuarantinePolicy;
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_pmi::PmiHub;
-use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
+use jets_reactor::{
+    CloseReason, ConnHandler, Flow, LoopCell, Outbox, Reactor, ReactorConfig, ReactorStats,
+};
 use jets_ring::stdx::{wait_for, Guard, Mutex, Rank};
 use jets_ring::WriterRole;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar};
-use std::thread;
+use std::sync::{mpsc, Arc, Condvar, Weak};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Tuning knobs for a dispatcher instance.
@@ -83,8 +91,9 @@ pub struct DispatcherConfig {
     /// Bench policy for workers whose name keeps killing gangs; `None`
     /// disables quarantine (every registration is admitted `Idle`).
     pub quarantine: Option<QuarantinePolicy>,
-    /// Period of the monitor loop that enforces hang detection, job
-    /// deadlines, and quarantine release.
+    /// Period of the event loop's timer, which enforces hang detection,
+    /// job deadlines, quarantine release and PMI fence time-outs, and is
+    /// the `Interval` fsync's clock.
     pub monitor_tick: Duration,
     /// Path of the crash-recovery write-ahead journal. When set, every
     /// job state transition is appended before it becomes externally
@@ -186,14 +195,15 @@ struct Conn {
 
 /// Encode `msg` into `enc` (newline framing included) and queue it on
 /// `outbox`. Never blocks — `Outbox::send` is a bounded-buffer push —
-/// so this is safe while holding the scheduling lock.
+/// so this is safe on the event loop.
 fn send_frame(outbox: &Outbox, enc: &mut Vec<u8>, msg: &DispatcherMsg) -> bool {
     encode_msg_buf(msg, enc).is_ok() && outbox.send(enc)
 }
 
-/// Everything guarded by `Inner::sched`: the core, and the resources its
-/// effects act on.
+/// The core and the resources its effects act on: the event loop's own
+/// state. Only the loop touches it; client threads post to it.
 struct Sched {
+    inner: Arc<Inner>,
     core: Core,
     io: Io,
 }
@@ -212,16 +222,27 @@ struct Io {
     enc: Vec<u8>,
     /// Write-ahead records of the facts emitted since the last flush.
     wal: Vec<Record>,
+    /// `Shutdown` went out (once); a peer that registers later is told.
+    shut: bool,
+    /// Set by [`Dispatcher::kill`]: shut down *silently*, the way a
+    /// crash would — no goodbye frames, no further journal writes (the
+    /// journal belongs to the successor the kill is simulating).
+    killed: bool,
+    /// Rings the output writer when its queue stops being empty.
+    doorbell: Option<mpsc::Sender<()>>,
 }
 
-/// Client-facing bookkeeping, split from `Sched` so `wait_idle` /
-/// `wait_job` / `records` polling never contends with scheduling.
+/// Client-facing bookkeeping, apart from `Sched` so `wait_idle` /
+/// `wait_job` / `records` polling never waits for the event loop.
 /// Guarded by `Inner::book`; `Inner::idle_cv` and every condvar in
 /// `job_waiters` are paired with this lock.
 struct Book {
     records: HashMap<JobId, JobRecord>,
     /// Jobs queued or active; `wait_idle` watches this reach zero.
     outstanding: usize,
+    /// Captured outputs queued for `stdout_dir` and not yet written;
+    /// `wait_idle` waits for these too.
+    unwritten: usize,
     /// Where the threads in `wait_job` sleep, per job, so that a
     /// finished job wakes its own waiters and nobody else.
     job_waiters: HashMap<JobId, Arc<Condvar>>,
@@ -247,50 +268,87 @@ struct Inner {
     config: DispatcherConfig,
     log: EventLog,
     /// Live metric handles; every recording is a relaxed `fetch_add` (or
-    /// a gauge store), so instrumentation never contends with scheduling.
+    /// a gauge store), so a scrape never waits for the event loop.
     metrics: Arc<DispatcherMetrics>,
-    /// The core and what its effects reach.
-    sched: Mutex<Sched>,
     /// Job records and the outstanding count.
     book: Mutex<Book>,
     idle_cv: Condvar,
-    /// Captured task output on its way to `stdout_dir`, queued under
-    /// `sched` and written by [`flush_outputs`] on a thread that may
-    /// block. A leaf lock.
+    /// Captured task output on its way to `stdout_dir`, queued by the
+    /// loop and written by [`write_outputs`] on the writer thread. A leaf
+    /// lock.
     outputs: Mutex<Vec<(PathBuf, String)>>,
-    shutdown: AtomicBool,
-    /// Set by [`Dispatcher::kill`]: shut down *silently*, the way a
-    /// crash would — no goodbye frames, no further journal writes (the
-    /// journal belongs to the successor the kill is simulating).
-    killed: AtomicBool,
     /// The write-ahead journal, when durability is configured.
     journal: Option<Journal>,
-    /// The reactor's monotonic counters; the monitor bridges them into
-    /// the metric surface each tick.
+    /// The reactor's monotonic counters; the loop's timer bridges them
+    /// into the metric surface each tick.
     reactor_stats: Arc<ReactorStats>,
     /// The PMI service of every running gang, on the reactor's loops.
     pmi: Arc<PmiHub>,
 }
 
-/// One input to the core, start to finish: take `sched`, sample the
-/// clock once, make the call, flush what it journaled.
-fn step<R>(inner: &Inner, input: impl FnOnce(&mut Core, &mut Sink<'_>, Instant) -> R) -> R {
-    let mut st = inner.sched.lock();
-    let Sched { core, io } = &mut *st;
-    let mut fx = Sink {
-        inner,
-        io,
-        from: None,
-    };
-    let out = input(core, &mut fx, Instant::now());
-    fx.flush_wal();
-    // The O(1) gauges are maintained inline so scrapes between monitor
-    // ticks see fresh levels; three relaxed stores per input.
-    let m = &inner.metrics;
-    m.queue_depth.set(core.queue().len() as i64);
-    m.workers_ready.set(core.ready().len() as i64);
-    m.running_gangs.set(core.running() as i64);
-    out
+impl Sched {
+    /// One input to the core, start to finish: sample the clock once,
+    /// make the call, flush what it journaled.
+    fn step<R>(&mut self, input: impl FnOnce(&mut Core, &mut Sink<'_>, Instant) -> R) -> R {
+        let (Sched { inner, core, io }, from) = (self, None);
+        let mut fx = Sink { inner, io, from };
+        let out = input(core, &mut fx, Instant::now());
+        fx.flush_wal();
+        // The O(1) gauges are maintained inline so scrapes between timer
+        // ticks see fresh levels; three relaxed stores per input.
+        let m = &inner.metrics;
+        m.queue_depth.set(core.queue().len() as i64);
+        m.workers_ready.set(core.ready().len() as i64);
+        m.running_gangs.set(core.running() as i64);
+        out
+    }
+
+    /// The loop's periodic duties: PMI fence time-outs, the `Interval`
+    /// fsync, bridging reactor and ring counters into the metric surface,
+    /// and the core's tick (hang detection, deadlines, quarantine
+    /// release, the reconciliation window).
+    fn tick(&mut self, prev: &mut [u64; 5]) {
+        let inner = Arc::clone(&self.inner);
+        // A fence that has waited `PMI_FENCE_TIMEOUT` aborts its gang:
+        // the parked ranks are told, their tasks fail, the core requeues.
+        let pmi_errors = inner.pmi.input(|pmi, fx| {
+            pmi.tick(Instant::now(), fx);
+            pmi.protocol_errors()
+        });
+        bridge_counters(&inner, prev, pmi_errors);
+        // Under the `Interval` fsync policy this timer is the durability
+        // clock. The sync holds the journal's writer mutex, as an append
+        // does, so the loop's next append would have waited for it anyway.
+        let syncs = inner.config.fsync_policy == FsyncPolicy::Interval && !self.io.killed;
+        if let Some(Err(_)) = inner.journal.as_ref().filter(|_| syncs).map(Journal::sync) {
+            inner.metrics.journal_errors_total.inc();
+        }
+        self.step(|core, fx, now| {
+            core.tick(now, fx);
+            // The O(workers) gauges are refreshed here, once per tick,
+            // so the hot path never walks the registry for metrics' sake.
+            let (m, workers) = (&fx.inner.metrics, core.registry());
+            m.relays_current.set(fx.io.relays.len() as i64);
+            m.workers_alive.set(workers.alive_count() as i64);
+            m.workers_busy.set(workers.busy_count() as i64);
+            m.quarantined_current
+                .set(workers.quarantined_count() as i64);
+        });
+    }
+
+    /// Stop accepting and tell every peer to shut down, once: each direct
+    /// worker on its own connection, each relay once for its whole block.
+    /// A killed dispatcher stays silent; returns whether it is alive.
+    fn shutdown(&mut self) -> bool {
+        let io = &mut self.io;
+        if !std::mem::replace(&mut io.shut, true) && !io.killed {
+            let direct = io.conns.values().filter(|c| !c.relayed).map(|c| &c.out);
+            for out in direct.chain(io.relays.values()) {
+                send_frame(out, &mut io.enc, &DispatcherMsg::Shutdown);
+            }
+        }
+        !io.killed
+    }
 }
 
 /// The shell's [`Effects`]: where the core's decisions become bytes.
@@ -310,7 +368,7 @@ impl<'a> Sink<'a> {
     fn flush_wal(&mut self) {
         let (recs, m) = (&mut self.io.wal, &self.inner.metrics);
         if let Some(j) = self.inner.journal.as_ref().filter(|_| !recs.is_empty()) {
-            if !self.inner.killed.load(Ordering::Acquire) {
+            if !self.io.killed {
                 match j.append_all(recs) {
                     Ok(()) => m.journal_records_total.add(recs.len() as u64),
                     Err(_) => m.journal_errors_total.inc(),
@@ -323,7 +381,7 @@ impl<'a> Sink<'a> {
 
     /// The job table, with everything journaled so far on disk first: a
     /// state is never client-visible before its record is. The one place
-    /// `book` is taken under `sched`.
+    /// the loop takes `book`.
     fn book(&mut self) -> Guard<'a, Book> {
         self.flush_wal();
         self.inner.book.lock()
@@ -362,7 +420,7 @@ impl Effects for Sink<'_> {
         };
         let registered = matches!(msg, DispatcherMsg::Registered { .. });
         send_frame(out, enc, &msg);
-        if registered && self.inner.shutdown.load(Ordering::Acquire) {
+        if registered && self.io.shut {
             send_frame(out, enc, &DispatcherMsg::Shutdown);
         }
     }
@@ -486,7 +544,12 @@ impl Effects for Sink<'_> {
                 m.tasks_ended_total.inc();
                 if let (Some(dir), Some(text)) = (&inner.config.stdout_dir, output) {
                     let path = dir.join(format!("job{job}.task{task}.out"));
-                    inner.outputs.lock().push((path, text.to_owned()));
+                    self.book().unwritten += 1;
+                    let mut queued = inner.outputs.lock();
+                    queued.push((path, text.to_owned()));
+                    if let Some(bell) = self.io.doorbell.as_ref().filter(|_| queued.len() == 1) {
+                        let _ = bell.send(());
+                    }
                 }
             }
             Fact::JobRequeued {
@@ -531,24 +594,30 @@ impl Effects for Sink<'_> {
     }
 }
 
-/// Write queued task output to `stdout_dir`. Blocking file I/O: called
-/// from the monitor thread and from client threads that may block
-/// (`wait_idle`, `wait_job`, `shutdown`), never from an event loop and
-/// never under `sched`.
-fn flush_outputs(inner: &Inner) {
+/// The output writer's work: write what the loop queued to `stdout_dir`,
+/// then count it written for `wait_idle`. Blocking file I/O, on the
+/// writer's own thread, never on the event loop.
+fn write_outputs(inner: &Inner) {
     let files = {
         let mut queued = inner.outputs.lock();
         std::mem::take(&mut *queued)
     };
+    let written = files.len();
     for (path, text) in files {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
         let _ = std::fs::write(path, text);
     }
+    let mut book = inner.book.lock();
+    book.unwritten -= written;
+    if book.unwritten == 0 && book.outstanding == 0 {
+        drop(book);
+        inner.idle_cv.notify_all();
+    }
 }
 
-/// Stack size for dispatcher service threads (event loop + monitor).
+/// Stack size for dispatcher service threads (event loop + output writer).
 const CONN_STACK: usize = 192 * 1024;
 
 /// Patience for PMI fences inside launched MPI jobs.
@@ -558,12 +627,15 @@ const PMI_FENCE_TIMEOUT: Duration = Duration::from_secs(60);
 ///
 /// Dropping the dispatcher shuts it down: workers receive `Shutdown`,
 /// the reactor's event loop stops (closing every listener, `/metrics`
-/// included), and service threads drain.
+/// included) and takes the core with it, and the output writer drains.
 pub struct Dispatcher {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    /// The event loop serving every connection. Dropped after `shutdown`
-    /// has queued the `Shutdown` frames, which get its final flush.
+    /// The loop's state: only the loop holds it strongly.
+    sched: Weak<LoopCell<Sched>>,
+    /// Writes captured output to `stdout_dir`, when that is set.
+    writer: Option<JoinHandle<()>>,
+    /// The event loop serving every connection and owning the core.
     reactor: Reactor,
 }
 
@@ -614,19 +686,14 @@ impl Dispatcher {
                 .unwrap_or_default()
                 .as_micros() as u64,
         };
+        let tick = config.monitor_tick.max(Duration::from_millis(1));
         let inner = Arc::new(Inner {
-            sched: Mutex::ranked(
-                Rank::Sched,
-                Sched {
-                    core: Core::new(core_config, Instant::now()),
-                    io: Io::default(),
-                },
-            ),
             book: Mutex::ranked(
                 Rank::Book,
                 Book {
                     records: HashMap::new(),
                     outstanding: 0,
+                    unwritten: 0,
                     job_waiters: HashMap::new(),
                 },
             ),
@@ -635,35 +702,46 @@ impl Dispatcher {
             metrics: Arc::new(DispatcherMetrics::new()),
             idle_cv: Condvar::new(),
             outputs: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-            killed: AtomicBool::new(false),
             journal,
             reactor_stats: reactor.stats(),
             pmi,
         });
+        let mut sched = Sched {
+            inner: Arc::clone(&inner),
+            core: Core::new(core_config, Instant::now()),
+            io: Io::default(),
+        };
+        // Restore on this thread, before the core moves into the loop and
+        // before the listener opens.
         if !replayed.is_empty() {
             let rec = journal::recover(&replayed);
-            inner
-                .metrics
-                .journal_replayed_jobs
-                .set(rec.jobs.len() as i64);
-            step(&inner, |core, fx, now| {
+            let replayed_jobs = &inner.metrics.journal_replayed_jobs;
+            replayed_jobs.set(rec.jobs.len() as i64);
+            sched.step(|core, fx, now| {
                 fx.io.wal.push(Record::Restarted);
                 core.restore(now, rec, fx);
             });
         }
-        let factory_inner = Arc::clone(&inner);
+        let writer = inner.config.stdout_dir.as_ref().map(|_| {
+            let (bell, rung) = mpsc::channel();
+            sched.io.doorbell = Some(bell);
+            let inner = Arc::clone(&inner);
+            // Ends when the loop's state, and the doorbell with it, goes.
+            let write = move || rung.iter().for_each(|()| write_outputs(&inner));
+            let builder = thread::Builder::new().name("jets-output".to_string());
+            builder.stack_size(CONN_STACK).spawn(write)
+        });
+        let sched = Arc::new(reactor.own(sched));
+        let accept = Arc::clone(&sched);
         reactor.listen(
             listener,
             Arc::new(move |_stream: &TcpStream, _peer: SocketAddr| {
                 // Refuse peers once shutdown begins; `None` sheds the
                 // connection without registering it.
-                if factory_inner.shutdown.load(Ordering::Acquire) {
-                    return None;
-                }
-                factory_inner.metrics.connections_accepted_total.inc();
+                let accepted = |st: &mut Sched| st.inner.metrics.connections_accepted_total.inc();
+                accept.with(|st| (!st.io.shut).then(|| accepted(st)))?;
                 Some(Box::new(DispatcherConn {
-                    inner: Arc::clone(&factory_inner),
+                    sched: Arc::clone(&accept),
                     outbox: None,
                     peer: Peer::Handshake,
                 }) as Box<dyn ConnHandler>)
@@ -671,20 +749,30 @@ impl Dispatcher {
         )?;
         // A gang's first fence release is an input like any other, made
         // from the event loop, after the hub has unlocked.
-        let fence_inner = Arc::clone(&inner);
+        let fence = Arc::clone(&sched);
         inner.pmi.serve(&reactor, pmi_listener, move |job, at| {
-            step(&fence_inner, |core, fx, _| core.fence_released(job, at, fx));
+            fence.with(|st| st.step(|core, fx, _| core.fence_released(job, at, fx)));
         })?;
-        let monitor_inner = Arc::clone(&inner);
-        thread::Builder::new()
-            .name("jets-monitor".to_string())
-            .stack_size(CONN_STACK)
-            .spawn(move || monitor_loop(monitor_inner))?;
+        // The reactor's and the ring's counters are monotonic; the
+        // previous sample lets the bridge publish deltas.
+        let (ticker, mut prev) = (Arc::clone(&sched), [0u64; 5]);
+        reactor.every(tick, move || ticker.with(|st| st.tick(&mut prev)))?;
         Ok(Dispatcher {
             inner,
             addr,
+            sched: Arc::downgrade(&sched),
+            writer: writer.transpose()?,
             reactor,
         })
+    }
+
+    /// Run `f` on the event loop, with its state, and wait for what it
+    /// returns; `None` once the loop has stopped.
+    fn call<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut Sched) -> R + Send + 'static,
+    ) -> Option<R> {
+        self.sched.upgrade()?.call(f)
     }
 
     /// Address workers should connect to.
@@ -716,14 +804,15 @@ impl Dispatcher {
         self.submit_all([spec])[0]
     }
 
-    /// Submit many jobs at once. The whole batch is journaled in one
-    /// write (one fsync under the `Always` policy, however large the
-    /// submission), queued in one input to the core and triggers one
-    /// scheduling pass, so bulk submission does not serialize per-job
-    /// against the worker traffic.
+    /// Submit many jobs at once. The whole batch is one post to the event
+    /// loop, journaled in one write (one fsync under the `Always` policy,
+    /// however large the submission), queued in one input to the core and
+    /// triggers one scheduling pass, so bulk submission does not serialize
+    /// per-job against the worker traffic.
     pub fn submit_all(&self, specs: impl IntoIterator<Item = JobSpec>) -> Vec<JobId> {
         let specs = specs.into_iter().collect();
-        step(&self.inner, |core, fx, now| core.submit(now, specs, fx))
+        self.call(move |st| st.step(|core, fx, now| core.submit(now, specs, fx)))
+            .expect("the dispatcher's event loop has stopped")
     }
 
     /// Parse and submit a stand-alone input file's jobs.
@@ -739,9 +828,7 @@ impl Dispatcher {
         let deadline = Instant::now() + timeout;
         let mut book = self.inner.book.lock();
         loop {
-            if book.outstanding == 0 {
-                drop(book);
-                flush_outputs(&self.inner);
+            if book.outstanding == 0 && book.unwritten == 0 {
                 return true;
             }
             let now = Instant::now();
@@ -767,10 +854,7 @@ impl Dispatcher {
             match book.records.get(&id) {
                 None => return None,
                 Some(rec) if matches!(rec.status, JobStatus::Succeeded | JobStatus::Failed) => {
-                    let rec = rec.clone();
-                    drop(book);
-                    flush_outputs(&self.inner);
-                    return Some(rec);
+                    return Some(rec.clone());
                 }
                 Some(_) => {}
             }
@@ -795,9 +879,11 @@ impl Dispatcher {
         v
     }
 
-    /// Number of live (registered, non-dead) workers.
+    /// Number of live (registered, non-dead) workers, as the event loop
+    /// sees it now.
     pub fn alive_workers(&self) -> usize {
-        self.inner.sched.lock().core.registry().alive_count()
+        self.call(|st| st.core.registry().alive_count())
+            .unwrap_or(0)
     }
 
     /// Total TCP connections accepted so far (direct workers + relays).
@@ -809,7 +895,7 @@ impl Dispatcher {
 
     /// Number of currently connected relay daemons.
     pub fn relay_count(&self) -> usize {
-        self.inner.sched.lock().io.relays.len()
+        self.call(|st| st.io.relays.len()).unwrap_or(0)
     }
 
     /// The reactor's live counters (connections, wakeups, bytes, slow-
@@ -820,8 +906,8 @@ impl Dispatcher {
 
     /// Snapshot of every worker ever registered.
     pub fn workers(&self) -> Vec<crate::registry::WorkerInfo> {
-        let st = self.inner.sched.lock();
-        st.core.registry().iter().cloned().collect()
+        self.call(|st| st.core.registry().iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Number of jobs queued or running.
@@ -832,7 +918,7 @@ impl Dispatcher {
     /// True while the post-restart reconciliation window is open (no
     /// scheduling; surviving workers are claiming their in-flight tasks).
     pub fn recovering(&self) -> bool {
-        self.inner.sched.lock().core.recovering()
+        self.call(|st| st.core.recovering()).unwrap_or(false)
     }
 
     /// Die the way a crash does: no goodbye frames to workers, no
@@ -840,28 +926,17 @@ impl Dispatcher {
     /// this to exercise the journal-replay path; a successor started
     /// with the same journal path must reconcile and converge.
     pub fn kill(self) {
-        self.inner.killed.store(true, Ordering::Release);
-        // Drop runs `shutdown`, which sees `killed` and stays silent.
+        // Drop's `shutdown` comes after this on the loop and stays silent.
+        self.call(|st| st.io.killed = true);
     }
 
     /// Stop accepting, tell every worker to shut down. Each direct worker
     /// is told on its own connection; each relay is told once and fans
-    /// the shutdown out to its block.
+    /// the shutdown out to its block. Only the first call sends anything.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        if self.inner.killed.load(Ordering::Acquire) {
+        if self.call(Sched::shutdown) != Some(true) {
             return; // killed: vanish silently, as a real crash would
         }
-        let mut st = self.inner.sched.lock();
-        let Io {
-            conns, relays, enc, ..
-        } = &mut st.io;
-        let direct = conns.values().filter(|c| !c.relayed).map(|c| &c.out);
-        for out in direct.chain(relays.values()) {
-            send_frame(out, enc, &DispatcherMsg::Shutdown);
-        }
-        drop(st);
-        flush_outputs(&self.inner);
         // Clean-shutdown nicety: push the flight recorder's pages to
         // disk now. (A kill skips this on purpose — surviving *without*
         // the flush is what the mmap is for.)
@@ -872,49 +947,11 @@ impl Dispatcher {
 impl Drop for Dispatcher {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The dispatcher's periodic duties: the core's tick (hang detection,
-/// deadlines, quarantine release, the reconciliation window), PMI fence
-/// time-outs, the `Interval` fsync, queued task output, and bridging
-/// reactor and ring counters into the metric surface. One thread.
-fn monitor_loop(inner: Arc<Inner>) {
-    let tick = inner.config.monitor_tick.max(Duration::from_millis(1));
-    // The reactor's counters are monotonic; remembering the previous
-    // sample lets the bridge publish deltas so the jets-obs counters
-    // stay monotonic too. Likewise the ring's.
-    let mut prev = [0u64; 5];
-    while !inner.shutdown.load(Ordering::Acquire) {
-        thread::sleep(tick);
-        // A fence that has waited `PMI_FENCE_TIMEOUT` aborts its gang:
-        // the parked ranks are told, their tasks fail, the core requeues.
-        let pmi_errors = inner.pmi.input(|pmi, fx| {
-            pmi.tick(Instant::now(), fx);
-            pmi.protocol_errors()
-        });
-        bridge_counters(&inner, &mut prev, pmi_errors);
-        flush_outputs(&inner);
-        // Under the `Interval` fsync policy the monitor tick is the
-        // durability clock: one flush per tick, off the hot path.
-        if inner.config.fsync_policy == FsyncPolicy::Interval {
-            if let Some(j) = &inner.journal {
-                if j.sync().is_err() {
-                    inner.metrics.journal_errors_total.inc();
-                }
-            }
+        // The loop's state goes with it, and so does the writer's doorbell.
+        self.reactor.shutdown();
+        if let Some(writer) = self.writer.take() {
+            let _ = writer.join();
         }
-        step(&inner, |core, fx, now| {
-            core.tick(now, fx);
-            // The O(workers) gauges are refreshed here, once per tick,
-            // so the hot path never walks the registry for metrics' sake.
-            let (m, workers) = (&inner.metrics, core.registry());
-            m.relays_current.set(fx.io.relays.len() as i64);
-            m.workers_alive.set(workers.alive_count() as i64);
-            m.workers_busy.set(workers.busy_count() as i64);
-            m.quarantined_current
-                .set(workers.quarantined_count() as i64);
-        });
     }
 }
 
@@ -960,7 +997,7 @@ fn bridge_counters(inner: &Inner, prev: &mut [u64; 5], pmi_errors: u64) {
 /// in one `step`, and whatever the core sends is queued on a bounded
 /// [`Outbox`].
 struct DispatcherConn {
-    inner: Arc<Inner>,
+    sched: Arc<LoopCell<Sched>>,
     outbox: Option<Arc<Outbox>>,
     peer: Peer,
 }
@@ -977,9 +1014,11 @@ impl ConnHandler for DispatcherConn {
             return Flow::Close;
         };
         let peer = &mut self.peer;
-        match step(&self.inner, |core, fx, now| {
-            fx.from = Some(Arc::clone(from));
-            core.peer_frame(now, peer, msg, fx)
+        match self.sched.with(|st| {
+            st.step(|core, fx, now| {
+                fx.from = Some(Arc::clone(from));
+                core.peer_frame(now, peer, msg, fx)
+            })
         }) {
             true => Flow::Continue,
             false => Flow::Close,
@@ -988,7 +1027,8 @@ impl ConnHandler for DispatcherConn {
 
     fn on_close(&mut self, _reason: CloseReason) {
         let peer = std::mem::take(&mut self.peer);
-        step(&self.inner, |core, fx, now| core.peer_closed(now, peer, fx));
+        self.sched
+            .with(|st| st.step(|core, fx, now| core.peer_closed(now, peer, fx)));
     }
 }
 
@@ -1124,6 +1164,27 @@ mod tests {
         assert_eq!(w.join().unwrap(), 1);
     }
 
+    /// `shutdown` and then the drop that follows it tell a connected peer
+    /// once, not twice.
+    #[test]
+    fn shutdown_then_drop_sends_one_shutdown() {
+        let d = dispatcher();
+        let (name, location) = ("once".to_string(), "test".to_string());
+        let hello = WorkerMsg::Register {
+            name,
+            cores: 1,
+            location,
+        };
+        let (_writer, mut reader) = handshake(d.addr(), &hello);
+        d.shutdown();
+        drop(d);
+        let mut shutdowns = 0;
+        while let Ok(Some(msg)) = reader.recv::<DispatcherMsg>() {
+            shutdowns += usize::from(msg == DispatcherMsg::Shutdown);
+        }
+        assert_eq!(shutdowns, 1);
+    }
+
     #[test]
     fn mpi_job_aggregates_workers_and_runs_pmi() {
         let d = dispatcher();
@@ -1133,7 +1194,8 @@ mod tests {
         let rec = d.job_record(id).unwrap();
         assert_eq!(rec.status, JobStatus::Succeeded);
         assert_eq!(rec.exit_codes.len(), 3);
-        assert!(d.inner.sched.lock().io.pmi.is_empty(), "PMI server dropped");
+        let pmi_jobs = d.call(|st| st.io.pmi.len()).unwrap();
+        assert_eq!(pmi_jobs, 0, "PMI server dropped");
         d.shutdown();
         for w in workers {
             w.join().unwrap();

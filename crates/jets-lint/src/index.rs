@@ -84,6 +84,8 @@ pub struct CallSite {
     /// `drain_outbox(..)` and `self.drain_outbox(..)`).
     pub name: String,
     pub line: u32,
+    /// Token index of the callee name.
+    pub at: usize,
     /// Lock guards live at the call.
     pub held: Vec<HeldGuard>,
     /// The call happens inside the argument list of a `spawn(..)`
@@ -440,18 +442,21 @@ pub fn blocking_op_at(toks: &[Tok], i: usize) -> Option<String> {
     {
         let name = &toks[i + 1].text;
         let called = is_called(toks, i + 1);
-        if called && BLOCKING_METHODS.contains(&name.as_str()) {
+        let recv = match i > 0 && toks[i - 1].kind == TokKind::Ident {
+            true => toks[i - 1].text.as_str(),
+            false => "",
+        };
+        // The reactor dials without blocking: its `on_close` reports a
+        // connect that did not go through.
+        let dials = name == "connect" && recv == "reactor";
+        if called && BLOCKING_METHODS.contains(&name.as_str()) && !dials {
             return Some(format!(".{name}()"));
         }
-        if called && name == "send" {
-            let recv = if i > 0 && toks[i - 1].kind == TokKind::Ident {
-                toks[i - 1].text.as_str()
-            } else {
-                ""
-            };
-            if recv.contains("writer") || recv.contains("sock") || recv.contains("stream") {
-                return Some(format!("{recv}.send()"));
-            }
+        let to_socket = ["writer", "sock", "stream"]
+            .iter()
+            .any(|w| recv.contains(w));
+        if called && name == "send" && to_socket {
+            return Some(format!("{recv}.send()"));
         }
         return None;
     }
@@ -599,6 +604,7 @@ fn extract_fn_facts(toks: &[Tok], f: &mut FnFacts) {
                 calls.push(CallSite {
                     name: name.clone(),
                     line: toks[name_idx].line,
+                    at: name_idx,
                     held: held_of(guards),
                     in_spawn,
                 });

@@ -861,6 +861,36 @@ fn rule_unwrap_in_handler(file: &FileIndex, findings: &mut Vec<Finding>) {
 /// one blocking call stalls every connection multiplexed on that loop.
 const REACTOR_CALLBACKS: &[&str] = &["on_open", "on_frame", "on_close"];
 
+/// Reactor methods whose closure argument runs on the event loop just as
+/// a callback does: timers, posts and calls.
+const LOOP_CLOSURES: &[&str] = &["every", "after", "post", "call"];
+
+/// The argument lists, by token range, of the `.every(..)` / `.post(..)`
+/// / … calls in `func` that pass a closure, each with its method name.
+fn loop_closures(toks: &[Tok], func: &index::FnFacts) -> Vec<(String, std::ops::Range<usize>)> {
+    let mut out = Vec::new();
+    for i in func.body.clone() {
+        let called = toks[i].is_punct(".") && toks.get(i + 2).is_some_and(|t| t.is_punct("("));
+        let named = |t: &&Tok| LOOP_CLOSURES.contains(&t.text.as_str());
+        let Some(method) = toks.get(i + 1).filter(|t| called && named(t)) else {
+            continue;
+        };
+        let (start, mut end, mut depth) = (i + 3, i + 3, 1);
+        while end < func.body.end && depth > 0 {
+            depth += i32::from(toks[end].is_punct("(")) - i32::from(toks[end].is_punct(")"));
+            end += 1;
+        }
+        let args = start..end.saturating_sub(1);
+        if toks[args.clone()]
+            .iter()
+            .any(|t| t.is_punct("|") || t.is_punct("||"))
+        {
+            out.push((method.text.clone(), args));
+        }
+    }
+    out
+}
+
 /// Path predicate for the reactor-converted fan-in crates: their
 /// per-connection serve/accept paths must not spawn threads, because
 /// connection concurrency belongs to the reactor (jets-pmi's rank
@@ -886,6 +916,36 @@ fn rule_reactor_discipline(file: &FileIndex, graph: &CallGraph, findings: &mut V
     for func in &file.funcs {
         if func.in_test {
             continue;
+        }
+        // Closures handed to the loop are checked like callbacks.
+        for (method, args) in loop_closures(toks, func) {
+            let on_loop =
+                format!("a closure passed to `{method}`, which runs it on the event loop");
+            for i in args.clone() {
+                if let Some(op) = index::blocking_op_at(toks, i) {
+                    let message = format!("blocking call {op} inside {on_loop}");
+                    let finding = Finding::new(Rule::J7, &file.path, toks[i].line, message);
+                    findings.push(finding.with_chain(vec![method.clone(), op]));
+                }
+            }
+            for c in func
+                .calls
+                .iter()
+                .filter(|c| !c.in_spawn && args.contains(&c.at))
+            {
+                let Some(callee) = graph.tainted_callee(&file.krate, &c.name) else {
+                    continue;
+                };
+                let mut chain = vec![method.clone()];
+                chain.extend(graph.taint_chain(callee));
+                let message = format!(
+                    "call to blocking-tainted `{}` inside {on_loop}; blocks via {}",
+                    c.name,
+                    chain.join(" -> ")
+                );
+                let finding = Finding::new(Rule::J7, &file.path, c.line, message);
+                findings.push(finding.with_chain(chain));
+            }
         }
         let is_callback = REACTOR_CALLBACKS.contains(&func.name.as_str());
         let is_serve_path = (func.name.starts_with("serve_") || func.name.starts_with("accept_"))

@@ -140,6 +140,29 @@ fn reactor_good_is_clean() {
 }
 
 #[test]
+fn loop_closures_bad_fires_with_chains() {
+    // A timer whose closure reaches a sleep through a helper (line 6),
+    // and a post that sleeps inline (line 7): both run on the loop.
+    assert_eq!(
+        fired("reactor/timer-bad.rs"),
+        vec![("J7".to_string(), 6), ("J7".to_string(), 7)]
+    );
+    let findings = lint_paths(&[fixture("reactor/timer-bad.rs")]);
+    let chains: Vec<_> = findings.iter().map(|f| f.chain.clone()).collect();
+    assert_eq!(
+        chains,
+        vec![vec!["every", "nap", "sleep()"], vec!["post", "sleep()"]],
+        "{}",
+        render(&findings)
+    );
+}
+
+#[test]
+fn loop_closures_good_is_clean() {
+    assert_clean("reactor/timer-good.rs");
+}
+
+#[test]
 fn ring_bad_fires_exactly() {
     // Writer-path violations in `push_frame`: lock (2), allocating
     // method (3), allocating macro (4), allocating constructor (5),

@@ -9,6 +9,16 @@
 //! with `WOULDBLOCK`-driven interest re-arming, and peers that stop
 //! reading are disconnected instead of growing process memory.
 //!
+//! A loop is also what owns a daemon's state. [`Reactor::own`] hands a
+//! value to the loop as a [`LoopCell`], which panics when any other
+//! thread touches it; other threads reach it by posting a closure
+//! ([`Reactor::post`], or [`LoopCell::call`] to wait for its result).
+//! Periodic work is a timer on the loop ([`Reactor::every`],
+//! [`Reactor::after`]): the loop sleeps in its poller until the next
+//! one is due. An outbound connection is dialed by the loop without
+//! blocking ([`Reactor::connect`]); a failed connect reaches the
+//! handler's `on_close` as [`CloseReason::ConnectFailed`].
+//!
 //! Like jets-obs and jets-lint, this crate has **zero dependencies**:
 //! the syscalls are hand-declared FFI against the C library `std`
 //! already links, so the reactor compiles and its tests run in the
@@ -16,11 +26,12 @@
 //!
 //! The reactor serves the fan-in sides, where connection counts scale
 //! with the cluster: the dispatcher's worker and relay connections, the
-//! relay's members, and the ranks' connections to the PMI service
-//! (`jets_pmi::PmiHub`, a second listener on the dispatcher's reactor).
-//! `jets_mpi::Endpoint` uses the [`Poller`] alone, one thread over a
-//! pilot's inbound mesh sockets. The blocking client paths (the worker
-//! agent's session, a rank's `PmiClient`) stay on the calling thread.
+//! relay's members and its upstream session, and the ranks' connections
+//! to the PMI service (`jets_pmi::PmiHub`, a second listener on the
+//! dispatcher's reactor). `jets_mpi::Endpoint` uses the [`Poller`]
+//! alone, one thread over a pilot's inbound mesh sockets. The blocking
+//! client paths (the worker agent's session, a rank's `PmiClient`) stay
+//! on the calling thread.
 
 mod outbox;
 mod poller;
@@ -29,7 +40,7 @@ mod sys;
 
 pub use outbox::{CloseReason, Outbox};
 pub use poller::{new_poller, Event, Interest, Poller};
-pub use reactor::{AcceptFn, ConnHandler, Flow, Reactor, ReactorConfig, ReactorStats};
+pub use reactor::{AcceptFn, ConnHandler, Flow, LoopCell, Reactor, ReactorConfig, ReactorStats};
 
 use std::sync::{Mutex, MutexGuard};
 

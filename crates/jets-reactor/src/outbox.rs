@@ -29,10 +29,14 @@ pub enum CloseReason {
     Oversize,
     /// The outbox overflowed: the peer was not draining its writes.
     SlowConsumer,
-    /// The handler asked for the close (returned [`crate::Flow::Close`]).
+    /// The handler asked for the close (returned [`crate::Flow::Close`]),
+    /// or its owner did ([`Outbox::abort`]).
     Handler,
     /// [`Outbox::close`] was called; pending bytes were flushed first.
     Closed,
+    /// A [`crate::Reactor::connect`] did not go through; the handler was
+    /// never opened.
+    ConnectFailed,
 }
 
 pub(crate) struct OutQ {
@@ -124,6 +128,13 @@ impl Outbox {
             }
             q.closed = Some(CloseReason::Closed);
         }
+        self.loop_.kick(self.id);
+    }
+
+    /// Tear the connection down now, dropping whatever is still queued
+    /// ([`CloseReason::Handler`]).
+    pub fn abort(&self) {
+        self.mark_closed(CloseReason::Handler);
         self.loop_.kick(self.id);
     }
 

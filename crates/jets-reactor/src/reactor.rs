@@ -1,51 +1,57 @@
-//! Event loops, connection state machines, and the router.
+//! Event loops, connection state machines, timers, and the router.
 //!
 //! A [`Reactor`] owns a fixed handful of event-loop threads (the count
 //! is configuration, not connection count). Each loop owns one
-//! platform [`Poller`](crate::poller::Poller), a self-pipe waker, and
-//! the connections assigned to it. Connections are nonblocking state
-//! machines: reads reassemble newline-delimited frames across wakeups
-//! and hand each complete frame to the connection's [`ConnHandler`];
-//! writes drain the connection's bounded [`Outbox`], arming write
-//! interest only while bytes remain (the `WOULDBLOCK` re-arm
-//! protocol).
+//! platform [`Poller`](crate::poller::Poller), a self-pipe waker, the
+//! connections assigned to it and its timers. Connections are nonblocking
+//! state machines: reads reassemble newline-delimited frames across
+//! wakeups and hand each complete frame to the connection's
+//! [`ConnHandler`]; writes drain the connection's bounded [`Outbox`],
+//! arming write interest only while bytes remain (the `WOULDBLOCK` re-arm
+//! protocol). A dialed connection ([`Reactor::connect`]) waits for its
+//! first readiness event before its handler is opened.
 //!
 //! Cross-thread interaction is funnelled through each loop's inbox: a
-//! short mutex push plus one byte on the wake pipe. `Outbox::send`
-//! therefore never blocks and is safe under scheduler locks. A send
-//! made by the loop's own handlers while it dispatches events skips
-//! the pipe byte: the loop flushes it as soon as the readiness event
-//! that produced it is handled, before the next ready connection's
-//! turn. A reply from `on_frame` costs no extra wakeup and does not wait
-//! for the rest of the iteration — so two loops, or a loop and its
-//! peers, overlap instead of taking turns. Frames that one event
-//! produces together still leave in one `write`.
-//! Handlers run on the loop thread and must not block — jets-lint rule
-//! J7 enforces that textually.
+//! short mutex push plus one byte on the wake pipe. Registrations,
+//! posted closures and timers travel that way, in order, and so do
+//! kicks. `Outbox::send` therefore never blocks. Work the loop raises
+//! itself while it dispatches (a handler's send, a timer's post) skips
+//! the pipe byte: a reply leaves as soon as the readiness event that
+//! produced it is handled, before the next ready connection's turn, so
+//! a reply from `on_frame` costs no extra wakeup and does not wait for
+//! the rest of the iteration — two loops, or a loop and its peers,
+//! overlap instead of taking turns. Frames that one event produces
+//! together still leave in one `write`. The loop sleeps until its next
+//! timer is due. Handlers, posts and timers run on the loop thread and
+//! must not block — jets-lint rule J7 enforces that textually.
 
 use crate::outbox::{CloseReason, Outbox};
 use crate::poller::{new_poller, Event, Interest, Poller};
 use crate::{lock, sys};
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 /// Token reserved for each loop's wake pipe.
 const WAKE_TOKEN: u64 = 0;
 
 thread_local! {
     /// The loop whose events this thread is dispatching right now, i.e.
-    /// the loop that will run `drain_inbox` before it next sleeps; null
-    /// on every other thread and outside the dispatch phase.
+    /// the loop that will drain its inbox before it next sleeps; null
+    /// on every other thread and while the kick list is flushed.
     static DISPATCHING: Cell<*const LoopShared> = const { Cell::new(std::ptr::null()) };
     /// A handler of the dispatching loop kicked one of its outboxes:
     /// the loop flushes before it handles the next event.
     static KICKED: Cell<bool> = const { Cell::new(false) };
+    /// The loop this thread runs, for the thread's whole life: what a
+    /// [`LoopCell`] lets in and what [`LoopCell::call`] refuses to block.
+    static CURRENT: Cell<*const LoopShared> = const { Cell::new(std::ptr::null()) };
 }
 
 /// What a handler wants done with its connection after a frame.
@@ -63,11 +69,13 @@ pub enum Flow {
 /// no channel `recv`, no sleeps, no blocking socket I/O — queue
 /// outbound frames on an [`Outbox`] instead (rule J7).
 pub trait ConnHandler: Send {
-    /// Called once when the connection is registered with its loop.
+    /// Called once when the connection is registered with its loop (a
+    /// dialed one: once its connect has gone through).
     fn on_open(&mut self, outbox: &Arc<Outbox>);
     /// Called for every complete incoming frame (newline stripped).
     fn on_frame(&mut self, frame: &[u8]) -> Flow;
-    /// Called exactly once when the connection is torn down.
+    /// Called exactly once when the connection is torn down, or when a
+    /// dialed one never opened ([`CloseReason::ConnectFailed`]).
     fn on_close(&mut self, reason: CloseReason);
 }
 
@@ -172,6 +180,8 @@ impl Default for ReactorConfig {
 pub(crate) struct LoopInbox {
     new: Vec<Injected>,
     kicks: Vec<u64>,
+    /// The loop has ended: nothing injected now would ever run.
+    closed: bool,
 }
 
 /// The cross-thread face of one event loop: its waker write end and
@@ -187,16 +197,30 @@ impl LoopShared {
         lock(&self.inbox).kicks.push(id);
         // Raised by this loop's own handler mid-dispatch: the flush after
         // the current event picks it up, no wakeup needed.
-        if DISPATCHING.with(|d| std::ptr::eq(d.get(), self)) {
+        if self.dispatching() {
             KICKED.with(|k| k.set(true));
         } else {
             self.wake();
         }
     }
 
-    fn inject(&self, inj: Injected) {
-        lock(&self.inbox).new.push(inj);
-        self.wake();
+    fn inject(&self, inj: Injected) -> io::Result<()> {
+        let mut inbox = lock(&self.inbox);
+        if inbox.closed {
+            drop(inbox); // and `inj`, after it
+            return Err(io::ErrorKind::NotConnected.into());
+        }
+        inbox.new.push(inj);
+        drop(inbox);
+        // Raised by this loop mid-dispatch: the drain ahead runs it.
+        if !self.dispatching() {
+            self.wake();
+        }
+        Ok(())
+    }
+
+    fn dispatching(&self) -> bool {
+        DISPATCHING.with(|d| std::ptr::eq(d.get(), self))
     }
 
     fn wake(&self) {
@@ -205,10 +229,77 @@ impl LoopShared {
     }
 }
 
+/// A value only its event loop touches: the state a loop owns, with no
+/// lock around it. [`LoopCell::with`] panics, in every build, on any
+/// other thread and when re-entered. Other threads reach the value
+/// through [`LoopCell::call`] (or a [`Reactor::post`]); made by
+/// [`Reactor::own`], so the value can be built (and, say, restored from
+/// disk) on the constructing thread first.
+pub struct LoopCell<T> {
+    home: Arc<LoopShared>,
+    busy: Cell<bool>,
+    value: UnsafeCell<T>,
+}
+
+// SAFETY: `value` and `busy` are reached only through `with`, which first
+// checks that this thread runs `home`'s loop. One thread runs a loop, so
+// they are never touched from two threads, and `busy` refuses a nested
+// `with`, so at most one `&mut T` is live. `home` is only compared and
+// injected into, which its own lock guards. `T: Send`, because the cell
+// is built on one thread and used, and perhaps dropped, on another.
+unsafe impl<T: Send> Sync for LoopCell<T> {}
+
+impl<T> LoopCell<T> {
+    fn on_home(&self) -> bool {
+        CURRENT.with(|c| std::ptr::eq(c.get(), Arc::as_ptr(&self.home)))
+    }
+
+    /// Run `f` on the value. Panics unless called on the cell's event
+    /// loop, outside any other `with` of this cell.
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        assert!(self.on_home(), "a LoopCell was touched off its event loop");
+        assert!(!self.busy.replace(true), "a LoopCell was re-entered");
+        // SAFETY: see the `Sync` impl.
+        let out = f(unsafe { &mut *self.value.get() });
+        self.busy.set(false);
+        out
+    }
+
+    /// Post `f` to the cell's loop, behind everything posted there
+    /// before it, and wait for what it returns on the value: `None` if the
+    /// loop has stopped, or stops before `f`'s turn. Panics on the loop's
+    /// own thread, which would wait for itself.
+    pub fn call<R: Send + 'static>(
+        self: &Arc<Self>,
+        f: impl FnOnce(&mut T) -> R + Send + 'static,
+    ) -> Option<R>
+    where
+        T: Send + 'static,
+    {
+        assert!(
+            !self.on_home(),
+            "LoopCell::call on its own loop would wait for itself"
+        );
+        let (tx, rx) = mpsc::sync_channel(1);
+        let cell = Arc::clone(self);
+        let post = move || drop(tx.send(cell.with(f)));
+        self.home.inject(Injected::Post(Box::new(post))).ok()?;
+        rx.recv().ok()
+    }
+}
+
+/// How a connection's socket reaches its loop.
+enum Sock {
+    /// Accepted: already connected.
+    Open(TcpStream),
+    /// To be dialed by the loop ([`Reactor::connect`]).
+    Dial(SocketAddr),
+}
+
 enum Injected {
     Conn {
         id: u64,
-        stream: TcpStream,
+        sock: Sock,
         handler: Box<dyn ConnHandler>,
         outbox: Arc<Outbox>,
     },
@@ -217,6 +308,17 @@ enum Injected {
         listener: TcpListener,
         factory: Arc<AcceptFn>,
     },
+    Post(Box<dyn FnOnce() + Send>),
+    Timer(Timer),
+}
+
+type TimerFn = Box<dyn FnMut() + Send>;
+
+struct Timer {
+    due: Instant,
+    /// `None`: runs once.
+    period: Option<Duration>,
+    run: TimerFn,
 }
 
 struct Conn {
@@ -230,6 +332,8 @@ struct Conn {
     scanned: usize,
     /// Whether write interest is currently armed.
     want_write: bool,
+    /// Dialed and not yet through: the handler is not open.
+    connecting: bool,
 }
 
 enum Entry {
@@ -256,55 +360,31 @@ impl Router {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn pick_loop(&self) -> Arc<LoopShared> {
-        let i = self.next_loop.fetch_add(1, Ordering::Relaxed) % self.loops.len();
-        self.loops[i].clone()
+    fn pick_loop(&self) -> &Arc<LoopShared> {
+        &self.loops[self.next_loop.fetch_add(1, Ordering::Relaxed) % self.loops.len()]
     }
 
-    fn register_stream(
+    fn register(
         &self,
-        stream: TcpStream,
+        shared: &Arc<LoopShared>,
+        sock: Sock,
         handler: Box<dyn ConnHandler>,
     ) -> io::Result<Arc<Outbox>> {
-        if self.shutdown.load(Ordering::Acquire) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "reactor is shut down",
-            ));
-        }
         let id = self.next_id();
-        let shared = self.pick_loop();
         let outbox = Outbox::new(id, self.outbox_limit, shared.clone(), self.stats.clone());
         shared.inject(Injected::Conn {
             id,
-            stream,
+            sock,
             handler,
             outbox: outbox.clone(),
-        });
+        })?;
         Ok(outbox)
-    }
-
-    fn register_listener(&self, listener: TcpListener, factory: Arc<AcceptFn>) -> io::Result<()> {
-        if self.shutdown.load(Ordering::Acquire) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "reactor is shut down",
-            ));
-        }
-        listener.set_nonblocking(true)?;
-        let id = self.next_id();
-        let shared = self.pick_loop();
-        shared.inject(Injected::Listener {
-            id,
-            listener,
-            factory,
-        });
-        Ok(())
     }
 }
 
 /// A running set of event loops multiplexing many connections onto a
-/// fixed number of threads.
+/// fixed number of threads. Posts, timers and dialed connections go to
+/// loop 0, which is the only loop a daemon runs.
 pub struct Reactor {
     router: Arc<Router>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -338,46 +418,79 @@ impl Reactor {
             max_frame: config.max_frame,
             outbox_limit: config.outbox_limit,
         });
-        let mut threads = Vec::with_capacity(n);
+        let reactor = Reactor {
+            router,
+            threads: Mutex::new(Vec::with_capacity(n)),
+        };
         for (i, (rx, poller)) in tails.into_iter().enumerate() {
-            let r = router.clone();
-            let spawned = thread::Builder::new()
+            let r = reactor.router.clone();
+            let handle = thread::Builder::new()
                 .name(format!("{}-{i}", config.thread_name))
                 .stack_size(config.thread_stack)
-                .spawn(move || run_loop(r, i, rx, poller));
-            match spawned {
-                Ok(handle) => threads.push(handle),
-                Err(err) => {
-                    router.shutdown.store(true, Ordering::Release);
-                    for l in &router.loops {
-                        l.wake();
-                    }
-                    for handle in threads {
-                        let _ = handle.join();
-                    }
-                    return Err(err);
-                }
-            }
+                .spawn(move || run_loop(r, i, rx, poller))?; // drop stops the started ones
+            lock(&reactor.threads).push(handle);
         }
-        Ok(Reactor {
-            router,
-            threads: Mutex::new(threads),
-        })
+        Ok(reactor)
     }
 
     /// Serve accepted connections from `listener` through `factory`.
     /// The listener is made nonblocking and owned by one event loop.
     pub fn listen(&self, listener: TcpListener, factory: Arc<AcceptFn>) -> io::Result<()> {
-        self.router.register_listener(listener, factory)
+        listener.set_nonblocking(true)?;
+        let id = self.router.next_id();
+        let injected = Injected::Listener {
+            id,
+            listener,
+            factory,
+        };
+        self.router.pick_loop().inject(injected)
     }
 
-    /// Adopt an already-connected stream onto an event loop.
-    pub fn add_stream(
+    /// Dial `addr` from loop 0 without blocking anyone. `handler` is
+    /// opened once the connect goes through; if it does not, its
+    /// `on_close` gets [`CloseReason::ConnectFailed`]. Frames sent on the
+    /// returned outbox meanwhile leave once it is through.
+    pub fn connect(
         &self,
-        stream: TcpStream,
+        addr: SocketAddr,
         handler: Box<dyn ConnHandler>,
     ) -> io::Result<Arc<Outbox>> {
-        self.router.register_stream(stream, handler)
+        let home = &self.router.loops[0];
+        self.router.register(home, Sock::Dial(addr), handler)
+    }
+
+    /// Run `f` on loop 0, after everything posted before it.
+    pub fn post(&self, f: impl FnOnce() + Send + 'static) -> io::Result<()> {
+        self.router.loops[0].inject(Injected::Post(Box::new(f)))
+    }
+
+    /// Run `f` on loop 0 every `period`, the first time one period from now.
+    pub fn every(&self, period: Duration, f: impl FnMut() + Send + 'static) -> io::Result<()> {
+        self.timer(period, Some(period), Box::new(f))
+    }
+
+    /// Run `f` once on loop 0, `delay` from now.
+    pub fn after(&self, delay: Duration, f: impl FnOnce() + Send + 'static) -> io::Result<()> {
+        let mut f = Some(f);
+        self.timer(
+            delay,
+            None,
+            Box::new(move || f.take().into_iter().for_each(|f| f())),
+        )
+    }
+
+    fn timer(&self, delay: Duration, period: Option<Duration>, run: TimerFn) -> io::Result<()> {
+        let due = Instant::now() + delay;
+        self.router.loops[0].inject(Injected::Timer(Timer { due, period, run }))
+    }
+
+    /// Hand `value` to loop 0: from now on only that loop touches it.
+    pub fn own<T: Send>(&self, value: T) -> LoopCell<T> {
+        LoopCell {
+            home: Arc::clone(&self.router.loops[0]),
+            busy: Cell::new(false),
+            value: UnsafeCell::new(value),
+        }
     }
 
     /// Shared counters for observability bridges.
@@ -390,9 +503,10 @@ impl Reactor {
         self.router.loops.len()
     }
 
-    /// Stop all loops and join their threads. Queued outbound bytes
-    /// get one best-effort nonblocking flush; handlers do not receive
-    /// `on_close` for connections torn down by shutdown.
+    /// Stop all loops and join their threads. What was already posted
+    /// runs first; queued outbound bytes get one best-effort nonblocking
+    /// flush; handlers do not receive `on_close` for connections torn
+    /// down by shutdown.
     pub fn shutdown(&self) {
         self.router.shutdown.store(true, Ordering::Release);
         for l in &self.router.loops {
@@ -414,196 +528,321 @@ impl Drop for Reactor {
 /// Per-loop scratch read buffer size.
 const READ_CHUNK: usize = 64 << 10;
 
-fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, mut poller: Box<dyn Poller>) {
+fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, poller: Box<dyn Poller>) {
     let shared = router.loops[me].clone();
-    let mut entries: HashMap<u64, Entry> = HashMap::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    // The kick list's spare buffer: taking the list costs no allocation.
-    let mut kicked: Vec<u64> = Vec::new();
-    // If the waker cannot be registered the loop degrades to timed
-    // polling so shutdown and kicks still land.
-    let waker_armed = poller
-        .add(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)
-        .is_ok();
-    let timeout_ms = if waker_armed { -1 } else { 20 };
-    loop {
-        if poller.wait(&mut events, timeout_ms).is_err() {
-            break;
-        }
-        router.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-        DISPATCHING.with(|d| d.set(Arc::as_ptr(&shared)));
-        for ev in events.iter().copied() {
-            if ev.token == WAKE_TOKEN {
-                // A short read emptied the pipe; only a full buffer
-                // can leave bytes behind.
-                let mut buf = [0u8; 64];
-                while sys::read_fd(wake_rx.as_raw_fd(), &mut buf) == buf.len() as isize {}
-                continue;
-            }
-            if ev.readable {
-                if matches!(entries.get(&ev.token), Some(Entry::Listener { .. })) {
-                    accept_ready(&entries, &router, ev.token);
-                } else if let Some(Entry::Conn(conn)) = entries.get_mut(&ev.token) {
-                    if let Err(reason) = pump_frames(conn, &mut chunk, &router) {
-                        teardown(&mut entries, poller.as_mut(), &router, ev.token, reason);
-                    }
-                }
-            }
-            if ev.writable && entries.contains_key(&ev.token) {
-                flush_and_apply(&mut entries, poller.as_mut(), &router, ev.token);
-            }
-            // Replies leave with the event that produced them.
-            if KICKED.with(|k| k.replace(false)) {
-                flush_kicked(&router, &shared, &mut entries, poller.as_mut(), &mut kicked);
-            }
-        }
-        // From here on a kick must write the pipe again: one raised
-        // while the inbox drains (an `on_close` sending to a sibling)
-        // lands after the drain took its snapshot.
-        DISPATCHING.with(|d| d.set(std::ptr::null()));
-        KICKED.with(|k| k.set(false));
-        drain_inbox(&router, &shared, &mut entries, poller.as_mut(), &mut kicked);
-        if router.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-    }
-    // Shutdown path: flush what the kernel will take without waiting,
-    // mark every outbox closed so senders fail fast, and drop the
-    // entries without per-connection on_close callbacks.
-    for (_, entry) in entries.drain() {
-        if let Entry::Conn(conn) = entry {
-            let mut q = lock(&conn.outbox.q);
-            while !q.buf.is_empty() {
-                let n = {
-                    let (front, _) = q.buf.as_slices();
-                    match (&conn.stream).write(front) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => n,
-                    }
-                };
-                q.buf.drain(..n);
-                router
-                    .stats
-                    .bytes_out
-                    .fetch_add(n as u64, Ordering::Relaxed);
-            }
-            q.buf.clear();
-            if q.closed.is_none() {
-                q.closed = Some(CloseReason::Closed);
-            }
-        }
-    }
-    let mut inbox = lock(&shared.inbox);
-    for inj in inbox.new.drain(..) {
-        if let Injected::Conn { outbox, .. } = inj {
-            outbox.mark_closed(CloseReason::Closed);
-        }
-    }
-    inbox.kicks.clear();
+    CURRENT.with(|c| c.set(Arc::as_ptr(&shared)));
+    let mut lp = Loop {
+        router,
+        shared,
+        poller,
+        entries: HashMap::new(),
+        timers: Vec::new(),
+        kicked: Vec::new(),
+    };
+    lp.run(wake_rx);
 }
 
-/// Drain pending registrations, then every kick still pending.
-fn drain_inbox(
-    router: &Arc<Router>,
-    shared: &Arc<LoopShared>,
-    entries: &mut HashMap<u64, Entry>,
-    poller: &mut dyn Poller,
-    kicked: &mut Vec<u64>,
-) {
-    let new = std::mem::take(&mut lock(&shared.inbox).new);
-    for inj in new {
-        match inj {
-            Injected::Conn {
-                id,
-                stream,
-                mut handler,
-                outbox,
-            } => {
-                router
-                    .stats
-                    .connections_registered
-                    .fetch_add(1, Ordering::Relaxed);
-                let fd = stream.as_raw_fd();
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err()
-                    || poller.add(fd, id, Interest::READ).is_err()
-                {
-                    outbox.mark_closed(CloseReason::ReadError);
-                    router
-                        .stats
-                        .connections_closed
-                        .fetch_add(1, Ordering::Relaxed);
-                    handler.on_close(CloseReason::ReadError);
+/// One event loop's own state, on its own thread.
+struct Loop {
+    router: Arc<Router>,
+    shared: Arc<LoopShared>,
+    poller: Box<dyn Poller>,
+    entries: HashMap<u64, Entry>,
+    timers: Vec<Timer>,
+    /// The kick list's spare buffer: taking the list costs no allocation.
+    kicked: Vec<u64>,
+}
+
+impl Loop {
+    fn run(&mut self, wake_rx: OwnedFd) {
+        let mut events: Vec<Event> = Vec::new();
+        let mut chunk = vec![0u8; READ_CHUNK];
+        // If the waker cannot be registered the loop degrades to timed
+        // polling so shutdown and kicks still land.
+        let waker = self
+            .poller
+            .add(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ);
+        let idle_ms = if waker.is_ok() { i32::MAX } else { 20 };
+        loop {
+            if self
+                .poller
+                .wait(&mut events, self.timeout_ms(idle_ms))
+                .is_err()
+            {
+                return;
+            }
+            self.router.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+            DISPATCHING.with(|d| d.set(Arc::as_ptr(&self.shared)));
+            for ev in events.iter().copied() {
+                if ev.token == WAKE_TOKEN {
+                    // A short read emptied the pipe; only a full buffer
+                    // can leave bytes behind.
+                    let mut buf = [0u8; 64];
+                    while sys::read_fd(wake_rx.as_raw_fd(), &mut buf) == buf.len() as isize {}
                     continue;
                 }
-                handler.on_open(&outbox);
-                entries.insert(
-                    id,
-                    Entry::Conn(Conn {
-                        stream,
-                        fd,
+                self.ready(ev, &mut chunk);
+                // Replies leave with the event that produced them.
+                if KICKED.with(|k| k.replace(false)) {
+                    self.flush_kicked();
+                }
+            }
+            self.run_timers();
+            self.drain_inbox();
+            // From here on a kick must write the pipe again: one raised
+            // while the kick list is flushed (an `on_close` sending to a
+            // sibling) lands after the flush took its snapshot.
+            DISPATCHING.with(|d| d.set(std::ptr::null()));
+            KICKED.with(|k| k.set(false));
+            self.flush_kicked();
+            if self.router.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+        }
+    }
+
+    /// How long the loop may sleep: until its next timer is due, rounded
+    /// up to the millisecond so that no timer runs early.
+    fn timeout_ms(&self, idle_ms: i32) -> i32 {
+        let now = Instant::now();
+        let due = self
+            .timers
+            .iter()
+            .map(|t| t.due.saturating_duration_since(now));
+        let ms = due.map(|left| left.as_micros().div_ceil(1000)).min();
+        match ms.map_or(idle_ms, |ms| ms.min(idle_ms as u128) as i32) {
+            i32::MAX => -1,
+            ms => ms,
+        }
+    }
+
+    /// Run every timer that is due; a periodic one is next due a period
+    /// after this run.
+    fn run_timers(&mut self) {
+        let now = Instant::now();
+        self.timers.retain_mut(|t| {
+            if t.due > now {
+                return true;
+            }
+            (t.run)();
+            t.period.inspect(|&period| t.due = now + period).is_some()
+        });
+    }
+
+    /// One readiness event on a connection or a listener.
+    fn ready(&mut self, ev: Event, chunk: &mut [u8]) {
+        match self.entries.get_mut(&ev.token) {
+            Some(Entry::Conn(conn)) if conn.connecting => self.connected(ev.token),
+            Some(Entry::Conn(conn)) => {
+                if ev.readable {
+                    if let Err(reason) = pump_frames(conn, chunk, &self.router) {
+                        return self.teardown(ev.token, reason);
+                    }
+                }
+                if ev.writable {
+                    self.flush(ev.token);
+                }
+            }
+            Some(Entry::Listener { .. }) if ev.readable => self.accept(ev.token),
+            _ => {}
+        }
+    }
+
+    /// Run what was injected, in order, until nothing new is left: what a
+    /// post or a registration injects runs in the same drain.
+    fn drain_inbox(&mut self) {
+        loop {
+            let new = std::mem::take(&mut lock(&self.shared.inbox).new);
+            if new.is_empty() {
+                return;
+            }
+            for inj in new {
+                match inj {
+                    Injected::Conn {
+                        id,
+                        sock,
                         handler,
                         outbox,
-                        rbuf: Vec::new(),
-                        scanned: 0,
-                        want_write: false,
-                    }),
-                );
-                // on_open may have queued frames already.
-                flush_and_apply(entries, poller, router, id);
-            }
-            Injected::Listener {
-                id,
-                listener,
-                factory,
-            } => {
-                if poller.add(listener.as_raw_fd(), id, Interest::READ).is_ok() {
-                    entries.insert(id, Entry::Listener { listener, factory });
-                    // Connections may have queued while registration
-                    // was in flight.
-                    accept_ready(entries, router, id);
+                    } => self.open(id, sock, handler, outbox),
+                    Injected::Listener {
+                        id,
+                        listener,
+                        factory,
+                    } => {
+                        if self
+                            .poller
+                            .add(listener.as_raw_fd(), id, Interest::READ)
+                            .is_ok()
+                        {
+                            self.entries
+                                .insert(id, Entry::Listener { listener, factory });
+                            // Connections may have queued while
+                            // registration was in flight.
+                            self.accept(id);
+                        }
+                    }
+                    Injected::Post(f) => f(),
+                    Injected::Timer(timer) => self.timers.push(timer),
                 }
             }
         }
     }
-    flush_kicked(router, shared, entries, poller, kicked);
-}
 
-/// Flush every connection a kick names. The list trades buffers with
-/// `spare`, so neither is ever freed.
-fn flush_kicked(
-    router: &Arc<Router>,
-    shared: &LoopShared,
-    entries: &mut HashMap<u64, Entry>,
-    poller: &mut dyn Poller,
-    spare: &mut Vec<u64>,
-) {
-    std::mem::swap(spare, &mut lock(&shared.inbox).kicks);
-    for id in spare.drain(..) {
-        flush_and_apply(entries, poller, router, id);
+    /// Register a connection with this loop: an accepted one is opened at
+    /// once, a dialed one when its connect goes through.
+    fn open(
+        &mut self,
+        id: u64,
+        sock: Sock,
+        mut handler: Box<dyn ConnHandler>,
+        outbox: Arc<Outbox>,
+    ) {
+        let stats = &self.router.stats;
+        stats.connections_registered.fetch_add(1, Ordering::Relaxed);
+        let (stream, connecting, failed) = match sock {
+            Sock::Open(stream) => (Ok(stream), false, CloseReason::ReadError),
+            Sock::Dial(addr) => (sys::dial(addr), true, CloseReason::ConnectFailed),
+        };
+        let interest = Interest {
+            read: true,
+            write: connecting,
+        };
+        let poller = &mut self.poller;
+        let registered = stream.and_then(|stream| {
+            let _ = stream.set_nodelay(true);
+            stream.set_nonblocking(true)?;
+            poller.add(stream.as_raw_fd(), id, interest)?;
+            Ok(stream)
+        });
+        let Ok(stream) = registered else {
+            outbox.mark_closed(failed);
+            stats.connections_closed.fetch_add(1, Ordering::Relaxed);
+            return handler.on_close(failed);
+        };
+        if !connecting {
+            handler.on_open(&outbox);
+        }
+        let conn = Conn {
+            fd: stream.as_raw_fd(),
+            stream,
+            handler,
+            outbox,
+            rbuf: Vec::new(),
+            scanned: 0,
+            want_write: connecting,
+            connecting,
+        };
+        self.entries.insert(id, Entry::Conn(conn));
+        // on_open may have queued frames already.
+        self.flush(id);
+    }
+
+    /// A dialed connection's first readiness event: its connect is over,
+    /// one way or the other.
+    fn connected(&mut self, id: u64) {
+        let Some(Entry::Conn(conn)) = self.entries.get_mut(&id) else {
+            return;
+        };
+        if !matches!(conn.stream.take_error(), Ok(None)) || conn.stream.peer_addr().is_err() {
+            return self.teardown(id, CloseReason::ConnectFailed);
+        }
+        conn.connecting = false;
+        conn.handler.on_open(&conn.outbox);
+        self.flush(id);
+    }
+
+    /// Flush every connection a kick names. The list trades buffers with
+    /// `kicked`, so neither is ever freed.
+    fn flush_kicked(&mut self) {
+        let mut kicked = std::mem::take(&mut self.kicked);
+        std::mem::swap(&mut kicked, &mut lock(&self.shared.inbox).kicks);
+        for id in kicked.drain(..) {
+            self.flush(id);
+        }
+        self.kicked = kicked;
+    }
+
+    /// Accept until the listener would block, registering each connection
+    /// with the router's next loop (round-robin).
+    fn accept(&self, id: u64) {
+        let Some(Entry::Listener { listener, factory }) = self.entries.get(&id) else {
+            return;
+        };
+        let router = &self.router;
+        loop {
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    if let Some(handler) = factory(&stream, peer) {
+                        // Shed silently if the reactor is shutting down.
+                        let _ = router.register(router.pick_loop(), Sock::Open(stream), handler);
+                    }
+                }
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+                // Transient accept failures (EMFILE, ECONNABORTED): stop
+                // this round; the listener stays registered.
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Flush a connection's outbox, then re-arm interest or tear down.
+    fn flush(&mut self, id: u64) {
+        let Some(Entry::Conn(conn)) = self.entries.get_mut(&id) else {
+            return;
+        };
+        let want_write = match flush_outbox(conn, &self.router) {
+            FlushResult::Idle => false,
+            FlushResult::Arm => true,
+            FlushResult::Close(reason) => return self.teardown(id, reason),
+        };
+        if conn.want_write != want_write {
+            conn.want_write = want_write;
+            let interest = Interest {
+                read: true,
+                write: want_write,
+            };
+            if self.poller.modify(conn.fd, id, interest).is_err() {
+                self.teardown(id, CloseReason::WriteError);
+            }
+        }
+    }
+
+    /// Remove a connection, deregister its fd, and fire `on_close` once.
+    fn teardown(&mut self, id: u64, reason: CloseReason) {
+        if let Some(Entry::Conn(mut conn)) = self.entries.remove(&id) {
+            let _ = self.poller.remove(conn.fd);
+            conn.outbox.mark_closed(reason);
+            let closed = &self.router.stats.connections_closed;
+            closed.fetch_add(1, Ordering::Relaxed);
+            conn.handler.on_close(reason);
+        }
     }
 }
 
-/// Accept until the listener would block, registering each connection
-/// with the router's next loop (round-robin).
-fn accept_ready(entries: &HashMap<u64, Entry>, router: &Arc<Router>, id: u64) {
-    let Some(Entry::Listener { listener, factory }) = entries.get(&id) else {
-        return;
-    };
-    loop {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if let Some(handler) = factory(&stream, peer) {
-                    // Shed silently if the reactor is shutting down.
-                    let _ = router.register_stream(stream, handler);
-                }
+impl Drop for Loop {
+    /// However the loop ended: flush what the kernel will take without
+    /// waiting, mark every outbox closed so senders fail fast, and drop
+    /// the entries without per-connection `on_close` callbacks. Then close
+    /// the inbox: what is still queued is dropped, so a [`LoopCell::call`]
+    /// waiting on it returns.
+    fn drop(&mut self) {
+        for (_, entry) in self.entries.drain() {
+            if let Entry::Conn(mut conn) = entry {
+                flush_outbox(&mut conn, &self.router);
+                conn.outbox.mark_closed(CloseReason::Closed);
             }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-            // Transient accept failures (EMFILE, ECONNABORTED): stop
-            // this round; the listener stays registered.
-            Err(_) => return,
+        }
+        let new = {
+            let mut inbox = lock(&self.shared.inbox);
+            inbox.closed = true;
+            inbox.kicks.clear();
+            std::mem::take(&mut inbox.new)
+        };
+        for inj in new {
+            if let Injected::Conn { outbox, .. } = inj {
+                outbox.mark_closed(CloseReason::Closed);
+            }
         }
     }
 }
@@ -665,6 +904,9 @@ fn flush_outbox(conn: &mut Conn, router: &Arc<Router>) -> FlushResult {
             return FlushResult::Close(reason);
         }
     }
+    if conn.connecting {
+        return FlushResult::Arm;
+    }
     while !q.buf.is_empty() {
         let n = {
             let (front, _) = q.buf.as_slices();
@@ -689,69 +931,10 @@ fn flush_outbox(conn: &mut Conn, router: &Arc<Router>) -> FlushResult {
     }
 }
 
-/// Flush a connection's outbox, then re-arm interest or tear down.
-fn flush_and_apply(
-    entries: &mut HashMap<u64, Entry>,
-    poller: &mut dyn Poller,
-    router: &Arc<Router>,
-    id: u64,
-) {
-    let result = match entries.get_mut(&id) {
-        Some(Entry::Conn(conn)) => flush_outbox(conn, router),
-        _ => return,
-    };
-    match result {
-        FlushResult::Idle => {
-            let rearm_failed = match entries.get_mut(&id) {
-                Some(Entry::Conn(conn)) if conn.want_write => {
-                    conn.want_write = false;
-                    poller.modify(conn.fd, id, Interest::READ).is_err()
-                }
-                _ => false,
-            };
-            if rearm_failed {
-                teardown(entries, poller, router, id, CloseReason::WriteError);
-            }
-        }
-        FlushResult::Arm => {
-            let arm_failed = match entries.get_mut(&id) {
-                Some(Entry::Conn(conn)) if !conn.want_write => {
-                    conn.want_write = true;
-                    poller.modify(conn.fd, id, Interest::READ_WRITE).is_err()
-                }
-                _ => false,
-            };
-            if arm_failed {
-                teardown(entries, poller, router, id, CloseReason::WriteError);
-            }
-        }
-        FlushResult::Close(reason) => teardown(entries, poller, router, id, reason),
-    }
-}
-
-/// Remove a connection, deregister its fd, and fire `on_close` once.
-fn teardown(
-    entries: &mut HashMap<u64, Entry>,
-    poller: &mut dyn Poller,
-    router: &Arc<Router>,
-    id: u64,
-    reason: CloseReason,
-) {
-    if let Some(Entry::Conn(mut conn)) = entries.remove(&id) {
-        let _ = poller.remove(conn.fd);
-        conn.outbox.mark_closed(reason);
-        router
-            .stats
-            .connections_closed
-            .fetch_add(1, Ordering::Relaxed);
-        conn.handler.on_close(reason);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
+    use std::panic::AssertUnwindSafe;
 
     /// Shared recording surface the test handlers write into.
     #[derive(Default)]
@@ -1221,5 +1404,118 @@ mod tests {
         }
         wait_until("64 frames", || probe.frames().len() == 64);
         assert_eq!(reactor.stats().connections_open(), 64);
+    }
+    fn one_loop() -> Reactor {
+        let config = ReactorConfig {
+            event_loops: 1,
+            ..ReactorConfig::default()
+        };
+        Reactor::start(config).unwrap()
+    }
+
+    #[test]
+    fn a_timer_runs_on_the_loop_and_never_before_its_period() {
+        const PERIOD: Duration = Duration::from_millis(30);
+        let reactor = one_loop();
+        let (tx, rx) = mpsc::channel();
+        let cell = Arc::new(reactor.own(()));
+        let loop_thread = cell.call(|_| thread::current().id()).unwrap();
+        let armed = Instant::now();
+        reactor
+            .every(PERIOD, move || {
+                let _ = tx.send((thread::current().id(), Instant::now()));
+            })
+            .unwrap();
+        let mut last = armed;
+        for n in 1..=3 {
+            let (on, at) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(on, loop_thread);
+            assert!(
+                at - last >= PERIOD,
+                "run {n} came {:?} after the last",
+                at - last
+            );
+            last = at;
+        }
+    }
+
+    #[test]
+    fn posts_run_in_order_and_a_cell_is_theirs_alone() {
+        let reactor = one_loop();
+        let cell = Arc::new(reactor.own(Vec::new()));
+        for i in 0..100 {
+            let cell = Arc::clone(&cell);
+            reactor.post(move || cell.with(|v| v.push(i))).unwrap();
+        }
+        let got = cell.call(|v| v.clone()).unwrap();
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
+        let off_loop = std::panic::catch_unwind(AssertUnwindSafe(|| cell.with(|v| v.len())));
+        assert!(off_loop.is_err(), "a LoopCell let a client thread in");
+    }
+
+    #[test]
+    fn a_call_after_shutdown_returns_none() {
+        let reactor = one_loop();
+        let cell = Arc::new(reactor.own(7));
+        assert_eq!(cell.call(|v| *v), Some(7));
+        reactor.shutdown();
+        assert_eq!(cell.call(|v| *v), None);
+        assert!(reactor.post(|| {}).is_err());
+    }
+
+    #[test]
+    fn a_call_from_the_loop_itself_panics() {
+        let reactor = one_loop();
+        let cell = Arc::new(reactor.own(1));
+        let (tx, rx) = mpsc::channel();
+        reactor
+            .post(move || {
+                let waited = std::panic::catch_unwind(AssertUnwindSafe(|| cell.call(|v| *v)));
+                let _ = tx.send(waited.is_err());
+            })
+            .unwrap();
+        let panicked = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(panicked, "a call on the loop thread waited for itself");
+    }
+
+    #[test]
+    fn connect_to_a_refused_port_reaches_on_close() {
+        let reactor = one_loop();
+        let refused = {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap()
+        };
+        let probe = Arc::new(Probe::default());
+        let conn = ProbeConn {
+            probe: probe.clone(),
+            greeting: vec![b"never\n".to_vec()],
+            close_after: None,
+            seen: 0,
+        };
+        let outbox = reactor.connect(refused, Box::new(conn)).unwrap();
+        wait_until("the failed connect", || !probe.closes().is_empty());
+        assert_eq!(probe.closes(), vec![CloseReason::ConnectFailed]);
+        assert!(probe.outbox().is_none(), "a failed connect was opened");
+        assert!(!outbox.send(b"late\n"));
+    }
+
+    #[test]
+    fn connect_to_a_listening_port_opens_and_echoes() {
+        let (_server, _, addr) = start_echo();
+        let client = one_loop();
+        let probe = Arc::new(Probe::default());
+        let conn = ProbeConn {
+            probe: probe.clone(),
+            greeting: vec![b"hello\n".to_vec()],
+            close_after: None,
+            seen: 0,
+        };
+        let outbox = client.connect(addr, Box::new(conn)).unwrap();
+        // Queued before the connect is through: leaves once it is.
+        assert!(outbox.send(b"early\n"));
+        wait_until("the echoes", || probe.frames().len() == 2);
+        assert_eq!(probe.frames(), vec![b"early".to_vec(), b"hello".to_vec()]);
+        assert!(probe.outbox().is_some());
+        assert!(probe.closes().is_empty());
     }
 }

@@ -3,20 +3,27 @@
 //! `std` already links the platform C library, so the readiness
 //! syscalls the reactor needs are one `extern "C"` block away — no
 //! `libc` crate, keeping this crate zero-dependency like jets-obs and
-//! jets-lint. Only the handful of calls the poller backends use are
-//! declared, with the constants for the supported platforms spelled
-//! out next to them. Constants are the x86_64/aarch64 values; those
-//! are the only Linux architectures this workspace targets.
+//! jets-lint. Only the handful of calls the poller backends and the
+//! nonblocking dial use are declared, with the constants for the
+//! supported platforms spelled out next to them. Constants are the
+//! x86_64/aarch64 values; those are the only Linux architectures this
+//! workspace targets.
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{FromRawFd, RawFd};
 use std::os::raw::{c_int, c_void};
 
 extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
 }
+
+/// `SOCK_STREAM`, the same on every supported platform.
+const SOCK_STREAM: c_int = 1;
 
 /// Close a raw descriptor, ignoring errors (used on teardown paths
 /// where there is nothing left to do about one).
@@ -34,6 +41,50 @@ pub fn read_fd(fd: RawFd, buf: &mut [u8]) -> isize {
 /// Nonblocking byte write on a raw descriptor (the waker pipe).
 pub fn write_fd(fd: RawFd, buf: &[u8]) -> isize {
     unsafe { write(fd, buf.as_ptr() as *const c_void, buf.len()) }
+}
+
+/// Open a nonblocking TCP socket and start connecting it to `addr`.
+/// `Ok` means the connect is under way (or done): the socket's first
+/// readiness event says which way it went.
+pub fn dial(addr: SocketAddr) -> io::Result<TcpStream> {
+    use platform::{AF_INET, AF_INET6};
+    // `sockaddr_in` / `sockaddr_in6` by hand: family, port in network
+    // order, then the address (and the v6 flow and scope words).
+    let mut sa = [0u8; 28];
+    sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            sa[4..8].copy_from_slice(&a.ip().octets());
+            (AF_INET, 16)
+        }
+        SocketAddr::V6(a) => {
+            sa[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+            sa[8..24].copy_from_slice(&a.ip().octets());
+            sa[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (AF_INET6, 28)
+        }
+    };
+    // The family, native-endian; the BSDs put the length in front of it.
+    sa[..2].copy_from_slice(&match cfg!(target_os = "linux") {
+        true => (family as u16).to_ne_bytes(),
+        false => [len as u8, family as u8],
+    });
+    // SAFETY: plain integer arguments; the result is checked.
+    let fd = unsafe { socket(family, SOCK_STREAM | platform::SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` is the socket just opened, owned by nothing else.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    stream.set_nonblocking(true)?;
+    // SAFETY: `sa` holds a `sockaddr` of `len` bytes, which `connect` reads.
+    if unsafe { connect(fd, sa.as_ptr().cast(), len as u32) } < 0 {
+        let err = io::Error::last_os_error();
+        if err.raw_os_error() != Some(platform::EINPROGRESS) {
+            return Err(err);
+        }
+    }
+    Ok(stream)
 }
 
 /// Create the loop's self-pipe waker: `(read_end, write_end)`, both
@@ -92,6 +143,11 @@ pub mod platform {
 
     const O_NONBLOCK: c_int = 0o4000;
     const O_CLOEXEC: c_int = 0o2000000;
+    /// `socket` address families, type flag and the in-progress errno.
+    pub const AF_INET: c_int = 2;
+    pub const AF_INET6: c_int = 10;
+    pub const SOCK_CLOEXEC: c_int = O_CLOEXEC;
+    pub const EINPROGRESS: i32 = 115;
 
     pub(crate) fn wake_pipe() -> io::Result<(RawFd, RawFd)> {
         let mut fds = [0 as c_int; 2];
@@ -169,6 +225,12 @@ pub mod platform {
     const F_SETFL: c_int = 4;
     const FD_CLOEXEC: c_int = 1;
     const O_NONBLOCK: c_int = 0x0004;
+    /// `socket` address families (macOS numbering), no type flag (the
+    /// descriptor is not close-on-exec) and the in-progress errno.
+    pub const AF_INET: c_int = 2;
+    pub const AF_INET6: c_int = 30;
+    pub const SOCK_CLOEXEC: c_int = 0;
+    pub const EINPROGRESS: i32 = 36;
 
     pub(crate) fn wake_pipe() -> io::Result<(RawFd, RawFd)> {
         let mut fds = [0 as c_int; 2];

@@ -5,54 +5,48 @@
 //! [`crate::core`], and each guarantee is an invariant the seeded world
 //! (`cluster_sim::des`) checks after every input of 2,000 fault
 //! schedules. This file owns what the core may not: the sockets, the
-//! clock, the one lock, the metric handles and the event ring.
+//! clock, the metric handles and the event ring.
 //!
 //! ## Thread anatomy
 //!
-//! * **the event loop** (`relay-loop-0`) — every member connection, the
-//!   upstream session and any `/metrics` scrape are state machines on one
-//!   `jets-reactor` loop.
-//!   A frame is decoded and handed to the core under the state lock — a
-//!   member's to [`RelayCore::member_frame`], the upstream session's to
-//!   [`RelayCore::upstream`] — and whatever the core emits is encoded
-//!   onto the target connection's
-//!   bounded outbox before the callback returns; the loop writes those
-//!   outboxes as soon as the readiness event is handled, before it turns
-//!   to the next connection. A member's `Done` and `Request`, read in one
-//!   segment, therefore leave upstream as `RelayDone` + `RelayRequest` in
-//!   one `write` with no thread hand-off, and a `RelayAssign` reaches its
-//!   member the same way.
-//! * **the housekeeping thread** (`relay-keeper`) — everything that
-//!   blocks: connect upstream with the worker agent's backoff policy,
-//!   adopt the socket onto the loop ([`Reactor::add_stream`]), then sleep
-//!   on a condvar until the session's `on_close`, delivering
-//!   [`RelayCore::tick`] every `liveness_flush` meanwhile. A session that
-//!   ends before the dispatcher acked its hello counts as a failed
-//!   attempt, so a peer that accepts and closes is backed off from like
-//!   one that refuses.
+//! One thread, the event loop (`relay-loop-0`): every member connection,
+//! the upstream session and any `/metrics` scrape are state machines on
+//! it. A frame is decoded and handed to the core — a member's to
+//! [`RelayCore::member_frame`], the upstream session's to
+//! [`RelayCore::upstream`] — and whatever the core emits is encoded onto
+//! the target connection's bounded outbox before the callback returns;
+//! the loop writes those outboxes as soon as the readiness event is
+//! handled. A member's `Done` and `Request`, read in one segment, leave
+//! upstream as `RelayDone` + `RelayRequest` in one `write` with no thread
+//! hand-off, and a `RelayAssign` reaches its member the same way.
+//!
+//! The loop dials upstream itself ([`Reactor::connect`]): a session
+//! begins in the connection's `on_open` and ends in its `on_close`. One
+//! that ends before its hello is acked, a refused connect included, is a
+//! failed attempt, and the next waits out the worker agent's backoff on a
+//! timer ([`Reactor::after`]). Another timer delivers [`RelayCore::tick`].
 //!
 //! ## Locking
 //!
-//! One mutex guards the core and the connection handles its effects
-//! reach. The loop, the housekeeping thread and the accessors on
-//! [`Relay`] are the only takers, and none holds it across a blocking
-//! call: sends under it are outbox pushes.
+//! None: the loop owns the core and the connection handles as a
+//! [`LoopCell`], and [`Relay`]'s methods are calls posted to it.
 
 use crate::core::{Effects, Fact, RelayCore};
 use crate::metrics::RelayMetrics;
 use jets_core::events::{EventLog, WriterRole};
 use jets_core::protocol::{decode_msg, encode_msg_buf, DispatcherMsg, WorkerMsg, MAX_FRAME_BYTES};
-use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig, ReactorStats};
-use jets_ring::stdx::{wait_for, Guard, Mutex, Rank, SplitMix64};
+use jets_reactor::{
+    CloseReason, ConnHandler, Flow, LoopCell, Outbox, Reactor, ReactorConfig, ReactorStats,
+};
+use jets_ring::stdx::SplitMix64;
 use jets_worker::ReconnectPolicy;
 use std::collections::HashMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar};
-use std::thread::{self, JoinHandle};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// Stack size for relay service threads.
+/// Stack size for the relay's event loop.
 const CONN_STACK: usize = 192 * 1024;
 
 /// Tuning knobs for one relay daemon.
@@ -146,28 +140,13 @@ pub struct RelayStats {
     pub upstream_sessions: u64,
 }
 
-/// One reactor connection, as the shell holds it.
-struct Link {
-    /// The bounded outbox the event loop drains. Never blocks.
-    out: Arc<Outbox>,
-    /// Socket clone for severing ([`Relay::kill`]).
-    sock: Option<TcpStream>,
-}
-
-impl Link {
-    fn sever(&self) {
-        if let Some(sock) = &self.sock {
-            let _ = sock.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// What the core's effects reach, keyed the way the core names them.
+/// What the core's effects reach, keyed the way the core names them:
+/// each connection's bounded outbox, which the loop drains.
 #[derive(Default)]
 struct Links {
-    members: HashMap<u64, Link>,
+    members: HashMap<u64, Arc<Outbox>>,
     /// The current upstream session and its number.
-    up: Option<(u64, Link)>,
+    up: Option<(u64, Arc<Outbox>)>,
     /// The dispatcher acked the current session's hello.
     hello_acked: bool,
     /// Dispatcher-ordered shutdown, [`Relay::kill`] / [`Relay::shutdown`],
@@ -177,22 +156,33 @@ struct Links {
     enc: Vec<u8>,
 }
 
+/// The event loop's own state: the core, what its effects reach, and
+/// where the upstream reconnect stands: the last session dialed, the
+/// attempts failed in a row, the backoff's seeded jitter.
 struct State {
+    inner: Arc<Inner>,
     core: RelayCore,
     links: Links,
+    session: u64,
+    failed: u32,
+    jitter: SplitMix64,
 }
+
+/// The loop's handle on its state.
+type Owned = Arc<LoopCell<State>>;
 
 struct Inner {
     config: RelayConfig,
+    /// `dispatcher_addr`, resolved once at start; `None` fails every
+    /// attempt.
+    upstream: Option<SocketAddr>,
     epoch: Instant,
-    state: Mutex<State>,
-    /// Wakes the housekeeping thread: the session ended, or the relay
-    /// stopped. Paired with `state`.
-    wake: Condvar,
     metrics: Arc<RelayMetrics>,
     /// Span edges and operational events (buffer overflow) — same log
     /// shape the dispatcher keeps, dumped by `jets events`.
     events: EventLog,
+    /// The loop's own reactor (weak: the loop holds this), to dial with.
+    reactor: Weak<Reactor>,
 }
 
 /// The shell's [`Effects`]: where the core's decisions become bytes.
@@ -201,33 +191,33 @@ struct Sink<'a> {
     links: &'a mut Links,
     /// The connection an unregistered member's frame was read from,
     /// which a `Register` binds.
-    from: Option<Link>,
+    from: Option<Arc<Outbox>>,
 }
 
-/// Encode `msg` onto a member's outbox. A failed send means the outbox
-/// is closed or overflowed: the reactor is tearing the connection down,
-/// and its `on_close` unwinds the state.
-fn send_member(link: &Link, enc: &mut Vec<u8>, msg: &DispatcherMsg) {
-    let _ = encode_msg_buf(msg, enc).is_ok() && link.out.send(enc);
+/// Encode `msg` onto an outbox. A failed send means the outbox is closed
+/// or overflowed: the reactor is tearing the connection down, and its
+/// `on_close` unwinds the state.
+fn send(out: &Outbox, enc: &mut Vec<u8>, msg: &DispatcherMsg) {
+    let _ = encode_msg_buf(msg, enc).is_ok() && out.send(enc);
 }
 
 impl Effects for Sink<'_> {
     fn to_member(&mut self, local: u64, msg: &DispatcherMsg) {
-        if let Some(link) = self.links.members.get(&local) {
-            send_member(link, &mut self.links.enc, msg);
+        if let Some(out) = self.links.members.get(&local) {
+            send(out, &mut self.links.enc, msg);
         }
     }
 
     fn to_upstream(&mut self, msg: &WorkerMsg) {
         let Links { up, enc, .. } = &mut *self.links;
-        if let Some((_, link)) = up {
-            let _ = encode_msg_buf(msg, enc).is_ok() && link.out.send(enc);
+        if let Some((_, out)) = up {
+            let _ = encode_msg_buf(msg, enc).is_ok() && out.send(enc);
         }
     }
 
     fn bind(&mut self, local: u64) {
-        if let Some(link) = self.from.take() {
-            self.links.members.insert(local, link);
+        if let Some(out) = self.from.take() {
+            self.links.members.insert(local, out);
         }
     }
 
@@ -243,38 +233,83 @@ impl Effects for Sink<'_> {
     }
 }
 
-/// One input to the core under a lock already held: sample the clock
-/// once, make the call, refresh the level gauges. `from` is the member
-/// connection a frame was read from, until it has registered.
-fn apply<R>(
-    inner: &Inner,
-    st: &mut State,
-    from: Option<Link>,
-    input: impl FnOnce(&mut RelayCore, &mut Sink<'_>, u64) -> R,
-) -> R {
-    let State { core, links } = st;
-    let now = inner.epoch.elapsed().as_millis() as u64;
-    let out = input(core, &mut Sink { inner, links, from }, now);
-    let m = &inner.metrics;
-    m.members.set(core.members() as i64);
-    m.upqueue_depth.set(core.held() as i64);
-    m.upstream_connected.set(links.up.is_some() as i64);
-    out
+impl State {
+    /// One input to the core: sample the clock once, make the call,
+    /// refresh the level gauges. `from` is the member connection a frame
+    /// was read from, until it has registered.
+    fn apply<R>(
+        &mut self,
+        from: Option<Arc<Outbox>>,
+        input: impl FnOnce(&mut RelayCore, &mut Sink<'_>, u64) -> R,
+    ) -> R {
+        let State {
+            inner, core, links, ..
+        } = self;
+        let now = inner.epoch.elapsed().as_millis() as u64;
+        let out = input(core, &mut Sink { inner, links, from }, now);
+        let m = &inner.metrics;
+        m.members.set(core.members() as i64);
+        m.upqueue_depth.set(core.held() as i64);
+        m.upstream_connected.set(links.up.is_some() as i64);
+        out
+    }
+
+    /// Stop the relay: no new members, no reconnect. The upstream session
+    /// is cut; so are the members, unless `orderly`, which tells them
+    /// `Shutdown` instead.
+    fn stop(&mut self, orderly: bool) {
+        let links = &mut self.links;
+        links.stopped = true;
+        for out in links.members.values() {
+            match orderly {
+                true => send(out, &mut links.enc, &DispatcherMsg::Shutdown),
+                false => out.abort(),
+            }
+        }
+        links.up.iter().for_each(|(_, up)| up.abort());
+    }
 }
 
-/// One input to the core, start to finish.
-fn step<R>(inner: &Inner, input: impl FnOnce(&mut RelayCore, &mut Sink<'_>, u64) -> R) -> R {
-    apply(inner, &mut inner.state.lock(), None, input)
+/// Dial upstream session `session + 1` from the loop.
+fn dial(cell: &Owned, st: &mut State) {
+    if st.links.stopped {
+        return;
+    }
+    st.session += 1;
+    let (state, n) = (Arc::clone(cell), st.session);
+    let conn = Box::new(UpstreamConn { state, n });
+    let dialed = match (st.inner.upstream, st.inner.reactor.upgrade()) {
+        (Some(addr), Some(reactor)) => reactor.connect(addr, conn).is_ok(),
+        _ => false,
+    };
+    if !dialed {
+        ended(cell, st);
+    }
 }
 
-/// Stop the relay: no new members, no reconnect. `also` runs under the
-/// same lock, before the housekeeping thread is woken.
-fn stop(inner: &Inner, also: impl FnOnce(&mut Links)) {
-    step(inner, |_, fx, _| {
-        fx.links.stopped = true;
-        also(fx.links);
-    });
-    inner.wake.notify_all();
+/// The last upstream session is over, or never began. After one whose
+/// hello was acked the next is dialed at once; anything else was a failed
+/// attempt, and the next waits out the backoff — or, out of budget, the
+/// relay stops and severs its block so that workers fall back on their
+/// own policies.
+fn ended(cell: &Owned, st: &mut State) {
+    if st.links.stopped {
+        return;
+    }
+    if std::mem::take(&mut st.links.hello_acked) {
+        st.failed = 0;
+        return dial(cell, st);
+    }
+    st.failed += 1;
+    let policy = &st.inner.config.reconnect;
+    if st.failed >= policy.max_attempts {
+        return st.stop(false);
+    }
+    let delay = policy.backoff(st.failed, &mut st.jitter);
+    if let Some(reactor) = st.inner.reactor.upgrade() {
+        let next = Arc::clone(cell);
+        let _ = reactor.after(delay, move || next.with(|st| dial(&next, st)));
+    }
 }
 
 /// A running relay daemon.
@@ -285,16 +320,16 @@ fn stop(inner: &Inner, also: impl FnOnce(&mut Links)) {
 pub struct Relay {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    keeper: Option<JoinHandle<()>>,
-    /// The event loop. Declared last so the reactor drops (and flushes
-    /// queued frames) after everything else is torn down.
+    /// The event loop's state.
+    state: Owned,
+    /// The event loop, which owns `state`.
     reactor: Arc<Reactor>,
 }
 
 impl Relay {
-    /// Bind the worker-facing listener and start the event loop and the
-    /// housekeeping thread. Returns immediately; the upstream connection
-    /// is established (and re-established) in the background.
+    /// Bind the worker-facing listener and start the event loop. Returns
+    /// immediately; the upstream connection is established (and
+    /// re-established) by the loop.
     pub fn start(config: RelayConfig) -> io::Result<Relay> {
         let listener = TcpListener::bind(&config.listen_addr)?;
         let addr = listener.local_addr()?;
@@ -322,41 +357,48 @@ impl Relay {
             config.worker_stale_after.as_millis() as u64,
             config.upqueue_limit,
         );
-        let links = Links::default();
+        // Resolved here, off the loop, which must not block on it.
+        let upstream = config.dispatcher_addr.to_socket_addrs().ok();
+        let flush = config.liveness_flush.max(Duration::from_millis(1));
+        let jitter = SplitMix64::new(config.reconnect.seed);
         let inner = Arc::new(Inner {
             config,
+            upstream: upstream.and_then(|mut addrs| addrs.next()),
             epoch: Instant::now(),
-            state: Mutex::ranked(Rank::Relay, State { core, links }),
-            wake: Condvar::new(),
             metrics: Arc::new(RelayMetrics::new()),
             events,
+            reactor: Arc::downgrade(&reactor),
         });
-        let factory_inner = Arc::clone(&inner);
+        let state = Arc::new(reactor.own(State {
+            inner: Arc::clone(&inner),
+            core,
+            links: Links::default(),
+            session: 0,
+            failed: 0,
+            jitter,
+        }));
+        let accept = Arc::clone(&state);
         reactor.listen(
             listener,
-            Arc::new(move |stream: &TcpStream, _peer: SocketAddr| {
-                if step(&factory_inner, |_, fx, _| fx.links.stopped) {
+            Arc::new(move |_: &TcpStream, _: SocketAddr| {
+                if accept.with(|st| st.links.stopped) {
                     return None;
                 }
-                Some(Box::new(MemberConn {
-                    inner: Arc::clone(&factory_inner),
-                    // Clone taken before the reactor owns the stream, so
-                    // kill() and give-up can sever the member later.
-                    sock: stream.try_clone().ok(),
-                    out: None,
-                    local: None,
-                }) as Box<dyn ConnHandler>)
+                let (state, out, local) = (Arc::clone(&accept), None, None);
+                Some(Box::new(MemberConn { state, out, local }) as Box<dyn ConnHandler>)
             }),
         )?;
-        let (keeper_inner, keeper_reactor) = (Arc::clone(&inner), Arc::clone(&reactor));
-        let keeper = thread::Builder::new()
-            .name("relay-keeper".to_string())
-            .stack_size(CONN_STACK)
-            .spawn(move || housekeeping(&keeper_inner, &keeper_reactor))?;
+        // A no-op while no session is up.
+        let tick = Arc::clone(&state);
+        reactor.every(flush, move || {
+            tick.with(|st| st.apply(None, |core, fx, now| core.tick(now, fx)));
+        })?;
+        let first = Arc::clone(&state);
+        reactor.post(move || first.with(|st| dial(&first, st)))?;
         Ok(Relay {
             inner,
             addr,
-            keeper: Some(keeper),
+            state,
             reactor,
         })
     }
@@ -368,18 +410,18 @@ impl Relay {
 
     /// Currently connected members.
     pub fn member_count(&self) -> usize {
-        step(&self.inner, |core, _, _| core.members())
+        self.state.call(|st| st.core.members()).unwrap_or(0)
     }
 
     /// True while an upstream session is established.
     pub fn is_connected(&self) -> bool {
-        step(&self.inner, |_, fx, _| fx.links.up.is_some())
+        self.state.call(|st| st.links.up.is_some()).unwrap_or(false)
     }
 
     /// True once the relay has stopped — dispatcher-ordered shutdown,
     /// [`Relay::kill`]/[`Relay::shutdown`], or reconnect exhaustion.
     pub fn is_stopped(&self) -> bool {
-        step(&self.inner, |_, fx, _| fx.links.stopped)
+        self.state.call(|st| st.links.stopped).unwrap_or(true)
     }
 
     /// Counters snapshot, read off the metric handles (one source, so the
@@ -421,15 +463,12 @@ impl Relay {
     }
 
     /// Sever the upstream connection *without* stopping the relay: the
-    /// housekeeping thread reconnects with backoff and the block is
-    /// re-registered. This is the dispatcher-outage fault-injection
-    /// primitive (the relay-side analogue of `Worker::disconnect`).
+    /// loop reconnects and the block is re-registered. This is the
+    /// dispatcher-outage fault-injection primitive (the relay-side
+    /// analogue of `Worker::disconnect`).
     pub fn partition_upstream(&self) {
-        step(&self.inner, |_, fx, _| {
-            if let Some((_, link)) = &fx.links.up {
-                link.sever();
-            }
-        });
+        self.state
+            .call(|st| st.links.up.as_ref().map(|(_, up)| up.abort()));
     }
 
     /// Kill the relay abruptly: sever the upstream connection and every
@@ -438,32 +477,21 @@ impl Relay {
     /// own reconnect policies; the dispatcher sees EOF and declares the
     /// whole block down.
     pub fn kill(&self) {
-        stop(&self.inner, |links| {
-            let up = links.up.iter().map(|(_, link)| link);
-            links.members.values().chain(up).for_each(Link::sever);
-        });
+        self.state.call(|st| st.stop(false));
     }
 
     /// Orderly stop: forward `Shutdown` to every member (so their
     /// agents exit cleanly), then sever upstream and stop accepting.
     pub fn shutdown(&self) {
-        stop(&self.inner, |links| {
-            for link in links.members.values() {
-                send_member(link, &mut links.enc, &DispatcherMsg::Shutdown);
-            }
-            if let Some((_, link)) = &links.up {
-                link.sever();
-            }
-        });
+        self.state.call(|st| st.stop(true));
     }
 }
 
 impl Drop for Relay {
     fn drop(&mut self) {
         self.kill();
-        if let Some(keeper) = self.keeper.take() {
-            let _ = keeper.join();
-        }
+        // Joined here, so the loop never holds the last handle on it.
+        self.reactor.shutdown();
     }
 }
 
@@ -471,11 +499,9 @@ impl Drop for Relay {
 /// protocol — a worker cannot tell a relay from a dispatcher. Each frame
 /// is decoded and routed by [`RelayCore::member_frame`] in one input.
 struct MemberConn {
-    inner: Arc<Inner>,
-    /// Socket clone taken at accept time; moves into the link table when
-    /// the core binds the member.
-    sock: Option<TcpStream>,
-    /// The reactor-managed write side, captured in `on_open`.
+    state: Owned,
+    /// The reactor-managed write side, captured in `on_open`; moves into
+    /// the link table when the core binds the member.
     out: Option<Arc<Outbox>>,
     /// The member's relay-local id, once it has said `Register`.
     local: Option<u64>,
@@ -492,15 +518,11 @@ impl ConnHandler for MemberConn {
         let (Ok(msg), Some(out)) = (decode_msg::<WorkerMsg>(frame), &self.out) else {
             return Flow::Close;
         };
-        let inner = &*self.inner;
-        let from = self.local.is_none().then(|| Link {
-            out: Arc::clone(out),
-            sock: self.sock.take(),
-        });
+        let from = self.local.is_none().then(|| Arc::clone(out));
         let local = &mut self.local;
-        match apply(inner, &mut inner.state.lock(), from, |core, fx, now| {
-            core.member_frame(now, local, msg, fx)
-        }) {
+        let input =
+            |st: &mut State| st.apply(from, |core, fx, now| core.member_frame(now, local, msg, fx));
+        match self.state.with(input) {
             true => Flow::Continue,
             false => Flow::Close,
         }
@@ -509,123 +531,60 @@ impl ConnHandler for MemberConn {
     fn on_close(&mut self, _reason: CloseReason) {
         // A connection that never registered has no state to unwind.
         if let Some(local) = self.local.take() {
-            step(&self.inner, |core, fx, _| {
-                fx.links.members.remove(&local);
-                core.gone(local, fx);
+            self.state.with(|st| {
+                st.apply(None, |core, fx, _| {
+                    fx.links.members.remove(&local);
+                    core.gone(local, fx);
+                })
             });
         }
     }
 }
 
-/// Upstream session `n` on the event loop. Its outbox is in
-/// `Links::up`; this half only reads.
+/// Upstream session `n` on the event loop: dialed by [`dial`], begun in
+/// `on_open`, over in `on_close`. Its outbox is in `Links::up`.
 struct UpstreamConn {
-    inner: Arc<Inner>,
+    state: Owned,
     n: u64,
 }
 
 impl ConnHandler for UpstreamConn {
-    fn on_open(&mut self, _outbox: &Arc<Outbox>) {}
+    fn on_open(&mut self, outbox: &Arc<Outbox>) {
+        let n = self.n;
+        self.state.with(|st| {
+            if st.links.stopped {
+                return outbox.abort(); // stopped while this one dialed
+            }
+            st.links.up = Some((n, Arc::clone(outbox)));
+            st.inner.metrics.upstream_sessions_total.inc();
+            // Hello plus the whole block's registrations, in one write.
+            st.apply(None, |core, fx, _| core.session_up(n, fx));
+        });
+    }
 
     fn on_frame(&mut self, frame: &[u8]) -> Flow {
         let Ok(msg) = decode_msg::<DispatcherMsg>(frame) else {
             return Flow::Close;
         };
         let n = self.n;
-        if step(&self.inner, |core, fx, _| core.upstream(n, msg, fx)) {
-            return Flow::Continue;
-        }
-        // Dispatcher-ordered shutdown, already fanned out to the block.
-        stop(&self.inner, |_| {});
-        Flow::Close
+        self.state.with(|st| {
+            if st.apply(None, |core, fx, _| core.upstream(n, msg, fx)) {
+                return Flow::Continue;
+            }
+            // Dispatcher-ordered shutdown, already fanned out to the block.
+            st.links.stopped = true;
+            Flow::Close
+        })
     }
 
     fn on_close(&mut self, _reason: CloseReason) {
-        let n = self.n;
-        step(&self.inner, |core, fx, _| {
-            core.session_down(n);
-            fx.links.up.take_if(|(live, _)| *live == n);
+        let (cell, n) = (&self.state, self.n);
+        cell.with(|st| {
+            st.core.session_down(n);
+            st.links.up.take_if(|(live, _)| *live == n);
+            ended(cell, st);
         });
-        self.inner.wake.notify_all();
     }
-}
-
-/// The housekeeping thread: connect (with backoff) → adopt the session
-/// onto the loop → tick until it ends, then repeat.
-fn housekeeping(inner: &Arc<Inner>, reactor: &Reactor) {
-    let policy = &inner.config.reconnect;
-    // Deterministic backoff jitter, as in the worker agent.
-    let mut jitter = SplitMix64::new(policy.seed);
-    let mut failed: u32 = 0;
-    for n in 1.. {
-        let stream = TcpStream::connect(&inner.config.dispatcher_addr);
-        let mut st = inner.state.lock();
-        if let Ok(stream) = stream {
-            st = serve_session(inner, reactor, n, stream, st);
-        }
-        if st.links.stopped {
-            return;
-        }
-        if std::mem::take(&mut st.links.hello_acked) {
-            failed = 0;
-            continue;
-        }
-        // Refused, or accepted and dropped before the hello was acked.
-        failed += 1;
-        if failed >= policy.max_attempts {
-            // Out of budget: the relay is dead. Sever the block so
-            // workers fall back on their own policies.
-            st.links.stopped = true;
-            st.links.members.values().for_each(Link::sever);
-            return;
-        }
-        let until = Instant::now() + policy.backoff(failed, &mut jitter);
-        while !st.links.stopped && Instant::now() < until {
-            let left = until.saturating_duration_since(Instant::now());
-            st = wait_for(&inner.wake, st, left).0;
-        }
-    }
-}
-
-/// Adopt `stream` as upstream session `n` and serve it until its
-/// `on_close` has run, delivering a tick every `liveness_flush`.
-fn serve_session<'a>(
-    inner: &'a Arc<Inner>,
-    reactor: &Reactor,
-    n: u64,
-    stream: TcpStream,
-    mut st: Guard<'a, State>,
-) -> Guard<'a, State> {
-    if st.links.stopped {
-        return st;
-    }
-    let sock = stream.try_clone().ok();
-    let conn = Box::new(UpstreamConn {
-        inner: Arc::clone(inner),
-        n,
-    });
-    // Adopted under the lock, so the session's `on_close` cannot run
-    // before `up` names it. (Queues the socket for the loop; no I/O.)
-    let Ok(out) = reactor.add_stream(stream, conn) else {
-        return st;
-    };
-    st.links.up = Some((n, Link { out, sock }));
-    inner.metrics.upstream_sessions_total.inc();
-    // Hello plus the whole block's registrations, in one write.
-    apply(inner, &mut st, None, |core, fx, _| core.session_up(n, fx));
-    let flush = inner.config.liveness_flush;
-    let mut next_tick = Instant::now() + flush;
-    // Only this thread installs a session, so `up` is this one until
-    // its `on_close` clears it.
-    while !st.links.stopped && st.links.up.is_some() {
-        let now = Instant::now();
-        if now >= next_tick {
-            apply(inner, &mut st, None, |core, fx, now| core.tick(now, fx));
-            next_tick = now + flush;
-        }
-        st = wait_for(&inner.wake, st, next_tick - now).0;
-    }
-    st
 }
 
 #[cfg(test)]
@@ -633,7 +592,7 @@ mod tests {
     //! Loopback smokes of the shell: real sockets, real threads. What the
     //! relay *decides* is tested on the core under a virtual clock
     //! (`tests/relay_model.rs`, `cluster_sim::des`); these cover what only the shell has —
-    //! the wire, the event loop, the reconnect thread.
+    //! the wire, the event loop, the reconnect timer.
     use super::*;
     use jets_core::protocol::{MsgReader, MsgWriter, TaskAssignment, TaskKind};
     use jets_core::registry::WorkerState;
@@ -642,6 +601,7 @@ mod tests {
     use jets_worker::apps::standard_registry;
     use jets_worker::{Executor, Worker, WorkerConfig};
     use std::io::{BufReader, Read, Write};
+    use std::thread;
 
     const WAIT: Duration = Duration::from_secs(60);
 

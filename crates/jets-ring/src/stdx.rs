@@ -23,18 +23,14 @@ pub enum Rank {
     /// cluster-sim's `Allocation::workers`: a kill or a partition reaches
     /// into a pilot (its `sock`) with the table of nodes held.
     Allocation,
-    /// The dispatcher's `sched`: the scheduling core and what its effects
-    /// reach. Everything a decision touches is taken under it.
-    Sched,
     /// The dispatcher's `book`: job records and the outstanding count,
-    /// updated under `sched` by `Sink::book`, polled alone by clients.
+    /// updated by its event loop in `Sink::book`, polled alone by clients.
     Book,
-    /// The PMI hub's table: `Effects::pmi_start` / `pmi_abort` / `pmi_stop`
-    /// run under `sched`, so the hub reports a fence release to the
-    /// scheduler only after it has unlocked.
+    /// The PMI hub's table: the dispatcher's event loop takes it for
+    /// `Effects::pmi_start` / `pmi_abort` / `pmi_stop` and its timer, and
+    /// the hub reports a fence release to the scheduler only after it has
+    /// unlocked.
     Pmi,
-    /// The relay's `state`: its routing core and links.
-    Relay,
     /// A pilot's `state`: its core and the session's write half.
     Pilot,
     /// The node-local cache's `entries`, held across a copy and the
@@ -339,7 +335,7 @@ mod tests {
 
     #[test]
     fn locks_survive_a_holder_that_panicked() {
-        let m = Arc::new(Mutex::ranked(Rank::Sched, 1));
+        let m = Arc::new(Mutex::ranked(Rank::Book, 1));
         let rw = Arc::new(RwLock::new(2));
         let (m2, rw2) = (Arc::clone(&m), Arc::clone(&rw));
         let holder = std::thread::spawn(move || {
@@ -371,18 +367,15 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn taking_an_earlier_rank_panics_naming_both_locks() {
-        let (sched, book) = (
-            Mutex::ranked(Rank::Sched, ()),
-            Mutex::ranked(Rank::Book, ()),
-        );
-        drop((sched.lock(), book.lock())); // the table's order is fine
+        let (book, pmi) = (Mutex::ranked(Rank::Book, ()), Mutex::ranked(Rank::Pmi, ()));
+        drop((book.lock(), pmi.lock())); // the table's order is fine
         let msg = order_panic(|| {
+            let _pmi = pmi.lock();
             let _book = book.lock();
-            let _sched = sched.lock();
         });
-        assert!(msg.contains("`Sched` taken while `Book` is held"), "{msg}");
-        // The unwinding dropped `_book`: this thread holds nothing again.
-        drop((sched.lock(), book.lock()));
+        assert!(msg.contains("`Book` taken while `Pmi` is held"), "{msg}");
+        // The unwinding dropped `_pmi`: this thread holds nothing again.
+        drop((book.lock(), pmi.lock()));
     }
 
     #[cfg(debug_assertions)]
@@ -410,34 +403,34 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn guards_dropped_out_of_order_leave_the_held_list_right() {
-        let locks = [Rank::Sched, Rank::Book, Rank::Pmi].map(|rank| Mutex::ranked(rank, ()));
-        let [sched, book, pmi] = &locks;
-        let (s, b, p) = (sched.lock(), book.lock(), pmi.lock());
+        let locks = [Rank::Allocation, Rank::Book, Rank::Pmi].map(|rank| Mutex::ranked(rank, ()));
+        let [alloc, book, pmi] = &locks;
+        let (a, b, p) = (alloc.lock(), book.lock(), pmi.lock());
         drop(b);
-        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Sched, Rank::Pmi]));
+        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Allocation, Rank::Pmi]));
         // `Book` is free but `Pmi`, later in the table, is still held.
         let msg = order_panic(|| drop(book.lock()));
         assert!(msg.contains("`Book` taken while `Pmi` is held"), "{msg}");
-        drop(s);
+        drop(a);
         drop(p);
         HELD.with_borrow(|held| assert!(held.is_empty()));
-        drop((sched.lock(), book.lock(), pmi.lock()));
+        drop((alloc.lock(), book.lock(), pmi.lock()));
     }
 
     #[cfg(debug_assertions)]
     #[test]
     fn wait_for_keeps_its_lock_s_entry_and_refuses_a_second_lock() {
-        let (sched, book) = (Mutex::ranked(Rank::Sched, ()), Mutex::ranked(Rank::Book, 7));
+        let (book, pmi) = (Mutex::ranked(Rank::Book, ()), Mutex::ranked(Rank::Pmi, 7));
         let cv = sync::Condvar::new();
-        let (guard, _) = wait_for(&cv, book.lock(), Duration::from_millis(1));
-        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Book]));
+        let (guard, _) = wait_for(&cv, pmi.lock(), Duration::from_millis(1));
+        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Pmi]));
         drop(guard);
         HELD.with_borrow(|held| assert!(held.is_empty()));
         let msg = order_panic(|| {
-            let _sched = sched.lock();
-            wait_for(&cv, book.lock(), Duration::from_millis(1));
+            let _book = book.lock();
+            wait_for(&cv, pmi.lock(), Duration::from_millis(1));
         });
-        let want = "waiting on `Book`'s condvar while `Sched` is held";
+        let want = "waiting on `Pmi`'s condvar while `Book` is held";
         assert!(msg.contains(want), "{msg}");
     }
 

@@ -16,8 +16,9 @@ use std::net::TcpStream;
 /// Connections held open simultaneously (the issue's floor).
 const CONNS: usize = 512;
 
-/// Thread-count slack: the monitor, the test harness's own threads. Far
-/// below one-per-connection either way.
+/// Thread-count slack: the test harness's own threads (the dispatcher
+/// itself is its one event loop). Far below one-per-connection either
+/// way.
 const SLACK: usize = 32;
 
 /// Threads of this process named `jets-reactor-*`: event loops.
@@ -44,8 +45,8 @@ fn thread_count() -> usize {
 fn thread_bill_is_one_event_loop_at_512_connections() {
     let d = Dispatcher::start(DispatcherConfig::default()).unwrap();
     let addr = d.addr().to_string();
-    // Snapshot after start: the event loops and monitor are running, so
-    // any growth from here on is attributable to connections.
+    // Snapshot after start: the event loop is running, so any growth
+    // from here on is attributable to connections.
     let before = thread_count();
 
     // 512 raw workers, registered sequentially over blocking sockets
