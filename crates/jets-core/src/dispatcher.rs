@@ -39,7 +39,7 @@
 //! * **the output writer** (`jets-output`) exists only when `stdout_dir`
 //!   is set, and is the one thread that writes there; the output queue
 //!   between it and the loop is a leaf lock.
-//! * **`book` lock** — job records and the outstanding count: what the
+//! * **`book` lock** — the job table and the outstanding count: what the
 //!   client-facing API (`wait_idle`, `wait_job`, `records`) polls, and the
 //!   one lock a client takes. The loop takes it in `Sink::book`.
 //!
@@ -57,6 +57,7 @@ use crate::protocol::{
 use crate::queue::QueuePolicy;
 use crate::registry::QuarantinePolicy;
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
+use crate::table::JobTable;
 use jets_pmi::PmiHub;
 use jets_reactor::{
     CloseReason, ConnHandler, Flow, LoopCell, Outbox, Reactor, ReactorConfig, ReactorStats,
@@ -170,20 +171,6 @@ pub struct JobRecord {
     pub outputs: Vec<String>,
 }
 
-impl JobRecord {
-    fn new(id: JobId, spec: &JobSpec, status: JobStatus, attempts: u32) -> JobRecord {
-        JobRecord {
-            id,
-            spec: spec.clone(),
-            status,
-            attempts,
-            wall: None,
-            exit_codes: Vec::new(),
-            outputs: Vec::new(),
-        }
-    }
-}
-
 /// The write path that reaches one worker: a connection's bounded
 /// reactor [`Outbox`]. A direct worker owns its connection; a relayed
 /// worker shares its relay's, and traffic addressed to it travels in
@@ -237,7 +224,8 @@ struct Io {
 /// Guarded by `Inner::book`; `Inner::idle_cv` and every condvar in
 /// `job_waiters` are paired with this lock.
 struct Book {
-    records: HashMap<JobId, JobRecord>,
+    /// Every job seen, as rows and codec bytes, decoded on demand.
+    jobs: JobTable,
     /// Jobs queued or active; `wait_idle` watches this reach zero.
     outstanding: usize,
     /// Captured outputs queued for `stdout_dir` and not yet written;
@@ -487,9 +475,9 @@ impl Effects for Sink<'_> {
                 let mut book = self.book();
                 book.outstanding += jobs.len();
                 for j in jobs {
-                    let rec = JobRecord::new(j.id, &j.spec, JobStatus::Pending, 0);
-                    book.records.insert(j.id, rec);
+                    book.jobs.insert(j.id, &j.spec, JobStatus::Pending, 0);
                 }
+                m.job_table_bytes.set(book.jobs.bytes() as i64);
             }
             Fact::Restored {
                 job,
@@ -504,8 +492,8 @@ impl Effects for Sink<'_> {
                 };
                 let mut book = self.book();
                 book.outstanding += 1;
-                let rec = JobRecord::new(job, spec, status, attempts);
-                book.records.insert(job, rec);
+                book.jobs.insert(job, spec, status, attempts);
+                m.job_table_bytes.set(book.jobs.bytes() as i64);
             }
             Fact::WorkerUp {
                 worker,
@@ -533,10 +521,7 @@ impl Effects for Sink<'_> {
                 ppn,
             } => {
                 log.record(EventKind::JobStarted { job, nodes, ppn });
-                if let Some(rec) = self.book().records.get_mut(&job) {
-                    rec.status = JobStatus::Running;
-                    rec.attempts = attempt;
-                }
+                self.book().jobs.started(job, attempt);
             }
             // A worker's own report counts; its output takes the paper's
             // last hop, "into a file", copied only if that is configured.
@@ -562,10 +547,11 @@ impl Effects for Sink<'_> {
                 m.jobs_requeued_total.inc();
                 log.record(EventKind::JobRequeued { job });
                 // `outstanding` unchanged: the job is still in flight.
-                if let Some(rec) = self.book().records.get_mut(&job) {
-                    (rec.status, rec.attempts, rec.wall) = (JobStatus::Pending, attempts, wall);
-                    (rec.exit_codes, rec.outputs) = (exit_codes, outputs);
-                }
+                let mut book = self.book();
+                let status = JobStatus::Pending;
+                book.jobs
+                    .ended(job, status, Some(attempts), wall, &exit_codes, &outputs);
+                m.job_table_bytes.set(book.jobs.bytes() as i64);
             }
             Fact::JobFinished {
                 job,
@@ -582,10 +568,9 @@ impl Effects for Sink<'_> {
                     JobStatus::Failed
                 };
                 let mut book = self.book();
-                if let Some(rec) = book.records.get_mut(&job) {
-                    (rec.status, rec.wall) = (status, wall);
-                    (rec.exit_codes, rec.outputs) = (exit_codes, outputs);
-                }
+                book.jobs
+                    .ended(job, status, None, wall, &exit_codes, &outputs);
+                m.job_table_bytes.set(book.jobs.bytes() as i64);
                 job_ended(inner, book, job);
             }
             // Journal-only facts: `Fact::wal` above said it all.
@@ -691,7 +676,7 @@ impl Dispatcher {
             book: Mutex::ranked(
                 Rank::Book,
                 Book {
-                    records: HashMap::new(),
+                    jobs: JobTable::default(),
                     outstanding: 0,
                     unwritten: 0,
                     job_waiters: HashMap::new(),
@@ -841,7 +826,7 @@ impl Dispatcher {
 
     /// A job's record, if known.
     pub fn job_record(&self, id: JobId) -> Option<JobRecord> {
-        self.inner.book.lock().records.get(&id).cloned()
+        self.inner.book.lock().jobs.get(id)
     }
 
     /// Block until job `id` reaches a terminal state (succeeded or
@@ -851,11 +836,9 @@ impl Dispatcher {
         let mut book = self.inner.book.lock();
         let mut cv: Option<Arc<Condvar>> = None;
         loop {
-            match book.records.get(&id) {
+            match book.jobs.status(id) {
                 None => return None,
-                Some(rec) if matches!(rec.status, JobStatus::Succeeded | JobStatus::Failed) => {
-                    return Some(rec.clone());
-                }
+                Some(JobStatus::Succeeded | JobStatus::Failed) => return book.jobs.get(id),
                 Some(_) => {}
             }
             let now = Instant::now();
@@ -871,12 +854,12 @@ impl Dispatcher {
         }
     }
 
-    /// Snapshot of all job records.
+    /// Snapshot of all job records, in ascending id order.
     pub fn records(&self) -> Vec<JobRecord> {
-        let book = self.inner.book.lock();
-        let mut v: Vec<JobRecord> = book.records.values().cloned().collect();
-        v.sort_by_key(|r| r.id);
-        v
+        // Copy the table's two buffers under the lock the loop takes on
+        // every start and finish; decode after releasing it.
+        let jobs = self.inner.book.lock().jobs.clone();
+        jobs.records()
     }
 
     /// Number of live (registered, non-dead) workers, as the event loop

@@ -47,7 +47,7 @@
 //! [`recover`] keeps stable by resuming the task counter past the
 //! journal's maximum.
 
-use crate::protocol::{decode_msg, get_cmd, get_stage, put_cmd, put_stage, Wire, MAX_FRAME_BYTES};
+use crate::protocol::{decode_msg, get_spec, put_spec, Wire, MAX_FRAME_BYTES};
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_ring::codec::{invalid, Get, Put};
 use std::collections::HashMap;
@@ -164,17 +164,7 @@ impl Wire for Record {
             Record::Submitted { job, spec } => {
                 p.u8(b'S');
                 p.var(*job);
-                p.var(spec.nodes.into());
-                p.var(spec.ppn.into());
-                p.zig(spec.priority.into());
-                p.var(spec.max_retries.into());
-                p.bool(spec.mpi);
-                p.bool(spec.deadline_ms.is_some());
-                if let Some(ms) = spec.deadline_ms {
-                    p.var(ms);
-                }
-                put_cmd(p, &spec.cmd);
-                put_stage(p, &spec.stage);
+                put_spec(p, spec);
             }
             Record::Enqueued { job, attempts } => {
                 p.u8(b'Q');
@@ -235,16 +225,7 @@ impl Wire for Record {
         let rec = match g.u8() {
             b'S' => Record::Submitted {
                 job: g.var(),
-                spec: JobSpec {
-                    nodes: g.var_u32(),
-                    ppn: g.var_u32(),
-                    priority: g.zig_i32(),
-                    max_retries: g.var_u32(),
-                    mpi: g.bool(),
-                    deadline_ms: g.bool().then(|| g.var()),
-                    cmd: get_cmd(g),
-                    stage: get_stage(g),
-                },
+                spec: get_spec(g),
             },
             b'Q' => Record::Enqueued {
                 job: g.var(),

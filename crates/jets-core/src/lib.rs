@@ -43,7 +43,9 @@
 //!   state machine: no clock, socket, lock or file; every effect goes
 //!   through the [`core::Effects`] its caller passes in.
 //! * [`dispatcher`] — the engine tying it all together: the I/O shell
-//!   around [`core`] (reactor, locks, journal, flight recorder, metrics).
+//!   around [`core`] (reactor, locks, journal, flight recorder, metrics),
+//!   and its job table: every job's record as a fixed-size row and
+//!   wire-codec bytes, decoded on demand.
 
 #![warn(missing_docs)]
 
@@ -59,6 +61,7 @@ pub mod ready;
 pub mod registry;
 pub mod spec;
 pub mod stats;
+mod table;
 
 pub use dispatcher::{Dispatcher, DispatcherConfig, JobRecord, JobStatus};
 pub use events::{

@@ -75,6 +75,11 @@ jets_obs::metric_set! {
         /// the journal, so a crash recovers without those transitions;
         /// later appends replay.
         journal_errors_total: counter("jets_journal_errors_total"),
+        /// Bytes the job table holds, spare capacity included.
+        ///
+        /// Every job ever submitted keeps a fixed-size row and its encoded
+        /// spec and latest result: a few dozen bytes a finished job.
+        job_table_bytes: gauge("jets_job_table_bytes"),
         /// Non-terminal jobs rebuilt from the journal at the last restart.
         journal_replayed_jobs: gauge("jets_journal_replayed_jobs"),
         /// In-flight gangs re-adopted after a dispatcher restart.

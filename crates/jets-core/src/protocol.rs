@@ -49,7 +49,7 @@
 //! `benchmark/tests/serde_shim.rs` checks the JSON stand-in the
 //! benchmark owns against them. Nothing on the wire goes through them.
 
-use crate::spec::{CommandSpec, JobId, StageFile, TaskId};
+use crate::spec::{CommandSpec, JobId, JobSpec, StageFile, TaskId};
 use jets_ring::codec::{invalid, Get, Put, END};
 use std::io::{self, BufRead, Read, Write};
 
@@ -605,9 +605,8 @@ fn get_assignment(g: &mut Get<'_>, relay: Option<u64>) -> io::Result<DispatcherM
     })
 }
 
-/// A command, as an `Assign` and the journal's `Submitted` record both
-/// carry it: its shape (`E` exec, `B` builtin), name, arguments and
-/// environment.
+/// A command, as an `Assign` and a job's specification both carry it:
+/// its shape (`E` exec, `B` builtin), name, arguments and environment.
 pub(crate) fn put_cmd(p: &mut Put<'_>, cmd: &CommandSpec) {
     p.u8(match cmd {
         CommandSpec::Exec { .. } => b'E',
@@ -644,7 +643,7 @@ pub(crate) fn get_cmd(g: &mut Get<'_>) -> CommandSpec {
     }
 }
 
-/// A staging manifest, as an `Assign` and a `Submitted` record carry it.
+/// A staging manifest, as an `Assign` and a job's specification carry it.
 pub(crate) fn put_stage(p: &mut Put<'_>, stage: &[StageFile]) {
     p.count(stage.len());
     for file in stage {
@@ -659,6 +658,37 @@ pub(crate) fn get_stage(g: &mut Get<'_>) -> Vec<StageFile> {
         source: g.str(),
         name: g.str(),
     })
+}
+
+/// A job specification, as the journal's `Submitted` record and the
+/// dispatcher's job table both carry it: its shape, then the command and
+/// staging manifest in the bytes an `Assign` carries them in.
+pub(crate) fn put_spec(p: &mut Put<'_>, spec: &JobSpec) {
+    p.var(spec.nodes.into());
+    p.var(spec.ppn.into());
+    p.zig(spec.priority.into());
+    p.var(spec.max_retries.into());
+    p.bool(spec.mpi);
+    p.bool(spec.deadline_ms.is_some());
+    if let Some(ms) = spec.deadline_ms {
+        p.var(ms);
+    }
+    put_cmd(p, &spec.cmd);
+    put_stage(p, &spec.stage);
+}
+
+/// Read what [`put_spec`] wrote.
+pub(crate) fn get_spec(g: &mut Get<'_>) -> JobSpec {
+    JobSpec {
+        nodes: g.var_u32(),
+        ppn: g.var_u32(),
+        priority: g.zig_i32(),
+        max_retries: g.var_u32(),
+        mpi: g.bool(),
+        deadline_ms: g.bool().then(|| g.var()),
+        cmd: get_cmd(g),
+        stage: get_stage(g),
+    }
 }
 
 /// Encode one message as a newline-terminated frame into `buf` (cleared

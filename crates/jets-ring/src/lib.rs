@@ -10,7 +10,8 @@
 //!
 //! Two backings, one protocol:
 //!
-//! * [`Ring::anon`] — heap-backed, in-process. The default for
+//! * [`Ring::anon`] — anonymous memory, in-process, resident only as
+//!   far as the ring has been written. The default for
 //!   `EventLog::new()`.
 //! * [`Ring::create`] — a `MAP_SHARED` file mapping
 //!   (`--flight-recorder FILE`). The kernel owns the dirty pages, so

@@ -1,6 +1,8 @@
-//! The shared word array under a ring: an anonymous heap allocation
+//! The shared word array under a ring: an anonymous private mapping
 //! (in-process sharing via `Arc`) or a `MAP_SHARED` file mapping (the
-//! crash-durable flight-recorder mode).
+//! crash-durable flight-recorder mode). The anonymous one faults in as
+//! the ring fills: a fresh 2^17-slot ring costs its header page, not
+//! 16 MiB.
 //!
 //! Every access goes through [`Region::word`], which hands out
 //! `&AtomicU64` references into the raw memory. Nothing here is ever
@@ -16,8 +18,13 @@ use std::sync::atomic::AtomicU64;
 
 /// What keeps the words alive (and how they are released).
 enum Backing {
-    /// Heap words; dropped normally.
-    Anon(#[allow(dead_code)] Box<[AtomicU64]>),
+    /// Zeroed heap words, where there is no mmap; dropped normally.
+    #[cfg(not(unix))]
+    Heap(#[allow(dead_code)] Box<[AtomicU64]>),
+    /// `mmap(MAP_PRIVATE | MAP_ANONYMOUS)`: zero pages the kernel supplies
+    /// on first touch; unmapped on drop.
+    #[cfg(unix)]
+    Anon { len: usize },
     /// `mmap(MAP_SHARED)` of a file; unmapped on drop. The descriptor
     /// is closed as soon as the mapping exists (the mapping keeps the
     /// file's pages reachable on its own).
@@ -37,19 +44,35 @@ pub(crate) struct Region {
 // SAFETY: the region is a plain array of `AtomicU64`; all access is
 // through atomic operations on immutably borrowed cells, which are
 // `Sync`. The raw pointer is only a lifetime-erased view of memory
-// owned (Anon) or mapped (File) by this struct for its whole life.
+// owned (Heap) or mapped (Anon, File) by this struct for its whole life.
 unsafe impl Send for Region {}
 unsafe impl Sync for Region {}
 
 impl Region {
+    /// A zeroed in-process region of `words` words. A mapping that fails
+    /// is an allocation that failed.
+    #[cfg(unix)]
+    pub(crate) fn anon(words: usize) -> Region {
+        let len = words * 8;
+        let ptr = crate::sys::map_anon(len)
+            .unwrap_or_else(|err| panic!("mapping a {len}-byte ring: {err}"));
+        Region {
+            ptr: ptr as *const AtomicU64,
+            words,
+            readonly: false,
+            backing: Backing::Anon { len },
+        }
+    }
+
     /// A zeroed in-process region of `words` words.
+    #[cfg(not(unix))]
     pub(crate) fn anon(words: usize) -> Region {
         let boxed: Box<[AtomicU64]> = (0..words).map(|_| AtomicU64::new(0)).collect();
         Region {
             ptr: boxed.as_ptr(),
             words,
             readonly: false,
-            backing: Backing::Anon(boxed),
+            backing: Backing::Heap(boxed),
         }
     }
 
@@ -151,7 +174,10 @@ impl Region {
     /// Flush a file-backed region to disk (no-op for anonymous ones).
     pub(crate) fn sync(&self) -> io::Result<()> {
         match &self.backing {
-            Backing::Anon(_) => Ok(()),
+            #[cfg(not(unix))]
+            Backing::Heap(_) => Ok(()),
+            #[cfg(unix)]
+            Backing::Anon { .. } => Ok(()),
             #[cfg(unix)]
             Backing::File { len } => crate::sys::sync(self.ptr as *mut u8, *len),
         }
@@ -161,8 +187,9 @@ impl Region {
 impl Drop for Region {
     fn drop(&mut self) {
         #[cfg(unix)]
-        if let Backing::File { len } = &self.backing {
-            crate::sys::unmap(self.ptr as *mut u8, *len);
+        {
+            let (Backing::Anon { len } | Backing::File { len }) = self.backing;
+            crate::sys::unmap(self.ptr as *mut u8, len);
         }
     }
 }

@@ -228,7 +228,7 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// An in-process (heap-backed) ring of at least `capacity` slots,
+    /// An in-process (anonymous-memory) ring of at least `capacity` slots,
     /// rounded up to a power of two.
     pub fn anon(capacity: usize) -> Ring {
         let cap = capacity.max(MIN_CAPACITY).next_power_of_two();

@@ -1,4 +1,4 @@
-//! Hand-declared `mmap` bindings for the file-backed ring.
+//! Hand-declared `mmap` bindings for the ring's memory.
 //!
 //! `std` already links the platform C library, so the three calls the
 //! flight recorder needs are one `extern "C"` block away — no `libc`
@@ -33,6 +33,14 @@ const PROT_WRITE: c_int = 2;
 /// this is what makes the recorder survive `kill -9` (the kernel owns
 /// the dirty pages, not the process).
 const MAP_SHARED: c_int = 1;
+/// `MAP_PRIVATE`: copy-on-write, seen by this process only.
+const MAP_PRIVATE: c_int = 2;
+
+/// `MAP_ANONYMOUS` diverges between Linux and the BSD family.
+#[cfg(target_os = "linux")]
+const MAP_ANONYMOUS: c_int = 0x20;
+#[cfg(not(target_os = "linux"))]
+const MAP_ANONYMOUS: c_int = 0x1000;
 
 /// `MS_SYNC` diverges between Linux and the BSD family.
 #[cfg(target_os = "linux")]
@@ -47,15 +55,29 @@ pub fn map_shared(fd: RawFd, len: usize, writable: bool) -> io::Result<*mut u8> 
     } else {
         PROT_READ
     };
-    let addr = unsafe { mmap(std::ptr::null_mut(), len, prot, MAP_SHARED, fd, 0) };
+    map(len, prot, MAP_SHARED, fd)
+}
+
+/// Map `len` zeroed bytes of private, read-write memory. The kernel
+/// supplies each page on its first touch: what is never written is never
+/// resident.
+pub fn map_anon(len: usize) -> io::Result<*mut u8> {
+    map(len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1)
+}
+
+fn map(len: usize, prot: c_int, flags: c_int, fd: RawFd) -> io::Result<*mut u8> {
+    // SAFETY: a null hint lets the kernel place the mapping where nothing
+    // of ours lives, so the call writes no memory this process uses; the
+    // result is checked before anyone reads through it.
+    let addr = unsafe { mmap(std::ptr::null_mut(), len, prot, flags, fd, 0) };
     if addr as isize == -1 {
         return Err(io::Error::last_os_error());
     }
     Ok(addr as *mut u8)
 }
 
-/// Unmap a region mapped by [`map_shared`]; teardown path, errors are
-/// ignored (there is nothing left to do about one).
+/// Unmap a region mapped by [`map_shared`] or [`map_anon`]; teardown
+/// path, errors are ignored (there is nothing left to do about one).
 pub fn unmap(addr: *mut u8, len: usize) {
     unsafe {
         munmap(addr as *mut c_void, len);
