@@ -354,8 +354,8 @@ pub struct Event {
 
 // ---------------------------------------------------------------------------
 // Ring codec: tag byte + t_us + little-endian fields, fixed layout per
-// variant, 62 bytes worst case (JobPhases) against the ring's 120-byte
-// slot. No serde, no allocation — this runs on the record hot path.
+// variant, 62 bytes worst case (JobPhases) against the ring's 64-byte
+// payload. No serde, no allocation — this runs on the record hot path.
 
 const TAG_WORKER_UP: u8 = 1;
 const TAG_WORKER_DOWN: u8 = 2;
@@ -1082,7 +1082,7 @@ pub fn read_jsonl(reader: impl BufRead) -> io::Result<JsonlLoad> {
     Ok(load)
 }
 
-/// Default ring capacity in slots (2^17 × 128 B = 16 MiB): comfortably
+/// Default ring capacity in slots (2^17 × 72 B = 9 MiB): comfortably
 /// larger than the event count of any tier-1 run, so `snapshot()` is
 /// lossless there, while bounding memory forever on long-lived daemons.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 17;
@@ -1596,8 +1596,7 @@ mod tests {
     }
 
     /// The ring codec is the *primary* storage now: every variant must
-    /// survive the encode → slot → decode trip bit-exactly, and the
-    /// worst-case encoding must fit a slot with room to grow. No serde
+    /// survive the encode → slot → decode trip bit-exactly. No serde
     /// anywhere on this path, so this test genuinely runs in the
     /// offline stub workspace too.
     #[test]
@@ -1613,29 +1612,150 @@ mod tests {
             assert!(pair[0].t <= pair[1].t, "timestamps stay monotone");
         }
 
-        // Worst-case encoded size stays well inside a 120-byte slot.
-        let mut enc = [0u8; PAYLOAD_BYTES];
-        let len = encode_event(
-            u64::MAX,
-            &EventKind::JobPhases {
-                job: u64::MAX,
-                nodes: u32::MAX,
-                queue_us: u64::MAX,
-                launch_us: u64::MAX,
-                pmi_us: Some(u64::MAX),
-                run_us: u64::MAX,
-                total_us: u64::MAX,
-            },
-            &mut enc,
-        );
-        assert!(len <= PAYLOAD_BYTES, "JobPhases is the largest encoding");
-        assert_eq!(len, 62);
-
         // Garbage payloads decode to None, never panic.
         assert!(decode_event(&[]).is_none());
         assert!(decode_event(&[0xff; 9]).is_none());
-        let short = &enc[..len - 1];
-        assert!(decode_event(short).is_none(), "truncated field rejected");
+    }
+
+    /// Every variant at its widest — `u64::MAX` ids and times, a `Some`
+    /// PMI phase, every span kind in every role — fits one ring payload
+    /// and comes back out of a ring intact, and every proper prefix of it
+    /// is refused. A field added later fails here, not as a `push`
+    /// assertion on the hot path.
+    #[test]
+    fn every_event_fits_its_slot() {
+        const M: u64 = u64::MAX;
+        const N: u32 = u32::MAX;
+        let mut widest = vec![
+            EventKind::WorkerUp { worker: M },
+            EventKind::WorkerDown { worker: M },
+            EventKind::JobSubmitted {
+                job: M,
+                nodes: N,
+                ppn: N,
+            },
+            EventKind::JobStarted {
+                job: M,
+                nodes: N,
+                ppn: N,
+            },
+            EventKind::JobCompleted {
+                job: M,
+                nodes: N,
+                ppn: N,
+                success: true,
+            },
+            EventKind::JobPhases {
+                job: M,
+                nodes: N,
+                queue_us: M,
+                launch_us: M,
+                pmi_us: Some(M),
+                run_us: M,
+                total_us: M,
+            },
+            EventKind::JobRequeued { job: M },
+            EventKind::DeadlineExceeded { job: M },
+            EventKind::WorkerQuarantined {
+                worker: M,
+                strikes: N,
+                until_ms: M,
+            },
+            EventKind::TaskStarted {
+                task: M,
+                job: M,
+                worker: M,
+                ranks: N,
+            },
+            EventKind::RelayUp { relay: M },
+            EventKind::RelayDown { relay: M },
+            EventKind::TaskEnded {
+                task: M,
+                job: M,
+                worker: M,
+                ranks: N,
+                exit_code: i32::MIN,
+                trace: M,
+            },
+            EventKind::GangReadopted { job: M },
+            EventKind::UpQueueDropped {
+                relay: M,
+                dropped: M,
+            },
+        ];
+        let roles = [
+            WriterRole::Unknown,
+            WriterRole::Dispatcher,
+            WriterRole::Relay,
+            WriterRole::Worker,
+        ];
+        for kind in SpanKind::ALL {
+            for role in roles {
+                let (trace, job, task) = (M, M, M);
+                widest.push(EventKind::SpanStart {
+                    trace,
+                    kind,
+                    role,
+                    job,
+                    task,
+                });
+                widest.push(EventKind::SpanEnd {
+                    trace,
+                    kind,
+                    role,
+                    job,
+                    task,
+                });
+            }
+        }
+        // Exhaustive: a new variant does not compile until it has an
+        // index here, and fails until it has an entry above.
+        fn variant(kind: &EventKind) -> usize {
+            match kind {
+                EventKind::WorkerUp { .. } => 0,
+                EventKind::WorkerDown { .. } => 1,
+                EventKind::JobSubmitted { .. } => 2,
+                EventKind::JobStarted { .. } => 3,
+                EventKind::JobCompleted { .. } => 4,
+                EventKind::JobPhases { .. } => 5,
+                EventKind::JobRequeued { .. } => 6,
+                EventKind::DeadlineExceeded { .. } => 7,
+                EventKind::WorkerQuarantined { .. } => 8,
+                EventKind::TaskStarted { .. } => 9,
+                EventKind::RelayUp { .. } => 10,
+                EventKind::RelayDown { .. } => 11,
+                EventKind::TaskEnded { .. } => 12,
+                EventKind::GangReadopted { .. } => 13,
+                EventKind::UpQueueDropped { .. } => 14,
+                EventKind::SpanStart { .. } => 15,
+                EventKind::SpanEnd { .. } => 16,
+            }
+        }
+        let covered: std::collections::BTreeSet<usize> = widest.iter().map(variant).collect();
+        assert_eq!(covered.len(), 17, "a variant has no widest entry");
+
+        let ring = Ring::anon(widest.len());
+        let mut longest = 0;
+        for kind in &widest {
+            let (len, buf) = std::panic::catch_unwind(|| {
+                let mut buf = [0u8; PAYLOAD_BYTES];
+                (encode_event(M, kind, &mut buf), buf)
+            })
+            .unwrap_or_else(|_| panic!("{kind:?} overflows a {PAYLOAD_BYTES}-byte payload"));
+            longest = longest.max(len);
+            let rec = ring.push(&buf[..len]);
+            let back = ring
+                .reader_from(rec)
+                .poll()
+                .expect("the record just pushed");
+            let event = decode_event(back.payload()).expect("decodes");
+            assert_eq!((event.t, &event.kind), (Duration::from_micros(M), kind));
+            for cut in 0..len {
+                assert!(decode_event(&buf[..cut]).is_none(), "{kind:?} cut at {cut}");
+            }
+        }
+        // JobPhases is the widest: 62 bytes.
+        assert_eq!(longest, 62);
     }
 
     /// Saved logs must feed the stats module unchanged: the recomputed

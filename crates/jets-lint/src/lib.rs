@@ -1069,7 +1069,8 @@ const RING_ALLOC_TYPES: &[&str] = &["Vec", "String", "Box"];
 /// The acceptance invariant of the flight recorder, machine-checked:
 /// `EventLog::record` and everything under it takes no lock, blocks on
 /// nothing, and allocates nothing — a producer records an event for the
-/// cost of a claim `fetch_add` plus sixteen word stores, always.
+/// cost of a claim `fetch_add`, two stamp exchanges and eight word
+/// stores, always.
 fn rule_ring_writer(file: &FileIndex, findings: &mut Vec<Finding>) {
     if file.file_is_test || !ring_scoped_path(&file.path) {
         return;

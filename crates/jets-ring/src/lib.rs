@@ -3,7 +3,7 @@
 //! A fixed-capacity, lock-free, optionally `mmap`-backed ring journal
 //! for high-rate event streams. This is the storage engine under
 //! `jets_core::EventLog`: every dispatcher/relay/worker state
-//! transition becomes one 128-byte slot write — no `Mutex`, no heap
+//! transition becomes one 72-byte slot write — no `Mutex`, no heap
 //! allocation, no growth — and every consumer (`jets top`, `jets
 //! events --stats`, the Prometheus registry) is an independent cursor
 //! that chases the writer without ever blocking it.
@@ -21,7 +21,7 @@
 //!
 //! The ordering discipline (per-slot seqlock stamps, Release-publish /
 //! Acquire-observe, validated copies) is documented where it lives, in
-//! `src/ring.rs`. Records are opaque 120-byte payloads here; the event
+//! `src/ring.rs`. Records are opaque 64-byte payloads here; the event
 //! codec lives with `EventKind` in jets-core.
 //!
 //! Zero dependencies, `std` only. As the workspace's leaf crate it also
@@ -37,5 +37,4 @@ mod sys;
 
 pub use ring::{
     Record, Replay, Ring, RingReader, WriterRole, MIN_CAPACITY, PAYLOAD_BYTES, SLOT_BYTES,
-    SLOT_WORDS,
 };

@@ -2,7 +2,7 @@
 //! (in-process sharing via `Arc`) or a `MAP_SHARED` file mapping (the
 //! crash-durable flight-recorder mode). The anonymous one faults in as
 //! the ring fills: a fresh 2^17-slot ring costs its header page, not
-//! 16 MiB.
+//! 9 MiB.
 //!
 //! Every access goes through [`Region::word`], which hands out
 //! `&AtomicU64` references into the raw memory. Nothing here is ever

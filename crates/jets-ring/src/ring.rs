@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! header: | MAGIC | VERSION | SLOT_BYTES | CAPACITY | HEAD | EPOCH_US | PID | ROLE |
-//! slots:  | stamp | payload word 0..=14 |  × capacity          (128 B per slot)
+//! slots:  | stamp | payload word 0..=7 |  × capacity           (72 B per slot)
 //! ```
 //!
 //! `HEAD` is the claim cursor: the sequence number of the *next* record
@@ -85,8 +85,9 @@ use std::sync::Arc;
 
 /// `"JETSRNG1"` little-endian.
 const MAGIC: u64 = u64::from_le_bytes(*b"JETSRNG1");
-/// Bump when the slot layout changes.
-const VERSION: u64 = 1;
+/// Bump when the slot layout changes. Version 1 had 128-byte slots;
+/// its files are refused, not converted.
+const VERSION: u64 = 2;
 
 /// Header size, in words.
 const HDR_WORDS: usize = 8;
@@ -99,13 +100,18 @@ const W_EPOCH_US: usize = 5;
 const W_PID: usize = 6;
 const W_ROLE: usize = 7;
 
-/// Words per slot (1 stamp + 15 payload words).
-pub const SLOT_WORDS: usize = 16;
+/// Words per slot (1 stamp + 8 payload words): the largest event
+/// record is 62 bytes, so 64 payload bytes hold every one of them.
+const SLOT_WORDS: usize = 9;
 /// Bytes per slot.
 pub const SLOT_BYTES: usize = SLOT_WORDS * 8;
 /// Payload bytes per record; pushes larger than this are refused.
 pub const PAYLOAD_BYTES: usize = SLOT_BYTES - 8;
 const PAYLOAD_WORDS: usize = SLOT_WORDS - 1;
+
+/// Largest claim cursor a file may carry: a stamp is at most
+/// `2·seq + 3`, which must fit a word with room to keep pushing.
+const MAX_SEQ: u64 = 1 << 62;
 
 /// Smallest accepted capacity; see the module docs on same-slot races.
 pub const MIN_CAPACITY: usize = 1024;
@@ -193,7 +199,7 @@ impl Shared {
 /// The copy is the price of a *validated* read: the payload bytes are
 /// only trusted after the stamp re-check proves no writer touched the
 /// slot mid-copy, so they must live on the reader's stack, not in the
-/// shared memory. 120 bytes, no heap.
+/// shared memory. 64 bytes, no heap.
 #[derive(Clone, Copy)]
 pub struct Record {
     /// The record's sequence number (position in the journal).
@@ -260,6 +266,14 @@ impl Ring {
     pub fn create_with_role(path: &Path, capacity: usize, role: WriterRole) -> io::Result<Ring> {
         let cap = capacity.max(MIN_CAPACITY).next_power_of_two();
         let bytes = (HDR_WORDS + cap * SLOT_WORDS) * 8;
+        // A ring this build cannot read (another version or slot size) is
+        // refused before the mapping below extends its file: it is left
+        // as it was.
+        if let Ok(old) = Region::file_readonly(path) {
+            if old.words() >= HDR_WORDS && old.word(W_MAGIC).load(Ordering::Acquire) != 0 {
+                validate_kind(&old, path)?;
+            }
+        }
         let region = Region::file(path, bytes)?;
         let shared = Shared {
             region,
@@ -278,21 +292,20 @@ impl Ring {
             return Ok(ring);
         }
         let mut shared = shared;
-        validate_header(&shared.region, path)?;
-        // An existing (validated) file dictates the live capacity; it
-        // can only be ≤ the mapped size (a longer file was rejected by
-        // the region layer).
-        shared.cap = shared.region.word(W_CAPACITY).load(Ordering::Acquire);
+        // An existing file dictates the live capacity: at most what is
+        // mapped (a longer file was rejected by the region layer), which
+        // a header claiming more fails.
+        shared.cap = validate_header(&shared.region, path)?;
         // A slot still held is one its writer died in: past both records
         // an odd stamp can name (`+ 3`), so it reads as lost and is free.
         // Only a re-open pays this sweep, and it touches every page of
-        // the mapping: ~1.3 ms for the default 2^17 slots, ~13 ms for
-        // 2^20 (2-core Xeon, file in the page cache).
+        // the mapping: ~2 ms for the default 2^17 slots (9 MiB), ~11 ms
+        // for 2^20 (2-core Xeon, file in the page cache).
         for slot in 0..shared.cap {
             let stamp = shared.region.word(shared.slot_word(slot));
             let cur = stamp.load(Ordering::Acquire);
-            if cur & 1 == 1 {
-                let _ = stamp.compare_exchange(cur, cur + 3, Ordering::AcqRel, Ordering::Relaxed);
+            if let (1, Some(free)) = (cur & 1, cur.checked_add(3)) {
+                let _ = stamp.compare_exchange(cur, free, Ordering::AcqRel, Ordering::Relaxed);
             }
         }
         shared
@@ -313,19 +326,7 @@ impl Ring {
     /// Map an existing recorder file read-only for offline replay.
     pub fn open_read(path: &Path) -> io::Result<Ring> {
         let region = Region::file_readonly(path)?;
-        validate_header(&region, path)?;
-        let cap = region.word(W_CAPACITY).load(Ordering::Acquire);
-        let need = HDR_WORDS + (cap as usize) * SLOT_WORDS;
-        if region.words() < need {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: header claims {cap} slots but file has {} words",
-                    path.display(),
-                    region.words()
-                ),
-            ));
-        }
+        let cap = validate_header(&region, path)?;
         Ok(Ring {
             shared: Arc::new(Shared { region, cap }),
         })
@@ -346,7 +347,7 @@ impl Ring {
 
     /// Append one record; returns its sequence number. Lock-free and
     /// allocation-free: one `fetch_add`, one stamp load, two stamp
-    /// compare-exchanges, fifteen word stores. Payloads longer than
+    /// compare-exchanges, eight word stores. Payloads longer than
     /// [`PAYLOAD_BYTES`] are refused with a panic (producer bug, not
     /// data-dependent).
     pub fn push(&self, payload: &[u8]) -> u64 {
@@ -538,7 +539,43 @@ impl Ring {
     }
 }
 
-fn validate_header(region: &Region, path: &Path) -> io::Result<()> {
+/// Check a mapped file's header against this build and against the
+/// mapping itself; returns the capacity it names, whose slots are all
+/// inside the mapping.
+fn validate_header(region: &Region, path: &Path) -> io::Result<u64> {
+    validate_kind(region, path)?;
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let cap = region.word(W_CAPACITY).load(Ordering::Acquire);
+    if cap == 0 || !cap.is_power_of_two() {
+        return Err(bad(format!(
+            "{}: capacity {cap} is not a power of two",
+            path.display()
+        )));
+    }
+    let need = usize::try_from(cap)
+        .ok()
+        .and_then(|cap| cap.checked_mul(SLOT_WORDS))
+        .and_then(|words| words.checked_add(HDR_WORDS));
+    if need.is_none_or(|need| need > region.words()) {
+        return Err(bad(format!(
+            "{}: header claims {cap} slots but the file has {} words",
+            path.display(),
+            region.words()
+        )));
+    }
+    let head = region.word(W_HEAD).load(Ordering::Acquire);
+    if head > MAX_SEQ {
+        return Err(bad(format!(
+            "{}: cursor {head} is past the last sequence a stamp can name",
+            path.display()
+        )));
+    }
+    Ok(cap)
+}
+
+/// Check that a mapped file holds a ring this build reads: a header,
+/// the magic, this version and this slot size.
+fn validate_kind(region: &Region, path: &Path) -> io::Result<()> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     if region.words() < HDR_WORDS {
         return Err(bad(format!(
@@ -563,13 +600,6 @@ fn validate_header(region: &Region, path: &Path) -> io::Result<()> {
     if slot != SLOT_BYTES as u64 {
         return Err(bad(format!(
             "{}: {slot}-byte slots, this build uses {SLOT_BYTES}",
-            path.display()
-        )));
-    }
-    let cap = region.word(W_CAPACITY).load(Ordering::Acquire);
-    if cap == 0 || !cap.is_power_of_two() {
-        return Err(bad(format!(
-            "{}: capacity {cap} is not a power of two",
             path.display()
         )));
     }
@@ -845,6 +875,82 @@ mod tests {
             .err()
             .expect("garbage must be rejected");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A flight file of 1 024 slots holding one record, whose header
+    /// claims `cap` slots.
+    #[cfg(unix)]
+    fn file_claiming(name: &str, cap: u64) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("jets-ring-{name}-{}.ring", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        Ring::create(&path, 1024).expect("create").push(b"one");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[W_CAPACITY * 8..W_CAPACITY * 8 + 8].copy_from_slice(&cap.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    /// A header that claims more slots than the file holds is refused,
+    /// whatever the claim: 2^60 slots would overflow the size check.
+    #[cfg(unix)]
+    #[test]
+    fn open_read_refuses_a_capacity_past_the_file() {
+        for cap in [1u64 << 11, 1 << 20, 1 << 60, 1 << 63] {
+            let path = file_claiming("lying-read", cap);
+            let err = Ring::open_read(&path).err().expect("lying capacity");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{cap}: {err}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// Re-opening for writing checks the header against the mapping
+    /// too: the stale-stamp sweep must never walk past it.
+    #[cfg(unix)]
+    #[test]
+    fn create_refuses_a_capacity_past_the_mapping() {
+        for cap in [1u64 << 11, 1 << 20, 1 << 60, 1 << 63] {
+            let path = file_claiming("lying-create", cap);
+            let err = Ring::create(&path, 1024).err().expect("lying capacity");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{cap}: {err}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// A version 1 file (128-byte slots) is refused by its version both
+    /// ways, and left as it was: re-opened for a ring of the same
+    /// capacity (the old file is longer) or of a larger one (it is
+    /// shorter, and would have been extended).
+    #[cfg(unix)]
+    #[test]
+    fn a_version_1_file_is_refused_and_left_as_it_is() {
+        let path = std::env::temp_dir().join(format!("jets-ring-v1-{}.ring", std::process::id()));
+        let mut v1 = vec![0u8; (HDR_WORDS + 1024 * 16) * 8];
+        let header = [
+            (W_MAGIC, MAGIC),
+            (W_VERSION, 1),
+            (W_SLOT_BYTES, 128),
+            (W_CAPACITY, 1024),
+            (W_HEAD, 10),
+        ];
+        for (w, value) in header {
+            v1[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        std::fs::write(&path, &v1).unwrap();
+        for err in [
+            Ring::open_read(&path).err().expect("open_read"),
+            Ring::create(&path, 1024).err().expect("same capacity"),
+            Ring::create(&path, 4096).err().expect("larger capacity"),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains("ring version 1, this build reads 2"),
+                "{err}"
+            );
+        }
+        assert!(std::fs::read(&path).unwrap() == v1, "the file was changed");
         let _ = std::fs::remove_file(&path);
     }
 
