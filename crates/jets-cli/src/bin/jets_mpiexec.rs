@@ -20,14 +20,14 @@ fn main() {
         .map(|a| if a == "-n" { "--n".to_string() } else { a })
         .collect();
     let args = parse_args(argv, &["n", "ppn", "jobid", "timeout"]);
-    let nodes: u32 = args.get_parse("n", 0);
-    if nodes == 0 {
+    let (nodes, ppn): (u32, u32) = (args.get_parse("n", 0), args.get_parse("ppn", 1));
+    // No ranks, or more than a `u32` counts: nothing to launch.
+    if nodes.checked_mul(ppn).is_none_or(|size| size == 0) {
         eprintln!(
             "usage: jets-mpiexec -n NODES [--ppn P] [--jobid ID] [--timeout SECS] CMD ARGS..."
         );
         std::process::exit(2);
     }
-    let ppn: u32 = args.get_parse("ppn", 1);
     let jobid = args
         .get("jobid")
         .map(str::to_string)

@@ -152,6 +152,26 @@ trace("done");
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A layout of no ranks, or of more than a `u32` counts, is a usage
+/// error, not a panic.
+#[test]
+fn mpiexec_refuses_a_layout_with_no_ranks_or_too_many() {
+    for layout in [["-n", "4", "--ppn", "0"], ["-n", "65536", "--ppn", "65536"]] {
+        let output = Command::new(JETS_MPIEXEC)
+            .args(layout)
+            .args(["--", "true"])
+            .output()
+            .expect("run jets-mpiexec");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{layout:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: jets-mpiexec"),
+            "{layout:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{layout:?}: {stderr}");
+    }
+}
+
 #[test]
 fn mpiexec_manual_launcher_drives_real_processes() {
     // The full launcher=manual loop with OS processes: jets-mpiexec

@@ -18,33 +18,31 @@
 //! * **Effects** — the core's sends go onto the connections' bounded
 //!   outboxes within the input that decided them (so an `Assign` can never
 //!   trail the `Cancel` that kills it), its replies onto the connection
-//!   being read, which a `WorkerUp` or `RelayUp` binds; the MPI gangs' PMI service (the paper's
-//!   `mpiexec`, see `jets-pmi`) is one [`PmiHub`] whose listener sits on
-//!   the same reactor — `pmi_start` opens a job in it and hands out its
-//!   one address, and a gang's first fence release reaches the core from
-//!   the event loop that saw it; and every [`Fact`] the core emits is
-//!   turned into its ring records, write-ahead records, counters and
-//!   job-table update by the one `match` in `Sink::fact`. Captured task output is queued there
-//!   and written to `stdout_dir` by a writer thread, off the event loop.
+//!   being read, which a `WorkerUp` or `RelayUp` binds. The MPI gangs' PMI
+//!   service (the paper's `mpiexec`, see `jets-pmi`) is one [`PmiState`]
+//!   in the loop's state, its listener on the same reactor: `pmi_start`
+//!   opens a job and hands out the one address, and a rank's line that
+//!   releases a first fence is a core input in the same loop turn. Every
+//!   [`Fact`] becomes its ring records, write-ahead records, counters and
+//!   job-table update in the one `match` of `Sink::fact`; captured task
+//!   output is queued there and written to `stdout_dir` by a writer thread.
 //!
 //! ## Threads and locks (see `docs/performance.md`)
 //!
 //! * **the event loop** (`jets-reactor-0`) owns the core, the connection
-//!   map and the open PMI job ids — everything a scheduling decision reads
-//!   or writes to — as a [`LoopCell`]: no lock, and any other thread that
-//!   touches them panics. Client threads post to it and wait for the
-//!   answer; journal restore runs before the core moves in. One timer,
-//!   every `monitor_tick`, runs the core's tick, PMI fence time-outs, the
-//!   `Interval` fsync and the counter bridge.
+//!   map and the PMI service with its open job ids — everything a
+//!   scheduling decision reads or writes — as a [`LoopCell`]: no lock, and
+//!   any other thread that touches them panics. Client threads post to it
+//!   and wait for the answer; journal restore runs before the core moves
+//!   in. One timer, every `monitor_tick`, runs the core's tick, PMI fence
+//!   time-outs, the `Interval` fsync and the counter bridge.
 //! * **the output writer** (`jets-output`) exists only when `stdout_dir`
 //!   is set, and is the one thread that writes there; the output queue
 //!   between it and the loop is a leaf lock.
 //! * **`book` lock** — the job table and the outstanding count: what the
 //!   client-facing API (`wait_idle`, `wait_job`, `records`) polls, and the
-//!   one lock a client takes. The loop takes it in `Sink::book`.
-//!
-//! The order `book` and the hub's `pmi` are taken in is
-//! [`jets_ring::stdx::Rank`], checked at every `lock()` in debug builds.
+//!   one lock a client takes. The loop takes it in `Sink::book`, and
+//!   takes nothing under it ([`jets_ring::stdx::Rank::Book`]).
 
 use crate::core::{Core, CoreConfig, Effects, Fact, Peer};
 use crate::events::{EventKind, EventLog};
@@ -58,7 +56,7 @@ use crate::queue::QueuePolicy;
 use crate::registry::QuarantinePolicy;
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use crate::table::JobTable;
-use jets_pmi::PmiHub;
+use jets_pmi::{PmiHost, PmiState};
 use jets_reactor::{
     CloseReason, ConnHandler, Flow, LoopCell, Outbox, Reactor, ReactorConfig, ReactorStats,
 };
@@ -202,9 +200,13 @@ struct Io {
     /// Connected relay daemons (ids share the worker id space). Shutdown
     /// is sent once per relay, not once per relayed worker.
     relays: HashMap<WorkerId, Arc<Outbox>>,
-    /// Each running MPI gang's PMI job id, open in the hub as long as
-    /// its attempt.
-    pmi: HashMap<JobId, String>,
+    /// The PMI service of every running gang, fed on this loop by its
+    /// ranks' connections, and the address they dial.
+    pmi: PmiState,
+    pmi_addr: String,
+    /// Each running MPI gang's PMI job id, open in `pmi` as long as its
+    /// attempt.
+    pmi_jobs: HashMap<JobId, String>,
     /// Reusable wire-encode buffer: steady-state sends allocate nothing.
     enc: Vec<u8>,
     /// Write-ahead records of the facts emitted since the last flush.
@@ -270,8 +272,6 @@ struct Inner {
     /// The reactor's monotonic counters; the loop's timer bridges them
     /// into the metric surface each tick.
     reactor_stats: Arc<ReactorStats>,
-    /// The PMI service of every running gang, on the reactor's loops.
-    pmi: Arc<PmiHub>,
 }
 
 impl Sched {
@@ -291,18 +291,13 @@ impl Sched {
         out
     }
 
-    /// The loop's periodic duties: PMI fence time-outs, the `Interval`
-    /// fsync, bridging reactor and ring counters into the metric surface,
-    /// and the core's tick (hang detection, deadlines, quarantine
-    /// release, the reconciliation window).
+    /// The loop's periodic duties: bridging reactor, ring and PMI counters
+    /// into the metric surface, the `Interval` fsync, PMI fence time-outs
+    /// and the core's tick (hang detection, deadlines, quarantine release,
+    /// the reconciliation window).
     fn tick(&mut self, prev: &mut [u64; 5]) {
         let inner = Arc::clone(&self.inner);
-        // A fence that has waited `PMI_FENCE_TIMEOUT` aborts its gang:
-        // the parked ranks are told, their tasks fail, the core requeues.
-        let pmi_errors = inner.pmi.input(|pmi, fx| {
-            pmi.tick(Instant::now(), fx);
-            pmi.protocol_errors()
-        });
+        let pmi_errors = self.io.pmi.input(|pmi, _| pmi.protocol_errors());
         bridge_counters(&inner, prev, pmi_errors);
         // Under the `Interval` fsync policy this timer is the durability
         // clock. The sync holds the journal's writer mutex, as an append
@@ -312,6 +307,9 @@ impl Sched {
             inner.metrics.journal_errors_total.inc();
         }
         self.step(|core, fx, now| {
+            // A fence that has waited `PMI_FENCE_TIMEOUT` aborts its gang:
+            // the parked ranks are told, their tasks fail, the core requeues.
+            fx.io.pmi.input(|pmi, ranks| pmi.tick(now, ranks));
             core.tick(now, fx);
             // The O(workers) gauges are refreshed here, once per tick,
             // so the hot path never walks the registry for metrics' sake.
@@ -336,6 +334,20 @@ impl Sched {
             }
         }
         !io.killed
+    }
+}
+
+/// Every gang's ranks feed the loop's PMI service; a first fence release
+/// is a core input in the same loop turn as the line that caused it.
+impl PmiHost for Sched {
+    fn pmi(&mut self) -> &mut PmiState {
+        &mut self.io.pmi
+    }
+
+    fn after_input(&mut self, released: Option<(JobId, Instant)>) {
+        if let Some((job, at)) = released {
+            self.step(|core, fx, _| core.fence_released(job, at, fx));
+        }
     }
 }
 
@@ -414,24 +426,24 @@ impl Effects for Sink<'_> {
     }
 
     fn pmi_start(&mut self, job: JobId, jobid: &str, size: u32) -> io::Result<String> {
-        let hub = &self.inner.pmi;
-        if !hub.input(|pmi, _| pmi.open_job(jobid, job, size, PMI_FENCE_TIMEOUT)) {
+        let pmi = &mut self.io.pmi;
+        if !pmi.input(|pmi, _| pmi.open_job(jobid, job, size, PMI_FENCE_TIMEOUT)) {
             return Err(io::Error::other(format!("pmi job {jobid} is already open")));
         }
-        self.io.pmi.insert(job, jobid.to_string());
-        Ok(hub.addr().to_string())
+        self.io.pmi_jobs.insert(job, jobid.to_string());
+        Ok(self.io.pmi_addr.clone())
     }
 
     fn pmi_abort(&mut self, job: JobId, reason: &str) {
-        if let Some(jobid) = self.io.pmi.get(&job) {
-            let hub = &self.inner.pmi;
-            hub.input(|pmi, fx| pmi.abort_job(jobid, reason, fx));
+        let Io { pmi, pmi_jobs, .. } = &mut *self.io;
+        if let Some(jobid) = pmi_jobs.get(&job) {
+            pmi.input(|pmi, fx| pmi.abort_job(jobid, reason, fx));
         }
     }
 
     fn pmi_stop(&mut self, job: JobId) -> Option<Instant> {
-        let jobid = self.io.pmi.remove(&job)?;
-        self.inner.pmi.input(|pmi, fx| pmi.close_job(&jobid, fx))
+        let jobid = self.io.pmi_jobs.remove(&job)?;
+        self.io.pmi.input(|pmi, fx| pmi.close_job(&jobid, fx))
     }
 
     /// The one place a lifecycle fact reaches the ring, the journal, the
@@ -630,7 +642,7 @@ impl Dispatcher {
         let listener = TcpListener::bind(&config.bind_addr)?;
         let addr = listener.local_addr()?;
         // Ranks reach the PMI service the way pilots reach the dispatcher.
-        let (pmi, pmi_listener) = PmiHub::bind(addr.ip())?;
+        let pmi_listener = TcpListener::bind((addr.ip(), 0))?;
         let reactor = Reactor::start(ReactorConfig {
             event_loops: 1,
             max_frame: MAX_FRAME_BYTES,
@@ -689,13 +701,13 @@ impl Dispatcher {
             outputs: Mutex::new(Vec::new()),
             journal,
             reactor_stats: reactor.stats(),
-            pmi,
         });
         let mut sched = Sched {
             inner: Arc::clone(&inner),
             core: Core::new(core_config, Instant::now()),
             io: Io::default(),
         };
+        sched.io.pmi_addr = pmi_listener.local_addr()?.to_string();
         // Restore on this thread, before the core moves into the loop and
         // before the listener opens.
         if !replayed.is_empty() {
@@ -732,12 +744,7 @@ impl Dispatcher {
                 }) as Box<dyn ConnHandler>)
             }),
         )?;
-        // A gang's first fence release is an input like any other, made
-        // from the event loop, after the hub has unlocked.
-        let fence = Arc::clone(&sched);
-        inner.pmi.serve(&reactor, pmi_listener, move |job, at| {
-            fence.with(|st| st.step(|core, fx, _| core.fence_released(job, at, fx)));
-        })?;
+        jets_pmi::serve_ranks(&reactor, pmi_listener, Arc::clone(&sched))?;
         // The reactor's and the ring's counters are monotonic; the
         // previous sample lets the bridge publish deltas.
         let (ticker, mut prev) = (Arc::clone(&sched), [0u64; 5]);
@@ -939,8 +946,8 @@ impl Drop for Dispatcher {
 }
 
 /// Publish the reactor's and the flight recorder's counters, and the PMI
-/// service's `pmi_errors` the caller read with its tick, into the metric
-/// surface. Lock-free on both sides: the sources are atomics the writers
+/// service's `pmi_errors` the caller read from its loop state, into the
+/// metric surface. Lock-free on both sides: the sources are atomics the writers
 /// already maintain (nothing is decoded, no ring slot is read), the metric
 /// handles are atomics.
 fn bridge_counters(inner: &Inner, prev: &mut [u64; 5], pmi_errors: u64) {
@@ -1025,7 +1032,7 @@ mod tests {
     use super::*;
     use crate::protocol::{MsgReader, MsgWriter, TaskKind};
     use crate::spec::CommandSpec;
-    use std::io::{BufReader, Read};
+    use std::io::{BufReader, Read, Write};
 
     type Wire = (MsgWriter<TcpStream>, MsgReader<BufReader<TcpStream>>);
 
@@ -1177,12 +1184,50 @@ mod tests {
         let rec = d.job_record(id).unwrap();
         assert_eq!(rec.status, JobStatus::Succeeded);
         assert_eq!(rec.exit_codes.len(), 3);
-        let pmi_jobs = d.call(|st| st.io.pmi.len()).unwrap();
+        let pmi_jobs = d.call(|st| st.io.pmi_jobs.len()).unwrap();
         assert_eq!(pmi_jobs, 0, "PMI server dropped");
         d.shutdown();
         for w in workers {
             w.join().unwrap();
         }
+    }
+
+    /// A line no PMI client would send, on the port an MPI assignment
+    /// names: answered `cmd=abort` and closed, counted on the next tick,
+    /// and harmless to the gang, whose rank then connects properly.
+    #[test]
+    fn a_garbage_line_to_the_pmi_port_is_refused_counted_and_harmless() {
+        let d = dispatcher();
+        let (name, location) = ("raw".to_string(), "test".to_string());
+        let hello = WorkerMsg::Register {
+            name,
+            cores: 1,
+            location,
+        };
+        let (mut writer, mut reader) = handshake(d.addr(), &hello);
+        let id = d.submit(JobSpec::mpi(1, CommandSpec::builtin("mpi", vec![])));
+        writer.send(&WorkerMsg::Request).unwrap();
+        let Some(DispatcherMsg::Assign(a)) = reader.recv().unwrap() else {
+            panic!("expected an MPI assignment");
+        };
+        let TaskKind::MpiProxy { pmi_addr, .. } = &a.kind else {
+            panic!("expected an MPI proxy, got {:?}", a.kind);
+        };
+        let mut garbage = TcpStream::connect(pmi_addr.as_str()).unwrap();
+        garbage.write_all(b"this is no pmi line\n").unwrap();
+        let mut answer = String::new();
+        garbage.read_to_string(&mut answer).unwrap(); // to the close
+        assert!(answer.starts_with("cmd=abort "), "{answer:?}");
+        assert_eq!(answer.lines().count(), 1, "{answer:?}");
+        let deadline = Instant::now() + WAIT;
+        while d.metrics().pmi_protocol_errors_total.get() != 1 {
+            assert!(Instant::now() < deadline, "the error was never counted");
+            thread::sleep(Duration::from_millis(5));
+        }
+        writer.send(&run_assignment(&a)).unwrap();
+        let rec = d.wait_job(id, WAIT).expect("the gang ended");
+        assert_eq!(rec.status, JobStatus::Succeeded);
+        assert_eq!(d.metrics().pmi_protocol_errors_total.get(), 1);
     }
 
     #[test]

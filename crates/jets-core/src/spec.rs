@@ -292,6 +292,11 @@ pub fn parse_input(text: &str) -> Result<Vec<JobSpec>, ParseError> {
             if words.is_empty() {
                 return Err(err("MPI: line needs a command".to_string()));
             }
+            if nodes.checked_mul(ppn).is_none() {
+                return Err(err(format!(
+                    "rank count {nodes} × {ppn} does not fit a u32"
+                )));
+            }
             let cmd = command_from_words(words);
             jobs.push(JobSpec::mpi_ppn(nodes, ppn, cmd));
         } else {
@@ -403,6 +408,14 @@ MPI: 6 namd2.sh input-3.pdb output-3.log
         let e = parse_input("MPI: 0 x\n").unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("at least 1"));
+    }
+
+    #[test]
+    fn rejects_a_rank_count_past_u32_with_its_line() {
+        let e = parse_input("MPI: 1 x\nMPI: 65536 ppn=65536 x\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("does not fit"), "{}", e.message);
+        assert!(parse_input("MPI: 65535 ppn=65537 x\n").is_ok());
     }
 
     #[test]

@@ -501,7 +501,7 @@ pub fn is_called(toks: &[Tok], i: usize) -> bool {
 }
 
 /// Is the ident at `i` qualified by a PascalCase type name other than
-/// `Self` (`PmiHub::bind`)? Associated-function calls on foreign
+/// `Self` (`Reactor::start`)? Associated-function calls on foreign
 /// types cannot be resolved by bare name; `Self::helper` and
 /// snake_case module paths (`journal::replay`) stay resolvable.
 fn is_type_qualified(toks: &[Tok], i: usize, start: usize) -> bool {
@@ -578,11 +578,11 @@ fn extract_fn_facts(toks: &[Tok], f: &mut FnFacts) {
             // callee name. `.`-prefixed idents are skipped — the
             // `.`-branch above already recorded the method call —
             // and `Type::assoc(..)` calls are skipped: resolving
-            // `PmiHub::bind` by the bare name `bind` would hit every
+            // `Reactor::start` by the bare name `start` would hit every
             // constructor of that name in the crate. (Method calls
-            // are resolved by bare name, which is why the hub's
+            // are resolved by bare name, which is why the PMI service's
             // `open_job` / `abort_job` / `close_job` do not share a
-            // name with the service's or the journal's.)
+            // name with the journal's.)
             (true, i)
         } else {
             (false, 0)

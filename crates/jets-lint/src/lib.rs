@@ -1460,7 +1460,7 @@ mod tests {
     fn spawn_in_blocking_client_serve_is_fine() {
         // The worker agent is a blocking client by design; jets-pmi and
         // jets-mpi are not any more: a thread per rank connection there
-        // is the pattern the PMI hub and the MPI endpoint replaced.
+        // is the pattern the PMI listener and the MPI endpoint replaced.
         let src = r#"
             fn serve_rank(stream: TcpStream) {
                 thread::spawn(move || pump(stream));

@@ -17,9 +17,10 @@
 //! * [`kvs`] — the per-job key-value space with fence (barrier) semantics.
 //! * [`service`] — the process-manager side as a table of jobs
 //!   ([`PmiService`]): no socket, clock, lock or thread in it.
-//! * [`server`] — that table on sockets: [`PmiHub`], any number of jobs
-//!   behind one listener on a reactor its owner already runs (the
-//!   dispatcher's), and [`PmiServer`], one job on a private reactor.
+//! * [`server`] — that table on sockets, as the state of the event loop
+//!   serving its ranks ([`PmiState`], fed by [`serve_ranks`]): any number
+//!   of jobs in the dispatcher's loop, or one job on [`PmiServer`]'s
+//!   private reactor.
 //! * [`client`] — the rank side ([`PmiClient`]), used by the `jets-mpi`
 //!   library during wire-up, configured from `PMI_*` environment variables
 //!   exactly as Hydra proxies configure user processes.
@@ -42,7 +43,7 @@ pub mod wire;
 
 pub use client::PmiClient;
 pub use manual::{ManualLauncher, ProxyCommand, RankLayout};
-pub use server::{PmiHub, PmiServer, PmiServerConfig};
+pub use server::{serve_ranks, PmiHost, PmiServer, PmiServerConfig, PmiState};
 pub use service::{JobOutcome, PmiService};
 pub use wire::{Message, WireError};
 

@@ -25,9 +25,10 @@ impl RankLayout {
         RankLayout { nodes, ppn: 1 }
     }
 
-    /// Total number of ranks in the job.
+    /// Total number of ranks in the job; saturates at `u32::MAX` instead
+    /// of wrapping.
     pub fn size(&self) -> u32 {
-        self.nodes * self.ppn
+        self.nodes.saturating_mul(self.ppn)
     }
 
     /// The ranks hosted by node `node_index` (block mapping).
@@ -114,6 +115,15 @@ mod tests {
         assert_eq!(l.node_of_rank(0), 0);
         assert_eq!(l.node_of_rank(5), 2);
         assert_eq!(l.node_of_rank(7), 3);
+    }
+
+    #[test]
+    fn a_layout_past_u32_saturates_instead_of_wrapping() {
+        let l = RankLayout {
+            nodes: 65_536,
+            ppn: 65_536,
+        };
+        assert_eq!(l.size(), u32::MAX);
     }
 
     #[test]

@@ -1,22 +1,17 @@
-//! The PMI service on sockets: [`PmiHub`] — one [`PmiService`] behind one
-//! mutex, one listener on a [`Reactor`] its owner already runs, a
-//! [`ConnHandler`] per rank connection, replies through the connections'
-//! [`Outbox`]es — and [`PmiServer`], the stand-alone form: a hub with one
-//! job on a private one-loop reactor (`jets-mpiexec`, tests, benchmarks).
-//! No thread per job or per rank on either.
-//!
-//! The hub's lock is [`Rank::Pmi`], taken under the dispatcher's `sched`,
-//! so nothing here calls out with it held: a first fence release is
-//! reported after the unlock.
+//! The PMI service on sockets, as the state of the event loop serving its
+//! ranks: a [`PmiHost`] holds a [`PmiState`] in a [`LoopCell`], and
+//! [`serve_ranks`] feeds it each line a rank sends, on that loop. No lock,
+//! no thread per job or per rank. The hosts are the dispatcher's loop
+//! (every gang's job, beside its core) and [`PmiServer`] (one job on a
+//! private one-loop reactor: `jets-mpiexec`, tests, benchmarks).
 
-use crate::service::{ConnId, Effects, PmiService, MAX_LINE};
+use crate::service::{ConnId, Effects, PmiService, Released, MAX_LINE};
 use crate::wire::Message;
-use jets_reactor::{CloseReason, ConnHandler, Flow, Outbox, Reactor, ReactorConfig};
-use jets_ring::stdx::{wait_for, Mutex, Rank};
+use jets_reactor::{CloseReason, ConnHandler, Flow, LoopCell, Outbox, Reactor, ReactorConfig};
 use std::collections::HashMap;
 use std::io;
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 pub use crate::service::JobOutcome;
@@ -44,7 +39,7 @@ impl PmiServerConfig {
 }
 
 /// The service's replies, onto the connections' outboxes. `Outbox::send`
-/// never blocks, so this runs under the hub's lock.
+/// never blocks, so this runs on the event loop.
 #[derive(Default)]
 struct Wire {
     outboxes: HashMap<ConnId, Arc<Outbox>>,
@@ -69,88 +64,60 @@ impl Effects for Wire {
     }
 }
 
-/// Everything behind the hub's one lock.
+/// A manager's PMI service as its event loop's state: the [`PmiService`]
+/// table of jobs, and the outboxes of the rank connections open now.
 #[derive(Default)]
-struct Shared {
+pub struct PmiState {
     service: PmiService,
     wire: Wire,
 }
 
-/// A manager's PMI service: any number of jobs behind one address.
-pub struct PmiHub {
-    addr: SocketAddr,
-    pmi: Mutex<Shared>,
-    /// Signalled after every input; [`PmiServer::wait`] sleeps on it.
-    changed: Condvar,
-}
-
-type OnRelease = dyn Fn(u64, Instant) + Send + Sync;
-
-impl PmiHub {
-    /// Bind an ephemeral port on `ip`. Nothing is served until the
-    /// listener is handed to [`PmiHub::serve`].
-    pub fn bind(ip: IpAddr) -> io::Result<(Arc<PmiHub>, TcpListener)> {
-        let listener = TcpListener::bind((ip, 0))?;
-        let hub = PmiHub {
-            addr: listener.local_addr()?,
-            pmi: Mutex::ranked(Rank::Pmi, Shared::default()),
-            changed: Condvar::new(),
-        };
-        Ok((Arc::new(hub), listener))
-    }
-
-    /// Serve `listener` on `reactor`. `on_release(tag, at)` runs on an
-    /// event loop, with no hub lock held, when a job's first fence
-    /// releases; it must not block.
-    pub fn serve(
-        self: &Arc<Self>,
-        reactor: &Reactor,
-        listener: TcpListener,
-        on_release: impl Fn(u64, Instant) + Send + Sync + 'static,
-    ) -> io::Result<()> {
-        let (hub, on_release) = (Arc::clone(self), Arc::new(on_release) as Arc<OnRelease>);
-        let accept = move |_: &TcpStream, _| {
-            let conn = RankConn {
-                hub: Arc::clone(&hub),
-                on_release: Arc::clone(&on_release),
-                outbox: None,
-            };
-            Some(Box::new(conn) as Box<dyn ConnHandler>)
-        };
-        reactor.listen(listener, Arc::new(accept))
-    }
-
-    /// Address ranks must connect to (`PMI_ADDR`), the same for every job.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
+impl PmiState {
     /// One input to the service — `open_job`, `abort_job`, `close_job`,
-    /// `tick`, a read — under the lock; `f`'s replies go out on the wire.
-    pub fn input<R>(&self, f: impl FnOnce(&mut PmiService, &mut dyn Effects) -> R) -> R {
-        let mut shared = self.pmi.lock();
-        let Shared { service, wire } = &mut *shared;
-        let out = f(service, wire);
-        drop(shared);
-        self.changed.notify_all();
-        out
+    /// `tick`, a read — with its replies going out on the wire.
+    pub fn input<R>(&mut self, f: impl FnOnce(&mut PmiService, &mut dyn Effects) -> R) -> R {
+        f(&mut self.service, &mut self.wire)
     }
 }
 
-/// One rank's connection, driven by a reactor event loop: each line is one
-/// input to the service. Never blocks (rule J7).
-struct RankConn {
-    hub: Arc<PmiHub>,
-    on_release: Arc<OnRelease>,
+/// An event loop's state that serves ranks: its [`PmiState`], and what
+/// follows each input a rank connection makes.
+pub trait PmiHost: Send + 'static {
+    /// The state the ranks feed.
+    fn pmi(&mut self) -> &mut PmiState;
+    /// Runs after each line or disconnect a rank fed the service, in the
+    /// same loop turn, with the job's first fence release if that input
+    /// caused it. Must not block (rule J7).
+    fn after_input(&mut self, released: Released);
+}
+
+/// Serve `listener` on `reactor`: every connection accepted is a rank whose
+/// lines feed `host`'s [`PmiState`]. The loop that owns `host` must be the
+/// one serving the listener: a one-loop reactor's.
+pub fn serve_ranks<H: PmiHost>(
+    reactor: &Reactor,
+    listener: TcpListener,
+    host: Arc<LoopCell<H>>,
+) -> io::Result<()> {
+    let accept = move |_: &TcpStream, _| {
+        let host = Arc::clone(&host);
+        Some(Box::new(RankConn { host, outbox: None }) as Box<dyn ConnHandler>)
+    };
+    reactor.listen(listener, Arc::new(accept))
+}
+
+/// One rank's connection, driven by the event loop that owns its host:
+/// each line is one input to the service. Never blocks (rule J7).
+struct RankConn<H> {
+    host: Arc<LoopCell<H>>,
     outbox: Option<Arc<Outbox>>,
 }
 
-impl ConnHandler for RankConn {
+impl<H: PmiHost> ConnHandler for RankConn<H> {
     fn on_open(&mut self, outbox: &Arc<Outbox>) {
         self.outbox = Some(Arc::clone(outbox));
-        let mut shared = self.hub.pmi.lock();
-        let outboxes = &mut shared.wire.outboxes;
-        outboxes.insert(outbox.id(), Arc::clone(outbox));
+        let (id, out) = (outbox.id(), Arc::clone(outbox));
+        self.host.with(|h| h.pmi().wire.outboxes.insert(id, out));
     }
 
     fn on_frame(&mut self, frame: &[u8]) -> Flow {
@@ -158,35 +125,67 @@ impl ConnHandler for RankConn {
         // are not inputs.
         if let Some(conn) = self.outbox.as_ref().filter(|out| !out.is_closed()) {
             let (id, now) = (conn.id(), Instant::now());
-            let released = self.hub.input(|pmi, fx| pmi.on_frame(id, frame, now, fx));
-            if let Some((tag, at)) = released {
-                (self.on_release)(tag, at);
-            }
+            self.host.with(|host| {
+                let released = host.pmi().input(|pmi, fx| pmi.on_frame(id, frame, now, fx));
+                host.after_input(released);
+            });
         }
         Flow::Continue
     }
 
     fn on_close(&mut self, _reason: CloseReason) {
         if let Some(id) = self.outbox.take().map(|conn| conn.id()) {
-            self.hub.pmi.lock().wire.outboxes.remove(&id);
-            self.hub.input(|pmi, fx| pmi.on_disconnect(id, fx));
+            self.host.with(|host| {
+                let pmi = host.pmi();
+                pmi.wire.outboxes.remove(&id);
+                pmi.input(|pmi, fx| pmi.on_disconnect(id, fx));
+                host.after_input(None);
+            });
         }
     }
 }
 
-/// A running PMI server for a single MPI job: a [`PmiHub`] with that one
-/// job open, on a private one-loop reactor that lives as long as this does.
-pub struct PmiServer {
-    hub: Arc<PmiHub>,
+/// The stand-alone server's loop state: its one job, and a doorbell for
+/// each thread in [`PmiServer::wait`].
+struct Solo {
+    pmi: PmiState,
     jobid: String,
+    bells: Vec<mpsc::Sender<()>>,
+}
+
+impl PmiHost for Solo {
+    fn pmi(&mut self) -> &mut PmiState {
+        &mut self.pmi
+    }
+
+    /// Ring every waiter: the job may have ended, or a fence may have set
+    /// a deadline nearer than the one a waiter sleeps until.
+    fn after_input(&mut self, _: Released) {
+        self.bells.drain(..).for_each(|bell| _ = bell.send(()));
+    }
+}
+
+/// A running PMI server for a single MPI job: that one job open in a
+/// [`PmiState`] owned by a private one-loop reactor, which lives as long as
+/// this does.
+pub struct PmiServer {
+    addr: SocketAddr,
+    solo: Arc<LoopCell<Solo>>,
     _reactor: Reactor,
 }
 
 impl PmiServer {
     /// Bind a listener on an ephemeral localhost port and start serving.
+    /// A job of no ranks is `InvalidInput`.
     pub fn start(config: PmiServerConfig) -> io::Result<PmiServer> {
-        assert!(config.size > 0, "PMI job must have at least one rank");
-        let (hub, listener) = PmiHub::bind(IpAddr::V4(Ipv4Addr::LOCALHOST))?;
+        if config.size == 0 {
+            let why = "a PMI job needs at least one rank";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+        }
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
+        let addr = listener.local_addr()?;
+        let (mut pmi, jobid, bells) = (PmiState::default(), config.jobid, Vec::new());
+        pmi.input(|pmi, _| pmi.open_job(&jobid, 0, config.size, config.fence_timeout));
         let reactor = Reactor::start(ReactorConfig {
             event_loops: 1,
             max_frame: MAX_LINE,
@@ -194,51 +193,61 @@ impl PmiServer {
             thread_stack: 128 * 1024,
             ..ReactorConfig::default()
         })?;
-        hub.serve(&reactor, listener, |_, _| {})?;
-        hub.input(|pmi, _| pmi.open_job(&config.jobid, 0, config.size, config.fence_timeout));
+        let solo = Arc::new(reactor.own(Solo { pmi, jobid, bells }));
+        serve_ranks(&reactor, listener, Arc::clone(&solo))?;
         Ok(PmiServer {
-            hub,
-            jobid: config.jobid,
+            addr,
+            solo,
             _reactor: reactor,
         })
     }
 
     /// Address ranks must connect to (`PMI_ADDR`).
     pub fn addr(&self) -> SocketAddr {
-        self.hub.addr()
+        self.addr
     }
 
     /// Abort the job from the manager side (e.g. the scheduler noticed a
     /// worker died before its proxy connected).
     pub fn abort(&self, reason: &str) {
-        self.hub
-            .input(|pmi, fx| pmi.abort_job(&self.jobid, reason, fx));
+        let reason = reason.to_string();
+        self.solo.call(move |solo| {
+            let jobid = &solo.jobid;
+            solo.pmi.input(|pmi, fx| pmi.abort_job(jobid, &reason, fx));
+            solo.after_input(None);
+        });
     }
 
     /// Block until the job completes, aborts, or `timeout` passes. Fence
     /// time-outs are enforced from here, waking at each deadline: a
-    /// stand-alone server has no other clock.
+    /// stand-alone server has no other clock. Every input rings it earlier.
     pub fn wait(&self, timeout: Duration) -> JobOutcome {
         let give_up = Instant::now() + timeout;
         loop {
-            let now = Instant::now();
-            self.hub.input(|pmi, fx| pmi.tick(now, fx));
-            let shared = self.hub.pmi.lock();
-            if let Some(outcome) = shared.service.outcome(&self.jobid) {
-                return outcome.clone();
+            let (bell, rung) = mpsc::channel();
+            let asleep = self.solo.call(move |solo| {
+                let now = Instant::now();
+                solo.pmi.input(|pmi, fx| pmi.tick(now, fx));
+                if let Some(outcome) = solo.pmi.service.outcome(&solo.jobid) {
+                    return Err(outcome.clone());
+                }
+                solo.bells.push(bell);
+                let next = solo.pmi.service.next_deadline();
+                Ok(next.map_or(give_up, |at| at.min(give_up)) - now)
+            });
+            match asleep {
+                Some(Err(outcome)) => return outcome,
+                Some(Ok(sleep)) if Instant::now() < give_up => drop(rung.recv_timeout(sleep)),
+                _ => return JobOutcome::TimedOut, // time is up, or the loop stopped
             }
-            if now >= give_up {
-                return JobOutcome::TimedOut;
-            }
-            let next = shared.service.next_deadline();
-            let wake = next.map_or(give_up, |deadline| deadline.min(give_up));
-            drop(wait_for(&self.hub.changed, shared, wake - now));
         }
     }
 
     /// Outcome if the job already finished, without blocking.
     pub fn try_outcome(&self) -> Option<JobOutcome> {
-        self.hub.input(|pmi, _| pmi.outcome(&self.jobid).cloned())
+        self.solo
+            .call(|solo| solo.pmi.service.outcome(&solo.jobid).cloned())
+            .flatten()
     }
 
     /// When the job's first fence released — the end of PMI negotiation
@@ -246,7 +255,9 @@ impl PmiServer {
     /// `None` while negotiation is still in flight or if the job never
     /// fences.
     pub fn first_barrier_at(&self) -> Option<Instant> {
-        self.hub.input(|pmi, _| pmi.first_fence(&self.jobid))
+        self.solo
+            .call(|solo| solo.pmi.service.first_fence(&solo.jobid))
+            .flatten()
     }
 }
 
@@ -355,6 +366,40 @@ mod tests {
             JobOutcome::Aborted(r) => assert!(r.contains("scheduler")),
             other => panic!("expected abort, got {other:?}"),
         }
+    }
+
+    /// The stand-alone server's fence clock is `wait`: rank 0 fences, rank 1
+    /// never does, and the fence times out while `wait` blocks.
+    #[test]
+    fn a_fence_that_outwaits_its_timeout_aborts_the_job() {
+        let config = PmiServerConfig {
+            fence_timeout: Duration::from_millis(50),
+            ..PmiServerConfig::new("t", 2)
+        };
+        let server = PmiServer::start(config).unwrap();
+        let addr = server.addr().to_string();
+        let _silent = PmiClient::connect(&addr, 1, 2, "t").unwrap();
+        let fencing = thread::spawn(move || {
+            let mut c = PmiClient::connect(&addr, 0, 2, "t").unwrap();
+            c.put("bc.0", "here").unwrap();
+            c.fence()
+        });
+        let began = Instant::now();
+        match server.wait(WAIT) {
+            JobOutcome::Aborted(reason) => assert!(reason.contains("fence"), "reason: {reason}"),
+            other => panic!("expected abort, got {other:?}"),
+        }
+        assert!(began.elapsed() < WAIT / 4, "took {:?}", began.elapsed());
+        assert!(
+            fencing.join().unwrap().is_err(),
+            "the parked fence was not told"
+        );
+    }
+
+    #[test]
+    fn a_job_of_no_ranks_is_invalid_input() {
+        let refused = PmiServer::start(PmiServerConfig::new("t", 0)).err();
+        assert_eq!(refused.map(|e| e.kind()), Some(io::ErrorKind::InvalidInput));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! entry point per input (a line from a connection, a disconnect, the
 //! manager's `open_job` / `abort_job` / `close_job`, a `tick`), `now` passed
 //! in where a deadline depends on it, every reply through [`Effects`].
-//! [`crate::PmiHub`] puts it behind a mutex on a reactor listener.
+//! [`crate::PmiState`] makes it the state of the event loop serving its
+//! ranks: the dispatcher's, or a stand-alone [`crate::PmiServer`]'s.
 //!
 //! A connection that breaks the protocol — an undecodable line, anything
 //! before `init`, `init` twice, a job that is not open, a rank out of range

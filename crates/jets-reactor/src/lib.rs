@@ -27,8 +27,8 @@
 //! The reactor serves the fan-in sides, where connection counts scale
 //! with the cluster: the dispatcher's worker and relay connections, the
 //! relay's members and its upstream session, and the ranks' connections
-//! to the PMI service (`jets_pmi::PmiHub`, a second listener on the
-//! dispatcher's reactor). `jets_mpi::Endpoint` uses the [`Poller`]
+//! to the PMI service (`jets_pmi::serve_ranks`: a second listener on the
+//! dispatcher's reactor, feeding the `jets_pmi::PmiState` its loop owns). `jets_mpi::Endpoint` uses the [`Poller`]
 //! alone, one thread over a pilot's inbound mesh sockets. The blocking
 //! client paths (the worker agent's session, a rank's `PmiClient`) stay
 //! on the calling thread.

@@ -26,11 +26,6 @@ pub enum Rank {
     /// The dispatcher's `book`: job records and the outstanding count,
     /// updated by its event loop in `Sink::book`, polled alone by clients.
     Book,
-    /// The PMI hub's table: the dispatcher's event loop takes it for
-    /// `Effects::pmi_start` / `pmi_abort` / `pmi_stop` and its timer, and
-    /// the hub reports a fence release to the scheduler only after it has
-    /// unlocked.
-    Pmi,
     /// A pilot's `state`: its core and the session's write half.
     Pilot,
     /// The node-local cache's `entries`, held across a copy and the
@@ -367,26 +362,29 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn taking_an_earlier_rank_panics_naming_both_locks() {
-        let (book, pmi) = (Mutex::ranked(Rank::Book, ()), Mutex::ranked(Rank::Pmi, ()));
-        drop((book.lock(), pmi.lock())); // the table's order is fine
+        let (book, pilot) = (
+            Mutex::ranked(Rank::Book, ()),
+            Mutex::ranked(Rank::Pilot, ()),
+        );
+        drop((book.lock(), pilot.lock())); // the table's order is fine
         let msg = order_panic(|| {
-            let _pmi = pmi.lock();
+            let _pilot = pilot.lock();
             let _book = book.lock();
         });
-        assert!(msg.contains("`Book` taken while `Pmi` is held"), "{msg}");
-        // The unwinding dropped `_pmi`: this thread holds nothing again.
-        drop((book.lock(), pmi.lock()));
+        assert!(msg.contains("`Book` taken while `Pilot` is held"), "{msg}");
+        // The unwinding dropped `_pilot`: this thread holds nothing again.
+        drop((book.lock(), pilot.lock()));
     }
 
     #[cfg(debug_assertions)]
     #[test]
     fn re_entry_panics_instead_of_deadlocking() {
-        let pmi = Mutex::ranked(Rank::Pmi, ());
+        let pilot = Mutex::ranked(Rank::Pilot, ());
         let msg = order_panic(|| {
-            let _outer = pmi.lock();
-            let _inner = pmi.lock();
+            let _outer = pilot.lock();
+            let _inner = pilot.lock();
         });
-        assert!(msg.contains("`Pmi` taken while `Pmi` is held"), "{msg}");
+        assert!(msg.contains("`Pilot` taken while `Pilot` is held"), "{msg}");
     }
 
     #[cfg(debug_assertions)]
@@ -403,34 +401,34 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn guards_dropped_out_of_order_leave_the_held_list_right() {
-        let locks = [Rank::Allocation, Rank::Book, Rank::Pmi].map(|rank| Mutex::ranked(rank, ()));
-        let [alloc, book, pmi] = &locks;
-        let (a, b, p) = (alloc.lock(), book.lock(), pmi.lock());
+        let locks = [Rank::Allocation, Rank::Book, Rank::Pilot].map(|rank| Mutex::ranked(rank, ()));
+        let [alloc, book, pilot] = &locks;
+        let (a, b, p) = (alloc.lock(), book.lock(), pilot.lock());
         drop(b);
-        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Allocation, Rank::Pmi]));
-        // `Book` is free but `Pmi`, later in the table, is still held.
+        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Allocation, Rank::Pilot]));
+        // `Book` is free but `Pilot`, later in the table, is still held.
         let msg = order_panic(|| drop(book.lock()));
-        assert!(msg.contains("`Book` taken while `Pmi` is held"), "{msg}");
+        assert!(msg.contains("`Book` taken while `Pilot` is held"), "{msg}");
         drop(a);
         drop(p);
         HELD.with_borrow(|held| assert!(held.is_empty()));
-        drop((alloc.lock(), book.lock(), pmi.lock()));
+        drop((alloc.lock(), book.lock(), pilot.lock()));
     }
 
     #[cfg(debug_assertions)]
     #[test]
     fn wait_for_keeps_its_lock_s_entry_and_refuses_a_second_lock() {
-        let (book, pmi) = (Mutex::ranked(Rank::Book, ()), Mutex::ranked(Rank::Pmi, 7));
+        let (book, pilot) = (Mutex::ranked(Rank::Book, ()), Mutex::ranked(Rank::Pilot, 7));
         let cv = sync::Condvar::new();
-        let (guard, _) = wait_for(&cv, pmi.lock(), Duration::from_millis(1));
-        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Pmi]));
+        let (guard, _) = wait_for(&cv, pilot.lock(), Duration::from_millis(1));
+        HELD.with_borrow(|held| assert_eq!(*held, [Rank::Pilot]));
         drop(guard);
         HELD.with_borrow(|held| assert!(held.is_empty()));
         let msg = order_panic(|| {
             let _book = book.lock();
-            wait_for(&cv, pmi.lock(), Duration::from_millis(1));
+            wait_for(&cv, pilot.lock(), Duration::from_millis(1));
         });
-        let want = "waiting on `Pmi`'s condvar while `Book` is held";
+        let want = "waiting on `Pilot`'s condvar while `Book` is held";
         assert!(msg.contains(want), "{msg}");
     }
 

@@ -15,20 +15,23 @@ fn panic_of(f: impl FnOnce()) -> String {
 
 #[test]
 fn a_violation_on_one_thread_fails_every_later_lock_and_wait_on_any_other() {
-    let (book, pmi) = (Mutex::ranked(Rank::Book, ()), Mutex::ranked(Rank::Pmi, ()));
+    let (book, pilot) = (
+        Mutex::ranked(Rank::Book, ()),
+        Mutex::ranked(Rank::Pilot, ()),
+    );
     let (bystander, never) = (Mutex::new(0), Condvar::new());
     let (began, minute) = (Instant::now(), Duration::from_secs(60));
     let (event_loop, parked) = thread::scope(|s| {
         // A test's own thread, in `wait_idle` since before anything went wrong.
         let parked = s.spawn(|| panic_of(|| drop(wait_for(&never, bystander.lock(), minute))));
         let inverted = || {
-            let _pmi = pmi.lock();
+            let _pilot = pilot.lock();
             let _book = book.lock();
         };
         let event_loop = s.spawn(move || panic_of(inverted));
         (event_loop.join().unwrap(), parked.join().unwrap())
     });
-    assert!(event_loop.ends_with("`Book` taken while `Pmi` is held; see `stdx::Rank`"));
+    assert!(event_loop.ends_with("`Book` taken while `Pilot` is held; see `stdx::Rank`"));
     let elsewhere = format!("{event_loop} (first seen on another thread)");
     assert_eq!(parked, elsewhere);
     assert!(began.elapsed() < minute / 2, "the wait was not cut short");
