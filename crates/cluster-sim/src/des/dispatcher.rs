@@ -230,6 +230,10 @@ impl Fx {
         self.open.retain(|_, t| t.job != job);
     }
 
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "the world checks spans, tasks and attempts; other kinds carry no invariant"
+    )]
     fn event(&mut self, kind: &EventKind) {
         let t = Duration::from_micros(self.now);
         match *kind {
@@ -360,6 +364,10 @@ impl Effects for Fx {
         let mut recs = Vec::new();
         fact.wal(&mut recs);
         self.journal(&recs);
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "every other fact is noted as it prints"
+        )]
         self.note(|| match &fact {
             Fact::Event(kind) => format!("{kind:?}"),
             // The queued jobs carry the run's wall-clock epoch.
@@ -514,6 +522,10 @@ impl PmiWire {
 }
 
 impl PmiEffects for PmiWire {
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "only these replies open, release or abort a rank"
+    )]
     fn send(&mut self, to: &[ConnId], msg: &Message) {
         match msg {
             Message::InitAck => _ = self.open.insert(to[0], self.ranks[&to[0]]),

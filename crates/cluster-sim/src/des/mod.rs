@@ -700,7 +700,7 @@ impl World {
         match *hop {
             Hop::Hear(l, _) => !self.pilots.iter().any(|p| p.hung && p.fx.link == Some(l)),
             Hop::Pmi(c, _) => self.ranks.get(&c).is_none_or(|r| !self.pilots[r.p].hung),
-            _ => true,
+            Hop::Up(..) | Hop::Down(..) | Hop::Say(..) | Hop::Rank(..) => true,
         }
     }
 
@@ -744,6 +744,10 @@ impl World {
         let due = |w: &Self| w.wire.iter().position(|f| f.0 <= now && w.readable(&f.1));
         while let Some(i) = due(self) {
             let hop = self.wire.remove(i).1;
+            #[expect(
+                clippy::wildcard_enum_match_arm,
+                reason = "every other hop is noted as it prints"
+            )]
             self.fx.note(|| match &hop {
                 Hop::Rank(c, Some(m)) => format!("{c} -> pmi: {}", m.encode()),
                 Hop::Pmi(c, Some(m)) => format!("pmi -> {c}: {}", m.encode()),

@@ -100,6 +100,10 @@ impl Effects for PFx {
 
     fn hang_up_read(&mut self) {}
 
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a task's span order is all the world checks here"
+    )]
     fn fact(&mut self, fact: Fact) {
         let (from, to) = match fact {
             Fact::Event(EventKind::SpanStart { .. }) => (0, 1),

@@ -23,6 +23,14 @@
 //! and watch the dispatcher keep the survivors busy. Other plans mix
 //! permanent kills with transient partitions (reconnecting agents).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod allocation;

@@ -49,6 +49,15 @@
 //! where one job's wall time went phase by phase, and `stats` recomputes
 //! the paper's Eq. (1) utilization from exec spans.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use cluster_sim::{science_registry, Allocation, AllocationConfig};
 use jets_cli::prom::Scrape;
 use jets_cli::{parse_args, Args};

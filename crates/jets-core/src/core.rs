@@ -220,7 +220,12 @@ impl Fact<'_> {
             Fact::QuarantineReleased { name } => {
                 out.push(Record::QuarantineRelease { name: name.into() })
             }
-            _ => {}
+            Fact::Event(_)
+            | Fact::Restored { .. }
+            | Fact::WorkerUp { .. }
+            | Fact::WorkerDown { strike: None, .. }
+            | Fact::JobStarted { .. }
+            | Fact::Reported { .. } => {}
         }
     }
 }

@@ -456,6 +456,10 @@ impl Effects for Sink<'_> {
         }
         match fact {
             Fact::Event(kind) => {
+                #[expect(
+                    clippy::wildcard_enum_match_arm,
+                    reason = "only these kinds feed a counter, a histogram or the relay map"
+                )]
                 match &kind {
                     EventKind::TaskStarted { .. } => m.tasks_started_total.inc(),
                     EventKind::DeadlineExceeded { .. } => m.deadline_exceeded_total.inc(),
@@ -801,6 +805,10 @@ impl Dispatcher {
     /// however large the submission), queued in one input to the core and
     /// triggers one scheduling pass, so bulk submission does not serialize
     /// per-job against the worker traffic.
+    #[expect(
+        clippy::expect_used,
+        reason = "job ids come from the event loop: once it has stopped there are none to return"
+    )]
     pub fn submit_all(&self, specs: impl IntoIterator<Item = JobSpec>) -> Vec<JobId> {
         let specs = specs.into_iter().collect();
         self.call(move |st| st.step(|core, fx, now| core.submit(now, specs, fx)))

@@ -47,6 +47,16 @@
 //!   and its job table: every job's record as a fixed-size row and
 //!   wire-codec bytes, decoded on demand.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod core;

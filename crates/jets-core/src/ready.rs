@@ -86,6 +86,7 @@ impl ReadyList {
     /// Dequeue the `n` longest-parked workers into `out` (appended,
     /// oldest first). The FCFS fast path: no candidate vector, no index
     /// juggling. Panics if fewer than `n` workers are parked.
+    #[expect(clippy::expect_used, reason = "the assert above bounds `n`")]
     pub fn take_front(&mut self, n: usize, out: &mut Vec<WorkerId>) {
         assert!(n <= self.entries.len(), "take_front past the ready list");
         for _ in 0..n {

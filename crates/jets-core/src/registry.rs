@@ -318,7 +318,7 @@ impl Registry {
         let w = self.workers.get_mut(&id)?;
         let job = match w.state {
             WorkerState::Busy(j) => Some(j),
-            _ => None,
+            WorkerState::Idle | WorkerState::Quarantined { .. } | WorkerState::Dead => None,
         };
         w.state = WorkerState::Dead;
         job

@@ -33,6 +33,10 @@ pub fn utilization_eq1(
 /// (between each `TaskStarted` and its `TaskEnded`) divided by
 /// `allocation_size × makespan`, where the makespan runs from the first
 /// task start to the last task end.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "utilization reads only task starts and ends out of a whole log"
+)]
 pub fn measured_utilization(events: &[Event], allocation_size: usize) -> f64 {
     let mut open: HashMap<u64, Duration> = HashMap::new();
     let mut busy = Duration::ZERO;
@@ -78,6 +82,10 @@ pub struct LoadSample {
 
 /// Sample running-task and busy-rank counts every `step` across the span
 /// of the log.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "the load series reads only task starts and ends out of a whole log"
+)]
 pub fn load_series(events: &[Event], step: Duration) -> Vec<LoadSample> {
     assert!(!step.is_zero(), "step must be positive");
     // Build a delta list: +ranks at task start, −ranks at task end.
@@ -89,11 +97,10 @@ pub fn load_series(events: &[Event], step: Duration) -> Vec<LoadSample> {
             _ => {}
         }
     }
-    if deltas.is_empty() {
-        return Vec::new();
-    }
     deltas.sort_by_key(|d| d.0);
-    let end = deltas.last().expect("nonempty").0;
+    let Some(&(end, ..)) = deltas.last() else {
+        return Vec::new();
+    };
     let mut samples = Vec::new();
     let mut tasks: i64 = 0;
     let mut ranks: i64 = 0;
@@ -129,6 +136,10 @@ pub struct AvailabilitySample {
 
 /// Sample the live-worker count every `step` across the span of the log
 /// (the "nodes available" line of Fig. 10).
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "availability reads only worker ups and downs out of a whole log"
+)]
 pub fn availability_series(events: &[Event], step: Duration) -> Vec<AvailabilitySample> {
     assert!(!step.is_zero(), "step must be positive");
     let mut deltas: Vec<(Duration, i64)> = Vec::new();
@@ -167,6 +178,10 @@ pub fn availability_series(events: &[Event], step: Duration) -> Vec<Availability
 
 /// Task wall times (seconds) extracted from the log, one per completed
 /// task.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "wall times read only task starts and ends out of a whole log"
+)]
 pub fn task_wall_times(events: &[Event]) -> Vec<f64> {
     let mut open: HashMap<u64, Duration> = HashMap::new();
     let mut walls = Vec::new();

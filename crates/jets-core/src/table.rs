@@ -165,6 +165,10 @@ impl JobTable {
     }
 
     /// The row for `id`, vacant rows added to reach it at either end.
+    #[expect(
+        clippy::expect_used,
+        reason = "ids are dense from the first: no table spans more than memory"
+    )]
     fn slot(&mut self, id: JobId) -> &mut Row {
         if self.rows.is_empty() {
             self.first = id;

@@ -6,5 +6,5 @@ fn missing_reason() -> i32 {
 // jets-lint: allow(bogus-key) the key does not exist
 fn unknown_key() {}
 
-// jets-lint: allow(unwrap) nothing below ever unwraps
+// jets-lint: allow(relaxed) nothing below ever stores an atomic
 fn unused_suppression() {}

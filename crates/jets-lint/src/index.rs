@@ -6,11 +6,10 @@
 //! live at that point. Pass 2 (see [`crate::callgraph`]) stitches these
 //! per-file summaries into a workspace call graph and runs the
 //! interprocedural rules over it. Each file's facts depend only on its
-//! own tokens; all cross-file resolution (call edges, protocol enum
-//! definitions) happens afterwards.
+//! own tokens; all cross-file resolution (call edges, atomic load
+//! sites) happens afterwards.
 
 use crate::lexer::{lex, Lexed, Tok, TokKind};
-use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -128,14 +127,9 @@ pub struct FileIndex {
     /// Whole file is test-ish scope (tests/, benches/, examples/ dirs).
     pub file_is_test: bool,
     pub funcs: Vec<FnFacts>,
-    /// Protocol enum definitions found in this file.
-    pub enum_defs: Vec<(String, BTreeSet<String>)>,
     /// `(atomic-field, function)` pairs for `.load(` sites (rule J3).
     pub atomic_loads: Vec<(String, String)>,
 }
-
-/// Enum names whose matches must be exhaustive (rule J4).
-pub const PROTOCOL_ENUMS: &[&str] = &["WorkerMsg", "DispatcherMsg"];
 
 /// Derive the owning crate from a path: the component after `crates`,
 /// else `root` for the top-level `src/` / `tests/` trees.
@@ -151,7 +145,7 @@ pub fn crate_of(path: &Path) -> String {
 }
 
 /// Index one file: lex, split into functions, extract per-function
-/// facts and file-level declarations.
+/// facts and the file's atomic load sites.
 pub fn index_file(path: PathBuf, src: &str) -> FileIndex {
     let lexed = lex(src);
     let file_is_test = {
@@ -164,7 +158,6 @@ pub fn index_file(path: PathBuf, src: &str) -> FileIndex {
     for f in &mut funcs {
         extract_fn_facts(&lexed.toks, f);
     }
-    let enum_defs = collect_enum_defs(&lexed.toks);
     let atomic_loads = collect_atomic_loads_file(&lexed.toks, &funcs);
     FileIndex {
         path,
@@ -172,7 +165,6 @@ pub fn index_file(path: PathBuf, src: &str) -> FileIndex {
         lexed,
         file_is_test,
         funcs,
-        enum_defs,
         atomic_loads,
     }
 }
@@ -642,152 +634,6 @@ fn compute_spawn_mask(toks: &[Tok], body: Range<usize>) -> Vec<bool> {
         i += 1;
     }
     mask
-}
-
-/// Collect protocol enum definitions (`enum WorkerMsg { … }`) from the
-/// token stream.
-fn collect_enum_defs(toks: &[Tok]) -> Vec<(String, BTreeSet<String>)> {
-    let mut defs = Vec::new();
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("enum")
-            && toks[i + 1].kind == TokKind::Ident
-            && PROTOCOL_ENUMS.contains(&toks[i + 1].text.as_str())
-        {
-            let name = toks[i + 1].text.clone();
-            // Find the `{`, then variants are idents at depth 1
-            // that either start the body or follow a `,` at depth 1.
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct("{") {
-                j += 1;
-            }
-            let mut depth = 0i32;
-            let mut variants = BTreeSet::new();
-            let mut expect_variant = true;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct("{") {
-                    depth += 1;
-                } else if t.is_punct("}") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if depth == 1 {
-                    if t.is_punct(",") {
-                        expect_variant = true;
-                    } else if t.is_punct("#") {
-                        // attribute on a variant; skip the [ ... ]
-                        let mut d = 0;
-                        j += 1;
-                        while j < toks.len() {
-                            if toks[j].is_punct("[") {
-                                d += 1;
-                            } else if toks[j].is_punct("]") {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            j += 1;
-                        }
-                    } else if expect_variant && t.kind == TokKind::Ident {
-                        variants.insert(t.text.clone());
-                        expect_variant = false;
-                    }
-                }
-                j += 1;
-            }
-            defs.push((name, variants));
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    defs
-}
-
-/// A parsed match expression: arm pattern token ranges.
-pub struct MatchExpr {
-    pub line: u32,
-    /// Pattern token ranges (pattern is everything before `=>` in the arm).
-    pub arms: Vec<Range<usize>>,
-}
-
-/// Parse the match starting at `match_idx` (`match` keyword). Returns
-/// None for malformed input.
-pub fn parse_match(toks: &[Tok], match_idx: usize, limit: usize) -> Option<MatchExpr> {
-    // Scrutinee: tokens until the `{` at depth 0 (tracking parens and
-    // braces of struct literals is the hard part; in this codebase
-    // scrutinees are simple expressions, so track (), [], and stop at
-    // the first `{` outside them).
-    let mut i = match_idx + 1;
-    let mut paren = 0i32;
-    while i < limit {
-        let t = &toks[i];
-        if t.is_punct("(") || t.is_punct("[") {
-            paren += 1;
-        } else if t.is_punct(")") || t.is_punct("]") {
-            paren -= 1;
-        } else if t.is_punct("{") && paren == 0 {
-            break;
-        }
-        i += 1;
-    }
-    if i >= limit {
-        return None;
-    }
-    let body_start = i + 1;
-    // Split arms: pattern = tokens up to `=>` at depth 0; then the arm
-    // value runs to `,` at depth 0 or a `{ … }` block.
-    let mut arms = Vec::new();
-    let mut j = body_start;
-    let mut depth = 0i32; // braces/parens/brackets within the match body
-    let mut pat_start = j;
-    let mut in_pattern = true;
-    while j < limit {
-        let t = &toks[j];
-        if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
-            if t.is_punct("{") && depth == 0 && !in_pattern {
-                // Block-bodied arm: skip the block, then next arm.
-                let mut d = 1;
-                j += 1;
-                while j < limit && d > 0 {
-                    if toks[j].is_punct("{") {
-                        d += 1;
-                    } else if toks[j].is_punct("}") {
-                        d -= 1;
-                    }
-                    j += 1;
-                }
-                // Optional trailing comma.
-                if j < limit && toks[j].is_punct(",") {
-                    j += 1;
-                }
-                in_pattern = true;
-                pat_start = j;
-                continue;
-            }
-            depth += 1;
-        } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
-            if t.is_punct("}") && depth == 0 {
-                // End of the match body.
-                break;
-            }
-            depth -= 1;
-        } else if t.is_punct("=>") && depth == 0 && in_pattern {
-            arms.push(pat_start..j);
-            in_pattern = false;
-        } else if t.is_punct(",") && depth == 0 && !in_pattern {
-            in_pattern = true;
-            pat_start = j + 1;
-        }
-        j += 1;
-    }
-    Some(MatchExpr {
-        line: toks[match_idx].line,
-        arms,
-    })
 }
 
 /// `(atomic-field, enclosing-function)` pairs for every `.load(` with

@@ -4,8 +4,9 @@
 //! jets-lint [--workspace] [--deny] [<file.rs> ...]
 //! ```
 //!
-//! `--workspace` walks the repo's Rust sources (crates/, src/, tests/)
-//! excluding build output, lint fixtures, and vendored tooling.
+//! `--workspace` walks every Rust source of the repository that holds
+//! the current directory, except build output (`target/`), `.git/` and
+//! the lint's fixtures.
 //! `--deny` exits non-zero when any finding survives suppression — that
 //! is the CI mode. Findings go to stdout, one per line, as
 //! `path:line: [Jn/key] message [chain: …]`.

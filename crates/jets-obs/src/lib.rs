@@ -25,6 +25,15 @@
 //! set and expose it behind an optional `--metrics-addr` flag; the metric
 //! name reference lives in `docs/observability.md`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod http;
 mod metrics;
 

@@ -32,6 +32,14 @@
 //! `put`, `get`, `fence` (KVS barrier), `finalize`, `abort`. Values are
 //! percent-escaped so arbitrary strings survive the text framing.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod client;

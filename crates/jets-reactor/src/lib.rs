@@ -33,6 +33,15 @@
 //! client paths (the worker agent's session, a rank's `PmiClient`) stay
 //! on the calling thread.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod outbox;
 mod poller;
 mod reactor;

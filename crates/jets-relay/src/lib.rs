@@ -34,6 +34,16 @@
 //! [`daemon`] is the shell of sockets, one event loop and one lock around
 //! it. See `docs/relay.md` for the topology and the failure matrix.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod core;

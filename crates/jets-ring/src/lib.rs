@@ -29,6 +29,15 @@
 //! the other crates use in place of third-party ones; and [`codec`], the
 //! put/get primitives the dispatcher ⇄ worker wire protocol is written in.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod codec;
 mod region;
 mod ring;

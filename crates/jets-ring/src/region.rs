@@ -20,7 +20,7 @@ use std::sync::atomic::AtomicU64;
 enum Backing {
     /// Zeroed heap words, where there is no mmap; dropped normally.
     #[cfg(not(unix))]
-    Heap(#[allow(dead_code)] Box<[AtomicU64]>),
+    Heap(#[allow(dead_code, reason = "held only to be dropped")] Box<[AtomicU64]>),
     /// `mmap(MAP_PRIVATE | MAP_ANONYMOUS)`: zero pages the kernel supplies
     /// on first touch; unmapped on drop.
     #[cfg(unix)]

@@ -204,6 +204,10 @@ pub struct Worker {
 impl Worker {
     /// Start a worker agent on its own thread. Connection happens inside
     /// the thread, so spawning a large simulated allocation is fast.
+    #[expect(
+        clippy::expect_used,
+        reason = "a pilot that cannot get its thread has nothing to fall back to"
+    )]
     pub fn spawn(config: WorkerConfig, executor: Arc<dyn TaskExecutor>) -> Worker {
         // The flight recorder is opened here (not in the loop thread) so
         // a bad path surfaces before the agent silently runs unrecorded,
@@ -281,6 +285,10 @@ impl Worker {
     }
 
     /// Wait for the agent to exit and collect its report.
+    #[expect(
+        clippy::expect_used,
+        reason = "`join` takes the worker by value, so the handle is still there"
+    )]
     pub fn join(mut self) -> WorkerExit {
         self.handle
             .take()
@@ -561,19 +569,22 @@ impl Agent {
                 timed = left.is_some();
             }
             match rx.recv::<DispatcherMsg>() {
-                Ok(Some(DispatcherMsg::Assign(assignment))) => self.start(pilot, assignment),
-                Ok(Some(DispatcherMsg::Cancel { task_id })) => {
-                    pilot.input(|core, now, fx| core.cancel(now, task_id, fx));
-                    timed = true;
-                }
-                Ok(Some(DispatcherMsg::Shutdown)) => pilot.input(|core, _, fx| core.shutdown(fx)),
-                // Stray acks, and envelopes a relay would have unwrapped.
-                Ok(Some(
+                // A protocol match of its own, so that clippy's
+                // `wildcard_enum_match_arm` sees it: the lint does not
+                // look inside an `Ok(Some(..))` wrapper.
+                Ok(Some(msg)) => match msg {
+                    DispatcherMsg::Assign(assignment) => self.start(pilot, assignment),
+                    DispatcherMsg::Cancel { task_id } => {
+                        pilot.input(|core, now, fx| core.cancel(now, task_id, fx));
+                        timed = true;
+                    }
+                    DispatcherMsg::Shutdown => pilot.input(|core, _, fx| core.shutdown(fx)),
+                    // Stray acks, and envelopes a relay would have unwrapped.
                     DispatcherMsg::Registered { .. }
                     | DispatcherMsg::RelayRegistered { .. }
                     | DispatcherMsg::RelayAssign { .. }
-                    | DispatcherMsg::RelayCancel { .. },
-                )) => {}
+                    | DispatcherMsg::RelayCancel { .. } => {}
+                },
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                 Ok(None) | Err(_) => return,
             }

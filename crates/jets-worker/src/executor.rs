@@ -326,6 +326,10 @@ impl Executor {
     /// pilot's long-lived runner — and a thread each for the rest,
     /// concatenating their captured output tails in rank order. Each
     /// rank's `Exec` child is killed when `cancel` trips.
+    #[expect(
+        clippy::expect_used,
+        reason = "a rank whose thread cannot start has nowhere to run"
+    )]
     fn proxy_captured(
         &self,
         cmd: &CommandSpec,

@@ -24,6 +24,16 @@
 //! its *kill switch* ([`agent::Worker::kill`]) severs the socket abruptly —
 //! the fault-injection primitive of the paper's Fig. 10 experiment.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod agent;
