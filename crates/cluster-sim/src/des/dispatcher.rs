@@ -7,14 +7,14 @@
 //! Every [`Fact`] is checked against the job's lifecycle as it is emitted
 //! (finished once, a gang is `nodes` tasks or none, a worker holds one
 //! task, attempts within budget) before it updates the job table a client
-//! would see. Its write-ahead records ([`Fact::wal`], what the shell
-//! journals) are kept as the journal file's bytes, so a crash is the
+//! would see. Its write-ahead frames ([`Fact::wal`], the bytes the shell
+//! journals) are the journal file's bytes, so a crash is the
 //! restart path: `journal::scan_bytes`, `journal::recover`,
 //! `Core::restore`. `PmiWire` checks what the PMI service says.
 
 use jets_core::core::{Effects, Fact, Peer};
 use jets_core::events::{Event, EventKind};
-use jets_core::journal::{self, Record, Recovered};
+use jets_core::journal::{self, Record, Recovered, RecoveredPhase};
 use jets_core::protocol::{DispatcherMsg, TaskAssignment};
 use jets_core::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_core::JobStatus as Status;
@@ -173,7 +173,8 @@ impl Fx {
         (self.pmi_fail, self.restarted) = (false, true);
         self.open.values_mut().for_each(|task| task.orphan = true);
         let recovered = journal::recover(&self.records());
-        self.journal(&[Record::Restarted]);
+        let restarted = journal::append_frames(&mut self.wal, &[Record::Restarted]);
+        restarted.expect("a restart marker fits a frame");
         recovered
     }
 
@@ -199,12 +200,6 @@ impl Fx {
 
     fn job(&mut self, id: JobId) -> &mut Job {
         self.jobs.get_mut(&id).expect("a fact about an unknown job")
-    }
-
-    /// Append records to the journal's bytes, framed as the shell's
-    /// `Journal` writes them.
-    fn journal(&mut self, recs: &[Record]) {
-        journal::append_frames(&mut self.wal, recs).expect("records fit a frame");
     }
 
     fn send(&mut self, worker: WorkerId, direct: DispatcherMsg, relayed: DispatcherMsg) -> bool {
@@ -361,24 +356,22 @@ impl Effects for Fx {
     }
 
     fn fact(&mut self, fact: Fact<'_>) {
-        let mut recs = Vec::new();
-        fact.wal(&mut recs);
-        self.journal(&recs);
+        // The journal's bytes, as the shell's `Journal` writes them.
+        fact.wal(&mut self.wal).expect("records fit a frame");
         #[expect(
             clippy::wildcard_enum_match_arm,
             reason = "every other fact is noted as it prints"
         )]
         self.note(|| match &fact {
             Fact::Event(kind) => format!("{kind:?}"),
-            // The queued jobs carry the run's wall-clock epoch.
-            Fact::Submitted { jobs } => format!("Submitted x{}", jobs.len()),
+            Fact::Submitted { first, specs } => format!("Submitted j{first} x{}", specs.len()),
             other => format!("{other:?}"),
         });
         match fact {
             Fact::Event(kind) => self.event(&kind),
-            Fact::Submitted { jobs } => {
-                for j in jobs {
-                    let (spec, status, exit_codes) = (j.spec.clone(), Status::Pending, Vec::new());
+            Fact::Submitted { first, specs } => {
+                for (id, spec) in (first..).zip(specs) {
+                    let (spec, status, exit_codes) = (spec.clone(), Status::Pending, Vec::new());
                     let (attempts, stage) = (0, Stage::Queued);
                     let job = Job {
                         spec,
@@ -387,26 +380,26 @@ impl Effects for Fx {
                         exit_codes,
                         stage,
                     };
-                    let fresh = self.jobs.insert(j.id, job).is_none();
-                    assert!(fresh, "job id {} reused", j.id);
-                    self.unfinished.insert(j.id);
+                    let fresh = self.jobs.insert(id, job).is_none();
+                    assert!(fresh, "job id {id} reused");
+                    self.unfinished.insert(id);
                 }
             }
-            Fact::Restored {
-                job,
-                spec,
-                attempts,
-                running,
-            } => {
-                let known = self.unfinished.contains(&job);
-                assert!(known, "job {job} restored from nowhere");
-                let j = self.job(job);
-                assert_eq!(&j.spec, spec);
-                j.attempts = attempts;
-                (j.status, j.stage) = match running {
-                    true => (Status::Running, Stage::Running(0, 0, true)),
-                    false => (Status::Pending, Stage::Queued),
-                };
+            Fact::Restored { jobs } => {
+                for restored in jobs {
+                    let id = restored.id;
+                    let known = self.unfinished.contains(&id);
+                    assert!(known, "job {id} restored from nowhere");
+                    let j = self.job(id);
+                    assert_eq!(j.spec, restored.spec);
+                    j.attempts = restored.attempts;
+                    (j.status, j.stage) = match restored.phase {
+                        RecoveredPhase::Active { .. } => {
+                            (Status::Running, Stage::Running(0, 0, true))
+                        }
+                        RecoveredPhase::Queued => (Status::Pending, Stage::Queued),
+                    };
+                }
             }
             // The shell binds the worker to the connection being read.
             Fact::WorkerUp {

@@ -26,7 +26,7 @@
 
 use crate::events::{EventKind, SpanKind};
 use crate::group::{select_group_ids, GroupScratch, GroupingPolicy};
-use crate::journal::{Record, Recovered, RecoveredPhase};
+use crate::journal::{Recovered, RecoveredJob, RecoveredPhase};
 use crate::protocol::{
     DispatcherMsg, TaskAssignment, TaskKind, WorkerMsg, EXIT_CANCELED, EXIT_DEADLINE,
     EXIT_UNDELIVERABLE, EXIT_WORKER_LOST,
@@ -79,22 +79,22 @@ pub enum Fact<'a> {
     /// `RelayDown` (its members follow as `WorkerDown`), `GangReadopted`.
     /// `RelayUp` names the connection the current frame was read from.
     Event(EventKind),
-    /// A batch was accepted; the jobs are about to enter the queue.
+    /// A batch was accepted; the jobs are about to enter the queue. Ids
+    /// are dense from `first`, in `specs` order, and each job's trace is
+    /// minted from its id: the caller's specs, borrowed before each moves
+    /// into the queue, are the batch's only copy.
     Submitted {
-        /// The accepted jobs, ids and traces assigned.
-        jobs: &'a [QueuedJob],
+        /// The first job's id.
+        first: JobId,
+        /// The accepted specifications.
+        specs: &'a [JobSpec],
     },
-    /// A restored job exists again (from the replayed log), queued or
-    /// with its attempt still in flight.
+    /// The replayed log's non-terminal jobs exist again, queued or with
+    /// an attempt still in flight (`RecoveredPhase::Active`); what the
+    /// restore decides for each follows as its own facts.
     Restored {
-        /// The job.
-        job: JobId,
-        /// Its specification.
-        spec: &'a JobSpec,
-        /// Launch attempts the log charged it.
-        attempts: u32,
-        /// True when an attempt was in flight at the crash.
-        running: bool,
+        /// The jobs, in submission order.
+        jobs: &'a [RecoveredJob],
     },
     /// A worker registered on the connection the current frame was read
     /// from — its own, or its relay's.
@@ -177,56 +177,63 @@ pub enum Fact<'a> {
 }
 
 impl Fact<'_> {
-    /// Append this fact's write-ahead records to `out`. A pure projection,
-    /// shared by the shell (which appends them to the log file) and the
-    /// model check (which crashes, folds them with `journal::recover` and
-    /// restores), so the two cannot drift.
-    pub fn wal(&self, out: &mut Vec<Record>) {
+    /// Append this fact's write-ahead frames to `out` and return how many
+    /// records they hold. A pure projection, shared by the shell (which
+    /// appends the bytes to the log file) and the model check (whose
+    /// journal is those bytes), so the two cannot drift; each record is
+    /// encoded from the data the fact borrows, by the encoder
+    /// `Record::put` uses. A record over the frame cap refuses the fact
+    /// with `InvalidData` and leaves `out` as it was.
+    pub fn wal(&self, out: &mut Vec<u8>) -> io::Result<usize> {
+        let start = out.len();
+        self.frames(out).inspect_err(|_| out.truncate(start))
+    }
+
+    fn frames(&self, out: &mut Vec<u8>) -> io::Result<usize> {
+        use crate::journal::{self as j, put_frame as frame};
         match *self {
-            Fact::Submitted { jobs } => {
-                for j in jobs {
-                    let (job, spec) = (j.id, j.spec.clone());
-                    out.push(Record::Submitted { job, spec });
-                    out.push(Record::Enqueued { job, attempts: 0 });
+            Fact::Submitted { first, specs } => {
+                for (job, spec) in (first..).zip(specs) {
+                    frame(out, |p| j::put_submitted(p, job, spec))?;
+                    frame(out, |p| j::put_enqueued(p, job, 0))?;
                 }
+                return Ok(2 * specs.len());
             }
             Fact::Assigned {
                 job,
                 attempt,
                 tasks,
-            } => out.push(Record::Assigned {
-                job,
-                attempt,
-                tasks: tasks.iter().map(|(w, a)| (*w, a.task_id)).collect(),
-            }),
+            } => {
+                let gang = tasks.iter().map(|(w, a)| (*w, a.task_id));
+                frame(out, |p| j::put_assigned(p, job, attempt, gang))?;
+            }
             Fact::Event(EventKind::TaskEnded {
                 job,
                 task,
                 exit_code,
                 ..
-            }) => out.push(Record::TaskEnded {
-                job,
-                task,
-                exit_code,
-            }),
-            Fact::JobRequeued { job, attempts, .. } => out.push(Record::Requeued { job, attempts }),
-            Fact::JobFinished { job, success, .. } => out.push(Record::Finished { job, success }),
+            }) => frame(out, |p| j::put_task_ended(p, job, task, exit_code))?,
+            Fact::JobRequeued { job, attempts, .. } => {
+                frame(out, |p| j::put_requeued(p, job, attempts))?
+            }
+            Fact::JobFinished { job, success, .. } => {
+                frame(out, |p| j::put_finished(p, job, success))?
+            }
             Fact::Event(EventKind::DeadlineExceeded { job }) => {
-                out.push(Record::DeadlineExceeded { job })
+                frame(out, |p| j::put_deadline(p, job))?
             }
             Fact::WorkerDown {
                 strike: Some(name), ..
-            } => out.push(Record::QuarantineStrike { name: name.into() }),
-            Fact::QuarantineReleased { name } => {
-                out.push(Record::QuarantineRelease { name: name.into() })
-            }
+            } => frame(out, |p| j::put_strike(p, name))?,
+            Fact::QuarantineReleased { name } => frame(out, |p| j::put_release(p, name))?,
             Fact::Event(_)
             | Fact::Restored { .. }
             | Fact::WorkerUp { .. }
             | Fact::WorkerDown { strike: None, .. }
             | Fact::JobStarted { .. }
-            | Fact::Reported { .. } => {}
+            | Fact::Reported { .. } => return Ok(0),
         }
+        Ok(1)
     }
 }
 
@@ -445,41 +452,41 @@ impl Core {
     }
 
     /// Accept a batch: ids and traces are assigned, the whole batch is
-    /// queued and one scheduling pass runs.
+    /// queued and one scheduling pass runs. Each spec moves from `specs`
+    /// into its queue entry; nothing else holds a copy of the batch.
     pub fn submit<E: Effects>(
         &mut self,
         now: Instant,
         specs: Vec<JobSpec>,
         fx: &mut E,
     ) -> Vec<JobId> {
-        let mut jobs = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let id = self.next_job;
-            self.next_job += 1;
-            jobs.push(QueuedJob {
+        let first = self.next_job;
+        self.next_job += specs.len() as u64;
+        for (job, spec) in (first..).zip(&specs) {
+            let (nodes, ppn) = (spec.nodes, spec.ppn);
+            fx.fact(Fact::Event(EventKind::JobSubmitted { job, nodes, ppn }));
+            span_open(fx, SpanKind::Submit, job, self.mint_trace(job));
+        }
+        fx.fact(Fact::Submitted {
+            first,
+            specs: &specs,
+        });
+        for (id, spec) in (first..).zip(specs) {
+            let trace = self.mint_trace(id);
+            span_close(fx, SpanKind::Submit, id, trace);
+            span_open(fx, SpanKind::Queue, id, trace);
+            self.queue.push(QueuedJob {
                 id,
                 spec,
                 attempts: 0,
                 excluded: Vec::new(),
                 submitted_at: now,
                 enqueued_at: now,
-                trace: self.mint_trace(id),
+                trace,
             });
         }
-        for j in &jobs {
-            let (job, nodes, ppn) = (j.id, j.spec.nodes, j.spec.ppn);
-            fx.fact(Fact::Event(EventKind::JobSubmitted { job, nodes, ppn }));
-            span_open(fx, SpanKind::Submit, job, j.trace);
-        }
-        fx.fact(Fact::Submitted { jobs: &jobs });
-        let ids = jobs.iter().map(|j| j.id).collect();
-        for job in jobs {
-            span_close(fx, SpanKind::Submit, job.id, job.trace);
-            span_open(fx, SpanKind::Queue, job.id, job.trace);
-            self.queue.push(job);
-        }
         self.schedule(now, fx);
-        ids
+        (first..self.next_job).collect()
     }
 
     /// One frame read off `peer`'s connection, as one input. False: sever
@@ -1197,18 +1204,13 @@ impl Core {
             self.registry.seed_strikes(name, *strikes, now);
         }
         let mut orphans = BTreeMap::new();
+        fx.fact(Fact::Restored { jobs: &rec.jobs });
         for job in rec.jobs {
             let (id, spec) = (job.id, job.spec);
             let (tasks, ended) = match job.phase {
                 RecoveredPhase::Queued => (Vec::new(), None),
                 RecoveredPhase::Active { tasks, ended } => (tasks, Some(ended)),
             };
-            fx.fact(Fact::Restored {
-                job: id,
-                spec: &spec,
-                attempts: job.attempts,
-                running: ended.is_some(),
-            });
             // Traces are not logged; a restored job gets a fresh id for
             // the successor's span chain.
             let mut queued = QueuedJob {

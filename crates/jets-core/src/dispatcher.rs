@@ -47,7 +47,7 @@
 use crate::core::{Core, CoreConfig, Effects, Fact, Peer};
 use crate::events::{EventKind, EventLog};
 use crate::group::GroupingPolicy;
-use crate::journal::{self, FsyncPolicy, Journal, Record};
+use crate::journal::{self, FsyncPolicy, Journal, RecoveredPhase};
 use crate::metrics::DispatcherMetrics;
 use crate::protocol::{
     decode_msg, encode_msg_buf, DispatcherMsg, TaskAssignment, WorkerMsg, MAX_FRAME_BYTES,
@@ -209,8 +209,12 @@ struct Io {
     pmi_jobs: HashMap<JobId, String>,
     /// Reusable wire-encode buffer: steady-state sends allocate nothing.
     enc: Vec<u8>,
-    /// Write-ahead records of the facts emitted since the last flush.
-    wal: Vec<Record>,
+    /// Write-ahead frames of the facts emitted since the last flush, the
+    /// records they hold, and whether a record among them was refused
+    /// (over the frame cap), which drops them all.
+    wal: Vec<u8>,
+    wal_records: usize,
+    wal_refused: bool,
     /// `Shutdown` went out (once); a peer that registers later is told.
     shut: bool,
     /// Set by [`Dispatcher::kill`]: shut down *silently*, the way a
@@ -360,22 +364,24 @@ struct Sink<'a> {
 }
 
 impl<'a> Sink<'a> {
-    /// Append the buffered write-ahead records (one write, one fsync
+    /// Append the buffered write-ahead frames (one write, one fsync
     /// under `Always`). Failures are counted and swallowed: the
     /// dispatcher keeps serving, and replay still converges on the
     /// journal's valid prefix. A killed dispatcher must not touch the
     /// file again: it belongs to the successor the kill is simulating.
     fn flush_wal(&mut self) {
-        let (recs, m) = (&mut self.io.wal, &self.inner.metrics);
-        if let Some(j) = self.inner.journal.as_ref().filter(|_| !recs.is_empty()) {
-            if !self.io.killed {
-                match j.append_all(recs) {
-                    Ok(()) => m.journal_records_total.add(recs.len() as u64),
-                    Err(_) => m.journal_errors_total.inc(),
+        let (io, m) = (&mut *self.io, &self.inner.metrics);
+        let pending = !io.wal.is_empty() || io.wal_refused;
+        if let Some(j) = self.inner.journal.as_ref().filter(|_| pending) {
+            if !io.killed {
+                match (io.wal_refused, j.write_frames(&io.wal)) {
+                    (false, Ok(())) => m.journal_records_total.add(io.wal_records as u64),
+                    (true, _) | (_, Err(_)) => m.journal_errors_total.inc(),
                 }
             }
-            recs.clear();
-            recs.shrink_to(64); // a bulk submission's buffer is not kept
+            (io.wal_records, io.wal_refused) = (0, false);
+            io.wal.clear();
+            io.wal.shrink_to(4096); // a bulk submission's frames are not kept
         }
     }
 
@@ -452,7 +458,10 @@ impl Effects for Sink<'_> {
         let inner = self.inner;
         let (log, m) = (&inner.log, &inner.metrics);
         if inner.journal.is_some() {
-            fact.wal(&mut self.io.wal);
+            match fact.wal(&mut self.io.wal) {
+                Ok(records) => self.io.wal_records += records,
+                Err(_) => self.io.wal_refused = true,
+            }
         }
         match fact {
             Fact::Event(kind) => {
@@ -486,29 +495,27 @@ impl Effects for Sink<'_> {
                 }
                 log.record(kind);
             }
-            Fact::Submitted { jobs } => {
-                m.jobs_submitted_total.add(jobs.len() as u64);
+            Fact::Submitted { first, specs } => {
+                m.jobs_submitted_total.add(specs.len() as u64);
                 let mut book = self.book();
-                book.outstanding += jobs.len();
-                for j in jobs {
-                    book.jobs.insert(j.id, &j.spec, JobStatus::Pending, 0);
+                book.outstanding += specs.len();
+                for (id, spec) in (first..).zip(specs) {
+                    book.jobs.insert(id, spec, JobStatus::Pending, 0);
                 }
                 m.job_table_bytes.set(book.jobs.bytes() as i64);
             }
-            Fact::Restored {
-                job,
-                spec,
-                attempts,
-                running,
-            } => {
-                let status = if running {
-                    JobStatus::Running
-                } else {
-                    JobStatus::Pending
-                };
+            // One lock for the whole restore, however many jobs it brings
+            // back.
+            Fact::Restored { jobs } => {
                 let mut book = self.book();
-                book.outstanding += 1;
-                book.jobs.insert(job, spec, status, attempts);
+                book.outstanding += jobs.len();
+                for j in jobs {
+                    let status = match j.phase {
+                        RecoveredPhase::Queued => JobStatus::Pending,
+                        RecoveredPhase::Active { .. } => JobStatus::Running,
+                    };
+                    book.jobs.insert(j.id, &j.spec, status, j.attempts);
+                }
                 m.job_table_bytes.set(book.jobs.bytes() as i64);
             }
             Fact::WorkerUp {
@@ -719,7 +726,9 @@ impl Dispatcher {
             let replayed_jobs = &inner.metrics.journal_replayed_jobs;
             replayed_jobs.set(rec.jobs.len() as i64);
             sched.step(|core, fx, now| {
-                fx.io.wal.push(Record::Restarted);
+                // One byte of payload: the frame cap cannot refuse it.
+                let _ = journal::put_frame(&mut fx.io.wal, journal::put_restarted);
+                fx.io.wal_records += 1;
                 core.restore(now, rec, fx);
             });
         }

@@ -6,7 +6,11 @@
 //! becomes externally visible. A record is written with the wire codec:
 //! [`Record`] implements [`Wire`] as `WorkerMsg` and `DispatcherMsg` do,
 //! and a `Submitted` record carries its command and staging manifest in
-//! the very bytes an `Assign` carries them in.
+//! the very bytes an `Assign` carries them in. `Record` is the read side:
+//! the dispatcher writes each record's frame from the data its fact
+//! borrows (`core::Fact::wal`), through the one encoder per record kind
+//! that `Record::put` also calls, and appends an input's frames with
+//! [`Journal::write_frames`].
 //!
 //! ## On-disk format
 //!
@@ -161,63 +165,24 @@ pub enum Record {
 impl Wire for Record {
     fn put(&self, p: &mut Put<'_>) {
         match self {
-            Record::Submitted { job, spec } => {
-                p.u8(b'S');
-                p.var(*job);
-                put_spec(p, spec);
-            }
-            Record::Enqueued { job, attempts } => {
-                p.u8(b'Q');
-                p.var(*job);
-                p.var((*attempts).into());
-            }
+            Record::Submitted { job, spec } => put_submitted(p, *job, spec),
+            Record::Enqueued { job, attempts } => put_enqueued(p, *job, *attempts),
             Record::Assigned {
                 job,
                 attempt,
                 tasks,
-            } => {
-                p.u8(b'A');
-                p.var(*job);
-                p.var((*attempt).into());
-                p.count(tasks.len());
-                for &(worker, task) in tasks {
-                    p.var(worker);
-                    p.var(task);
-                }
-            }
+            } => put_assigned(p, *job, *attempt, tasks.iter().copied()),
             Record::TaskEnded {
                 job,
                 task,
                 exit_code,
-            } => {
-                p.u8(b'T');
-                p.var(*job);
-                p.var(*task);
-                p.zig((*exit_code).into());
-            }
-            Record::Finished { job, success } => {
-                p.u8(b'F');
-                p.var(*job);
-                p.bool(*success);
-            }
-            Record::Requeued { job, attempts } => {
-                p.u8(b'R');
-                p.var(*job);
-                p.var((*attempts).into());
-            }
-            Record::QuarantineStrike { name } => {
-                p.u8(b'K');
-                p.str(name);
-            }
-            Record::QuarantineRelease { name } => {
-                p.u8(b'U');
-                p.str(name);
-            }
-            Record::DeadlineExceeded { job } => {
-                p.u8(b'D');
-                p.var(*job);
-            }
-            Record::Restarted => p.u8(b'B'),
+            } => put_task_ended(p, *job, *task, *exit_code),
+            Record::Finished { job, success } => put_finished(p, *job, *success),
+            Record::Requeued { job, attempts } => put_requeued(p, *job, *attempts),
+            Record::QuarantineStrike { name } => put_strike(p, name),
+            Record::QuarantineRelease { name } => put_release(p, name),
+            Record::DeadlineExceeded { job } => put_deadline(p, *job),
+            Record::Restarted => put_restarted(p),
         }
     }
 
@@ -261,6 +226,88 @@ impl Wire for Record {
 }
 
 // ---------------------------------------------------------------------------
+// One encoder per record kind: `Record::put` and `Fact::wal` (which writes
+// the frames of a fact from the data it borrows) both call these, so the
+// bytes cannot drift.
+// ---------------------------------------------------------------------------
+
+/// A `Submitted` record's payload.
+pub(crate) fn put_submitted(p: &mut Put<'_>, job: JobId, spec: &JobSpec) {
+    p.u8(b'S');
+    p.var(job);
+    put_spec(p, spec);
+}
+
+/// An `Enqueued` record's payload.
+pub(crate) fn put_enqueued(p: &mut Put<'_>, job: JobId, attempts: u32) {
+    p.u8(b'Q');
+    p.var(job);
+    p.var(attempts.into());
+}
+
+/// An `Assigned` record's payload: the gang's `(worker, task)` pairs.
+pub(crate) fn put_assigned(
+    p: &mut Put<'_>,
+    job: JobId,
+    attempt: u32,
+    tasks: impl ExactSizeIterator<Item = (WorkerId, TaskId)>,
+) {
+    p.u8(b'A');
+    p.var(job);
+    p.var(attempt.into());
+    p.count(tasks.len());
+    for (worker, task) in tasks {
+        p.var(worker);
+        p.var(task);
+    }
+}
+
+/// A `TaskEnded` record's payload.
+pub(crate) fn put_task_ended(p: &mut Put<'_>, job: JobId, task: TaskId, exit_code: i32) {
+    p.u8(b'T');
+    p.var(job);
+    p.var(task);
+    p.zig(exit_code.into());
+}
+
+/// A `Finished` record's payload.
+pub(crate) fn put_finished(p: &mut Put<'_>, job: JobId, success: bool) {
+    p.u8(b'F');
+    p.var(job);
+    p.bool(success);
+}
+
+/// A `Requeued` record's payload.
+pub(crate) fn put_requeued(p: &mut Put<'_>, job: JobId, attempts: u32) {
+    p.u8(b'R');
+    p.var(job);
+    p.var(attempts.into());
+}
+
+/// A `QuarantineStrike` record's payload.
+pub(crate) fn put_strike(p: &mut Put<'_>, name: &str) {
+    p.u8(b'K');
+    p.str(name);
+}
+
+/// A `QuarantineRelease` record's payload.
+pub(crate) fn put_release(p: &mut Put<'_>, name: &str) {
+    p.u8(b'U');
+    p.str(name);
+}
+
+/// A `DeadlineExceeded` record's payload.
+pub(crate) fn put_deadline(p: &mut Put<'_>, job: JobId) {
+    p.u8(b'D');
+    p.var(job);
+}
+
+/// A `Restarted` record's payload.
+pub(crate) fn put_restarted(p: &mut Put<'_>) {
+    p.u8(b'B');
+}
+
+// ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected, poly 0xEDB88320) — table built at compile time.
 // ---------------------------------------------------------------------------
 
@@ -299,29 +346,37 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Frames: the byte halves of append and scan, and the file around them.
 // ---------------------------------------------------------------------------
 
-/// Append `recs` to `buf` as frames, each record encoded straight into
-/// `buf` behind an 8-byte header that its length and CRC then fill. A
-/// record [`scan_bytes`] could not read back — a payload of
-/// [`MAX_FRAME_BYTES`] or more — refuses the whole batch with
-/// `InvalidData` and leaves `buf` as it was.
+/// Append one frame to `buf`: an 8-byte header, the payload `put`
+/// encodes straight into `buf` behind it, then the header filled with
+/// the payload's length and CRC. A payload [`scan_bytes`] could not read
+/// back — [`MAX_FRAME_BYTES`] or more — is taken off again and refused
+/// with `InvalidData`, leaving `buf` as it was.
+pub(crate) fn put_frame(buf: &mut Vec<u8>, put: impl FnOnce(&mut Put<'_>)) -> io::Result<()> {
+    let head = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    put(&mut Put(buf));
+    let payload = &buf[head + 8..];
+    if payload.len() >= MAX_FRAME_BYTES {
+        buf.truncate(head);
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "journal record exceeds MAX_FRAME_BYTES",
+        ));
+    }
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    buf[head..head + 4].copy_from_slice(&len);
+    buf[head + 4..head + 8].copy_from_slice(&crc);
+    Ok(())
+}
+
+/// Append `recs` to `buf` as frames (`put_frame` of each). A record
+/// over the frame cap refuses the whole batch with `InvalidData` and
+/// leaves `buf` as it was.
 pub fn append_frames(buf: &mut Vec<u8>, recs: &[Record]) -> io::Result<()> {
     let start = buf.len();
     for rec in recs {
-        let head = buf.len();
-        buf.extend_from_slice(&[0; 8]);
-        rec.put(&mut Put(buf));
-        let payload = &buf[head + 8..];
-        if payload.len() >= MAX_FRAME_BYTES {
-            buf.truncate(start);
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "journal record exceeds MAX_FRAME_BYTES",
-            ));
-        }
-        let len = (payload.len() as u32).to_le_bytes();
-        let crc = crc32(payload).to_le_bytes();
-        buf[head..head + 4].copy_from_slice(&len);
-        buf[head + 4..head + 8].copy_from_slice(&crc);
+        put_frame(buf, |p| rec.put(p)).inspect_err(|_| buf.truncate(start))?;
     }
     Ok(())
 }
@@ -396,11 +451,10 @@ pub fn scan(path: &Path) -> io::Result<ReplaySummary> {
     }
 }
 
-/// The file handle and its reusable encode buffer, together under one
-/// lock so concurrent appenders cannot interleave frames.
+/// The file handle and where its last whole frame ends, together under
+/// one lock so concurrent appenders cannot interleave frames.
 struct Writer {
     file: File,
-    buf: Vec<u8>,
     /// Where the last whole frame ends; `None` once a failed append could
     /// not be cut back off the file, after which every append is refused.
     end: Option<u64>,
@@ -440,7 +494,6 @@ impl Journal {
             Journal {
                 writer: Mutex::new(Writer {
                     file,
-                    buf: Vec::with_capacity(256),
                     end: Some(end),
                 }),
                 policy,
@@ -454,37 +507,44 @@ impl Journal {
         self.append_all(std::slice::from_ref(rec))
     }
 
-    /// Append a batch of records as consecutive frames under one lock
-    /// acquisition, one write, and (under `Always`) one fsync — the
-    /// submit-batch fast path. A write or fsync that fails leaves none of
-    /// the batch in the file: it is cut back to the last whole frame, so
-    /// later appends stay readable.
+    /// Append a batch of records as consecutive frames: encode them
+    /// ([`append_frames`]) and [`Journal::write_frames`] the bytes.
     pub fn append_all(&self, recs: &[Record]) -> io::Result<()> {
-        if recs.is_empty() {
+        let mut frames = Vec::new();
+        append_frames(&mut frames, recs)?;
+        self.write_frames(&frames)
+    }
+
+    /// Append bytes that are already whole frames (`put_frame`'s, as
+    /// `Fact::wal` writes them) under one lock acquisition, one write,
+    /// and (under `Always`) one fsync — how the dispatcher appends what
+    /// an input journaled. A write or fsync that fails leaves none of
+    /// `frames` in the file: it is cut back to the last whole frame, so
+    /// later appends stay readable.
+    pub fn write_frames(&self, frames: &[u8]) -> io::Result<()> {
+        if frames.is_empty() {
             return Ok(());
         }
         let mut w = match self.writer.lock() {
             Ok(w) => w,
-            // A poisoned lock means an appender panicked mid-frame; the
-            // buffer state is unknown, so refuse further appends rather
-            // than risk writing garbage.
+            // A poisoned lock means an appender panicked mid-write; where
+            // the file ends is unknown, so refuse further appends rather
+            // than risk writing past a partial frame.
             Err(_) => return Err(io::Error::other("journal writer poisoned")),
         };
-        let Writer { file, buf, end } = &mut *w;
+        let Writer { file, end } = &mut *w;
         let Some(at) = *end else {
             return Err(io::Error::other(
                 "journal ends in a frame it could not remove",
             ));
         };
-        buf.clear();
-        append_frames(buf, recs)?;
         // jets-lint: allow(lock-across-blocking) serializing appends through this write is the writer lock's entire job
-        let written = file.write_all(buf).and_then(|()| match self.policy {
+        let written = file.write_all(frames).and_then(|()| match self.policy {
             FsyncPolicy::Always => file.sync_data(),
             FsyncPolicy::Interval | FsyncPolicy::Never => Ok(()),
         });
         *end = match written {
-            Ok(()) => Some(at + buf.len() as u64),
+            Ok(()) => Some(at + frames.len() as u64),
             // A partial frame would end every later scan where it starts.
             Err(_) => file
                 .set_len(at)

@@ -88,16 +88,15 @@ impl JobQueue {
 
     /// Enqueue a job. Under FIFO it goes to the back; under
     /// priority/backfill it is inserted behind the last job of priority
-    /// ≥ its own (stable priority order).
+    /// ≥ its own (stable priority order). The queue is sorted by
+    /// descending priority, so the slot is a binary search: a batch of
+    /// `n` costs O(n log n) comparisons, not O(n²).
     pub fn push(&mut self, job: QueuedJob) {
         match self.policy {
             QueuePolicy::Fifo => self.jobs.push_back(job),
             QueuePolicy::PriorityBackfill => {
-                let pos = self
-                    .jobs
-                    .iter()
-                    .position(|j| j.spec.priority < job.spec.priority)
-                    .unwrap_or(self.jobs.len());
+                let priority = job.spec.priority;
+                let pos = self.jobs.partition_point(|j| j.spec.priority >= priority);
                 self.jobs.insert(pos, job);
             }
         }
@@ -112,16 +111,13 @@ impl JobQueue {
     /// scan relies on (a low-priority requeue parked at the head would
     /// make later high-priority pushes land behind it), so the requeue is
     /// inserted *ahead of equal-priority peers* but still behind strictly
-    /// higher priorities.
+    /// higher priorities — found by binary search, as in `push`.
     pub fn push_front(&mut self, job: QueuedJob) {
         match self.policy {
             QueuePolicy::Fifo => self.jobs.push_front(job),
             QueuePolicy::PriorityBackfill => {
-                let pos = self
-                    .jobs
-                    .iter()
-                    .position(|j| j.spec.priority <= job.spec.priority)
-                    .unwrap_or(self.jobs.len());
+                let priority = job.spec.priority;
+                let pos = self.jobs.partition_point(|j| j.spec.priority > priority);
                 self.jobs.insert(pos, job);
             }
         }

@@ -1,5 +1,7 @@
 //! A journal append the disk cuts short leaves no partial frame behind,
-//! so the records appended after it still replay.
+//! so the records appended after it still replay: through `append_all`,
+//! and through `write_frames`, the dispatcher's one write per input of
+//! the frames its facts encoded.
 //!
 //! The short write comes from a file-size limit (`RLIMIT_FSIZE`), which
 //! holds for the whole process: hence a test binary of its own, with one
@@ -8,7 +10,9 @@
 
 #![cfg(target_os = "linux")]
 
+use jets_core::core::Fact;
 use jets_core::journal::{scan, FsyncPolicy, Journal, Record};
+use jets_core::spec::{CommandSpec, JobSpec};
 use std::os::raw::c_int;
 
 /// `struct rlimit`: the soft and the hard limit.
@@ -70,6 +74,48 @@ fn a_short_write_is_cut_back_and_later_appends_replay() {
     let summary = scan(&path).unwrap();
     assert_eq!(summary.records, [enqueued(1), enqueued(4)]);
     assert_eq!(summary.dropped_bytes(), 0);
+
+    // One input's frames — a two-job batch: two `Submitted`, two
+    // `Enqueued` — cut short inside its third frame: none of the four stay.
+    let specs = [
+        JobSpec::sequential(CommandSpec::builtin("noop", vec![])),
+        JobSpec::mpi(2, CommandSpec::exec("/bin/sim", vec!["-n".into()])),
+    ];
+    let mut frames = Vec::new();
+    let batch = Fact::Submitted {
+        first: 5,
+        specs: &specs,
+    };
+    assert_eq!(batch.wal(&mut frames).unwrap(), 4);
+    let records = scan_frames(&frames);
+    let end = std::fs::metadata(&path).unwrap().len();
+    let third = frame_len(&frames) + frame_len(&frames[frame_len(&frames)..]) + 3;
+    set_file_size_limit(end + third as u64, saved.max);
+    let short = j.write_frames(&frames);
+    set_file_size_limit(saved.cur, saved.max);
+    assert!(short.is_err(), "the write was cut short");
+    let len = std::fs::metadata(&path).unwrap().len();
+    assert_eq!(len, end, "the step's whole frames are cut back off too");
+
+    j.write_frames(&frames).unwrap();
+    let summary = scan(&path).unwrap();
+    let want = [vec![enqueued(1), enqueued(4)], records].concat();
+    assert_eq!(summary.records, want);
+    assert_eq!(summary.dropped_bytes(), 0);
     drop(j);
     std::fs::remove_file(&path).ok();
+}
+
+/// The length of the frame `frames` starts with, header included.
+fn frame_len(frames: &[u8]) -> usize {
+    let len = u32::from_le_bytes([frames[0], frames[1], frames[2], frames[3]]);
+    8 + len as usize
+}
+
+/// The records in bare frames, as a journal holding them would read.
+fn scan_frames(frames: &[u8]) -> Vec<Record> {
+    let file = [&jets_core::journal::MAGIC[..], frames].concat();
+    let summary = jets_core::journal::scan_bytes(&file).unwrap();
+    assert_eq!(summary.dropped_bytes(), 0);
+    summary.records
 }

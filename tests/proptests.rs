@@ -139,6 +139,64 @@ fn backfill_queue_conserves_jobs() {
     });
 }
 
+/// Under backfill, batches of mixed priorities, picks and requeues leave
+/// the queue in the order the linear-scan definition gives: a push lands
+/// behind the last job of priority ≥ its own, a requeue ahead of its
+/// equal-priority peers, a pick takes the first job that fits.
+#[test]
+fn backfill_queue_orders_as_the_linear_scan_does() {
+    check(SEED, CASES * 8, |rng| {
+        let mut q = JobQueue::new(QueuePolicy::PriorityBackfill);
+        // (id, priority, nodes), in the definition's order.
+        let mut model: Vec<(u64, i32, u32)> = Vec::new();
+        let (mut picked, mut next) = (Vec::new(), 0);
+        for _ in 0..rng.gen_range(1..16) {
+            match rng.gen_range(0..3) {
+                0 => {
+                    for _ in 0..rng.gen_range(1..48) {
+                        let (priority, nodes) =
+                            (rng.gen_range(0..7) as i32 - 3, rng.gen_range(1..8));
+                        let mut job = queued(next, nodes as u32);
+                        job.spec.priority = priority;
+                        let at = model.iter().position(|m| m.1 < priority);
+                        model.insert(
+                            at.unwrap_or(model.len()),
+                            (job.id, priority, job.spec.nodes),
+                        );
+                        q.push(job);
+                        next += 1;
+                    }
+                }
+                1 => {
+                    let free = rng.gen_range(1..8) as u32;
+                    for _ in 0..rng.gen_range(1..6) {
+                        let at = model.iter().position(|m| m.2 <= free);
+                        let job = q.pick(free as usize);
+                        assert_eq!(job.as_ref().map(|j| j.id), at.map(|at| model.remove(at).0));
+                        picked.extend(job);
+                    }
+                }
+                _ => {
+                    if picked.is_empty() {
+                        continue;
+                    }
+                    let job: QueuedJob =
+                        picked.swap_remove(rng.gen_range(0..picked.len() as u64) as usize);
+                    let priority = job.spec.priority;
+                    let at = model.iter().position(|m| m.1 <= priority);
+                    model.insert(
+                        at.unwrap_or(model.len()),
+                        (job.id, priority, job.spec.nodes),
+                    );
+                    q.push_front(job);
+                }
+            }
+            let order: Vec<u64> = q.iter().map(|j| j.id).collect();
+            assert_eq!(order, model.iter().map(|m| m.0).collect::<Vec<_>>());
+        }
+    });
+}
+
 /// Input-file parsing accepts every well-formed MPI line.
 #[test]
 fn input_lines_parse() {
