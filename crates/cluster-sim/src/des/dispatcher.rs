@@ -103,8 +103,6 @@ pub struct Fx {
     busy: u64,
     /// `TaskStarted` / `TaskEnded` on the virtual clock, for Eq. (1).
     tasks: Vec<Event>,
-    /// A crash has happened: some jobs' spans began in a lost ring.
-    restarted: bool,
 }
 
 impl Fx {
@@ -133,7 +131,6 @@ impl Fx {
             holding: BTreeMap::new(),
             busy: 0,
             tasks: Vec::new(),
-            restarted: false,
         }
     }
 
@@ -170,7 +167,7 @@ impl Fx {
         self.spans.clear();
         self.pmi = PmiService::default();
         self.wire = PmiWire::at(format!("pmi@{}", self.wal.len()));
-        (self.pmi_fail, self.restarted) = (false, true);
+        self.pmi_fail = false;
         self.open.values_mut().for_each(|task| task.orphan = true);
         let recovered = journal::recover(&self.records());
         let restarted = journal::append_frames(&mut self.wal, &[Record::Restarted]);
@@ -178,15 +175,17 @@ impl Fx {
         recovered
     }
 
-    /// Once everything has drained: every job finished once, nothing left
-    /// open, and Eq. (1) conserved — the estimator over the emitted events
-    /// agrees with the busy time the facts were charged as they came.
+    /// Once everything has drained: every job finished once, no task and
+    /// no span left open, and Eq. (1) conserved — the estimator over the
+    /// emitted events agrees with the busy time the facts were charged as
+    /// they came.
     pub(crate) fn drained(&self, pilots: usize) {
         assert!(self.unfinished.is_empty(), "stuck: {:?}", self.unfinished);
         assert!(self.jobs.values().all(|j| j.stage == Stage::Finished));
         assert!(self.pmi_jobs.is_empty(), "a PMI job outlived its attempt");
         let abandoned = self.open.values().filter(|t| !t.orphan).count();
         assert_eq!(abandoned, 0, "tasks left open after the last job finished");
+        assert!(self.spans.is_empty(), "spans left open: {:?}", self.spans);
         let t = |e: &Event| e.t.as_micros() as u64;
         let ended = |e: &&Event| matches!(e.kind, EventKind::TaskEnded { .. });
         let last = self.tasks.iter().filter(ended).map(t).max();
@@ -236,10 +235,8 @@ impl Fx {
                 let fresh = self.spans.insert((job, kind.code()));
                 assert!(fresh, "{kind:?} of job {job} opened twice");
             }
-            // A restored job's successor opens no span for the state it
-            // was restored in.
             EventKind::SpanEnd { kind, job, .. } => {
-                let was_open = self.spans.remove(&(job, kind.code())) || self.restarted;
+                let was_open = self.spans.remove(&(job, kind.code()));
                 assert!(was_open, "{kind:?} of job {job} closed unopened");
             }
             EventKind::TaskStarted {
@@ -416,7 +413,6 @@ impl Effects for Fx {
                 job,
                 attempt,
                 nodes,
-                ..
             } => {
                 let j = self.job(job);
                 assert_eq!(j.stage, Stage::Queued, "job {job} started while not queued");

@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! jets TASKFILE [--listen ADDR] [--simulate N] [--timeout SECS]
-//!               [--events-out FILE] [--metrics-addr ADDR]
+//!               [--metrics-addr ADDR]
 //!               [--journal FILE] [--fsync-policy always|interval|never]
 //!               [--flight-recorder FILE]
-//! jets events --in FILE [--nodes N] [--step-ms MS] [--stats]
 //! jets top --metrics ADDR [--interval-ms MS] [--once]
 //! jets journal <dump|verify> FILE
-//! jets flight <dump|tail> FILE [--stats] [--interval-ms MS]
+//! jets flight dump FILE [--stats [--nodes N] [--step-ms MS]]
+//! jets flight tail FILE [--interval-ms MS]
 //! jets trace <export|critical-path JOB|stats> FLIGHT_FILE... [--out FILE]
 //! ```
 //!
@@ -17,13 +17,6 @@
 //! workers connect. `--simulate N` boots N in-process worker agents with
 //! the standard + science application registries, so a batch of builtin
 //! (`@`-prefixed) tasks runs with no external setup.
-//!
-//! `--events-out FILE` dumps the dispatcher's event log as JSON Lines
-//! after the run; `jets events --in FILE` recomputes the paper's
-//! utilization / load / availability statistics from such a dump
-//! offline, with no dispatcher running — `--stats` adds the per-phase
-//! latency percentile table, under the same metric names a live
-//! `/metrics` scrape uses.
 //!
 //! `--metrics-addr ADDR` serves `GET /metrics` (Prometheus text) and
 //! `GET /healthz` off the running dispatcher; `jets top --metrics ADDR`
@@ -39,9 +32,12 @@
 //!
 //! `--flight-recorder FILE` backs the dispatcher's event ring with a
 //! crash-durable mmap at FILE: the last ~131k events survive `kill -9`.
-//! `jets flight dump FILE` replays such a file offline (`--stats` adds
-//! the phase table); `jets flight tail FILE` follows a *live* ring from
-//! another process without ever blocking its writer.
+//! `jets flight dump FILE` replays such a file offline; `--stats` adds
+//! the paper's utilization / load / availability figures, recomputed
+//! with no dispatcher running, and the per-phase latency percentile
+//! table under the metric name a live `/metrics` scrape uses. `jets
+//! flight tail FILE` follows a *live* ring from another process without
+//! ever blocking its writer.
 //!
 //! `jets trace` merges dispatcher + relay + worker flight files into one
 //! cross-process span timeline (see `docs/observability.md`): `export`
@@ -65,16 +61,11 @@ use jets_core::{stats, Dispatcher, DispatcherConfig, EventKind, JobStatus};
 use jets_obs::Histogram;
 use jets_worker::Executor;
 use std::collections::HashSet;
-use std::io::BufReader;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("events") {
-        let args = parse_args(argv.into_iter().skip(1), &["in", "nodes", "step-ms"]);
-        events_main(&args);
-    }
     if argv.first().map(String::as_str) == Some("top") {
         let args = parse_args(argv.into_iter().skip(1), &["metrics", "interval-ms"]);
         top_main(&args);
@@ -84,7 +75,10 @@ fn main() {
         journal_main(&args);
     }
     if argv.first().map(String::as_str) == Some("flight") {
-        let args = parse_args(argv.into_iter().skip(1), &["interval-ms"]);
+        let args = parse_args(
+            argv.into_iter().skip(1),
+            &["interval-ms", "nodes", "step-ms"],
+        );
         flight_main(&args);
     }
     if argv.first().map(String::as_str) == Some("trace") {
@@ -97,7 +91,6 @@ fn main() {
             "listen",
             "simulate",
             "timeout",
-            "events-out",
             "metrics-addr",
             "journal",
             "fsync-policy",
@@ -106,7 +99,7 @@ fn main() {
     );
     let Some(taskfile) = args.positional.first() else {
         eprintln!(
-            "usage: jets TASKFILE [--listen ADDR] [--simulate N] [--timeout SECS] [--events-out FILE] [--metrics-addr ADDR] [--journal FILE] [--fsync-policy always|interval|never] [--flight-recorder FILE]\n       jets events --in FILE [--nodes N] [--step-ms MS] [--stats]\n       jets top --metrics ADDR [--interval-ms MS] [--once]\n       jets journal <dump|verify> FILE\n       jets flight <dump|tail> FILE [--stats] [--interval-ms MS]\n       jets trace <export|critical-path JOB|stats> FLIGHT_FILE... [--out FILE]"
+            "usage: jets TASKFILE [--listen ADDR] [--simulate N] [--timeout SECS] [--metrics-addr ADDR] [--journal FILE] [--fsync-policy always|interval|never] [--flight-recorder FILE]\n       jets top --metrics ADDR [--interval-ms MS] [--once]\n       jets journal <dump|verify> FILE\n       jets flight dump FILE [--stats [--nodes N] [--step-ms MS]]\n       jets flight tail FILE [--interval-ms MS]\n       jets trace <export|critical-path JOB|stats> FLIGHT_FILE... [--out FILE]"
         );
         std::process::exit(2);
     };
@@ -207,69 +200,26 @@ fn main() {
     if let Some(alloc) = allocation {
         alloc.join_all();
     }
-    if let Some(path) = args.get("events-out") {
-        match std::fs::File::create(path) {
-            Ok(mut file) => match dispatcher.events().write_jsonl(&mut file) {
-                Ok(()) => println!("jets: wrote {} events to {path}", dispatcher.events().len()),
-                Err(e) => eprintln!("jets: cannot write events to {path}: {e}"),
-            },
-            Err(e) => eprintln!("jets: cannot create {path}: {e}"),
-        }
-    }
     std::process::exit(if failed == 0 { 0 } else { 1 });
 }
 
-/// `jets events --in FILE`: recompute run statistics from a JSONL event
-/// dump, offline.
-fn events_main(args: &Args) -> ! {
-    let Some(path) = args.get("in") else {
-        eprintln!("usage: jets events --in FILE [--nodes N] [--step-ms MS]");
-        std::process::exit(2);
-    };
-    let file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("jets: cannot open {path}: {e}");
-            std::process::exit(2);
+/// `jets flight dump --stats`: the paper's run statistics over a flight
+/// file's events — Eq. (1) utilization, peak load (Fig. 13) and workers
+/// alive (Fig. 10), sampled every `--step-ms` — computed by
+/// [`jets_core::stats`] as they would be live. The allocation size is
+/// `--nodes`, or else the distinct workers the file saw register.
+fn print_run_stats(events: &[jets_core::Event], args: &Args) {
+    let nodes = match args.get_parse("nodes", 0usize) {
+        0 => {
+            let up = |e: &jets_core::Event| match e.kind {
+                EventKind::WorkerUp { worker } => Some(worker),
+                _ => None,
+            };
+            events.iter().filter_map(up).collect::<HashSet<_>>().len()
         }
-    };
-    let load = match jets_core::read_jsonl(BufReader::new(file)) {
-        Ok(load) => load,
-        Err(e) => {
-            eprintln!("jets: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    if load.skipped > 0 {
-        eprintln!("jets: {path}: skipped {} malformed line(s)", load.skipped);
-    }
-    let events = load.events;
-    if events.is_empty() {
-        println!("jets: {path}: empty event log");
-        std::process::exit(0);
-    }
-    let span = events.last().map(|e| e.t).unwrap_or_default();
-    // Allocation size: given, or inferred as the distinct workers seen.
-    let nodes = {
-        let given: usize = args.get_parse("nodes", 0);
-        if given > 0 {
-            given
-        } else {
-            let mut seen = HashSet::new();
-            for e in &events {
-                if let EventKind::WorkerUp { worker } = &e.kind {
-                    seen.insert(*worker);
-                }
-            }
-            seen.len()
-        }
+        given => given,
     };
     let step = Duration::from_millis(args.get_parse("step-ms", 1000u64));
-    println!(
-        "jets: {path}: {} events over {:.3}s",
-        events.len(),
-        span.as_secs_f64()
-    );
     println!("  allocation size: {nodes}");
     let done = events
         .iter()
@@ -279,10 +229,10 @@ fn events_main(args: &Args) -> ! {
     if nodes > 0 {
         println!(
             "  utilization:     {:.1}%",
-            100.0 * stats::measured_utilization(&events, nodes)
+            100.0 * stats::measured_utilization(events, nodes)
         );
     }
-    let load = stats::load_series(&events, step);
+    let load = stats::load_series(events, step);
     if let Some(peak) = load.iter().max_by_key(|s| s.busy_ranks) {
         println!(
             "  peak load:       {} tasks / {} busy ranks at t={:.1}s",
@@ -291,20 +241,16 @@ fn events_main(args: &Args) -> ! {
             peak.t.as_secs_f64()
         );
     }
-    let avail = stats::availability_series(&events, step);
+    let avail = stats::availability_series(events, step);
     if let (Some(min), Some(max)) = (
         avail.iter().map(|s| s.alive).min(),
         avail.iter().map(|s| s.alive).max(),
     ) {
         println!("  workers alive:   min {min}, max {max}");
     }
-    if args.has_flag("stats") {
-        print_phase_stats(&events);
-    }
-    std::process::exit(0);
 }
 
-/// `jets events --stats`: per-phase latency percentiles by job size,
+/// `jets flight dump --stats`: per-phase latency percentiles by job size,
 /// computed from `JobPhases` records through the same histogram type
 /// (and under the same metric name) a live `/metrics` scrape uses.
 ///
@@ -462,8 +408,8 @@ fn journal_main(args: &Args) -> ! {
 /// `jets flight <dump|tail> FILE`: inspect a flight-recorder ring.
 /// `dump` maps the file read-only and replays everything it retains —
 /// the file may come from a `kill -9`'d process; torn and overwritten
-/// slots are reported, not fatal. `--stats` adds the same per-phase
-/// latency table `jets events --stats` prints. `tail` follows a *live*
+/// slots are reported, not fatal. `--stats` adds the run statistics and
+/// the per-phase latency table. `tail` follows a *live*
 /// ring: it seats a lock-free cursor at the current head and streams
 /// events as the writer commits them, without ever blocking it.
 fn flight_main(args: &Args) -> ! {
@@ -471,7 +417,7 @@ fn flight_main(args: &Args) -> ! {
         args.positional.first().map(String::as_str),
         args.positional.get(1),
     ) else {
-        eprintln!("usage: jets flight <dump|tail> FILE [--stats] [--interval-ms MS]");
+        eprintln!("usage: jets flight dump FILE [--stats [--nodes N] [--step-ms MS]]\n       jets flight tail FILE [--interval-ms MS]");
         std::process::exit(2);
     };
     let fmt_event = |e: &jets_core::Event| format!("t={:>12.6}s  {:?}", e.t.as_secs_f64(), e.kind);
@@ -512,6 +458,7 @@ fn flight_main(args: &Args) -> ! {
                 );
             }
             if args.has_flag("stats") {
+                print_run_stats(&view.events, args);
                 print_phase_stats(&view.events);
             }
             std::process::exit(0);

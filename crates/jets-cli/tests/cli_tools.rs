@@ -37,6 +37,52 @@ fn jets_tool_runs_a_simulated_batch() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The flight file a run leaves behind carries the run's statistics:
+/// `jets flight dump --stats` recomputes them with no dispatcher running.
+#[test]
+fn flight_dump_stats_summarizes_a_recorded_run() {
+    const N: usize = 12;
+    let dir = tmpdir("flight-stats");
+    let (taskfile, flight) = (dir.join("tasks.txt"), dir.join("run.ring"));
+    std::fs::write(&taskfile, "@noop\n".repeat(N)).unwrap();
+    let run = Command::new(JETS)
+        .arg(&taskfile)
+        .args(["--simulate", "2", "--timeout", "120", "--flight-recorder"])
+        .arg(&flight)
+        .output()
+        .expect("run jets");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(run.status.success(), "stdout: {stdout}");
+    assert!(
+        stdout.contains(&format!("{N} succeeded, 0 failed")),
+        "stdout: {stdout}"
+    );
+
+    let dump = Command::new(JETS)
+        .args(["flight", "dump"])
+        .arg(&flight)
+        .args(["--stats", "--nodes", "2"])
+        .output()
+        .expect("run jets flight dump");
+    let stdout = String::from_utf8_lossy(&dump.stdout);
+    assert!(dump.status.success(), "stdout: {stdout}");
+    assert!(stdout.contains("allocation size: 2"), "stdout: {stdout}");
+    assert!(
+        stdout.contains(&format!("tasks ended:     {N}\n")),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("  utilization:     "), "stdout: {stdout}");
+    assert!(
+        stdout.contains("jets_job_phase_seconds p50/p95/p99 by job size"),
+        "stdout: {stdout}"
+    );
+    // The phase table: its title, its header, then one row per job size.
+    let mut table = stdout.lines().skip_while(|l| !l.contains("by job size"));
+    let row: Vec<&str> = table.nth(2).expect("a row").split_whitespace().collect();
+    assert_eq!(row[..2], ["1", &N.to_string()], "stdout: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn jets_tool_reports_parse_errors() {
     let dir = tmpdir("jets-err");

@@ -121,8 +121,6 @@ pub enum Fact<'a> {
         attempt: u32,
         /// Node count.
         nodes: u32,
-        /// Ranks per node.
-        ppn: u32,
     },
     /// The attempt's gang is fixed; nothing has reached a wire yet.
     Assigned {
@@ -796,7 +794,6 @@ impl Core {
             job: id,
             attempt,
             nodes,
-            ppn,
         });
         // Queue wait is over; group assembly and assignment construction
         // run inside the `sched` span.
@@ -1196,7 +1193,8 @@ impl Core {
     /// gang whose every member had reported success is finished in place
     /// — the crash merely ate the terminal record — and anything else is
     /// requeued with the crashed attempt refunded (the dispatcher failed,
-    /// not the job).
+    /// not the job). Each restored job opens the span its successor
+    /// closes: `queue` when queued, `run` when orphaned.
     pub fn restore<E: Effects>(&mut self, now: Instant, rec: Recovered, fx: &mut E) {
         self.next_job = rec.next_job;
         self.next_task = rec.next_task;
@@ -1223,6 +1221,7 @@ impl Core {
                 spec,
             };
             let Some(exit_codes) = ended else {
+                span_open(fx, SpanKind::Queue, id, queued.trace);
                 self.queue.push(queued);
                 continue;
             };
@@ -1238,6 +1237,7 @@ impl Core {
                     self.tasks.insert(t, id);
                 }
                 orphans.insert(id, tasks.iter().map(|&(_, t)| t).collect());
+                span_open(fx, SpanKind::Run, id, queued.trace);
                 let deadline = queued.spec.deadline_ms;
                 self.active.insert(
                     id,
@@ -1277,6 +1277,7 @@ impl Core {
             exit_codes: Vec::new(),
             outputs: Vec::new(),
         });
+        span_open(fx, SpanKind::Queue, job.id, job.trace);
         self.queue.push_front(job);
     }
 
@@ -1344,6 +1345,7 @@ impl Core {
                 self.tasks.remove(&task);
                 fx.send_cancel(worker, task);
             }
+            span_close(fx, SpanKind::Run, job, active.trace);
             let queued = QueuedJob {
                 id: job,
                 attempts: active.attempts.saturating_sub(1),
@@ -1353,9 +1355,7 @@ impl Core {
                 trace: active.trace,
                 spec: active.spec,
             };
-            let trace = queued.trace;
             self.requeue_refunded(queued, fx);
-            span_open(fx, SpanKind::Queue, job, trace);
         }
         self.schedule(now, fx);
     }

@@ -537,15 +537,8 @@ impl Effects for Sink<'_> {
                 self.io.conns.remove(&worker);
                 log.record(EventKind::WorkerDown { worker });
             }
-            Fact::JobStarted {
-                job,
-                attempt,
-                nodes,
-                ppn,
-            } => {
-                log.record(EventKind::JobStarted { job, nodes, ppn });
-                self.book().jobs.started(job, attempt);
-            }
+            // No ring record: the `sched` span start marks the instant.
+            Fact::JobStarted { job, attempt, .. } => self.book().jobs.started(job, attempt),
             // A worker's own report counts; its output takes the paper's
             // last hop, "into a file", copied only if that is configured.
             Fact::Reported { job, task, output } => {

@@ -18,22 +18,18 @@
 //! never block the writer; a reader that falls a full window behind is
 //! *lapped* and its cursor reports how many records it missed.
 //!
-//! With [`EventLog::file_backed`] the ring lives in a `MAP_SHARED`
-//! mmap (`--flight-recorder FILE`): the journal survives `kill -9` and
-//! [`read_flight`] replays it offline (`jets flight dump`).
-//!
-//! ## Offline persistence
-//!
-//! [`EventLog::write_jsonl`] saves the log as one JSON object per line
-//! (a flat [`EventRecord`] per event) and [`read_jsonl`] loads it back,
-//! so every series in [`crate::stats`] can be recomputed later from a
-//! saved run — `jets events --in run.jsonl` does exactly that.
+//! With [`EventLog::file_backed_with_role`] the ring lives in a
+//! `MAP_SHARED` mmap (`--flight-recorder FILE`): the journal survives
+//! `kill -9` and [`read_flight`] replays it offline. That file is the
+//! log's one on-disk form: `jets flight dump FILE --stats` recomputes
+//! every series in [`crate::stats`] from it, and `jets trace` merges
+//! several of them into one timeline.
 
 use crate::spec::{JobId, TaskId, WorkerId};
 pub use jets_ring::WriterRole;
 use jets_ring::{Ring, RingReader, PAYLOAD_BYTES};
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, Write};
+use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -106,8 +102,8 @@ impl SpanKind {
         })
     }
 
-    /// Stable lowercase label (JSONL field, Perfetto span name,
-    /// `jets trace critical-path` phase column).
+    /// Stable lowercase label ([`EventRecord::span`], Perfetto span
+    /// name, `jets trace critical-path` phase column).
     pub fn as_str(self) -> &'static str {
         match self {
             SpanKind::Submit => "submit",
@@ -123,7 +119,8 @@ impl SpanKind {
         }
     }
 
-    /// Parse the [`SpanKind::as_str`] label back (JSONL reload).
+    /// Parse the [`SpanKind::as_str`] label back
+    /// ([`EventRecord::into_event`]).
     pub fn from_name(name: &str) -> Option<SpanKind> {
         Some(match name {
             "submit" => SpanKind::Submit,
@@ -156,7 +153,7 @@ impl SpanKind {
     ];
 }
 
-/// Parse a [`WriterRole::as_str`] label back (JSONL reload).
+/// Parse a [`WriterRole::as_str`] label back ([`EventRecord::into_event`]).
 fn role_from_name(name: &str) -> Option<WriterRole> {
     Some(match name {
         "unknown" => WriterRole::Unknown,
@@ -189,7 +186,9 @@ pub enum EventKind {
         /// Its ranks-per-node.
         ppn: u32,
     },
-    /// A job's workers were selected and its tasks were shipped.
+    /// A job's workers were selected and its tasks were shipped. No
+    /// longer recorded (the `sched` [`EventKind::SpanStart`] marks the
+    /// same instant); still decoded from older flight files.
     JobStarted {
         /// The job.
         job: JobId,
@@ -212,7 +211,7 @@ pub enum EventKind {
     /// Per-phase latency breakdown of a finished job's final attempt,
     /// emitted alongside its terminal [`EventKind::JobCompleted`]. The
     /// same durations feed the live `jets_job_phase_seconds` histograms,
-    /// so offline analysis (`jets events --stats`) matches `/metrics`
+    /// so offline analysis (`jets flight dump --stats`) matches `/metrics`
     /// one-to-one.
     JobPhases {
         /// The job.
@@ -693,13 +692,12 @@ fn decode_event(payload: &[u8]) -> Option<Event> {
     })
 }
 
-/// Flat wire form of one [`Event`] — one JSONL line.
+/// Flat serde form of one [`Event`]: microseconds since the epoch, the
+/// variant name as a string tag, every payload field optional.
 ///
-/// Deliberately a bag of primitives (no `Duration`, no nested enums):
-/// the timestamp is microseconds since the epoch, the kind is a string
-/// tag, and every payload field is optional. This keeps each line
-/// greppable/`jq`-able and the schema stable as `EventKind` grows —
-/// unknown fields are ignored on read, absent ones default to `None`.
+/// No log is stored in this form (the ring is the only one); it stays,
+/// derives and all, because `benchmark/tests/serde_shim.rs` round-trips
+/// it through the serde stand-ins.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EventRecord {
     /// Microseconds since the log's epoch.
@@ -879,8 +877,8 @@ impl From<&Event> for EventRecord {
                 r.worker = Some(*worker);
                 r.ranks = Some(*ranks);
                 r.exit_code = Some(*exit_code);
-                // The untraced sentinel is omitted, keeping lines from
-                // pre-tracing builds byte-identical.
+                // The untraced sentinel is omitted, as in records from
+                // pre-tracing builds.
                 r.trace = (*trace != 0).then_some(*trace);
             }
             EventKind::GangReadopted { job } => {
@@ -991,7 +989,7 @@ impl EventRecord {
                 worker: self.worker.ok_or_else(missing)?,
                 ranks: self.ranks.ok_or_else(missing)?,
                 exit_code: self.exit_code.ok_or_else(missing)?,
-                // Absent on JSONL from pre-tracing builds.
+                // Absent on records from pre-tracing builds.
                 trace: self.trace.unwrap_or(0),
             },
             "GangReadopted" => EventKind::GangReadopted {
@@ -1047,41 +1045,6 @@ impl EventRecord {
     }
 }
 
-/// Result of loading a JSONL event stream: the events that parsed plus
-/// a count of malformed lines skipped.
-#[derive(Debug, Default)]
-pub struct JsonlLoad {
-    /// Every event that parsed, in file order.
-    pub events: Vec<Event>,
-    /// Lines that were not valid event records (bad JSON, unknown tag,
-    /// missing field) — skipped, like the WAL's torn-tail policy.
-    pub skipped: u64,
-}
-
-/// Load a JSONL event stream written by [`EventLog::write_jsonl`].
-/// Blank lines are ignored; a malformed line no longer fails the whole
-/// load — it is skipped and counted in [`JsonlLoad::skipped`], matching
-/// the WAL journal's torn-tail recovery policy (a partially flushed
-/// final line must not make the rest of a crashed run unreadable).
-/// I/O errors still fail.
-pub fn read_jsonl(reader: impl BufRead) -> io::Result<JsonlLoad> {
-    let mut load = JsonlLoad::default();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = serde_json::from_str::<EventRecord>(&line)
-            .ok()
-            .and_then(|rec| rec.into_event().ok());
-        match parsed {
-            Some(event) => load.events.push(event),
-            None => load.skipped += 1,
-        }
-    }
-    Ok(load)
-}
-
 /// Default ring capacity in slots (2^17 × 72 B = 9 MiB): comfortably
 /// larger than the event count of any tier-1 run, so `snapshot()` is
 /// lossless there, while bounding memory forever on long-lived daemons.
@@ -1133,13 +1096,9 @@ impl EventLog {
     /// offline replay with [`read_flight`] / `jets flight dump`.
     /// Re-opening an existing file continues its sequence numbers and
     /// its timeline (timestamps stay relative to the *original* epoch).
-    pub fn file_backed(path: &Path, capacity: usize) -> io::Result<Self> {
-        Self::file_backed_with_role(path, capacity, WriterRole::Unknown)
-    }
-
-    /// [`EventLog::file_backed`] with the writer's process role stamped
-    /// into the ring header — the file's *lane* when `jets trace`
-    /// merges several processes' flight recorders into one timeline.
+    /// `role` is stamped into the ring header — the file's *lane* when
+    /// `jets trace` merges several processes' flight recorders into one
+    /// timeline.
     pub fn file_backed_with_role(
         path: &Path,
         capacity: usize,
@@ -1256,33 +1215,10 @@ impl EventLog {
         }
     }
 
-    /// A cursor that skips history and yields only events recorded
-    /// after this call — the `jets top` live-tail shape.
-    pub fn tail_reader(&self) -> EventCursor {
-        EventCursor {
-            inner: self.ring.reader_from(self.ring.seq()),
-            decode_errors: 0,
-        }
-    }
-
     /// Flush a file-backed log to disk now (clean-shutdown nicety; the
     /// mmap survives `kill -9` without it). No-op for in-memory logs.
     pub fn sync(&self) -> io::Result<()> {
         self.ring.sync()
-    }
-
-    /// Persist the log as JSONL: one flat [`EventRecord`] object per
-    /// line, in recording order. The result round-trips through
-    /// [`read_jsonl`] so every [`crate::stats`] series can be recomputed
-    /// offline.
-    pub fn write_jsonl(&self, writer: &mut impl Write) -> io::Result<()> {
-        for event in self.snapshot() {
-            let rec = EventRecord::from(&event);
-            let line = serde_json::to_string(&rec).map_err(io::Error::other)?;
-            writer.write_all(line.as_bytes())?;
-            writer.write_all(b"\n")?;
-        }
-        writer.flush()
     }
 }
 
@@ -1541,26 +1477,14 @@ mod tests {
         kinds
     }
 
-    /// Every `EventKind` variant must survive the JSONL round trip with
-    /// its timestamp (at microsecond resolution) and payload intact.
+    /// Every `EventKind` variant has its [`EventRecord`] tag, and the
+    /// record converts back to the same event; a record with an unknown
+    /// tag or a missing field is refused.
     #[test]
-    fn jsonl_round_trips_every_kind() {
+    fn every_kind_maps_to_its_record_tag() {
         let log = EventLog::new();
         one_of_each(&log);
-
-        let mut buf = Vec::new();
-        log.write_jsonl(&mut buf).unwrap();
-        assert_eq!(buf.iter().filter(|&&b| b == b'\n').count(), log.len());
-
-        let load = read_jsonl(std::io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(load.skipped, 0);
-        let back = load.events;
         let original = log.snapshot();
-        assert_eq!(back.len(), original.len());
-        for (b, o) in back.iter().zip(&original) {
-            assert_eq!(b.kind, o.kind);
-            assert_eq!(b.t.as_micros(), o.t.as_micros());
-        }
 
         // Exhaustiveness guard: this wildcard-free match breaks the
         // build when a variant is added, and the count below fails until
@@ -1589,9 +1513,18 @@ mod tests {
         let covered: std::collections::BTreeSet<&str> =
             original.iter().map(|e| tag(&e.kind)).collect();
         assert_eq!(covered.len(), 17, "a variant is not exercised: {covered:?}");
-        // The wire tag written is exactly the variant name.
         for o in &original {
-            assert_eq!(EventRecord::from(o).kind, tag(&o.kind));
+            let rec = EventRecord::from(o);
+            assert_eq!(rec.kind, tag(&o.kind));
+            assert_eq!(&rec.into_event().unwrap(), o);
+        }
+
+        for kind in ["NoSuchKind", "WorkerUp"] {
+            let rec = EventRecord {
+                kind: kind.into(),
+                ..EventRecord::default()
+            };
+            assert!(rec.into_event().is_err(), "{kind} with no fields");
         }
     }
 
@@ -1758,11 +1691,14 @@ mod tests {
         assert_eq!(longest, 62);
     }
 
-    /// Saved logs must feed the stats module unchanged: the recomputed
-    /// series from a reloaded log match the in-memory ones.
+    /// A flight file feeds the stats module unchanged: the series
+    /// recomputed from [`read_flight`] match the live log's.
+    #[cfg(unix)]
     #[test]
     fn reloaded_log_recomputes_stats() {
-        let log = EventLog::new();
+        let path = std::env::temp_dir().join(format!("jets-stats-{}.ring", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let log = EventLog::file_backed_with_role(&path, 1024, WriterRole::Dispatcher).unwrap();
         log.record(EventKind::WorkerUp { worker: 1 });
         log.record(EventKind::TaskStarted {
             task: 1,
@@ -1779,46 +1715,12 @@ mod tests {
             exit_code: 0,
             trace: 0,
         });
-        let mut buf = Vec::new();
-        log.write_jsonl(&mut buf).unwrap();
-        let back = read_jsonl(std::io::BufReader::new(&buf[..]))
-            .unwrap()
-            .events;
+        let back = read_flight(&path).unwrap().events;
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(back, log.snapshot());
         let live = crate::stats::measured_utilization(&log.snapshot(), 4);
         let offline = crate::stats::measured_utilization(&back, 4);
-        assert!((live - offline).abs() < 1e-6);
-    }
-
-    /// Malformed lines are skipped and counted, never fatal: one torn
-    /// tail line must not make a crashed run's log unreadable.
-    #[test]
-    fn jsonl_skips_and_counts_garbage() {
-        let input = concat!(
-            "{\"t_us\":1,\"kind\":\"WorkerUp\",\"worker\":1}\n",
-            "not json\n",
-            "{\"t_us\":2,\"kind\":\"NoSuchKind\"}\n",
-            "{\"t_us\":3,\"kind\":\"WorkerUp\"}\n", // missing field
-            "\n  \n",
-            "{\"t_us\":4,\"kind\":\"WorkerDown\",\"worker\":1}\n",
-            "{\"t_us\":5,\"kind\":\"JobRequeued\",\"job\"", // torn tail
-        );
-        let load = read_jsonl(std::io::BufReader::new(input.as_bytes())).unwrap();
-        assert_eq!(load.events.len(), 2, "the good lines load");
-        assert_eq!(load.skipped, 4, "every bad line counted");
-        assert_eq!(load.events[0].kind, EventKind::WorkerUp { worker: 1 });
-        assert_eq!(load.events[1].kind, EventKind::WorkerDown { worker: 1 });
-
-        // Direct record conversion still reports errors precisely.
-        let rec = EventRecord {
-            kind: "NoSuchKind".into(),
-            ..EventRecord::default()
-        };
-        assert!(rec.into_event().is_err());
-        let rec = EventRecord {
-            kind: "WorkerUp".into(),
-            ..EventRecord::default()
-        };
-        assert!(rec.into_event().is_err());
+        assert!(live > 0.0 && (live - offline).abs() < 1e-6);
     }
 
     #[test]
@@ -1931,7 +1833,7 @@ mod tests {
 
         // Re-opening continues the sequence and the timeline.
         {
-            let log = EventLog::file_backed(&path, 2048).unwrap();
+            let log = EventLog::file_backed_with_role(&path, 2048, WriterRole::Dispatcher).unwrap();
             assert_eq!(log.len(), 18);
             let before = view.events.last().unwrap().t;
             log.record(EventKind::WorkerDown { worker: 9 });

@@ -75,8 +75,8 @@ mod table;
 
 pub use dispatcher::{Dispatcher, DispatcherConfig, JobRecord, JobStatus};
 pub use events::{
-    read_flight, read_jsonl, tail_flight, Event, EventCursor, EventKind, EventLog, EventRecord,
-    FlightTail, FlightView, JsonlLoad, SpanKind, WriterRole,
+    read_flight, tail_flight, Event, EventCursor, EventKind, EventLog, EventRecord, FlightTail,
+    FlightView, SpanKind, WriterRole,
 };
 pub use group::GroupingPolicy;
 pub use journal::{FsyncPolicy, Journal};

@@ -5,7 +5,7 @@
 //! access plus one relaxed `fetch_add` — no map lookup, no lock, no
 //! allocation. The registry behind the handles renders Prometheus text
 //! for `GET /metrics` (see [`crate::Dispatcher::serve_metrics`]) and the
-//! name constants here are shared with `jets events --stats`, so offline
+//! name constants here are shared with `jets flight dump --stats`, so offline
 //! percentile tables and live scrapes use identical metric names.
 //!
 //! Deliberately absent: a heartbeats counter, a number nobody pages on.

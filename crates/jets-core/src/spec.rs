@@ -447,16 +447,4 @@ MPI: 6 namd2.sh input-3.pdb output-3.log
         assert_eq!(s.max_retries, 3);
         assert_eq!(s.priority, 5);
     }
-
-    #[test]
-    fn command_spec_serde_round_trip() {
-        let c = CommandSpec::Exec {
-            program: "namd2".into(),
-            args: vec!["a b".into()],
-            env: vec![("K".into(), "V".into())],
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        let back: CommandSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-    }
 }

@@ -165,7 +165,6 @@ fn story(run: &Run, mut each: impl FnMut(Fact<'_>, Vec<Record>)) {
             job,
             attempt: 1,
             nodes,
-            ppn: 1,
         };
         each(started, Vec::new());
         let tasks = plan.gang.iter().map(|(w, a)| (*w, a.task_id)).collect();

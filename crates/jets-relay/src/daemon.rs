@@ -179,7 +179,7 @@ struct Inner {
     epoch: Instant,
     metrics: Arc<RelayMetrics>,
     /// Span edges and operational events (buffer overflow) — same log
-    /// shape the dispatcher keeps, dumped by `jets events`.
+    /// shape the dispatcher keeps, replayed by `jets flight dump`.
     events: EventLog,
     /// The loop's own reactor (weak: the loop holds this), to dial with.
     reactor: Weak<Reactor>,
@@ -441,9 +441,9 @@ impl Relay {
         Arc::clone(&self.inner.metrics)
     }
 
-    /// This relay's operational event log (shared handle). `jets events`
-    /// renders the same record shape the dispatcher's log uses, so relay
-    /// and dispatcher events can be merged offline.
+    /// This relay's operational event log (shared handle). It uses the
+    /// dispatcher's record shape, so `jets trace` merges the two
+    /// processes' flight files offline.
     pub fn events(&self) -> EventLog {
         self.inner.events.clone()
     }

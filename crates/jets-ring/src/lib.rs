@@ -4,8 +4,8 @@
 //! for high-rate event streams. This is the storage engine under
 //! `jets_core::EventLog`: every dispatcher/relay/worker state
 //! transition becomes one 72-byte slot write — no `Mutex`, no heap
-//! allocation, no growth — and every consumer (`jets top`, `jets
-//! events --stats`, the Prometheus registry) is an independent cursor
+//! allocation, no growth — and every consumer (`jets flight tail`,
+//! `jets flight dump`, the Prometheus registry) is an independent cursor
 //! that chases the writer without ever blocking it.
 //!
 //! Two backings, one protocol:
