@@ -7,7 +7,7 @@
 //!               [--flight-recorder FILE]
 //! jets top --metrics ADDR [--interval-ms MS] [--once]
 //! jets journal <dump|verify> FILE
-//! jets flight dump FILE [--stats [--nodes N] [--step-ms MS]]
+//! jets flight dump FILE [--stats [--nodes N]]
 //! jets flight tail FILE [--interval-ms MS]
 //! jets trace <export|critical-path JOB|stats> FLIGHT_FILE... [--out FILE]
 //! ```
@@ -75,10 +75,7 @@ fn main() {
         journal_main(&args);
     }
     if argv.first().map(String::as_str) == Some("flight") {
-        let args = parse_args(
-            argv.into_iter().skip(1),
-            &["interval-ms", "nodes", "step-ms"],
-        );
+        let args = parse_args(argv.into_iter().skip(1), &["interval-ms", "nodes"]);
         flight_main(&args);
     }
     if argv.first().map(String::as_str) == Some("trace") {
@@ -99,7 +96,7 @@ fn main() {
     );
     let Some(taskfile) = args.positional.first() else {
         eprintln!(
-            "usage: jets TASKFILE [--listen ADDR] [--simulate N] [--timeout SECS] [--metrics-addr ADDR] [--journal FILE] [--fsync-policy always|interval|never] [--flight-recorder FILE]\n       jets top --metrics ADDR [--interval-ms MS] [--once]\n       jets journal <dump|verify> FILE\n       jets flight dump FILE [--stats [--nodes N] [--step-ms MS]]\n       jets flight tail FILE [--interval-ms MS]\n       jets trace <export|critical-path JOB|stats> FLIGHT_FILE... [--out FILE]"
+            "usage: jets TASKFILE [--listen ADDR] [--simulate N] [--timeout SECS] [--metrics-addr ADDR] [--journal FILE] [--fsync-policy always|interval|never] [--flight-recorder FILE]\n       jets top --metrics ADDR [--interval-ms MS] [--once]\n       jets journal <dump|verify> FILE\n       jets flight dump FILE [--stats [--nodes N]]\n       jets flight tail FILE [--interval-ms MS]\n       jets trace <export|critical-path JOB|stats> FLIGHT_FILE... [--out FILE]"
         );
         std::process::exit(2);
     };
@@ -204,10 +201,10 @@ fn main() {
 }
 
 /// `jets flight dump --stats`: the paper's run statistics over a flight
-/// file's events — Eq. (1) utilization, peak load (Fig. 13) and workers
-/// alive (Fig. 10), sampled every `--step-ms` — computed by
-/// [`jets_core::stats`] as they would be live. The allocation size is
-/// `--nodes`, or else the distinct workers the file saw register.
+/// file's events — Eq. (1) utilization, peak load (Fig. 13) and the range
+/// of workers alive (Fig. 10), exact from every change in the file —
+/// computed by [`jets_core::stats`] as they would be live. The allocation
+/// size is `--nodes`, or else the distinct workers the file saw register.
 fn print_run_stats(events: &[jets_core::Event], args: &Args) {
     let nodes = match args.get_parse("nodes", 0usize) {
         0 => {
@@ -219,7 +216,6 @@ fn print_run_stats(events: &[jets_core::Event], args: &Args) {
         }
         given => given,
     };
-    let step = Duration::from_millis(args.get_parse("step-ms", 1000u64));
     println!("  allocation size: {nodes}");
     let done = events
         .iter()
@@ -232,20 +228,15 @@ fn print_run_stats(events: &[jets_core::Event], args: &Args) {
             100.0 * stats::measured_utilization(events, nodes)
         );
     }
-    let load = stats::load_series(events, step);
-    if let Some(peak) = load.iter().max_by_key(|s| s.busy_ranks) {
+    if let Some(peak) = stats::peak_load(events) {
         println!(
-            "  peak load:       {} tasks / {} busy ranks at t={:.1}s",
+            "  peak load:       {} tasks / {} busy ranks at t={:.6}s",
             peak.running_tasks,
             peak.busy_ranks,
             peak.t.as_secs_f64()
         );
     }
-    let avail = stats::availability_series(events, step);
-    if let (Some(min), Some(max)) = (
-        avail.iter().map(|s| s.alive).min(),
-        avail.iter().map(|s| s.alive).max(),
-    ) {
+    if let Some((min, max)) = stats::alive_range(events) {
         println!("  workers alive:   min {min}, max {max}");
     }
 }
@@ -417,7 +408,7 @@ fn flight_main(args: &Args) -> ! {
         args.positional.first().map(String::as_str),
         args.positional.get(1),
     ) else {
-        eprintln!("usage: jets flight dump FILE [--stats [--nodes N] [--step-ms MS]]\n       jets flight tail FILE [--interval-ms MS]");
+        eprintln!("usage: jets flight dump FILE [--stats [--nodes N]]\n       jets flight tail FILE [--interval-ms MS]");
         std::process::exit(2);
     };
     let fmt_event = |e: &jets_core::Event| format!("t={:>12.6}s  {:?}", e.t.as_secs_f64(), e.kind);

@@ -83,6 +83,44 @@ fn flight_dump_stats_summarizes_a_recorded_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A run shorter than a second still shows its peak load and its
+/// workers: the summary reads them exactly from the file's events, not
+/// from samples a second apart, which a run this short fell between.
+#[test]
+fn flight_dump_stats_sees_the_peak_of_a_short_run() {
+    let dir = tmpdir("flight-short");
+    let (taskfile, flight) = (dir.join("tasks.txt"), dir.join("run.ring"));
+    std::fs::write(&taskfile, "@noop\n".repeat(7)).unwrap();
+    let run = Command::new(JETS)
+        .arg(&taskfile)
+        .args(["--simulate", "2", "--timeout", "120", "--flight-recorder"])
+        .arg(&flight)
+        .output()
+        .expect("run jets");
+    assert!(run.status.success(), "{run:?}");
+    let dump = Command::new(JETS)
+        .args(["flight", "dump"])
+        .arg(&flight)
+        .arg("--stats")
+        .output()
+        .expect("run jets flight dump");
+    let stdout = String::from_utf8_lossy(&dump.stdout);
+    assert!(dump.status.success(), "stdout: {stdout}");
+    let line = |label: &str| -> Vec<usize> {
+        let line = stdout.lines().find(|l| l.trim_start().starts_with(label));
+        let line = line.unwrap_or_else(|| panic!("no {label:?} line: {stdout}"));
+        line.split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect()
+    };
+    // "peak load: T tasks / R busy ranks at t=…": one or two 1-rank jobs.
+    let peak = line("peak load:");
+    assert!((1..=2).contains(&peak[0]) && peak[1] == peak[0], "{stdout}");
+    // "workers alive: min N, max M": both workers were up at once.
+    assert_eq!(line("workers alive:")[1], 2, "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn jets_tool_reports_parse_errors() {
     let dir = tmpdir("jets-err");

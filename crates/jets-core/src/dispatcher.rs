@@ -287,9 +287,10 @@ impl Sched {
         let out = input(core, &mut fx, Instant::now());
         fx.flush_wal();
         // The O(1) gauges are maintained inline so scrapes between timer
-        // ticks see fresh levels; three relaxed stores per input.
+        // ticks see fresh levels; four relaxed stores per input.
         let m = &inner.metrics;
         m.queue_depth.set(core.queue().len() as i64);
+        m.queue_bytes.set(core.queue().bytes() as i64);
         m.workers_ready.set(core.ready().len() as i64);
         m.running_gangs.set(core.running() as i64);
         out

@@ -80,6 +80,11 @@ jets_obs::metric_set! {
         /// Every job ever submitted keeps a fixed-size row and its encoded
         /// spec and latest result: a few dozen bytes a finished job.
         job_table_bytes: gauge("jets_job_table_bytes"),
+        /// Bytes the job queue holds, spare capacity included.
+        ///
+        /// A pending job keeps a 24-byte entry and its encoded spec,
+        /// attempts, trace and instants in the queue's arena.
+        queue_bytes: gauge("jets_queue_bytes"),
         /// Non-terminal jobs rebuilt from the journal at the last restart.
         journal_replayed_jobs: gauge("jets_journal_replayed_jobs"),
         /// In-flight gangs re-adopted after a dispatcher restart.

@@ -13,10 +13,33 @@
 //!   (stable within a priority level), and the scheduler may reach past a
 //!   job that cannot start yet to *backfill* smaller jobs onto idle
 //!   workers.
+//!
+//! A pending job costs the queue a 24-byte [`QueueEntry`] plus its
+//! encoded bytes; a [`QueuedJob`] (224 bytes with the spec inline, before
+//! the spec's own strings) exists only on the way in and out. The entry
+//! holds what ordering and fitting read: the job's id, its node count,
+//! its priority, and where the rest starts in one byte arena the queue
+//! owns. The arena is laid out as the job table's is: wire-codec fields
+//! ending in the codec's [`END`], which no encoded byte is, so an entry's
+//! extent needs no length field. An entry is the job's specification in
+//! the bytes the job table and the journal's `Submitted` record carry it
+//! in, then its attempts, trace id and excluded workers, then its two
+//! instants as signed nanoseconds from an anchor — the first instant the
+//! queue was handed after it was last empty — so every `Instant`
+//! round-trips exactly, a virtual one included.
+//! [`JobQueue::push`] encodes a job, [`JobQueue::pick`] decodes the one it
+//! returns.
+//!
+//! A picked job's bytes stay behind, dead, until they outnumber the live
+//! ones; then the live entries are copied, in queue order, into a fresh
+//! arena, so a pick costs amortized O(1) bytes moved. An empty queue
+//! clears its arena.
 
+use crate::protocol::{get_spec, put_spec};
 use crate::spec::{JobId, JobSpec, WorkerId};
+use jets_ring::codec::{Get, Put, END};
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Queue discipline for pending jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,7 +51,8 @@ pub enum QueuePolicy {
     PriorityBackfill,
 }
 
-/// A job waiting to be scheduled.
+/// A job waiting to be scheduled, as [`JobQueue::push`] takes it and
+/// [`JobQueue::pick`] returns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueuedJob {
     /// The job's identifier.
@@ -55,11 +79,33 @@ pub struct QueuedJob {
     pub trace: u64,
 }
 
+/// One pending job as the queue orders it. The rest of the job is its
+/// entry in the queue's arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueEntry {
+    /// The job's identifier.
+    pub id: JobId,
+    /// Where its entry starts in the arena.
+    at: u64,
+    /// Workers it needs: what [`JobQueue::pick`] tests for fit.
+    nodes: u32,
+    /// Its priority: what [`JobQueue::push`] orders by under
+    /// [`QueuePolicy::PriorityBackfill`].
+    priority: i32,
+}
+
 /// Pending-job queue under a [`QueuePolicy`].
 #[derive(Debug, Default)]
 pub struct JobQueue {
     policy: QueuePolicy,
-    jobs: VecDeque<QueuedJob>,
+    jobs: VecDeque<QueueEntry>,
+    /// Every entry's encoded bytes, live and dead.
+    arena: Vec<u8>,
+    /// Bytes of `arena` that belong to picked jobs.
+    dead: usize,
+    /// What the entries' instants are offsets from; `None` exactly when
+    /// the queue is empty.
+    anchor: Option<Instant>,
 }
 
 impl JobQueue {
@@ -67,7 +113,7 @@ impl JobQueue {
     pub fn new(policy: QueuePolicy) -> Self {
         JobQueue {
             policy,
-            jobs: VecDeque::new(),
+            ..JobQueue::default()
         }
     }
 
@@ -92,12 +138,12 @@ impl JobQueue {
     /// descending priority, so the slot is a binary search: a batch of
     /// `n` costs O(n log n) comparisons, not O(n²).
     pub fn push(&mut self, job: QueuedJob) {
+        let entry = self.store(&job);
         match self.policy {
-            QueuePolicy::Fifo => self.jobs.push_back(job),
+            QueuePolicy::Fifo => self.jobs.push_back(entry),
             QueuePolicy::PriorityBackfill => {
-                let priority = job.spec.priority;
-                let pos = self.jobs.partition_point(|j| j.spec.priority >= priority);
-                self.jobs.insert(pos, job);
+                let pos = self.jobs.partition_point(|j| j.priority >= entry.priority);
+                self.jobs.insert(pos, entry);
             }
         }
     }
@@ -113,12 +159,12 @@ impl JobQueue {
     /// inserted *ahead of equal-priority peers* but still behind strictly
     /// higher priorities — found by binary search, as in `push`.
     pub fn push_front(&mut self, job: QueuedJob) {
+        let entry = self.store(&job);
         match self.policy {
-            QueuePolicy::Fifo => self.jobs.push_front(job),
+            QueuePolicy::Fifo => self.jobs.push_front(entry),
             QueuePolicy::PriorityBackfill => {
-                let priority = job.spec.priority;
-                let pos = self.jobs.partition_point(|j| j.spec.priority > priority);
-                self.jobs.insert(pos, job);
+                let pos = self.jobs.partition_point(|j| j.priority > entry.priority);
+                self.jobs.insert(pos, entry);
             }
         }
     }
@@ -129,31 +175,115 @@ impl JobQueue {
     /// FIFO considers only the head; priority/backfill scans forward for
     /// the first job that fits.
     pub fn pick(&mut self, free_workers: usize) -> Option<QueuedJob> {
-        match self.policy {
-            QueuePolicy::Fifo => {
-                if self
-                    .jobs
-                    .front()
-                    .is_some_and(|j| j.spec.nodes as usize <= free_workers)
-                {
-                    self.jobs.pop_front()
-                } else {
-                    None
-                }
+        let anchor = self.anchor?;
+        let fits = |j: &QueueEntry| j.nodes as usize <= free_workers;
+        let pos = match self.policy {
+            QueuePolicy::Fifo => self.jobs.front().is_some_and(fits).then_some(0)?,
+            QueuePolicy::PriorityBackfill => self.jobs.iter().position(fits)?,
+        };
+        let entry = self.jobs.remove(pos)?;
+        let bytes = extent(&self.arena, entry.at);
+        let (job, len) = (decode(entry.id, anchor, bytes), bytes.len() + 1);
+        if self.jobs.is_empty() {
+            self.arena.clear();
+            (self.dead, self.anchor) = (0, None);
+        } else {
+            self.dead += len;
+            if self.dead > self.arena.len() - self.dead {
+                self.compact();
             }
-            QueuePolicy::PriorityBackfill => {
-                let pos = self
-                    .jobs
-                    .iter()
-                    .position(|j| j.spec.nodes as usize <= free_workers)?;
-                self.jobs.remove(pos)
-            }
+        }
+        Some(job)
+    }
+
+    /// The pending jobs in scheduling order (diagnostics).
+    pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
+        self.jobs.iter()
+    }
+
+    /// What the queue holds in memory, spare capacity included.
+    pub fn bytes(&self) -> usize {
+        self.jobs.capacity() * std::mem::size_of::<QueueEntry>() + self.arena.capacity()
+    }
+
+    /// Write `job`'s entry at the arena's end.
+    fn store(&mut self, job: &QueuedJob) -> QueueEntry {
+        let anchor = *self.anchor.get_or_insert(job.enqueued_at);
+        let at = self.arena.len() as u64;
+        let p = &mut Put(&mut self.arena);
+        put_spec(p, &job.spec);
+        p.var(job.attempts.into());
+        p.u64le(job.trace);
+        p.count(job.excluded.len());
+        job.excluded.iter().for_each(|&w| p.var(w));
+        p.zig(offset(anchor, job.submitted_at));
+        p.zig(offset(anchor, job.enqueued_at));
+        self.arena.push(END);
+        QueueEntry {
+            id: job.id,
+            at,
+            nodes: job.spec.nodes,
+            priority: job.spec.priority,
         }
     }
 
-    /// Peek at the pending jobs in scheduling order (diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = &QueuedJob> {
-        self.jobs.iter()
+    /// Copy the live entries, in queue order, into a fresh arena.
+    fn compact(&mut self) {
+        let mut arena = Vec::with_capacity(self.arena.len() - self.dead);
+        for job in &mut self.jobs {
+            let bytes = extent(&self.arena, job.at);
+            job.at = arena.len() as u64;
+            arena.extend_from_slice(bytes);
+            arena.push(END);
+        }
+        (self.arena, self.dead) = (arena, 0);
+    }
+}
+
+/// The entry starting at `at`, without its `END`.
+fn extent(arena: &[u8], at: u64) -> &[u8] {
+    let rest = &arena[at as usize..];
+    &rest[..rest.iter().position(|&b| b == END).unwrap_or(rest.len())]
+}
+
+/// Read job `id` back out of the entry [`JobQueue::store`] wrote.
+fn decode(id: JobId, anchor: Instant, bytes: &[u8]) -> QueuedJob {
+    let mut g = Get::new(bytes);
+    let job = QueuedJob {
+        id,
+        spec: get_spec(&mut g),
+        attempts: g.var_u32(),
+        trace: g.u64le(),
+        excluded: g.list(Get::var),
+        submitted_at: instant(anchor, g.zig()),
+        enqueued_at: instant(anchor, g.zig()),
+    };
+    debug_assert!(g.end().is_ok(), "job {id}: its queue entry does not decode");
+    job
+}
+
+/// `t` as signed nanoseconds from `anchor`.
+fn offset(anchor: Instant, t: Instant) -> i64 {
+    match t.checked_duration_since(anchor) {
+        Some(after) => nanos(after),
+        None => -nanos(anchor - t),
+    }
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "a queued job's instants lie within 292 years of each other"
+)]
+fn nanos(d: Duration) -> i64 {
+    i64::try_from(d.as_nanos()).expect("an instant 292 years from the queue's anchor")
+}
+
+/// The instant [`offset`] turned into `n`.
+fn instant(anchor: Instant, n: i64) -> Instant {
+    let d = Duration::from_nanos(n.unsigned_abs());
+    match n < 0 {
+        true => anchor - d,
+        false => anchor + d,
     }
 }
 
@@ -258,6 +388,37 @@ mod tests {
         q.push(job(2, 1, 8));
         let order: Vec<JobId> = std::iter::from_fn(|| q.pick(8).map(|j| j.id)).collect();
         assert_eq!(order, vec![2, 1, 9]);
+    }
+
+    #[test]
+    fn an_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<QueueEntry>(), 24);
+    }
+
+    /// Picked entries are dead bytes until they outnumber the live ones;
+    /// the live ones then move, in queue order, to a fresh arena, and an
+    /// empty queue keeps no bytes at all.
+    #[test]
+    fn dead_bytes_are_compacted_and_an_empty_queue_clears_its_arena() {
+        let mut q = JobQueue::new(QueuePolicy::PriorityBackfill);
+        let jobs: Vec<QueuedJob> = (0..64).map(|id| job(id, 1 + id as u32 % 3, 0)).collect();
+        jobs.iter().cloned().for_each(|j| q.push(j));
+        let full = q.arena.len();
+        // Two free workers: a backfill pick reaches past every 3-node job.
+        let mut picked = vec![q.pick(2).unwrap()];
+        while q.dead > 0 {
+            assert_eq!(q.arena.len(), full);
+            assert!(q.dead <= full / 2 + 1, "{} dead of {full}", q.dead);
+            picked.push(q.pick(2).unwrap());
+        }
+        assert!(!q.is_empty() && q.arena.len() < full / 2, "compacted");
+        let ats: Vec<u64> = q.iter().map(|e| e.at).collect();
+        assert!(ats.windows(2).all(|w| w[0] < w[1]), "queue order: {ats:?}");
+        picked.extend(std::iter::from_fn(|| q.pick(8)));
+        for got in picked {
+            assert_eq!(got, jobs[got.id as usize]);
+        }
+        assert!(q.is_empty() && q.arena.is_empty() && q.anchor.is_none());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!   task start/end events rather than nominal durations.
 //! * [`load_series`] — running tasks / busy ranks over time (Figs. 10, 13).
 //! * [`availability_series`] — live-worker count over time (Fig. 10).
+//! * [`peak_load`], [`alive_range`] — the exact extremes of those two,
+//!   from every change rather than from samples.
 //! * [`histogram`] — run-time distribution binning (Fig. 11).
 
 use crate::events::{Event, EventKind};
@@ -82,22 +84,9 @@ pub struct LoadSample {
 
 /// Sample running-task and busy-rank counts every `step` across the span
 /// of the log.
-#[expect(
-    clippy::wildcard_enum_match_arm,
-    reason = "the load series reads only task starts and ends out of a whole log"
-)]
 pub fn load_series(events: &[Event], step: Duration) -> Vec<LoadSample> {
     assert!(!step.is_zero(), "step must be positive");
-    // Build a delta list: +ranks at task start, −ranks at task end.
-    let mut deltas: Vec<(Duration, i64, i64)> = Vec::new();
-    for e in events {
-        match &e.kind {
-            EventKind::TaskStarted { ranks, .. } => deltas.push((e.t, 1, *ranks as i64)),
-            EventKind::TaskEnded { ranks, .. } => deltas.push((e.t, -1, -(*ranks as i64))),
-            _ => {}
-        }
-    }
-    deltas.sort_by_key(|d| d.0);
+    let deltas = load_deltas(events);
     let Some(&(end, ..)) = deltas.last() else {
         return Vec::new();
     };
@@ -125,6 +114,48 @@ pub fn load_series(events: &[Event], step: Duration) -> Vec<LoadSample> {
     samples
 }
 
+/// The load at the first instant the most ranks were busy: exact, from
+/// every task start and end, where [`load_series`] sees only the
+/// instants it samples. `None` for a log with no task in it.
+pub fn peak_load(events: &[Event]) -> Option<LoadSample> {
+    let (mut tasks, mut ranks) = (0i64, 0i64);
+    let mut peak: Option<LoadSample> = None;
+    let deltas = load_deltas(events);
+    for (i, &(t, dt, dr)) in deltas.iter().enumerate() {
+        (tasks, ranks) = (tasks + dt, ranks + dr);
+        let busy_ranks = ranks.max(0) as usize;
+        // A start and an end at one instant are one change.
+        let settled = deltas.get(i + 1).is_none_or(|next| next.0 > t);
+        if settled && peak.is_none_or(|p| busy_ranks > p.busy_ranks) {
+            let running_tasks = tasks.max(0) as usize;
+            peak = Some(LoadSample {
+                t,
+                running_tasks,
+                busy_ranks,
+            });
+        }
+    }
+    peak
+}
+
+/// Task starts and ends as `(t, ±1 task, ±ranks)`, in time order.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "the load reads only task starts and ends out of a whole log"
+)]
+fn load_deltas(events: &[Event]) -> Vec<(Duration, i64, i64)> {
+    let mut deltas: Vec<(Duration, i64, i64)> = Vec::new();
+    for e in events {
+        match &e.kind {
+            EventKind::TaskStarted { ranks, .. } => deltas.push((e.t, 1, *ranks as i64)),
+            EventKind::TaskEnded { ranks, .. } => deltas.push((e.t, -1, -(*ranks as i64))),
+            _ => {}
+        }
+    }
+    deltas.sort_by_key(|d| d.0);
+    deltas
+}
+
 /// One sample of worker availability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AvailabilitySample {
@@ -136,24 +167,12 @@ pub struct AvailabilitySample {
 
 /// Sample the live-worker count every `step` across the span of the log
 /// (the "nodes available" line of Fig. 10).
-#[expect(
-    clippy::wildcard_enum_match_arm,
-    reason = "availability reads only worker ups and downs out of a whole log"
-)]
 pub fn availability_series(events: &[Event], step: Duration) -> Vec<AvailabilitySample> {
     assert!(!step.is_zero(), "step must be positive");
-    let mut deltas: Vec<(Duration, i64)> = Vec::new();
-    for e in events {
-        match &e.kind {
-            EventKind::WorkerUp { .. } => deltas.push((e.t, 1)),
-            EventKind::WorkerDown { .. } => deltas.push((e.t, -1)),
-            _ => {}
-        }
-    }
+    let deltas = availability_deltas(events);
     if deltas.is_empty() {
         return Vec::new();
     }
-    deltas.sort_by_key(|d| d.0);
     let end = events.iter().map(|e| e.t).max().unwrap_or(Duration::ZERO);
     let mut samples = Vec::new();
     let mut alive: i64 = 0;
@@ -174,6 +193,42 @@ pub fn availability_series(events: &[Event], step: Duration) -> Vec<Availability
         t += step;
     }
     samples
+}
+
+/// The fewest and the most workers alive at once, from the first worker
+/// up or down on: exact, from every change, where
+/// [`availability_series`] sees only the instants it samples. `None` for
+/// a log with no worker in it.
+pub fn alive_range(events: &[Event]) -> Option<(usize, usize)> {
+    let mut alive = 0i64;
+    let mut range: Option<(usize, usize)> = None;
+    let deltas = availability_deltas(events);
+    for (i, &(t, d)) in deltas.iter().enumerate() {
+        alive += d;
+        if deltas.get(i + 1).is_none_or(|next| next.0 > t) {
+            let n = alive.max(0) as usize;
+            range = Some(range.map_or((n, n), |(lo, hi)| (lo.min(n), hi.max(n))));
+        }
+    }
+    range
+}
+
+/// Worker ups and downs as `(t, ±1)`, in time order.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "availability reads only worker ups and downs out of a whole log"
+)]
+fn availability_deltas(events: &[Event]) -> Vec<(Duration, i64)> {
+    let mut deltas: Vec<(Duration, i64)> = Vec::new();
+    for e in events {
+        match &e.kind {
+            EventKind::WorkerUp { .. } => deltas.push((e.t, 1)),
+            EventKind::WorkerDown { .. } => deltas.push((e.t, -1)),
+            _ => {}
+        }
+    }
+    deltas.sort_by_key(|d| d.0);
+    deltas
 }
 
 /// Task wall times (seconds) extracted from the log, one per completed
@@ -345,6 +400,49 @@ mod tests {
         assert_eq!(series[0].alive, 2);
         assert_eq!(series[2].alive, 1); // t = 20 ms, after first death
         assert_eq!(series.last().unwrap().alive, 0);
+    }
+
+    /// A burst shorter than the step falls between two sample instants:
+    /// the series reads idle at both, the exact extremes see it.
+    #[test]
+    fn a_burst_between_two_samples_is_seen_by_the_exact_extremes() {
+        let up = |ms, worker| ev(ms, EventKind::WorkerUp { worker });
+        let down = |ms, worker| ev(ms, EventKind::WorkerDown { worker });
+        let events = vec![
+            up(100, 1),
+            up(100, 2),
+            up(150, 3),
+            task_started(200, 1, 1),
+            task_started(250, 2, 4),
+            // One ends as another starts: not an overlap of three.
+            task_ended(300, 1, 1),
+            task_started(300, 3, 2),
+            task_ended(400, 2, 4),
+            task_ended(450, 3, 2),
+            down(500, 3),
+            down(500, 1),
+            up(500, 4),
+            down(900, 2),
+            down(900, 4),
+        ];
+        let step = Duration::from_secs(1);
+        let load = load_series(&events, step);
+        assert!(load.iter().all(|s| s.busy_ranks == 0), "{load:?}");
+        let alive = availability_series(&events, step);
+        assert!(alive.iter().all(|s| s.alive == 0), "{alive:?}");
+
+        let peak = peak_load(&events).unwrap();
+        assert_eq!(
+            peak,
+            LoadSample {
+                t: Duration::from_millis(300),
+                running_tasks: 2,
+                busy_ranks: 6,
+            }
+        );
+        assert_eq!(alive_range(&events), Some((0, 3)));
+        assert_eq!(alive_range(&events[..5]), Some((2, 3)));
+        assert_eq!((peak_load(&[]), alive_range(&[])), (None, None));
     }
 
     #[test]

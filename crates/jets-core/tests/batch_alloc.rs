@@ -9,7 +9,9 @@
 //! on the dispatcher's event loop) keeps the live bytes and their
 //! high-water mark; the high-water minus what is live after the call must
 //! stay under the caller's own `Vec<JobSpec>` plus a few frame bytes per
-//! job. Its own binary: the allocator counts the whole process.
+//! job, and what is live after the call minus what was live before the
+//! batch was built must stay under what a queued job should keep. Its
+//! own binary: the allocator counts the whole process.
 
 use jets_core::spec::{CommandSpec, JobSpec};
 use jets_core::{Dispatcher, DispatcherConfig};
@@ -23,6 +25,12 @@ const JOBS: usize = 20_000;
 /// of the buffer they are encoded into. The copies this test is for cost
 /// more than that: a 224-byte queue entry, or two 152-byte `Record`s.
 const FRAME_BYTES_PER_JOB: usize = 64;
+
+/// Bytes a queued job may keep: its 24-byte queue entry and encoded
+/// entry, its job-table row and spec, and its returned id, each in a
+/// buffer that grows by doubling (about 165 bytes here). A queue that
+/// kept each job as a 224-byte `QueuedJob` kept about 445.
+const RETAINED_BYTES_PER_JOB: f64 = 256.0;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -73,6 +81,7 @@ fn a_bulk_submission_makes_no_batch_sized_copy() {
     })
     .unwrap();
     let noop = || JobSpec::sequential(CommandSpec::builtin("noop", vec![]));
+    let before = LIVE.load(Relaxed);
     let specs: Vec<JobSpec> = (0..JOBS).map(|_| noop()).collect();
     PEAK.store(LIVE.load(Relaxed), Relaxed);
     let ids = d.submit_all(specs);
@@ -85,6 +94,11 @@ fn a_bulk_submission_makes_no_batch_sized_copy() {
     assert!(
         transient <= bound,
         "submit_all held {transient} bytes it let go of ({per_job:.0} a job), bound {bound}"
+    );
+    let retained = live.saturating_sub(before) as f64 / JOBS as f64;
+    assert!(
+        retained <= RETAINED_BYTES_PER_JOB,
+        "a queued job keeps {retained:.0} bytes, bound {RETAINED_BYTES_PER_JOB}"
     );
     // Everything the batch was journaled as is on disk.
     let records = jets_core::journal::scan(&path).unwrap().records;

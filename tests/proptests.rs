@@ -3,12 +3,13 @@
 //! case, and editing `SEED` reruns others.
 
 use jets::core::queue::{JobQueue, QueuedJob};
-use jets::core::spec::{parse_input, CommandSpec, JobSpec};
+use jets::core::spec::{parse_input, CommandSpec, JobSpec, StageFile};
 use jets::core::QueuePolicy;
 use jets::mpi::{runner, NetModel, ReduceOp};
 use jets::pmi::wire::{escape, unescape, Message};
 use jets::pmi::{ManualLauncher, RankLayout};
 use jets_ring::stdx::{check, SplitMix64};
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 0x5EED_0002;
 const CASES: u64 = 64;
@@ -142,37 +143,61 @@ fn backfill_queue_conserves_jobs() {
 /// Under backfill, batches of mixed priorities, picks and requeues leave
 /// the queue in the order the linear-scan definition gives: a push lands
 /// behind the last job of priority ≥ its own, a requeue ahead of its
-/// equal-priority peers, a pick takes the first job that fits.
+/// equal-priority peers, a pick takes the first job that fits — and the
+/// job a pick returns is, field for field, the one pushed.
 #[test]
 fn backfill_queue_orders_as_the_linear_scan_does() {
+    let shrank = queue_model(QueuePolicy::PriorityBackfill);
+    assert!(shrank > 0, "no case compacted its queue");
+}
+
+/// The same model under FIFO: a push lands at the back, a requeue at the
+/// front, and only the head is ever picked.
+#[test]
+fn fifo_queue_orders_as_the_linear_scan_does() {
+    let shrank = queue_model(QueuePolicy::Fifo);
+    assert!(shrank > 0, "no case compacted its queue");
+}
+
+/// Churn a queue under `policy` against a `Vec<QueuedJob>` model; the
+/// number of times its memory shrank while jobs were pending (a
+/// compaction) is returned.
+fn queue_model(policy: QueuePolicy) -> u64 {
+    let base = Instant::now();
+    let mut shrank = 0;
     check(SEED, CASES * 8, |rng| {
-        let mut q = JobQueue::new(QueuePolicy::PriorityBackfill);
-        // (id, priority, nodes), in the definition's order.
-        let mut model: Vec<(u64, i32, u32)> = Vec::new();
-        let (mut picked, mut next) = (Vec::new(), 0);
-        for _ in 0..rng.gen_range(1..16) {
+        let mut q = JobQueue::new(policy);
+        // The queue's jobs, in the definition's order.
+        let mut model: Vec<QueuedJob> = Vec::new();
+        let (mut picked, mut next): (Vec<QueuedJob>, u64) = (Vec::new(), 0);
+        for _ in 0..rng.gen_range(1..40) {
+            let bytes = q.bytes();
             match rng.gen_range(0..3) {
                 0 => {
-                    for _ in 0..rng.gen_range(1..48) {
-                        let (priority, nodes) =
-                            (rng.gen_range(0..7) as i32 - 3, rng.gen_range(1..8));
-                        let mut job = queued(next, nodes as u32);
-                        job.spec.priority = priority;
-                        let at = model.iter().position(|m| m.1 < priority);
-                        model.insert(
-                            at.unwrap_or(model.len()),
-                            (job.id, priority, job.spec.nodes),
-                        );
+                    for _ in 0..rng.gen_range(1..32) {
+                        let job = any_queued(rng, next, base);
+                        let priority = job.spec.priority;
+                        let at = match policy {
+                            QueuePolicy::Fifo => None,
+                            QueuePolicy::PriorityBackfill => {
+                                model.iter().position(|m| m.spec.priority < priority)
+                            }
+                        };
+                        model.insert(at.unwrap_or(model.len()), job.clone());
                         q.push(job);
                         next += 1;
                     }
                 }
                 1 => {
                     let free = rng.gen_range(1..8) as u32;
-                    for _ in 0..rng.gen_range(1..6) {
-                        let at = model.iter().position(|m| m.2 <= free);
+                    for _ in 0..rng.gen_range(1..24) {
+                        let fits = |m: &QueuedJob| m.spec.nodes <= free;
+                        let at = match policy {
+                            QueuePolicy::Fifo => model.first().filter(|m| fits(m)).map(|_| 0),
+                            QueuePolicy::PriorityBackfill => model.iter().position(fits),
+                        };
                         let job = q.pick(free as usize);
-                        assert_eq!(job.as_ref().map(|j| j.id), at.map(|at| model.remove(at).0));
+                        assert_eq!(job, at.map(|at| model.remove(at)));
                         picked.extend(job);
                     }
                 }
@@ -180,21 +205,109 @@ fn backfill_queue_orders_as_the_linear_scan_does() {
                     if picked.is_empty() {
                         continue;
                     }
-                    let job: QueuedJob =
+                    let mut job: QueuedJob =
                         picked.swap_remove(rng.gen_range(0..picked.len() as u64) as usize);
+                    job.attempts += 1;
+                    job.enqueued_at = any_instant(rng, base);
+                    job.excluded = (0..rng.gen_range(0..4)).map(|_| rng.next_u64()).collect();
                     let priority = job.spec.priority;
-                    let at = model.iter().position(|m| m.1 <= priority);
-                    model.insert(
-                        at.unwrap_or(model.len()),
-                        (job.id, priority, job.spec.nodes),
-                    );
+                    let at = match policy {
+                        QueuePolicy::Fifo => Some(0),
+                        QueuePolicy::PriorityBackfill => {
+                            model.iter().position(|m| m.spec.priority <= priority)
+                        }
+                    };
+                    model.insert(at.unwrap_or(model.len()), job.clone());
                     q.push_front(job);
                 }
             }
+            if !q.is_empty() && q.bytes() < bytes {
+                shrank += 1;
+            }
             let order: Vec<u64> = q.iter().map(|j| j.id).collect();
-            assert_eq!(order, model.iter().map(|m| m.0).collect::<Vec<_>>());
+            assert_eq!(order, model.iter().map(|m| m.id).collect::<Vec<_>>());
         }
+        // What is still queued comes back as it went in, too.
+        while let Some(job) = q.pick(usize::MAX) {
+            assert_eq!(job, model.remove(0));
+        }
+        assert!(model.is_empty());
     });
+    shrank
+}
+
+/// A job with any spec the queue's codec must carry: either shape, env,
+/// stage files, a deadline, a negative priority, strings holding the
+/// codec's reserved bytes, excluded workers, and instants on either side
+/// of whatever the queue takes as its anchor.
+fn any_queued(rng: &mut SplitMix64, id: u64, base: Instant) -> QueuedJob {
+    let strings = |rng: &mut SplitMix64, n: u64| -> Vec<String> {
+        (0..rng.gen_range(0..n))
+            .map(|_| codec_string(rng))
+            .collect()
+    };
+    let env = (0..rng.gen_range(0..3))
+        .map(|_| (codec_string(rng), codec_string(rng)))
+        .collect();
+    let cmd = match rng.gen_range(0..2) {
+        0 => CommandSpec::Exec {
+            program: codec_string(rng),
+            args: strings(rng, 4),
+            env,
+        },
+        _ => CommandSpec::Builtin {
+            app: codec_string(rng),
+            args: strings(rng, 4),
+            env,
+        },
+    };
+    let nodes = rng.gen_range(1..8) as u32;
+    let mut spec = match rng.gen_range(0..2) {
+        0 => JobSpec::mpi_ppn(nodes, rng.gen_range(1..5) as u32, cmd),
+        _ => JobSpec {
+            nodes,
+            ..JobSpec::sequential(cmd)
+        },
+    }
+    .with_priority(rng.gen_range(0..7) as i32 - 3)
+    .with_retries(rng.gen_range(0..4) as u32);
+    if rng.gen_range(0..2) == 0 {
+        spec = spec.with_deadline(Duration::from_millis(
+            rng.next_u64() >> rng.gen_range(0..64),
+        ));
+    }
+    let stage = (0..rng.gen_range(0..3))
+        .map(|_| StageFile::named(codec_string(rng), codec_string(rng)))
+        .collect();
+    QueuedJob {
+        id,
+        spec: spec.with_stage(stage),
+        attempts: rng.gen_range(0..3) as u32,
+        excluded: (0..rng.gen_range(0..3)).map(|_| rng.next_u64()).collect(),
+        submitted_at: any_instant(rng, base),
+        enqueued_at: any_instant(rng, base),
+        trace: rng.next_u64(),
+    }
+}
+
+/// A string for the queue's codec: mostly [`any_string`], with the codec's
+/// delimiter (`\n`) and a char whose UTF-8 holds its escape byte (U+06C0,
+/// `DB 80`) mixed in.
+fn codec_string(rng: &mut SplitMix64) -> String {
+    let mut s = any_string(rng, 12);
+    for _ in 0..rng.gen_range(0..3) {
+        s.push(['\n', '\u{6c0}'][rng.gen_range(0..2) as usize]);
+    }
+    s
+}
+
+/// Within about 18 minutes of `base`, either way.
+fn any_instant(rng: &mut SplitMix64, base: Instant) -> Instant {
+    let d = Duration::from_nanos(rng.gen_range(0..1 << 40));
+    match rng.gen_range(0..2) {
+        0 => base.checked_sub(d).unwrap_or(base),
+        _ => base + d,
+    }
 }
 
 /// Input-file parsing accepts every well-formed MPI line.
