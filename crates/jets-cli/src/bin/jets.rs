@@ -438,17 +438,23 @@ fn flight_main(args: &Args) -> ! {
             }
             if view.torn > 0 {
                 println!(
-                    "  torn:         {} slot(s) mid-write at the moment of death",
+                    "  torn:         {} event(s) mid-write at the moment of death",
                     view.torn
                 );
             }
             if view.undecodable > 0 {
                 println!(
-                    "  undecodable:  {} committed slot(s) failed to decode",
+                    "  undecodable:  {} committed record(s) failed to decode",
                     view.undecodable
                 );
             }
             if args.has_flag("stats") {
+                let records = view.events.len() as u64 + view.undecodable;
+                println!(
+                    "  records {records} in {} slots ({:.2} per record)",
+                    view.slots,
+                    view.slots as f64 / records.max(1) as f64
+                );
                 print_run_stats(&view.events, args);
                 print_phase_stats(&view.events);
             }

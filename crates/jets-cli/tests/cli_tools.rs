@@ -76,6 +76,21 @@ fn flight_dump_stats_summarizes_a_recorded_run() {
         stdout.contains("jets_job_phase_seconds p50/p95/p99 by job size"),
         "stdout: {stdout}"
     );
+    // Every record of a short no-op run takes one ring slot.
+    let summary = stdout.lines().find(|l| l.contains(" events retained of "));
+    let summary = summary
+        .expect("a summary line")
+        .rsplit(": ")
+        .next()
+        .unwrap();
+    let retained: usize = summary.split_whitespace().next().unwrap().parse().unwrap();
+    assert!(retained >= N * 17, "stdout: {stdout}");
+    assert!(
+        stdout.contains(&format!(
+            "  records {retained} in {retained} slots (1.00 per record)\n"
+        )),
+        "stdout: {stdout}"
+    );
     // The phase table: its title, its header, then one row per job size.
     let mut table = stdout.lines().skip_while(|l| !l.contains("by job size"));
     let row: Vec<&str> = table.nth(2).expect("a row").split_whitespace().collect();

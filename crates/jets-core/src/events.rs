@@ -10,13 +10,15 @@
 //!
 //! ## Storage
 //!
-//! [`EventLog::record`] encodes the event into a fixed 62-byte-max
-//! layout (tag byte + little-endian fields, no serde) and pushes it
-//! into a lock-free ring — no `Mutex`, no allocation, no unbounded
-//! growth. Consumers ([`EventLog::snapshot`], [`EventCursor`], the
-//! Prometheus gauges, `jets top`) are independent ring readers that
-//! never block the writer; a reader that falls a full window behind is
-//! *lapped* and its cursor reports how many records it missed.
+//! [`EventLog::record`] encodes the event into a tag byte and LEB128
+//! fields (no serde) and pushes it into a lock-free ring of 32-byte
+//! slots — no `Mutex`, no allocation, no unbounded growth. Every record
+//! a no-op job writes takes one slot; only ids, times and durations far
+//! past a benchmark run's spill into a second. Consumers
+//! ([`EventLog::snapshot`], [`EventCursor`], the Prometheus gauges,
+//! `jets top`) are independent ring readers that never block the
+//! writer; a reader that falls a full window behind is *lapped* and its
+//! cursor reports how many records it missed.
 //!
 //! With [`EventLog::file_backed_with_role`] the ring lives in a
 //! `MAP_SHARED` mmap (`--flight-recorder FILE`): the journal survives
@@ -352,9 +354,12 @@ pub struct Event {
 }
 
 // ---------------------------------------------------------------------------
-// Ring codec: tag byte + t_us + little-endian fields, fixed layout per
-// variant, 62 bytes worst case (JobPhases) against the ring's 64-byte
-// payload. No serde, no allocation — this runs on the record hot path.
+// Ring codec: LEB128 t_us, tag byte, then the variant's fields — LEB128
+// for ids, counts and durations, zigzag for `exit_code`, the trace id
+// as 8 fixed little-endian bytes (it is all bits). Every record a no-op
+// job writes is at most 23 bytes, one ring slot; the widest variant at
+// its widest values is 77 bytes against the ring's 92. No serde, no
+// allocation — this runs on the record hot path.
 
 const TAG_WORKER_UP: u8 = 1;
 const TAG_WORKER_DOWN: u8 = 2;
@@ -374,7 +379,7 @@ const TAG_UP_QUEUE_DROPPED: u8 = 15;
 const TAG_SPAN_START: u8 = 16;
 const TAG_SPAN_END: u8 = 17;
 
-/// Fixed-size encoder over a stack buffer.
+/// Encoder over a stack buffer as long as the ring's largest record.
 struct Enc<'a> {
     buf: &'a mut [u8; PAYLOAD_BYTES],
     at: usize,
@@ -386,47 +391,55 @@ impl Enc<'_> {
         self.buf[self.at] = v;
         self.at += 1;
     }
+    /// LEB128: seven bits a byte, low bits first.
     #[inline]
-    fn u32(&mut self, v: u32) {
-        self.buf[self.at..self.at + 4].copy_from_slice(&v.to_le_bytes());
-        self.at += 4;
+    fn var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.u8(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.u8(v as u8);
+    }
+    #[inline]
+    fn zig(&mut self, v: i32) {
+        self.var(((v << 1) ^ (v >> 31)) as u32 as u64);
     }
     #[inline]
     fn u64(&mut self, v: u64) {
         self.buf[self.at..self.at + 8].copy_from_slice(&v.to_le_bytes());
         self.at += 8;
     }
+    /// A span's kind and its writer's role share one byte.
     #[inline]
-    fn i32(&mut self, v: i32) {
-        self.buf[self.at..self.at + 4].copy_from_slice(&v.to_le_bytes());
-        self.at += 4;
+    fn span(&mut self, kind: SpanKind, role: WriterRole) {
+        self.u8(kind.code() | (role.code() as u8) << 4);
     }
 }
 
 /// Encode one event into `buf`; returns the encoded length.
 fn encode_event(t_us: u64, kind: &EventKind, buf: &mut [u8; PAYLOAD_BYTES]) -> usize {
     let mut e = Enc { buf, at: 0 };
-    e.u64(t_us);
+    e.var(t_us);
     match kind {
         EventKind::WorkerUp { worker } => {
             e.u8(TAG_WORKER_UP);
-            e.u64(*worker);
+            e.var(*worker);
         }
         EventKind::WorkerDown { worker } => {
             e.u8(TAG_WORKER_DOWN);
-            e.u64(*worker);
+            e.var(*worker);
         }
         EventKind::JobSubmitted { job, nodes, ppn } => {
             e.u8(TAG_JOB_SUBMITTED);
-            e.u64(*job);
-            e.u32(*nodes);
-            e.u32(*ppn);
+            e.var(*job);
+            e.var((*nodes).into());
+            e.var((*ppn).into());
         }
         EventKind::JobStarted { job, nodes, ppn } => {
             e.u8(TAG_JOB_STARTED);
-            e.u64(*job);
-            e.u32(*nodes);
-            e.u32(*ppn);
+            e.var(*job);
+            e.var((*nodes).into());
+            e.var((*ppn).into());
         }
         EventKind::JobCompleted {
             job,
@@ -435,9 +448,9 @@ fn encode_event(t_us: u64, kind: &EventKind, buf: &mut [u8; PAYLOAD_BYTES]) -> u
             success,
         } => {
             e.u8(TAG_JOB_COMPLETED);
-            e.u64(*job);
-            e.u32(*nodes);
-            e.u32(*ppn);
+            e.var(*job);
+            e.var((*nodes).into());
+            e.var((*ppn).into());
             e.u8(*success as u8);
         }
         EventKind::JobPhases {
@@ -450,22 +463,24 @@ fn encode_event(t_us: u64, kind: &EventKind, buf: &mut [u8; PAYLOAD_BYTES]) -> u
             total_us,
         } => {
             e.u8(TAG_JOB_PHASES);
-            e.u64(*job);
-            e.u32(*nodes);
-            e.u64(*queue_us);
-            e.u64(*launch_us);
-            e.u64(*run_us);
-            e.u64(*total_us);
+            e.var(*job);
+            e.var((*nodes).into());
+            e.var(*queue_us);
+            e.var(*launch_us);
+            e.var(*run_us);
+            e.var(*total_us);
             e.u8(pmi_us.is_some() as u8);
-            e.u64(pmi_us.unwrap_or(0));
+            if let Some(pmi_us) = pmi_us {
+                e.var(*pmi_us);
+            }
         }
         EventKind::JobRequeued { job } => {
             e.u8(TAG_JOB_REQUEUED);
-            e.u64(*job);
+            e.var(*job);
         }
         EventKind::DeadlineExceeded { job } => {
             e.u8(TAG_DEADLINE_EXCEEDED);
-            e.u64(*job);
+            e.var(*job);
         }
         EventKind::WorkerQuarantined {
             worker,
@@ -473,9 +488,9 @@ fn encode_event(t_us: u64, kind: &EventKind, buf: &mut [u8; PAYLOAD_BYTES]) -> u
             until_ms,
         } => {
             e.u8(TAG_WORKER_QUARANTINED);
-            e.u64(*worker);
-            e.u32(*strikes);
-            e.u64(*until_ms);
+            e.var(*worker);
+            e.var((*strikes).into());
+            e.var(*until_ms);
         }
         EventKind::TaskStarted {
             task,
@@ -484,18 +499,18 @@ fn encode_event(t_us: u64, kind: &EventKind, buf: &mut [u8; PAYLOAD_BYTES]) -> u
             ranks,
         } => {
             e.u8(TAG_TASK_STARTED);
-            e.u64(*task);
-            e.u64(*job);
-            e.u64(*worker);
-            e.u32(*ranks);
+            e.var(*task);
+            e.var(*job);
+            e.var(*worker);
+            e.var((*ranks).into());
         }
         EventKind::RelayUp { relay } => {
             e.u8(TAG_RELAY_UP);
-            e.u64(*relay);
+            e.var(*relay);
         }
         EventKind::RelayDown { relay } => {
             e.u8(TAG_RELAY_DOWN);
-            e.u64(*relay);
+            e.var(*relay);
         }
         EventKind::TaskEnded {
             task,
@@ -506,23 +521,21 @@ fn encode_event(t_us: u64, kind: &EventKind, buf: &mut [u8; PAYLOAD_BYTES]) -> u
             trace,
         } => {
             e.u8(TAG_TASK_ENDED);
-            e.u64(*task);
-            e.u64(*job);
-            e.u64(*worker);
-            e.u32(*ranks);
-            e.i32(*exit_code);
-            // Appended last: slots written by earlier builds decode the
-            // payload's zero padding here, i.e. the untraced sentinel.
+            e.var(*task);
+            e.var(*job);
+            e.var(*worker);
+            e.var((*ranks).into());
+            e.zig(*exit_code);
             e.u64(*trace);
         }
         EventKind::GangReadopted { job } => {
             e.u8(TAG_GANG_READOPTED);
-            e.u64(*job);
+            e.var(*job);
         }
         EventKind::UpQueueDropped { relay, dropped } => {
             e.u8(TAG_UP_QUEUE_DROPPED);
-            e.u64(*relay);
-            e.u64(*dropped);
+            e.var(*relay);
+            e.var(*dropped);
         }
         EventKind::SpanStart {
             trace,
@@ -533,10 +546,9 @@ fn encode_event(t_us: u64, kind: &EventKind, buf: &mut [u8; PAYLOAD_BYTES]) -> u
         } => {
             e.u8(TAG_SPAN_START);
             e.u64(*trace);
-            e.u8(kind.code());
-            e.u8(role.code() as u8);
-            e.u64(*job);
-            e.u64(*task);
+            e.span(*kind, *role);
+            e.var(*job);
+            e.var(*task);
         }
         EventKind::SpanEnd {
             trace,
@@ -547,10 +559,9 @@ fn encode_event(t_us: u64, kind: &EventKind, buf: &mut [u8; PAYLOAD_BYTES]) -> u
         } => {
             e.u8(TAG_SPAN_END);
             e.u64(*trace);
-            e.u8(kind.code());
-            e.u8(role.code() as u8);
-            e.u64(*job);
-            e.u64(*task);
+            e.span(*kind, *role);
+            e.var(*job);
+            e.var(*task);
         }
     }
     e.at
@@ -568,104 +579,121 @@ impl Dec<'_> {
         self.at += 1;
         Some(v)
     }
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.buf.get(self.at..self.at + 4)?;
-        self.at += 4;
-        Some(u32::from_le_bytes(b.try_into().ok()?))
+    /// LEB128; more than 64 bits of value is refused.
+    fn var(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            let bits = u64::from(b & 0x7F);
+            // The tenth byte has room for one bit.
+            if shift == 63 && bits > 1 {
+                return None;
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+    fn var_u32(&mut self) -> Option<u32> {
+        u32::try_from(self.var()?).ok()
+    }
+    fn zig(&mut self) -> Option<i32> {
+        let v = self.var_u32()?;
+        Some((v >> 1) as i32 ^ -((v & 1) as i32))
     }
     fn u64(&mut self) -> Option<u64> {
         let b = self.buf.get(self.at..self.at + 8)?;
         self.at += 8;
         Some(u64::from_le_bytes(b.try_into().ok()?))
     }
-    fn i32(&mut self) -> Option<i32> {
-        let b = self.buf.get(self.at..self.at + 4)?;
-        self.at += 4;
-        Some(i32::from_le_bytes(b.try_into().ok()?))
+    /// A span's kind and role byte; `None` on a kind this build lacks.
+    fn span(&mut self) -> Option<(SpanKind, WriterRole)> {
+        let b = self.u8()?;
+        let kind = SpanKind::from_code(b & 0x0F)?;
+        Some((kind, WriterRole::from_code((b >> 4).into())))
     }
 }
 
 /// Decode one ring payload back into an [`Event`]. `None` on an
-/// unknown tag or a short payload (a record from a newer build, or a
-/// torn slot that slipped through — the caller counts, not crashes).
+/// unknown tag, a short payload or bytes past the event (a record from a
+/// newer build, or damage — the caller counts, not crashes).
 fn decode_event(payload: &[u8]) -> Option<Event> {
     let mut d = Dec {
         buf: payload,
         at: 0,
     };
-    let t_us = d.u64()?;
+    let t_us = d.var()?;
     let kind = match d.u8()? {
-        TAG_WORKER_UP => EventKind::WorkerUp { worker: d.u64()? },
-        TAG_WORKER_DOWN => EventKind::WorkerDown { worker: d.u64()? },
+        TAG_WORKER_UP => EventKind::WorkerUp { worker: d.var()? },
+        TAG_WORKER_DOWN => EventKind::WorkerDown { worker: d.var()? },
         TAG_JOB_SUBMITTED => EventKind::JobSubmitted {
-            job: d.u64()?,
-            nodes: d.u32()?,
-            ppn: d.u32()?,
+            job: d.var()?,
+            nodes: d.var_u32()?,
+            ppn: d.var_u32()?,
         },
         TAG_JOB_STARTED => EventKind::JobStarted {
-            job: d.u64()?,
-            nodes: d.u32()?,
-            ppn: d.u32()?,
+            job: d.var()?,
+            nodes: d.var_u32()?,
+            ppn: d.var_u32()?,
         },
         TAG_JOB_COMPLETED => EventKind::JobCompleted {
-            job: d.u64()?,
-            nodes: d.u32()?,
-            ppn: d.u32()?,
-            success: d.u8()? != 0,
+            job: d.var()?,
+            nodes: d.var_u32()?,
+            ppn: d.var_u32()?,
+            success: match d.u8()? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            },
         },
-        TAG_JOB_PHASES => {
-            let job = d.u64()?;
-            let nodes = d.u32()?;
-            let queue_us = d.u64()?;
-            let launch_us = d.u64()?;
-            let run_us = d.u64()?;
-            let total_us = d.u64()?;
-            let has_pmi = d.u8()? != 0;
-            let pmi = d.u64()?;
-            EventKind::JobPhases {
-                job,
-                nodes,
-                queue_us,
-                launch_us,
-                pmi_us: has_pmi.then_some(pmi),
-                run_us,
-                total_us,
-            }
-        }
-        TAG_JOB_REQUEUED => EventKind::JobRequeued { job: d.u64()? },
-        TAG_DEADLINE_EXCEEDED => EventKind::DeadlineExceeded { job: d.u64()? },
+        TAG_JOB_PHASES => EventKind::JobPhases {
+            job: d.var()?,
+            nodes: d.var_u32()?,
+            queue_us: d.var()?,
+            launch_us: d.var()?,
+            run_us: d.var()?,
+            total_us: d.var()?,
+            pmi_us: match d.u8()? {
+                0 => None,
+                1 => Some(d.var()?),
+                _ => return None,
+            },
+        },
+        TAG_JOB_REQUEUED => EventKind::JobRequeued { job: d.var()? },
+        TAG_DEADLINE_EXCEEDED => EventKind::DeadlineExceeded { job: d.var()? },
         TAG_WORKER_QUARANTINED => EventKind::WorkerQuarantined {
-            worker: d.u64()?,
-            strikes: d.u32()?,
-            until_ms: d.u64()?,
+            worker: d.var()?,
+            strikes: d.var_u32()?,
+            until_ms: d.var()?,
         },
         TAG_TASK_STARTED => EventKind::TaskStarted {
-            task: d.u64()?,
-            job: d.u64()?,
-            worker: d.u64()?,
-            ranks: d.u32()?,
+            task: d.var()?,
+            job: d.var()?,
+            worker: d.var()?,
+            ranks: d.var_u32()?,
         },
-        TAG_RELAY_UP => EventKind::RelayUp { relay: d.u64()? },
-        TAG_RELAY_DOWN => EventKind::RelayDown { relay: d.u64()? },
+        TAG_RELAY_UP => EventKind::RelayUp { relay: d.var()? },
+        TAG_RELAY_DOWN => EventKind::RelayDown { relay: d.var()? },
         TAG_TASK_ENDED => EventKind::TaskEnded {
-            task: d.u64()?,
-            job: d.u64()?,
-            worker: d.u64()?,
-            ranks: d.u32()?,
-            exit_code: d.i32()?,
+            task: d.var()?,
+            job: d.var()?,
+            worker: d.var()?,
+            ranks: d.var_u32()?,
+            exit_code: d.zig()?,
             trace: d.u64()?,
         },
-        TAG_GANG_READOPTED => EventKind::GangReadopted { job: d.u64()? },
+        TAG_GANG_READOPTED => EventKind::GangReadopted { job: d.var()? },
         TAG_UP_QUEUE_DROPPED => EventKind::UpQueueDropped {
-            relay: d.u64()?,
-            dropped: d.u64()?,
+            relay: d.var()?,
+            dropped: d.var()?,
         },
         tag @ (TAG_SPAN_START | TAG_SPAN_END) => {
             let trace = d.u64()?;
-            let kind = SpanKind::from_code(d.u8()?)?;
-            let role = WriterRole::from_code(d.u8()? as u64);
-            let job = d.u64()?;
-            let task = d.u64()?;
+            let (kind, role) = d.span()?;
+            let job = d.var()?;
+            let task = d.var()?;
             if tag == TAG_SPAN_START {
                 EventKind::SpanStart {
                     trace,
@@ -686,7 +714,7 @@ fn decode_event(payload: &[u8]) -> Option<Event> {
         }
         _ => return None,
     };
-    Some(Event {
+    (d.at == payload.len()).then_some(Event {
         t: Duration::from_micros(t_us),
         kind,
     })
@@ -1045,9 +1073,10 @@ impl EventRecord {
     }
 }
 
-/// Default ring capacity in slots (2^17 × 72 B = 9 MiB): comfortably
-/// larger than the event count of any tier-1 run, so `snapshot()` is
-/// lossless there, while bounding memory forever on long-lived daemons.
+/// Default ring capacity in slots (2^17 × 32 B = 4 MiB, one slot a
+/// record at a no-op job's sizes): comfortably larger than the event
+/// count of any tier-1 run, so `snapshot()` is lossless there, while
+/// bounding memory forever on long-lived daemons.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 17;
 
 /// Shared, thread-safe, append-only event log on a lock-free ring.
@@ -1133,8 +1162,8 @@ impl EventLog {
 
     /// Append an event stamped with the current time.
     ///
-    /// Hot path: a fixed-layout encode into a stack buffer and one
-    /// lock-free ring push — no `Mutex`, no allocation (lint-enforced).
+    /// Hot path: an encode into a stack buffer and one lock-free ring
+    /// push — no `Mutex`, no allocation (lint-enforced).
     pub fn record(&self, kind: EventKind) {
         let t_us = self.now().as_micros() as u64;
         let mut buf = [0u8; PAYLOAD_BYTES];
@@ -1193,7 +1222,7 @@ impl EventLog {
 
     /// Total events ever recorded (including any no longer retained).
     pub fn len(&self) -> usize {
-        self.ring.seq() as usize
+        self.ring.records() as usize
     }
 
     /// True when nothing has been recorded.
@@ -1201,7 +1230,8 @@ impl EventLog {
         self.len() == 0
     }
 
-    /// Events the ring can retain before overwriting the oldest.
+    /// Ring slots: the events the ring retains before overwriting the
+    /// oldest, while each takes one slot.
     pub fn capacity(&self) -> usize {
         self.ring.capacity() as usize
     }
@@ -1243,18 +1273,20 @@ impl EventCursor {
         }
     }
 
-    /// Events this cursor missed because the writer lapped it.
+    /// Events this cursor missed because the writer lapped it (one a
+    /// slot skipped, for an event that took several: see
+    /// [`jets_ring::RingReader::lapped`]).
     pub fn lapped(&self) -> u64 {
         self.inner.lapped()
     }
 
-    /// The sequence number the next poll will look at.
+    /// The ring slot the next poll will look at.
     pub fn position(&self) -> u64 {
         self.inner.position()
     }
 
-    /// Records that could not be decoded (newer build's tags, or torn
-    /// slots that slipped past the lap accounting).
+    /// Records that could not be decoded (newer build's tags, or
+    /// damage).
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors
     }
@@ -1272,17 +1304,20 @@ impl EventCursor {
 pub struct FlightView {
     /// Every committed, decodable event, in recording order.
     pub events: Vec<Event>,
-    /// Slots lost to writes in flight at the moment of death (0 or 1
-    /// for a quiescent file; the mmap commits records atomically per
-    /// slot, so at most the very last claims can be torn).
+    /// Events lost to writes in flight at the moment of death (0 or 1
+    /// for a quiescent file, whose writers claim one record at a time;
+    /// see [`jets_ring::Replay::torn`]).
     pub torn: u64,
-    /// Committed slots whose payload did not decode (a newer build's
+    /// Committed records whose payload did not decode (a newer build's
     /// event tags, or corruption).
     pub undecodable: u64,
-    /// Events overwritten before the crash (total recorded − retained).
+    /// Events overwritten before the crash (total recorded − retained −
+    /// torn).
     pub overwritten: u64,
     /// Total events ever recorded by the dead process(es).
     pub total_recorded: u64,
+    /// Ring slots the retained records take (decodable or not).
+    pub slots: u64,
     /// Wall-clock microseconds (Unix epoch) of the journal's `t == 0`.
     pub epoch_unix_us: u64,
     /// PID of the most recent writer process.
@@ -1299,19 +1334,22 @@ pub fn read_flight(path: &Path) -> io::Result<FlightView> {
     let ring = Ring::open_read(path)?;
     let replay = ring.replay();
     let mut events = Vec::with_capacity(replay.records.len());
-    let mut undecodable = 0u64;
+    let (mut undecodable, mut slots) = (0u64, 0u64);
     for rec in &replay.records {
+        slots += rec.slots();
         match decode_event(rec.payload()) {
             Some(ev) => events.push(ev),
             None => undecodable += 1,
         }
     }
+    let retained = replay.records.len() as u64 + replay.torn;
     Ok(FlightView {
         events,
         torn: replay.torn,
         undecodable,
-        overwritten: replay.earliest,
-        total_recorded: replay.head,
+        overwritten: replay.recorded.saturating_sub(retained),
+        total_recorded: replay.recorded,
+        slots,
         epoch_unix_us: ring.epoch_unix_us(),
         writer_pid: ring.writer_pid(),
         role: ring.writer_role(),
@@ -1551,9 +1589,10 @@ mod tests {
     }
 
     /// Every variant at its widest — `u64::MAX` ids and times, a `Some`
-    /// PMI phase, every span kind in every role — fits one ring payload
-    /// and comes back out of a ring intact, and every proper prefix of it
-    /// is refused. A field added later fails here, not as a `push`
+    /// PMI phase, every span kind in every role — fits one ring record,
+    /// across as many slots as it needs, and comes back out of a ring
+    /// intact, and every proper prefix of it, and every extension, is
+    /// refused. A field added later fails here, not as a `push`
     /// assertion on the hot path.
     #[test]
     fn every_event_fits_its_slot() {
@@ -1681,14 +1720,136 @@ mod tests {
                 .reader_from(rec)
                 .poll()
                 .expect("the record just pushed");
+            assert_eq!(back.payload(), &buf[..len]);
+            assert_eq!(
+                back.slots(),
+                len.div_ceil(jets_ring::SLOT_RECORD_BYTES) as u64
+            );
             let event = decode_event(back.payload()).expect("decodes");
             assert_eq!((event.t, &event.kind), (Duration::from_micros(M), kind));
             for cut in 0..len {
                 assert!(decode_event(&buf[..cut]).is_none(), "{kind:?} cut at {cut}");
             }
+            assert!(
+                decode_event(&buf[..len + 1]).is_none(),
+                "{kind:?} and a byte"
+            );
         }
-        // JobPhases is the widest: 62 bytes.
-        assert_eq!(longest, 62);
+        // JobPhases is the widest: 77 bytes, four slots.
+        assert_eq!(longest, 77);
+    }
+
+    /// The 17 records a no-op job writes on the dispatcher, with `job`
+    /// as its job and task id, worker 127 (the last one-byte id), an
+    /// all-bits trace id and phases of about a second.
+    fn no_op_job(t_us: u64, job: u64) -> Vec<(u64, EventKind)> {
+        let (task, worker, trace) = (job, 127, u64::MAX);
+        let span = |kind, end| {
+            let role = WriterRole::Dispatcher;
+            match end {
+                false => EventKind::SpanStart {
+                    trace,
+                    kind,
+                    role,
+                    job,
+                    task: 0,
+                },
+                true => EventKind::SpanEnd {
+                    trace,
+                    kind,
+                    role,
+                    job,
+                    task: 0,
+                },
+            }
+        };
+        let mut kinds = vec![
+            EventKind::JobSubmitted {
+                job,
+                nodes: 1,
+                ppn: 1,
+            },
+            EventKind::TaskStarted {
+                task,
+                job,
+                worker,
+                ranks: 1,
+            },
+            EventKind::TaskEnded {
+                task,
+                job,
+                worker,
+                ranks: 1,
+                exit_code: -1,
+                trace,
+            },
+            EventKind::JobCompleted {
+                job,
+                nodes: 1,
+                ppn: 1,
+                success: true,
+            },
+            EventKind::JobPhases {
+                job,
+                nodes: 1,
+                queue_us: 999_999,
+                launch_us: 0,
+                pmi_us: None,
+                run_us: 999_999,
+                total_us: 1_999_999,
+            },
+        ];
+        for kind in [
+            SpanKind::Submit,
+            SpanKind::Queue,
+            SpanKind::Sched,
+            SpanKind::Ship,
+            SpanKind::Run,
+            SpanKind::Report,
+        ] {
+            kinds.extend([span(kind, false), span(kind, true)]);
+        }
+        kinds.into_iter().map(|k| (t_us, k)).collect()
+    }
+
+    /// Each of the 17 records of a no-op job encodes into one ring slot
+    /// at values past any benchmark run's: `t` just under 2^35 µs (9.5
+    /// hours; a 20 s run stays under 2^28) and job and task ids just
+    /// under 2^21 (a run finishes about 10^6 jobs). `TaskEnded` is the
+    /// one with no byte to spare. A field added later that pushes a
+    /// record into a second slot fails here instead of doubling the
+    /// dispatcher's ring quietly.
+    #[test]
+    fn a_no_op_job_writes_one_slot_a_record() {
+        let records = no_op_job((1 << 35) - 1, (1 << 21) - 1);
+        assert_eq!(records.len(), 17);
+        for (t_us, kind) in &records {
+            let mut buf = [0u8; PAYLOAD_BYTES];
+            let len = encode_event(*t_us, kind, &mut buf);
+            assert!(
+                len <= jets_ring::SLOT_RECORD_BYTES,
+                "{kind:?} is {len} bytes, past one slot's {}",
+                jets_ring::SLOT_RECORD_BYTES
+            );
+        }
+    }
+
+    /// The default ring keeps its capacity's worth of no-op job records
+    /// whole: 2^17 of them, every one decoded.
+    #[test]
+    fn the_default_ring_retains_its_capacity_in_no_op_records() {
+        let log = EventLog::new();
+        assert_eq!(log.capacity(), DEFAULT_EVENT_CAPACITY);
+        let records = (0..).flat_map(|job| no_op_job(0, job));
+        for (_, kind) in records.take(DEFAULT_EVENT_CAPACITY + 100) {
+            log.record(kind);
+        }
+        assert_eq!(log.len(), DEFAULT_EVENT_CAPACITY + 100);
+        let snap = log.snapshot();
+        assert_eq!(snap.len(), DEFAULT_EVENT_CAPACITY);
+        let mut cursor = log.reader();
+        let seen = std::iter::from_fn(|| cursor.poll()).count();
+        assert_eq!((seen, cursor.decode_errors()), (DEFAULT_EVENT_CAPACITY, 0));
     }
 
     /// A flight file feeds the stats module unchanged: the series

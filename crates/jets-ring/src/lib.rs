@@ -3,8 +3,9 @@
 //! A fixed-capacity, lock-free, optionally `mmap`-backed ring journal
 //! for high-rate event streams. This is the storage engine under
 //! `jets_core::EventLog`: every dispatcher/relay/worker state
-//! transition becomes one 72-byte slot write — no `Mutex`, no heap
-//! allocation, no growth — and every consumer (`jets flight tail`,
+//! transition becomes one record of one to four 32-byte slots (one, for
+//! every record a no-op job writes) — no `Mutex`, no heap allocation, no
+//! growth — and every consumer (`jets flight tail`,
 //! `jets flight dump`, the Prometheus registry) is an independent cursor
 //! that chases the writer without ever blocking it.
 //!
@@ -21,8 +22,8 @@
 //!
 //! The ordering discipline (per-slot seqlock stamps, Release-publish /
 //! Acquire-observe, validated copies) is documented where it lives, in
-//! `src/ring.rs`. Records are opaque 64-byte payloads here; the event
-//! codec lives with `EventKind` in jets-core.
+//! `src/ring.rs`. Records are opaque payloads of 1 to [`PAYLOAD_BYTES`]
+//! bytes here; the event codec lives with `EventKind` in jets-core.
 //!
 //! Zero dependencies, `std` only. As the workspace's leaf crate it also
 //! carries [`stdx`]: the poison-ignoring locks and the seeded generator
@@ -45,5 +46,6 @@ pub mod stdx;
 mod sys;
 
 pub use ring::{
-    Record, Replay, Ring, RingReader, WriterRole, MIN_CAPACITY, PAYLOAD_BYTES, SLOT_BYTES,
+    Record, Replay, Ring, RingReader, WriterRole, MAX_RECORD_SLOTS, MIN_CAPACITY, PAYLOAD_BYTES,
+    SLOT_BYTES, SLOT_RECORD_BYTES,
 };

@@ -1,32 +1,47 @@
-//! The ring itself: fixed-capacity slots, one claim cursor, per-slot
-//! commit stamps, overwrite-oldest semantics.
+//! The ring itself: fixed-capacity 32-byte slots, one claim cursor,
+//! per-slot commit stamps, overwrite-oldest semantics. A record takes as
+//! many consecutive slots as its bytes need, one to [`MAX_RECORD_SLOTS`].
 //!
 //! ## Layout (all little-endian `u64` words)
 //!
 //! ```text
 //! header: | MAGIC | VERSION | SLOT_BYTES | CAPACITY | HEAD | EPOCH_US | PID | ROLE |
-//! slots:  | stamp | payload word 0..=7 |  × capacity           (72 B per slot)
+//!         | SPILL | 0 | 0 | 0 |                                          (96 B)
+//! slots:  | stamp | payload word 0..=2 |  × capacity                      (32 B per slot)
 //! ```
 //!
-//! `HEAD` is the claim cursor: the sequence number of the *next* record
-//! to be written, monotone over the whole life of the ring (it never
-//! wraps; slot index is `seq & (capacity-1)`). Each slot carries a
-//! stamp encoding what the slot holds:
+//! The header's last three words are zero: they round it up to whole
+//! slots, so no slot straddles a cache line.
+//!
+//! `HEAD` is the claim cursor: the sequence number of the *next* slot to
+//! be written, monotone over the whole life of the ring (it never wraps;
+//! slot index is `seq & (capacity-1)`). A record is named by the seq of
+//! its first slot, its *head*. `SPILL` counts the slots past the head
+//! that records ever claimed, so `HEAD − SPILL` is the number of records
+//! ever pushed.
+//!
+//! The first payload byte of a slot says what the slot holds: in a head,
+//! the record's length in bytes (1 to [`PAYLOAD_BYTES`]); in the `j`-th
+//! slot after it, `0x80 | j`. The other 23 bytes carry the record, so a
+//! record of `n` bytes takes `⌈n / 23⌉` slots. Each slot carries a stamp
+//! encoding what the slot holds:
 //!
 //! ```text
 //! 0                  never written
-//! 2·seq + 1          record `seq` is being written (torn if seen at rest)
-//! 2·seq + 2          record `seq` is committed
-//! 2·seq + 3          record `seq` was dropped: an older writer still
+//! 2·seq + 1          slot `seq` is being written (torn if seen at rest)
+//! 2·seq + 2          slot `seq` is committed
+//! 2·seq + 3          slot `seq` was dropped: an older writer still
 //!                    holds the slot (no `seq + 1` shares the slot, so
 //!                    this cannot be mistaken for a write in progress)
+//! 2·seq + 4          slot `seq` is free and holds no record: its record
+//!                    was dropped, or its writer died holding it
 //! ```
 //!
 //! A stamp never moves backwards. An odd stamp means a writer holds the
 //! slot, and only that writer stores payload words or makes the stamp
 //! even again; so two records never interleave in one slot, and a
 //! reader that sees `committed(seq)` before and after its copy has
-//! copied record `seq` and nothing else.
+//! copied slot `seq` of the record that claimed it and nothing else.
 //!
 //! ## Memory ordering
 //!
@@ -34,21 +49,30 @@
 //! `crossbeam-utils`' `SeqLock` (per Boehm, *Can seqlocks get along
 //! with programming models?*), applied per slot:
 //!
-//! * **Writer**: claim a seq (`HEAD.fetch_add`), take the slot by moving
-//!   its stamp from even to *writing* with a `compare_exchange(Acquire)`
-//!   (the Acquire pairs with the previous committer's Release on the same
-//!   slot, ordering this overwrite after the previous record's
-//!   publication), issue a `fence(Release)` so the *writing* mark is
-//!   ordered before the payload stores, write the payload words
-//!   (`Relaxed` — they are atomics, so concurrent readers race safely),
-//!   then publish with a `compare_exchange(writing, committed, Release)`.
-//! * **Reader**: load the stamp with `Acquire` (pairs with the
-//!   writer's committing Release, making the payload words it covers
-//!   visible), copy the payload (`Relaxed` loads), then
-//!   `fence(Acquire)` and re-load the stamp `Relaxed`: if it moved,
-//!   the copy may interleave two records and is discarded. The fence
-//!   orders the payload loads before the validating re-load, so a
-//!   writer that raced the copy cannot have its stamp update hidden.
+//! * **Writer**: claim the record's slots (one `HEAD.fetch_add`), take
+//!   each slot by moving its stamp from even to *writing* with a
+//!   `compare_exchange(Acquire)` (the Acquire pairs with the previous
+//!   committer's Release on the same slot, ordering this overwrite after
+//!   the previous record's publication), issue a `fence(Release)` so the
+//!   *writing* marks are ordered before the payload stores, write the
+//!   payload words (`Relaxed` — they are atomics, so concurrent readers
+//!   race safely), then publish each slot with a
+//!   `compare_exchange(writing, committed, Release)`, the head last.
+//! * **Reader**: load the head's stamp with `Acquire` (pairs with the
+//!   writer's committing Release, making the payload words it covers —
+//!   and every continuation slot's commit before it — visible), copy the
+//!   payload (`Relaxed` loads), then `fence(Acquire)` and re-load the
+//!   stamp `Relaxed`: if it moved, the copy may interleave two records
+//!   and is discarded. The fence orders the payload loads before the
+//!   validating re-load, so a writer that raced the copy cannot have its
+//!   stamp update hidden. A record of several slots validates its
+//!   continuations the same way, after the head has said how many.
+//!
+//! A reader returns a record only when every one of its slots validated
+//! as committed for that record, and each continuation names its place
+//! after the head. A head whose length is zero, past [`PAYLOAD_BYTES`] or
+//! past the claim cursor, or whose continuations are not its own, reads
+//! as torn: no reader ever splices two records into one.
 //!
 //! `HEAD` itself is *not* the publication point — slot stamps are.
 //! Readers use `HEAD` only to bound their scan, and a stale value
@@ -59,7 +83,7 @@
 //! ## Writers and readers
 //!
 //! The ring is single-writer *per record*: each `push` claims its own
-//! sequence number, so multiple threads may share one [`Ring`] handle
+//! sequence numbers, so multiple threads may share one [`Ring`] handle
 //! (the dispatcher's event producers do). Two pushes a whole `capacity`
 //! apart can still meet on one slot when a writer is preempted between
 //! its claim and its write. Then the older record is the one lost:
@@ -71,6 +95,9 @@
 //!   leaves (`dropped(seq) + 1`), so the slot is free again and readers
 //!   count both records as lapped rather than waiting on either.
 //!
+//! A writer that drops its record in one slot still takes every other
+//! slot it claimed, and leaves each of them free (`2·seq + 4`) instead
+//! of committed, so no reader waits on a slot nobody will write.
 //! No writer ever waits on another.
 //!
 //! Readers never write shared state: a [`RingReader`] owns its cursor
@@ -85,12 +112,13 @@ use std::sync::Arc;
 
 /// `"JETSRNG1"` little-endian.
 const MAGIC: u64 = u64::from_le_bytes(*b"JETSRNG1");
-/// Bump when the slot layout changes. Version 1 had 128-byte slots;
-/// its files are refused, not converted.
-const VERSION: u64 = 2;
+/// Bump when the slot layout changes. Version 1 had 128-byte slots and
+/// version 2 one 72-byte slot a record; their files are refused, not
+/// converted.
+const VERSION: u64 = 3;
 
 /// Header size, in words.
-const HDR_WORDS: usize = 8;
+const HDR_WORDS: usize = 12;
 const W_MAGIC: usize = 0;
 const W_VERSION: usize = 1;
 const W_SLOT_BYTES: usize = 2;
@@ -99,18 +127,30 @@ const W_HEAD: usize = 4;
 const W_EPOCH_US: usize = 5;
 const W_PID: usize = 6;
 const W_ROLE: usize = 7;
+const W_SPILL: usize = 8;
 
-/// Words per slot (1 stamp + 8 payload words): the largest event
-/// record is 62 bytes, so 64 payload bytes hold every one of them.
-const SLOT_WORDS: usize = 9;
+/// Words per slot: 1 stamp + 3 payload words.
+const SLOT_WORDS: usize = 4;
 /// Bytes per slot.
 pub const SLOT_BYTES: usize = SLOT_WORDS * 8;
-/// Payload bytes per record; pushes larger than this are refused.
-pub const PAYLOAD_BYTES: usize = SLOT_BYTES - 8;
-const PAYLOAD_WORDS: usize = SLOT_WORDS - 1;
+const SLOT_PAYLOAD_WORDS: usize = SLOT_WORDS - 1;
+/// Record bytes one slot carries: its 24 payload bytes less the byte
+/// that says what the slot is.
+pub const SLOT_RECORD_BYTES: usize = SLOT_PAYLOAD_WORDS * 8 - 1;
+/// Most slots one record may take.
+pub const MAX_RECORD_SLOTS: usize = 4;
+/// Largest record a push accepts, in bytes.
+pub const PAYLOAD_BYTES: usize = MAX_RECORD_SLOTS * SLOT_RECORD_BYTES;
+/// The first payload byte of a record's `j`-th continuation slot is
+/// `CONTINUATION | j`; a head's is its length, which is below it.
+const CONTINUATION: u8 = 0x80;
+const MAX_LEN: u8 = PAYLOAD_BYTES as u8;
+const FIRST_CONTINUATION: u8 = CONTINUATION | 1;
+const LAST_CONTINUATION: u8 = CONTINUATION | (MAX_RECORD_SLOTS as u8 - 1);
+const _: () = assert!(PAYLOAD_BYTES < CONTINUATION as usize);
 
 /// Largest claim cursor a file may carry: a stamp is at most
-/// `2·seq + 3`, which must fit a word with room to keep pushing.
+/// `2·seq + 4`, which must fit a word with room to keep pushing.
 const MAX_SEQ: u64 = 1 << 62;
 
 /// Smallest accepted capacity; see the module docs on same-slot races.
@@ -180,6 +220,20 @@ fn stamp_dropped(seq: u64) -> u64 {
     2 * seq + 3
 }
 
+/// What a slot's stamp says once the record it was claimed for is lost
+/// (`dropped(seq) + 1`): even, so the next lap may take it, and past
+/// `committed(seq)`, so no reader takes it for a record.
+#[inline]
+fn stamp_lost(seq: u64) -> u64 {
+    2 * seq + 4
+}
+
+/// Slots a record of `len` bytes takes.
+#[inline]
+fn slots_for(len: usize) -> usize {
+    len.div_ceil(SLOT_RECORD_BYTES)
+}
+
 /// The shared state under every handle cloned from one ring.
 struct Shared {
     region: Region,
@@ -192,41 +246,70 @@ impl Shared {
     fn slot_word(&self, seq: u64) -> usize {
         HDR_WORDS + ((seq & (self.cap - 1)) as usize) * SLOT_WORDS
     }
-}
 
-/// One fixed-size record copied out of the ring.
-///
-/// The copy is the price of a *validated* read: the payload bytes are
-/// only trusted after the stamp re-check proves no writer touched the
-/// slot mid-copy, so they must live on the reader's stack, not in the
-/// shared memory. 64 bytes, no heap.
-#[derive(Clone, Copy)]
-pub struct Record {
-    /// The record's sequence number (position in the journal).
-    pub seq: u64,
-    payload: [u8; PAYLOAD_BYTES],
-}
-
-impl Record {
-    /// The fixed-size payload. Trailing bytes past the logical record
-    /// are zero; the producer's codec knows the real length.
-    pub fn payload(&self) -> &[u8; PAYLOAD_BYTES] {
-        &self.payload
+    /// Copy slot `seq`'s payload words into `out`; returns its first
+    /// byte, which says what the slot is. Not validated: the caller
+    /// re-checks the stamp.
+    #[inline]
+    fn copy_slot(&self, seq: u64, out: &mut [u8]) -> u8 {
+        let base = self.slot_word(seq) + 1;
+        let mut bytes = [0u8; SLOT_PAYLOAD_WORDS * 8];
+        for (i, chunk) in bytes.chunks_exact_mut(8).enumerate() {
+            let w = self.region.word(base + i).load(Ordering::Relaxed);
+            chunk.copy_from_slice(&w.to_le_bytes());
+        }
+        out.copy_from_slice(&bytes[1..1 + out.len()]);
+        bytes[0]
     }
 }
 
-/// Outcome of one validated slot read.
-enum SlotRead {
+/// One record copied out of the ring.
+///
+/// The copy is the price of a *validated* read: the payload bytes are
+/// only trusted after the stamp re-checks prove no writer touched the
+/// record's slots mid-copy, so they must live on the reader's stack, not
+/// in the shared memory. No heap.
+#[derive(Clone, Copy)]
+pub struct Record {
+    /// The record's sequence number: the seq of its first slot.
+    pub seq: u64,
+    len: u8,
+    bytes: [u8; PAYLOAD_BYTES],
+}
+
+impl Record {
+    /// The record's bytes, as pushed.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+
+    /// The slots the record takes in the ring.
+    pub fn slots(&self) -> u64 {
+        slots_for(self.len as usize) as u64
+    }
+}
+
+/// Outcome of one validated read of the record whose head is `seq`.
+enum Read {
     /// Committed and copied intact.
     Ok(Record),
     /// Claimed (or simply not reached) but not committed yet.
     Pending,
-    /// Overwritten by a newer record before or during the copy.
-    Gone,
+    /// Overwritten by a newer record, or lost, before or during the
+    /// copy: the slots to step over (the record's own, once its head has
+    /// said how many; else the one).
+    Gone(u64),
+    /// A committed continuation: the tail of a record whose head is
+    /// before this slot (a lap overwrote it, or it was torn).
+    Tail,
+    /// A committed head no writer of this build leaves: a length of
+    /// zero, past [`PAYLOAD_BYTES`] or past the claim cursor, or
+    /// continuations that are not its own.
+    Bad,
 }
 
 /// A lock-free ring journal. Cloning shares the same memory; any clone
-/// may push (each push claims its own slot) and any clone can mint
+/// may push (each push claims its own slots) and any clone can mint
 /// independent readers.
 #[derive(Clone)]
 pub struct Ring {
@@ -299,8 +382,7 @@ impl Ring {
         // A slot still held is one its writer died in: past both records
         // an odd stamp can name (`+ 3`), so it reads as lost and is free.
         // Only a re-open pays this sweep, and it touches every page of
-        // the mapping: ~2 ms for the default 2^17 slots (9 MiB), ~11 ms
-        // for 2^20 (2-core Xeon, file in the page cache).
+        // the mapping: 4 MiB for the default 2^17 slots.
         for slot in 0..shared.cap {
             let stamp = shared.region.word(shared.slot_word(slot));
             let cur = stamp.load(Ordering::Acquire);
@@ -346,54 +428,88 @@ impl Ring {
     }
 
     /// Append one record; returns its sequence number. Lock-free and
-    /// allocation-free: one `fetch_add`, one stamp load, two stamp
-    /// compare-exchanges, eight word stores. Payloads longer than
-    /// [`PAYLOAD_BYTES`] are refused with a panic (producer bug, not
+    /// allocation-free: for a record of one slot (up to
+    /// [`SLOT_RECORD_BYTES`]), one `fetch_add`, one stamp load, two stamp
+    /// compare-exchanges, three word stores; each further slot adds one
+    /// `fetch_add` in all and a load, two compare-exchanges and three
+    /// stores of its own. An empty payload, or one longer than
+    /// [`PAYLOAD_BYTES`], is refused with a panic (producer bug, not
     /// data-dependent).
     pub fn push(&self, payload: &[u8]) -> u64 {
         assert!(
-            payload.len() <= PAYLOAD_BYTES,
-            "ring payload of {} bytes exceeds the {} byte slot",
+            (1..=PAYLOAD_BYTES).contains(&payload.len()),
+            "ring payload of {} bytes: a record is 1 to {} bytes",
             payload.len(),
             PAYLOAD_BYTES
         );
-        let seq = self.push_claim();
+        let seq = self.push_claim(slots_for(payload.len()) as u64);
         self.push_fill(seq, payload);
         seq
     }
 
-    /// Claim the next sequence number.
-    fn push_claim(&self) -> u64 {
+    /// Claim `n` consecutive sequence numbers; returns the first.
+    fn push_claim(&self, n: u64) -> u64 {
         debug_assert!(
             !self.shared.region.readonly(),
             "push on a read-only (replay) ring"
         );
-        let head = self.shared.region.word(W_HEAD);
+        let (head, spill) = (
+            self.shared.region.word(W_HEAD),
+            self.shared.region.word(W_SPILL),
+        );
         // jets-lint: allow(relaxed) HEAD only bounds reader scans; publication is the slot stamp's Release exchange
-        head.fetch_add(1, Ordering::Relaxed)
+        let seq = head.fetch_add(n, Ordering::Relaxed);
+        if n > 1 {
+            // jets-lint: allow(relaxed) SPILL only counts records for `records()`; it orders nothing
+            spill.fetch_add(n - 1, Ordering::Relaxed);
+        }
+        seq
     }
 
-    /// Write claimed record `seq` into its slot; false if it was dropped
-    /// because another writer had the slot (see the module docs).
+    /// Write claimed record `seq` into its slots; false if it was dropped
+    /// because another writer had one of them (see the module docs).
     fn push_fill(&self, seq: u64, payload: &[u8]) -> bool {
-        if !self.push_enter(seq) {
-            return false;
+        let n = slots_for(payload.len());
+        // Every slot is taken, even past one that fails, so that none is
+        // left for readers to wait on.
+        let mut taken = [false; MAX_RECORD_SLOTS];
+        for (j, taken) in taken[..n].iter_mut().enumerate() {
+            *taken = self.push_enter(seq + j as u64);
         }
-        let (s, base) = (&self.shared, self.shared.slot_word(seq));
-        let mut i = 0;
-        while i < PAYLOAD_WORDS {
-            let lo = i * 8;
-            let mut w = [0u8; 8];
-            if lo < payload.len() {
-                let take = (payload.len() - lo).min(8);
-                w[..take].copy_from_slice(&payload[lo..lo + take]);
+        let mut whole = taken[..n].iter().all(|&t| t);
+        if whole {
+            for (j, chunk) in payload.chunks(SLOT_RECORD_BYTES).enumerate() {
+                let what = match j {
+                    0 => payload.len() as u8,
+                    j => CONTINUATION | j as u8,
+                };
+                self.push_write(seq + j as u64, what, chunk);
             }
-            let cell = s.region.word(base + 1 + i);
-            // jets-lint: allow(relaxed) payload words are covered by the stamp's Release/Acquire pair; see module docs
-            cell.store(u64::from_le_bytes(w), Ordering::Relaxed);
-            i += 1;
         }
-        self.push_leave(seq)
+        // The head last: a reader that sees it committed finds every
+        // continuation committed too. Once one slot is lost, the rest are
+        // freed rather than committed.
+        for j in (0..n).rev() {
+            if taken[j] {
+                whole = self.push_leave(seq + j as u64, whole);
+            }
+        }
+        whole
+    }
+
+    /// Store slot `seq`'s payload words: the byte `what` says what the
+    /// slot is, then `chunk`, then zeros.
+    fn push_write(&self, seq: u64, what: u8, chunk: &[u8]) {
+        let mut bytes = [0u8; SLOT_PAYLOAD_WORDS * 8];
+        bytes[0] = what;
+        bytes[1..1 + chunk.len()].copy_from_slice(chunk);
+        let base = self.shared.slot_word(seq) + 1;
+        for (i, w) in bytes.chunks_exact(8).enumerate() {
+            let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+            let cell = self.shared.region.word(base + i);
+            // jets-lint: allow(relaxed) payload words are covered by the stamp's Release/Acquire pair; see module docs
+            cell.store(word, Ordering::Relaxed);
+        }
     }
 
     /// Take `seq`'s slot for writing: true once its stamp reads
@@ -425,19 +541,24 @@ impl Ring {
         true
     }
 
-    /// Leave `seq`'s slot, making its stamp even: committed, unless a
-    /// newer writer marked itself dropped meanwhile — then both records
-    /// are gone. True if `seq` committed.
-    fn push_leave(&self, seq: u64) -> bool {
+    /// Leave `seq`'s slot, making its stamp even: committed if `commit`,
+    /// else free. A newer writer that marked itself dropped meanwhile
+    /// loses its record and this one: the slot is freed past its mark.
+    /// True if `seq` committed.
+    fn push_leave(&self, seq: u64, commit: bool) -> bool {
         let s = &self.shared;
         let stamp = s.region.word(s.slot_word(seq));
         // Publish: the payload stores happen-before a reader's Acquire
         // load that observes this committed stamp.
-        let (writing, committed) = (stamp_writing(seq), stamp_committed(seq));
+        let writing = stamp_writing(seq);
+        let even = match commit {
+            true => stamp_committed(seq),
+            false => stamp_lost(seq),
+        };
         let Err(mut cur) =
-            stamp.compare_exchange(writing, committed, Ordering::Release, Ordering::Relaxed)
+            stamp.compare_exchange(writing, even, Ordering::Release, Ordering::Relaxed)
         else {
-            return true;
+            return commit;
         };
         // A `dropped(..)` mark: step past it. Anything else means a
         // re-open settled the slot, as if this writer had died, and it
@@ -453,10 +574,22 @@ impl Ring {
         false
     }
 
-    /// Total records ever pushed (the claim cursor). Monotone; survives
+    /// Total slots ever claimed (the claim cursor). Monotone; survives
     /// re-opening a file-backed ring.
     pub fn seq(&self) -> u64 {
         self.shared.region.word(W_HEAD).load(Ordering::Acquire)
+    }
+
+    /// Total records ever pushed, including any no longer retained.
+    /// Exact on a quiescent ring; while pushes of several slots race
+    /// it, it may be off by their spill for an instant.
+    pub fn records(&self) -> u64 {
+        let region = &self.shared.region;
+        let spill = region.word(W_SPILL).load(Ordering::Acquire);
+        region
+            .word(W_HEAD)
+            .load(Ordering::Acquire)
+            .saturating_sub(spill)
     }
 
     /// Capacity in slots (always a power of two).
@@ -482,13 +615,13 @@ impl Ring {
         WriterRole::from_code(self.shared.region.word(W_ROLE).load(Ordering::Acquire))
     }
 
-    /// The sequence number of the oldest record still retained.
+    /// The sequence number of the oldest slot still retained.
     pub fn earliest(&self) -> u64 {
         let head = self.seq();
         head.saturating_sub(self.shared.cap)
     }
 
-    /// A reader positioned at the oldest retained record.
+    /// A reader positioned at the oldest retained slot.
     pub fn reader(&self) -> RingReader {
         self.reader_from(self.earliest())
     }
@@ -506,25 +639,38 @@ impl Ring {
 
     /// Offline sweep of everything retained, tolerating torn slots (the
     /// crash case): committed records in sequence order, plus a count
-    /// of slots lost to in-flight writes. Meant for quiescent rings
-    /// (replay of a dead process's file); on a live ring a slot being
+    /// of records lost to in-flight writes. Meant for quiescent rings
+    /// (replay of a dead process's file); on a live ring a record being
     /// written right now counts as torn.
     pub fn replay(&self) -> Replay {
         let head = self.seq();
         let lo = self.earliest();
         let mut records = Vec::with_capacity((head - lo) as usize);
         let mut torn = 0u64;
-        for seq in lo..head {
-            match self.read_slot(seq) {
-                SlotRead::Ok(rec) => records.push(rec),
-                SlotRead::Pending | SlotRead::Gone => torn += 1,
-            }
+        let mut seq = lo;
+        while seq < head {
+            seq += match read_record(&self.shared, seq, head) {
+                Read::Ok(rec) => {
+                    records.push(rec);
+                    rec.slots()
+                }
+                Read::Pending | Read::Bad => {
+                    torn += 1;
+                    1
+                }
+                Read::Gone(n) => {
+                    torn += 1;
+                    n
+                }
+                Read::Tail => 1,
+            };
         }
         Replay {
             records,
             torn,
             earliest: lo,
             head,
+            recorded: self.records(),
         }
     }
 
@@ -532,10 +678,6 @@ impl Ring {
     /// `MAP_SHARED` mapping survives `kill -9` without this).
     pub fn sync(&self) -> io::Result<()> {
         self.shared.region.sync()
-    }
-
-    fn read_slot(&self, seq: u64) -> SlotRead {
-        read_slot(&self.shared, seq)
     }
 }
 
@@ -606,47 +748,90 @@ fn validate_kind(region: &Region, path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-fn read_slot(shared: &Shared, seq: u64) -> SlotRead {
-    let base = shared.slot_word(seq);
-    let stamp = shared.region.word(base);
+/// Read the record whose head is slot `seq`, with `head` the claim
+/// cursor the caller bounds its scan by.
+fn read_record(shared: &Shared, seq: u64, head: u64) -> Read {
+    let stamp = shared.region.word(shared.slot_word(seq));
     // Acquire pairs with the writer's committing Release: observing
-    // `committed(seq)` makes that record's payload stores visible.
+    // `committed(seq)` makes that slot's payload stores, and the commits
+    // of the record's other slots, visible.
     let s1 = stamp.load(Ordering::Acquire);
     let committed = stamp_committed(seq);
     if s1 != committed {
         return if s1 < committed {
-            SlotRead::Pending
+            Read::Pending
         } else {
-            SlotRead::Gone
+            Read::Gone(1)
         };
     }
-    let mut payload = [0u8; PAYLOAD_BYTES];
-    let mut i = 0;
-    while i < PAYLOAD_WORDS {
-        let cell = shared.region.word(base + 1 + i);
-        let w = cell.load(Ordering::Relaxed);
-        payload[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
-        i += 1;
-    }
+    let mut rec = Record {
+        seq,
+        len: 0,
+        bytes: [0u8; PAYLOAD_BYTES],
+    };
+    let what = shared.copy_slot(seq, &mut rec.bytes[..SLOT_RECORD_BYTES]);
     // Validate: order the payload loads before the re-load, then check
     // no writer moved the stamp while we copied.
     fence(Ordering::Acquire);
     if stamp.load(Ordering::Relaxed) != s1 {
-        return SlotRead::Gone;
+        return Read::Gone(1);
     }
-    SlotRead::Ok(Record { seq, payload })
+    let len = match what {
+        1..=MAX_LEN => what as usize,
+        FIRST_CONTINUATION..=LAST_CONTINUATION => return Read::Tail,
+        _ => return Read::Bad,
+    };
+    let n = slots_for(len);
+    // A committed head's claim is below any cursor that covers it.
+    if head.saturating_sub(seq) < n as u64 {
+        return Read::Bad;
+    }
+    rec.len = len as u8;
+    if n == 1 {
+        return Read::Ok(rec);
+    }
+    let mut whats = [0u8; MAX_RECORD_SLOTS];
+    for (j, what) in whats.iter_mut().enumerate().take(n).skip(1) {
+        let at = seq + j as u64;
+        let cont = shared.region.word(shared.slot_word(at));
+        // The head's commit came after this slot's: below `committed`,
+        // the slot is not this record's.
+        match cont.load(Ordering::Acquire).cmp(&stamp_committed(at)) {
+            std::cmp::Ordering::Less => return Read::Bad,
+            std::cmp::Ordering::Greater => return Read::Gone(n as u64),
+            std::cmp::Ordering::Equal => {}
+        }
+        let lo = j * SLOT_RECORD_BYTES;
+        *what = shared.copy_slot(at, &mut rec.bytes[lo..lo + SLOT_RECORD_BYTES]);
+    }
+    fence(Ordering::Acquire);
+    for (j, &what) in whats.iter().enumerate().take(n).skip(1) {
+        let at = seq + j as u64;
+        let cont = shared.region.word(shared.slot_word(at));
+        if cont.load(Ordering::Relaxed) != stamp_committed(at) {
+            return Read::Gone(n as u64);
+        }
+        if what != CONTINUATION | j as u8 {
+            return Read::Bad;
+        }
+    }
+    Read::Ok(rec)
 }
 
 /// Result of an offline [`Ring::replay`] sweep.
 pub struct Replay {
     /// Committed records, in sequence order.
     pub records: Vec<Record>,
-    /// Slots in the retained window lost to in-flight (torn) writes.
+    /// Records in the retained window lost to in-flight (torn) writes
+    /// or damage; a record torn across several slots may count once a
+    /// slot.
     pub torn: u64,
-    /// Oldest sequence number the window could hold.
+    /// Oldest slot sequence number the window could hold.
     pub earliest: u64,
-    /// The claim cursor at sweep time (total records ever pushed).
+    /// The claim cursor at sweep time (total slots ever claimed).
     pub head: u64,
+    /// Total records ever pushed ([`Ring::records`]).
+    pub recorded: u64,
 }
 
 /// A lock-free cursor chasing the writer. Each reader owns its position
@@ -664,9 +849,9 @@ impl RingReader {
     /// next record in sequence is still being written — it will be
     /// committed nanoseconds later; poll again).
     ///
-    /// A reader that falls more than `capacity` behind is *lapped*:
-    /// the cursor jumps forward to the oldest retained record and
-    /// [`RingReader::lapped`] grows by the number of records skipped.
+    /// A reader that falls more than `capacity` slots behind is
+    /// *lapped*: the cursor jumps forward to the oldest retained slot
+    /// and [`RingReader::lapped`] grows by the number of slots skipped.
     pub fn poll(&mut self) -> Option<Record> {
         loop {
             let head = self.shared.region.word(W_HEAD).load(Ordering::Acquire);
@@ -678,19 +863,26 @@ impl RingReader {
             if self.next >= head {
                 return None;
             }
-            match read_slot(&self.shared, self.next) {
-                SlotRead::Ok(rec) => {
-                    self.next += 1;
+            match read_record(&self.shared, self.next, head) {
+                Read::Ok(rec) => {
+                    self.next += rec.slots();
                     return Some(rec);
                 }
-                SlotRead::Pending => return None,
-                SlotRead::Gone => {
+                Read::Pending => return None,
+                Read::Gone(n) => {
                     // Overwritten between the head load and the copy:
                     // we were lapped mid-read. Count it and move on.
                     self.torn += 1;
                     self.lapped += 1;
+                    self.next += n;
+                }
+                Read::Bad => {
+                    self.torn += 1;
+                    self.lapped += 1;
                     self.next += 1;
                 }
+                // Counted with the head it follows.
+                Read::Tail => self.next += 1,
             }
         }
     }
@@ -701,7 +893,10 @@ impl RingReader {
     }
 
     /// Records this reader skipped because the writer overwrote them
-    /// before they were read.
+    /// before they were read. A lap counts the slots it skipped, so a
+    /// record of several slots lost to a lap may count once a slot:
+    /// records read plus `lapped` is at least the records pushed since
+    /// the reader's start, and at most the slots.
     pub fn lapped(&self) -> u64 {
         self.lapped
     }
@@ -732,11 +927,10 @@ mod tests {
         let mut r = ring.reader();
         let a = r.poll().expect("first record");
         assert_eq!(a.seq, 0);
-        assert_eq!(&a.payload()[..5], b"alpha");
-        assert_eq!(&a.payload()[5..8], &[0, 0, 0]);
+        assert_eq!(a.payload(), b"alpha");
         let b = r.poll().expect("second record");
         assert_eq!(b.seq, 1);
-        assert_eq!(&b.payload()[..4], b"beta");
+        assert_eq!(b.payload(), b"beta");
         assert!(r.poll().is_none());
         assert_eq!(r.lapped(), 0);
     }
@@ -808,6 +1002,82 @@ mod tests {
         let ring = Ring::anon(1024);
         let too_big = [0u8; PAYLOAD_BYTES + 1];
         assert!(std::panic::catch_unwind(|| ring.push(&too_big)).is_err());
+        assert!(std::panic::catch_unwind(|| ring.push(&[])).is_err());
+        assert_eq!(ring.seq(), 0, "a refused push claims nothing");
+    }
+
+    /// The payload of `len` bytes pushed under `seq`: every byte a
+    /// function of both, so a record spliced from two reads wrong.
+    fn patterned(seq: u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (seq.wrapping_mul(0x9E37_79B9) as usize ^ (i * 131)) as u8)
+            .collect()
+    }
+
+    /// A record takes the slots its bytes need, comes back at its real
+    /// length, and counts once in `records()` however many slots it took.
+    #[test]
+    fn a_record_takes_the_slots_its_bytes_need() {
+        let ring = Ring::anon(1024);
+        let lens = [
+            1,
+            SLOT_RECORD_BYTES,
+            SLOT_RECORD_BYTES + 1,
+            46,
+            47,
+            PAYLOAD_BYTES,
+        ];
+        let slots = [1, 1, 2, 2, 3, MAX_RECORD_SLOTS as u64];
+        let mut seq = 0;
+        for (&len, &n) in lens.iter().zip(&slots) {
+            assert_eq!(ring.push(&patterned(seq, len)), seq);
+            seq += n;
+        }
+        assert_eq!(ring.seq(), seq, "the cursor counts slots");
+        assert_eq!(ring.records(), lens.len() as u64, "records count once");
+        let mut r = ring.reader();
+        let read: Vec<Record> = std::iter::from_fn(|| r.poll()).collect();
+        assert_eq!(read.len(), lens.len());
+        for ((rec, &len), &n) in read.iter().zip(&lens).zip(&slots) {
+            assert_eq!(rec.payload(), patterned(rec.seq, len));
+            assert_eq!(rec.slots(), n);
+        }
+        assert_eq!((r.lapped(), r.torn(), r.position()), (0, 0, seq));
+        let replay = ring.replay();
+        assert_eq!((replay.records.len(), replay.torn), (lens.len(), 0));
+        assert_eq!((replay.head, replay.recorded), (seq, lens.len() as u64));
+    }
+
+    /// A record of three slots whose head slot an older writer still
+    /// holds is dropped, and its other two slots are left free: a reader
+    /// steps over all three instead of waiting, and the holder's leave
+    /// frees the head slot for the next lap.
+    #[test]
+    fn a_record_dropped_in_one_slot_frees_the_others() {
+        let ring = Ring::anon(1024);
+        let cap = ring.capacity();
+        let held = ring.push_claim(1);
+        assert!(ring.push_enter(held));
+        push_stamped(&ring, cap - 1);
+        let wide = patterned(cap, 2 * SLOT_RECORD_BYTES + 1);
+        assert_eq!(ring.push_claim(3), cap);
+        assert!(!ring.push_fill(cap, &wide), "its head slot is held");
+        push_stamped(&ring, 1);
+        let mut r = ring.reader_from(0);
+        let seen = drain_checked(&mut r);
+        // Slots 0–3 are the next lap's: the held one and the three the
+        // wide record claimed, its last overwritten by the record after.
+        assert_eq!(seen, (4..cap).chain([cap + 3]).collect::<Vec<_>>());
+        assert_eq!(r.position(), ring.seq(), "no slot left pending");
+        assert_eq!((r.lapped(), r.torn()), (4 + 3, 3));
+        assert!(
+            !ring.push_leave(held, true),
+            "a newer writer marked the slot"
+        );
+        push_stamped(&ring, cap);
+        assert_eq!(drain_checked(&mut r).len() as u64, cap);
+        let replay = ring.replay();
+        assert_eq!((replay.records.len() as u64, replay.torn), (cap, 0));
     }
 
     #[cfg(unix)]
@@ -918,40 +1188,52 @@ mod tests {
         }
     }
 
-    /// A version 1 file (128-byte slots) is refused by its version both
-    /// ways, and left as it was: re-opened for a ring of the same
-    /// capacity (the old file is longer) or of a larger one (it is
-    /// shorter, and would have been extended).
+    /// A file of an older `version`, with its eight header words and
+    /// 1 024 slots of `slot_bytes`, is refused by its version both ways,
+    /// and left as it was: re-opened for a ring of the same capacity or
+    /// of a larger one (the old file is shorter, and would have been
+    /// extended).
     #[cfg(unix)]
-    #[test]
-    fn a_version_1_file_is_refused_and_left_as_it_is() {
-        let path = std::env::temp_dir().join(format!("jets-ring-v1-{}.ring", std::process::id()));
-        let mut v1 = vec![0u8; (HDR_WORDS + 1024 * 16) * 8];
+    fn an_old_file_is_refused_and_left_as_it_is(version: u64, slot_bytes: usize) {
+        let path =
+            std::env::temp_dir().join(format!("jets-ring-v{version}-{}.ring", std::process::id()));
+        let mut old = vec![0u8; 64 + 1024 * slot_bytes];
         let header = [
             (W_MAGIC, MAGIC),
-            (W_VERSION, 1),
-            (W_SLOT_BYTES, 128),
+            (W_VERSION, version),
+            (W_SLOT_BYTES, slot_bytes as u64),
             (W_CAPACITY, 1024),
             (W_HEAD, 10),
         ];
         for (w, value) in header {
-            v1[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
+            old[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
         }
-        std::fs::write(&path, &v1).unwrap();
+        std::fs::write(&path, &old).unwrap();
         for err in [
             Ring::open_read(&path).err().expect("open_read"),
             Ring::create(&path, 1024).err().expect("same capacity"),
-            Ring::create(&path, 4096).err().expect("larger capacity"),
+            Ring::create(&path, 1 << 16).err().expect("larger capacity"),
         ] {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(
-                err.to_string()
-                    .contains("ring version 1, this build reads 2"),
-                "{err}"
-            );
+            let named = format!("ring version {version}, this build reads 3");
+            assert!(err.to_string().contains(&named), "{err}");
         }
-        assert!(std::fs::read(&path).unwrap() == v1, "the file was changed");
+        assert!(std::fs::read(&path).unwrap() == old, "the file was changed");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Version 1 had 128-byte slots.
+    #[cfg(unix)]
+    #[test]
+    fn a_version_1_file_is_refused_and_left_as_it_is() {
+        an_old_file_is_refused_and_left_as_it_is(1, 128);
+    }
+
+    /// Version 2 had one 72-byte slot a record.
+    #[cfg(unix)]
+    #[test]
+    fn a_version_2_file_is_refused_and_left_as_it_is() {
+        an_old_file_is_refused_and_left_as_it_is(2, 72);
     }
 
     /// Drain `r`, checking that every record carries its own seq as its
@@ -974,7 +1256,7 @@ mod tests {
     /// Push `n` records, each stamped with its own seq.
     fn push_stamped(ring: &Ring, n: u64) {
         for _ in 0..n {
-            let seq = ring.push_claim();
+            let seq = ring.push_claim(1);
             assert!(ring.push_fill(seq, &seq.to_le_bytes()));
         }
     }
@@ -986,7 +1268,7 @@ mod tests {
     fn a_stale_fill_drops_its_record_and_never_moves_the_stamp_back() {
         let ring = Ring::anon(1024);
         let cap = ring.capacity();
-        let stale = ring.push_claim();
+        let stale = ring.push_claim(1);
         push_stamped(&ring, cap + 1); // seq `cap` takes the stale one's slot
         assert!(!ring.push_fill(stale, &stale.to_le_bytes()));
         let mut r = ring.reader_from(0);
@@ -1004,13 +1286,16 @@ mod tests {
     fn a_writer_that_finds_its_slot_held_drops_and_the_holder_frees_it() {
         let ring = Ring::anon(1024);
         let cap = ring.capacity();
-        let held = ring.push_claim();
+        let held = ring.push_claim(1);
         assert!(ring.push_enter(held));
         for _ in 0..=cap {
-            let seq = ring.push_claim();
+            let seq = ring.push_claim(1);
             assert_eq!(ring.push_fill(seq, &seq.to_le_bytes()), seq != cap);
         }
-        assert!(!ring.push_leave(held), "a newer writer marked the slot");
+        assert!(
+            !ring.push_leave(held, true),
+            "a newer writer marked the slot"
+        );
         let mut r = ring.reader_from(0);
         let seen = drain_checked(&mut r);
         assert_eq!(seen.len() as u64, cap - 1);
@@ -1035,7 +1320,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let ring = Ring::create(&path, 1024).expect("create");
-            let died = ring.push_claim();
+            let died = ring.push_claim(1);
             assert!(ring.push_enter(died)); // and never leaves
         }
         let ring = Ring::create(&path, 1024).expect("reopen");

@@ -28,17 +28,18 @@ fn an_anonymous_ring_faults_in_as_it_fills() {
         "a fresh ring of {capacity} slots added {} bytes",
         created - before
     );
-    let payload = [0x5a; 64];
+    // One slot a record: a no-op job's records are this size.
+    let payload = [0x5a; 20];
     for _ in 0..capacity {
         ring.push(&payload);
     }
-    // 72 bytes a slot, spelled out rather than read from `SLOT_BYTES`,
-    // so a slot that grows back fails here: 9 MiB, and no more than
-    // 9.5 MiB with the pages around it.
+    // 32 bytes a slot, spelled out rather than read from `SLOT_BYTES`,
+    // so a slot that grows back fails here: 4 MiB, and no more than
+    // 4.5 MiB with the pages around it.
     let lap = rss().saturating_sub(created) as f64;
-    let slots = (capacity * 72) as f64;
+    let slots = (capacity * 32) as f64;
     assert!(
-        (0.9 * slots..9.5 * MIB as f64).contains(&lap),
+        (0.9 * slots..4.5 * MIB as f64).contains(&lap),
         "one lap of {capacity} slots added {lap} bytes, not about {slots}"
     );
     // A second lap reuses the same pages.
@@ -47,7 +48,7 @@ fn an_anonymous_ring_faults_in_as_it_fills() {
     }
     let again = rss().saturating_sub(created) as f64;
     assert!(
-        again < 9.5 * MIB as f64,
+        again < 4.5 * MIB as f64,
         "a second lap grew the ring to {again} bytes"
     );
 }

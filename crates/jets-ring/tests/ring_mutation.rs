@@ -14,6 +14,14 @@
 //! than one [`Record`] per slot the file holds; and every record that
 //! comes back is the one pushed under its seq. When only stamps were
 //! damaged, every other record in the window comes back.
+//!
+//! A second source holds records of one, two and three slots, one of
+//! them straddling the wrap point, and its window opening on the tail of
+//! an overwritten record. Its damage is to one record at a time: a
+//! continuation's stamp set stale or odd, a head's length set to zero,
+//! past the largest record, past the claim cursor, past its own slots or
+//! to a continuation's mark. Each loses that record whole and no other,
+//! and never comes back spliced from two.
 #![cfg(unix)]
 
 use jets_ring::{Record, Ring, SLOT_BYTES};
@@ -23,9 +31,10 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-/// The file layout this suite damages: eight little-endian header words,
-/// then `capacity` slots of one stamp word and the payload.
-const HDR_BYTES: usize = 64;
+/// The file layout this suite damages: twelve little-endian header
+/// words, then `capacity` slots of one stamp word and the payload, whose
+/// first byte is a head's length or a continuation's mark.
+const HDR_BYTES: usize = 96;
 const W_CAPACITY: usize = 3;
 const W_HEAD: usize = 4;
 
@@ -131,14 +140,35 @@ fn source(file: &TempRing) -> Vec<u8> {
     bytes
 }
 
-/// The seqs a replay returned, each checked to carry its own seq.
+/// The record pushed under `seq` with `len` bytes: its seq, then (past
+/// eight bytes) its length and bytes that are a function of both.
+fn pushed(seq: u64, len: usize) -> Vec<u8> {
+    let mut bytes = seq.to_le_bytes().to_vec();
+    if len > 8 {
+        bytes.push(len as u8);
+        bytes.extend((9..len).map(|k| (seq.wrapping_mul(131) as usize ^ (k * 7)) as u8));
+    }
+    bytes
+}
+
+/// The seqs a replay returned, each checked to be the whole record
+/// pushed under its seq.
 fn seqs(records: &[Record], what: &str) -> Vec<u64> {
     records
         .iter()
         .map(|rec| {
-            let (own, rest) = rec.payload().split_at(8);
-            assert_eq!(word(own, 0), rec.seq, "{what}: another record's payload");
-            assert!(rest.iter().all(|&b| b == 0), "{what}: payload tail");
+            let payload = rec.payload();
+            assert!(
+                payload.len() >= 8,
+                "{what}: a {}-byte record",
+                payload.len()
+            );
+            assert_eq!(
+                word(payload, 0),
+                rec.seq,
+                "{what}: another record's payload"
+            );
+            assert_eq!(payload, pushed(rec.seq, payload.len()), "{what}: spliced");
             rec.seq
         })
         .collect()
@@ -323,5 +353,132 @@ fn a_cursor_that_lies_is_refused_or_replays_its_own_records() {
         let expect = (head != u64::MAX).then(Vec::new);
         assert_eq!(read, expect, "head {head}");
         assert_eq!(created, expect, "head {head}");
+    }
+}
+
+/// Slot sequence numbers the second source's records start at, and
+/// their lengths: one, two and three slots in turn, pushed past two and
+/// a half laps.
+fn multi_source(file: &TempRing) -> (Vec<u8>, Vec<(u64, usize)>) {
+    let ring = Ring::create(&file.0, CAP as usize).expect("create");
+    let mut records = Vec::new();
+    for len in [8, 30, 60].into_iter().cycle() {
+        if ring.seq() >= PUSHED {
+            break;
+        }
+        let seq = ring.seq();
+        assert_eq!(ring.push(&pushed(seq, len)), seq);
+        records.push((seq, len));
+    }
+    drop(ring);
+    (std::fs::read(&file.0).unwrap(), records)
+}
+
+/// Slots a record of `len` bytes takes: 23 record bytes a slot.
+fn slots(len: usize) -> u64 {
+    len.div_ceil(23) as u64
+}
+
+/// The second source's claim cursor and the records its window holds
+/// whole.
+fn multi_window(records: &[(u64, usize)]) -> (u64, Vec<(u64, usize)>) {
+    let &(last, len) = records.last().unwrap();
+    let head = last + slots(len);
+    let window = records
+        .iter()
+        .copied()
+        .filter(|&(seq, _)| seq >= head - CAP)
+        .collect();
+    (head, window)
+}
+
+#[test]
+fn multi_slot_records_replay_whole_across_the_wrap() {
+    let file = TempRing::new("multi");
+    let (src, records) = multi_source(&file);
+    let (head, window) = multi_window(&records);
+    // The window opens on the tail of a record a lap overwrote, and one
+    // record in it straddles the wrap point.
+    assert!(!records.iter().any(|&(seq, _)| seq == head - CAP));
+    let straddles = |&(seq, len): &(u64, usize)| seq % CAP + slots(len) > CAP;
+    assert!(window.iter().any(straddles), "no record straddles the wrap");
+    let replay = Ring::open_read(&file.0).unwrap().replay();
+    assert_eq!(replay.recorded, records.len() as u64);
+    assert_eq!((replay.head, replay.torn), (head, 0));
+    let expect: Vec<u64> = window.iter().map(|&(seq, _)| seq).collect();
+    let [read, created] = both_ways(&file, &src, "multi-slot");
+    assert_eq!(read, Some(expect.clone()));
+    assert_eq!(created, Some(expect));
+}
+
+#[test]
+fn a_damaged_multi_slot_record_is_lost_whole_and_never_spliced() {
+    let file = TempRing::new("multi-damage");
+    let (src, records) = multi_source(&file);
+    let (head, window) = multi_window(&records);
+    let find = |n: u64, after: u64| {
+        let hit = window.iter().find(|&&(seq, len)| {
+            slots(len) == n && seq >= after && seq % CAP + n <= CAP && seq + n < head
+        });
+        hit.copied().expect("a record to damage")
+    };
+    let (one, two, three) = (find(1, 0), find(2, 0), find(3, 0));
+    let (two_b, three_b) = (find(2, two.0 + 6), find(3, three.0 + 6));
+    let (two_c, two_d) = (find(2, two_b.0 + 6), find(2, two_b.0 + 12));
+    let straddler = *window
+        .iter()
+        .find(|&&(seq, len)| seq % CAP + slots(len) > CAP)
+        .unwrap();
+    let last = *window.last().unwrap();
+    let lead = |seq: u64| stamp_at(seq % CAP) + 8;
+    type Damage = Box<dyn Fn(&mut Vec<u8>)>;
+    let stamp = |seq: u64, value: u64| -> Damage {
+        Box::new(move |b: &mut Vec<u8>| set_word(b, stamp_at(seq % CAP), value))
+    };
+    let length =
+        |seq: u64, value: u8| -> Damage { Box::new(move |b: &mut Vec<u8>| b[lead(seq)] = value) };
+    let cases: Vec<(&str, (u64, usize), Damage)> = vec![
+        (
+            "a continuation's stamp a lap stale",
+            three,
+            stamp(three.0 + 1, 2 * (three.0 + 1 - CAP) + 2),
+        ),
+        (
+            "a continuation's stamp odd",
+            three_b,
+            stamp(three_b.0 + 2, 2 * (three_b.0 + 2) + 1),
+        ),
+        (
+            "the wrap's continuation odd",
+            straddler,
+            stamp(straddler.0 + 1, 2 * (straddler.0 + 1) + 1),
+        ),
+        ("a head past the cursor", last, length(last.0, 92)),
+        ("a head past its own slots", one, length(one.0, 60)),
+        ("a zero length", two, length(two.0, 0)),
+        (
+            "a length past the largest record",
+            two_b,
+            length(two_b.0, 93),
+        ),
+        ("a length of 255", two_c, length(two_c.0, 0xFF)),
+        (
+            "a head marked as a continuation",
+            two_d,
+            length(two_d.0, 0x81),
+        ),
+    ];
+    for (what, lost, damage) in cases {
+        let mut bytes = src.clone();
+        damage(&mut bytes);
+        let expect: Vec<u64> = window
+            .iter()
+            .filter(|&&r| r != lost)
+            .map(|&(seq, _)| seq)
+            .collect();
+        let what = format!("{what} (record {}, {} bytes)", lost.0, lost.1);
+        for seqs in both_ways(&file, &bytes, &what) {
+            assert_eq!(seqs.as_ref(), Some(&expect), "{what}");
+        }
     }
 }

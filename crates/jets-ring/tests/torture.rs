@@ -159,6 +159,111 @@ fn torture_periodic_poller_never_blocks() {
     assert!(worst < Duration::from_secs(1), "poll frame took {worst:?}");
 }
 
+/// The length of writer `w`'s `i`-th record in the mixed torture: one,
+/// two or three slots, in an order no two writers share.
+fn mixed_len(w: u64, i: u64) -> usize {
+    [16, 40, 64][((w + i * 7) % 3) as usize]
+}
+
+/// Writer `w`'s `i`-th record: `w`, `i`, then bytes that are a function
+/// of both and of their place, up to [`mixed_len`].
+fn mixed_record(w: u64, i: u64) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(mixed_len(w, i));
+    bytes.extend_from_slice(&w.to_le_bytes());
+    bytes.extend_from_slice(&i.to_le_bytes());
+    let mix = (w << 32 | i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    bytes.extend((16..mixed_len(w, i)).map(|k| (mix >> (k % 57)) as u8 ^ k as u8));
+    bytes
+}
+
+/// Writers pushing records of one, two and three slots into the smallest
+/// window, with live readers chasing them: every record a reader returns
+/// is one writer's whole record — its own length and every byte — in
+/// sequence order, and what a reader read plus what it counts as lapped
+/// lies between the records pushed and the slots they took.
+#[test]
+fn torture_mixed_slot_records_are_read_whole() {
+    const WRITERS: u64 = 4;
+    const PER_WRITER: u64 = 30_000;
+    const TOTAL: u64 = WRITERS * PER_WRITER;
+
+    let ring = Ring::anon(1024);
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let mut cur = ring.reader();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let (mut seen, mut last) = (0u64, None::<u64>);
+                let mut drain = |cur: &mut jets_ring::RingReader| {
+                    while let Some(rec) = cur.poll() {
+                        assert!(last.is_none_or(|prev| rec.seq > prev), "reader regressed");
+                        last = Some(rec.seq);
+                        let p = rec.payload();
+                        assert!(p.len() >= 16, "seq {}: a {}-byte record", rec.seq, p.len());
+                        let word = |k: usize| u64::from_le_bytes(p[k..k + 8].try_into().unwrap());
+                        let (w, i) = (word(0), word(8));
+                        assert!(w < WRITERS && i < PER_WRITER, "seq {}: ({w}, {i})", rec.seq);
+                        assert_eq!(
+                            p,
+                            mixed_record(w, i),
+                            "seq {}: not one whole record",
+                            rec.seq
+                        );
+                        assert_eq!(rec.slots(), p.len().div_ceil(23) as u64);
+                        seen += 1;
+                    }
+                };
+                while !stop.load(Ordering::Acquire) {
+                    drain(&mut cur);
+                    std::hint::spin_loop();
+                }
+                drain(&mut cur);
+                (seen, cur.lapped())
+            })
+        })
+        .collect();
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let ring = ring.clone();
+            std::thread::spawn(move || {
+                (0..PER_WRITER)
+                    .map(|i| {
+                        (
+                            ring.push(&mixed_record(w, i)),
+                            mixed_len(w, i).div_ceil(23) as u64,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut claims: Vec<(u64, u64)> = writers
+        .into_iter()
+        .flat_map(|h| h.join().expect("writer thread"))
+        .collect();
+    claims.sort_unstable();
+    for pair in claims.windows(2) {
+        assert!(
+            pair[0].0 + pair[0].1 <= pair[1].0,
+            "claims overlap: {pair:?}"
+        );
+    }
+    let slots: u64 = claims.iter().map(|&(_, n)| n).sum();
+    assert_eq!((ring.seq(), ring.records()), (slots, TOTAL));
+
+    stop.store(true, Ordering::Release);
+    for h in readers {
+        let (seen, lapped) = h.join().expect("reader thread");
+        assert!(seen > 0, "a polling reader saw nothing at all");
+        assert!(
+            (TOTAL..=slots).contains(&(seen + lapped)),
+            "seen {seen} + lapped {lapped}: not between {TOTAL} records and {slots} slots"
+        );
+    }
+}
+
 #[test]
 fn payload_cap_is_enforced_exactly() {
     let ring = Ring::anon(1024);

@@ -514,6 +514,7 @@ mod tests {
             undecodable: 0,
             overwritten: 0,
             total_recorded: 0,
+            slots: 0,
             epoch_unix_us: epoch_us,
             writer_pid: pid,
             role,
