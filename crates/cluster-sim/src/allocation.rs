@@ -16,9 +16,6 @@ pub struct AllocationConfig {
     /// models a single cluster; several model a multi-cluster deployment
     /// (used by the grouping ablation).
     pub locations: Vec<String>,
-    /// Extra delay before node `i` boots: `i × boot_stagger`. Models the
-    /// gradual arrival of pilot jobs as an allocation starts.
-    pub boot_stagger: Duration,
     /// Worker heartbeat period (`None` disables heartbeats).
     pub heartbeat: Option<Duration>,
     /// Reconnect-with-backoff policy for every agent (connect-once by
@@ -39,7 +36,6 @@ impl AllocationConfig {
             nodes,
             cores_per_node: 4, // Surveyor's BG/P nodes have 4 cores
             locations: vec!["sim".to_string()],
-            boot_stagger: Duration::ZERO,
             heartbeat: None,
             reconnect: ReconnectPolicy::connect_once(),
             name_prefix: "node".to_string(),
@@ -64,12 +60,6 @@ impl AllocationConfig {
         self.locations = locations;
         self
     }
-
-    /// Builder-style boot stagger.
-    pub fn with_boot_stagger(mut self, stagger: Duration) -> Self {
-        self.boot_stagger = stagger;
-        self
-    }
 }
 
 /// A running set of simulated nodes.
@@ -81,9 +71,9 @@ pub struct Allocation {
 impl Allocation {
     /// Boot an allocation against the dispatcher at `dispatcher_addr`.
     ///
-    /// Workers connect from their own threads (staggered by
-    /// `config.boot_stagger`), so this returns immediately; use the
-    /// dispatcher's `alive_workers` to observe boot progress.
+    /// Workers connect from their own threads, so this returns
+    /// immediately; use the dispatcher's `alive_workers` to observe boot
+    /// progress.
     pub fn start(
         dispatcher_addr: &str,
         config: AllocationConfig,
@@ -114,7 +104,7 @@ impl Allocation {
                 cores: config.cores_per_node,
                 location,
                 heartbeat: config.heartbeat,
-                connect_delay: delay + config.boot_stagger * i,
+                connect_delay: delay,
                 reconnect,
                 ..WorkerConfig::new(dispatcher_addr, name)
             };

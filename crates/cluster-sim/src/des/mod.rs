@@ -29,6 +29,8 @@
 //! process and link faults stop and everything drains: every job finishes
 //! once, every pilot is idle, Eq. (1) is conserved.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 mod dispatcher;
 mod pilot;
 mod relay;
@@ -195,6 +197,10 @@ impl World {
     /// A world at time zero, nobody connected, drawing from `seed`; with
     /// `trace`, it keeps every fact, effect, frame and PMI line.
     pub fn new(seed: u64, trace: bool) -> World {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the origin of virtual time: the world reads only offsets from it"
+        )]
         let t0 = Instant::now();
         let mut w = World {
             rng: SplitMix64::new(seed),
@@ -946,6 +952,10 @@ impl World {
 
 /// Run `schedules` worlds drawn from `seed` under `stdx::check`; print the
 /// input rate and the [`SEEN`] counts, and assert each ≥ one per schedule.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness times itself; no schedule reads the clock"
+)]
 pub fn check_schedules(seed: u64, schedules: u64) {
     let started = std::time::Instant::now();
     let (mut inputs, mut seen) = (0, [0; SEEN.len()]);
@@ -973,14 +983,26 @@ pub fn traced(seed: u64, case: u64) -> (bool, Vec<String>) {
     (ok.is_ok(), w.trace())
 }
 
+/// FNV-1a over the trace lines of cases `0..cases` from `seed`, each
+/// ended by a newline: one number that moves if any decision in those
+/// schedules does.
+pub fn trace_digest(seed: u64, cases: u64) -> u64 {
+    let lines = (0..cases).flat_map(|case| traced(seed, case).1);
+    lines.fold(0xcbf2_9ce4_8422_2325, |h, line| {
+        let bytes = line.bytes().chain([b'\n']);
+        bytes.fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
 /// The seeded tests of a model file, over [`check_schedules`]'s `$n`
 /// schedules from `$seed`: every invariant holds; two runs of case 0 give
-/// a byte-identical trace, PMI lines included, and case 1 another; and a
+/// a byte-identical trace, PMI lines included, and case 1 another; the
+/// first 64 traces still [digest](trace_digest) to `$digest`; and a
 /// replay of a failing case, `CASE=n cargo test -p <crate> --test <file>
 /// replay -- --ignored --nocapture`, printing its last 200 trace lines.
 #[macro_export]
 macro_rules! seeded_world_tests {
-    ($seed:expr, $n:expr) => {
+    ($seed:expr, $n:expr, $digest:expr) => {
         #[test]
         fn seeded_fault_schedules_keep_every_invariant() {
             $crate::des::check_schedules($seed, $n);
@@ -995,6 +1017,18 @@ macro_rules! seeded_world_tests {
             assert!(a.len() > 500, "{} lines", a.len());
             assert!(a == b, "two runs of one seed diverged");
             assert!(a != other, "the seed does not matter");
+        }
+
+        /// A change that must not move a decision — an ordered table for
+        /// a hashed one, a refactor of a router — proves it did not here.
+        /// A change that means to move one commits the new digest.
+        #[test]
+        fn the_world_traces_match_their_committed_digest() {
+            let (digest, want): (u64, u64) = ($crate::des::trace_digest($seed, 64), $digest);
+            assert!(
+                digest == want,
+                "the first 64 traces digest to {digest:#018x}, not {want:#018x}"
+            );
         }
 
         #[test]

@@ -77,11 +77,7 @@ impl SpectrumAllocator {
             // All workers of a block arrive together once the block
             // clears the queue (the wait itself is a uniform connect
             // delay inside the workers).
-            let config = AllocationConfig {
-                boot_stagger: Duration::ZERO,
-                locations: vec![format!("block-{size}")],
-                ..AllocationConfig::new(size)
-            };
+            let config = AllocationConfig::new(size).with_locations(vec![format!("block-{size}")]);
             let alloc = Allocation::start_delayed(dispatcher_addr, config, executor.clone(), delay);
             allocations.push(Arc::new(alloc));
         }

@@ -24,6 +24,8 @@
 //! Every sweep iterates in id order (`BTreeMap`, rank-ordered gang
 //! lists), so equal inputs give an equal effect trace, bit for bit.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::events::{EventKind, SpanKind};
 use crate::group::{select_group_ids, GroupScratch, GroupingPolicy};
 use crate::journal::{Recovered, RecoveredJob, RecoveredPhase};
@@ -38,7 +40,7 @@ use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_pmi::{ManualLauncher, RankLayout};
 use jets_ring::stdx::splitmix64;
 use jets_ring::WriterRole;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -317,7 +319,7 @@ pub struct Core {
     ready: ReadyList,
     active: BTreeMap<JobId, ActiveJob>,
     /// Maps in-flight tasks to their jobs.
-    tasks: HashMap<TaskId, JobId>,
+    tasks: BTreeMap<TaskId, JobId>,
     /// Reusable group-selection scratch and chosen-workers buffer:
     /// steady-state passes allocate nothing.
     scratch: GroupScratch,
@@ -397,7 +399,7 @@ impl Core {
             registry: Registry::new(epoch, config.quarantine.clone()),
             ready: ReadyList::new(),
             active: BTreeMap::new(),
-            tasks: HashMap::new(),
+            tasks: BTreeMap::new(),
             scratch: GroupScratch::new(),
             chosen: Vec::new(),
             quarantined_ready: Vec::new(),

@@ -1047,14 +1047,6 @@ mod tests {
 
     type Wire = (MsgWriter<TcpStream>, MsgReader<BufReader<TcpStream>>);
 
-    /// No clock, lock, atomic, thread, socket, file, journal, ring or PMI
-    /// server in the scheduling core: that is what lets `cluster_sim::des`
-    /// drive the real one under a virtual clock.
-    #[test]
-    fn the_core_is_pure() {
-        jets_ring::stdx::assert_pure(include_str!("core.rs"), &["Atomic"]);
-    }
-
     /// Connect, say `hello`, return the write and read halves once the
     /// dispatcher has answered.
     fn handshake(addr: SocketAddr, hello: &WorkerMsg) -> Wire {

@@ -1323,7 +1323,8 @@ pub struct FlightView {
     /// PID of the most recent writer process.
     pub writer_pid: u64,
     /// The writer's process role — this file's lane in a merged
-    /// cross-process trace ([`WriterRole::Unknown`] for legacy files).
+    /// cross-process trace ([`WriterRole::Unknown`] for a file only the
+    /// role-less `Ring::create` wrote).
     pub role: WriterRole,
 }
 

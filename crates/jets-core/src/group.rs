@@ -7,8 +7,10 @@
 //! preferred to running MPI jobs across clusters. Both policies live here
 //! and are compared in `bench/ablation_grouping`.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::spec::WorkerId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An interned network-location label.
 ///
@@ -24,7 +26,7 @@ pub type LocId = u32;
 /// tallies.
 #[derive(Debug, Default)]
 pub struct LocationInterner {
-    ids: HashMap<String, LocId>,
+    ids: BTreeMap<String, LocId>,
     names: Vec<String>,
 }
 
@@ -98,7 +100,7 @@ pub fn select_group(
         GroupingPolicy::Fcfs => Some((0..need).collect()),
         GroupingPolicy::LocationAware => {
             // Count candidates per location, preserving FCFS inside each.
-            let mut by_location: HashMap<&str, Vec<usize>> = HashMap::new();
+            let mut by_location: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
             for (idx, c) in ready.iter().enumerate() {
                 by_location
                     .entry(c.location.as_str())
@@ -168,7 +170,7 @@ impl GroupScratch {
 /// exist (or `need == 0`).
 ///
 /// Semantics match [`select_group`] exactly; this variant avoids the
-/// per-call `String` clones and `HashMap` builds by tallying interned
+/// per-call `String` clones and map builds by tallying interned
 /// ids into reusable, generation-stamped scratch buffers.
 pub fn select_group_ids(
     policy: GroupingPolicy,
@@ -234,7 +236,7 @@ pub fn colocation_fraction(locations: &[&str]) -> f64 {
     if locations.is_empty() {
         return 1.0;
     }
-    let mut counts: HashMap<&str, usize> = HashMap::new();
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
     for l in locations {
         *counts.entry(l).or_default() += 1;
     }

@@ -54,7 +54,7 @@
 use crate::protocol::{decode_msg, get_spec, put_spec, Wire, MAX_FRAME_BYTES};
 use crate::spec::{JobId, JobSpec, TaskId, WorkerId};
 use jets_ring::codec::{invalid, Get, Put};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -628,28 +628,22 @@ struct JobFold {
     attempts: u32,
     active: Option<ActiveAttempt>,
     done: bool,
-    order: usize,
 }
 
-/// Fold a scanned record sequence into the restart state.
+/// Fold a scanned record sequence into the restart state. Live jobs come
+/// out in id order, which is submission order: ids are assigned as jobs
+/// are submitted.
+#[cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 pub fn recover(records: &[Record]) -> Recovered {
-    let mut jobs: HashMap<JobId, JobFold> = HashMap::new();
-    let mut strikes: HashMap<String, u32> = HashMap::new();
+    let mut jobs: BTreeMap<JobId, JobFold> = BTreeMap::new();
+    let mut strikes: BTreeMap<String, u32> = BTreeMap::new();
     let mut next_job = 1u64;
     let mut next_task = 1u64;
-    let mut order = 0usize;
     for rec in records {
         match rec {
             Record::Submitted { job, spec } => {
                 next_job = next_job.max(job + 1);
-                let entry = jobs.entry(*job).or_insert_with(|| {
-                    order += 1;
-                    JobFold {
-                        order,
-                        ..JobFold::default()
-                    }
-                });
-                entry.spec = Some(spec.clone());
+                jobs.entry(*job).or_default().spec = Some(spec.clone());
             }
             Record::Enqueued { job, attempts } | Record::Requeued { job, attempts } => {
                 next_job = next_job.max(job + 1);
@@ -705,32 +699,24 @@ pub fn recover(records: &[Record]) -> Recovered {
         }
     }
     let finished = jobs.values().filter(|e| e.done).count() as u64;
-    let mut live: Vec<(usize, RecoveredJob)> = jobs
+    let live = jobs
         .into_iter()
-        .filter(|(_, e)| !e.done && e.spec.is_some())
+        .filter(|(_, e)| !e.done)
         .filter_map(|(id, e)| {
-            let spec = e.spec?;
             let phase = match e.active {
                 Some((tasks, ended)) => RecoveredPhase::Active { tasks, ended },
                 None => RecoveredPhase::Queued,
             };
-            Some((
-                e.order,
-                RecoveredJob {
-                    id,
-                    spec,
-                    attempts: e.attempts,
-                    phase,
-                },
-            ))
-        })
-        .collect();
-    live.sort_by_key(|(order, _)| *order);
-    let mut strikes: Vec<(String, u32)> = strikes.into_iter().collect();
-    strikes.sort();
+            Some(RecoveredJob {
+                id,
+                spec: e.spec?,
+                attempts: e.attempts,
+                phase,
+            })
+        });
     Recovered {
-        jobs: live.into_iter().map(|(_, j)| j).collect(),
-        strikes,
+        jobs: live.collect(),
+        strikes: strikes.into_iter().collect(),
         finished,
         next_job,
         next_task,

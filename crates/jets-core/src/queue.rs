@@ -35,6 +35,8 @@
 //! arena, so a pick costs amortized O(1) bytes moved. An empty queue
 //! clears its arena.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::protocol::{get_spec, put_spec};
 use crate::spec::{JobId, JobSpec, WorkerId};
 use jets_ring::codec::{Get, Put, END};

@@ -7,9 +7,9 @@
 //! `(WorkerId, LocId)` entries — locations interned, see
 //! [`crate::group::LocationInterner`] — and a membership set, giving:
 //!
-//! * **O(1) park** with duplicate suppression (a worker that somehow
+//! * **O(log n) park** with duplicate suppression (a worker that somehow
 //!   issues two `Request`s cannot be scheduled twice);
-//! * **O(chosen) dequeue** for the FCFS fast path ([`ReadyList::take_front`]);
+//! * **O(chosen · log n) dequeue** for the FCFS fast path ([`ReadyList::take_front`]);
 //! * **one O(n) sweep per job** — not per worker — for arbitrary index
 //!   selections ([`ReadyList::take_indices`]);
 //! * **O(n) removal** on worker death, preserving order.
@@ -22,9 +22,11 @@
 //! * FCFS order is arrival order: `take_front` always yields the
 //!   longest-parked workers first.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::group::LocId;
 use crate::spec::WorkerId;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Parked `Request`s, oldest first, with interned locations.
 #[derive(Debug, Default)]
@@ -32,7 +34,7 @@ pub struct ReadyList {
     /// Parked workers in arrival order.
     entries: VecDeque<(WorkerId, LocId)>,
     /// Exactly the workers present in `entries`.
-    parked: HashSet<WorkerId>,
+    parked: BTreeSet<WorkerId>,
 }
 
 impl ReadyList {

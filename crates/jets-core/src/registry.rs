@@ -21,9 +21,11 @@
 //! whatever clock its caller keeps — the wall clock in the dispatcher
 //! shell, a virtual one in the model check.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::group::{LocId, LocationInterner};
 use crate::spec::{JobId, WorkerId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Whole milliseconds from `epoch` to `now`, zero if `now` is earlier.
@@ -82,10 +84,15 @@ impl Default for QuarantinePolicy {
     }
 }
 
-/// A worker name's recent gang-kill record.
-#[derive(Debug, Clone, Copy)]
-struct FaultRecord {
+/// What the registry keeps of a worker *name*, across reconnects.
+#[derive(Debug, Clone, Copy, Default)]
+struct NameRecord {
+    /// The name has registered: a registration under it now is a
+    /// reconnect (journal replay seeds strikes without registering).
+    registered: bool,
+    /// Live gang-kill strikes; zero is a clean record.
     strikes: u32,
+    /// When the last strike was charged, in ms since the epoch.
     last_ms: u64,
 }
 
@@ -124,14 +131,12 @@ pub struct Registry {
     locations: LocationInterner,
     /// The instant liveness and quarantine clocks count from.
     epoch: Instant,
-    /// Gang-kill strikes by worker *name*, surviving reconnects.
-    faults: HashMap<String, FaultRecord>,
+    /// Gang-kill strikes and first contact by worker *name*, surviving
+    /// reconnects. A registration whose name is already registered is a
+    /// *reconnect* — the same pilot coming back after a disconnect —
+    /// which the dispatcher surfaces as `reconnects_total`.
+    names: BTreeMap<String, NameRecord>,
     quarantine: Option<QuarantinePolicy>,
-    /// Every name that has ever registered. A registration whose name is
-    /// already here is a *reconnect* — the same pilot coming back after a
-    /// disconnect — which the dispatcher surfaces as `reconnects_total`
-    /// so fault-layer behavior is observable without private accessors.
-    seen_names: std::collections::HashSet<String>,
 }
 
 impl Registry {
@@ -142,9 +147,8 @@ impl Registry {
             workers: BTreeMap::new(),
             locations: LocationInterner::new(),
             epoch,
-            faults: HashMap::new(),
+            names: BTreeMap::new(),
             quarantine: policy,
-            seen_names: std::collections::HashSet::new(),
         }
     }
 
@@ -163,7 +167,7 @@ impl Registry {
     ) {
         let loc = self.locations.intern(&location);
         let state = self.admission_state(&name, now);
-        self.seen_names.insert(name.clone());
+        self.names.entry(name.clone()).or_default().registered = true;
         self.workers.insert(
             id,
             WorkerInfo {
@@ -197,11 +201,11 @@ impl Registry {
         };
         let now = ms_between(self.epoch, now);
         let decay_ms = policy.decay.as_millis() as u64;
-        let Some(rec) = self.faults.get(name) else {
+        let Some(rec) = self.names.get_mut(name).filter(|r| r.strikes > 0) else {
             return WorkerState::Idle;
         };
         if now.saturating_sub(rec.last_ms) > decay_ms {
-            self.faults.remove(name);
+            rec.strikes = 0;
             return WorkerState::Idle;
         }
         if rec.strikes < policy.threshold {
@@ -220,10 +224,7 @@ impl Registry {
         self.quarantine.as_ref()?;
         let name = self.workers.get(&id)?.name.clone();
         let now = ms_between(self.epoch, now);
-        let rec = self.faults.entry(name).or_insert(FaultRecord {
-            strikes: 0,
-            last_ms: now,
-        });
+        let rec = self.names.entry(name).or_default();
         rec.strikes += 1;
         rec.last_ms = now;
         Some(rec.strikes)
@@ -238,13 +239,8 @@ impl Registry {
             return;
         }
         let now = ms_between(self.epoch, now);
-        self.faults.insert(
-            name.to_string(),
-            FaultRecord {
-                strikes,
-                last_ms: now,
-            },
-        );
+        let rec = self.names.entry(name.to_string()).or_default();
+        (rec.strikes, rec.last_ms) = (strikes, now);
     }
 
     /// Live strike count against a worker's name (diagnostics; does not
@@ -252,9 +248,8 @@ impl Registry {
     pub fn strikes(&self, id: WorkerId) -> u32 {
         self.workers
             .get(&id)
-            .and_then(|w| self.faults.get(&w.name))
-            .map(|r| r.strikes)
-            .unwrap_or(0)
+            .and_then(|w| self.names.get(&w.name))
+            .map_or(0, |r| r.strikes)
     }
 
     /// Release every quarantined worker whose penalty has expired by
@@ -365,7 +360,7 @@ impl Registry {
     /// True if `name` has registered before — i.e. a registration under
     /// this name now would be a reconnect, not a first contact.
     pub fn known_name(&self, name: &str) -> bool {
-        self.seen_names.contains(name)
+        self.names.get(name).is_some_and(|r| r.registered)
     }
 
     /// All workers (diagnostics).
@@ -442,13 +437,6 @@ mod tests {
         // Touch resets staleness.
         r.touch(1, at(t0, 15));
         assert!(r.stale(at(t0, 15), Duration::from_millis(5)).is_empty());
-    }
-
-    /// No clock, lock, atomic or thread: liveness is a field the core
-    /// writes on its own inputs.
-    #[test]
-    fn the_registry_is_pure() {
-        jets_ring::stdx::assert_pure(include_str!("registry.rs"), &["Atomic"]);
     }
 
     /// A touch restarts the silence clock to the millisecond, and a

@@ -19,6 +19,8 @@
 //! room for at the front (amortized O(1) a row), and a gap is a vacant
 //! row, which reads as unknown.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::dispatcher::{JobRecord, JobStatus};
 use crate::protocol::{get_spec, put_spec};
 use crate::spec::{JobId, JobSpec};

@@ -854,4 +854,4 @@ fn the_facts_tell_the_story_in_order() {
 }
 
 // The world's first 1 000 schedules; `relay_model` runs the next 1 000.
-cluster_sim::seeded_world_tests!(0x05EE_DDE5, 1_000);
+cluster_sim::seeded_world_tests!(0x05EE_DDE5, 1_000, 0xf62e_70a3_f21a_658d);

@@ -324,3 +324,66 @@ fn unwrap_bad_fires_exactly() {
         &["unwrap_used", "expect_used"],
     );
 }
+
+/// The core modules: what the dispatcher, relay, pilot and PMI service
+/// decide, and the seeded world that drives all four.
+const CORES: [&str; 11] = [
+    "crates/jets-core/src/core.rs",
+    "crates/jets-core/src/registry.rs",
+    "crates/jets-core/src/group.rs",
+    "crates/jets-core/src/ready.rs",
+    "crates/jets-core/src/queue.rs",
+    "crates/jets-core/src/table.rs",
+    "crates/jets-relay/src/core.rs",
+    "crates/jets-worker/src/core.rs",
+    "crates/jets-pmi/src/service.rs",
+    "crates/jets-pmi/src/kvs.rs",
+    "crates/cluster-sim/src/des/mod.rs",
+];
+
+/// A core's purity — no clock, lock, atomic, thread, socket, file, shell
+/// I/O type or hash table — is `disallowed_types`/`disallowed_methods`
+/// over `clippy.toml`'s list: allowed across the workspace, denied
+/// outside tests by each core module ahead of its first item, and by the
+/// journal's recovery fold. Deleting a deny fails here.
+#[test]
+fn core_modules_deny_the_disallowed_list() {
+    const DENY: &str =
+        "cfg_attr(not(test),deny(clippy::disallowed_types,clippy::disallowed_methods))]";
+    let root = workspace_root();
+    let flat = |file: &str, skip: &str| -> String {
+        let src = std::fs::read_to_string(root.join(file)).expect(file);
+        src.lines()
+            .filter(|l| !l.starts_with(skip))
+            .flat_map(str::split_whitespace)
+            .collect()
+    };
+    for file in CORES {
+        assert!(
+            flat(file, "//!").starts_with(&format!("#![{DENY}")),
+            "{file} no longer denies the disallowed list ahead of its first item"
+        );
+    }
+    let journal = flat("crates/jets-core/src/journal.rs", "///");
+    assert!(
+        journal.contains(&format!("#[{DENY}pubfnrecover(")),
+        "journal::recover no longer denies the disallowed list"
+    );
+    let list = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime",
+        "std::sync::Mutex",
+        "std::sync::atomic::AtomicU64",
+        "std::thread::spawn",
+        "std::net::TcpStream",
+        "std::fs::File",
+        "std::collections::HashMap",
+        "jets_core::journal::Journal",
+    ] {
+        assert!(
+            list.contains(&format!("\"{path}\"")),
+            "clippy.toml no longer lists {path}"
+        );
+    }
+}

@@ -10,7 +10,9 @@
 //! generation committed. Bounded, plain data: [`crate::PmiService`] owns
 //! one per job, and times fences out by deadline and [`KeyValueSpace::abort`].
 
-use std::collections::HashMap;
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
+use std::collections::BTreeMap;
 
 /// Longest key or value a rank may `put`, in bytes.
 pub const MAX_VALUE: usize = 4096;
@@ -31,7 +33,7 @@ pub enum FenceResult {
 pub struct KeyValueSpace {
     participants: usize,
     /// Value and the fence generation it was put in.
-    map: HashMap<String, (String, u64)>,
+    map: BTreeMap<String, (String, u64)>,
     /// Keys put in the current generation, each once, in put order.
     fresh: Vec<String>,
     /// Arrivals parked in the current generation.
@@ -50,7 +52,7 @@ impl KeyValueSpace {
         assert!(participants > 0, "KVS needs at least one participant");
         KeyValueSpace {
             participants: participants as usize,
-            map: HashMap::new(),
+            map: BTreeMap::new(),
             fresh: Vec::new(),
             waiting: Vec::new(),
             generation: 0,

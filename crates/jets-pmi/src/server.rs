@@ -242,23 +242,6 @@ impl PmiServer {
             }
         }
     }
-
-    /// Outcome if the job already finished, without blocking.
-    pub fn try_outcome(&self) -> Option<JobOutcome> {
-        self.solo
-            .call(|solo| solo.pmi.service.outcome(&solo.jobid).cloned())
-            .flatten()
-    }
-
-    /// When the job's first fence released — the end of PMI negotiation
-    /// (every rank connected, exchanged cards, and hit the barrier).
-    /// `None` while negotiation is still in flight or if the job never
-    /// fences.
-    pub fn first_barrier_at(&self) -> Option<Instant> {
-        self.solo
-            .call(|solo| solo.pmi.service.first_fence(&solo.jobid))
-            .flatten()
-    }
 }
 
 #[cfg(test)]
@@ -268,12 +251,6 @@ mod tests {
     use std::thread;
 
     const WAIT: Duration = Duration::from_secs(20);
-
-    /// No clock, lock, atomic, thread or socket in the PMI service.
-    #[test]
-    fn the_service_is_pure() {
-        jets_ring::stdx::assert_pure(include_str!("service.rs"), &["Atomic", "TcpStream"]);
-    }
 
     fn run_ranks(size: u32, f: impl Fn(PmiClient) + Send + Sync + 'static) -> JobOutcome {
         let server = PmiServer::start(PmiServerConfig::new("t", size)).unwrap();

@@ -15,6 +15,8 @@
 //! or taken — is answered `cmd=abort`, closed and counted; if it spoke for a
 //! rank, that rank's job, and no other, aborts.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::kvs::{FenceResult, KeyValueSpace};
 use crate::wire::Message;
 use std::collections::BTreeMap;
@@ -225,12 +227,6 @@ impl PmiService {
         self.jobs.get(jobid)?.outcome.as_ref()
     }
 
-    /// When `jobid`'s first fence released: the end of PMI negotiation
-    /// (every rank connected, exchanged cards, and hit the barrier).
-    pub fn first_fence(&self, jobid: &str) -> Option<Instant> {
-        self.jobs.get(jobid)?.first_fence
-    }
-
     /// Connections refused or closed for breaking the protocol.
     pub fn protocol_errors(&self) -> u64 {
         self.protocol_errors
@@ -401,8 +397,8 @@ mod tests {
             assert_eq!(fx.take(), acks, "everyone is answered, in arrival order");
             assert_eq!(s.next_deadline(), None);
         }
-        assert_eq!(s.first_fence("j"), Some(t0));
         assert!(fx.closed.is_empty());
+        assert_eq!(s.close_job("j", &mut fx), Some(t0), "the first release");
     }
 
     #[test]
@@ -497,7 +493,11 @@ mod tests {
         assert!(s.open_job("j", 0, 2, PATIENCE));
         assert_eq!(s.on_message(1, Message::Fence, t0, &mut fx), None);
         assert_eq!(s.protocol_errors(), 1);
-        assert_eq!(s.first_fence("j"), None);
+        assert_eq!(
+            s.close_job("j", &mut fx),
+            None,
+            "the new attempt never fenced"
+        );
     }
 
     #[test]

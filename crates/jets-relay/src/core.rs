@@ -30,6 +30,8 @@
 //! Member sweeps iterate in local-id order, so equal inputs give equal
 //! effects.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::upqueue::UpQueue;
 use jets_core::events::{EventKind, SpanKind, WriterRole};
 use jets_core::protocol::{DispatcherMsg, WorkerMsg};

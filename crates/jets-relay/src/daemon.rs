@@ -49,6 +49,12 @@ use std::time::{Duration, Instant};
 /// Stack size for the relay's event loop.
 const CONN_STACK: usize = 192 * 1024;
 
+/// High-water mark, in frames, of the bounded outage buffer (results
+/// held while the dispatcher is away). At the mark the oldest frame is
+/// dropped to admit the newest, so a long partition under a busy block
+/// caps relay memory instead of growing it without bound.
+const UPQUEUE_LIMIT: usize = 65_536;
+
 /// Tuning knobs for one relay daemon.
 #[derive(Debug, Clone)]
 pub struct RelayConfig {
@@ -71,11 +77,6 @@ pub struct RelayConfig {
     /// same machinery a worker agent uses toward the dispatcher. When
     /// attempts are exhausted the relay gives up and severs its block.
     pub reconnect: ReconnectPolicy,
-    /// High-water mark, in frames, of the bounded outage buffer (results
-    /// held while the dispatcher is away). At the mark the oldest frame
-    /// is dropped to admit the newest, so a long partition under a busy
-    /// block caps relay memory instead of growing it without bound.
-    pub upqueue_limit: usize,
     /// Path of the mmap-backed flight-recorder file for the relay's own
     /// event log (drop events, member churn). When set, events survive
     /// `kill -9` and replay with `jets flight dump`. `None` keeps the
@@ -94,7 +95,6 @@ impl RelayConfig {
             liveness_flush: Duration::from_millis(100),
             worker_stale_after: Duration::from_secs(1),
             reconnect: ReconnectPolicy::default(),
-            upqueue_limit: 65_536,
             flight_recorder: None,
         }
     }
@@ -108,12 +108,6 @@ impl RelayConfig {
     /// Builder-style upstream reconnect policy.
     pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
         self.reconnect = policy;
-        self
-    }
-
-    /// Builder-style outage-buffer high-water mark.
-    pub fn with_upqueue_limit(mut self, limit: usize) -> Self {
-        self.upqueue_limit = limit;
         self
     }
 
@@ -355,7 +349,7 @@ impl Relay {
             config.name.clone(),
             config.location.clone(),
             config.worker_stale_after.as_millis() as u64,
-            config.upqueue_limit,
+            UPQUEUE_LIMIT,
         );
         // Resolved here, off the loop, which must not block on it.
         let upstream = config.dispatcher_addr.to_socket_addrs().ok();
@@ -604,13 +598,6 @@ mod tests {
     use std::thread;
 
     const WAIT: Duration = Duration::from_secs(60);
-
-    /// No clock, lock, atomic, thread, socket or file in the routing core
-    /// (`cluster_sim::des` is its fake shell).
-    #[test]
-    fn the_core_is_pure() {
-        jets_ring::stdx::assert_pure(include_str!("core.rs"), &["Atomic"]);
-    }
 
     fn spawn_worker(addr: &str, name: &str) -> Worker {
         let config = WorkerConfig {

@@ -498,4 +498,4 @@ fn every_worker_frame_is_kept_or_severed_as_the_protocol_table_says() {
 }
 
 // The world's second 1 000 schedules, from where `core_model`'s end.
-cluster_sim::seeded_world_tests!(0x05EE_DDE5 + 1_000, 1_000);
+cluster_sim::seeded_world_tests!(0x05EE_DDE5 + 1_000, 1_000, 0x3ce7_d3db_45aa_391b);

@@ -158,11 +158,11 @@ pub const MIN_CAPACITY: usize = 1024;
 
 /// Which process wrote a flight-recorder file — the *lane* a merged
 /// cross-process trace sorts its records into. Stamped into header
-/// word 7 (previously reserved: legacy files read back as
-/// [`WriterRole::Unknown`], so the version number does not change).
+/// word 7; zero is [`WriterRole::Unknown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WriterRole {
-    /// Legacy file (header word 7 zero) or an in-memory ring.
+    /// A ring created by the role-less [`Ring::create`] (header word 7
+    /// zero), or an in-memory ring.
     Unknown,
     /// The central dispatcher.
     Dispatcher,
@@ -609,8 +609,8 @@ impl Ring {
     }
 
     /// Role of the writer process — the file's lane in a merged
-    /// cross-process trace. Legacy files report
-    /// [`WriterRole::Unknown`].
+    /// cross-process trace. A file only the role-less [`Ring::create`]
+    /// ever wrote, and an in-memory ring, report [`WriterRole::Unknown`].
     pub fn writer_role(&self) -> WriterRole {
         WriterRole::from_code(self.shared.region.word(W_ROLE).load(Ordering::Acquire))
     }
@@ -1114,7 +1114,7 @@ mod tests {
             ring.push(b"laned");
         }
         {
-            // A role-less reopen (the legacy entry point) keeps the lane.
+            // A role-less reopen (`Ring::create`) keeps the lane.
             let ring = Ring::create(&path, 1024).expect("reopen");
             assert_eq!(ring.writer_role(), WriterRole::Relay);
         }
@@ -1123,7 +1123,8 @@ mod tests {
         assert_eq!(reader.writer_role().as_str(), "relay");
         let _ = std::fs::remove_file(&path);
 
-        // Legacy files (word 7 zero) and future codes degrade cleanly.
+        // A role-less file (word 7 zero) and a newer build's codes read
+        // as `Unknown`.
         assert_eq!(WriterRole::from_code(0), WriterRole::Unknown);
         assert_eq!(WriterRole::from_code(99), WriterRole::Unknown);
         for role in [

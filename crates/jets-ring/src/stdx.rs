@@ -212,37 +212,6 @@ pub fn wait_for<'a, T>(
     (guard, res.timed_out() && slice == timeout)
 }
 
-/// What no pure core may mention: clocks, locks, threads, sockets, files
-/// and the shells' own I/O types.
-const IMPURE: [&str; 12] = [
-    "Instant::now",
-    "SystemTime",
-    "elapsed()",
-    "Mutex",
-    "Condvar",
-    "thread::",
-    "std::net",
-    "std::fs",
-    "Outbox",
-    "Journal",
-    "EventLog",
-    "PmiServer",
-];
-
-/// Panics, listing the lines, if the code of `source` — up to its
-/// `#[cfg(test)]`, comment lines aside — mentions a word of `IMPURE` or
-/// of `also`. Each pure core's crate runs this over `include_str!` of it.
-pub fn assert_pure(source: &str, also: &[&str]) {
-    let code = source.lines().take_while(|l| l.trim() != "#[cfg(test)]");
-    let impure: Vec<String> = code
-        .enumerate()
-        .filter(|(_, l)| !l.trim_start().starts_with("//"))
-        .filter(|(_, l)| IMPURE.iter().chain(also).any(|word| l.contains(word)))
-        .map(|(i, l)| format!("{}: {}", i + 1, l.trim()))
-        .collect();
-    assert!(impure.is_empty(), "not pure:\n{}", impure.join("\n"));
-}
-
 /// The splitmix64 output function: a bijective 64-bit mix.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -441,18 +410,6 @@ mod tests {
         assert_eq!(size_of::<Mutex<u8>>(), size_of::<sync::Mutex<u8>>());
         let (a, b) = (Mutex::new(()), Mutex::new(()));
         drop((a.lock(), b.lock()));
-    }
-
-    #[test]
-    fn assert_pure_reads_code_only_and_names_the_impure_lines() {
-        let pure = "// a Mutex in a comment\nfn f(now: Instant) {}\n#[cfg(test)]\nuse std::fs;";
-        assert_pure(pure, &["Atomic"]);
-        let impure = "fn f() {\n    Instant::now();\n    AtomicU64::new(0);\n}";
-        let failure = catch_unwind(|| assert_pure(impure, &["Atomic"]));
-        let msg = failure.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("2: Instant::now();"), "{msg}");
-        assert!(msg.contains("3: AtomicU64::new(0);"), "{msg}");
-        assert_pure(impure.replace("Instant::now();", "").as_str(), &[]);
     }
 
     #[test]

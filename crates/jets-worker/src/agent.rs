@@ -657,14 +657,6 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(30);
 
-    /// No clock, lock, atomic, thread, socket or cancel token in the
-    /// pilot's core (`cluster_sim::des` is its fake shell).
-    #[test]
-    fn the_core_is_pure() {
-        let also = ["Atomic", "TcpStream", "CancelToken"];
-        jets_ring::stdx::assert_pure(include_str!("core.rs"), &also);
-    }
-
     fn executor() -> Arc<dyn TaskExecutor> {
         Arc::new(Executor::new(standard_registry()))
     }

@@ -24,6 +24,8 @@
 //! the wire: nobody waits for it. And `Request` goes out only with
 //! nothing in flight, in the same write as the `Done` that made it so.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::executor::TaskOutcome;
 use jets_core::events::{EventKind, SpanKind, WriterRole};
 use jets_core::protocol::{TaskAssignment, TaskKind, WorkerMsg, EXIT_CANCELED};
