@@ -30,7 +30,7 @@ pub struct AllocationConfig {
 }
 
 impl AllocationConfig {
-    /// An allocation of `nodes` nodes with instant boot and one location.
+    /// An allocation of `nodes` nodes with one location.
     pub fn new(nodes: u32) -> Self {
         AllocationConfig {
             nodes,
@@ -79,18 +79,6 @@ impl Allocation {
         config: AllocationConfig,
         executor: Arc<dyn TaskExecutor>,
     ) -> Allocation {
-        Allocation::start_delayed(dispatcher_addr, config, executor, Duration::ZERO)
-    }
-
-    /// Boot an allocation whose every worker connects only after `delay`
-    /// — modelling a block request clearing a system scheduler's queue
-    /// (used by the spectrum allocator).
-    pub fn start_delayed(
-        dispatcher_addr: &str,
-        config: AllocationConfig,
-        executor: Arc<dyn TaskExecutor>,
-        delay: Duration,
-    ) -> Allocation {
         let mut workers = Vec::with_capacity(config.nodes as usize);
         for i in 0..config.nodes {
             let location = config.locations[i as usize % config.locations.len()].clone();
@@ -104,7 +92,6 @@ impl Allocation {
                 cores: config.cores_per_node,
                 location,
                 heartbeat: config.heartbeat,
-                connect_delay: delay,
                 reconnect,
                 ..WorkerConfig::new(dispatcher_addr, name)
             };

@@ -256,16 +256,18 @@ impl ChaosInjector {
 mod tests {
     use super::*;
     use crate::allocation::AllocationConfig;
+    use jets_core::{Dispatcher, DispatcherConfig};
 
-    /// `n` pilots that stay live without a dispatcher: each sits in its
-    /// boot delay until a fault kills it.
-    fn idle_allocation(n: u32) -> Arc<Allocation> {
-        Arc::new(Allocation::start_delayed(
-            "127.0.0.1:1",
+    /// `n` pilots that stay live against a dispatcher with no jobs: each
+    /// sits idle until a fault kills it.
+    fn idle_allocation(n: u32) -> (Dispatcher, Arc<Allocation>) {
+        let d = Dispatcher::start(DispatcherConfig::default()).expect("dispatcher");
+        let alloc = Arc::new(Allocation::start(
+            &d.addr().to_string(),
             AllocationConfig::new(n),
             Arc::new(jets_worker::Executor::default()),
-            Duration::from_secs(3600),
-        ))
+        ));
+        (d, alloc)
     }
 
     /// The paper's Fig. 10 script: `n` kills, one per `interval`.
@@ -293,7 +295,7 @@ mod tests {
 
     #[test]
     fn injector_kills_everyone_eventually() {
-        let alloc = idle_allocation(5);
+        let (_dispatcher, alloc) = idle_allocation(5);
         let plan = kills(5, Duration::from_millis(100));
         let applied = ChaosInjector::start(Arc::clone(&alloc), plan).join();
         let mut killed: Vec<usize> = applied
@@ -311,7 +313,7 @@ mod tests {
 
     #[test]
     fn injector_stops_on_request() {
-        let alloc = idle_allocation(4);
+        let (_dispatcher, alloc) = idle_allocation(4);
         // One kill now, the rest an hour away: `stop` must not wait them out.
         let mut plan = kills(4, Duration::from_secs(3600));
         plan.events[0].at = Duration::ZERO;

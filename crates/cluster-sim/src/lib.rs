@@ -38,7 +38,6 @@ pub mod apps;
 pub mod chaos;
 pub mod des;
 pub mod relays;
-pub mod spectrum;
 pub mod workload;
 
 pub use allocation::{Allocation, AllocationConfig};
@@ -47,5 +46,4 @@ pub use chaos::{
     ChaosInjector, DispatcherHooks, FaultAction, FaultEvent, FaultMix, FaultPlan, DISPATCHER_TARGET,
 };
 pub use relays::{RelayedAllocation, RelayedAllocationConfig};
-pub use spectrum::{halving_spectrum, linear_wait, SpectrumAllocator};
 pub use workload::{NamdDurationModel, TimeScale};

@@ -16,11 +16,6 @@ pub struct TimeScale {
 }
 
 impl TimeScale {
-    /// Identity scale: virtual time = real time.
-    pub fn realtime() -> Self {
-        TimeScale { factor: 1.0 }
-    }
-
     /// `1/n` scale: n virtual seconds run in one real second.
     pub fn speedup(n: f64) -> Self {
         assert!(n > 0.0, "speed-up must be positive");
@@ -41,13 +36,6 @@ impl TimeScale {
     pub fn to_virtual_secs(&self, real: std::time::Duration) -> f64 {
         real.as_secs_f64() / self.factor
     }
-}
-
-/// `count` no-op sequential jobs (Fig. 6's launch-rate workload).
-pub fn noop_batch(count: usize) -> Vec<JobSpec> {
-    (0..count)
-        .map(|_| JobSpec::sequential(CommandSpec::builtin("noop", vec![])))
-        .collect()
 }
 
 /// `count` sequential sleep jobs of `virtual_secs` each.
@@ -153,14 +141,6 @@ mod tests {
         assert_eq!(s.real_ms(10.0), 200);
         let back = s.to_virtual_secs(std::time::Duration::from_millis(200));
         assert!((back - 10.0).abs() < 1e-9);
-        assert_eq!(TimeScale::realtime().real_ms(1.5), 1500);
-    }
-
-    #[test]
-    fn noop_batch_is_sequential() {
-        let jobs = noop_batch(5);
-        assert_eq!(jobs.len(), 5);
-        assert!(jobs.iter().all(|j| !j.is_mpi() && j.cmd.name() == "noop"));
     }
 
     #[test]

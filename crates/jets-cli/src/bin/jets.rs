@@ -57,7 +57,7 @@
 use cluster_sim::{science_registry, Allocation, AllocationConfig};
 use jets_cli::prom::Scrape;
 use jets_cli::{parse_args, Args};
-use jets_core::{stats, Dispatcher, DispatcherConfig, EventKind, JobStatus};
+use jets_core::{stats, Dispatcher, DispatcherConfig, EventKind, JobStatus, WriterRole};
 use jets_obs::Histogram;
 use jets_worker::Executor;
 use std::collections::HashSet;
@@ -249,7 +249,11 @@ fn print_run_stats(events: &[jets_core::Event], args: &Args) {
 /// released a barrier feed the pmi percentiles. Jobs with no barrier
 /// (sequential jobs, or gangs that died before fencing) are counted and
 /// reported separately, never folded in as zeros.
-fn print_phase_stats(events: &[jets_core::Event]) {
+///
+/// Only the dispatcher records `JobPhases`, one per finished job, so a
+/// file without any is either another process's or a dispatcher's whose
+/// window saw no job finish; `role` says which.
+fn print_phase_stats(events: &[jets_core::Event], role: WriterRole) {
     use std::collections::BTreeMap;
 
     struct SizeRow {
@@ -291,7 +295,13 @@ fn print_phase_stats(events: &[jets_core::Event]) {
         }
     }
     if by_size.is_empty() {
-        println!("  no JobPhases records (log predates lifecycle tracing)");
+        let why = match role {
+            WriterRole::Dispatcher => "no job finished within the file's window",
+            WriterRole::Relay | WriterRole::Worker | WriterRole::Unknown => {
+                "only a dispatcher records them"
+            }
+        };
+        println!("  no JobPhases records ({} file: {why})", role.as_str());
         return;
     }
     let fmt = |s: &jets_obs::HistogramSnapshot| {
@@ -456,7 +466,7 @@ fn flight_main(args: &Args) -> ! {
                     view.slots as f64 / records.max(1) as f64
                 );
                 print_run_stats(&view.events, args);
-                print_phase_stats(&view.events);
+                print_phase_stats(&view.events, view.role);
             }
             std::process::exit(0);
         }

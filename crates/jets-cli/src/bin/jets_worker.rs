@@ -110,7 +110,6 @@ fn main() {
     // `/metrics` gets a one-loop reactor, held for the process lifetime.
     let _metrics_loop = args.get("metrics-addr").map(|addr| {
         let config = ReactorConfig {
-            event_loops: 1,
             thread_name: "worker-metrics".to_string(),
             ..ReactorConfig::default()
         };

@@ -136,6 +136,38 @@ fn flight_dump_stats_sees_the_peak_of_a_short_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A dispatcher file in which no job finished has no `JobPhases` record,
+/// and the summary says that is why, not that the file is too old.
+#[test]
+fn flight_dump_stats_explains_a_dispatcher_file_without_phases() {
+    let dir = tmpdir("flight-unfinished");
+    let (taskfile, flight) = (dir.join("tasks.txt"), dir.join("run.ring"));
+    std::fs::write(&taskfile, "@noop\n").unwrap();
+    // No workers: the one job is still queued when the run times out.
+    let run = Command::new(JETS)
+        .arg(&taskfile)
+        .args(["--timeout", "1", "--flight-recorder"])
+        .arg(&flight)
+        .output()
+        .expect("run jets");
+    assert!(!run.status.success(), "{run:?}");
+    let dump = Command::new(JETS)
+        .args(["flight", "dump"])
+        .arg(&flight)
+        .arg("--stats")
+        .output()
+        .expect("run jets flight dump");
+    let stdout = String::from_utf8_lossy(&dump.stdout);
+    assert!(dump.status.success(), "stdout: {stdout}");
+    assert!(
+        stdout.contains(
+            "  no JobPhases records (dispatcher file: no job finished within the file's window)\n"
+        ),
+        "stdout: {stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn jets_tool_reports_parse_errors() {
     let dir = tmpdir("jets-err");

@@ -649,7 +649,6 @@ impl Dispatcher {
         // Ranks reach the PMI service the way pilots reach the dispatcher.
         let pmi_listener = TcpListener::bind((addr.ip(), 0))?;
         let reactor = Reactor::start(ReactorConfig {
-            event_loops: 1,
             max_frame: MAX_FRAME_BYTES,
             thread_stack: CONN_STACK,
             ..ReactorConfig::default()

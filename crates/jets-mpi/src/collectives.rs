@@ -254,80 +254,6 @@ impl Communicator {
     }
 }
 
-impl Communicator {
-    /// All-to-all personalized exchange: `data` holds `size` equal chunks
-    /// (chunk `i` destined for rank `i`); returns the `size` chunks
-    /// received, concatenated in source-rank order.
-    pub fn alltoall<T: MpiData>(&mut self, data: &[T]) -> Result<Vec<T>, MpiError> {
-        self.check_live()?;
-        let size = self.size() as usize;
-        if !data.len().is_multiple_of(size) {
-            return Err(MpiError::Protocol(format!(
-                "alltoall length {} not divisible by {size}",
-                data.len()
-            )));
-        }
-        let tag = self.next_collective_tag();
-        let chunk = data.len() / size;
-        let rank = self.rank() as usize;
-        // Send phase: everything except our own chunk.
-        for dst in 0..size {
-            if dst == rank {
-                continue;
-            }
-            let part = &data[dst * chunk..(dst + 1) * chunk];
-            let mut bytes = Vec::new();
-            T::encode_slice(part, &mut bytes);
-            self.send_frame(dst as u32, tag, Arc::from(bytes))?;
-        }
-        // Receive phase, assembling in source order.
-        let mut out: Vec<Option<Vec<T>>> = vec![None; size];
-        out[rank] = Some(data[rank * chunk..(rank + 1) * chunk].to_vec());
-        for src in (0..size).filter(|&s| s != rank) {
-            let frame = self.match_frame(src as u32, tag)?;
-            let part = T::decode_slice(&frame.payload)?;
-            if part.len() != chunk {
-                return Err(MpiError::Protocol(format!(
-                    "alltoall chunk mismatch from rank {src}: {} vs {chunk}",
-                    part.len()
-                )));
-            }
-            out[src] = Some(part);
-        }
-        Ok(out.into_iter().flatten().flatten().collect())
-    }
-
-    /// Inclusive prefix reduction: rank `r` receives the reduction of
-    /// ranks `0..=r`'s contributions (linear chain).
-    pub fn scan<T: MpiReduce>(&mut self, data: &[T], op: ReduceOp) -> Result<Vec<T>, MpiError> {
-        self.check_live()?;
-        let tag = self.next_collective_tag();
-        let rank = self.rank();
-        let size = self.size();
-        let mut acc = data.to_vec();
-        if rank > 0 {
-            let frame = self.match_frame(rank - 1, tag)?;
-            let prefix = T::decode_slice(&frame.payload)?;
-            if prefix.len() != acc.len() {
-                return Err(MpiError::Protocol(format!(
-                    "scan length mismatch: {} vs {}",
-                    prefix.len(),
-                    acc.len()
-                )));
-            }
-            for (a, p) in acc.iter_mut().zip(prefix) {
-                *a = T::combine(op, p, *a);
-            }
-        }
-        if rank + 1 < size {
-            let mut bytes = Vec::new();
-            T::encode_slice(&acc, &mut bytes);
-            self.send_frame(rank + 1, tag, Arc::from(bytes))?;
-        }
-        Ok(acc)
-    }
-}
-
 fn next_pow2(n: u32) -> u32 {
     n.next_power_of_two()
 }
@@ -449,55 +375,6 @@ mod tests {
                 let err = comm.scatter(0, Some(&[1u8, 2, 3, 4][..])).unwrap_err();
                 assert!(matches!(err, MpiError::Protocol(_)));
             }
-            0i32
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn alltoall_transposes_chunks() {
-        run_threads(4, NetModel::ideal(), |comm| {
-            let rank = comm.rank();
-            // Chunk destined for rank d is [rank*10 + d].
-            let data: Vec<i32> = (0..4).map(|d| (rank * 10 + d) as i32).collect();
-            let out = comm.alltoall(&data).unwrap();
-            // Received chunk from source s is [s*10 + rank].
-            let expect: Vec<i32> = (0..4).map(|s| (s * 10 + rank) as i32).collect();
-            assert_eq!(out, expect);
-            0i32
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn alltoall_rejects_ragged_input() {
-        run_threads(3, NetModel::ideal(), |comm| {
-            if comm.rank() == 0 {
-                assert!(comm.alltoall(&[1u8, 2]).is_err());
-            }
-            0i32
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn scan_computes_inclusive_prefixes() {
-        run_threads(5, NetModel::ideal(), |comm| {
-            let r = comm.rank() as i64;
-            let out = comm.scan(&[r + 1], ReduceOp::Sum).unwrap();
-            // 1 + 2 + ... + (r+1)
-            assert_eq!(out, vec![(r + 1) * (r + 2) / 2]);
-            let m = comm.scan(&[r + 1], ReduceOp::Max).unwrap();
-            assert_eq!(m, vec![r + 1]);
-            0i32
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn scan_single_rank_is_identity() {
-        run_threads(1, NetModel::ideal(), |comm| {
-            assert_eq!(comm.scan(&[7i32, 8], ReduceOp::Prod).unwrap(), vec![7, 8]);
             0i32
         })
         .unwrap();

@@ -124,19 +124,6 @@ impl Communicator {
         Ok((actual, T::decode_slice(&payload)?))
     }
 
-    /// Combined send-then-receive, the classic ping-pong primitive.
-    pub fn sendrecv<T: MpiData>(
-        &mut self,
-        dst: u32,
-        send_tag: u32,
-        data: &[T],
-        src: u32,
-        recv_tag: u32,
-    ) -> Result<(u32, Vec<T>), MpiError> {
-        self.send(dst, send_tag, data)?;
-        self.recv_vec(src, recv_tag)
-    }
-
     /// Orderly shutdown: barrier with peers, then release the transport.
     pub fn finalize(&mut self) -> Result<(), MpiError> {
         if self.finalized {
@@ -186,29 +173,6 @@ impl Communicator {
             payload,
         };
         self.transport.send(dst, frame)
-    }
-
-    /// Non-blocking match: return a queued frame matching `(src, tag)`
-    /// if one has already arrived, draining the transport opportunistically.
-    pub(crate) fn try_match(&mut self, src: u32, tag: u32) -> Result<Option<Frame>, MpiError> {
-        if src != ANY_SOURCE && src >= self.size() {
-            return Err(MpiError::Protocol(format!(
-                "source rank {src} out of range for size {}",
-                self.size()
-            )));
-        }
-        // Drain anything immediately available into the pending queue.
-        while let Some(frame) = self.transport.recv(Duration::ZERO)? {
-            self.pending.push_back(frame);
-        }
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|f| f.tag == tag && (src == ANY_SOURCE || f.src == src))
-        {
-            return Ok(Some(self.pending.remove(pos).expect("position just found")));
-        }
-        Ok(None)
     }
 
     /// Pull frames until one matches `(src, tag)`, stashing the rest.
@@ -332,18 +296,6 @@ mod tests {
         a.set_recv_timeout(Duration::from_millis(10));
         let err = a.recv_vec::<u8>(1, 0).unwrap_err();
         assert!(matches!(err, MpiError::Protocol(m) if m.contains("timed out")));
-    }
-
-    #[test]
-    fn sendrecv_ping_pong() {
-        let (mut a, mut b) = pair();
-        let h = thread::spawn(move || {
-            let (_, ping) = b.recv_vec::<u64>(0, 1).unwrap();
-            b.send(0, 2, &ping).unwrap();
-        });
-        let (_, echoed) = a.sendrecv(1, 1, &[99u64], 1, 2).unwrap();
-        assert_eq!(echoed, vec![99]);
-        h.join().unwrap();
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod error;
 pub mod mem;
 pub mod mpiio;
 pub mod netmodel;
-pub mod nonblocking;
 pub mod runner;
 pub mod tcp;
 pub mod transport;
@@ -59,5 +58,4 @@ pub use error::MpiError;
 pub use mem::MemFabric;
 pub use mpiio::CollectiveFile;
 pub use netmodel::NetModel;
-pub use nonblocking::{RecvRequest, SendRequest};
 pub use transport::{Frame, Transport};

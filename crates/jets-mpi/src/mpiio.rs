@@ -10,14 +10,14 @@
 //! partitioned into groups of `aggregation` consecutive ranks; on a
 //! collective write, each group's members ship their blocks to the
 //! group's aggregator rank, which performs one coalesced filesystem
-//! write. Reads mirror the scheme. The `bench/io_aggregation` harness
+//! write. The `bench/io_aggregation` harness
 //! measures the client-count reduction against a modelled shared
 //! filesystem.
 
 use crate::comm::Communicator;
 use crate::error::MpiError;
 use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -156,68 +156,6 @@ impl CollectiveFile {
         comm.barrier()?;
         Ok(())
     }
-
-    /// Collective read: every rank receives `len` bytes from file offset
-    /// `offset`. The aggregator reads the group's full span once and
-    /// scatters the slices.
-    pub fn read_at_all(
-        &mut self,
-        comm: &mut Communicator,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, MpiError> {
-        let rank = comm.rank();
-        let size = comm.size();
-        let aggregator = self.aggregator_of(rank);
-        let tag = comm.next_collective_tag();
-        if rank != aggregator {
-            let mut req = Vec::with_capacity(16);
-            req.extend_from_slice(&offset.to_le_bytes());
-            req.extend_from_slice(&(len as u64).to_le_bytes());
-            comm.send_frame(aggregator, tag, Arc::from(req))?;
-            let frame = comm.match_frame(aggregator, tag)?;
-            comm.barrier()?;
-            return Ok(frame.payload.to_vec());
-        }
-        let mut requests: Vec<(u32, u64, usize)> = vec![(rank, offset, len)];
-        for peer in self.group_of(rank, size) {
-            if peer == rank {
-                continue;
-            }
-            let frame = comm.match_frame(peer, tag)?;
-            if frame.payload.len() != 16 {
-                return Err(MpiError::Protocol("bad read request".to_string()));
-            }
-            let o = u64::from_le_bytes(frame.payload[..8].try_into().expect("8 bytes"));
-            let l = u64::from_le_bytes(frame.payload[8..16].try_into().expect("8 bytes"));
-            requests.push((peer, o, l as usize));
-        }
-        // One read covering the group's whole span.
-        let lo = requests.iter().map(|&(_, o, _)| o).min().expect("nonempty");
-        let hi = requests
-            .iter()
-            .map(|&(_, o, l)| o + l as u64)
-            .max()
-            .expect("nonempty");
-        let mut file = std::fs::File::open(&self.path)
-            .map_err(|e| MpiError::Io(format!("open {:?}: {e}", self.path)))?;
-        let mut span = vec![0u8; (hi - lo) as usize];
-        file.seek(SeekFrom::Start(lo))
-            .and_then(|_| file.read_exact(&mut span))
-            .map_err(|e| MpiError::Io(format!("read {:?}: {e}", self.path)))?;
-        self.charge_op();
-        let mut mine = Vec::new();
-        for (peer, o, l) in requests {
-            let slice = &span[(o - lo) as usize..(o - lo) as usize + l];
-            if peer == rank {
-                mine = slice.to_vec();
-            } else {
-                comm.send_frame(peer, tag, Arc::from(slice))?;
-            }
-        }
-        comm.barrier()?;
-        Ok(mine)
-    }
 }
 
 #[cfg(test)]
@@ -280,23 +218,6 @@ mod tests {
         let (contents, ops) = run_write(6, 6, "agg6.dat");
         assert_eq!(contents.len(), 48);
         assert_eq!(ops, 1);
-    }
-
-    #[test]
-    fn collective_read_returns_each_ranks_slice() {
-        let path = tmp("read.dat");
-        let data: Vec<u8> = (0..64u8).collect();
-        std::fs::write(&path, &data).unwrap();
-        let p = path.clone();
-        run_threads(4, NetModel::ideal(), move |comm| {
-            let mut file = CollectiveFile::open(comm, &p, 2).unwrap();
-            let rank = comm.rank();
-            let got = file.read_at_all(comm, rank as u64 * 16, 16).unwrap();
-            let expect: Vec<u8> = (rank as u8 * 16..(rank as u8 + 1) * 16).collect();
-            assert_eq!(got, expect);
-            0
-        })
-        .unwrap();
     }
 
     #[test]

@@ -50,14 +50,6 @@ impl NetModel {
         }
     }
 
-    /// A commodity-cluster gigabit-ethernet model (Breadboard/Eureka).
-    pub fn cluster_gige() -> Self {
-        NetModel {
-            latency: Duration::from_micros(50),
-            bandwidth: 110.0e6,
-        }
-    }
-
     /// The modelled transfer time of a message of `bytes` bytes.
     pub fn transfer_time(&self, bytes: usize) -> Duration {
         if self.bandwidth.is_infinite() {

@@ -137,11 +137,7 @@ mod tests {
     use std::io::Read;
 
     fn one_loop() -> Reactor {
-        Reactor::start(ReactorConfig {
-            event_loops: 1,
-            ..ReactorConfig::default()
-        })
-        .expect("start a reactor")
+        Reactor::start(ReactorConfig::default()).expect("start a reactor")
     }
 
     #[test]

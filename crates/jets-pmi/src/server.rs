@@ -187,7 +187,6 @@ impl PmiServer {
         let (mut pmi, jobid, bells) = (PmiState::default(), config.jobid, Vec::new());
         pmi.input(|pmi, _| pmi.open_job(&jobid, 0, config.size, config.fence_timeout));
         let reactor = Reactor::start(ReactorConfig {
-            event_loops: 1,
             max_frame: MAX_LINE,
             thread_name: "pmi".to_string(),
             thread_stack: 128 * 1024,

@@ -149,8 +149,9 @@ impl ReactorStats {
 /// Reactor sizing and policy knobs.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
-    /// Event-loop threads. The whole point: this, not the connection
-    /// count, is the process's thread bill for connection handling.
+    /// Event-loop threads (one by default: every daemon runs one loop).
+    /// The whole point: this, not the connection count, is the process's
+    /// thread bill for connection handling.
     pub event_loops: usize,
     /// Bounded per-connection outbox capacity in bytes; overflow
     /// disconnects the slow consumer.
@@ -167,7 +168,7 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
-            event_loops: 2,
+            event_loops: 1,
             outbox_limit: 16 << 20,
             max_frame: 16 << 20,
             thread_name: "jets-reactor".to_string(),

@@ -331,7 +331,6 @@ impl Relay {
         // session: a relay fronts a machine-room's worth of workers, not
         // a cluster's.
         let reactor = Arc::new(Reactor::start(ReactorConfig {
-            event_loops: 1,
             max_frame: MAX_FRAME_BYTES,
             thread_name: "relay-loop".to_string(),
             thread_stack: CONN_STACK,

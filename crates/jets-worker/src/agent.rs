@@ -117,8 +117,6 @@ pub struct WorkerConfig {
     pub location: String,
     /// Heartbeat period; `None` disables heartbeats.
     pub heartbeat: Option<Duration>,
-    /// Delay before the agent connects (models node boot time).
-    pub connect_delay: Duration,
     /// Reconnect-with-backoff policy; [`ReconnectPolicy::connect_once`]
     /// (the default) ends the agent at the first connection loss.
     pub reconnect: ReconnectPolicy,
@@ -147,7 +145,6 @@ impl WorkerConfig {
             cores: 1,
             location: "default".to_string(),
             heartbeat: None,
-            connect_delay: Duration::ZERO,
             reconnect: ReconnectPolicy::connect_once(),
             cancel_grace: Duration::from_millis(200),
             metrics: None,
@@ -158,12 +155,6 @@ impl WorkerConfig {
     /// Builder-style reconnect policy.
     pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
         self.reconnect = policy;
-        self
-    }
-
-    /// Builder-style metric handles (shared across a process's agents).
-    pub fn with_metrics(mut self, metrics: Arc<WorkerMetrics>) -> Self {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -345,14 +336,13 @@ impl Pilot {
         })
     }
 
-    /// Sleep `total`, in slices so that a kill is prompt; false if killed.
-    fn sleep(&self, total: Duration) -> bool {
+    /// Sleep `total`, in slices so that a kill cuts it short.
+    fn sleep(&self, total: Duration) {
         let until = Instant::now() + total;
         while !self.killed() && Instant::now() < until {
             let left = until.saturating_duration_since(Instant::now());
             thread::sleep(left.min(Duration::from_millis(20)));
         }
-        !self.killed()
     }
 
     /// The one place that writes the flight recorder and the metrics.
@@ -488,9 +478,8 @@ impl Agent {
         let policy = &pilot.config.reconnect;
         // Deterministic per seed, so a test can replay a backoff schedule.
         let mut jitter = SplitMix64::new(policy.seed);
-        let mut wait = pilot.config.connect_delay;
         let reason = loop {
-            if !pilot.sleep(wait) {
+            if pilot.killed() {
                 break ExitReason::Killed;
             }
             let connected = TcpStream::connect(&pilot.config.dispatcher_addr).ok();
@@ -506,12 +495,12 @@ impl Agent {
                 heartbeat.thread().unpark();
                 let _ = heartbeat.join();
             }
-            wait = match failed {
+            match failed {
                 _ if pilot.killed() => break ExitReason::Killed,
                 None => break ExitReason::Shutdown,
-                Some(n) if n <= policy.max_attempts => policy.backoff(n, &mut jitter),
+                Some(n) if n <= policy.max_attempts => pilot.sleep(policy.backoff(n, &mut jitter)),
                 Some(_) => break ExitReason::ConnectionLost,
-            };
+            }
         };
         let tasks_done = pilot.input(|core, _, _| core.tasks_done());
         WorkerExit { tasks_done, reason }

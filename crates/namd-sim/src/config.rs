@@ -54,13 +54,6 @@ pub struct MdConfig {
     pub seed: u64,
     /// Pad segment wall time to at least this many milliseconds.
     pub pace_milliseconds: u64,
-    /// Bond atoms into consecutive chains of this length (< 2 = atomic
-    /// fluid, no bonds).
-    pub bond_chain_length: usize,
-    /// Harmonic bond spring constant.
-    pub bond_k: f64,
-    /// Harmonic bond equilibrium length.
-    pub bond_r0: f64,
 }
 
 impl Default for MdConfig {
@@ -79,9 +72,6 @@ impl Default for MdConfig {
             outputname: "out".to_string(),
             seed: 12345,
             pace_milliseconds: 0,
-            bond_chain_length: 0,
-            bond_k: 50.0,
-            bond_r0: 1.2,
         }
     }
 }
@@ -155,12 +145,6 @@ impl MdConfig {
                     config.pace_milliseconds =
                         value.parse().map_err(|_| bad("expected an integer"))?
                 }
-                "bondChainLength" => {
-                    config.bond_chain_length =
-                        value.parse().map_err(|_| bad("expected an integer"))?
-                }
-                "bondK" => config.bond_k = value.parse().map_err(|_| bad("expected a number"))?,
-                "bondR0" => config.bond_r0 = value.parse().map_err(|_| bad("expected a number"))?,
                 // NAMD compatibility: accept-and-ignore structural keys so
                 // real-looking inputs parse.
                 "structure" | "parameters" | "paraTypeCharmm" | "exclude" | "outputEnergies" => {}
@@ -198,9 +182,6 @@ impl MdConfig {
         if self.langevin_damping < 0.0 {
             return Err("langevinDamping must be non-negative".to_string());
         }
-        if self.bond_chain_length >= 2 && (self.bond_k <= 0.0 || self.bond_r0 <= 0.0) {
-            return Err("bondK and bondR0 must be positive for bonded systems".to_string());
-        }
         if self.outputname.is_empty() {
             return Err("outputname must be non-empty".to_string());
         }
@@ -231,11 +212,6 @@ impl MdConfig {
         out.push_str(&format!("seed {}\n", self.seed));
         if self.pace_milliseconds > 0 {
             out.push_str(&format!("paceMilliseconds {}\n", self.pace_milliseconds));
-        }
-        if self.bond_chain_length >= 2 {
-            out.push_str(&format!("bondChainLength {}\n", self.bond_chain_length));
-            out.push_str(&format!("bondK {}\n", self.bond_k));
-            out.push_str(&format!("bondR0 {}\n", self.bond_r0));
         }
         out
     }

@@ -85,83 +85,6 @@ pub fn compute_all(positions: &[f64], box_len: f64, r_cut: f64) -> BlockForces {
     compute_block(positions, 0, positions.len() / 3, box_len, r_cut)
 }
 
-/// A harmonic bond between two atoms: `u(r) = ½ k (r − r₀)²`.
-///
-/// NAMD's force field is bonded + nonbonded; chains of harmonic bonds
-/// give our LJ fluid the molecular connectivity that makes restart-file
-/// trajectories structurally NAMD-like.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bond {
-    /// First atom index.
-    pub i: usize,
-    /// Second atom index.
-    pub j: usize,
-    /// Spring constant k.
-    pub k: f64,
-    /// Equilibrium length r₀.
-    pub r0: f64,
-}
-
-/// Add harmonic-bond forces to a block's force array (owned atoms
-/// `[block_start, block_start + block_len)`) and return the block's share
-/// of the bond potential (half per bonded atom owned).
-pub fn add_bond_forces(
-    bonds: &[Bond],
-    positions: &[f64],
-    block_start: usize,
-    block_len: usize,
-    box_len: f64,
-    forces: &mut [f64],
-) -> f64 {
-    let owned = block_start..block_start + block_len;
-    let mut potential = 0.0;
-    for bond in bonds {
-        let i_owned = owned.contains(&bond.i);
-        let j_owned = owned.contains(&bond.j);
-        if !i_owned && !j_owned {
-            continue;
-        }
-        let mut dx = positions[3 * bond.i] - positions[3 * bond.j];
-        let mut dy = positions[3 * bond.i + 1] - positions[3 * bond.j + 1];
-        let mut dz = positions[3 * bond.i + 2] - positions[3 * bond.j + 2];
-        dx -= box_len * (dx / box_len).round();
-        dy -= box_len * (dy / box_len).round();
-        dz -= box_len * (dz / box_len).round();
-        let r = (dx * dx + dy * dy + dz * dz).sqrt().max(1e-12);
-        let stretch = r - bond.r0;
-        // f = −k (r − r₀) r̂ on atom i; opposite on j.
-        let f_over_r = -bond.k * stretch / r;
-        let u = 0.5 * bond.k * stretch * stretch;
-        if i_owned {
-            let bi = bond.i - block_start;
-            forces[3 * bi] += f_over_r * dx;
-            forces[3 * bi + 1] += f_over_r * dy;
-            forces[3 * bi + 2] += f_over_r * dz;
-            potential += 0.5 * u;
-        }
-        if j_owned {
-            let bj = bond.j - block_start;
-            forces[3 * bj] -= f_over_r * dx;
-            forces[3 * bj + 1] -= f_over_r * dy;
-            forces[3 * bj + 2] -= f_over_r * dz;
-            potential += 0.5 * u;
-        }
-    }
-    potential
-}
-
-/// Bond a system into consecutive chains of `chain_len` atoms
-/// (`chain_len < 2` means no bonds).
-pub fn chain_bonds(n_atoms: usize, chain_len: usize, k: f64, r0: f64) -> Vec<Bond> {
-    if chain_len < 2 {
-        return Vec::new();
-    }
-    (0..n_atoms)
-        .filter(|i| i % chain_len != chain_len - 1 && i + 1 < n_atoms)
-        .map(|i| Bond { i, j: i + 1, k, r0 })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,72 +164,6 @@ mod tests {
             assert!((a - b).abs() < 1e-9);
         }
         assert!((potential - full.potential).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bond_at_equilibrium_exerts_no_force() {
-        let bonds = [Bond {
-            i: 0,
-            j: 1,
-            k: 50.0,
-            r0: 1.5,
-        }];
-        let positions = vec![0.0, 0.0, 0.0, 1.5, 0.0, 0.0];
-        let mut forces = vec![0.0; 6];
-        let u = add_bond_forces(&bonds, &positions, 0, 2, 100.0, &mut forces);
-        assert!(forces.iter().all(|f| f.abs() < 1e-12), "{forces:?}");
-        assert!(u.abs() < 1e-12);
-    }
-
-    #[test]
-    fn stretched_bond_pulls_atoms_together() {
-        let bonds = [Bond {
-            i: 0,
-            j: 1,
-            k: 10.0,
-            r0: 1.0,
-        }];
-        let positions = vec![0.0, 0.0, 0.0, 2.0, 0.0, 0.0]; // stretched by 1
-        let mut forces = vec![0.0; 6];
-        let u = add_bond_forces(&bonds, &positions, 0, 2, 100.0, &mut forces);
-        assert!(forces[0] > 0.0, "atom 0 pulled +x: {forces:?}");
-        assert!(forces[3] < 0.0, "atom 1 pulled −x");
-        assert!((forces[0] + forces[3]).abs() < 1e-12, "Newton's third law");
-        assert!((u - 5.0).abs() < 1e-12, "½·10·1² = 5, got {u}");
-    }
-
-    #[test]
-    fn bond_forces_split_correctly_across_blocks() {
-        let bonds = [Bond {
-            i: 1,
-            j: 2,
-            k: 7.0,
-            r0: 0.5,
-        }];
-        let positions = vec![0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 2.5, 0.0, 0.0];
-        // Whole system in one block...
-        let mut full = vec![0.0; 9];
-        let u_full = add_bond_forces(&bonds, &positions, 0, 3, 100.0, &mut full);
-        // ...versus two blocks split across the bond.
-        let mut a = vec![0.0; 6];
-        let u_a = add_bond_forces(&bonds, &positions, 0, 2, 100.0, &mut a);
-        let mut b = vec![0.0; 3];
-        let u_b = add_bond_forces(&bonds, &positions, 2, 1, 100.0, &mut b);
-        let combined: Vec<f64> = a.into_iter().chain(b).collect();
-        for (x, y) in combined.iter().zip(full.iter()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-        assert!((u_a + u_b - u_full).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chain_bonds_respect_chain_boundaries() {
-        // 7 atoms in chains of 3: chains {0,1,2}, {3,4,5}, {6}.
-        let bonds = chain_bonds(7, 3, 1.0, 1.0);
-        let pairs: Vec<(usize, usize)> = bonds.iter().map(|b| (b.i, b.j)).collect();
-        assert_eq!(pairs, vec![(0, 1), (1, 2), (3, 4), (4, 5)]);
-        assert!(chain_bonds(10, 1, 1.0, 1.0).is_empty());
-        assert!(chain_bonds(10, 0, 1.0, 1.0).is_empty());
     }
 
     #[test]

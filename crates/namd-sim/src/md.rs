@@ -9,7 +9,7 @@
 //! of the rank decomposition and exactly restartable across segments.
 
 use crate::config::MdConfig;
-use crate::force::{add_bond_forces, chain_bonds, compute_block};
+use crate::force::compute_block;
 use crate::io::{read_vectors, read_xsc, write_vectors, write_xsc, IoError, XscData};
 use crate::system::ParticleSystem;
 use jets_mpi::{Communicator, MpiError, ReduceOp};
@@ -87,18 +87,9 @@ pub fn run_segment(
     let chunk = n.div_ceil(size);
     let my_start = (rank * chunk).min(n);
     let my_len = chunk.min(n.saturating_sub(my_start));
-    let bonds = chain_bonds(n, config.bond_chain_length, config.bond_k, config.bond_r0);
 
     // --- Initial forces for my block.
     let mut block = compute_block(&system.positions, my_start, my_len, box_len, config.cutoff);
-    block.potential += add_bond_forces(
-        &bonds,
-        &system.positions,
-        my_start,
-        my_len,
-        box_len,
-        &mut block.forces,
-    );
 
     // Langevin coefficients.
     let c1 = (-gamma * dt).exp();
@@ -122,14 +113,6 @@ pub fn run_segment(
         exchange_positions(&mut comm, &mut system.positions, my_start, my_len, chunk, n)?;
         // New forces, second half kick, thermostat.
         block = compute_block(&system.positions, my_start, my_len, box_len, config.cutoff);
-        block.potential += add_bond_forces(
-            &bonds,
-            &system.positions,
-            my_start,
-            my_len,
-            box_len,
-            &mut block.forces,
-        );
         for bi in 0..my_len {
             let i = my_start + bi;
             for d in 0..3 {
@@ -470,46 +453,50 @@ mod tests {
         assert!(t.elapsed() >= Duration::from_millis(80));
     }
 
-    #[test]
-    fn bonded_system_runs_parallel_equal_serial() {
-        let dir = tmpdir("bonded");
-        let mut config = base_config(&dir.join("bonded-serial"));
-        config.bond_chain_length = 4;
-        config.numsteps = 10;
-        let serial = run_segment(&config, None).unwrap();
-        assert!(serial.potential.is_finite());
-
-        let par_dir = dir.clone();
-        let results = runner::run_threads(3, NetModel::ideal(), move |comm| {
-            let mut config = base_config(&par_dir.join("bonded-par"));
-            config.bond_chain_length = 4;
-            config.numsteps = 10;
-            config.outputname = par_dir.join("bonded-par").to_string_lossy().into_owned();
-            let r = run_segment(&config, Some(comm)).unwrap();
-            comm.barrier().unwrap();
-            r.potential
-        })
-        .unwrap();
-        for p in results {
-            assert!(
-                (p - serial.potential).abs() < 1e-8,
-                "parallel {p} vs serial {}",
-                serial.potential
-            );
-        }
+    /// FNV-1a over the bits of the final positions, velocities and
+    /// potential energy.
+    fn trajectory_digest(result: &SegmentResult) -> u64 {
+        let system = &result.system;
+        let values = system.positions.iter().chain(&system.velocities);
+        values
+            .chain([&result.potential])
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
     }
 
     #[test]
-    fn bond_config_round_trips_and_validates() {
-        let config = MdConfig {
-            bond_chain_length: 5,
-            bond_k: 30.0,
-            bond_r0: 1.1,
-            ..MdConfig::default()
-        };
-        let back = MdConfig::parse(&config.render()).unwrap();
-        assert_eq!(back, config);
-        assert!(MdConfig::parse("bondChainLength 3\nbondK -1\n").is_err());
+    fn lj_fluid_trajectory_is_pinned() {
+        // The default LJ fluid, 40 steps (40 position exchanges on 4
+        // blocks), bit for bit: a change that must not move the
+        // trajectory leaves these digests alone.
+        const PINNED: [(u32, u64); 2] = [(1, 0xae1c_8c44_8008_f1a2), (4, 0xf21a_6ee9_c630_653d)];
+        let dir = tmpdir("pinned");
+        for (blocks, want) in PINNED {
+            let config = MdConfig {
+                numsteps: 40,
+                outputname: dir
+                    .join(format!("b{blocks}"))
+                    .to_string_lossy()
+                    .into_owned(),
+                ..MdConfig::default()
+            };
+            let digests = runner::run_threads(blocks, NetModel::ideal(), move |comm| {
+                let comm = (comm.size() > 1).then_some(comm);
+                trajectory_digest(&run_segment(&config, comm).unwrap())
+            })
+            .unwrap();
+            assert!(
+                digests.iter().all(|&d| d == digests[0]),
+                "ranks disagree: {digests:x?}"
+            );
+            assert_eq!(
+                digests[0], want,
+                "{blocks} blocks: got {:#018x}",
+                digests[0]
+            );
+        }
     }
 
     #[test]
