@@ -16,7 +16,8 @@
 //! command lines), starts the dispatcher, and runs the batch on whatever
 //! workers connect. `--simulate N` boots N in-process worker agents with
 //! the standard + science application registries, so a batch of builtin
-//! (`@`-prefixed) tasks runs with no external setup.
+//! (`@`-prefixed) tasks runs with no external setup; the batch goes in
+//! once all N have registered (or 10 s have passed).
 //!
 //! `--metrics-addr ADDR` serves `GET /metrics` (Prometheus text) and
 //! `GET /healthz` off the running dispatcher; `jets top --metrics ADDR`
@@ -62,7 +63,7 @@ use jets_obs::Histogram;
 use jets_worker::Executor;
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -166,6 +167,12 @@ fn main() {
         );
         None
     };
+    // A simulated allocation is up before the work goes in: a short task
+    // file is not run by whichever pilot happened to register first.
+    let booting = Instant::now() + Duration::from_secs(10);
+    while dispatcher.alive_workers() < simulate as usize && Instant::now() < booting {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let ids = match dispatcher.submit_input(&text) {
         Ok(ids) => ids,

@@ -31,7 +31,9 @@
 //! dispatcher's reactor, feeding the `jets_pmi::PmiState` its loop owns). `jets_mpi::Endpoint` uses the [`Poller`]
 //! alone, one thread over a pilot's inbound mesh sockets. The blocking
 //! client paths (the worker agent's session, a rank's `PmiClient`) stay
-//! on the calling thread.
+//! on the calling thread; while a pilot's reader runs a task, its other
+//! thread waits on the session socket in a [`Watch`], which, unlike a
+//! [`Poller`], a thread can arm while another waits in it.
 
 #![cfg_attr(
     not(test),
@@ -48,7 +50,7 @@ mod reactor;
 mod sys;
 
 pub use outbox::{CloseReason, Outbox};
-pub use poller::{new_poller, Event, Interest, Poller};
+pub use poller::{new_poller, Event, Interest, Poller, Watch};
 pub use reactor::{AcceptFn, ConnHandler, Flow, LoopCell, Reactor, ReactorConfig, ReactorStats};
 
 use std::sync::{Mutex, MutexGuard};

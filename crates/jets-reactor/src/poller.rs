@@ -65,6 +65,78 @@ pub fn new_poller() -> io::Result<Box<dyn Poller>> {
     platform_poller()
 }
 
+/// One thread's wait for a descriptor that other threads arm and disarm.
+///
+/// A [`Poller`] belongs to its loop thread (`&mut self`), so nobody can
+/// arm it while that thread waits. A `Watch` is shared: a thread about to
+/// be busy arms a descriptor for its next readable event (bytes, EOF or
+/// an error), and disarms it once free again, while another thread
+/// blocks in [`Watch::wait`] for that event or for [`Watch::wake`]. An
+/// armed descriptor fires once. Neither `arm` nor `disarm` wakes the
+/// waiter unless the descriptor is readable by then. One thread waits at
+/// a time.
+pub struct Watch {
+    queue: RawFd,
+    /// The self-pipe behind `wake`: read end, write end.
+    pipe: (RawFd, RawFd),
+}
+
+impl Watch {
+    /// A watch with nothing armed.
+    pub fn new() -> io::Result<Watch> {
+        let queue = new_queue()?;
+        let pipe = sys::make_wake_pipe().inspect_err(|_| sys::close_fd(queue))?;
+        // From here on, `drop` closes all three.
+        let watch = Watch { queue, pipe };
+        watch_pipe(queue, pipe.0)?;
+        Ok(watch)
+    }
+
+    /// Report `fd`'s next readable event to [`Watch::wait`], once.
+    pub fn arm(&self, fd: RawFd) -> io::Result<()> {
+        arm(self.queue, fd)
+    }
+
+    /// Forget `fd`, whether or not its event fired; a descriptor that is
+    /// not armed is fine.
+    pub fn disarm(&self, fd: RawFd) -> io::Result<()> {
+        match disarm(self.queue, fd) {
+            // Never armed, or already closed.
+            Err(err) if matches!(err.raw_os_error(), Some(2 | 9)) => Ok(()),
+            done => done,
+        }
+    }
+
+    /// Make the current wait, or the next one, return.
+    pub fn wake(&self) {
+        // A full pipe already holds a wake.
+        sys::write_fd(self.pipe.1, &[1]);
+    }
+
+    /// Block until an armed descriptor fires or [`Watch::wake`] is
+    /// called; a signal may end it early too. Wakes are used up here.
+    pub fn wait(&self) -> io::Result<()> {
+        let woken = match wait(self.queue) {
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => return Ok(()),
+            woken => woken?,
+        };
+        let mut buf = [0u8; 64];
+        while woken && sys::read_fd(self.pipe.0, &mut buf) == buf.len() as isize {}
+        Ok(())
+    }
+}
+
+impl Drop for Watch {
+    fn drop(&mut self) {
+        for fd in [self.queue, self.pipe.0, self.pipe.1] {
+            sys::close_fd(fd);
+        }
+    }
+}
+
+/// The token a watch's wake pipe is registered under.
+const WAKE: u64 = u64::MAX;
+
 #[cfg(not(unix))]
 compile_error!("jets-reactor supports Unix platforms only (epoll/kqueue)");
 
@@ -92,10 +164,7 @@ mod linux {
 
     impl EpollPoller {
         pub fn new() -> io::Result<EpollPoller> {
-            let epfd = unsafe { p::epoll_create1(p::EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
+            let epfd = new_queue()?;
             Ok(EpollPoller {
                 epfd,
                 buf: vec![p::EpollEvent { events: 0, data: 0 }; 256],
@@ -110,14 +179,7 @@ mod linux {
             if interest.write {
                 bits |= p::EPOLLOUT;
             }
-            let mut ev = p::EpollEvent {
-                events: bits,
-                data: token,
-            };
-            if unsafe { p::epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
+            ctl(self.epfd, op, fd, bits, token)
         }
     }
 
@@ -182,7 +244,61 @@ mod linux {
             sys::close_fd(self.epfd);
         }
     }
+
+    fn ctl(epfd: RawFd, op: i32, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
+        let mut ev = p::EpollEvent { events, data };
+        // SAFETY: `ev` is a live record the call only reads.
+        if unsafe { p::epoll_ctl(epfd, op, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// A new epoll instance, closed on exec.
+    pub fn new_queue() -> io::Result<RawFd> {
+        // SAFETY: an integer argument; the result is checked.
+        match unsafe { p::epoll_create1(p::EPOLL_CLOEXEC) } {
+            epfd if epfd < 0 => Err(io::Error::last_os_error()),
+            epfd => Ok(epfd),
+        }
+    }
+
+    pub fn watch_pipe(epfd: RawFd, pipe: RawFd) -> io::Result<()> {
+        ctl(epfd, p::EPOLL_CTL_ADD, pipe, p::EPOLLIN, WAKE)
+    }
+
+    pub fn arm(epfd: RawFd, fd: RawFd) -> io::Result<()> {
+        let bits = p::EPOLLIN | p::EPOLLRDHUP | p::EPOLLONESHOT;
+        match ctl(epfd, p::EPOLL_CTL_ADD, fd, bits, fd as u64) {
+            // Fired and not disarmed since: a one-shot stays registered.
+            Err(err) if err.raw_os_error() == Some(p::EEXIST) => {
+                ctl(epfd, p::EPOLL_CTL_MOD, fd, bits, fd as u64)
+            }
+            added => added,
+        }
+    }
+
+    pub fn disarm(epfd: RawFd, fd: RawFd) -> io::Result<()> {
+        ctl(epfd, p::EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    /// One `epoll_wait`; true if the wake pipe was among what fired.
+    pub fn wait(epfd: RawFd) -> io::Result<bool> {
+        let mut buf = [p::EpollEvent { events: 0, data: 0 }; 2];
+        // SAFETY: `buf` has room for the 2 records the call may write.
+        let n = unsafe { p::epoll_wait(epfd, buf.as_mut_ptr(), 2, -1) };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(buf[..n as usize].iter().any(|ev| ev.data == WAKE))
+    }
 }
+
+#[cfg(target_os = "linux")]
+use linux::{arm, disarm, new_queue, wait, watch_pipe};
+
+#[cfg(all(unix, not(target_os = "linux")))]
+use bsd::{arm, disarm, new_queue, wait, watch_pipe};
 
 #[cfg(all(unix, not(target_os = "linux")))]
 mod bsd {
@@ -212,10 +328,7 @@ mod bsd {
 
     impl KqueuePoller {
         pub fn new() -> io::Result<KqueuePoller> {
-            let kq = unsafe { p::kqueue() };
-            if kq < 0 {
-                return Err(io::Error::last_os_error());
-            }
+            let kq = new_queue()?;
             Ok(KqueuePoller {
                 kq,
                 buf: vec![kev(0, 0, 0, 0); 256],
@@ -223,20 +336,7 @@ mod bsd {
         }
 
         fn apply(&mut self, changes: &[p::KEvent]) -> io::Result<()> {
-            let rc = unsafe {
-                p::kevent(
-                    self.kq,
-                    changes.as_ptr(),
-                    changes.len() as i32,
-                    ptr::null_mut(),
-                    0,
-                    ptr::null(),
-                )
-            };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
+            change(self.kq, changes)
         }
     }
 
@@ -325,6 +425,49 @@ mod bsd {
             sys::close_fd(self.kq);
         }
     }
+
+    fn change(kq: RawFd, changes: &[p::KEvent]) -> io::Result<()> {
+        let (list, n) = (changes.as_ptr(), changes.len() as i32);
+        // SAFETY: `list` holds the `n` records the call reads; it writes none.
+        if unsafe { p::kevent(kq, list, n, ptr::null_mut(), 0, ptr::null()) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// A new kqueue.
+    pub fn new_queue() -> io::Result<RawFd> {
+        // SAFETY: no arguments; the result is checked.
+        match unsafe { p::kqueue() } {
+            kq if kq < 0 => Err(io::Error::last_os_error()),
+            kq => Ok(kq),
+        }
+    }
+
+    pub fn watch_pipe(kq: RawFd, pipe: RawFd) -> io::Result<()> {
+        change(kq, &[kev(pipe, p::EVFILT_READ, p::EV_ADD, WAKE)])
+    }
+
+    pub fn arm(kq: RawFd, fd: RawFd) -> io::Result<()> {
+        let flags = p::EV_ADD | p::EV_ONESHOT;
+        change(kq, &[kev(fd, p::EVFILT_READ, flags, fd as u64)])
+    }
+
+    pub fn disarm(kq: RawFd, fd: RawFd) -> io::Result<()> {
+        // A one-shot filter that fired is gone already: `ENOENT`.
+        change(kq, &[kev(fd, p::EVFILT_READ, p::EV_DELETE, 0)])
+    }
+
+    /// One `kevent` wait; true if the wake pipe was among what fired.
+    pub fn wait(kq: RawFd) -> io::Result<bool> {
+        let mut buf = [kev(0, 0, 0, 0); 2];
+        // SAFETY: `buf` has room for the 2 records the call may write.
+        let n = unsafe { p::kevent(kq, ptr::null(), 0, buf.as_mut_ptr(), 2, ptr::null()) };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(buf[..n as usize].iter().any(|ev| ev.udata as u64 == WAKE))
+    }
 }
 
 #[cfg(test)]
@@ -378,6 +521,62 @@ mod tests {
         p.wait(&mut events, 0).unwrap();
         assert!(!events.iter().any(|e| e.writable));
         p.remove(fd).unwrap();
+    }
+
+    /// An armed descriptor fires once, bytes or not already there; a
+    /// disarmed one never does.
+    #[test]
+    fn a_watch_reports_an_armed_descriptor_once() {
+        use std::sync::{mpsc, Arc};
+        let (mut client, server) = pair();
+        let fd = server.as_raw_fd();
+        let watch = Arc::new(Watch::new().unwrap());
+        let (woke, woken) = mpsc::channel();
+        let waiter = Arc::clone(&watch);
+        let waiter = std::thread::spawn(
+            move || {
+                while waiter.wait().is_ok() && woke.send(()).is_ok() {}
+            },
+        );
+        let quiet = || woken.recv_timeout(Duration::from_millis(50)).is_err();
+        client.write_all(b"a").unwrap();
+        assert!(quiet(), "woken while disarmed");
+        // Bytes already waiting fire at the arm.
+        watch.arm(fd).unwrap();
+        woken.recv_timeout(Duration::from_secs(5)).unwrap();
+        client.write_all(b"b").unwrap();
+        assert!(quiet(), "a one-shot fired twice");
+        // Armed again without a disarm, and disarmed twice: both fine.
+        watch.arm(fd).unwrap();
+        woken.recv_timeout(Duration::from_secs(5)).unwrap();
+        watch.disarm(fd).unwrap();
+        watch.disarm(fd).unwrap();
+        watch.wake();
+        woken.recv_timeout(Duration::from_secs(5)).unwrap();
+        drop(woken);
+        watch.wake();
+        waiter.join().unwrap();
+    }
+
+    /// A wake with nobody waiting is kept for the next wait, and all the
+    /// wakes before it are used up by that wait.
+    #[test]
+    fn a_wake_is_kept_for_the_next_wait() {
+        use std::sync::{mpsc, Arc};
+        let watch = Arc::new(Watch::new().unwrap());
+        watch.wake();
+        watch.wake();
+        watch.wait().unwrap();
+        let (woke, woken) = mpsc::channel();
+        let waiter = Arc::clone(&watch);
+        let waiter = std::thread::spawn(move || {
+            waiter.wait().unwrap();
+            woke.send(()).unwrap();
+        });
+        assert!(woken.recv_timeout(Duration::from_millis(50)).is_err());
+        watch.wake();
+        woken.recv_timeout(Duration::from_secs(5)).unwrap();
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -140,6 +140,10 @@ pub mod platform {
     pub const EPOLLHUP: u32 = 0x010;
     /// Peer closed its write half.
     pub const EPOLLRDHUP: u32 = 0x2000;
+    /// Fire once, then stay registered but disabled.
+    pub const EPOLLONESHOT: u32 = 1 << 30;
+    /// `epoll_ctl` add of a descriptor already registered.
+    pub const EEXIST: i32 = 17;
 
     const O_NONBLOCK: c_int = 0o4000;
     const O_CLOEXEC: c_int = 0o2000000;
@@ -217,6 +221,8 @@ pub mod platform {
     pub const EV_ENABLE: u16 = 0x0004;
     /// Disable a filter without removing it.
     pub const EV_DISABLE: u16 = 0x0008;
+    /// Delete the filter once it has fired.
+    pub const EV_ONESHOT: u16 = 0x0010;
     /// Returned: the filter itself reports an error in `data`.
     pub const EV_ERROR: u16 = 0x4000;
 

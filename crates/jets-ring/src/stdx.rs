@@ -142,6 +142,12 @@ impl<T> Mutex<T> {
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
+
+    pub fn into_inner(self) -> T {
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A locked [`Mutex`]: `MutexGuard` and nothing else in release builds,

@@ -10,24 +10,35 @@
 //!
 //! ## Thread anatomy
 //!
-//! * **the agent** (`worker-*`) connects, registers, then blocks in the
-//!   session socket's read; a frame is one core input. Whatever blocks
-//!   happens here, off the lock, and its *result* is the input: connect +
+//! A pilot has two threads. Whichever holds the `Agent` — the session's
+//! read half and the reconnect loop around it — is the *reader*; the
+//! other is the *watcher*. Roles swap; threads are not tied to them.
+//!
+//! * **the reader** connects, registers, then blocks in the session
+//!   socket's read; a frame is one core input. Whatever blocks happens
+//!   here, off the lock, and its *result* is the input: connect +
 //!   handshake → `session_up` or `session_down` (whose count sets the
 //!   backoff sleep), staging → `assign`'s `staged`, a read timed out on
-//!   [`PilotCore::deadline`] → `tick`, EOF → `session_down`.
-//! * **the runner** (`task`), long-lived, executes one task at a time and
-//!   delivers `finished` itself, so that `Done` and the next `Request`
-//!   leave in one write from the thread that has the result: two
-//!   hand-offs per task (`tests/wakeups.rs`). A runner the core gave up
-//!   on learns so from `finished`'s `false`, and ends.
+//!   [`PilotCore::deadline`] → `tick`, EOF → `session_down`. It runs the
+//!   task an `Assign` starts itself and delivers `finished`, so `Done`
+//!   and the next `Request` leave in one write from the thread that read
+//!   the `Assign`: one wake-up per task (`tests/wakeups.rs`).
+//! * **the watcher** waits in a [`Watch`] that the reader arms on the
+//!   session socket before each task and disarms after it. A frame that
+//!   arrives mid-task (`Cancel`, `Shutdown`, EOF, a kill) wakes it: it
+//!   takes the agent over and is the reader from then on, and the thread
+//!   whose task ends without the agent becomes the watcher. A thread the
+//!   core gave up on learns so from `finished`'s `false`, and ends; the
+//!   next task starts a fresh partner.
 //! * **the heartbeat** (`hb-*`; if configured, one per session) delivers
 //!   `tick` whenever [`PilotCore::heartbeat_due`] says.
 //!
-//! One mutex guards `{core, wire}`. Every input takes it, in
+//! The first thread is named `worker-*`, the second, started by the first
+//! task, `task`. One mutex guards `{core, wire}`. Every input takes it, in
 //! `Pilot::input`, and nothing blocks under it but the socket write a
 //! send is; the kill switch keeps its own handle on the socket, so that
-//! it can sever a session whose write is stuck.
+//! it can sever a session whose write is stuck. The agent moves between
+//! the threads through a second one, `Pilot::parked`, held across no read.
 
 use crate::core::{span, Effects, Fact, PilotCore};
 use crate::executor::{CancelToken, TaskExecutor, TaskOutcome, EXIT_RANK_PANIC, EXIT_SPAWN_FAILED};
@@ -38,14 +49,16 @@ use jets_core::protocol::{
 };
 use jets_core::spec::CommandSpec;
 use jets_core::{EventLog, SpanKind, WriterRole};
+use jets_reactor::Watch;
 use jets_ring::stdx::{Mutex, Rank, SplitMix64};
 use std::io::{self, BufReader, ErrorKind};
 use std::net::{Shutdown, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 pub use crate::core::EXIT_STAGING_FAILED;
@@ -186,10 +199,17 @@ pub struct WorkerExit {
     pub reason: ExitReason,
 }
 
+/// A pilot thread's stack. Either thread runs tasks, and an MPI proxy's
+/// first local rank runs on the one that read its `Assign`, so this is
+/// what a `rank-N` thread gets (address space only).
+const STACK: usize = 512 * 1024;
+
 /// A running worker agent (persistent pilot job).
 pub struct Worker {
     pilot: Arc<Pilot>,
-    handle: Option<JoinHandle<WorkerExit>>,
+    /// The agent loop's report, from whichever thread ends the loop, and
+    /// the report once `is_finished` has taken it off the channel.
+    exit: Mutex<(Receiver<WorkerExit>, Option<WorkerExit>)>,
 }
 
 impl Worker {
@@ -197,7 +217,7 @@ impl Worker {
     /// the thread, so spawning a large simulated allocation is fast.
     #[expect(
         clippy::expect_used,
-        reason = "a pilot that cannot get its thread has nothing to fall back to"
+        reason = "a pilot that cannot get its thread or its watch has nothing to fall back to"
     )]
     pub fn spawn(config: WorkerConfig, executor: Arc<dyn TaskExecutor>) -> Worker {
         // The flight recorder is opened here (not in the loop thread) so
@@ -214,6 +234,17 @@ impl Worker {
             opened.inspect_err(warn).ok()
         });
         let core = PilotCore::new(config.cancel_grace, config.heartbeat);
+        let (exit, report) = channel();
+        let agent = Agent {
+            rx: None,
+            heartbeat: None,
+            timed: false,
+            paired: false,
+            // Deterministic per seed, so a test can replay a backoff schedule.
+            jitter: SplitMix64::new(config.reconnect.seed),
+            local_cache: None,
+            exit,
+        };
         let pilot = Arc::new(Pilot {
             config,
             executor,
@@ -221,20 +252,20 @@ impl Worker {
             kill: AtomicBool::new(false),
             sock: Mutex::new(None),
             state: Mutex::ranked(Rank::Pilot, (core, Wire::default())),
+            parked: Mutex::new(None),
+            watch: Watch::new().expect("a watch for the pilot's session socket"),
+            over: AtomicBool::new(false),
+            sleeper: Mutex::new(None),
         });
-        let agent = Agent {
-            pilot: Arc::clone(&pilot),
-            jobs: None,
-            local_cache: None,
-        };
-        let handle = thread::Builder::new()
+        let first = Arc::clone(&pilot);
+        thread::Builder::new()
             .name(format!("worker-{}", pilot.config.name))
-            .stack_size(256 * 1024)
-            .spawn(move || agent.run())
+            .stack_size(STACK)
+            .spawn(move || serve(first, Some(agent)))
             .expect("spawn worker thread");
         Worker {
             pilot,
-            handle: Some(handle),
+            exit: Mutex::new((report, None)),
         }
     }
 
@@ -256,6 +287,10 @@ impl Worker {
     /// EOF, marks the worker dead, and requeues its job.
     pub fn kill(&self) {
         self.pilot.kill.store(true, Ordering::Release);
+        // A reader backing off is parked; one in a read wakes below.
+        if let Some(sleeper) = &*self.pilot.sleeper.lock() {
+            sleeper.unpark();
+        }
         self.disconnect();
     }
 
@@ -270,25 +305,29 @@ impl Worker {
         }
     }
 
-    /// True once the agent thread has exited.
+    /// True once the agent loop has ended. A thread still running a task
+    /// the pilot gave up on does not count.
     pub fn is_finished(&self) -> bool {
-        self.handle.as_ref().is_none_or(|h| h.is_finished())
+        let (report, seen) = &mut *self.exit.lock();
+        if seen.is_none() {
+            match report.try_recv() {
+                Ok(exit) => *seen = Some(exit),
+                Err(TryRecvError::Empty) => return false,
+                Err(TryRecvError::Disconnected) => {}
+            }
+        }
+        true
     }
 
-    /// Wait for the agent to exit and collect its report.
-    #[expect(
-        clippy::expect_used,
-        reason = "`join` takes the worker by value, so the handle is still there"
-    )]
-    pub fn join(mut self) -> WorkerExit {
-        self.handle
-            .take()
-            .expect("join called once")
-            .join()
-            .unwrap_or(WorkerExit {
-                tasks_done: 0,
-                reason: ExitReason::ConnectionLost,
-            })
+    /// Wait for the agent loop to end and collect its report; a thread
+    /// still running a task the pilot gave up on is not waited for.
+    pub fn join(self) -> WorkerExit {
+        let (report, seen) = self.exit.into_inner();
+        let lost = WorkerExit {
+            tasks_done: 0,
+            reason: ExitReason::ConnectionLost,
+        };
+        seen.or_else(|| report.recv().ok()).unwrap_or(lost)
     }
 }
 
@@ -300,8 +339,8 @@ struct Wire {
     tx: Option<MsgWriter<TcpStream>>,
     /// The in-flight task's token.
     cancel: CancelToken,
-    /// What `run` asked for: the agent, the only thread whose inputs
-    /// start tasks, acts on it once off the lock.
+    /// What `run` asked for: the reader, the only thread whose inputs
+    /// start tasks, runs it once off the lock.
     started: Option<(u64, bool, CancelToken)>,
 }
 
@@ -312,9 +351,20 @@ struct Pilot {
     log: Option<EventLog>,
     kill: AtomicBool,
     /// The kill switch's handle on the session socket: severing it is
-    /// what wakes an agent blocked in its read.
+    /// what wakes a reader blocked in its read, or the watcher.
     sock: Mutex<Option<TcpStream>>,
     state: Mutex<(PilotCore, Wire)>,
+    /// The agent while its reader runs a task, with the task's runner:
+    /// the watcher takes it when a frame arrives, the reader takes it
+    /// back when the task ends.
+    parked: Mutex<Option<(u64, Agent)>>,
+    /// Where the watcher waits: the session socket, armed while the agent
+    /// is parked.
+    watch: Watch,
+    /// The agent loop has ended: the watcher stops.
+    over: AtomicBool,
+    /// The reader, while it backs off: `kill` unparks it.
+    sleeper: Mutex<Option<Thread>>,
 }
 
 impl Pilot {
@@ -336,13 +386,59 @@ impl Pilot {
         })
     }
 
-    /// Sleep `total`, in slices so that a kill cuts it short.
-    fn sleep(&self, total: Duration) {
+    /// Wait `total` parked, so that only a kill's unpark cuts it short.
+    fn back_off(&self, total: Duration) {
         let until = Instant::now() + total;
-        while !self.killed() && Instant::now() < until {
+        *self.sleeper.lock() = Some(thread::current());
+        loop {
             let left = until.saturating_duration_since(Instant::now());
-            thread::sleep(left.min(Duration::from_millis(20)));
+            if self.killed() || left.is_zero() {
+                break;
+            }
+            thread::park_timeout(left);
         }
+        *self.sleeper.lock() = None;
+    }
+
+    /// Leave the agent to the watcher while its reader runs `runner`'s
+    /// task: the next frame on the socket wakes the watcher, and so do
+    /// bytes already read past the `Assign`, which no socket event reports.
+    fn park(&self, runner: u64, agent: Agent) {
+        let unread = agent.unread();
+        *self.parked.lock() = Some((runner, agent));
+        // Armed once the agent is in its slot, where the event must find it.
+        let armed = matches!(unread, Some((fd, false)) if self.watch.arm(fd).is_ok());
+        if !armed {
+            self.watch.wake();
+        }
+    }
+
+    /// The agent back after `runner`'s task, unless the watcher took it;
+    /// one parked for a later runner means this thread was given up on.
+    fn reclaim(&self, runner: u64) -> Option<Agent> {
+        let parked = self.parked.lock().take_if(|(owner, _)| *owner == runner);
+        parked.map(|(_, agent)| self.unwatch(agent))
+    }
+
+    /// The watcher's wait: until a frame arrives behind the parked agent,
+    /// then take it. `None` once the agent loop has ended.
+    fn await_agent(&self) -> Option<Agent> {
+        while !self.over.load(Ordering::Acquire) {
+            self.watch.wait().ok()?;
+            // Empty when the reader took it back first: wait again.
+            let parked = self.parked.lock().take();
+            if let Some((_, agent)) = parked {
+                return Some(self.unwatch(agent));
+            }
+        }
+        None
+    }
+
+    fn unwatch(&self, agent: Agent) -> Agent {
+        if let Some((fd, _)) = agent.unread() {
+            let _ = self.watch.disarm(fd);
+        }
+        agent
     }
 
     /// The one place that writes the flight recorder and the metrics.
@@ -376,7 +472,7 @@ struct Sink<'a> {
 
 impl Sink<'_> {
     /// A write that fails severs the socket: whoever wrote, it is the
-    /// agent that ends the session, and a dead socket is what wakes it.
+    /// reader that ends the session, and a dead socket is what wakes it.
     fn write(&mut self, write: impl FnOnce(&mut MsgWriter<TcpStream>) -> io::Result<()>) -> bool {
         let sent = self.wire.tx.as_mut().is_some_and(|tx| write(tx).is_ok());
         if let Some(tx) = self.wire.tx.take_if(|_| !sent) {
@@ -416,38 +512,38 @@ impl Effects for Sink<'_> {
 }
 
 type Rx = MsgReader<BufReader<TcpStream>>;
-type Job = (TaskAssignment, CancelToken);
 
-/// The thread tasks execute on: jobs in over the returned channel, each
-/// result delivered as [`PilotCore::finished`]. Off the agent's thread, so
-/// that a kill or an expired grace can give a task up: the stuck thread
-/// ends when it learns its result is late, the next task gets a fresh one.
-fn spawn_runner(pilot: Arc<Pilot>, id: u64) -> io::Result<Sender<Job>> {
-    let (jobs, inbox) = channel::<Job>();
+/// Where a thread goes once the agent has left it.
+#[derive(PartialEq)]
+enum Next {
+    /// Its task ended while the other thread read: it watches now.
+    Watch,
+    /// The agent loop is over, or its task was given up on.
+    Exit,
+}
+
+/// A pilot thread: the reader while it holds the agent, the watcher while
+/// the other thread does.
+fn serve(pilot: Arc<Pilot>, mut agent: Option<Agent>) {
+    while let Some(held) = agent.take().or_else(|| pilot.await_agent()) {
+        if held.drive(&pilot) == Next::Exit {
+            return;
+        }
+    }
+}
+
+/// The pilot's second thread, born a watcher: started by the first task,
+/// and again by the first after a thread was given up on.
+fn spawn_partner(pilot: &Arc<Pilot>) -> io::Result<JoinHandle<()>> {
+    let pilot = Arc::clone(pilot);
     thread::Builder::new()
         .name("task".to_string())
-        // An MPI proxy's first local rank runs here, so this is what a
-        // `rank-N` thread gets (address space only).
-        .stack_size(512 * 1024)
-        .spawn(move || {
-            // Ends with the sender: replaced, or the agent exited.
-            for (assignment, cancel) in inbox.iter() {
-                let run = || pilot.executor.execute_cancellable(&assignment, &cancel);
-                // A panicking task fails that task, not the pilot.
-                let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or(TaskOutcome {
-                    exit_code: EXIT_RANK_PANIC,
-                    output: None,
-                });
-                if !pilot.input(|core, now, fx| core.finished(now, id, outcome, fx)) {
-                    return;
-                }
-            }
-        })?;
-    Ok(jobs)
+        .stack_size(STACK)
+        .spawn(move || serve(pilot, None))
 }
 
 /// A session's heartbeat thread: `tick` whenever a `Heartbeat` is due,
-/// until the session is over (the agent unparks it then, so that it ends
+/// until the session is over (the reader unparks it then, so that it ends
 /// now and not a period later) or the pilot is killed.
 fn spawn_heartbeat(pilot: Arc<Pilot>) -> io::Result<JoinHandle<()>> {
     thread::Builder::new()
@@ -461,54 +557,76 @@ fn spawn_heartbeat(pilot: Arc<Pilot>) -> io::Result<JoinHandle<()>> {
         })
 }
 
-/// The agent thread's own state; what it shares is in [`Pilot`].
+/// The session's read half and the reconnect loop around it: the thread
+/// holding it is the pilot's reader. What the threads share is in
+/// [`Pilot`].
 struct Agent {
-    pilot: Arc<Pilot>,
-    /// The current runner's inbox.
-    jobs: Option<Sender<Job>>,
+    /// The session's read half, from registration until the session ends.
+    rx: Option<Rx>,
+    heartbeat: Option<JoinHandle<()>>,
+    /// A `Cancel` was read and its task may still be in its grace: only
+    /// then is the core asked, each turn, how long is left.
+    timed: bool,
+    /// The other thread exists: started, and not given up on since.
+    paired: bool,
+    jitter: SplitMix64,
     /// Created by the first assignment that stages anything.
     local_cache: Option<NodeLocalCache>,
+    exit: Sender<WorkerExit>,
 }
 
 impl Agent {
     /// Connect, serve a session, reconnect under the policy — until the
-    /// dispatcher says `Shutdown`, the kill switch fires, or it gives up.
-    fn run(mut self) -> WorkerExit {
-        let pilot = Arc::clone(&self.pilot);
+    /// dispatcher says `Shutdown`, the kill switch fires, or it gives up;
+    /// a watcher that took the agent over resumes it mid-session. Returns
+    /// early if the agent leaves this thread during a task.
+    fn drive(mut self, pilot: &Arc<Pilot>) -> Next {
         let policy = &pilot.config.reconnect;
-        // Deterministic per seed, so a test can replay a backoff schedule.
-        let mut jitter = SplitMix64::new(policy.seed);
         let reason = loop {
-            if pilot.killed() {
-                break ExitReason::Killed;
+            if self.rx.is_none() {
+                if pilot.killed() {
+                    break ExitReason::Killed;
+                }
+                let connected = TcpStream::connect(&pilot.config.dispatcher_addr).ok();
+                self.rx = connected.and_then(|stream| self.open(pilot, stream));
             }
-            let connected = TcpStream::connect(&pilot.config.dispatcher_addr).ok();
-            let heartbeat = connected.and_then(|stream| self.serve_session(&pilot, stream));
+            if self.rx.is_some() {
+                self = match self.session_loop(pilot) {
+                    Ok(agent) => agent,
+                    Err(next) => return next,
+                };
+            }
             let failed = pilot.input(|core, now, fx| {
                 fx.wire.tx = None;
                 core.session_down(now, fx)
             });
-            // Nothing left to sever — and a runner given up on, which
+            // Nothing left to sever — and a thread given up on, which
             // shares the pilot, must not hold the socket open.
+            self.rx = None;
             *pilot.sock.lock() = None;
-            if let Some(heartbeat) = heartbeat {
+            if let Some(heartbeat) = self.heartbeat.take() {
                 heartbeat.thread().unpark();
                 let _ = heartbeat.join();
             }
             match failed {
                 _ if pilot.killed() => break ExitReason::Killed,
                 None => break ExitReason::Shutdown,
-                Some(n) if n <= policy.max_attempts => pilot.sleep(policy.backoff(n, &mut jitter)),
+                Some(n) if n <= policy.max_attempts => {
+                    pilot.back_off(policy.backoff(n, &mut self.jitter))
+                }
                 Some(_) => break ExitReason::ConnectionLost,
             }
         };
         let tasks_done = pilot.input(|core, _, _| core.tasks_done());
-        WorkerExit { tasks_done, reason }
+        let _ = self.exit.send(WorkerExit { tasks_done, reason });
+        pilot.over.store(true, Ordering::Release);
+        pilot.watch.wake();
+        Next::Exit
     }
 
-    /// One session over an established stream: register, hand the wire
-    /// to the core, act on frames. Returns the session's heartbeat thread.
-    fn serve_session(&mut self, pilot: &Arc<Pilot>, stream: TcpStream) -> Option<JoinHandle<()>> {
+    /// Register over an established stream and hand the wire to the core;
+    /// the session's read half, or `None` if the session failed to open.
+    fn open(&mut self, pilot: &Arc<Pilot>, stream: TcpStream) -> Option<Rx> {
         let config = &pilot.config;
         stream.set_nodelay(true).ok();
         let (write_half, kill_half) = (stream.try_clone().ok()?, stream.try_clone().ok()?);
@@ -539,33 +657,29 @@ impl Agent {
         // Without heartbeats the dispatcher would declare this worker
         // hung: better to fail the session now and retry.
         let heartbeat = config.heartbeat.map(|_| spawn_heartbeat(Arc::clone(pilot)));
-        let heartbeat = heartbeat.transpose().ok()?;
-        self.session_loop(pilot, &mut rx);
-        heartbeat
+        self.heartbeat = heartbeat.transpose().ok()?;
+        Some(rx)
     }
 
     /// Act on the dispatcher's frames until the connection is gone or,
     /// after `Goodbye`, hung up. The read has a timeout only while a grace
     /// clock runs; a frame it cuts in two is completed by the next read.
-    fn session_loop(&mut self, pilot: &Arc<Pilot>, rx: &mut Rx) {
-        // A `Cancel` was read and its task may still be in its grace:
-        // only then is the core asked, each turn, how long is left.
-        let mut timed = false;
-        loop {
-            if timed {
+    fn session_loop(mut self, pilot: &Arc<Pilot>) -> Result<Agent, Next> {
+        while let Some(rx) = &mut self.rx {
+            if self.timed {
                 let left = pilot.tick(PilotCore::deadline);
                 let _ = rx.get_ref().get_ref().set_read_timeout(left);
-                timed = left.is_some();
+                self.timed = left.is_some();
             }
             match rx.recv::<DispatcherMsg>() {
                 // A protocol match of its own, so that clippy's
                 // `wildcard_enum_match_arm` sees it: the lint does not
                 // look inside an `Ok(Some(..))` wrapper.
                 Ok(Some(msg)) => match msg {
-                    DispatcherMsg::Assign(assignment) => self.start(pilot, assignment),
+                    DispatcherMsg::Assign(assignment) => self = self.start(pilot, assignment)?,
                     DispatcherMsg::Cancel { task_id } => {
                         pilot.input(|core, now, fx| core.cancel(now, task_id, fx));
-                        timed = true;
+                        self.timed = true;
                     }
                     DispatcherMsg::Shutdown => pilot.input(|core, _, fx| core.shutdown(fx)),
                     // Stray acks, and envelopes a relay would have unwrapped.
@@ -575,9 +689,17 @@ impl Agent {
                     | DispatcherMsg::RelayCancel { .. } => {}
                 },
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Ok(None) | Err(_) => return,
+                Ok(None) | Err(_) => break,
             }
         }
+        Ok(self)
+    }
+
+    /// The session socket, and whether bytes past the last frame read are
+    /// buffered already.
+    fn unread(&self) -> Option<(RawFd, bool)> {
+        let reader = self.rx.as_ref()?.get_ref();
+        Some((reader.get_ref().as_raw_fd(), !reader.buffer().is_empty()))
     }
 
     /// Node-local staging (paper Section 5, feature 2): copy the job's
@@ -598,9 +720,10 @@ impl Agent {
         Ok(())
     }
 
-    /// Stage an assignment's files, give the core the result, and hand
-    /// the task it accepted to the runner.
-    fn start(&mut self, pilot: &Arc<Pilot>, mut assignment: TaskAssignment) {
+    /// Stage an assignment's files, give the core the result, and run the
+    /// task it accepted on this thread, the agent parked with the watcher
+    /// meanwhile. `Err` if the watcher took the agent over.
+    fn start(mut self, pilot: &Arc<Pilot>, mut assignment: TaskAssignment) -> Result<Agent, Next> {
         let mut staged = true;
         if !assignment.stage.is_empty() {
             let task = (assignment.trace, assignment.job_id, assignment.task_id);
@@ -615,21 +738,36 @@ impl Agent {
             fx.wire.started.take()
         });
         let Some((runner, fresh, cancel)) = started else {
-            return;
+            return Ok(self);
         };
-        if fresh || self.jobs.is_none() {
-            self.jobs = spawn_runner(Arc::clone(pilot), runner).ok();
+        if fresh || !self.paired {
+            self.paired = spawn_partner(pilot).is_ok();
         }
-        let unsent = |jobs: &Sender<Job>| jobs.send((assignment, cancel)).is_err();
-        if self.jobs.as_ref().is_none_or(unsent) {
-            self.jobs = None;
-            // A task that never got a thread reports the executor's spawn
-            // failure code: the dispatcher's retry ladder takes over.
+        if !self.paired {
+            // A task nobody could watch is not run: it reports the
+            // executor's spawn failure code, and the dispatcher's retry
+            // ladder takes over.
             let outcome = TaskOutcome {
                 exit_code: EXIT_SPAWN_FAILED,
                 output: None,
             };
             pilot.input(|core, now, fx| core.finished(now, runner, outcome, fx));
+            return Ok(self);
+        }
+        pilot.park(runner, self);
+        let run = || pilot.executor.execute_cancellable(&assignment, &cancel);
+        // A panicking task fails that task, not the pilot.
+        let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or(TaskOutcome {
+            exit_code: EXIT_RANK_PANIC,
+            output: None,
+        });
+        let agent = pilot.reclaim(runner);
+        let current = pilot.input(|core, now, fx| core.finished(now, runner, outcome, fx));
+        match (agent, current) {
+            (Some(agent), _) => Ok(agent),
+            (None, true) => Err(Next::Watch),
+            // Given up on: its result was late, and it ends.
+            (None, false) => Err(Next::Exit),
         }
     }
 }
@@ -740,7 +878,8 @@ mod tests {
 
     /// An executor that records where its tasks run. `block` ignores
     /// its token and spins until the test releases it; `until-cancel`
-    /// returns the moment its token trips; anything else is a no-op.
+    /// returns the moment its token trips; `spin` spins for its argument's
+    /// microseconds, or until its token trips; anything else is a no-op.
     #[derive(Default)]
     struct ProbeExecutor {
         log: Mutex<ProbeLog>,
@@ -761,6 +900,13 @@ mod tests {
                         thread::sleep(Duration::from_micros(50));
                     }
                     self.log.lock().tripped.push(Instant::now());
+                }
+                "spin" => {
+                    let us = a.cmd().args().first().and_then(|us| us.parse().ok());
+                    let until = Instant::now() + Duration::from_micros(us.unwrap_or(0));
+                    while Instant::now() < until && !cancel.is_canceled() {
+                        std::hint::spin_loop();
+                    }
                 }
                 _ => {}
             }
@@ -940,6 +1086,122 @@ mod tests {
         d.tx.send(&DispatcherMsg::Shutdown).unwrap();
         assert_eq!(w.join().reason, ExitReason::Shutdown);
         exec.release.store(true, Ordering::Release);
+    }
+
+    /// A `Cancel` in the same segment as its `Assign` is read into the
+    /// buffer with it, where no socket event will report it: it must trip
+    /// the task at once, not wait out the 10 s grace.
+    #[test]
+    fn a_cancel_in_its_assigns_segment_trips_the_task() {
+        use jets_core::protocol::encode_msg_buf;
+        use std::io::Write;
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(
+            |c| WorkerConfig {
+                cancel_grace: Duration::from_secs(10),
+                ..c
+            },
+            exec.clone(),
+        );
+        let (mut segment, mut cancel) = (Vec::new(), Vec::new());
+        let assign = DispatcherMsg::Assign(assignment(1, "until-cancel"));
+        encode_msg_buf(&assign, &mut segment).unwrap();
+        encode_msg_buf(&DispatcherMsg::Cancel { task_id: 1 }, &mut cancel).unwrap();
+        segment.extend(cancel);
+        let sent = Instant::now();
+        d.tx.get_mut().write_all(&segment).unwrap();
+        assert_eq!(d.done_then_request(1), EXIT_CANCELED);
+        let took = sent.elapsed();
+        assert!(took < Duration::from_secs(1), "answered after {took:?}");
+        d.tx.send(&DispatcherMsg::Shutdown).unwrap();
+        assert_eq!(w.join().reason, ExitReason::Shutdown);
+    }
+
+    /// The agent changes threads wherever a `Cancel` lands: before its
+    /// task's end, after it, or as it ends. Each round is still one `Done`
+    /// then one `Request`, and with no grace running out, the pilot's two
+    /// threads are the only ones that run tasks.
+    #[test]
+    fn handoffs_under_racing_cancels_keep_one_done_then_one_request() {
+        const ROUNDS: u64 = 300;
+        let exec = Arc::new(ProbeExecutor::default());
+        let (mut d, w) = ScriptedDispatcher::with_agent(|c| c, exec.clone());
+        let mut rng = SplitMix64::new(44);
+        for task_id in 1..=ROUNDS {
+            let spin = rng.gen_range(0..501).to_string();
+            let cancel_after = (rng.gen_range(0..2) == 0).then(|| rng.gen_range(0..601));
+            let mut task = assignment(task_id, "spin");
+            task.kind = TaskKind::Sequential {
+                cmd: CommandSpec::builtin("spin", vec![spin]),
+            };
+            d.tx.send(&DispatcherMsg::Assign(task)).unwrap();
+            if let Some(us) = cancel_after {
+                let at = Instant::now() + Duration::from_micros(us);
+                while Instant::now() < at {
+                    std::hint::spin_loop();
+                }
+                d.tx.send(&DispatcherMsg::Cancel { task_id }).unwrap();
+            }
+            let exit_code = d.done_then_request(task_id);
+            let canceled = cancel_after.is_some() && exit_code == EXIT_CANCELED;
+            assert!(
+                exit_code == 0 || canceled,
+                "round {task_id}: exit {exit_code}"
+            );
+        }
+        d.tx.send(&DispatcherMsg::Shutdown).unwrap();
+        assert_eq!(d.recv(), WorkerMsg::Goodbye);
+        assert_eq!(w.join().reason, ExitReason::Shutdown);
+        let mut threads = std::mem::take(&mut exec.log.lock().threads);
+        assert_eq!(threads.len(), ROUNDS as usize);
+        threads.sort_by_key(|t| format!("{t:?}"));
+        threads.dedup();
+        assert!(threads.len() <= 2, "tasks ran on {threads:?}");
+    }
+
+    /// A reader backing off is parked until its time is up or `kill`
+    /// unparks it. The loop this replaced woke every 20 ms to look at the
+    /// kill flag.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_backoff_sleeps_until_killed() {
+        // Voluntary context switches of the thread named `name`.
+        fn switches(name: &str) -> Option<u64> {
+            std::fs::read_dir("/proc/self/task")
+                .ok()?
+                .find_map(|entry| {
+                    let dir = entry.ok()?.path();
+                    let comm = std::fs::read_to_string(dir.join("comm")).ok()?;
+                    let status = std::fs::read_to_string(dir.join("status")).ok()?;
+                    let line = status
+                        .lines()
+                        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+                    (comm.trim() == name).then(|| line?.trim().parse().ok())?
+                })
+        }
+        // A port nobody listens on: each connect is refused at once.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .unwrap()
+            .to_string();
+        let policy = ReconnectPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_secs(10),
+            jitter: 0.0,
+            ..ReconnectPolicy::default()
+        };
+        let config = WorkerConfig::new(addr, "backoff").with_reconnect(policy);
+        let w = Worker::spawn(config, executor());
+        thread::sleep(Duration::from_millis(100));
+        let before = switches("worker-backoff").unwrap();
+        thread::sleep(Duration::from_millis(500));
+        let after = switches("worker-backoff").unwrap();
+        assert!(after - before <= 2, "{} wake-ups in 500 ms", after - before);
+        let killed = Instant::now();
+        w.kill();
+        assert_eq!(w.join().reason, ExitReason::Killed);
+        let took = killed.elapsed();
+        assert!(took < Duration::from_millis(200), "join took {took:?}");
     }
 
     /// What the pilot decides is tested on the core alone, on a virtual

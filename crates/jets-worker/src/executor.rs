@@ -323,7 +323,7 @@ impl Executor {
 
     /// Run an MPI proxy's local ranks (like a Hydra proxy forking one
     /// process per local rank): the first on the calling thread — the
-    /// pilot's long-lived runner — and a thread each for the rest,
+    /// pilot thread that read the `Assign` — and a thread each for the rest,
     /// concatenating their captured output tails in rank order. Each
     /// rank's `Exec` child is killed when `cancel` trips.
     #[expect(

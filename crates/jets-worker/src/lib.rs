@@ -20,9 +20,11 @@
 //!   synthetic task.
 //!
 //! What the pilot decides is [`core::PilotCore`], with no clock, lock or
-//! socket in it; [`agent::Worker`] is the shell of threads around it, and
-//! its *kill switch* ([`agent::Worker::kill`]) severs the socket abruptly —
-//! the fault-injection primitive of the paper's Fig. 10 experiment.
+//! socket in it; [`agent::Worker`] is the shell of threads around it: the
+//! thread that reads an `Assign` runs it, while the other waits on the
+//! session socket for a frame that arrives mid-task. Its *kill switch*
+//! ([`agent::Worker::kill`]) severs the socket abruptly — the
+//! fault-injection primitive of the paper's Fig. 10 experiment.
 
 #![cfg_attr(
     not(test),
