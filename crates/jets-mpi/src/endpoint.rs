@@ -3,7 +3,8 @@
 //!
 //! An [`Endpoint`] binds one listener, once, and runs one progress thread
 //! for its whole life, blocked in [`Poller::wait`] over the listener and the
-//! inbound sockets. The thread accepts, reads what has arrived without
+//! inbound sockets; dropping the endpoint wakes it, joins it and so closes
+//! the listener. The thread accepts, reads what has arrived without
 //! blocking, reassembles frames per connection and delivers each into the
 //! inbox of the rank it is for — an unbounded channel, so delivery never
 //! waits on the application and two ranks sending each other a megabyte at
@@ -20,7 +21,7 @@
 //! before the rank it wants exists.
 
 use crate::transport::Frame;
-use jets_reactor::{new_poller, Interest, Poller};
+use jets_reactor::{Interest, Poller};
 use jets_ring::stdx::Mutex;
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read};
@@ -30,7 +31,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 /// Upper bound on a single frame payload; guards against corrupt headers.
 const MAX_FRAME: usize = 1 << 30;
@@ -69,6 +69,7 @@ struct Shared {
 pub struct Endpoint {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    poller: Arc<Poller>,
     progress: Option<JoinHandle<()>>,
 }
 
@@ -78,18 +79,19 @@ impl Endpoint {
         let listener = TcpListener::bind((ip, 0))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let mut poller = new_poller()?;
+        let poller = Arc::new(Poller::new()?);
         poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
         let shared = Arc::new(Shared::default());
-        let theirs = Arc::clone(&shared);
+        let (theirs, their_poller) = (Arc::clone(&shared), Arc::clone(&poller));
         let progress = thread::Builder::new()
             .name("mpi-progress".to_string())
             .stack_size(128 * 1024)
-            .spawn(move || progress(listener, poller, &theirs))?;
+            .spawn(move || progress(listener, &their_poller, &theirs))?;
         let progress = Some(progress);
         Ok(Endpoint {
             addr,
             shared,
+            poller,
             progress,
         })
     }
@@ -124,13 +126,11 @@ impl Endpoint {
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        // SeqCst: the store must not pass the connect that wakes the
-        // thread to look at it.
+        // SeqCst: the store must not pass the wake that sends the thread
+        // to look at it.
         self.shared.stop.store(true, Ordering::SeqCst);
-        let woken = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok();
-        if let Some(handle) = self.progress.take().filter(|_| woken) {
-            let _ = handle.join();
-        }
+        self.poller.wake();
+        let _ = self.progress.take().map(JoinHandle::join);
     }
 }
 
@@ -142,7 +142,7 @@ struct Inbound {
     peer: Option<(u32, Sender<Frame>)>,
 }
 
-fn progress(listener: TcpListener, mut poller: Box<dyn Poller>, shared: &Shared) {
+fn progress(listener: TcpListener, poller: &Poller, shared: &Shared) {
     let mut conns: HashMap<u64, Inbound> = HashMap::new();
     let (mut events, mut chunk) = (Vec::new(), vec![0u8; 64 * 1024]);
     while poller.wait(&mut events, -1).is_ok() && !shared.stop.load(Ordering::SeqCst) {
@@ -215,6 +215,7 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::Ipv4Addr;
+    use std::time::Duration;
 
     const WAIT: Duration = Duration::from_secs(10);
 
@@ -312,5 +313,58 @@ mod tests {
         huge.write_all(&header).unwrap();
         assert!(closed(huge));
         assert!(mine.rx.try_recv().is_err());
+    }
+
+    /// Dropping an endpoint is prompt and leaves nothing behind: its
+    /// thread is joined and its port refuses connections.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dropped_endpoint_joins_its_thread_and_closes_its_port() {
+        use std::collections::BTreeSet;
+        use std::time::Instant;
+        // The ids of the `mpi-progress` threads alive now.
+        fn progress_threads() -> BTreeSet<String> {
+            let named = |t: std::fs::DirEntry| {
+                let comm = std::fs::read_to_string(t.path().join("comm")).ok()?;
+                (comm.trim() == "mpi-progress").then(|| t.file_name().into_string().ok())?
+            };
+            let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+            tasks.filter_map(|t| named(t.ok()?)).collect()
+        }
+        // Other tests start endpoints too: ours is the one new thread once
+        // it has accepted a connection. That connection stays open, so
+        // only the drop can end the thread's wait.
+        let (ep, tid, _open) = loop {
+            let before = progress_threads();
+            let ep = endpoint();
+            let open = TcpStream::connect(ep.addr()).unwrap();
+            let deadline = Instant::now() + WAIT;
+            while ep.connections_accepted() == 0 && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+            let new: Vec<String> = progress_threads().difference(&before).cloned().collect();
+            if let [tid] = &new[..] {
+                break (ep, tid.clone(), open);
+            }
+        };
+        let addr = ep.addr();
+        let began = Instant::now();
+        drop(ep);
+        assert!(
+            began.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            began.elapsed()
+        );
+        // A joined thread may linger in `/proc` for the last steps of its exit.
+        let task = format!("/proc/self/task/{tid}");
+        while std::path::Path::new(&task).exists() {
+            assert!(
+                began.elapsed() < WAIT,
+                "mpi-progress {tid} outlived its endpoint"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        let refused = TcpStream::connect(addr).map_err(|e| e.kind());
+        assert_eq!(refused.err(), Some(io::ErrorKind::ConnectionRefused));
     }
 }

@@ -1,9 +1,9 @@
 //! jets-reactor: the event-driven connection core.
 //!
 //! Replaces the two-threads-per-connection pattern (blocking reader
-//! thread + unbounded writer channel + writer thread) with a fixed
-//! handful of event-loop threads — epoll on Linux, kqueue on the BSD
-//! family — behind the [`Poller`] trait. Connections become state
+//! thread + unbounded writer channel + writer thread) with one event-loop
+//! thread per [`Reactor`], blocked in a [`Poller`] — epoll on Linux,
+//! kqueue on the BSD family. Connections become state
 //! machines: nonblocking reads reassemble newline-delimited frames
 //! across wakeups, writes drain bounded per-connection [`Outbox`]es
 //! with `WOULDBLOCK`-driven interest re-arming, and peers that stop
@@ -28,12 +28,13 @@
 //! with the cluster: the dispatcher's worker and relay connections, the
 //! relay's members and its upstream session, and the ranks' connections
 //! to the PMI service (`jets_pmi::serve_ranks`: a second listener on the
-//! dispatcher's reactor, feeding the `jets_pmi::PmiState` its loop owns). `jets_mpi::Endpoint` uses the [`Poller`]
-//! alone, one thread over a pilot's inbound mesh sockets. The blocking
-//! client paths (the worker agent's session, a rank's `PmiClient`) stay
-//! on the calling thread; while a pilot's reader runs a task, its other
-//! thread waits on the session socket in a [`Watch`], which, unlike a
-//! [`Poller`], a thread can arm while another waits in it.
+//! dispatcher's reactor, feeding the `jets_pmi::PmiState` its loop owns).
+//! The [`Poller`] is also the one readiness primitive of the threads that
+//! block outside a reactor: `jets_mpi::Endpoint`'s one thread over a
+//! pilot's inbound mesh sockets, and a pilot's second thread, which waits
+//! on the session socket, registered one-shot, while the first runs a
+//! task. Any thread may register with a poller or wake it while another
+//! waits in it.
 
 #![cfg_attr(
     not(test),
@@ -50,7 +51,7 @@ mod reactor;
 mod sys;
 
 pub use outbox::{CloseReason, Outbox};
-pub use poller::{new_poller, Event, Interest, Poller, Watch};
+pub use poller::{Event, Interest, Poller};
 pub use reactor::{AcceptFn, ConnHandler, Flow, LoopCell, Reactor, ReactorConfig, ReactorStats};
 
 use std::sync::{Mutex, MutexGuard};

@@ -10,7 +10,7 @@
 //! scheduler locks.
 
 use crate::lock;
-use crate::reactor::{LoopShared, ReactorStats};
+use crate::reactor::LoopShared;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -52,28 +52,19 @@ pub(crate) struct OutQ {
 /// teardown return `false`).
 pub struct Outbox {
     pub(crate) id: u64,
-    pub(crate) limit: usize,
     pub(crate) q: Mutex<OutQ>,
     pub(crate) loop_: Arc<LoopShared>,
-    pub(crate) stats: Arc<ReactorStats>,
 }
 
 impl Outbox {
-    pub(crate) fn new(
-        id: u64,
-        limit: usize,
-        loop_: Arc<LoopShared>,
-        stats: Arc<ReactorStats>,
-    ) -> Arc<Outbox> {
+    pub(crate) fn new(id: u64, loop_: Arc<LoopShared>) -> Arc<Outbox> {
         Arc::new(Outbox {
             id,
-            limit,
             q: Mutex::new(OutQ {
                 buf: VecDeque::new(),
                 closed: None,
             }),
             loop_,
-            stats,
         })
     }
 
@@ -93,10 +84,11 @@ impl Outbox {
             if q.closed.is_some() {
                 return false;
             }
-            if q.buf.len() + frame.len() > self.limit {
+            if q.buf.len() + frame.len() > self.loop_.outbox_limit {
                 q.closed = Some(CloseReason::SlowConsumer);
                 q.buf.clear();
-                self.stats
+                self.loop_
+                    .stats
                     .slow_consumer_disconnects
                     .fetch_add(1, Ordering::Relaxed);
                 drop(q);
@@ -105,7 +97,8 @@ impl Outbox {
             }
             let was_empty = q.buf.is_empty();
             q.buf.extend(frame.iter().copied());
-            self.stats
+            self.loop_
+                .stats
                 .outbox_hwm
                 .fetch_max(q.buf.len() as u64, Ordering::Relaxed);
             was_empty

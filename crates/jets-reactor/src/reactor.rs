@@ -1,9 +1,9 @@
-//! Event loops, connection state machines, timers, and the router.
+//! The event loop: connection state machines and timers.
 //!
-//! A [`Reactor`] owns a fixed handful of event-loop threads (the count
-//! is configuration, not connection count). Each loop owns one
-//! platform [`Poller`](crate::poller::Poller), a self-pipe waker, the
-//! connections assigned to it and its timers. Connections are nonblocking
+//! A [`Reactor`] is one event-loop thread, however many connections it
+//! serves. The loop owns its connections and its timers; what other
+//! threads reach — the [`Poller`], the inbox, id allocation and the
+//! counters — is one shared struct. Connections are nonblocking
 //! state machines: reads reassemble newline-delimited frames across
 //! wakeups and hand each complete frame to the connection's
 //! [`ConnHandler`]; writes drain the connection's bounded [`Outbox`],
@@ -11,35 +11,32 @@
 //! protocol). A dialed connection ([`Reactor::connect`]) waits for its
 //! first readiness event before its handler is opened.
 //!
-//! Cross-thread interaction is funnelled through each loop's inbox: a
-//! short mutex push plus one byte on the wake pipe. Registrations,
-//! posted closures and timers travel that way, in order, and so do
-//! kicks. `Outbox::send` therefore never blocks. Work the loop raises
-//! itself while it dispatches (a handler's send, a timer's post) skips
-//! the pipe byte: a reply leaves as soon as the readiness event that
-//! produced it is handled, before the next ready connection's turn, so
-//! a reply from `on_frame` costs no extra wakeup and does not wait for
-//! the rest of the iteration — two loops, or a loop and its peers,
-//! overlap instead of taking turns. Frames that one event produces
-//! together still leave in one `write`. The loop sleeps until its next
-//! timer is due. Handlers, posts and timers run on the loop thread and
-//! must not block — jets-lint rule J7 enforces that textually.
+//! Cross-thread interaction is funnelled through the loop's inbox: a
+//! short mutex push plus a [`Poller::wake`]. Registrations, posted
+//! closures and timers travel that way, in order, and so do kicks.
+//! `Outbox::send` therefore never blocks. Work the loop raises itself
+//! while it dispatches (a handler's send, a timer's post) skips the
+//! wake: a reply leaves as soon as the readiness event that produced it
+//! is handled, before the next ready connection's turn, so a reply from
+//! `on_frame` costs no extra wakeup and does not wait for the rest of
+//! the iteration — a loop and its peers overlap instead of taking
+//! turns. Frames that one event produces together still leave in one
+//! `write`. The loop sleeps until its next timer is due. Handlers, posts
+//! and timers run on the loop thread and must not block — jets-lint
+//! rule J7 enforces that textually.
 
 use crate::outbox::{CloseReason, Outbox};
-use crate::poller::{new_poller, Event, Interest, Poller};
+use crate::poller::{Event, Interest, Poller};
 use crate::{lock, sys};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Token reserved for each loop's wake pipe.
-const WAKE_TOKEN: u64 = 0;
 
 thread_local! {
     /// The loop whose events this thread is dispatching right now, i.e.
@@ -149,9 +146,9 @@ impl ReactorStats {
 /// Reactor sizing and policy knobs.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
-    /// Event-loop threads (one by default: every daemon runs one loop).
-    /// The whole point: this, not the connection count, is the process's
-    /// thread bill for connection handling.
+    /// Event-loop threads: must be 1, the one loop a reactor runs
+    /// ([`Reactor::start`] refuses any other count). Left only because
+    /// the benchmark's echo floor sets it.
     pub event_loops: usize,
     /// Bounded per-connection outbox capacity in bytes; overflow
     /// disconnects the slow consumer.
@@ -185,11 +182,16 @@ pub(crate) struct LoopInbox {
     closed: bool,
 }
 
-/// The cross-thread face of one event loop: its waker write end and
-/// the inbox other threads push work through.
+/// The cross-thread face of the event loop: its poller, the inbox other
+/// threads push work through, id allocation, counters and policy.
 pub(crate) struct LoopShared {
-    wake_tx: OwnedFd,
+    poller: Poller,
     inbox: Mutex<LoopInbox>,
+    next_id: AtomicU64,
+    pub(crate) stats: Arc<ReactorStats>,
+    shutdown: AtomicBool,
+    max_frame: usize,
+    pub(crate) outbox_limit: usize,
 }
 
 impl LoopShared {
@@ -201,7 +203,7 @@ impl LoopShared {
         if self.dispatching() {
             KICKED.with(|k| k.set(true));
         } else {
-            self.wake();
+            self.poller.wake();
         }
     }
 
@@ -215,7 +217,7 @@ impl LoopShared {
         drop(inbox);
         // Raised by this loop mid-dispatch: the drain ahead runs it.
         if !self.dispatching() {
-            self.wake();
+            self.poller.wake();
         }
         Ok(())
     }
@@ -224,9 +226,24 @@ impl LoopShared {
         DISPATCHING.with(|d| std::ptr::eq(d.get(), self))
     }
 
-    fn wake(&self) {
-        // Nonblocking; a full pipe already guarantees a pending wakeup.
-        let _ = sys::write_fd(self.wake_tx.as_raw_fd(), &[1]);
+    fn next_id(&self) -> u64 {
+        self.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn register(
+        self: &Arc<Self>,
+        sock: Sock,
+        handler: Box<dyn ConnHandler>,
+    ) -> io::Result<Arc<Outbox>> {
+        let id = self.next_id();
+        let outbox = Outbox::new(id, Arc::clone(self));
+        self.inject(Injected::Conn {
+            id,
+            sock,
+            handler,
+            outbox: outbox.clone(),
+        })?;
+        Ok(outbox)
     }
 }
 
@@ -345,109 +362,55 @@ enum Entry {
     },
 }
 
-/// Shared routing state: loop handles, id allocation, stats, policy.
-pub(crate) struct Router {
-    loops: Vec<Arc<LoopShared>>,
-    next_loop: AtomicUsize,
-    next_id: AtomicU64,
-    pub(crate) stats: Arc<ReactorStats>,
-    shutdown: AtomicBool,
-    max_frame: usize,
-    outbox_limit: usize,
-}
-
-impl Router {
-    fn next_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn pick_loop(&self) -> &Arc<LoopShared> {
-        &self.loops[self.next_loop.fetch_add(1, Ordering::Relaxed) % self.loops.len()]
-    }
-
-    fn register(
-        &self,
-        shared: &Arc<LoopShared>,
-        sock: Sock,
-        handler: Box<dyn ConnHandler>,
-    ) -> io::Result<Arc<Outbox>> {
-        let id = self.next_id();
-        let outbox = Outbox::new(id, self.outbox_limit, shared.clone(), self.stats.clone());
-        shared.inject(Injected::Conn {
-            id,
-            sock,
-            handler,
-            outbox: outbox.clone(),
-        })?;
-        Ok(outbox)
-    }
-}
-
-/// A running set of event loops multiplexing many connections onto a
-/// fixed number of threads. Posts, timers and dialed connections go to
-/// loop 0, which is the only loop a daemon runs.
+/// One event loop multiplexing many connections onto one thread, which
+/// also runs the posts, the timers and the dials.
 pub struct Reactor {
-    router: Arc<Router>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    shared: Arc<LoopShared>,
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Reactor {
-    /// Start `config.event_loops` loop threads (at least one).
+    /// Start the loop thread. `config.event_loops` must be 1: any other
+    /// count is `InvalidInput`.
     pub fn start(config: ReactorConfig) -> io::Result<Reactor> {
-        let n = config.event_loops.max(1);
-        let stats = Arc::new(ReactorStats::default());
-        let mut loops = Vec::with_capacity(n);
-        let mut tails = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (rx, tx) = sys::make_wake_pipe()?;
-            let rx = unsafe { OwnedFd::from_raw_fd(rx) };
-            let tx = unsafe { OwnedFd::from_raw_fd(tx) };
-            let poller = new_poller()?;
-            loops.push(Arc::new(LoopShared {
-                wake_tx: tx,
-                inbox: Mutex::new(LoopInbox::default()),
-            }));
-            tails.push((rx, poller));
+        if config.event_loops != 1 {
+            let err = "a reactor runs one event loop";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, err));
         }
-        let router = Arc::new(Router {
-            loops,
-            next_loop: AtomicUsize::new(0),
-            // Token 0 is every loop's waker.
-            next_id: AtomicU64::new(1),
-            stats,
+        let shared = Arc::new(LoopShared {
+            poller: Poller::new()?,
+            inbox: Mutex::new(LoopInbox::default()),
+            next_id: AtomicU64::new(0),
+            stats: Arc::new(ReactorStats::default()),
             shutdown: AtomicBool::new(false),
             max_frame: config.max_frame,
             outbox_limit: config.outbox_limit,
         });
-        let reactor = Reactor {
-            router,
-            threads: Mutex::new(Vec::with_capacity(n)),
-        };
-        for (i, (rx, poller)) in tails.into_iter().enumerate() {
-            let r = reactor.router.clone();
-            let handle = thread::Builder::new()
-                .name(format!("{}-{i}", config.thread_name))
-                .stack_size(config.thread_stack)
-                .spawn(move || run_loop(r, i, rx, poller))?; // drop stops the started ones
-            lock(&reactor.threads).push(handle);
-        }
-        Ok(reactor)
+        let theirs = Arc::clone(&shared);
+        let thread = thread::Builder::new()
+            .name(format!("{}-0", config.thread_name))
+            .stack_size(config.thread_stack)
+            .spawn(move || run_loop(theirs))?;
+        Ok(Reactor {
+            shared,
+            thread: Mutex::new(Some(thread)),
+        })
     }
 
     /// Serve accepted connections from `listener` through `factory`.
-    /// The listener is made nonblocking and owned by one event loop.
+    /// The listener is made nonblocking and owned by the loop.
     pub fn listen(&self, listener: TcpListener, factory: Arc<AcceptFn>) -> io::Result<()> {
         listener.set_nonblocking(true)?;
-        let id = self.router.next_id();
+        let id = self.shared.next_id();
         let injected = Injected::Listener {
             id,
             listener,
             factory,
         };
-        self.router.pick_loop().inject(injected)
+        self.shared.inject(injected)
     }
 
-    /// Dial `addr` from loop 0 without blocking anyone. `handler` is
+    /// Dial `addr` from the loop without blocking anyone. `handler` is
     /// opened once the connect goes through; if it does not, its
     /// `on_close` gets [`CloseReason::ConnectFailed`]. Frames sent on the
     /// returned outbox meanwhile leave once it is through.
@@ -456,21 +419,20 @@ impl Reactor {
         addr: SocketAddr,
         handler: Box<dyn ConnHandler>,
     ) -> io::Result<Arc<Outbox>> {
-        let home = &self.router.loops[0];
-        self.router.register(home, Sock::Dial(addr), handler)
+        self.shared.register(Sock::Dial(addr), handler)
     }
 
-    /// Run `f` on loop 0, after everything posted before it.
+    /// Run `f` on the loop, after everything posted before it.
     pub fn post(&self, f: impl FnOnce() + Send + 'static) -> io::Result<()> {
-        self.router.loops[0].inject(Injected::Post(Box::new(f)))
+        self.shared.inject(Injected::Post(Box::new(f)))
     }
 
-    /// Run `f` on loop 0 every `period`, the first time one period from now.
+    /// Run `f` on the loop every `period`, the first time one period from now.
     pub fn every(&self, period: Duration, f: impl FnMut() + Send + 'static) -> io::Result<()> {
         self.timer(period, Some(period), Box::new(f))
     }
 
-    /// Run `f` once on loop 0, `delay` from now.
+    /// Run `f` once on the loop, `delay` from now.
     pub fn after(&self, delay: Duration, f: impl FnOnce() + Send + 'static) -> io::Result<()> {
         let mut f = Some(f);
         self.timer(
@@ -482,13 +444,14 @@ impl Reactor {
 
     fn timer(&self, delay: Duration, period: Option<Duration>, run: TimerFn) -> io::Result<()> {
         let due = Instant::now() + delay;
-        self.router.loops[0].inject(Injected::Timer(Timer { due, period, run }))
+        self.shared
+            .inject(Injected::Timer(Timer { due, period, run }))
     }
 
-    /// Hand `value` to loop 0: from now on only that loop touches it.
+    /// Hand `value` to the loop: from now on only the loop touches it.
     pub fn own<T: Send>(&self, value: T) -> LoopCell<T> {
         LoopCell {
-            home: Arc::clone(&self.router.loops[0]),
+            home: Arc::clone(&self.shared),
             busy: Cell::new(false),
             value: UnsafeCell::new(value),
         }
@@ -496,26 +459,18 @@ impl Reactor {
 
     /// Shared counters for observability bridges.
     pub fn stats(&self) -> Arc<ReactorStats> {
-        self.router.stats.clone()
+        self.shared.stats.clone()
     }
 
-    /// Number of event-loop threads.
-    pub fn event_loops(&self) -> usize {
-        self.router.loops.len()
-    }
-
-    /// Stop all loops and join their threads. What was already posted
-    /// runs first; queued outbound bytes get one best-effort nonblocking
+    /// Stop the loop and join its thread. What was already posted runs
+    /// first; queued outbound bytes get one best-effort nonblocking
     /// flush; handlers do not receive `on_close` for connections torn
     /// down by shutdown.
     pub fn shutdown(&self) {
-        self.router.shutdown.store(true, Ordering::Release);
-        for l in &self.router.loops {
-            l.wake();
-        }
-        let handles = std::mem::take(&mut *lock(&self.threads));
-        for handle in handles {
-            let _ = handle.join();
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.poller.wake();
+        if let Some(thread) = lock(&self.thread).take() {
+            let _ = thread.join();
         }
     }
 }
@@ -529,25 +484,20 @@ impl Drop for Reactor {
 /// Per-loop scratch read buffer size.
 const READ_CHUNK: usize = 64 << 10;
 
-fn run_loop(router: Arc<Router>, me: usize, wake_rx: OwnedFd, poller: Box<dyn Poller>) {
-    let shared = router.loops[me].clone();
+fn run_loop(shared: Arc<LoopShared>) {
     CURRENT.with(|c| c.set(Arc::as_ptr(&shared)));
     let mut lp = Loop {
-        router,
         shared,
-        poller,
         entries: HashMap::new(),
         timers: Vec::new(),
         kicked: Vec::new(),
     };
-    lp.run(wake_rx);
+    lp.run();
 }
 
-/// One event loop's own state, on its own thread.
+/// The event loop's own state, on its own thread.
 struct Loop {
-    router: Arc<Router>,
     shared: Arc<LoopShared>,
-    poller: Box<dyn Poller>,
     entries: HashMap<u64, Entry>,
     timers: Vec<Timer>,
     /// The kick list's spare buffer: taking the list costs no allocation.
@@ -555,33 +505,17 @@ struct Loop {
 }
 
 impl Loop {
-    fn run(&mut self, wake_rx: OwnedFd) {
+    fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         let mut chunk = vec![0u8; READ_CHUNK];
-        // If the waker cannot be registered the loop degrades to timed
-        // polling so shutdown and kicks still land.
-        let waker = self
-            .poller
-            .add(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ);
-        let idle_ms = if waker.is_ok() { i32::MAX } else { 20 };
         loop {
-            if self
-                .poller
-                .wait(&mut events, self.timeout_ms(idle_ms))
-                .is_err()
-            {
+            let timeout_ms = self.timeout_ms();
+            if self.shared.poller.wait(&mut events, timeout_ms).is_err() {
                 return;
             }
-            self.router.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
             DISPATCHING.with(|d| d.set(Arc::as_ptr(&self.shared)));
             for ev in events.iter().copied() {
-                if ev.token == WAKE_TOKEN {
-                    // A short read emptied the pipe; only a full buffer
-                    // can leave bytes behind.
-                    let mut buf = [0u8; 64];
-                    while sys::read_fd(wake_rx.as_raw_fd(), &mut buf) == buf.len() as isize {}
-                    continue;
-                }
                 self.ready(ev, &mut chunk);
                 // Replies leave with the event that produced them.
                 if KICKED.with(|k| k.replace(false)) {
@@ -590,31 +524,28 @@ impl Loop {
             }
             self.run_timers();
             self.drain_inbox();
-            // From here on a kick must write the pipe again: one raised
+            // From here on a kick must wake the poller again: one raised
             // while the kick list is flushed (an `on_close` sending to a
             // sibling) lands after the flush took its snapshot.
             DISPATCHING.with(|d| d.set(std::ptr::null()));
             KICKED.with(|k| k.set(false));
             self.flush_kicked();
-            if self.router.shutdown.load(Ordering::Acquire) {
+            if self.shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
         }
     }
 
     /// How long the loop may sleep: until its next timer is due, rounded
-    /// up to the millisecond so that no timer runs early.
-    fn timeout_ms(&self, idle_ms: i32) -> i32 {
+    /// up to the millisecond so that no timer runs early; −1 without one.
+    fn timeout_ms(&self) -> i32 {
         let now = Instant::now();
         let due = self
             .timers
             .iter()
             .map(|t| t.due.saturating_duration_since(now));
         let ms = due.map(|left| left.as_micros().div_ceil(1000)).min();
-        match ms.map_or(idle_ms, |ms| ms.min(idle_ms as u128) as i32) {
-            i32::MAX => -1,
-            ms => ms,
-        }
+        ms.map_or(-1, |ms| ms.min(i32::MAX as u128) as i32)
     }
 
     /// Run every timer that is due; a periodic one is next due a period
@@ -636,7 +567,7 @@ impl Loop {
             Some(Entry::Conn(conn)) if conn.connecting => self.connected(ev.token),
             Some(Entry::Conn(conn)) => {
                 if ev.readable {
-                    if let Err(reason) = pump_frames(conn, chunk, &self.router) {
+                    if let Err(reason) = pump_frames(conn, chunk, &self.shared) {
                         return self.teardown(ev.token, reason);
                     }
                 }
@@ -671,6 +602,7 @@ impl Loop {
                         factory,
                     } => {
                         if self
+                            .shared
                             .poller
                             .add(listener.as_raw_fd(), id, Interest::READ)
                             .is_ok()
@@ -698,17 +630,17 @@ impl Loop {
         mut handler: Box<dyn ConnHandler>,
         outbox: Arc<Outbox>,
     ) {
-        let stats = &self.router.stats;
+        let stats = &self.shared.stats;
         stats.connections_registered.fetch_add(1, Ordering::Relaxed);
         let (stream, connecting, failed) = match sock {
             Sock::Open(stream) => (Ok(stream), false, CloseReason::ReadError),
             Sock::Dial(addr) => (sys::dial(addr), true, CloseReason::ConnectFailed),
         };
-        let interest = Interest {
-            read: true,
-            write: connecting,
+        let interest = match connecting {
+            true => Interest::READ_WRITE,
+            false => Interest::READ,
         };
-        let poller = &mut self.poller;
+        let poller = &self.shared.poller;
         let registered = stream.and_then(|stream| {
             let _ = stream.set_nodelay(true);
             stream.set_nonblocking(true)?;
@@ -764,18 +696,17 @@ impl Loop {
     }
 
     /// Accept until the listener would block, registering each connection
-    /// with the router's next loop (round-robin).
+    /// with the loop.
     fn accept(&self, id: u64) {
         let Some(Entry::Listener { listener, factory }) = self.entries.get(&id) else {
             return;
         };
-        let router = &self.router;
         loop {
             match listener.accept() {
                 Ok((stream, peer)) => {
                     if let Some(handler) = factory(&stream, peer) {
                         // Shed silently if the reactor is shutting down.
-                        let _ = router.register(router.pick_loop(), Sock::Open(stream), handler);
+                        let _ = self.shared.register(Sock::Open(stream), handler);
                     }
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
@@ -792,18 +723,18 @@ impl Loop {
         let Some(Entry::Conn(conn)) = self.entries.get_mut(&id) else {
             return;
         };
-        let want_write = match flush_outbox(conn, &self.router) {
+        let want_write = match flush_outbox(conn, &self.shared) {
             FlushResult::Idle => false,
             FlushResult::Arm => true,
             FlushResult::Close(reason) => return self.teardown(id, reason),
         };
         if conn.want_write != want_write {
             conn.want_write = want_write;
-            let interest = Interest {
-                read: true,
-                write: want_write,
+            let interest = match want_write {
+                true => Interest::READ_WRITE,
+                false => Interest::READ,
             };
-            if self.poller.modify(conn.fd, id, interest).is_err() {
+            if self.shared.poller.modify(conn.fd, id, interest).is_err() {
                 self.teardown(id, CloseReason::WriteError);
             }
         }
@@ -812,9 +743,9 @@ impl Loop {
     /// Remove a connection, deregister its fd, and fire `on_close` once.
     fn teardown(&mut self, id: u64, reason: CloseReason) {
         if let Some(Entry::Conn(mut conn)) = self.entries.remove(&id) {
-            let _ = self.poller.remove(conn.fd);
+            let _ = self.shared.poller.remove(conn.fd);
             conn.outbox.mark_closed(reason);
-            let closed = &self.router.stats.connections_closed;
+            let closed = &self.shared.stats.connections_closed;
             closed.fetch_add(1, Ordering::Relaxed);
             conn.handler.on_close(reason);
         }
@@ -830,7 +761,7 @@ impl Drop for Loop {
     fn drop(&mut self) {
         for (_, entry) in self.entries.drain() {
             if let Entry::Conn(mut conn) = entry {
-                flush_outbox(&mut conn, &self.router);
+                flush_outbox(&mut conn, &self.shared);
                 conn.outbox.mark_closed(CloseReason::Closed);
             }
         }
@@ -854,7 +785,7 @@ impl Drop for Loop {
 /// every other ready connection has had its turn, so a peer that writes
 /// as fast as the loop reads cannot starve its siblings — and a drained
 /// socket is not read a second time just to be told `EAGAIN`.
-fn pump_frames(conn: &mut Conn, chunk: &mut [u8], router: &Arc<Router>) -> Result<(), CloseReason> {
+fn pump_frames(conn: &mut Conn, chunk: &mut [u8], shared: &LoopShared) -> Result<(), CloseReason> {
     let n = loop {
         match (&conn.stream).read(chunk) {
             Ok(0) => return Err(CloseReason::PeerClosed),
@@ -864,12 +795,12 @@ fn pump_frames(conn: &mut Conn, chunk: &mut [u8], router: &Arc<Router>) -> Resul
             Err(_) => return Err(CloseReason::ReadError),
         }
     };
-    router.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+    shared.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
     conn.rbuf.extend_from_slice(&chunk[..n]);
     let mut consumed = 0;
     while let Some(off) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
         let nl = conn.scanned + off;
-        router.stats.frames_in.fetch_add(1, Ordering::Relaxed);
+        shared.stats.frames_in.fetch_add(1, Ordering::Relaxed);
         let flow = conn.handler.on_frame(&conn.rbuf[consumed..nl]);
         consumed = nl + 1;
         conn.scanned = consumed;
@@ -881,7 +812,7 @@ fn pump_frames(conn: &mut Conn, chunk: &mut [u8], router: &Arc<Router>) -> Resul
         conn.rbuf.drain(..consumed);
     }
     conn.scanned = conn.rbuf.len();
-    if conn.rbuf.len() > router.max_frame {
+    if conn.rbuf.len() > shared.max_frame {
         return Err(CloseReason::Oversize);
     }
     Ok(())
@@ -897,7 +828,7 @@ enum FlushResult {
 }
 
 /// Drain the outbox into the socket without blocking.
-fn flush_outbox(conn: &mut Conn, router: &Arc<Router>) -> FlushResult {
+fn flush_outbox(conn: &mut Conn, shared: &LoopShared) -> FlushResult {
     let mut q = lock(&conn.outbox.q);
     if let Some(reason) = q.closed {
         // Graceful close still flushes; every other reason is immediate.
@@ -920,7 +851,7 @@ fn flush_outbox(conn: &mut Conn, router: &Arc<Router>) -> FlushResult {
             }
         };
         q.buf.drain(..n);
-        router
+        shared
             .stats
             .bytes_out
             .fetch_add(n as u64, Ordering::Relaxed);
@@ -1384,14 +1315,24 @@ mod tests {
         assert_eq!(read_line(&mut watcher), b"gone");
     }
 
+    /// 64 connections, one loop thread: the thread bill does not grow
+    /// with the connection count.
+    #[cfg(target_os = "linux")]
     #[test]
     fn thread_count_tracks_loops_not_connections() {
         let config = ReactorConfig {
-            event_loops: 2,
+            thread_name: "conns64".to_string(),
             ..ReactorConfig::default()
         };
         let (reactor, probe, addr) = start_probe(config, vec![], None);
-        assert_eq!(reactor.event_loops(), 2);
+        let loop_threads = || {
+            let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm")).ok();
+            std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(|t| comm(t.ok()?))
+                .filter(|name| name.starts_with("conns64"))
+                .count()
+        };
         let mut clients = Vec::new();
         for _ in 0..64 {
             clients.push(TcpStream::connect(addr).unwrap());
@@ -1399,13 +1340,27 @@ mod tests {
         wait_until("64 registrations", || {
             reactor.stats().connections_registered() == 64
         });
-        // Every connection answers through the same two loops.
+        // Every connection answers through the same one loop.
         for (i, client) in clients.iter_mut().enumerate() {
             client.write_all(format!("ping {i}\n").as_bytes()).unwrap();
         }
         wait_until("64 frames", || probe.frames().len() == 64);
         assert_eq!(reactor.stats().connections_open(), 64);
+        assert_eq!(loop_threads(), 1);
     }
+
+    #[test]
+    fn a_reactor_runs_exactly_one_loop() {
+        for event_loops in [0, 2] {
+            let config = ReactorConfig {
+                event_loops,
+                ..ReactorConfig::default()
+            };
+            let refused = Reactor::start(config).err().map(|err| err.kind());
+            assert_eq!(refused, Some(io::ErrorKind::InvalidInput));
+        }
+    }
+
     fn one_loop() -> Reactor {
         let config = ReactorConfig {
             event_loops: 1,

@@ -11,11 +11,10 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::os::fd::{FromRawFd, RawFd};
+use std::os::fd::{FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_void};
 
 extern "C" {
-    fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
@@ -25,12 +24,17 @@ extern "C" {
 /// `SOCK_STREAM`, the same on every supported platform.
 const SOCK_STREAM: c_int = 1;
 
-/// Close a raw descriptor, ignoring errors (used on teardown paths
-/// where there is nothing left to do about one).
-pub fn close_fd(fd: RawFd) {
-    unsafe {
-        close(fd);
+/// Own the descriptor a call just returned, or its error if negative.
+///
+/// # Safety
+///
+/// `fd` is negative, or open and owned by nothing else.
+pub unsafe fn owned(fd: c_int) -> io::Result<OwnedFd> {
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
     }
+    // SAFETY: the caller's promise.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
 /// Nonblocking byte read on a raw descriptor (the waker pipe).
@@ -87,11 +91,7 @@ pub fn dial(addr: SocketAddr) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// Create the loop's self-pipe waker: `(read_end, write_end)`, both
-/// nonblocking and close-on-exec.
-pub fn make_wake_pipe() -> io::Result<(RawFd, RawFd)> {
-    platform::wake_pipe()
-}
+pub use platform::wake_pipe;
 
 #[cfg(target_os = "linux")]
 pub mod platform {
@@ -142,8 +142,6 @@ pub mod platform {
     pub const EPOLLRDHUP: u32 = 0x2000;
     /// Fire once, then stay registered but disabled.
     pub const EPOLLONESHOT: u32 = 1 << 30;
-    /// `epoll_ctl` add of a descriptor already registered.
-    pub const EEXIST: i32 = 17;
 
     const O_NONBLOCK: c_int = 0o4000;
     const O_CLOEXEC: c_int = 0o2000000;
@@ -153,12 +151,16 @@ pub mod platform {
     pub const SOCK_CLOEXEC: c_int = O_CLOEXEC;
     pub const EINPROGRESS: i32 = 115;
 
-    pub(crate) fn wake_pipe() -> io::Result<(RawFd, RawFd)> {
+    /// A poller's self-pipe: `(read_end, write_end)`, both nonblocking
+    /// and close-on-exec.
+    pub fn wake_pipe() -> io::Result<(OwnedFd, OwnedFd)> {
         let mut fds = [0 as c_int; 2];
+        // SAFETY: `fds` has room for the two descriptors the call writes.
         if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
             return Err(io::Error::last_os_error());
         }
-        Ok((fds[0], fds[1]))
+        // SAFETY: the two descriptors the call just opened.
+        unsafe { Ok((owned(fds[0])?, owned(fds[1])?)) }
     }
 }
 
@@ -238,24 +240,27 @@ pub mod platform {
     pub const SOCK_CLOEXEC: c_int = 0;
     pub const EINPROGRESS: i32 = 36;
 
-    pub(crate) fn wake_pipe() -> io::Result<(RawFd, RawFd)> {
+    /// A poller's self-pipe: `(read_end, write_end)`, both nonblocking
+    /// and close-on-exec.
+    pub fn wake_pipe() -> io::Result<(OwnedFd, OwnedFd)> {
         let mut fds = [0 as c_int; 2];
+        // SAFETY: `fds` has room for the two descriptors the call writes.
         if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
             return Err(io::Error::last_os_error());
         }
-        for &fd in &fds {
+        // SAFETY: the two descriptors the call just opened.
+        let pipe = unsafe { (owned(fds[0])?, owned(fds[1])?) };
+        for fd in fds {
+            // SAFETY: integer arguments on a descriptor `pipe` owns.
             let flags = unsafe { fcntl(fd, F_GETFL, 0) };
             if flags < 0
                 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0
                 || unsafe { fcntl(fd, F_SETFD, FD_CLOEXEC) } < 0
             {
-                let err = io::Error::last_os_error();
-                close_fd(fds[0]);
-                close_fd(fds[1]);
-                return Err(err);
+                return Err(io::Error::last_os_error());
             }
         }
-        Ok((fds[0], fds[1]))
+        Ok(pipe)
     }
 }
 
@@ -265,14 +270,13 @@ mod tests {
 
     #[test]
     fn wake_pipe_round_trips_a_byte() {
-        let (rx, tx) = make_wake_pipe().unwrap();
+        use std::os::fd::AsRawFd;
+        let (rx, tx) = wake_pipe().unwrap();
         let mut buf = [0u8; 8];
         // Empty: nonblocking read reports would-block (negative).
-        assert!(read_fd(rx, &mut buf) < 0);
-        assert_eq!(write_fd(tx, &[1]), 1);
+        assert!(read_fd(rx.as_raw_fd(), &mut buf) < 0);
+        assert_eq!(write_fd(tx.as_raw_fd(), &[1]), 1);
         // A pipe write is readable as soon as it returns.
-        assert_eq!(read_fd(rx, &mut buf), 1);
-        close_fd(rx);
-        close_fd(tx);
+        assert_eq!(read_fd(rx.as_raw_fd(), &mut buf), 1);
     }
 }

@@ -23,13 +23,13 @@
 //!   task an `Assign` starts itself and delivers `finished`, so `Done`
 //!   and the next `Request` leave in one write from the thread that read
 //!   the `Assign`: one wake-up per task (`tests/wakeups.rs`).
-//! * **the watcher** waits in a [`Watch`] that the reader arms on the
-//!   session socket before each task and disarms after it. A frame that
-//!   arrives mid-task (`Cancel`, `Shutdown`, EOF, a kill) wakes it: it
-//!   takes the agent over and is the reader from then on, and the thread
-//!   whose task ends without the agent becomes the watcher. A thread the
-//!   core gave up on learns so from `finished`'s `false`, and ends; the
-//!   next task starts a fresh partner.
+//! * **the watcher** waits in a [`Poller`] where the reader registers
+//!   the session socket, one-shot, before each task and removes it
+//!   after. A frame that arrives mid-task (`Cancel`, `Shutdown`, EOF, a
+//!   kill) wakes it: it takes the agent over and is the reader from then
+//!   on, and the thread whose task ends without the agent becomes the
+//!   watcher. A thread the core gave up on learns so from `finished`'s
+//!   `false`, and ends; the next task starts a fresh partner.
 //! * **the heartbeat** (`hb-*`; if configured, one per session) delivers
 //!   `tick` whenever [`PilotCore::heartbeat_due`] says.
 //!
@@ -49,7 +49,7 @@ use jets_core::protocol::{
 };
 use jets_core::spec::CommandSpec;
 use jets_core::{EventLog, SpanKind, WriterRole};
-use jets_reactor::Watch;
+use jets_reactor::{Interest, Poller};
 use jets_ring::stdx::{Mutex, Rank, SplitMix64};
 use std::io::{self, BufReader, ErrorKind};
 use std::net::{Shutdown, TcpStream};
@@ -217,7 +217,7 @@ impl Worker {
     /// the thread, so spawning a large simulated allocation is fast.
     #[expect(
         clippy::expect_used,
-        reason = "a pilot that cannot get its thread or its watch has nothing to fall back to"
+        reason = "a pilot that cannot get its thread or its poller has nothing to fall back to"
     )]
     pub fn spawn(config: WorkerConfig, executor: Arc<dyn TaskExecutor>) -> Worker {
         // The flight recorder is opened here (not in the loop thread) so
@@ -253,7 +253,7 @@ impl Worker {
             sock: Mutex::new(None),
             state: Mutex::ranked(Rank::Pilot, (core, Wire::default())),
             parked: Mutex::new(None),
-            watch: Watch::new().expect("a watch for the pilot's session socket"),
+            poller: Poller::new().expect("a poller for the pilot's session socket"),
             over: AtomicBool::new(false),
             sleeper: Mutex::new(None),
         });
@@ -358,9 +358,9 @@ struct Pilot {
     /// the watcher takes it when a frame arrives, the reader takes it
     /// back when the task ends.
     parked: Mutex<Option<(u64, Agent)>>,
-    /// Where the watcher waits: the session socket, armed while the agent
-    /// is parked.
-    watch: Watch,
+    /// Where the watcher waits: the session socket, registered while the
+    /// agent is parked.
+    poller: Poller,
     /// The agent loop has ended: the watcher stops.
     over: AtomicBool,
     /// The reader, while it backs off: `kill` unparks it.
@@ -407,9 +407,10 @@ impl Pilot {
         let unread = agent.unread();
         *self.parked.lock() = Some((runner, agent));
         // Armed once the agent is in its slot, where the event must find it.
-        let armed = matches!(unread, Some((fd, false)) if self.watch.arm(fd).is_ok());
+        let once = Interest::READ_ONCE;
+        let armed = matches!(unread, Some((fd, false)) if self.poller.add(fd, 0, once).is_ok());
         if !armed {
-            self.watch.wake();
+            self.poller.wake();
         }
     }
 
@@ -424,7 +425,7 @@ impl Pilot {
     /// then take it. `None` once the agent loop has ended.
     fn await_agent(&self) -> Option<Agent> {
         while !self.over.load(Ordering::Acquire) {
-            self.watch.wait().ok()?;
+            self.poller.wait(&mut Vec::new(), -1).ok()?;
             // Empty when the reader took it back first: wait again.
             let parked = self.parked.lock().take();
             if let Some((_, agent)) = parked {
@@ -435,9 +436,7 @@ impl Pilot {
     }
 
     fn unwatch(&self, agent: Agent) -> Agent {
-        if let Some((fd, _)) = agent.unread() {
-            let _ = self.watch.disarm(fd);
-        }
+        let _ = agent.unread().map(|(fd, _)| self.poller.remove(fd));
         agent
     }
 
@@ -516,8 +515,8 @@ type Rx = MsgReader<BufReader<TcpStream>>;
 /// Where a thread goes once the agent has left it.
 #[derive(PartialEq)]
 enum Next {
-    /// Its task ended while the other thread read: it watches now.
-    Watch,
+    /// Its task ended while the other thread read: it waits now.
+    Wait,
     /// The agent loop is over, or its task was given up on.
     Exit,
 }
@@ -620,7 +619,7 @@ impl Agent {
         let tasks_done = pilot.input(|core, _, _| core.tasks_done());
         let _ = self.exit.send(WorkerExit { tasks_done, reason });
         pilot.over.store(true, Ordering::Release);
-        pilot.watch.wake();
+        pilot.poller.wake();
         Next::Exit
     }
 
@@ -765,7 +764,7 @@ impl Agent {
         let current = pilot.input(|core, now, fx| core.finished(now, runner, outcome, fx));
         match (agent, current) {
             (Some(agent), _) => Ok(agent),
-            (None, true) => Err(Next::Watch),
+            (None, true) => Err(Next::Wait),
             // Given up on: its result was late, and it ends.
             (None, false) => Err(Next::Exit),
         }
