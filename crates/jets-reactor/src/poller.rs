@@ -365,7 +365,7 @@ mod tests {
     /// `modify` re-arms it, and a removed one never fires. Registrations
     /// change while another thread waits.
     #[test]
-    fn a_one_shot_registration_reports_its_descriptor_once() {
+    fn a_watch_reports_an_armed_descriptor_once() {
         let (mut client, server) = pair();
         let fd = server.as_raw_fd();
         let poller = Arc::new(Poller::new().unwrap());
