@@ -1377,7 +1377,6 @@ mod tests {
     /// nobody's problem but the writer's: with the file's path a FIFO
     /// nobody reads — a directory as slow as they come — the next
     /// `Request` is still served and the next job still finishes.
-    #[cfg(unix)]
     #[test]
     fn task_output_lands_in_its_file_without_holding_up_scheduling() {
         extern "C" {
@@ -1492,7 +1491,6 @@ mod tests {
     /// A finished job wakes the threads waiting for it, and the ones
     /// waiting for idle only when it was the last: `notify_all` per job
     /// switched this thread in about 0.7 times per job.
-    #[cfg(target_os = "linux")]
     #[test]
     fn wait_idle_sleeps_through_a_batch() {
         fn voluntary_switches() -> u64 {

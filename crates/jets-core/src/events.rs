@@ -1855,7 +1855,6 @@ mod tests {
 
     /// A flight file feeds the stats module unchanged: the series
     /// recomputed from [`read_flight`] match the live log's.
-    #[cfg(unix)]
     #[test]
     fn reloaded_log_recomputes_stats() {
         let path = std::env::temp_dir().join(format!("jets-stats-{}.ring", std::process::id()));
@@ -1972,7 +1971,6 @@ mod tests {
         assert_eq!(log.len() as u64, TOTAL);
     }
 
-    #[cfg(unix)]
     #[test]
     fn file_backed_log_replays_offline() {
         let path = std::env::temp_dir().join(format!("jets-events-{}.ring", std::process::id()));

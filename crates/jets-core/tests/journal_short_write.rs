@@ -8,8 +8,6 @@
 //! test in it. The three calls are hand-declared, as jets-ring declares
 //! `mmap`; the constants are Linux's.
 
-#![cfg(target_os = "linux")]
-
 use jets_core::core::Fact;
 use jets_core::journal::{scan, FsyncPolicy, Journal, Record};
 use jets_core::spec::{CommandSpec, JobSpec};

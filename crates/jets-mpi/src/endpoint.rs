@@ -317,7 +317,6 @@ mod tests {
 
     /// Dropping an endpoint is prompt and leaves nothing behind: its
     /// thread is joined and its port refuses connections.
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_dropped_endpoint_joins_its_thread_and_closes_its_port() {
         use std::collections::BTreeSet;

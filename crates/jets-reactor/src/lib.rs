@@ -2,9 +2,9 @@
 //!
 //! Replaces the two-threads-per-connection pattern (blocking reader
 //! thread + unbounded writer channel + writer thread) with one event-loop
-//! thread per [`Reactor`], blocked in a [`Poller`] — epoll on Linux,
-//! kqueue on the BSD family. Connections become state
-//! machines: nonblocking reads reassemble newline-delimited frames
+//! thread per [`Reactor`], blocked in a [`Poller`]: an epoll instance
+//! and an eventfd that wakes it. Connections become state machines:
+//! nonblocking reads reassemble newline-delimited frames
 //! across wakeups, writes drain bounded per-connection [`Outbox`]es
 //! with `WOULDBLOCK`-driven interest re-arming, and peers that stop
 //! reading are disconnected instead of growing process memory.
@@ -22,7 +22,9 @@
 //! Like jets-obs and jets-lint, this crate has **zero dependencies**:
 //! the syscalls are hand-declared FFI against the C library `std`
 //! already links, so the reactor compiles and its tests run in the
-//! offline shadow workspace.
+//! offline shadow workspace. Linux is the one platform (x86_64 and
+//! aarch64), as it was for the paper's JETS: any other target stops at
+//! the `compile_error!` below.
 //!
 //! The reactor serves the fan-in sides, where connection counts scale
 //! with the cluster: the dispatcher's worker and relay connections, the
@@ -44,6 +46,9 @@
         clippy::allow_attributes_without_reason
     )
 )]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("jets-reactor runs on Linux only: its poller is epoll plus an eventfd");
 
 mod outbox;
 mod poller;

@@ -1,14 +1,13 @@
-//! [`Poller`]: the one readiness queue, epoll on Linux and kqueue on the
-//! BSD family.
+//! [`Poller`]: the one readiness queue, an epoll instance.
 //!
 //! Registrations and the wait take `&self`: the kernel already orders an
-//! `epoll_ctl`/`kevent` change against a wait in progress, so one thread
-//! may add, modify or remove descriptors while another blocks in
+//! `epoll_ctl` change against a wait in progress, so one thread may add,
+//! modify or remove descriptors while another blocks in
 //! [`Poller::wait`]. The raw event buffer lives on the waiting thread's
 //! stack, so the poller holds no lock. Registrations are level-triggered —
 //! the reactor arms write interest only while a connection's outbox holds
 //! bytes, which is the entire backpressure protocol — unless they are
-//! one-shot ([`Interest::READ_ONCE`]). Each poller owns a self-pipe:
+//! one-shot ([`Interest::READ_ONCE`]). Each poller owns an eventfd:
 //! [`Poller::wake`] makes the current or the next wait return.
 
 use crate::sys;
@@ -44,7 +43,7 @@ impl Interest {
     };
 }
 
-/// One readiness event, translated out of the platform record.
+/// One readiness event, translated out of the epoll record.
 ///
 /// Error and hangup conditions surface as `readable = true`: the next
 /// nonblocking `read` then reports the EOF or error precisely, which
@@ -63,31 +62,35 @@ pub struct Event {
 /// at a time; any thread registers and wakes.
 pub struct Poller {
     queue: OwnedFd,
-    /// The self-pipe behind [`Poller::wake`]: read end, write end.
-    pipe: (OwnedFd, OwnedFd),
+    /// The eventfd behind [`Poller::wake`]: its counter is the pending wake.
+    waker: OwnedFd,
 }
 
-/// The token the wake pipe is registered under; no caller may use it.
+/// The token the waker is registered under; no caller may use it.
 const WAKE: u64 = u64::MAX;
 
 /// Raw records one wait can return; more stay ready for the next wait.
 const BATCH: usize = 256;
 
 impl Poller {
-    /// A poller with only its wake pipe registered.
+    /// A poller with only its waker registered.
     pub fn new() -> io::Result<Poller> {
-        let poller = Poller {
-            queue: new_queue()?,
-            pipe: sys::wake_pipe()?,
+        // SAFETY: integer arguments; what each returns is a new
+        // descriptor or an error.
+        let poller = unsafe {
+            Poller {
+                queue: sys::owned(sys::epoll_create1(sys::EPOLL_CLOEXEC))?,
+                waker: sys::owned(sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC))?,
+            }
         };
-        poller.add(poller.pipe.0.as_raw_fd(), WAKE, Interest::READ)?;
+        poller.add(poller.waker.as_raw_fd(), WAKE, Interest::READ)?;
         Ok(poller)
     }
 
     /// Make the current wait, or the next one, return.
     pub fn wake(&self) {
-        // Nonblocking; a full pipe already holds a wake.
-        sys::write_fd(self.pipe.1.as_raw_fd(), &[1]);
+        // Nonblocking; a counter near overflow already holds a wake.
+        sys::write_fd(self.waker.as_raw_fd(), &1u64.to_ne_bytes());
     }
 
     /// Block until a registered descriptor is ready, [`Poller::wake`] is
@@ -102,204 +105,68 @@ impl Poller {
         }
         let ready = events.len();
         events.retain(|ev| ev.token != WAKE);
-        // A short read empties the pipe; only a full buffer can leave
-        // bytes behind.
-        let (pipe, mut buf) = (self.pipe.0.as_raw_fd(), [0u8; 64]);
-        while events.len() < ready && sys::read_fd(pipe, &mut buf) == buf.len() as isize {}
+        if events.len() < ready {
+            // One read takes the whole counter: every wake so far.
+            sys::read_fd(self.waker.as_raw_fd(), &mut [0u8; 8]);
+        }
         Ok(())
     }
-}
 
-/// `ENOENT` or `EBADF` from a removal: never registered, or closed first.
-fn gone(err: &io::Error) -> bool {
-    matches!(err.raw_os_error(), Some(2 | 9))
-}
+    /// Register `fd` under `token` with the given interest.
+    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+    }
 
-#[cfg(not(unix))]
-compile_error!("jets-reactor supports Unix platforms only (epoll/kqueue)");
+    /// Change the interest of an already registered `fd`, or re-arm a
+    /// one-shot that fired.
+    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
+    }
 
-#[cfg(target_os = "linux")]
-use linux::new_queue;
-
-#[cfg(target_os = "linux")]
-mod linux {
-    use super::*;
-    use crate::sys::platform as p;
-
-    impl Poller {
-        /// Register `fd` under `token` with the given interest.
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(p::EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        /// Change the interest of an already registered `fd`, or re-arm a
-        /// one-shot that fired.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(p::EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        /// Deregister `fd`; one that is not registered is fine.
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-            match self.ctl(p::EPOLL_CTL_DEL, fd, 0, Interest::READ) {
-                Err(err) if gone(&err) => Ok(()),
-                removed => removed,
-            }
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut bits = p::EPOLLIN | p::EPOLLRDHUP;
-            if interest.write {
-                bits |= p::EPOLLOUT;
-            }
-            if interest.once {
-                bits |= p::EPOLLONESHOT;
-            }
-            let mut ev = p::EpollEvent {
-                events: bits,
-                data: token,
-            };
-            // SAFETY: `ev` is a live record the call only reads.
-            if unsafe { p::epoll_ctl(self.queue.as_raw_fd(), op, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// One `epoll_wait` into `events`.
-        pub(super) fn poll(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            let mut buf = [p::EpollEvent { events: 0, data: 0 }; BATCH];
-            let (queue, len) = (self.queue.as_raw_fd(), BATCH as i32);
-            // SAFETY: `buf` has room for the `len` records the call may write.
-            let n = unsafe { p::epoll_wait(queue, buf.as_mut_ptr(), len, timeout_ms) };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            events.extend(buf[..n as usize].iter().map(|raw| Event {
-                token: raw.data,
-                readable: raw.events & (p::EPOLLIN | p::EPOLLERR | p::EPOLLHUP | p::EPOLLRDHUP)
-                    != 0,
-                writable: raw.events & p::EPOLLOUT != 0,
-            }));
-            Ok(())
+    /// Deregister `fd`; one that is not registered is fine.
+    pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+        match self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::READ) {
+            // `ENOENT` or `EBADF`: never registered, or closed first.
+            Err(err) if matches!(err.raw_os_error(), Some(2 | 9)) => Ok(()),
+            removed => removed,
         }
     }
 
-    /// A new epoll instance, closed on exec.
-    pub fn new_queue() -> io::Result<OwnedFd> {
-        // SAFETY: an integer argument; what it returns is a new
-        // descriptor or an error.
-        unsafe { sys::owned(p::epoll_create1(p::EPOLL_CLOEXEC)) }
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-use bsd::new_queue;
-
-/// The kqueue half. No CI job builds a BSD or macOS target, so it is kept
-/// in step with the epoll half by reading.
-#[cfg(all(unix, not(target_os = "linux")))]
-mod bsd {
-    use super::*;
-    use crate::sys::platform as p;
-    use std::os::raw::c_void;
-    use std::ptr;
-
-    fn kev(fd: RawFd, filter: i16, flags: u16, token: u64) -> p::KEvent {
-        p::KEvent {
-            ident: fd as usize,
-            filter,
-            flags,
-            fflags: 0,
-            data: 0,
-            udata: token as *mut c_void,
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut bits = sys::EPOLLIN | sys::EPOLLRDHUP;
+        if interest.write {
+            bits |= sys::EPOLLOUT;
         }
+        if interest.once {
+            bits |= sys::EPOLLONESHOT;
+        }
+        let mut ev = sys::EpollEvent {
+            events: bits,
+            data: token,
+        };
+        // SAFETY: `ev` is a live record the call only reads.
+        if unsafe { sys::epoll_ctl(self.queue.as_raw_fd(), op, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
-    impl Poller {
-        /// Register `fd` under `token` with the given interest. The write
-        /// filter is added only when wanted: a pipe's read end refuses one.
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let once = if interest.once { p::EV_ONESHOT } else { 0 };
-            let read = kev(fd, p::EVFILT_READ, p::EV_ADD | once, token);
-            match interest.write {
-                true => self.apply(&[read, kev(fd, p::EVFILT_WRITE, p::EV_ADD, token)]),
-                false => self.apply(&[read]),
-            }
+    /// One `epoll_wait` into `events`.
+    fn poll(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        let mut buf = [sys::EpollEvent { events: 0, data: 0 }; BATCH];
+        let (queue, len) = (self.queue.as_raw_fd(), BATCH as i32);
+        // SAFETY: `buf` has room for the `len` records the call may write.
+        let n = unsafe { sys::epoll_wait(queue, buf.as_mut_ptr(), len, timeout_ms) };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
         }
-
-        /// Change the interest of an already registered `fd`, or re-arm a
-        /// one-shot that fired: the read filter is added again and the
-        /// write filter enabled or disabled.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let once = if interest.once { p::EV_ONESHOT } else { 0 };
-            let write = match interest.write {
-                true => p::EV_ADD | p::EV_ENABLE,
-                false => p::EV_ADD | p::EV_DISABLE,
-            };
-            self.apply(&[
-                kev(fd, p::EVFILT_READ, p::EV_ADD | once, token),
-                kev(fd, p::EVFILT_WRITE, write, token),
-            ])
-        }
-
-        /// Deregister `fd`; one that is not registered is fine.
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-            // Either filter may be gone already (a fired one-shot, or a
-            // write filter never added): delete them one at a time.
-            for filter in [p::EVFILT_READ, p::EVFILT_WRITE] {
-                match self.apply(&[kev(fd, filter, p::EV_DELETE, 0)]) {
-                    Err(err) if !gone(&err) => return Err(err),
-                    _ => {}
-                }
-            }
-            Ok(())
-        }
-
-        fn apply(&self, changes: &[p::KEvent]) -> io::Result<()> {
-            let (list, n) = (changes.as_ptr(), changes.len() as i32);
-            let queue = self.queue.as_raw_fd();
-            // SAFETY: `list` holds the `n` records the call reads; it writes none.
-            if unsafe { p::kevent(queue, list, n, ptr::null_mut(), 0, ptr::null()) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// One `kevent` wait into `events`.
-        pub(super) fn poll(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            let ts = p::Timespec {
-                tv_sec: (timeout_ms / 1000) as isize,
-                tv_nsec: ((timeout_ms % 1000) * 1_000_000) as isize,
-            };
-            let ts_ptr = match timeout_ms < 0 {
-                true => ptr::null(),
-                false => &ts as *const p::Timespec,
-            };
-            let mut buf = [kev(0, 0, 0, 0); BATCH];
-            let (queue, len) = (self.queue.as_raw_fd(), BATCH as i32);
-            // SAFETY: `buf` has room for the `len` records the call may
-            // write; `ts_ptr` is null or points at `ts`.
-            let n = unsafe { p::kevent(queue, ptr::null(), 0, buf.as_mut_ptr(), len, ts_ptr) };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            events.extend(buf[..n as usize].iter().map(|raw| {
-                let error = raw.flags & p::EV_ERROR != 0;
-                Event {
-                    token: raw.udata as u64,
-                    readable: raw.filter == p::EVFILT_READ || error,
-                    writable: raw.filter == p::EVFILT_WRITE && !error,
-                }
-            }));
-            Ok(())
-        }
-    }
-
-    /// A new kqueue.
-    pub fn new_queue() -> io::Result<OwnedFd> {
-        // SAFETY: no arguments; what it returns is a new descriptor or
-        // an error.
-        unsafe { sys::owned(p::kqueue()) }
+        let hup = sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP;
+        events.extend(buf[..n as usize].iter().map(|raw| Event {
+            token: raw.data,
+            readable: raw.events & hup != 0,
+            writable: raw.events & sys::EPOLLOUT != 0,
+        }));
+        Ok(())
     }
 }
 

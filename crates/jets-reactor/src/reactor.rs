@@ -1317,7 +1317,6 @@ mod tests {
 
     /// 64 connections, one loop thread: the thread bill does not grow
     /// with the connection count.
-    #[cfg(target_os = "linux")]
     #[test]
     fn thread_count_tracks_loops_not_connections() {
         let config = ReactorConfig {

@@ -25,7 +25,8 @@
 //! `src/ring.rs`. Records are opaque payloads of 1 to [`PAYLOAD_BYTES`]
 //! bytes here; the event codec lives with `EventKind` in jets-core.
 //!
-//! Zero dependencies, `std` only. As the workspace's leaf crate it also
+//! Zero dependencies, `std` only, and Linux only: the mappings are
+//! hand-declared `mmap` calls with Linux's constants. As the workspace's leaf crate it also
 //! carries [`stdx`]: the poison-ignoring locks and the seeded generator
 //! the other crates use in place of third-party ones; and [`codec`], the
 //! put/get primitives the dispatcher ⇄ worker wire protocol is written in.
@@ -38,6 +39,9 @@
         clippy::allow_attributes_without_reason
     )
 )]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("jets-ring runs on Linux only: a ring is an mmap with Linux's constants");
 
 pub mod codec;
 mod region;

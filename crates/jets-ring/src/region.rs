@@ -13,45 +13,33 @@
 
 use std::fs::OpenOptions;
 use std::io;
+use std::os::fd::AsRawFd;
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
 
-/// What keeps the words alive (and how they are released).
-enum Backing {
-    /// Zeroed heap words, where there is no mmap; dropped normally.
-    #[cfg(not(unix))]
-    Heap(#[allow(dead_code, reason = "held only to be dropped")] Box<[AtomicU64]>),
-    /// `mmap(MAP_PRIVATE | MAP_ANONYMOUS)`: zero pages the kernel supplies
-    /// on first touch; unmapped on drop.
-    #[cfg(unix)]
-    Anon { len: usize },
-    /// `mmap(MAP_SHARED)` of a file; unmapped on drop. The descriptor
-    /// is closed as soon as the mapping exists (the mapping keeps the
-    /// file's pages reachable on its own).
-    #[cfg(unix)]
-    File { len: usize },
-}
-
-/// A fixed-size array of shared `u64` words.
+/// A fixed-size array of shared `u64` words, unmapped on drop.
 pub(crate) struct Region {
     ptr: *const AtomicU64,
     words: usize,
     /// Read-only mappings (offline replay) must never be stored to.
     readonly: bool,
-    backing: Backing,
+    /// A `MAP_SHARED` file mapping, which [`Region::sync`] flushes; an
+    /// anonymous one has nowhere to flush to.
+    file: bool,
 }
 
 // SAFETY: the region is a plain array of `AtomicU64`; all access is
 // through atomic operations on immutably borrowed cells, which are
 // `Sync`. The raw pointer is only a lifetime-erased view of memory
-// owned (Heap) or mapped (Anon, File) by this struct for its whole life.
+// mapped by this struct for its whole life.
 unsafe impl Send for Region {}
 unsafe impl Sync for Region {}
 
 impl Region {
-    /// A zeroed in-process region of `words` words. A mapping that fails
-    /// is an allocation that failed.
-    #[cfg(unix)]
+    /// A zeroed in-process region of `words` words:
+    /// `mmap(MAP_PRIVATE | MAP_ANONYMOUS)`, whose zero pages the kernel
+    /// supplies on first touch. A mapping that fails is an allocation
+    /// that failed.
     pub(crate) fn anon(words: usize) -> Region {
         let len = words * 8;
         let ptr = crate::sys::map_anon(len)
@@ -60,29 +48,17 @@ impl Region {
             ptr: ptr as *const AtomicU64,
             words,
             readonly: false,
-            backing: Backing::Anon { len },
-        }
-    }
-
-    /// A zeroed in-process region of `words` words.
-    #[cfg(not(unix))]
-    pub(crate) fn anon(words: usize) -> Region {
-        let boxed: Box<[AtomicU64]> = (0..words).map(|_| AtomicU64::new(0)).collect();
-        Region {
-            ptr: boxed.as_ptr(),
-            words,
-            readonly: false,
-            backing: Backing::Heap(boxed),
+            file: false,
         }
     }
 
     /// Map `path` shared with exactly `bytes` bytes, creating and
     /// extending the file if needed. `bytes` must be a multiple of 8.
     /// An existing *longer* file is rejected rather than silently
-    /// truncated — a capacity mismatch is the caller's to diagnose.
-    #[cfg(unix)]
+    /// truncated — a capacity mismatch is the caller's to diagnose. The
+    /// descriptor is closed as soon as the mapping exists (the mapping
+    /// keeps the file's pages reachable on its own).
     pub(crate) fn file(path: &Path, bytes: usize) -> io::Result<Region> {
-        use std::os::fd::AsRawFd;
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -107,15 +83,13 @@ impl Region {
             ptr: ptr as *const AtomicU64,
             words: bytes / 8,
             readonly: false,
-            backing: Backing::File { len: bytes },
+            file: true,
         })
     }
 
     /// Map an existing file read-only (offline replay). The whole file
     /// is mapped; the caller validates the header before trusting it.
-    #[cfg(unix)]
     pub(crate) fn file_readonly(path: &Path) -> io::Result<Region> {
-        use std::os::fd::AsRawFd;
         let file = OpenOptions::new().read(true).open(path)?;
         let bytes = file.metadata()?.len() as usize;
         if bytes < 8 || !bytes.is_multiple_of(8) {
@@ -129,35 +103,17 @@ impl Region {
             ptr: ptr as *const AtomicU64,
             words: bytes / 8,
             readonly: true,
-            backing: Backing::File { len: bytes },
+            file: true,
         })
-    }
-
-    #[cfg(not(unix))]
-    pub(crate) fn file(path: &Path, _bytes: usize) -> io::Result<Region> {
-        let _ = OpenOptions::new(); // keep the import meaningful
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!(
-                "{}: file-backed rings need mmap (unix only)",
-                path.display()
-            ),
-        ))
-    }
-
-    #[cfg(not(unix))]
-    pub(crate) fn file_readonly(path: &Path) -> io::Result<Region> {
-        Self::file(path, 0)
     }
 
     /// The shared word at `idx`.
     #[inline]
     pub(crate) fn word(&self, idx: usize) -> &AtomicU64 {
         debug_assert!(idx < self.words);
-        // SAFETY: `idx` is in bounds of the owned/mapped array, the
-        // memory lives as long as `self`, and `AtomicU64` has no
-        // validity requirements beyond alignment (heap allocations of
-        // `AtomicU64` and page-aligned mappings are both 8-aligned).
+        // SAFETY: `idx` is in bounds of the mapped array, the memory
+        // lives as long as `self`, and `AtomicU64` has no validity
+        // requirements beyond alignment (a mapping is page-aligned).
         unsafe { &*self.ptr.add(idx) }
     }
 
@@ -173,23 +129,15 @@ impl Region {
 
     /// Flush a file-backed region to disk (no-op for anonymous ones).
     pub(crate) fn sync(&self) -> io::Result<()> {
-        match &self.backing {
-            #[cfg(not(unix))]
-            Backing::Heap(_) => Ok(()),
-            #[cfg(unix)]
-            Backing::Anon { .. } => Ok(()),
-            #[cfg(unix)]
-            Backing::File { len } => crate::sys::sync(self.ptr as *mut u8, *len),
+        match self.file {
+            true => crate::sys::sync(self.ptr as *mut u8, self.words * 8),
+            false => Ok(()),
         }
     }
 }
 
 impl Drop for Region {
     fn drop(&mut self) {
-        #[cfg(unix)]
-        {
-            let (Backing::Anon { len } | Backing::File { len }) = self.backing;
-            crate::sys::unmap(self.ptr as *mut u8, len);
-        }
+        crate::sys::unmap(self.ptr as *mut u8, self.words * 8);
     }
 }

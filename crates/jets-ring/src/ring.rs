@@ -1080,7 +1080,6 @@ mod tests {
         assert_eq!((replay.records.len() as u64, replay.torn), (cap, 0));
     }
 
-    #[cfg(unix)]
     #[test]
     fn file_backed_ring_survives_reopen() {
         let path =
@@ -1103,7 +1102,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[cfg(unix)]
     #[test]
     fn writer_role_round_trips_and_survives_reopen() {
         let path = std::env::temp_dir().join(format!("jets-ring-role-{}.ring", std::process::id()));
@@ -1137,7 +1135,6 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     #[test]
     fn open_read_rejects_garbage() {
         let path = std::env::temp_dir().join(format!("jets-ring-bad-{}.ring", std::process::id()));
@@ -1151,7 +1148,6 @@ mod tests {
 
     /// A flight file of 1 024 slots holding one record, whose header
     /// claims `cap` slots.
-    #[cfg(unix)]
     fn file_claiming(name: &str, cap: u64) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("jets-ring-{name}-{}.ring", std::process::id()));
@@ -1165,7 +1161,6 @@ mod tests {
 
     /// A header that claims more slots than the file holds is refused,
     /// whatever the claim: 2^60 slots would overflow the size check.
-    #[cfg(unix)]
     #[test]
     fn open_read_refuses_a_capacity_past_the_file() {
         for cap in [1u64 << 11, 1 << 20, 1 << 60, 1 << 63] {
@@ -1178,7 +1173,6 @@ mod tests {
 
     /// Re-opening for writing checks the header against the mapping
     /// too: the stale-stamp sweep must never walk past it.
-    #[cfg(unix)]
     #[test]
     fn create_refuses_a_capacity_past_the_mapping() {
         for cap in [1u64 << 11, 1 << 20, 1 << 60, 1 << 63] {
@@ -1194,7 +1188,6 @@ mod tests {
     /// and left as it was: re-opened for a ring of the same capacity or
     /// of a larger one (the old file is shorter, and would have been
     /// extended).
-    #[cfg(unix)]
     fn an_old_file_is_refused_and_left_as_it_is(version: u64, slot_bytes: usize) {
         let path =
             std::env::temp_dir().join(format!("jets-ring-v{version}-{}.ring", std::process::id()));
@@ -1224,14 +1217,12 @@ mod tests {
     }
 
     /// Version 1 had 128-byte slots.
-    #[cfg(unix)]
     #[test]
     fn a_version_1_file_is_refused_and_left_as_it_is() {
         an_old_file_is_refused_and_left_as_it_is(1, 128);
     }
 
     /// Version 2 had one 72-byte slot a record.
-    #[cfg(unix)]
     #[test]
     fn a_version_2_file_is_refused_and_left_as_it_is() {
         an_old_file_is_refused_and_left_as_it_is(2, 72);
@@ -1314,7 +1305,6 @@ mod tests {
     /// A record whose writer died mid-write leaves its slot held; the
     /// next incarnation frees it on re-open instead of losing the slot
     /// for good.
-    #[cfg(unix)]
     #[test]
     fn a_reopened_file_frees_a_slot_its_writer_died_in() {
         let path = std::env::temp_dir().join(format!("jets-ring-held-{}.ring", std::process::id()));

@@ -28,9 +28,6 @@ pub enum Rank {
     Book,
     /// A pilot's `state`: its core and the session's write half.
     Pilot,
-    /// The node-local cache's `entries`, held across a copy and the
-    /// `copies` count that follows it.
-    Staging,
     /// A swiftlite array's `elems`: an element is vivified — its future
     /// made, mapped and, for an input file, fulfilled — with the table held.
     Elements,

@@ -1,12 +1,10 @@
-//! Hand-declared `mmap` bindings for the ring's memory.
+//! Hand-declared Linux `mmap` bindings for the ring's memory.
 //!
-//! `std` already links the platform C library, so the three calls the
-//! flight recorder needs are one `extern "C"` block away — no `libc`
-//! crate, keeping this crate zero-dependency like jets-obs, jets-lint,
-//! and jets-reactor (whose `sys.rs` set the precedent). Constants are
-//! the shared Linux/BSD values except where noted.
-
-#![cfg(unix)]
+//! `std` already links the C library, so the three calls the flight
+//! recorder needs are one `extern "C"` block away — no `libc` crate,
+//! keeping this crate zero-dependency like jets-obs, jets-lint, and
+//! jets-reactor (whose `sys.rs` set the precedent). Constants are
+//! Linux's.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -36,17 +34,10 @@ const MAP_SHARED: c_int = 1;
 /// `MAP_PRIVATE`: copy-on-write, seen by this process only.
 const MAP_PRIVATE: c_int = 2;
 
-/// `MAP_ANONYMOUS` diverges between Linux and the BSD family.
-#[cfg(target_os = "linux")]
+/// `MAP_ANONYMOUS`: no file behind the pages; they start zeroed.
 const MAP_ANONYMOUS: c_int = 0x20;
-#[cfg(not(target_os = "linux"))]
-const MAP_ANONYMOUS: c_int = 0x1000;
-
-/// `MS_SYNC` diverges between Linux and the BSD family.
-#[cfg(target_os = "linux")]
+/// `MS_SYNC`: `msync` returns once the pages are written.
 const MS_SYNC: c_int = 4;
-#[cfg(not(target_os = "linux"))]
-const MS_SYNC: c_int = 0x0010;
 
 /// Map `len` bytes of `fd` shared, read-write (`writable`) or read-only.
 pub fn map_shared(fd: RawFd, len: usize, writable: bool) -> io::Result<*mut u8> {

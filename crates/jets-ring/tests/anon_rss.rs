@@ -1,7 +1,6 @@
 //! An anonymous ring is resident only as far as it has been written. One
 //! test, alone in its process: another test's allocations would land in
 //! its `VmRSS` readings.
-#![cfg(target_os = "linux")]
 
 use jets_ring::Ring;
 

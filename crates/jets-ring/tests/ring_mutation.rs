@@ -22,7 +22,6 @@
 //! past the largest record, past the claim cursor, past its own slots or
 //! to a continuation's mark. Each loses that record whole and no other,
 //! and never comes back spliced from two.
-#![cfg(unix)]
 
 use jets_ring::{Record, Ring, SLOT_BYTES};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -290,7 +290,6 @@ fn crash_child_write_loop() {
     }
 }
 
-#[cfg(unix)]
 #[test]
 fn kill_nine_mid_write_replays_offline() {
     let path = std::env::temp_dir().join(format!("jets-ring-crash-{}.ring", std::process::id()));

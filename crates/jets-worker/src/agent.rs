@@ -55,7 +55,7 @@ use std::io::{self, BufReader, ErrorKind};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
@@ -569,7 +569,8 @@ struct Agent {
     /// The other thread exists: started, and not given up on since.
     paired: bool,
     jitter: SplitMix64,
-    /// Created by the first assignment that stages anything.
+    /// Created by the first assignment that stages anything; its
+    /// directory is removed when the agent loop ends.
     local_cache: Option<NodeLocalCache>,
     exit: Sender<WorkerExit>,
 }
@@ -616,6 +617,9 @@ impl Agent {
                 Some(_) => break ExitReason::ConnectionLost,
             }
         };
+        // The node-local cache goes with the loop, before anyone hears
+        // that the loop is over.
+        self.local_cache = None;
         let tasks_done = pilot.input(|core, _, _| core.tasks_done());
         let _ = self.exit.send(WorkerExit { tasks_done, reason });
         pilot.over.store(true, Ordering::Release);
@@ -707,7 +711,11 @@ impl Agent {
         let cache = match &mut self.local_cache {
             Some(cache) => cache,
             empty => {
-                let dir = format!("jets-local-{name}-{}", std::process::id());
+                // A directory per cache: pilots of one name in one process
+                // must not remove each other's files when they end.
+                static CACHES: AtomicU64 = AtomicU64::new(0);
+                let n = CACHES.fetch_add(1, Ordering::Relaxed);
+                let dir = format!("jets-local-{name}-{}-{n}", std::process::id());
                 empty.insert(NodeLocalCache::new(std::env::temp_dir().join(dir))?)
             }
         };
@@ -1161,7 +1169,6 @@ mod tests {
     /// A reader backing off is parked until its time is up or `kill`
     /// unparks it. The loop this replaced woke every 20 ms to look at the
     /// kill flag.
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_backoff_sleeps_until_killed() {
         // Voluntary context switches of the thread named `name`.
@@ -1479,10 +1486,13 @@ mod tests {
 
         let d = Dispatcher::start(DispatcherConfig::default()).unwrap();
         let registry = standard_registry();
-        registry.register("read-local", |ctx: &crate::executor::TaskContext| {
+        let seen = Arc::new(std::sync::Mutex::new(None));
+        let saw = Arc::clone(&seen);
+        registry.register("read-local", move |ctx: &crate::executor::TaskContext| {
             let Some(local_dir) = ctx.env("JETS_LOCAL_DIR") else {
                 return 40;
             };
+            *saw.lock().unwrap() = Some(local_dir.clone());
             match std::fs::read_to_string(std::path::Path::new(&local_dir).join("params.dat")) {
                 Ok(content) if content == "force-field v2" => 0,
                 Ok(_) => 41,
@@ -1505,6 +1515,12 @@ mod tests {
         assert_eq!(d.job_record(b).unwrap().status, JobStatus::Succeeded);
         d.shutdown();
         w.join();
+        // The pilot took its cache with it.
+        let local_dir = seen.lock().unwrap().take().unwrap();
+        assert!(
+            !std::path::Path::new(&local_dir).exists(),
+            "{local_dir} left behind"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

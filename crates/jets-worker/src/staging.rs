@@ -10,22 +10,22 @@
 //! [`StageFile`]s; before the first task of a job runs on a node, the
 //! worker copies each listed file into its cache (once — subsequent jobs
 //! reuse the cached copy) and exports the cache directory to the task as
-//! `JETS_LOCAL_DIR`.
+//! `JETS_LOCAL_DIR`. The directory lives as long as the cache: the
+//! pilot's agent loop drops it when it ends.
 
-use jets_ring::stdx::{Mutex, Rank};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
 pub use jets_core::spec::StageFile;
 
-/// A worker's node-local file cache.
+/// A worker's node-local file cache. It owns its directory: dropping
+/// the cache removes the directory and everything staged into it.
 pub struct NodeLocalCache {
     dir: PathBuf,
-    /// name → source it was staged from (for conflict detection).
-    entries: Mutex<HashMap<String, String>>,
-    /// Copies actually performed (cache misses).
-    copies: Mutex<u64>,
+    /// name → source it was staged from (for conflict detection); one
+    /// entry per copy made.
+    entries: HashMap<String, String>,
 }
 
 impl NodeLocalCache {
@@ -33,11 +33,8 @@ impl NodeLocalCache {
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<NodeLocalCache> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(NodeLocalCache {
-            dir,
-            entries: Mutex::ranked(Rank::Staging, HashMap::new()),
-            copies: Mutex::new(0),
-        })
+        let entries = HashMap::new();
+        Ok(NodeLocalCache { dir, entries })
     }
 
     /// The cache directory (exported to tasks as `JETS_LOCAL_DIR`).
@@ -47,17 +44,16 @@ impl NodeLocalCache {
 
     /// Number of copies performed so far (misses; hits are free).
     pub fn copies(&self) -> u64 {
-        *self.copies.lock()
+        self.entries.len() as u64
     }
 
     /// Ensure `file` is present locally; returns its local path.
     /// Copies at most once per name; staging a different source under an
     /// already-used name is an error (silent aliasing would corrupt
     /// unrelated jobs).
-    pub fn stage(&self, file: &StageFile) -> io::Result<PathBuf> {
+    pub fn stage(&mut self, file: &StageFile) -> io::Result<PathBuf> {
         let local = self.dir.join(&file.name);
-        let mut entries = self.entries.lock();
-        match entries.get(&file.name) {
+        match self.entries.get(&file.name) {
             Some(existing) if existing == &file.source => Ok(local),
             Some(existing) => Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -68,19 +64,21 @@ impl NodeLocalCache {
             )),
             None => {
                 std::fs::copy(&file.source, &local)?;
-                entries.insert(file.name.clone(), file.source.clone());
-                *self.copies.lock() += 1;
+                self.entries.insert(file.name.clone(), file.source.clone());
                 Ok(local)
             }
         }
     }
 
     /// Stage a whole list (a job's staging manifest).
-    pub fn stage_all(&self, files: &[StageFile]) -> io::Result<()> {
-        for f in files {
-            self.stage(f)?;
-        }
-        Ok(())
+    pub fn stage_all(&mut self, files: &[StageFile]) -> io::Result<()> {
+        files.iter().try_for_each(|f| self.stage(f).map(drop))
+    }
+}
+
+impl Drop for NodeLocalCache {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -97,7 +95,7 @@ mod tests {
 
     #[test]
     fn stage_copies_once_and_reuses() {
-        let (base, cache) = setup("once");
+        let (base, mut cache) = setup("once");
         let src = base.join("tool.bin");
         std::fs::write(&src, b"binary").unwrap();
         let f = StageFile::new(src.to_string_lossy().into_owned());
@@ -113,7 +111,7 @@ mod tests {
 
     #[test]
     fn conflicting_names_are_rejected() {
-        let (base, cache) = setup("conflict");
+        let (base, mut cache) = setup("conflict");
         let a = base.join("a.dat");
         let b = base.join("b.dat");
         std::fs::write(&a, b"a").unwrap();
@@ -130,7 +128,7 @@ mod tests {
 
     #[test]
     fn missing_source_is_an_error() {
-        let (base, cache) = setup("missing");
+        let (base, mut cache) = setup("missing");
         let err = cache.stage(&StageFile::new("/no/such/file")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         assert_eq!(cache.copies(), 0);
@@ -145,7 +143,7 @@ mod tests {
 
     #[test]
     fn stage_all_manifest() {
-        let (base, cache) = setup("manifest");
+        let (base, mut cache) = setup("manifest");
         for n in ["x", "y", "z"] {
             std::fs::write(base.join(n), n).unwrap();
         }

@@ -1,7 +1,6 @@
 //! What one MPI gang costs in threads, TCP connections and PMI round
 //! trips, counted by the kernel, the reactor and the client. One test in
 //! its own binary: every thread of the process is in the census.
-#![cfg(target_os = "linux")]
 
 use jets_core::spec::{CommandSpec, JobSpec};
 use jets_core::{Dispatcher, DispatcherConfig, JobStatus};

@@ -1,7 +1,6 @@
 //! Thread wake-ups a pilot pays per task, counted by the kernel. One
 //! test in its own binary: the threads are told apart by name, and no
 //! other pilot may share the process.
-#![cfg(target_os = "linux")]
 
 use jets_core::spec::{CommandSpec, JobSpec};
 use jets_core::{Dispatcher, DispatcherConfig};

@@ -5,8 +5,7 @@
 //! own event loop.
 //!
 //! One test in its own binary, so no other test's threads move the
-//! census. Linux-only: the census reads `/proc/self`.
-#![cfg(target_os = "linux")]
+//! census, which reads `/proc/self`.
 
 use jets::core::{Dispatcher, DispatcherConfig};
 use jets::relay::{Relay, RelayConfig};

@@ -5,8 +5,7 @@
 //! this workload would have added ~1024 threads; the reactor multiplexes
 //! all of it onto the dispatcher's one event loop.
 //!
-//! Linux-only: the thread census reads `/proc/self`.
-#![cfg(target_os = "linux")]
+//! The thread census reads `/proc/self`.
 
 use jets::core::protocol::{DispatcherMsg, MsgReader, MsgWriter, WorkerMsg};
 use jets::core::{Dispatcher, DispatcherConfig};
